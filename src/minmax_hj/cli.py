@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 hypothesis failure (unstable pair, broken
 contact-chain monotonicity, ordering violation), 3 numerical failure
-(non-convergence, scheme parameter out of range), 4 config or run-dir
-errors.
+(non-convergence, scheme parameter out of range, an effective curve of
+the wrong shape, any other package error), 4 config or run-dir errors
+(including a gradient box too small for the pair analysis).
 """
 
 import json
@@ -13,9 +14,9 @@ import click
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import (ConfigError, MonotonicityError, NonConvergenceError,
-                     OrderingViolationError, RunLockError,
-                     SchemeParameterError, StabilityError)
+from .errors import (BoxTooSmallError, ConfigError, MinMaxHJError,
+                     MonotonicityError, OrderingViolationError, RunLockError,
+                     StabilityError)
 from .harness import (gate_passed, run_check, run_effective, run_plotdata,
                       run_sweep_eps)
 
@@ -37,20 +38,20 @@ def _guarded(fn):
         return fn()
     except (StabilityError, MonotonicityError, OrderingViolationError) as e:
         _fail(EXIT_HYPOTHESIS, "hypothesis failure", e)
-    except (NonConvergenceError, SchemeParameterError) as e:
-        _fail(EXIT_NUMERICAL, "numerical failure", e)
     except (RunLockError, ConfigError) as e:
         _fail(EXIT_CONFIG, "config error", e)
+    except BoxTooSmallError as e:
+        _fail(EXIT_CONFIG, "config error: pairs.p_box", e)
+    except MinMaxHJError as e:
+        _fail(EXIT_NUMERICAL, "numerical failure", e)
 
 
-def _load(config, out, seed, threads):
+def _load(config, out, seed):
     cfg = _guarded(lambda: ExperimentConfig.from_yaml(config))
     if out is not None:
         cfg.output = out
     if seed is not None:
         cfg.seeds = [seed]
-    if threads is not None:
-        cfg.threads = threads
     return cfg
 
 
@@ -62,8 +63,6 @@ def _common(fn):
                       help="run directory (default: config output)")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="override the seed list with one seed")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="parallel p-point tasks")(fn)
     return fn
 
 
@@ -76,10 +75,10 @@ def main():
 
 @main.command()
 @_common
-def check(config, out, seed, threads):
+def check(config, out, seed):
     """Validate ordering, pair stability, contact-chain monotonicity,
     and thin level sets; write the manifest and stop."""
-    cfg = _load(config, out, seed, threads)
+    cfg = _load(config, out, seed)
     manifest = _guarded(lambda: run_check(cfg, out_dir=cfg.output))
     for name, ok in sorted(manifest["verdicts"].items()):
         click.echo(f"{name}: {'pass' if ok else 'FAIL'}")
@@ -95,24 +94,24 @@ def check(config, out, seed, threads):
 @main.command()
 @_common
 @click.option("--force", is_flag=True, help="run despite failed hypotheses")
-def effective(config, out, seed, threads, force):
+def effective(config, out, seed, force):
     """Piece curves, nested formula curve, direct estimates, and the
     numeric-vs-formula comparison files."""
-    cfg = _load(config, out, seed, threads)
+    cfg = _load(config, out, seed)
     manifest = _guarded(lambda: run_effective(cfg, out_dir=cfg.output,
-                                              force=force, threads=threads))
+                                              force=force))
     click.echo("max_abs_err: %.6g" % manifest["max_abs_err"])
 
 
 @main.command("sweep-eps")
 @_common
 @click.option("--force", is_flag=True, help="run despite failed hypotheses")
-def sweep_eps(config, out, seed, threads, force):
+def sweep_eps(config, out, seed, force):
     """Oscillatory vs homogenized evolution error across the eps
     schedule."""
-    cfg = _load(config, out, seed, threads)
+    cfg = _load(config, out, seed)
     manifest = _guarded(lambda: run_sweep_eps(cfg, out_dir=cfg.output,
-                                              force=force, threads=threads))
+                                              force=force))
     for eps, err in zip(cfg.eps_schedule, manifest["errors"]):
         click.echo("eps=%g: err=%.6g" % (eps, err))
     click.echo("nonincreasing: %s" % manifest["nonincreasing"])

@@ -143,7 +143,6 @@ class ExperimentConfig:
             raise ConfigError(f"{source}: pairs: x_nodes >= 4, n_p >= 65")
 
         self.output = data.get("output", "runs/out")
-        self.threads = int(data.get("threads", 1))
 
     @classmethod
     def from_yaml(cls, path):

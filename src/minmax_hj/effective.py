@@ -12,7 +12,7 @@ monotone bisection.
 
 import numpy as np
 
-from .errors import ConfigError, SchemeParameterError
+from .errors import ConfigError, ProfileShapeError, SchemeParameterError
 from .family import (LevelHamiltonian, MinMaxFamily, negate_dual, even_dual)
 from .pairs import contact_fields, kappa_shift
 from .profiles import QUASICONVEX, as_components
@@ -44,8 +44,11 @@ class EffectiveCurve:
         self.intermediates = {}
 
     def validate(self, lipschitz=None):
+        """Raise ProfileShapeError unless the curve is finite, its tails
+        point the way its kind says, and (given a Lipschitz bound) no
+        jump between samples exceeds it."""
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("curve has non-finite values")
+            raise ProfileShapeError("curve has non-finite values")
         slack = np.max(self.error_bars) + 1e-9
         sl_l = (self.values[1] - self.values[0]) / (self.p[1] - self.p[0])
         sl_r = (self.values[-1] - self.values[-2]) / (self.p[-1] - self.p[-2])
@@ -53,15 +56,16 @@ class EffectiveCurve:
         # tails may be flat (plateau at the window edge) but must not
         # point the wrong way
         if self.kind == "coercive" and (sl_l > rate or sl_r < -rate):
-            raise ValueError("coercive curve does not rise at the ends")
+            raise ProfileShapeError("coercive curve does not rise at the ends")
         if self.kind == "anticoercive" and (sl_l < -rate or sl_r > rate):
-            raise ValueError("anticoercive curve does not fall at the ends")
+            raise ProfileShapeError(
+                "anticoercive curve does not fall at the ends")
         if lipschitz is not None:
             jumps = np.abs(np.diff(self.values))
             bounds = lipschitz * np.diff(self.p) + 2e-2 + 2 * slack
             if np.any(jumps > bounds):
                 i = int(np.argmax(jumps - bounds))
-                raise ValueError(
+                raise ProfileShapeError(
                     f"jump {jumps[i]:.4g} between p={self.p[i]:.4g} and "
                     f"p={self.p[i + 1]:.4g} exceeds the continuity bound")
         return self
@@ -108,6 +112,7 @@ class Estimate:
         self.fit_residuals = fit_residuals
         self.uniform_residual = uniform_residual
         self.reliable = reliable
+        self.methods = None     # solver path per lam (solve_discounted)
 
     def __iter__(self):
         return iter((self.value, self.error_bar))
@@ -167,6 +172,7 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
             f"need rate * n >= 10")
 
     ys = []
+    methods = []
     v = None
     tol = None
     for lam in lams:
@@ -174,12 +180,14 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
                                  params=params, v0=v, method=method)
         v = field.values
         tol = field.metadata["tol_fp"]
+        methods.append(field.metadata["method"])
         const = field.metadata.get("constant_value")
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip
         ys.append(float(-lam * v.flat[0]) if const is None else const)
     est = fit_schedule_data(lams, ys, tol)
     est.uniform_residual = float(np.max(np.abs(lams[-1] * v + est.value)))
+    est.methods = methods
     return est
 
 

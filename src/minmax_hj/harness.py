@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .family import LevelHamiltonian, validate_ordering
 from .media import sample_realization
 from .pairs import check_condition_e, check_monotonicity, contact_fields
 from .profiles import QUASICONVEX
-from .solver import Grid, SchemeParams, solve_homogenized, solve_time_dependent
+from .solver import (FALLBACK, Grid, SchemeParams, solve_homogenized,
+                     solve_time_dependent)
 
 _G17 = "%.17g"
 
@@ -177,42 +177,42 @@ def run_check(cfg, out_dir=None):
     return manifest
 
 
-def _map_over_p(p_axis, worker, threads):
-    """Evaluate worker(p) for each sample; results keyed by index so the
-    aggregation order never depends on the thread schedule."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, range(len(p_axis))))
-    else:
-        results = [worker(i) for i in range(len(p_axis))]
-    return results
-
-
-def _numeric_curve(hamiltonian, cfg, medium, kind, threads, params=None):
+def _numeric_curve(hamiltonian, cfg, medium, kind, params=None):
     grid = Grid(cfg.solver_n, cfg.solver_length)
-
-    def worker(i):
-        p = float(cfg.p_axis[i])
+    ests = []
+    for p in cfg.p_axis:
         try:
-            est = estimate_effective(hamiltonian, [p], medium,
-                                     cfg.lambda_schedule, grid, params)
+            ests.append(estimate_effective(hamiltonian, [float(p)], medium,
+                                           cfg.lambda_schedule, grid, params))
         except NonConvergenceError as err:
             raise NonConvergenceError(
                 f"estimate at p={p:.6g} failed: {err}",
                 residual_history=err.residual_history) from err
-        return est.value, est.error_bar, est.reliable
-
-    rows = _map_over_p(cfg.p_axis, worker, threads)
-    values = np.array([r[0] for r in rows])
-    bars = np.array([r[1] for r in rows])
+    values = np.array([e.value for e in ests])
+    bars = np.array([e.error_bar for e in ests])
     curve = EffectiveCurve(cfg.p_axis, values, bars, "numeric", kind)
     curve.validate()
     curve.intermediates["unreliable_p"] = [
-        float(cfg.p_axis[i]) for i, r in enumerate(rows) if not r[2]]
+        float(p) for p, e in zip(cfg.p_axis, ests) if not e.reliable]
+    curve.intermediates["solver_methods"] = [
+        (float(p), e.lams, e.methods) for p, e in zip(cfg.p_axis, ests)]
     return curve
 
 
-def build_curves(cfg, medium, consts, threads=1, params=None):
+def _solver_stats(curves):
+    """Discounted solves per solver path, and the (p, lam) of every solve
+    whose Newton iteration declined, over a run's numeric curves."""
+    solves, fallbacks = {}, []
+    for curve in curves:
+        for p, lams, methods in curve.intermediates.get("solver_methods", []):
+            for lam, method in zip(lams, methods):
+                solves[method] = solves.get(method, 0) + 1
+                if method == FALLBACK:
+                    fallbacks.append({"p": p, "lam": lam})
+    return {"solves": solves, "fallbacks": fallbacks}
+
+
+def build_curves(cfg, medium, consts, params=None):
     """Per-piece effective curves (exact where the piece is separable,
     numeric otherwise) and the nested formula curve."""
     def one(piece):
@@ -220,7 +220,7 @@ def build_curves(cfg, medium, consts, threads=1, params=None):
         try:
             return piece_effective_curve(piece, medium, cfg.p_axis)
         except ValueError:
-            return _numeric_curve(piece, cfg, medium, kind, threads, params)
+            return _numeric_curve(piece, cfg, medium, kind, params)
 
     checks = [one(pc) for pc in cfg.family.checks]
     hats = [one(pc) for pc in cfg.family.hats]
@@ -228,10 +228,9 @@ def build_curves(cfg, medium, consts, threads=1, params=None):
     return checks, hats, formula
 
 
-def run_effective(cfg, out_dir=None, force=False, threads=None):
+def run_effective(cfg, out_dir=None, force=False):
     """Piece curves, nested formula, direct estimate, and comparison."""
     out_dir = out_dir or cfg.output
-    threads = cfg.threads if threads is None else threads
     os.makedirs(out_dir, exist_ok=True)
     params = SchemeParams(theta=cfg.theta)
     with RunLock(out_dir):
@@ -241,13 +240,13 @@ def run_effective(cfg, out_dir=None, force=False, threads=None):
 
         t0 = time.perf_counter()
         checks, hats, formula = build_curves(
-            cfg, analysis["medium0"], analysis["consts_obj"], threads, params)
+            cfg, analysis["medium0"], analysis["consts_obj"], params)
         timings["piece_curves"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         h_top = LevelHamiltonian(cfg.family, cfg.family.ell)
         numeric = _numeric_curve(h_top, cfg, analysis["medium0"],
-                                 "coercive", threads, params)
+                                 "coercive", params)
         timings["numeric_estimates"] = time.perf_counter() - t0
 
         numeric.to_csv(os.path.join(out_dir, "numeric.csv"))
@@ -275,6 +274,7 @@ def run_effective(cfg, out_dir=None, force=False, threads=None):
             "max_abs_err": float(abs_err.max()),
             "mean_abs_err": float(abs_err.mean()),
             "unreliable_p": numeric.intermediates["unreliable_p"],
+            "solver_stats": _solver_stats(checks + hats + [numeric]),
             "timings": timings,
             "files": ["numeric.csv", "formula.csv", "compare.csv"],
         }
@@ -282,10 +282,9 @@ def run_effective(cfg, out_dir=None, force=False, threads=None):
     return manifest
 
 
-def run_sweep_eps(cfg, out_dir=None, force=False, threads=None):
+def run_sweep_eps(cfg, out_dir=None, force=False):
     """Oscillatory vs homogenized evolution over the eps schedule."""
     out_dir = out_dir or cfg.output
-    threads = cfg.threads if threads is None else threads
     os.makedirs(out_dir, exist_ok=True)
     params = SchemeParams(theta=cfg.theta)
     with RunLock(out_dir):
@@ -296,7 +295,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False, threads=None):
 
         t0 = time.perf_counter()
         _, _, formula = build_curves(cfg, medium, analysis["consts_obj"],
-                                     threads, params)
+                                     params)
         timings["effective_curve"] = time.perf_counter() - t0
 
         grid = Grid(cfg.solver_n, cfg.solver_length)

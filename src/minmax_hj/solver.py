@@ -24,6 +24,9 @@ from scipy.linalg import solve_banded
 
 from .errors import NonConvergenceError, SchemeParameterError
 
+# metadata["method"] of a solve whose Newton iteration declined
+FALLBACK = "relax (newton declined)"
+
 
 class Grid:
     """Uniform periodic grid, d in {1, 2}."""
@@ -236,6 +239,28 @@ def _newton_1d(h_bound, grid, lam, theta, tol, v, history, max_newton=80):
     return None
 
 
+def _nested_start(hamiltonian, p0, grid, medium, lam, theta, tol):
+    """Cold start for the 1-D Newton path by nested iteration.
+
+    Newton from zero stalls where the corrector switches between the
+    min and max branches, so the same problem (same lam, theta and
+    tolerance) is first solved on a ladder of grids of the same length,
+    halving the node count while it stays even and at least 64, and
+    each level's result is prolonged to the next. A level whose Newton
+    declines passes its own start up unchanged.
+    """
+    sizes = [grid.n[0]]
+    while sizes[-1] % 2 == 0 and sizes[-1] // 2 >= 64:
+        sizes.append(sizes[-1] // 2)
+    v = np.zeros(sizes[-1])
+    for m in reversed(sizes[1:]):
+        coarse = Grid(m, grid.length[0])
+        h_bound = _bind(hamiltonian, p0, coarse, medium)
+        out = _newton_1d(h_bound, coarse, lam, theta, tol, v, [])
+        v = prolong_periodic(v if out is None else out[0])
+    return v
+
+
 def _relax_projected(h_bound, grid, lam, theta, tol, v, params, history):
     """Monotone pseudo-time relaxation on the mean-projected residual.
 
@@ -281,12 +306,14 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     residual.
 
     In one dimension a damped Newton iteration on the Lax-Friedrichs
-    residual does the work (each step one periodic banded solve); it
-    falls back to monotone pseudo-time relaxation if it stalls, and the
-    relaxation is also what runs in 2-D or on request. Whatever the
-    path, the returned field satisfies the residual tolerance and the
-    comparison bound |lam*v| <= sup|H(p0,.)|, or an error carries the
-    residual history out.
+    residual does the work (each step one periodic banded solve),
+    starting from v0 or, without one, from the nested-iteration start
+    on coarser grids; it falls back to monotone pseudo-time relaxation
+    if it stalls, and the relaxation is also what runs in 2-D or on
+    request. Whatever the path, the returned field satisfies the
+    residual tolerance and the comparison bound |lam*v| <= sup|H(p0,.)|,
+    or an error carries the residual history out. metadata["method"]
+    names the path: "constant", "newton", or "relax (<reason>)".
     """
     if not lam > 0:
         raise SchemeParameterError("discount rate must be positive")
@@ -317,18 +344,27 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
                 "p0": np.atleast_1d(np.asarray(p0, dtype=float)).tolist(),
                 "iterations": 0,
                 "residual": float(np.max(np.abs(lam * v + h0))),
-                "tol_fp": tol, "theta": theta,
+                "tol_fp": tol, "theta": theta, "method": "constant",
                 "constant_value": constant_value}
         return GridField(grid, v, meta)
 
     v = grid.zeros() if v0 is None else np.array(v0, dtype=float)
     history = []
     out = None
-    if grid.dim == 1 and method in ("auto", "newton"):
+    if grid.dim != 1:
+        used = "relax (2-d grid)"
+    elif method == "relax":
+        used = "relax (requested)"
+    else:
+        if v0 is None:
+            v = _nested_start(hamiltonian, p0, grid, medium, lam, theta, tol)
         out = _newton_1d(h_bound, grid, lam, theta, tol, v, history)
-        if out is None and method == "newton":
-            raise NonConvergenceError("Newton iteration stalled",
-                                      residual_history=history)
+        used = "newton"
+        if out is None:
+            if method == "newton":
+                raise NonConvergenceError("Newton iteration stalled",
+                                          residual_history=history)
+            used = FALLBACK
     if out is None:
         out = _relax_projected(h_bound, grid, lam, theta, tol, v, params,
                                history)
@@ -346,7 +382,7 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     meta = {"equation": "discounted", "lam": float(lam),
             "p0": np.atleast_1d(np.asarray(p0, dtype=float)).tolist(),
             "iterations": it, "residual": res, "tol_fp": tol,
-            "theta": theta}
+            "theta": theta, "method": used}
     return GridField(grid, v, meta)
 
 

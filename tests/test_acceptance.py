@@ -114,7 +114,7 @@ def test_base_family_curve_matches_closed_form(tmp_path):
     err = float(np.max(np.abs(numeric - closed_form)))
     ok = err <= 2e-2 and manifest["max_abs_err"] <= 2e-2 and len(p) == 33
     conclude("base family vs closed form on 33 gradients",
-             ok, f"max abs err {err:.3g}", "2e-2", t0, 300.0)
+             ok, f"max abs err {err:.3g}", "2e-2", t0, 60.0)
 
 
 def test_two_level_formula_matches_numeric(tmp_path):
@@ -126,7 +126,7 @@ def test_two_level_formula_matches_numeric(tmp_path):
           and len(cfg.p_axis) == 33)
     conclude("two-level nested formula vs numeric on 33 gradients",
              ok, f"max abs err {manifest['max_abs_err']:.3g}", "3e-2",
-             t0, 900.0)
+             t0, 60.0)
 
 
 def test_homogenization_error_decreases(tmp_path):

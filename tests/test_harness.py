@@ -19,8 +19,8 @@ from click.testing import CliRunner
 from minmax_hj import __version__
 from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig, U0_CATALOGUE
-from minmax_hj.errors import (ConfigError, MonotonicityError, RunLockError,
-                              StabilityError)
+from minmax_hj.errors import (ConfigError, MonotonicityError,
+                              PerturbationError, RunLockError, StabilityError)
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_passed,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
@@ -75,7 +75,6 @@ class TestConfigValidation:
         assert len(cfg.p_axis) == 25
         assert cfg.lambda_schedule == [0.16, 0.08, 0.04]
         assert cfg.theta is None
-        assert cfg.threads == 1
         assert cfg.family.ell == 1
 
     def test_missing_family(self):
@@ -261,12 +260,12 @@ class TestRunEffective:
         m1, m2 = run_effective(first), run_effective(second)
         assert m1["files"] == m2["files"]
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        serial = load_fixture("xindep.yaml", output=str(tmp_path / "s"))
-        pooled = load_fixture("xindep.yaml", output=str(tmp_path / "p"))
-        m1 = run_effective(serial, threads=1)
-        m2 = run_effective(pooled, threads=4)
-        assert m1["files"] == m2["files"]
+    def test_solver_stats_count_every_solve(self, tmp_path):
+        # 33 gradients x 4 discount rates, all on the Newton path
+        cfg = load_fixture("base_case.yaml", output=str(tmp_path / "run"))
+        stats = run_effective(cfg)["solver_stats"]
+        assert stats["solves"] == {"newton": 132}
+        assert stats["fallbacks"] == []
 
     def test_two_level_compare_has_half_step_columns(self, tmp_path):
         data = small_config(output=str(tmp_path / "run"))
@@ -470,6 +469,37 @@ class TestCLI:
         assert res.exit_code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["contact_constants"]["seeds"] == [7]
+
+    def test_small_p_box_exits_4(self, tmp_path):
+        path = tmp_path / "box.yaml"
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["pairs"]["p_box"] = [-0.8, 0.8]
+        data["output"] = str(tmp_path / "run")
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path))
+        assert res.exit_code == 4
+        assert "pairs.p_box" in res.stderr
+
+    def test_misshapen_curve_exits_3(self, tmp_path):
+        # a 9-point axis misses the coercive rise of the two-level curve
+        path = tmp_path / "ell2_9.yaml"
+        data = yaml.safe_load((CONFIG_DIR / "ell2_strict.yaml").read_text())
+        data["p_axis"]["count"] = 9
+        data["output"] = str(tmp_path / "run")
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("effective", "--config", str(path))
+        assert res.exit_code == 3
+        assert "does not rise at the ends" in res.stderr
+
+    def test_other_package_errors_exit_3(self, tmp_path, monkeypatch):
+        def broken(cfg, out_dir=None):
+            raise PerturbationError("no strictly monotone shift")
+        monkeypatch.setattr("minmax_hj.cli.run_check", broken)
+        res = self.invoke("check", "--config",
+                          str(CONFIG_DIR / "xindep.yaml"),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 3
+        assert "no strictly monotone shift" in res.stderr
 
     def test_version_flag(self):
         res = self.invoke("--version")

@@ -1,10 +1,14 @@
 """Grid solvers: exact constant cases, oracle comparisons, probes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from minmax_hj.config import ExperimentConfig
 from minmax_hj.errors import NonConvergenceError, SchemeParameterError
-from minmax_hj.family import Piece
+from minmax_hj.family import LevelHamiltonian, Piece
+from minmax_hj.media import sample_realization
 from minmax_hj.profiles import AbsShift
 from minmax_hj.solver import (Grid, GridField, SchemeParams, lf_update,
                               prolong_periodic, solve_discounted,
@@ -13,6 +17,7 @@ from minmax_hj.solver import (Grid, GridField, SchemeParams, lf_update,
 from _reference import hopf_lax_abs
 
 ABS = Piece(AbsShift(0.0, 1.0, 0.0), None)  # H(p) = |p|, medium-free
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class _Curve:
@@ -60,6 +65,7 @@ class TestDiscounted:
         lam = 0.05
         out = solve_discounted(ABS, [0.7], lam, g)
         assert np.allclose(out.values, -0.7 / lam, atol=1e-10, rtol=0.0)
+        assert out.metadata["method"] == "constant"
         # -lam * v recovers H(p0) at every node
         assert np.allclose(-lam * out.values, 0.7, atol=1e-11, rtol=0.0)
 
@@ -124,6 +130,51 @@ class TestDiscounted:
     def test_lambda_must_be_positive(self):
         with pytest.raises(SchemeParameterError):
             solve_discounted(ABS, [0.5], 0.0, Grid(64))
+
+
+class TestNestedStart:
+    """Cold 1-D Newton solves start from the same problem solved on
+    coarser grids. On ell2_strict at p = 2.0625, lam = 0.1 Newton from
+    zero stalls where the corrector switches between min and max
+    branches."""
+
+    P0, LAM = [2.0625], 0.1
+
+    @pytest.fixture(scope="class")
+    def ell2(self):
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
+        return (LevelHamiltonian(cfg.family, cfg.family.ell),
+                sample_realization(cfg.medium_spec, cfg.seeds[0]),
+                SchemeParams(theta=cfg.theta))
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_newton_converges_where_zero_start_stalls(self, ell2, n):
+        ham, medium, params = ell2
+        out = solve_discounted(ham, self.P0, self.LAM, Grid(n, length=4.0),
+                               medium, params, method="newton")
+        assert out.metadata["method"] == "newton"
+        assert out.metadata["residual"] <= out.metadata["tol_fp"]
+
+    def test_newton_agrees_with_relaxation(self, ell2):
+        ham, medium, params = ell2
+        g = Grid(256, length=4.0)
+        a = solve_discounted(ham, self.P0, self.LAM, g, medium, params,
+                             method="newton")
+        b = solve_discounted(ham, self.P0, self.LAM, g, medium, params,
+                             method="relax")
+        assert b.metadata["method"] == "relax (requested)"
+        tol = a.metadata["tol_fp"] + b.metadata["tol_fp"]
+        assert np.max(np.abs(a.values - b.values)) <= tol / self.LAM
+
+    @pytest.mark.parametrize("n", [96, 100, 384])
+    def test_non_power_of_two_sizes(self, ell2, n):
+        # 96 and 100 have no coarser level; 384 climbs from 96
+        ham, medium, params = ell2
+        out = solve_discounted(ham, self.P0, self.LAM, Grid(n, length=4.0),
+                               medium, params)
+        assert out.values.shape == (n,)
+        assert out.metadata["method"] == "newton"
+        assert out.metadata["residual"] <= out.metadata["tol_fp"]
 
 
 class TestMonotoneProbes:
