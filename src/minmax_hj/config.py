@@ -39,6 +39,32 @@ def _need(data, key, where):
     return data[key]
 
 
+# Keys each section may hold; anything else is a typo or a leftover
+# field and is rejected rather than silently ignored.
+_KEYS = {
+    None: {"family", "medium", "solver", "p_axis", "lambda_schedule",
+           "eps_schedule", "evolution", "seeds", "pairs", "output"},
+    "solver": {"n", "length", "theta"},
+    "p_axis": {"min", "max", "count"},
+    "evolution": {"T", "u0", "t_samples"},
+    "pairs": {"x_nodes", "p_box", "n_p"},
+}
+
+
+def _reject_unknown(data, section, source):
+    block = data if section is None else data.get(section)
+    if not isinstance(block, dict):
+        return
+    for key in sorted(set(block) - _KEYS[section], key=str):
+        path = key if section is None else f"{section}.{key}"
+        raise ConfigError(f"{source}: {path}: unknown key")
+
+
+def _is_whole(ratio):
+    k = round(ratio)
+    return k >= 1 and abs(ratio - k) <= 1e-9 * ratio
+
+
 def _decreasing(values, where):
     vals = [float(v) for v in values]
     if len(vals) < 1 or any(b >= a for a, b in zip(vals, vals[1:])):
@@ -56,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"{source}: top level must be a mapping")
         self.raw = copy.deepcopy(data)
         self.source = source
+        for section in _KEYS:
+            _reject_unknown(data, section, source)
 
         med = _need(data, "medium", source)
         try:
@@ -91,6 +119,12 @@ class ExperimentConfig:
         self.theta = sol.get("theta")
         if self.solver_n < 16 or self.solver_length <= 0:
             raise ConfigError(f"{source}: solver: need n >= 16 and length > 0")
+        period = self.medium_spec.period
+        # a partial period puts a seam in the medium: another equation
+        if not _is_whole(self.solver_length / period):
+            raise ConfigError(
+                f"{source}: solver.length: {self.solver_length:g} is not a "
+                f"whole multiple of medium.period {period:g}")
 
         pax = _need(data, "p_axis", source)
         lo, hi = float(_need(pax, "min", f"{source}: p_axis")), \
@@ -114,6 +148,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{source}: eps_schedule: eps={eps:g} under-resolved, "
                     f"need eps >= 2h = {2 * h:g}")
+            if not _is_whole(self.solver_length / (eps * period)):
+                raise ConfigError(
+                    f"{source}: eps_schedule: eps={eps:g} does not fit the "
+                    f"domain: solver.length / (eps * medium.period) = "
+                    f"{self.solver_length / (eps * period):g} is not whole")
 
         evo = data.get("evolution", {})
         self.T = float(evo.get("T", 0.5))

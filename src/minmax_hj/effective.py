@@ -112,7 +112,11 @@ class Estimate:
         self.fit_residuals = fit_residuals
         self.uniform_residual = uniform_residual
         self.reliable = reliable
-        self.methods = None     # solver path per lam (solve_discounted)
+        # per lam, from solve_discounted: solver path, iterations and
+        # final residual
+        self.methods = None
+        self.iterations = None
+        self.residuals = None
 
     def __iter__(self):
         return iter((self.value, self.error_bar))
@@ -159,9 +163,12 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
                        params=None, method="auto"):
     """Extrapolate -lam * v_lam(0) along the discount schedule.
 
-    Returns an Estimate; its error bar combines the fit residual, a
-    fraction of the extrapolated correction, and the solver tolerance.
-    A poor fit is flagged (reliable=False), never hidden.
+    p is one gradient, or an (n_p, dim) array of them: then every
+    gradient is solved in one batch per discount rate, each row
+    warm-started from its own solution at the previous rate, and a list
+    of n_p Estimates comes back. An Estimate's error bar combines the fit
+    residual, a fraction of the extrapolated correction, and the solver
+    tolerance. A poor fit is flagged (reliable=False), never hidden.
     """
     lams = [float(l) for l in lam_schedule]
     if len(lams) < 3 or any(b >= a for a, b in zip(lams, lams[1:])):
@@ -171,24 +178,34 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
             f"smallest rate {lams[-1]:.3g} under-resolves the grid; "
             f"need rate * n >= 10")
 
-    ys = []
-    methods = []
+    P = np.asarray(p, dtype=float)
+    single = P.ndim < 2
+    P = P.reshape(-1, grid.dim)
+    runs, data = [], []
     v = None
-    tol = None
     for lam in lams:
-        field = solve_discounted(hamiltonian, p, lam, grid, medium,
-                                 params=params, v0=v, method=method)
-        v = field.values
-        tol = field.metadata["tol_fp"]
-        methods.append(field.metadata["method"])
-        const = field.metadata.get("constant_value")
+        fields = solve_discounted(hamiltonian, P, lam, grid, medium,
+                                  params=params, v0=v, method=method)
+        runs.append([f.metadata for f in fields])
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip
-        ys.append(float(-lam * v.flat[0]) if const is None else const)
-    est = fit_schedule_data(lams, ys, tol)
-    est.uniform_residual = float(np.max(np.abs(lams[-1] * v + est.value)))
-    est.methods = methods
-    return est
+        data.append([f.metadata["constant_value"]
+                     if "constant_value" in f.metadata
+                     else float(-lam * f.values.flat[0]) for f in fields])
+        v = np.stack([f.values for f in fields])
+        del fields      # the next solve needs only the stacked start
+    ests = []
+    for i in range(len(P)):
+        metas = [run[i] for run in runs]
+        est = fit_schedule_data(lams, [ys[i] for ys in data],
+                                metas[-1]["tol_fp"])
+        est.uniform_residual = float(np.max(np.abs(lams[-1] * v[i]
+                                                   + est.value)))
+        est.methods = [m["method"] for m in metas]
+        est.iterations = [m["iterations"] for m in metas]
+        est.residuals = [m["residual"] for m in metas]
+        ests.append(est)
+    return ests[0] if single else ests
 
 
 def fit_schedule_data(lams, ys, tol=0.0):
@@ -366,29 +383,22 @@ def verify_symmetries(hamiltonian, p_samples, medium, lam_schedule, grid,
     h_orig = _wrap_hamiltonian(hamiltonian)
     h_neg = _wrap_hamiltonian(negate_dual(hamiltonian))
 
-    neg_disc, neg_bars = [], []
-    for p in p_samples:
-        a = estimate_effective(h_neg, [p], medium, lam_schedule, grid, params)
-        b = estimate_effective(h_orig, [-p], medium, lam_schedule, grid,
-                               params)
-        neg_disc.append(abs(a.value + b.value))
-        neg_bars.append(a.error_bar + b.error_bar)
-    report = {"p": p_samples,
-              "negation": {"discrepancy": neg_disc, "bars": neg_bars,
-                           "max": max(neg_disc)}}
+    column = np.array(p_samples)[:, None]
+    reflected = estimate_effective(h_orig, -column, medium, lam_schedule,
+                                   grid, params)
 
+    def compare(h_dual, sign):
+        duals = estimate_effective(h_dual, column, medium, lam_schedule,
+                                   grid, params)
+        disc = [abs(a.value + sign * b.value)
+                for a, b in zip(duals, reflected)]
+        bars = [a.error_bar + b.error_bar for a, b in zip(duals, reflected)]
+        return {"discrepancy": disc, "bars": bars, "max": max(disc)}
+
+    report = {"p": p_samples, "negation": compare(h_neg, 1.0)}
     if getattr(hamiltonian, "tag", None) == QUASICONVEX:
-        h_even = _wrap_hamiltonian(even_dual(hamiltonian))
-        ev_disc, ev_bars = [], []
-        for p in p_samples:
-            a = estimate_effective(h_even, [p], medium, lam_schedule, grid,
-                                   params)
-            b = estimate_effective(h_orig, [-p], medium, lam_schedule, grid,
-                                   params)
-            ev_disc.append(abs(a.value - b.value))
-            ev_bars.append(a.error_bar + b.error_bar)
-        report["evenness"] = {"discrepancy": ev_disc, "bars": ev_bars,
-                              "max": max(ev_disc)}
+        report["evenness"] = compare(
+            _wrap_hamiltonian(even_dual(hamiltonian)), -1.0)
     else:
         report["evenness"] = None
     return report
@@ -433,16 +443,14 @@ def plateau_check(family, constants, medium, grid, lam_schedule,
     region = (check_curve.values <= m1 + 1e-9) \
         & (hat_curve.values <= m1 + 1e-9)
     h1 = LevelHamiltonian(family, 1)
-    probes, deviations = [], []
     idx = np.flatnonzero(region)
     take = idx[np.unique(np.linspace(0, idx.size - 1, min(5, idx.size))
-                         .astype(int))] if idx.size else []
-    for i in take:
-        est = estimate_effective(h1, [float(p_samples[i])], medium,
-                                 lam_schedule, grid, params)
-        probes.append({"p": float(p_samples[i]), "value": est.value,
-                       "error_bar": est.error_bar})
-        deviations.append(abs(est.value - m1))
+                         .astype(int))] if idx.size else idx
+    ests = estimate_effective(h1, p_samples[take, None], medium,
+                              lam_schedule, grid, params) if take.size else []
+    probes = [{"p": float(p_samples[i]), "value": est.value,
+               "error_bar": est.error_bar} for i, est in zip(take, ests)]
+    deviations = [abs(est.value - m1) for est in ests]
     report = {"m_bar_1": m1,
               "region": [float(p_samples[i]) for i in idx],
               "probes": probes,

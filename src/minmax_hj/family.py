@@ -118,7 +118,11 @@ class Piece:
         return val + self._extras(x)
 
     def bind_base(self, pbase, x, medium):
-        """Freeze the x-dependence on a node set; returns f(dv) = H(pbase+dv, x)."""
+        """Freeze the x-dependence on a node set; returns f(dv) = H(pbase+dv, x).
+
+        pbase is one gradient or a column of them (see
+        ``profiles._offsets``); with a column, row i of dv is taken at
+        pbase[i]."""
         f = self.profile.bind_base(pbase)
         extras = self._extras(x)
         if self.coupling is None:
@@ -469,36 +473,9 @@ class GradientShift:
 
     def bind_base(self, pbase, x, medium):
         base = np.atleast_1d(np.asarray(pbase, dtype=float)) - self.delta
-        if self.dim == 1:
+        if self.dim == 1 and base.ndim == 1:
             base = float(base[0])
         return self.inner.bind_base(base, x, medium)
-
-    def lipschitz(self, medium=None):
-        return self.inner.lipschitz(medium)
-
-
-class NegatedView:
-    """Pointwise -H(-p, x) of an arbitrary Hamiltonian-like object."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    def evaluate(self, p, x=None, medium=None):
-        comps = as_components(p, self.dim)
-        return -self.inner.evaluate(tuple(-c for c in comps), x, medium)
-
-    def bind_base(self, pbase, x, medium):
-        base = -np.atleast_1d(np.asarray(pbase, dtype=float))
-        if self.dim == 1:
-            base = float(base[0])
-        f = self.inner.bind_base(base, x, medium)
-        if self.dim == 1:
-            return lambda dv: -f((-dv[0],))
-        return lambda dv: -f(tuple(-c for c in dv))
 
     def lipschitz(self, medium=None):
         return self.inner.lipschitz(medium)

@@ -7,6 +7,7 @@ every result file. Result files are deterministic for a fixed config
 and seed set; timings live only in the manifest.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -17,8 +18,8 @@ import numpy as np
 from . import __version__
 from .effective import (EffectiveCurve, estimate_effective,
                         piece_effective_curve, theorem_formula)
-from .errors import (ConfigError, MonotonicityError, NonConvergenceError,
-                     RunLockError, StabilityError)
+from .errors import (ConfigError, MonotonicityError, RunLockError,
+                     StabilityError)
 from .family import LevelHamiltonian, validate_ordering
 from .media import sample_realization
 from .pairs import check_condition_e, check_monotonicity, contact_fields
@@ -66,10 +67,18 @@ def _write_manifest(out_dir, manifest):
     manifest["files"] = {
         name: _sha256(os.path.join(out_dir, name))
         for name in sorted(manifest.get("files", []))}
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # written whole or not at all: a crash mid-write leaves no manifest
+    # (the run lock makes this process the directory's only writer)
+    tmp = os.path.join(out_dir, f".manifest.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return manifest
 
 
@@ -179,37 +188,42 @@ def run_check(cfg, out_dir=None):
 
 def _numeric_curve(hamiltonian, cfg, medium, kind, params=None):
     grid = Grid(cfg.solver_n, cfg.solver_length)
-    ests = []
-    for p in cfg.p_axis:
-        try:
-            ests.append(estimate_effective(hamiltonian, [float(p)], medium,
-                                           cfg.lambda_schedule, grid, params))
-        except NonConvergenceError as err:
-            raise NonConvergenceError(
-                f"estimate at p={p:.6g} failed: {err}",
-                residual_history=err.residual_history) from err
+    ests = estimate_effective(hamiltonian, cfg.p_axis[:, None], medium,
+                              cfg.lambda_schedule, grid, params)
     values = np.array([e.value for e in ests])
     bars = np.array([e.error_bar for e in ests])
     curve = EffectiveCurve(cfg.p_axis, values, bars, "numeric", kind)
     curve.validate()
     curve.intermediates["unreliable_p"] = [
         float(p) for p, e in zip(cfg.p_axis, ests) if not e.reliable]
-    curve.intermediates["solver_methods"] = [
-        (float(p), e.lams, e.methods) for p, e in zip(cfg.p_axis, ests)]
+    curve.intermediates["estimates"] = list(zip(cfg.p_axis.tolist(), ests))
     return curve
 
 
 def _solver_stats(curves):
-    """Discounted solves per solver path, and the (p, lam) of every solve
-    whose Newton iteration declined, over a run's numeric curves."""
-    solves, fallbacks = {}, []
-    for curve in curves:
-        for p, lams, methods in curve.intermediates.get("solver_methods", []):
-            for lam, method in zip(lams, methods):
+    """Solver telemetry over a run's numeric curves (a dict by name):
+    discounted solves per solver path, the (p, lam) of every solve whose
+    Newton iteration declined, and per curve and gradient the Newton
+    iterations summed over the schedule, the largest final residual and
+    the fitted exponent."""
+    solves, fallbacks, per_p = {}, [], {}
+    for name, curve in curves.items():
+        rows = []
+        for p, est in curve.intermediates.get("estimates", []):
+            for lam, method in zip(est.lams, est.methods):
                 solves[method] = solves.get(method, 0) + 1
                 if method == FALLBACK:
                     fallbacks.append({"p": p, "lam": lam})
-    return {"solves": solves, "fallbacks": fallbacks}
+            rows.append({
+                "p": p,
+                "newton_iterations": sum(
+                    it for it, m in zip(est.iterations, est.methods)
+                    if m.startswith("newton")),
+                "max_residual": max(est.residuals),
+                "alpha": est.alpha})
+        if rows:
+            per_p[name] = rows
+    return {"solves": solves, "fallbacks": fallbacks, "per_p": per_p}
 
 
 def build_curves(cfg, medium, consts, params=None):
@@ -266,6 +280,10 @@ def run_effective(cfg, out_dir=None, force=False):
             rows.append(row)
         _csv(os.path.join(out_dir, "compare.csv"), header, rows)
 
+        named_curves = {f"check_{k + 1}": c for k, c in enumerate(checks)}
+        named_curves.update(
+            {f"hat_{k + 1}": c for k, c in enumerate(hats)})
+        named_curves["family"] = numeric
         manifest = {
             "command": "effective",
             "config": cfg.raw,
@@ -274,7 +292,7 @@ def run_effective(cfg, out_dir=None, force=False):
             "max_abs_err": float(abs_err.max()),
             "mean_abs_err": float(abs_err.mean()),
             "unreliable_p": numeric.intermediates["unreliable_p"],
-            "solver_stats": _solver_stats(checks + hats + [numeric]),
+            "solver_stats": _solver_stats(named_curves),
             "timings": timings,
             "files": ["numeric.csv", "formula.csv", "compare.csv"],
         }

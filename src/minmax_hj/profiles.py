@@ -39,6 +39,22 @@ def as_components(p, dim):
     raise ValueError(f"cannot interpret point of shape {arr.shape} in dimension {dim}")
 
 
+def _offsets(pbase, center):
+    """Components of pbase - center, for ``bind_base``.
+
+    One gradient (shape (dim,) or a scalar in 1-D) gives scalars. A
+    column of gradients, shape (n_p, 1, ..., 1, dim) with one unit axis
+    per grid axis after the first, gives arrays that broadcast row by row
+    against (n_p,) + grid shape; each row's offset is the same float
+    operation as for that gradient alone.
+    """
+    p = np.asarray(pbase, dtype=float)
+    if p.ndim < 2:
+        return tuple(p.reshape(center.shape) - center)
+    e = p - center
+    return tuple(e[..., i:i + 1] for i in range(center.size))
+
+
 def _radial(comps, center):
     if len(comps) == 1:
         return np.abs(comps[0] - center[0])
@@ -69,10 +85,10 @@ class AbsShift:
         return self.offset + self.slope * _radial(comps, self.center)
 
     def bind_base(self, pbase):
-        e = np.asarray(pbase, dtype=float).reshape(self.center.shape) - self.center
+        e = _offsets(pbase, self.center)
         s, o = self.slope, self.offset
         if self.dim == 1:
-            e0 = e[0]
+            e0, = e
             return lambda dv: o + s * np.abs(dv[0] + e0)
         e0, e1 = e
         return lambda dv: o + s * np.hypot(dv[0] + e0, dv[1] + e1)
@@ -137,10 +153,10 @@ class NegatedAbs:
         return self.offset - self.slope * _radial(comps, self.center)
 
     def bind_base(self, pbase):
-        e = np.asarray(pbase, dtype=float).reshape(self.center.shape) - self.center
+        e = _offsets(pbase, self.center)
         s, o = self.slope, self.offset
         if self.dim == 1:
-            e0 = e[0]
+            e0, = e
             return lambda dv: o - s * np.abs(dv[0] + e0)
         e0, e1 = e
         return lambda dv: o - s * np.hypot(dv[0] + e0, dv[1] + e1)
@@ -248,9 +264,15 @@ class PiecewiseMonotone:
                         self._slopes[0], self._slopes[-1])
 
     def bind_base(self, pbase):
-        b = self.breaks - np.asarray(pbase, dtype=float).reshape(())
+        p = np.asarray(pbase, dtype=float)
         v, sl, sr = self.values, self._slopes[0], self._slopes[-1]
-        return lambda dv: _pl_eval(dv[0], b, v, sl, sr)
+        if p.ndim < 2:
+            b = self.breaks - p.reshape(())
+            return lambda dv: _pl_eval(dv[0], b, v, sl, sr)
+        # a column of gradients: one set of shifted breaks per row
+        bs = self.breaks - p
+        return lambda dv: np.stack([_pl_eval(u, b, v, sl, sr)
+                                    for u, b in zip(dv[0], bs)])
 
     def lipschitz(self):
         return float(np.max(np.abs(self._slopes)))

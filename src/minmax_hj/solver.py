@@ -15,8 +15,10 @@ the mean with a single exact shift of the constant mode at the end.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
 x, medium) -> f(dv) with dv a tuple of difference arrays, plus
-lipschitz(medium). Families, single pieces and interpolated curves all
-provide it.
+lipschitz(medium). pbase is one base gradient, or a column of them
+(shape (n_p, 1, ..., 1, dim)) whose row i applies to row i of dv, which
+is how the discounted solver takes a whole gradient axis at once.
+Families, single pieces and interpolated curves all provide it.
 """
 
 import numpy as np
@@ -26,6 +28,9 @@ from .errors import NonConvergenceError, SchemeParameterError
 
 # metadata["method"] of a solve whose Newton iteration declined
 FALLBACK = "relax (newton declined)"
+# ... and of one whose Newton from the warm start declined but converged
+# when retried from the nested start
+RETRY = "newton (retried from nested start)"
 
 
 class Grid:
@@ -120,9 +125,13 @@ class TimeSeries:
 
 
 def upwind_diffs(v, grid):
-    """One-sided periodic differences per axis: (forward, backward)."""
+    """One-sided periodic differences per grid axis: (forward, backward).
+
+    The grid axes are the trailing axes of v, so a stack of fields (one
+    per leading index) is differenced field by field.
+    """
     dp, dm = [], []
-    for ax, h in enumerate(grid.h):
+    for ax, h in enumerate(grid.h, start=-grid.dim):
         dp.append((np.roll(v, -1, axis=ax) - v) / h)
         dm.append((v - np.roll(v, 1, axis=ax)) / h)
     return dp, dm
@@ -132,19 +141,22 @@ def lf_update(h_bound, v, grid, theta):
     """Lax-Friedrichs numerical Hamiltonian applied to a field."""
     dp, dm = upwind_diffs(v, grid)
     davg = tuple(0.5 * (a + b) for a, b in zip(dp, dm))
+    jumps = [a - b for a, b in zip(dp, dm)]
+    del dp, dm      # fewer live arrays while h_bound runs
     out = np.asarray(h_bound(davg), dtype=float)
-    for th, a, b in zip(theta, dp, dm):
-        out = out - 0.5 * th * (a - b)
+    for th, jump in zip(theta, jumps):
+        out = out - 0.5 * th * jump
     return out
 
 
-def prolong_periodic(values):
-    """Double the resolution per axis by periodic linear interpolation.
+def prolong_periodic(values, dim=None):
+    """Double the resolution of the last ``dim`` axes (all axes by
+    default) by periodic linear interpolation.
 
     Even fine nodes coincide with coarse nodes exactly.
     """
     v = np.asarray(values, dtype=float)
-    for ax in range(v.ndim):
+    for ax in range(v.ndim - (v.ndim if dim is None else dim), v.ndim):
         shape = list(v.shape)
         shape[ax] *= 2
         out = np.empty(shape)
@@ -158,146 +170,274 @@ def prolong_periodic(values):
     return v
 
 
-def _bind(hamiltonian, pbase, grid, medium):
-    pbase = np.atleast_1d(np.asarray(pbase, dtype=float))
-    if pbase.shape != (grid.dim,):
-        raise SchemeParameterError(
-            f"base gradient must have {grid.dim} components")
-    x = grid.mesh()
-    x_arg = x[0] if grid.dim == 1 else x
-    return hamiltonian.bind_base(pbase, x_arg, medium)
+def _cell_grid(grid, medium):
+    """One medium period at the grid's spacing when the grid holds a
+    whole number (at least two) of periods and of nodes per period, else
+    the grid itself.
 
-
-def _solve_periodic_tridiag(lower, diag, upper, rhs):
-    """Solve the cyclic tridiagonal system where row i couples
-    (i-1, i, i+1) mod n, via one banded factorization plus a rank-one
-    correction."""
-    n = diag.size
-    alpha = lower[0]    # row 0, column n-1
-    beta = upper[-1]    # row n-1, column 0
-    gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= alpha * beta / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = d
-    ab[2, :-1] = lower[1:]
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = beta
-    sol = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-    y, z = sol[:, 0], sol[:, 1]
-    w_y = y[0] + alpha / gamma * y[-1]
-    w_z = z[0] + alpha / gamma * z[-1]
-    return y - z * (w_y / (1.0 + w_z))
-
-
-def _residual(h_bound, v, grid, theta, lam):
-    return lam * v + lf_update(h_bound, v, grid, theta)
-
-
-def _newton_1d(h_bound, grid, lam, theta, tol, v, history, max_newton=80):
-    """Damped semismooth Newton for the stationary problem (1-D).
-
-    The Jacobian of the Lax-Friedrichs residual is periodic tridiagonal
-    and strictly diagonally dominant whenever |dH/dp| <= theta, so each
-    step is one O(n) banded solve. Piecewise-linear Hamiltonians give
-    exact slopes away from kinks; damping enforces residual decrease.
-    Returns None if progress stalls (caller falls back to relaxation).
+    The discrete solution on the whole grid is unique and its equations
+    repeat with the medium, so it repeats too, and one period carries the
+    same set of equations.
     """
-    h = grid.h[0]
-    th = theta[0]
-    r = _residual(h_bound, v, grid, theta, lam)
-    res = float(np.max(np.abs(r)))
+    period = getattr(medium, "period", None)
+    if grid.dim != 1 or period is None:
+        return grid
+    length, n = grid.length[0], grid.n[0]
+    copies = int(round(length / period))
+    if copies < 2 or abs(length - copies * period) > 1e-12 * length \
+            or n % copies or n // copies < 16:
+        return grid
+    return Grid(n // copies, period)
+
+
+class _CellProblem:
+    """lam*v + H_LF(p + Dv, x) = 0 on one grid for a column of base
+    gradients P, one row per gradient; ``bound(rows)`` binds the
+    Hamiltonian for a subset of the rows (the last binding is kept)."""
+
+    def __init__(self, hamiltonian, P, grid, medium, lam, theta):
+        self.hamiltonian = hamiltonian
+        self.P = P
+        self.grid = grid
+        self.medium = medium
+        self.lam = lam
+        self.theta = theta
+        self._key = None
+        self._bound = None
+
+    def on(self, grid):
+        return _CellProblem(self.hamiltonian, self.P, grid, self.medium,
+                            self.lam, self.theta)
+
+    def bound(self, rows):
+        key = rows.tobytes()
+        if key != self._key:
+            g = self.grid
+            # each row's gradient broadcasts over that row's grid axes
+            pbase = self.P[rows].reshape((rows.size,) + (1,) * (g.dim - 1)
+                                         + (g.dim,))
+            x = g.mesh()
+            self._bound = self.hamiltonian.bind_base(
+                pbase, x[0] if g.dim == 1 else x, self.medium)
+            self._key = key
+        return self._bound
+
+    def residual(self, rows, v):
+        return self.lam * v + lf_update(self.bound(rows), v, self.grid,
+                                        self.theta)
+
+
+def _row_sup(a):
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
+
+
+def _at_zero(cell):
+    """H(p, x) on the nodes, per row: its sup over x, whether it is
+    x-independent, and its value at the first node."""
+    shape = (len(cell.P),) + cell.grid.shape
+    zero = tuple(np.zeros(shape) for _ in range(cell.grid.dim))
+    h0 = np.asarray(cell.bound(np.arange(len(cell.P)))(zero)) \
+        + np.zeros(shape)
+    h0 = h0.reshape(len(cell.P), -1)
+    return _row_sup(h0), h0.min(axis=1) == h0.max(axis=1), h0[:, 0].copy()
+
+
+def _newton_direction(h_bound, v, r, h, th, lam):
+    """Newton step of the 1-D Lax-Friedrichs residual r at the fields v,
+    one row per field.
+
+    The Jacobian is periodic tridiagonal and strictly diagonally dominant
+    whenever |dH/dp| <= theta; piecewise-linear Hamiltonians give exact
+    slopes away from kinks. The rows' cyclic systems go to one banded
+    solve as the blocks of a block-diagonal system (couplings between
+    blocks are zero, so no row sees another), with the Sherman-Morrison
+    column stacked the same way; the rank-one correction is then applied
+    per row.
+    """
+    k, n = v.shape
+    davg = 0.5 * ((np.roll(v, -1, axis=-1) - v) / h
+                  + (v - np.roll(v, 1, axis=-1)) / h)
+    delta = 1e-6
+    slope = (np.asarray(h_bound((davg + delta,)))
+             - np.asarray(h_bound((davg - delta,)))) / (2 * delta)
+    del davg
+    slope = np.clip(slope, -th, th)
+    diag = lam + th / h
+    alpha = -(slope[:, 0] + th) / (2 * h)       # row 0, column n-1
+    beta = (slope[:, -1] - th) / (2 * h)        # row n-1, column 0
+    gamma = -diag
+    ab = np.zeros((3, k, n))
+    ab[0, :, 1:] = (slope[:, :-1] - th) / (2 * h)
+    ab[1] = diag
+    ab[1, :, 0] -= gamma
+    ab[1, :, -1] -= alpha * beta / gamma
+    ab[2, :, :-1] = -(slope[:, 1:] + th) / (2 * h)
+    del slope
+    # right-hand side and Sherman-Morrison column, in the column-major
+    # layout LAPACK solves in place
+    b = np.zeros((k * n, 2), order="F")
+    b[:, 0] = -r.ravel()
+    b[::n, 1] = gamma
+    b[n - 1::n, 1] = beta
+    sol = solve_banded((1, 1), ab.reshape(3, k * n), b, overwrite_ab=True,
+                       overwrite_b=True)
+    y, z = sol[:, 0].reshape(k, n), sol[:, 1].reshape(k, n)
+    w_y = y[:, 0] + alpha / gamma * y[:, -1]
+    w_z = z[:, 0] + alpha / gamma * z[:, -1]
+    return y - z * (w_y / (1.0 + w_z))[:, None]
+
+
+def _newton(cell, rows, v, tol, max_newton=80):
+    """Damped semismooth Newton for the 1-D cell problem, one row per
+    base gradient in ``rows`` (indices into cell.P), from the fields v.
+
+    A step is one banded solve for all rows at once (_newton_direction).
+    Every row keeps its own iteration: it stops once its residual is
+    within its tolerance, halves its own step until its residual falls,
+    and declines when that step drops below 1/1024 or after max_newton
+    steps.
+
+    Returns the fields, iteration counts, final residuals, a mask of the
+    rows that converged, and the residual history (one array per step,
+    nan for rows no longer iterating).
+    """
+    h = cell.grid.h[0]
+    th = cell.theta[0]
+    v = np.array(v, dtype=float)
+    its = np.zeros(rows.size, dtype=int)
+    ok = np.zeros(rows.size, dtype=bool)
+    r = cell.residual(rows, v)
+    res = _row_sup(r)
+    act = np.arange(rows.size)
+    history = []
     for it in range(max_newton):
-        history.append(res)
-        if res <= tol:
-            return v, it, res
-        dp = (np.roll(v, -1) - v) / h
-        dm = (v - np.roll(v, 1)) / h
-        davg = 0.5 * (dp + dm)
-        delta = 1e-6
-        slope = (np.asarray(h_bound((davg + delta,)))
-                 - np.asarray(h_bound((davg - delta,)))) / (2 * delta)
-        slope = np.clip(slope, -th, th)
-        upper = (slope - th) / (2 * h)
-        lower = -(slope + th) / (2 * h)
-        diag = np.full(grid.n[0], lam + th / h)
-        dv = _solve_periodic_tridiag(lower, diag, upper, -r)
-        step = 1.0
-        while True:
-            vn = v + step * dv
-            rn = _residual(h_bound, vn, grid, theta, lam)
-            resn = float(np.max(np.abs(rn)))
-            if resn <= (1.0 - 0.25 * step) * res:
-                break
-            step *= 0.5
-            if step < 1.0 / 1024.0:
-                return None
-        v, r, res = vn, rn, resn
-    return None
+        history.append(np.full(rows.size, np.nan))
+        history[-1][act] = res[act]
+        done = res[act] <= tol[act]
+        ok[act[done]] = True
+        its[act[done]] = it
+        act = act[~done]
+        if not act.size:
+            break
+        sub = rows[act]
+        if act.size == rows.size:       # all rows: no copies needed
+            dv = _newton_direction(cell.bound(sub), v, r, h, th, cell.lam)
+        else:
+            dv = _newton_direction(cell.bound(sub), v[act], r[act], h, th,
+                                   cell.lam)
+        step = np.ones(act.size)
+        pend = np.arange(act.size)
+        keep = np.ones(act.size, dtype=bool)
+        while pend.size:
+            vn = v[act[pend]] + step[pend, None] * dv[pend]
+            rn = cell.residual(sub[pend], vn)
+            resn = _row_sup(rn)
+            good = resn <= (1.0 - 0.25 * step[pend]) * res[act[pend]]
+            sel = act[pend[good]]
+            v[sel], r[sel], res[sel] = vn[good], rn[good], resn[good]
+            pend = pend[~good]
+            step[pend] *= 0.5
+            keep[pend[step[pend] < 1.0 / 1024.0]] = False
+            pend = pend[step[pend] >= 1.0 / 1024.0]
+        act = act[keep]
+    return v, its, res, ok, history
 
 
-def _nested_start(hamiltonian, p0, grid, medium, lam, theta, tol):
+def _nested_start(cell, rows, tol):
     """Cold start for the 1-D Newton path by nested iteration.
 
     Newton from zero stalls where the corrector switches between the
     min and max branches, so the same problem (same lam, theta and
     tolerance) is first solved on a ladder of grids of the same length,
-    halving the node count while it stays even and at least 64, and
-    each level's result is prolonged to the next. A level whose Newton
-    declines passes its own start up unchanged.
+    halving the node count while it stays even and the level keeps at
+    least 16 nodes, and each level's result is prolonged to the next. A
+    row whose Newton declines on a level passes its start up unchanged.
     """
-    sizes = [grid.n[0]]
-    while sizes[-1] % 2 == 0 and sizes[-1] // 2 >= 64:
+    sizes = [cell.grid.n[0]]
+    while sizes[-1] % 2 == 0 and sizes[-1] // 2 >= 16:
         sizes.append(sizes[-1] // 2)
-    v = np.zeros(sizes[-1])
+    v = np.zeros((rows.size, sizes[-1]))
     for m in reversed(sizes[1:]):
-        coarse = Grid(m, grid.length[0])
-        h_bound = _bind(hamiltonian, p0, coarse, medium)
-        out = _newton_1d(h_bound, coarse, lam, theta, tol, v, [])
-        v = prolong_periodic(v if out is None else out[0])
+        coarse = cell.on(Grid(m, cell.grid.length[0]))
+        out, _, _, ok, _ = _newton(coarse, rows, v, tol)
+        v = prolong_periodic(np.where(ok[:, None], out, v), dim=1)
     return v
 
 
-def _relax_projected(h_bound, grid, lam, theta, tol, v, params, history):
-    """Monotone pseudo-time relaxation on the mean-projected residual.
+def _relax_projected(cell, rows, v, tol, params):
+    """Monotone pseudo-time relaxation on the mean-projected residual,
+    one row per base gradient in ``rows``, each stopping on its own.
 
     Projecting out the constant mode keeps the step count independent
     of lam; the constant mode is restored by one exact shift at the
     end. Dissipation-limited, so cost grows like n^2 per axis; used
     where the Newton path does not apply or declines.
     """
-    rate = lam + sum(t / h for t, h in zip(theta, grid.h))
+    grid, lam = cell.grid, cell.lam
+    rate = lam + sum(t / h for t, h in zip(cell.theta, grid.h))
     tau = params.tau if params.tau is not None else 0.95 / rate
     check_every = 16
-    stall_window = max(8 * max(grid.n), 8000)
+    back = max(8 * max(grid.n), 8000) // check_every
+    axes = tuple(range(1, v.ndim))
+    v = np.array(v, dtype=float)
+    out = np.empty_like(v)
+    its = np.zeros(rows.size, dtype=int)
+    res = np.zeros(rows.size)
+    act = np.arange(rows.size)
+    history = []
+
+    def fail(i, why):
+        raise NonConvergenceError(
+            f"p0={cell.P[rows[i]].tolist()}: {why}",
+            residual_history=[float(h[i]) for h in history])
+
     it = 0
-    while True:
-        r = lam * v + lf_update(h_bound, v, grid, theta)
-        rbar = float(r.mean())
-        dev = float(np.max(np.abs(r - rbar)))
+    while act.size:
+        va = v[act]
+        r = cell.residual(rows[act], va)
+        rbar = r.mean(axis=axes, keepdims=True)
+        dev = _row_sup(r - rbar)
         if it % check_every == 0:
-            history.append(dev)
-            back = stall_window // check_every
-            if dev > tol and len(history) > back \
-                    and dev > 0.9995 * history[-1 - back]:
-                raise NonConvergenceError(
-                    f"residual stalled near {dev:.3g} after {it} iterations",
-                    residual_history=history)
-        if dev <= 0.5 * tol:
-            shifted = v - rbar / lam
-            r_full = lam * shifted + lf_update(h_bound, shifted, grid, theta)
-            res = float(np.max(np.abs(r_full)))
-            if res <= tol:
-                return shifted, it, res
-        if it >= params.max_iter:
-            raise NonConvergenceError(
-                f"no convergence in {it} iterations (residual {dev:.3g})",
-                residual_history=history)
-        v = v - tau * (r - rbar)
+            history.append(np.full(rows.size, np.nan))
+            history[-1][act] = dev
+            if len(history) > back:
+                stalled = (dev > tol[act]) \
+                    & (dev > 0.9995 * history[-1 - back][act])
+                if np.any(stalled):
+                    j = int(np.argmax(stalled))
+                    fail(act[j], f"residual stalled near {dev[j]:.3g} "
+                                 f"after {it} iterations")
+        done = np.zeros(act.size, dtype=bool)
+        near = np.flatnonzero(dev <= 0.5 * tol[act])
+        if near.size:
+            shifted = va[near] - rbar[near] / lam
+            r_full = cell.residual(rows[act[near]], shifted)
+            res_full = _row_sup(r_full)
+            fin = res_full <= tol[act[near]]
+            sel = act[near[fin]]
+            out[sel], its[sel], res[sel] = shifted[fin], it, res_full[fin]
+            done[near[fin]] = True
+        if it >= params.max_iter and not np.all(done):
+            j = int(np.argmin(done))
+            fail(act[j], f"no convergence in {it} iterations "
+                         f"(residual {dev[j]:.3g})")
+        v[act[~done]] = va[~done] - tau * (r[~done] - rbar[~done])
+        act = act[~done]
         it += 1
+    return out, its, res
+
+
+def _base_column(p0, dim):
+    """Base gradients as an (n_p, dim) array, and whether p0 was one
+    gradient rather than an array of them."""
+    p = np.asarray(p0, dtype=float)
+    single = p.ndim < 2
+    if single:
+        p = p.reshape(1, -1)
+    if p.ndim != 2 or p.shape[1] != dim or not p.shape[0]:
+        raise SchemeParameterError(
+            f"base gradient must have {dim} components")
+    return p, single
 
 
 def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
@@ -305,15 +445,24 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     """Solve lam*v + H_LF(p0 + Dv, x) = 0 on the torus to a certified
     residual.
 
+    p0 is one base gradient, or an (n_p, dim) array of them solved as
+    one batch; the result is then one GridField, or a list of n_p. v0,
+    if given, is a start of shape grid.shape, or (n_p,) + grid.shape.
+    Every row of a batch is solved as it would be alone.
+
+    When the grid holds a whole number of medium periods, the problem is
+    solved on one period at the same spacing and the result tiled back.
     In one dimension a damped Newton iteration on the Lax-Friedrichs
-    residual does the work (each step one periodic banded solve),
-    starting from v0 or, without one, from the nested-iteration start
-    on coarser grids; it falls back to monotone pseudo-time relaxation
-    if it stalls, and the relaxation is also what runs in 2-D or on
-    request. Whatever the path, the returned field satisfies the
-    residual tolerance and the comparison bound |lam*v| <= sup|H(p0,.)|,
-    or an error carries the residual history out. metadata["method"]
-    names the path: "constant", "newton", or "relax (<reason>)".
+    residual does the work (each step one banded solve for all rows),
+    starting from v0 or, without one, from the nested-iteration start on
+    coarser grids. A row whose Newton from v0 declines is retried once
+    from the nested start; a row that still declines falls back to
+    monotone pseudo-time relaxation, which is also what runs in 2-D or on
+    request. Whatever the path, every returned field satisfies its
+    residual tolerance and the comparison bound
+    |lam*v| <= sup|H(p0,.)| + tol, or an error naming the base gradient
+    carries the residual history out. metadata["method"] names the path:
+    "constant", "newton", RETRY, or "relax (<reason>)".
     """
     if not lam > 0:
         raise SchemeParameterError("discount rate must be positive")
@@ -327,63 +476,90 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
             f"step {params.tau:.3g} violates the monotonicity bound "
             f"1/{rate:.3g}")
 
-    h_bound = _bind(hamiltonian, p0, grid, medium)
-    zero = tuple(np.zeros(grid.shape) for _ in range(grid.dim))
-    h0 = np.asarray(h_bound(zero)) + np.zeros(grid.shape)
-    sup_h0 = float(np.max(np.abs(h0)))
-    tol = params.tol_fp
-    if tol is None:
-        tol = 1e-8 * max(1.0, sup_h0)
-
-    constant_value = None
-    if float(h0.min()) == float(h0.max()):
-        # x-independent problem: the constant solution is exact
-        constant_value = float(h0.flat[0])
-        v = np.full(grid.shape, -constant_value / lam)
-        meta = {"equation": "discounted", "lam": float(lam),
-                "p0": np.atleast_1d(np.asarray(p0, dtype=float)).tolist(),
-                "iterations": 0,
-                "residual": float(np.max(np.abs(lam * v + h0))),
-                "tol_fp": tol, "theta": theta, "method": "constant",
-                "constant_value": constant_value}
-        return GridField(grid, v, meta)
-
-    v = grid.zeros() if v0 is None else np.array(v0, dtype=float)
-    history = []
-    out = None
-    if grid.dim != 1:
-        used = "relax (2-d grid)"
-    elif method == "relax":
-        used = "relax (requested)"
+    P, single = _base_column(p0, grid.dim)
+    cell = _CellProblem(hamiltonian, P, _cell_grid(grid, medium), medium,
+                        lam, theta)
+    sup_h0, const, h0_first = _at_zero(cell)
+    if params.tol_fp is None:
+        tol = 1e-8 * np.maximum(1.0, sup_h0)
     else:
-        if v0 is None:
-            v = _nested_start(hamiltonian, p0, grid, medium, lam, theta, tol)
-        out = _newton_1d(h_bound, grid, lam, theta, tol, v, history)
-        used = "newton"
-        if out is None:
-            if method == "newton":
-                raise NonConvergenceError("Newton iteration stalled",
-                                          residual_history=history)
-            used = FALLBACK
-    if out is None:
-        out = _relax_projected(h_bound, grid, lam, theta, tol, v, params,
-                               history)
-    v, it, res = out
+        tol = np.full(len(P), float(params.tol_fp))
 
-    if not np.all(np.isfinite(v)):
-        raise NonConvergenceError("solution field is not finite",
-                                  residual_history=history)
+    v = np.zeros((len(P),) + cell.grid.shape)
+    if v0 is not None:
+        v0 = np.asarray(v0, dtype=float).reshape((len(P),) + grid.shape)
+        v = np.array(v0[..., :cell.grid.n[-1]])     # one period of it
+    its = np.zeros(len(P), dtype=int)
+    res = np.zeros(len(P))
+    used = np.empty(len(P), dtype=object)
+
+    # x-independent problems: the constant solution is exact, and so is
+    # its residual, the same at every node
+    value = -h0_first[const] / lam
+    v[const] = value.reshape((-1,) + (1,) * grid.dim)
+    res[const] = np.abs(lam * value + h0_first[const])
+    used[const] = "constant"
+
+    work = np.flatnonzero(~const)
+    relax = work
+    if grid.dim != 1:
+        reason = "relax (2-d grid)"
+    elif method == "relax":
+        reason = "relax (requested)"
+    elif work.size:
+        if v0 is None:
+            v[work] = _nested_start(cell, work, tol[work])
+        out, n_it, n_res, ok, history = _newton(cell, work, v[work],
+                                                tol[work])
+        used[work] = "newton"
+        again = np.flatnonzero(~ok)
+        if v0 is not None and again.size:
+            rows = work[again]
+            out2, it2, res2, ok2, _ = _newton(
+                cell, rows, _nested_start(cell, rows, tol[rows]), tol[rows])
+            out[again], n_it[again], n_res[again] = out2, it2, res2
+            ok[again] = ok2
+            used[rows[ok2]] = RETRY
+        solved = work[ok]
+        v[solved], its[solved], res[solved] = out[ok], n_it[ok], n_res[ok]
+        relax, reason = work[~ok], FALLBACK
+        if relax.size and method == "newton":
+            j = int(np.argmin(ok))
+            raise NonConvergenceError(
+                f"p0={P[work[j]].tolist()}: Newton iteration stalled",
+                residual_history=[float(h[j]) for h in history
+                                  if not np.isnan(h[j])])
+    if relax.size:
+        v[relax], its[relax], res[relax] = _relax_projected(
+            cell, relax, v[relax], tol[relax], params)
+        used[relax] = reason
+
     bound = sup_h0 + tol
-    sup_lv = float(np.max(np.abs(lam * v)))
-    if sup_lv > bound + 1e-12 * max(1.0, bound):
+    sup_lv = _row_sup(lam * v)
+    if not np.all(np.isfinite(sup_lv)):
+        i = int(np.argmin(np.isfinite(sup_lv)))
         raise NonConvergenceError(
-            f"|lam*v| = {sup_lv:.6g} exceeds the comparison bound {bound:.6g}",
-            residual_history=history)
-    meta = {"equation": "discounted", "lam": float(lam),
-            "p0": np.atleast_1d(np.asarray(p0, dtype=float)).tolist(),
-            "iterations": it, "residual": res, "tol_fp": tol,
-            "theta": theta, "method": used}
-    return GridField(grid, v, meta)
+            f"p0={P[i].tolist()}: solution field is not finite")
+    over = sup_lv > bound + 1e-12 * np.maximum(1.0, bound)
+    if np.any(over):
+        i = int(np.argmax(over))
+        raise NonConvergenceError(
+            f"p0={P[i].tolist()}: |lam*v| = {sup_lv[i]:.6g} exceeds the "
+            f"comparison bound {bound[i]:.6g}")
+
+    copies = grid.n[-1] // cell.grid.n[-1]
+    if copies > 1:
+        v = np.tile(v, copies)
+    fields = []
+    for i in range(len(P)):
+        meta = {"equation": "discounted", "lam": float(lam),
+                "p0": P[i].tolist(), "iterations": int(its[i]),
+                "residual": float(res[i]), "tol_fp": float(tol[i]),
+                "theta": theta, "method": used[i]}
+        if const[i]:
+            meta["constant_value"] = float(h0_first[i])
+        fields.append(GridField(grid, v[i], meta))
+    return fields[0] if single else fields
 
 
 def _fit_steps(T, n0, t_samples):

@@ -16,7 +16,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from minmax_hj import __version__
+from minmax_hj import __version__, harness
 from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig, U0_CATALOGUE
 from minmax_hj.errors import (ConfigError, MonotonicityError,
@@ -24,6 +24,7 @@ from minmax_hj.errors import (ConfigError, MonotonicityError,
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_passed,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
+from minmax_hj.solver import RETRY
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -170,6 +171,30 @@ class TestConfigValidation:
         assert nodes.shape == (16,)
         assert nodes[0] == 0.0 and nodes[-1] < cfg.medium_spec.period
 
+    def test_length_must_hold_whole_periods(self):
+        data = small_config(solver={"n": 256, "length": 1.5})
+        with pytest.raises(ConfigError, match=r"solver\.length: .*whole "
+                                              r"multiple of medium\.period"):
+            ExperimentConfig(data)
+        data["solver"]["length"] = 2.0
+        ExperimentConfig(data)
+
+    def test_eps_must_fit_the_domain(self):
+        # 1 / (0.3 * 1) is not whole: the rescaled medium has a seam
+        data = small_config(eps_schedule=[0.3, 0.125])
+        with pytest.raises(ConfigError, match=r"eps_schedule: eps=0\.3 "):
+            ExperimentConfig(data)
+
+    @pytest.mark.parametrize("section,key", [
+        (None, "threads"), ("solver", "solver_typo"), ("p_axis", "step"),
+        ("evolution", "dt"), ("pairs", "x_node")])
+    def test_unknown_keys_rejected(self, section, key):
+        data = small_config()
+        (data if section is None else data[section])[key] = 4
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=f"{path}: unknown key"):
+            ExperimentConfig(data)
+
     def test_shipped_fixtures_load(self):
         for name in ("base_case.yaml", "ell2_strict.yaml",
                      "unstable_pair.yaml", "monotonicity_violation.yaml",
@@ -266,6 +291,33 @@ class TestRunEffective:
         stats = run_effective(cfg)["solver_stats"]
         assert stats["solves"] == {"newton": 132}
         assert stats["fallbacks"] == []
+        # the piece curves are exact; only the family curve is numeric
+        assert list(stats["per_p"]) == ["family"]
+        rows = stats["per_p"]["family"]
+        assert [r["p"] for r in rows] == cfg.p_axis.tolist()
+        assert all(r["newton_iterations"] > 0 for r in rows)
+        assert all(0.0 <= r["max_residual"] <= 1e-8 * 3.0 for r in rows)
+        assert all(r["alpha"] is None or 0.4 <= r["alpha"] <= 1.1
+                   for r in rows)
+
+    def test_two_level_fixture_needs_no_relaxation(self, tmp_path):
+        # warm starts that decline are retried from the nested start
+        cfg = load_fixture("ell2_strict.yaml", output=str(tmp_path / "run"))
+        stats = run_effective(cfg)["solver_stats"]
+        assert stats["fallbacks"] == []
+        assert sum(stats["solves"].values()) == 132
+        assert set(stats["solves"]) <= {"newton", RETRY}
+
+    def test_failed_manifest_write_leaves_no_manifest(self, tmp_path,
+                                                      monkeypatch):
+        def broken(*args, **kwargs):
+            raise OSError("disk full")
+        monkeypatch.setattr(harness.json, "dump", broken)
+        cfg = load_fixture("xindep.yaml", output=str(tmp_path / "run"))
+        with pytest.raises(OSError, match="disk full"):
+            run_effective(cfg)
+        left = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert left == ["compare.csv", "formula.csv", "numeric.csv"]
 
     def test_two_level_compare_has_half_step_columns(self, tmp_path):
         data = small_config(output=str(tmp_path / "run"))
@@ -469,6 +521,15 @@ class TestCLI:
         assert res.exit_code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["contact_constants"]["seeds"] == [7]
+
+    def test_unknown_key_exits_4_naming_it(self, tmp_path):
+        path = tmp_path / "typo.yaml"
+        data = small_config(output=str(tmp_path / "run"))
+        data["solver"]["solver_typo"] = 1
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path))
+        assert res.exit_code == 4
+        assert "solver.solver_typo: unknown key" in res.stderr
 
     def test_small_p_box_exits_4(self, tmp_path):
         path = tmp_path / "box.yaml"

@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minmax_hj import solver
 from minmax_hj.config import ExperimentConfig
 from minmax_hj.errors import NonConvergenceError, SchemeParameterError
-from minmax_hj.family import LevelHamiltonian, Piece
+from minmax_hj.family import CombinedPiece, LevelHamiltonian, Piece
 from minmax_hj.media import sample_realization
-from minmax_hj.profiles import AbsShift
-from minmax_hj.solver import (Grid, GridField, SchemeParams, lf_update,
-                              prolong_periodic, solve_discounted,
+from minmax_hj.profiles import AbsShift, PiecewiseMonotone
+from minmax_hj.solver import (RETRY, Grid, GridField, SchemeParams,
+                              lf_update, prolong_periodic, solve_discounted,
                               solve_homogenized, solve_time_dependent)
 
 from _reference import hopf_lax_abs
@@ -168,13 +169,120 @@ class TestNestedStart:
 
     @pytest.mark.parametrize("n", [96, 100, 384])
     def test_non_power_of_two_sizes(self, ell2, n):
-        # 96 and 100 have no coarser level; 384 climbs from 96
+        # solved on one period: 96 -> 24 and 100 -> 25 nodes have no
+        # coarser level; 384 -> 96 climbs from 24
         ham, medium, params = ell2
         out = solve_discounted(ham, self.P0, self.LAM, Grid(n, length=4.0),
                                medium, params)
         assert out.values.shape == (n,)
         assert out.metadata["method"] == "newton"
         assert out.metadata["residual"] <= out.metadata["tol_fp"]
+
+    def test_newton_converges_on_one_period(self, ell2):
+        # the ladder reaches 16 nodes, the spacing 64 nodes give on 4
+        # periods; from a 64-node coarsest level Newton stalls here
+        ham, medium, params = ell2
+        out = solve_discounted(ham, self.P0, self.LAM, Grid(1024, 1.0),
+                               medium, params, method="newton")
+        assert out.metadata["method"] == "newton"
+        assert out.metadata["residual"] <= out.metadata["tol_fp"]
+
+
+def _full_grid_residual(ham, p, lam, grid, medium, params, values):
+    theta = params.theta_tuple(grid.dim, ham, medium)
+    h_bound = ham.bind_base(np.array(p), grid.axes[0], medium)
+    return float(np.max(np.abs(lam * values
+                                + lf_update(h_bound, values, grid, theta))))
+
+
+class TestBatchAndPeriod:
+    """A column of base gradients is solved as one batch, on one medium
+    period when the grid holds a whole number of them."""
+
+    P = np.linspace(-3.0, 3.0, 33)[:, None]
+
+    @pytest.fixture(scope="class")
+    def ell2(self):
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
+        return (LevelHamiltonian(cfg.family, cfg.family.ell),
+                sample_realization(cfg.medium_spec, cfg.seeds[0]),
+                SchemeParams(theta=cfg.theta),
+                Grid(cfg.solver_n, cfg.solver_length))
+
+    def test_rows_equal_single_solves(self, ell2):
+        # a cold rate, then a warm one: at lam = 0.03 the warm starts at
+        # p = +-1.875 decline and are retried from the nested start
+        ham, medium, params, grid = ell2
+        cold = solve_discounted(ham, self.P, 0.1, grid, medium, params)
+        v0 = np.stack([f.values for f in cold])
+        warm = solve_discounted(ham, self.P, 0.03, grid, medium, params,
+                                v0=v0)
+        assert {f.metadata["method"] for f in warm} == {"newton", RETRY}
+        for i, p in enumerate(self.P):
+            one = solve_discounted(ham, p, 0.1, grid, medium, params)
+            np.testing.assert_array_equal(cold[i].values, one.values)
+            assert cold[i].metadata == one.metadata
+            one = solve_discounted(ham, p, 0.03, grid, medium, params,
+                                   v0=v0[i])
+            np.testing.assert_array_equal(warm[i].values, one.values)
+            assert warm[i].metadata == one.metadata
+
+    def test_one_period_matches_unfolded_solve(self, ell2, monkeypatch):
+        ham, medium, params, grid = ell2
+        lam = 0.1
+        p = self.P[::4]
+        folded = solve_discounted(ham, p, lam, grid, medium, params)
+        monkeypatch.setattr(solver, "_cell_grid", lambda g, m: g)
+        whole = solve_discounted(ham, p, lam, grid, medium, params)
+        for a, b, pi in zip(folded, whole, p):
+            tol = a.metadata["tol_fp"]
+            assert np.max(np.abs(a.values - b.values)) <= tol / lam
+            # the tiled field solves the equations of the whole grid
+            assert _full_grid_residual(ham, pi, lam, grid, medium, params,
+                                       a.values) <= tol
+
+    def test_length_off_the_period_solves_unfolded(self, ell2):
+        ham, medium, params, _ = ell2
+        grid = Grid(320, 2.5)
+        p, lam = [2.0625], 0.1
+        out = solve_discounted(ham, p, lam, grid, medium, params)
+        assert out.values.shape == (320,)
+        assert out.metadata["method"] == "newton"
+        assert _full_grid_residual(ham, p, lam, grid, medium, params,
+                                   out.values) <= out.metadata["tol_fp"]
+
+    def test_piecewise_profile_rows_equal_single_solves(self,
+                                                        sin_sq_medium):
+        valley = PiecewiseMonotone([-1.0, 0.0, 0.5, 2.0],
+                                   [1.0, 0.0, 0.0, 0.75])
+        piece = Piece(valley, "additive", 0)
+        p = [[-1.5], [0.25], [1.0]]
+        rows = solve_discounted(piece, p, 0.2, Grid(64), sin_sq_medium)
+        for pi, row in zip(p, rows):
+            one = solve_discounted(piece, pi, 0.2, Grid(64), sin_sq_medium)
+            np.testing.assert_array_equal(row.values, one.values)
+
+    def test_constant_rows_ride_along(self, sin_sq_medium):
+        # max(|p|, 3|p| - 1 + V(x)) with 0 <= V <= 1 is x-independent at
+        # p = 0 only
+        ham = CombinedPiece("max", [
+            Piece(AbsShift(0.0, 1.0, 0.0)),
+            Piece(AbsShift(0.0, 3.0, -1.0), "additive", 0)])
+        out = solve_discounted(ham, [[0.0], [2.0]], 0.1, Grid(64),
+                               sin_sq_medium)
+        assert [f.metadata["method"] for f in out] == ["constant", "newton"]
+        assert out[0].metadata["constant_value"] == 0.0
+        assert not np.any(out[0].values)
+        one = solve_discounted(ham, [2.0], 0.1, Grid(64), sin_sq_medium)
+        np.testing.assert_array_equal(out[1].values, one.values)
+
+    def test_newton_failure_names_the_gradient(self, ell2):
+        ham, medium, params, _ = ell2
+        g = Grid(1024, 1.0)
+        with pytest.raises(NonConvergenceError, match=r"p0=\[2.0625\]"):
+            solve_discounted(ham, [[2.0625]], 0.1, g, medium,
+                             SchemeParams(theta=params.theta, tol_fp=1e-300),
+                             method="newton")
 
 
 class TestMonotoneProbes:
@@ -325,6 +433,14 @@ class TestProlong:
         f = prolong_periodic(v)
         assert f.shape == (16, 16)
         assert np.array_equal(f[::2, ::2], v)
+
+    def test_trailing_axes_only(self):
+        rng = np.random.default_rng(13)
+        v = rng.uniform(-1, 1, (3, 8))
+        f = prolong_periodic(v, dim=1)
+        assert f.shape == (3, 16)
+        for row, fine in zip(v, f):
+            assert np.array_equal(fine, prolong_periodic(row))
 
 
 class TestFieldExport:
