@@ -65,6 +65,21 @@ def _is_whole(ratio):
     return k >= 1 and abs(ratio - k) <= 1e-9 * ratio
 
 
+def _pieces(fam, role, source):
+    """Build the pieces of family.checks or family.hats; a bad piece
+    names its index."""
+    entries = _need(fam, role, f"{source}: family")
+    if not isinstance(entries, list):
+        raise ConfigError(f"{source}: family.{role}: need a list of pieces")
+    pieces = []
+    for i, data in enumerate(entries):
+        try:
+            pieces.append(piece_from_dict(data))
+        except Exception as err:
+            raise ConfigError(f"{source}: family.{role}[{i}]: {err}") from err
+    return pieces
+
+
 def _decreasing(values, where):
     vals = [float(v) for v in values]
     if len(vals) < 1 or any(b >= a for a, b in zip(vals, vals[1:])):
@@ -86,20 +101,24 @@ class ExperimentConfig:
             _reject_unknown(data, section, source)
 
         med = _need(data, "medium", source)
+        # the key stays for configs that state it; the medium is a line
+        if med.get("dim", 1) != 1:
+            raise ConfigError(
+                f"{source}: medium.dim: {med['dim']!r}, but the medium is "
+                f"one-dimensional (dim: 1)")
         try:
             self.medium_spec = MediumSpec(
                 med.get("kind", "periodic"), med.get("period", 1.0),
-                med.get("dim", 1), med.get("channels"))
+                med.get("channels"))
         except ConfigError as err:
             raise ConfigError(f"{source}: medium: {err}") from err
 
         fam = _need(data, "family", source)
-        checks = _need(fam, "checks", f"{source}: family")
-        hats = _need(fam, "hats", f"{source}: family")
+        checks = _pieces(fam, "checks", source)
+        hats = _pieces(fam, "hats", source)
         try:
             self.family = MinMaxFamily(
-                [piece_from_dict(c) for c in checks],
-                [piece_from_dict(h) for h in hats],
+                checks, hats,
                 orientation=fam.get("orientation", "max_first"),
                 normalized=bool(fam.get("normalized", True)))
         except Exception as err:
@@ -119,6 +138,11 @@ class ExperimentConfig:
         self.theta = sol.get("theta")
         if self.solver_n < 16 or self.solver_length <= 0:
             raise ConfigError(f"{source}: solver: need n >= 16 and length > 0")
+        if self.theta is not None and not (
+                isinstance(self.theta, (int, float)) and self.theta > 0):
+            raise ConfigError(
+                f"{source}: solver.theta: {self.theta!r} is not a positive "
+                f"number")
         period = self.medium_spec.period
         # a partial period puts a seam in the medium: another equation
         if not _is_whole(self.solver_length / period):

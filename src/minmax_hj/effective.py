@@ -1,5 +1,5 @@
-"""Effective Hamiltonians: numeric estimation, exact 1-D separable
-oracle, the nested min-max formula, and symmetry/plateau reports.
+"""Effective Hamiltonians: numeric estimation, exact separable oracle,
+the nested min-max formula, and symmetry/plateau reports.
 
 The estimator solves the discounted problem along a decreasing discount
 schedule and extrapolates -lam * v_lam(0) by fitting value + C*lam^alpha
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, ProfileShapeError, SchemeParameterError
 from .family import (LevelHamiltonian, MinMaxFamily, negate_dual, even_dual)
 from .pairs import contact_fields, kappa_shift
-from .profiles import QUASICONVEX, as_components
+from .profiles import QUASICONVEX
 from .solver import solve_discounted
 
 
@@ -163,7 +163,7 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
                        params=None, method="auto"):
     """Extrapolate -lam * v_lam(0) along the discount schedule.
 
-    p is one gradient, or an (n_p, dim) array of them: then every
+    p is one gradient, or an (n_p, 1) column of them: then every
     gradient is solved in one batch per discount rate, each row
     warm-started from its own solution at the previous rate, and a list
     of n_p Estimates comes back. An Estimate's error bar combines the fit
@@ -173,14 +173,14 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
     lams = [float(l) for l in lam_schedule]
     if len(lams) < 3 or any(b >= a for a, b in zip(lams, lams[1:])):
         raise ConfigError("need a strictly decreasing schedule of >= 3 rates")
-    if lams[-1] * max(grid.n) < 10.0:
+    if lams[-1] * grid.n < 10.0:
         raise SchemeParameterError(
             f"smallest rate {lams[-1]:.3g} under-resolves the grid; "
             f"need rate * n >= 10")
 
     P = np.asarray(p, dtype=float)
     single = P.ndim < 2
-    P = P.reshape(-1, grid.dim)
+    P = P.reshape(-1, 1)
     runs, data = [], []
     v = None
     for lam in lams:
@@ -237,7 +237,7 @@ def fit_schedule_data(lams, ys, tol=0.0):
 
 
 def exact_effective_1d_separable(profile, v_table, p_samples, tol=1e-10):
-    """Exact effective curve for H(p, x) = phi(p) + V(x), d = 1.
+    """Exact effective curve for H(p, x) = phi(p) + V(x).
 
     V enters as a table over one period (its mean realizes the spatial
     averages). At the critical level mu* = max V + min phi the admissible
@@ -247,14 +247,12 @@ def exact_effective_1d_separable(profile, v_table, p_samples, tol=1e-10):
     """
     if profile.tag != QUASICONVEX:
         raise ValueError("oracle profiles must be quasiconvex")
-    if profile.dim != 1:
-        raise ValueError("oracle is one-dimensional")
     V = np.asarray(v_table, dtype=float)
     p_samples = np.asarray(p_samples, dtype=float)
     v_max = float(V.max())
     if v_max == float(V.min()):
         # constant potential: no averaging, the curve is the profile
-        values = profile(as_components(p_samples, 1)) + v_max
+        values = profile((p_samples,)) + v_max
         curve = EffectiveCurve(p_samples, values, None, "oracle", "coercive")
         curve.intermediates["critical_level"] = v_max + profile.extreme_value()
         lo, hi = profile.branch_inverses(profile.extreme_value())

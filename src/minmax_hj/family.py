@@ -89,10 +89,6 @@ class Piece:
         self.extra_field = extra_field
 
     @property
-    def dim(self):
-        return self.profile.dim
-
-    @property
     def tag(self):
         return self.profile.tag
 
@@ -107,8 +103,7 @@ class Piece:
         return e
 
     def evaluate(self, p, x=None, medium=None):
-        comps = as_components(p, self.dim)
-        base = self.profile(comps)
+        base = self.profile(as_components(p))
         if self.coupling is None:
             val = base
         elif self.coupling == "additive":
@@ -200,10 +195,6 @@ class CombinedPiece:
         self.pieces = list(pieces)
 
     @property
-    def dim(self):
-        return self.pieces[0].dim
-
-    @property
     def tag(self):
         return QUASICONVEX if self.op == "max" else QUASICONCAVE
 
@@ -245,9 +236,6 @@ class MinMaxFamily:
     def __init__(self, checks, hats, orientation="max_first", normalized=False):
         if len(checks) != len(hats) or not checks:
             raise ProfileShapeError("need equally many checks and hats, at least one")
-        dims = {pc.dim for pc in checks} | {pc.dim for pc in hats}
-        if len(dims) != 1:
-            raise ProfileShapeError("mixed dimensions in family")
         for pc in checks:
             if pc.tag != QUASICONVEX:
                 raise ProfileShapeError("checks must be quasiconvex")
@@ -265,19 +253,12 @@ class MinMaxFamily:
     def ell(self):
         return len(self.checks)
 
-    @property
-    def dim(self):
-        return self.checks[0].dim
-
     def levels(self):
         """All valid evaluation levels: 1, 3/2, ..., ell."""
         return [k / 2 for k in range(2, 2 * self.ell + 1)]
 
     def evaluate(self, s, p, x=None, medium=None):
         return eval_minmax(self, s, p, x, medium)
-
-    def as_hamiltonian(self, s=None):
-        return LevelHamiltonian(self, self.ell if s is None else s)
 
     def lipschitz(self, medium=None):
         return max(pc.lipschitz(medium) for pc in self.checks + self.hats)
@@ -424,10 +405,6 @@ class LevelHamiltonian:
         self.s = s
         self._n_full, self._with_half = _level_split(family, s)
 
-    @property
-    def dim(self):
-        return self.family.dim
-
     def evaluate(self, p, x=None, medium=None):
         return eval_minmax(self.family, self.s, p, x, medium)
 
@@ -460,22 +437,15 @@ class GradientShift:
 
     def __init__(self, inner, delta):
         self.inner = inner
-        self.delta = np.atleast_1d(np.asarray(delta, dtype=float))
-
-    @property
-    def dim(self):
-        return self.inner.dim
+        self.delta = float(delta)
 
     def evaluate(self, p, x=None, medium=None):
-        comps = as_components(p, self.dim)
-        shifted = tuple(c - d for c, d in zip(comps, self.delta))
-        return self.inner.evaluate(shifted, x, medium)
+        return self.inner.evaluate(as_components(p)[0] - self.delta, x,
+                                   medium)
 
     def bind_base(self, pbase, x, medium):
-        base = np.atleast_1d(np.asarray(pbase, dtype=float)) - self.delta
-        if self.dim == 1 and base.ndim == 1:
-            base = float(base[0])
-        return self.inner.bind_base(base, x, medium)
+        return self.inner.bind_base(np.asarray(pbase, dtype=float)
+                                    - self.delta, x, medium)
 
     def lipschitz(self, medium=None):
         return self.inner.lipschitz(medium)

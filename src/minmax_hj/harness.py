@@ -22,7 +22,8 @@ from .errors import (ConfigError, MonotonicityError, RunLockError,
                      StabilityError)
 from .family import LevelHamiltonian, validate_ordering
 from .media import sample_realization
-from .pairs import check_condition_e, check_monotonicity, contact_fields
+from .pairs import (check_condition_e, check_monotonicity, contact_fields,
+                    expand_p_box)
 from .profiles import QUASICONVEX
 from .solver import (FALLBACK, Grid, SchemeParams, solve_homogenized,
                      solve_time_dependent)
@@ -31,19 +32,52 @@ _G17 = "%.17g"
 
 
 class RunLock:
-    """Exclusive ownership of a run directory while a command writes it."""
+    """Exclusive ownership of a run directory while a command writes it.
+
+    The lock file holds the owner's pid. A lock whose owner no longer
+    exists (a killed run) is replaced; a lock whose pid is alive, or
+    cannot be read, is left alone. Two runs that find the same dead lock
+    at the same moment can both replace it.
+    """
 
     def __init__(self, out_dir):
         self.path = os.path.join(out_dir, ".lock")
         self.fd = None
 
+    def _create(self):
+        self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+
+    def _owner_is_dead(self):
+        try:
+            with open(self.path) as fh:
+                pid = int(fh.read())
+            if pid <= 0:
+                return False
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, OverflowError, ValueError):
+            pass
+        return False
+
+    def _locked(self):
+        return RunLockError(
+            f"run directory is locked ({self.path}); remove the stale lock "
+            f"if no other run is active")
+
     def __enter__(self):
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            self._create()
         except FileExistsError:
-            raise RunLockError(
-                f"run directory is locked ({self.path}); remove the stale "
-                f"lock if no other run is active") from None
+            if not self._owner_is_dead():
+                raise self._locked() from None
+            # a killed run's lock: replace it, again exclusively
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.path)
+            try:
+                self._create()
+            except FileExistsError:
+                raise self._locked() from None
         os.write(self.fd, str(os.getpid()).encode())
         return self
 
@@ -109,8 +143,9 @@ def analyze_hypotheses(cfg):
     timings["ordering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    consts = contact_fields(cfg.family, realizations, x_nodes,
-                            cfg.p_box, cfg.n_p)
+    p_box = cfg.p_box or expand_p_box(cfg.family, medium0)
+    consts = contact_fields(cfg.family, realizations, x_nodes, p_box,
+                            cfg.n_p)
     stable = consts.all_pairs_stable
     timings["stable_pairs"] = time.perf_counter() - t0
 
@@ -118,8 +153,10 @@ def analyze_hypotheses(cfg):
     mono = check_monotonicity(consts)
     mono_strict = check_monotonicity(consts, strict=True)
     cond_e = {"holds": True, "witnesses": []}
-    for real in realizations:
-        one = check_condition_e(cfg.family, real, x_nodes, cfg.p_box, cfg.n_p)
+    for real, m in zip(realizations, consts.m_fields):
+        # the level-1 contact values contact_fields already found
+        one = check_condition_e(cfg.family, real, x_nodes, m[0], p_box,
+                                cfg.n_p)
         if not one["holds"]:
             cond_e = one
             break
@@ -167,23 +204,32 @@ def _require_gate(analysis, force):
         f"{analysis['witnesses']['ordering']}")
 
 
-def run_check(cfg, out_dir=None):
-    """Pure hypothesis gate; writes only the manifest."""
+def _run(cfg, out_dir, command, stages, force=None):
+    """The frame every command shares. Make and lock the run directory,
+    analyze the hypotheses, gate on them (unless ``force`` is None, as
+    for check, which only reports them), run ``stages(analysis, out_dir,
+    timings)``, and write the manifest: command, config, verdicts and
+    timings, plus the keys ``stages`` returns (its result files among
+    them)."""
     out_dir = out_dir or cfg.output
     os.makedirs(out_dir, exist_ok=True)
     with RunLock(out_dir):
         analysis = analyze_hypotheses(cfg)
-        manifest = {
-            "command": "check",
-            "config": cfg.raw,
-            "verdicts": analysis["verdicts"],
-            "witnesses": analysis["witnesses"],
-            "contact_constants": analysis["constants"],
-            "timings": analysis["timings"],
-            "files": [],
-        }
-        manifest = _write_manifest(out_dir, manifest)
-    return manifest
+        if force is not None:
+            _require_gate(analysis, force)
+        timings = dict(analysis["timings"])
+        manifest = {"command": command, "config": cfg.raw,
+                    "verdicts": analysis["verdicts"], "timings": timings}
+        manifest.update(stages(analysis, out_dir, timings))
+        return _write_manifest(out_dir, manifest)
+
+
+def run_check(cfg, out_dir=None):
+    """Pure hypothesis gate; writes only the manifest."""
+    def stages(analysis, out_dir, timings):
+        return {"witnesses": analysis["witnesses"],
+                "contact_constants": analysis["constants"], "files": []}
+    return _run(cfg, out_dir, "check", stages)
 
 
 def _numeric_curve(hamiltonian, cfg, medium, kind, params=None):
@@ -244,14 +290,9 @@ def build_curves(cfg, medium, consts, params=None):
 
 def run_effective(cfg, out_dir=None, force=False):
     """Piece curves, nested formula, direct estimate, and comparison."""
-    out_dir = out_dir or cfg.output
-    os.makedirs(out_dir, exist_ok=True)
     params = SchemeParams(theta=cfg.theta)
-    with RunLock(out_dir):
-        analysis = analyze_hypotheses(cfg)
-        _require_gate(analysis, force)
-        timings = dict(analysis["timings"])
 
+    def stages(analysis, out_dir, timings):
         t0 = time.perf_counter()
         checks, hats, formula = build_curves(
             cfg, analysis["medium0"], analysis["consts_obj"], params)
@@ -284,40 +325,30 @@ def run_effective(cfg, out_dir=None, force=False):
         named_curves.update(
             {f"hat_{k + 1}": c for k, c in enumerate(hats)})
         named_curves["family"] = numeric
-        manifest = {
-            "command": "effective",
-            "config": cfg.raw,
-            "verdicts": analysis["verdicts"],
+        return {
             "contact_constants": analysis["constants"],
             "max_abs_err": float(abs_err.max()),
             "mean_abs_err": float(abs_err.mean()),
             "unreliable_p": numeric.intermediates["unreliable_p"],
             "solver_stats": _solver_stats(named_curves),
-            "timings": timings,
             "files": ["numeric.csv", "formula.csv", "compare.csv"],
         }
-        manifest = _write_manifest(out_dir, manifest)
-    return manifest
+    return _run(cfg, out_dir, "effective", stages, force)
 
 
 def run_sweep_eps(cfg, out_dir=None, force=False):
     """Oscillatory vs homogenized evolution over the eps schedule."""
-    out_dir = out_dir or cfg.output
-    os.makedirs(out_dir, exist_ok=True)
     params = SchemeParams(theta=cfg.theta)
-    with RunLock(out_dir):
-        analysis = analyze_hypotheses(cfg)
-        _require_gate(analysis, force)
-        timings = dict(analysis["timings"])
-        medium = analysis["medium0"]
 
+    def stages(analysis, out_dir, timings):
+        medium = analysis["medium0"]
         t0 = time.perf_counter()
         _, _, formula = build_curves(cfg, medium, analysis["consts_obj"],
                                      params)
         timings["effective_curve"] = time.perf_counter() - t0
 
         grid = Grid(cfg.solver_n, cfg.solver_length)
-        u0 = cfg.u0_values(grid.axes[0])
+        u0 = cfg.u0_values(grid.x)
         h_top = LevelHamiltonian(cfg.family, cfg.family.ell)
 
         t0 = time.perf_counter()
@@ -344,20 +375,14 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
                 for i in range(len(errs))]
         _csv(os.path.join(out_dir, "err_vs_eps.csv"),
              "eps,err,ratio_to_prev", rows)
-
-        manifest = {
-            "command": "sweep-eps",
-            "config": cfg.raw,
-            "verdicts": analysis["verdicts"],
+        return {
             "errors": errs,
             "ratios": ratios,
             "nonincreasing": all(b <= a for a, b in zip(errs, errs[1:])),
             "strictly_decreasing": all(b < a for a, b in zip(errs, errs[1:])),
-            "timings": timings,
             "files": ["err_vs_eps.csv"],
         }
-        manifest = _write_manifest(out_dir, manifest)
-    return manifest
+    return _run(cfg, out_dir, "sweep-eps", stages, force)
 
 
 def _read_csv(path):

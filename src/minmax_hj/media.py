@@ -1,5 +1,5 @@
-"""Coefficient fields on a torus: periodic formulas, seeded checkerboards,
-periodized quasiperiodic sums.
+"""Coefficient fields on a circle: periodic formulas, seeded
+checkerboards, periodized quasiperiodic sums.
 
 A medium spec declares named coefficient channels; a realization is the
 spec plus a seed (random kinds draw their cell tables from it) plus an
@@ -9,9 +9,9 @@ and translate(z) followed by evaluate(x) matches evaluate(x + z) bit for
 bit because both paths reduce to the same float expression.
 
 Checkerboard cells define the only genuine lattice; translating one by a
-non-lattice vector snaps to the nearest lattice point with a warning.
-Quasiperiodic sums are wrapped at the torus seam (they are surrogates,
-not true quasiperiodic fields).
+non-lattice shift snaps to the nearest lattice point with a warning.
+Quasiperiodic sums are wrapped at the seam (they are surrogates, not
+true quasiperiodic fields).
 """
 
 import warnings
@@ -19,22 +19,18 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
-from .profiles import as_components
 
 _PERIODIC_FORMULAS = ("sin_sq", "cos_sq", "cos", "constant")
 
 
 class MediumSpec:
-    def __init__(self, kind, period=1.0, dim=1, channels=None):
+    def __init__(self, kind, period=1.0, channels=None):
         if kind not in ("periodic", "checkerboard", "quasiperiodic"):
             raise ConfigError(f"unknown medium kind {kind!r}")
         if not period > 0:
             raise ConfigError("period must be positive")
-        if dim not in (1, 2):
-            raise ConfigError("dimension must be 1 or 2")
         self.kind = kind
         self.period = float(period)
-        self.dim = int(dim)
         self.channels = [dict(c) for c in (channels or [])]
         if not self.channels:
             raise ConfigError("medium needs at least one channel")
@@ -63,9 +59,11 @@ class MediumSpec:
             amps = ch.get("amps")
             if not freqs or not amps or len(freqs) != len(amps):
                 raise ConfigError(f"channel {i}: need matching freqs/amps")
+            if any(np.ndim(f) for f in freqs):
+                raise ConfigError(f"channel {i}: each frequency is a number")
 
     def describe(self):
-        return {"kind": self.kind, "period": self.period, "dim": self.dim,
+        return {"kind": self.kind, "period": self.period,
                 "channels": [dict(c) for c in self.channels]}
 
 
@@ -76,23 +74,16 @@ def sample_realization(spec, seed=0):
         for i, ch in enumerate(spec.channels):
             rng = np.random.default_rng([int(seed), i])
             ncell = int(round(spec.period / ch["cell"]))
-            shape = (ncell,) * spec.dim
-            tables.append(rng.uniform(ch["low"], ch["high"], size=shape))
+            tables.append(rng.uniform(ch["low"], ch["high"], size=ncell))
     return MediumRealization(spec, int(seed), tables)
 
 
 class MediumRealization:
-    def __init__(self, spec, seed, tables, offset=None):
+    def __init__(self, spec, seed, tables, offset=0.0):
         self.spec = spec
         self.seed = seed
         self.tables = tables
-        if offset is None:
-            offset = np.zeros(spec.dim)
-        self.offset = np.asarray(offset, dtype=float)
-
-    @property
-    def dim(self):
-        return self.spec.dim
+        self.offset = float(offset)
 
     @property
     def period(self):
@@ -100,27 +91,23 @@ class MediumRealization:
 
     def translate(self, z):
         """Shifted realization; evaluate(x) afterwards equals evaluate(x+z)."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if z.shape != (self.dim,):
-            raise ValueError(f"translation must have {self.dim} components")
+        z = float(z)
         if self.spec.kind == "checkerboard":
             cell = min(ch["cell"] for ch in self.spec.channels)
-            snapped = np.round(z / cell) * cell
-            if np.any(np.abs(snapped - z) > 1e-12 * max(1.0, self.period)):
+            snapped = float(np.round(z / cell) * cell)
+            if abs(snapped - z) > 1e-12 * max(1.0, self.period):
                 warnings.warn(
-                    f"translation {z.tolist()} is not cell-aligned; "
-                    f"snapping to {snapped.tolist()}", stacklevel=2)
+                    f"translation {z} is not cell-aligned; "
+                    f"snapping to {snapped}", stacklevel=2)
             z = snapped
         return MediumRealization(self.spec, self.seed, self.tables,
                                  self.offset + z)
 
     def _wrap(self, x):
-        comps = as_components(x, self.dim)
-        return tuple(np.mod(c + o, self.period)
-                     for c, o in zip(comps, self.offset))
+        return np.mod(np.asarray(x, dtype=float) + self.offset, self.period)
 
     def evaluate_channel(self, idx, x):
-        """Channel value at x (components broadcast); exact wrap semantics."""
+        """Channel value at x (any array shape); exact wrap semantics."""
         ch = self.spec.channels[idx]
         y = self._wrap(x)
         if self.spec.kind == "periodic":
@@ -128,48 +115,31 @@ class MediumRealization:
         if self.spec.kind == "checkerboard":
             table = self.tables[idx]
             cell = ch["cell"]
-            n = table.shape[0]
-            ij = tuple(np.floor(c / cell).astype(np.int64) % n for c in y)
-            return table[ij]
+            return table[np.floor(y / cell).astype(np.int64) % table.size]
         return self._quasi_value(ch, y)
 
     def _periodic_value(self, ch, y):
         f = ch["formula"]
         if f == "constant":
-            return float(ch["value"]) + 0.0 * y[0]
+            return float(ch["value"]) + 0.0 * y
         amp = ch.get("amplitude", 1.0)
         off = ch.get("offset", 0.0)
-        shift = ch.get("shift", 0.0)
-        L = self.period
-        acc = 0.0
-        for c in y:
-            u = (c - shift) / L
-            if f == "sin_sq":
-                acc = acc + np.sin(np.pi * u) ** 2
-            elif f == "cos_sq":
-                acc = acc + np.cos(np.pi * u) ** 2
-            else:
-                acc = acc + np.cos(2 * np.pi * u)
-        return off + amp * acc / len(y)
+        u = (y - ch.get("shift", 0.0)) / self.period
+        if f == "sin_sq":
+            wave = np.sin(np.pi * u) ** 2
+        elif f == "cos_sq":
+            wave = np.cos(np.pi * u) ** 2
+        else:
+            wave = np.cos(2 * np.pi * u)
+        return off + amp * wave
 
     def _quasi_value(self, ch, y):
         off = ch.get("offset", 0.0)
         phases = ch.get("phases", [0.0] * len(ch["freqs"]))
         acc = 0.0
         for fr, am, phz in zip(ch["freqs"], ch["amps"], phases):
-            fr = np.atleast_1d(np.asarray(fr, dtype=float))
-            if fr.size == 1:
-                fr = np.repeat(fr, len(y))
-            s = 0.0
-            for c, fc in zip(y, fr):
-                s = s + fc * c
-            acc = acc + am * np.cos(2 * np.pi * s + phz)
+            acc = acc + am * np.cos(2 * np.pi * (float(fr) * y) + phz)
         return off + acc
-
-    def evaluate_coeffs(self, x):
-        """All channel values at x, as a tuple."""
-        return tuple(self.evaluate_channel(i, x)
-                     for i in range(len(self.spec.channels)))
 
     def channel_bounds(self, idx):
         """Certified (low, high) bounds for a channel's values."""
@@ -194,4 +164,4 @@ class MediumRealization:
 
     def describe(self):
         return {"spec": self.spec.describe(), "seed": self.seed,
-                "offset": self.offset.tolist()}
+                "offset": self.offset}

@@ -63,12 +63,9 @@ def _default_tau_b(vals_V, vals_L, h):
 def analyze_pair(V_fn, L_fn, p_box, n_p=2049, tau_b=None):
     """Stability report for one (V, L) pair on a gradient box.
 
-    V_fn/L_fn take gradient arrays (1-D) or component tuples (2-D).
-    Raises BoxTooSmallError when the comparison region or the V-minimum
-    touches the box boundary.
+    V_fn/L_fn take gradient arrays. Raises BoxTooSmallError when the
+    comparison region or the V-minimum touches the box boundary.
     """
-    if np.ndim(p_box[0]) > 0:
-        return _analyze_pair_2d(V_fn, L_fn, p_box, n_p, tau_b)
     p = _grid_1d(p_box, n_p)
     h = p[1] - p[0]
     vV = np.asarray(V_fn(p), dtype=float)
@@ -108,67 +105,9 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049, tau_b=None):
                       outside_gap)
 
 
-def _analyze_pair_2d(V_fn, L_fn, p_box, n_p, tau_b):
-    (lox, hix), (loy, hiy) = p_box
-    n = int(n_p)
-    px = np.linspace(lox, hix, n)
-    py = np.linspace(loy, hiy, n)
-    PX, PY = np.meshgrid(px, py, indexing="ij")
-    vV = np.asarray(V_fn((PX, PY)), dtype=float)
-    vL = np.asarray(L_fn((PX, PY)), dtype=float)
-    h = max(px[1] - px[0], py[1] - py[0])
-    if tau_b is None:
-        lip = max(np.max(np.abs(np.diff(vV, axis=0))) / (px[1] - px[0]),
-                  np.max(np.abs(np.diff(vV, axis=1))) / (py[1] - py[0]))
-        tau_b = 10.0 * lip * h
-    g = vL - vV
-    mask = g >= 0.0
-    ring = np.zeros_like(mask)
-    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
-    if (mask & ring).any():
-        raise BoxTooSmallError("comparison region touches the gradient box")
-    if not mask.any():
-        imin = np.unravel_index(np.argmin(vV), vV.shape)
-        if ring[imin]:
-            raise BoxTooSmallError("V attains its grid minimum on the box boundary")
-        return PairReport(False, {"cells": 0}, float(vV[imin]), float(np.max(vL)),
-                          0.0, True, tau_b)
-
-    pts_V, pts_L = [], []
-    for axis in (0, 1):
-        m0 = mask if axis == 0 else mask.T
-        g0 = g if axis == 0 else g.T
-        grid = px if axis == 0 else py
-        other = py if axis == 0 else px
-        trans = m0[:-1, :] != m0[1:, :]
-        ii, jj = np.nonzero(trans)
-        if ii.size:
-            frac = g0[ii, jj] / (g0[ii, jj] - g0[ii + 1, jj])
-            pa = grid[ii] + frac * (grid[1] - grid[0])
-            pb = other[jj]
-            comp = (pa, pb) if axis == 0 else (pb, pa)
-            pts_V.append(np.asarray(V_fn(comp), dtype=float))
-            pts_L.append(np.asarray(L_fn(comp), dtype=float))
-    bV = np.concatenate(pts_V)
-    bL = np.concatenate(pts_L)
-    variation = float(np.max(bV) - np.min(bV))
-    c_V = float(np.mean(bV))
-    c_L = float(np.mean(bL))
-    ij = np.nonzero(mask)
-    descriptor = {"cells": int(mask.sum()),
-                  "bbox": [[float(px[ij[0].min()]), float(px[ij[0].max()])],
-                           [float(py[ij[1].min()]), float(py[ij[1].max()])]]}
-    outside_gap = float(np.min(vV[~mask]) - c_V)
-    stable = variation <= tau_b and outside_gap > -tau_b
-    return PairReport(True, descriptor, c_V, c_L, variation, stable, tau_b,
-                      outside_gap)
-
-
 def expand_p_box(family, medium, x_probe=None, start=4.0, cap=1024.0):
     """Grow a symmetric gradient box until every check dominates every hat
-    on its boundary (1-D families)."""
-    if family.dim != 1:
-        raise ValueError("automatic boxes are one-dimensional")
+    on its boundary."""
     if x_probe is None:
         x_probe = np.linspace(0.0, medium.period, 65) if medium is not None \
             else np.zeros(1)
@@ -259,8 +198,6 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, tau_b=None):
     """
     if family.orientation != "max_first":
         raise ValueError("contact analysis expects a max-first family")
-    if family.dim != 1:
-        raise ValueError("contact fields are implemented for 1-D gradients")
     if not isinstance(media, (list, tuple)):
         media = [media]
     if p_box is None:
@@ -407,26 +344,22 @@ def kappa_shift(family, kappa, constants_args, level=1):
                         normalized=False)
 
 
-def check_condition_e(family, medium, x_nodes, p_box=None, n_p=2049,
+def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049,
                       tol=1e-9):
     """Thin-level-set check at level 1.
 
-    For each sampled x, the set {p : |piece(p, x) - m_1(x)| <= tol} must
-    have no grid-interior point for either level-1 piece. The catalogue
-    is exactly evaluable, so tol is an arithmetic tolerance, not a
-    grid-scale one: genuine flats produce exact runs, sharp minima do
-    not.
+    m_1 holds the level-1 V-contact values at x_nodes in this medium,
+    as ``contact_fields`` computed them on the same p_box and n_p (row 0
+    of its m_fields). For each sampled x, the set
+    {p : |piece(p, x) - m_1(x)| <= tol} must have no grid-interior point
+    for either level-1 piece. The catalogue is exactly evaluable, so tol
+    is an arithmetic tolerance, not a grid-scale one: genuine flats
+    produce exact runs, sharp minima do not.
     """
-    if p_box is None:
-        p_box = expand_p_box(family, medium)
     P = _grid_1d(p_box, n_p)
     x_nodes = np.asarray(x_nodes, dtype=float)
     witnesses = []
-    for xj in x_nodes:
-        rep = analyze_pair(lambda q: family.checks[0].evaluate(q, xj, medium),
-                           lambda q: family.hats[0].evaluate(q, xj, medium),
-                           p_box, n_p)
-        m1 = rep.contact_value_V
+    for xj, m1 in zip(x_nodes, m_1):
         scale = max(1.0, abs(m1))
         for name, piece in (("check", family.checks[0]),
                             ("hat", family.hats[0])):

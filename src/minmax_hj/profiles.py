@@ -13,8 +13,9 @@ closed under the two dualities ``negate_dual`` (phi -> -phi(-p)) and
 ``even_dual`` (phi -> phi(-p)), and expose exact level-set endpoints,
 which the contact-value and cell-problem code relies on.
 
-Points in gradient space are handled as component tuples: a profile in
-dimension d evaluates on a tuple of d broadcastable arrays.
+Gradients are numbers. A profile evaluates on a one-tuple holding an
+array of them, the same calling convention as the functions bind_base
+returns.
 """
 
 import numpy as np
@@ -25,40 +26,34 @@ QUASICONVEX = "quasiconvex"
 QUASICONCAVE = "quasiconcave"
 
 
-def as_components(p, dim):
-    """Normalize a gradient point/batch to a tuple of ``dim`` arrays."""
+def as_components(p):
+    """A gradient or an array of them as a one-tuple of arrays; a tuple
+    or list is taken as that one-tuple already."""
     if isinstance(p, (tuple, list)):
-        if len(p) != dim:
-            raise ValueError(f"expected {dim} gradient components, got {len(p)}")
-        return tuple(np.asarray(c, dtype=float) for c in p)
-    arr = np.asarray(p, dtype=float)
-    if dim == 1:
-        return (arr,)
-    if arr.shape and arr.shape[-1] == dim:
-        return tuple(arr[..., i] for i in range(dim))
-    raise ValueError(f"cannot interpret point of shape {arr.shape} in dimension {dim}")
+        if len(p) != 1:
+            raise ValueError(f"expected one gradient component, got {len(p)}")
+        p = p[0]
+    return (np.asarray(p, dtype=float),)
 
 
-def _offsets(pbase, center):
-    """Components of pbase - center, for ``bind_base``.
+def _scalar(center):
+    if np.ndim(center) != 0:
+        raise ProfileShapeError("center must be a scalar")
+    return float(center)
 
-    One gradient (shape (dim,) or a scalar in 1-D) gives scalars. A
-    column of gradients, shape (n_p, 1, ..., 1, dim) with one unit axis
-    per grid axis after the first, gives arrays that broadcast row by row
-    against (n_p,) + grid shape; each row's offset is the same float
-    operation as for that gradient alone.
+
+def _offset(pbase, center):
+    """pbase - center, for ``bind_base``.
+
+    One gradient (a scalar or shape (1,)) gives a scalar. A column of
+    gradients, shape (n_p, 1), gives a column that broadcasts row by row
+    against (n_p, n); each row's offset is the same float operation as
+    for that gradient alone.
     """
     p = np.asarray(pbase, dtype=float)
     if p.ndim < 2:
-        return tuple(p.reshape(center.shape) - center)
-    e = p - center
-    return tuple(e[..., i:i + 1] for i in range(center.size))
-
-
-def _radial(comps, center):
-    if len(comps) == 1:
-        return np.abs(comps[0] - center[0])
-    return np.hypot(comps[0] - center[0], comps[1] - center[1])
+        return p.reshape(()) - center
+    return p - center
 
 
 class AbsShift:
@@ -68,30 +63,20 @@ class AbsShift:
     tag = QUASICONVEX
 
     def __init__(self, center, slope, offset=0.0):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        if center.ndim != 1 or center.size not in (1, 2):
-            raise ProfileShapeError("center must be scalar or length-2")
+        center = _scalar(center)
         if not slope > 0:
             raise ProfileShapeError("slope must be positive for a coercive profile")
         self.center = center
         self.slope = float(slope)
         self.offset = float(offset)
 
-    @property
-    def dim(self):
-        return self.center.size
-
     def __call__(self, comps):
-        return self.offset + self.slope * _radial(comps, self.center)
+        return self.offset + self.slope * np.abs(comps[0] - self.center)
 
     def bind_base(self, pbase):
-        e = _offsets(pbase, self.center)
+        e = _offset(pbase, self.center)
         s, o = self.slope, self.offset
-        if self.dim == 1:
-            e0, = e
-            return lambda dv: o + s * np.abs(dv[0] + e0)
-        e0, e1 = e
-        return lambda dv: o + s * np.hypot(dv[0] + e0, dv[1] + e1)
+        return lambda dv: o + s * np.abs(dv[0] + e)
 
     def lipschitz(self):
         return self.slope
@@ -100,23 +85,19 @@ class AbsShift:
         return self.offset
 
     def sublevel_interval(self, t):
-        """Endpoints of {phi <= t} (1-D only); None if empty."""
-        if self.dim != 1:
-            raise ValueError("interval queries are one-dimensional")
+        """Endpoints of {phi <= t}; None if empty."""
         if t < self.offset:
             return None
         r = (t - self.offset) / self.slope
-        return (self.center[0] - r, self.center[0] + r)
+        return (self.center - r, self.center + r)
 
     def branch_inverses(self, t):
-        """Leftmost/rightmost solutions of phi = t, vectorized (1-D only)."""
-        if self.dim != 1:
-            raise ValueError("interval queries are one-dimensional")
+        """Leftmost/rightmost solutions of phi = t, vectorized."""
         t = np.asarray(t, dtype=float)
         if np.any(t < self.offset - 1e-12):
             raise ValueError("level below the profile minimum")
         r = np.maximum(t - self.offset, 0.0) / self.slope
-        return self.center[0] - r, self.center[0] + r
+        return self.center - r, self.center + r
 
     def negate_dual(self):
         return NegatedAbs(-self.center, self.slope, -self.offset)
@@ -125,7 +106,7 @@ class AbsShift:
         return AbsShift(-self.center, self.slope, self.offset)
 
     def describe(self):
-        return {"kind": self.kind, "center": self.center.tolist(),
+        return {"kind": self.kind, "center": self.center,
                 "slope": self.slope, "offset": self.offset}
 
 
@@ -136,30 +117,20 @@ class NegatedAbs:
     tag = QUASICONCAVE
 
     def __init__(self, center, slope, offset=0.0):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        if center.ndim != 1 or center.size not in (1, 2):
-            raise ProfileShapeError("center must be scalar or length-2")
+        center = _scalar(center)
         if not slope > 0:
             raise ProfileShapeError("slope must be positive")
         self.center = center
         self.slope = float(slope)
         self.offset = float(offset)
 
-    @property
-    def dim(self):
-        return self.center.size
-
     def __call__(self, comps):
-        return self.offset - self.slope * _radial(comps, self.center)
+        return self.offset - self.slope * np.abs(comps[0] - self.center)
 
     def bind_base(self, pbase):
-        e = _offsets(pbase, self.center)
+        e = _offset(pbase, self.center)
         s, o = self.slope, self.offset
-        if self.dim == 1:
-            e0, = e
-            return lambda dv: o - s * np.abs(dv[0] + e0)
-        e0, e1 = e
-        return lambda dv: o - s * np.hypot(dv[0] + e0, dv[1] + e1)
+        return lambda dv: o - s * np.abs(dv[0] + e)
 
     def lipschitz(self):
         return self.slope
@@ -168,13 +139,11 @@ class NegatedAbs:
         return self.offset
 
     def superlevel_interval(self, t):
-        """Endpoints of {phi >= t} (1-D only); None if empty."""
-        if self.dim != 1:
-            raise ValueError("interval queries are one-dimensional")
+        """Endpoints of {phi >= t}; None if empty."""
         if t > self.offset:
             return None
         r = (self.offset - t) / self.slope
-        return (self.center[0] - r, self.center[0] + r)
+        return (self.center - r, self.center + r)
 
     def negate_dual(self):
         return AbsShift(-self.center, self.slope, -self.offset)
@@ -183,7 +152,7 @@ class NegatedAbs:
         return NegatedAbs(-self.center, self.slope, self.offset)
 
     def describe(self):
-        return {"kind": self.kind, "center": self.center.tolist(),
+        return {"kind": self.kind, "center": self.center,
                 "slope": self.slope, "offset": self.offset}
 
 
@@ -254,10 +223,6 @@ class PiecewiseMonotone:
     @property
     def tag(self):
         return QUASICONVEX if self.direction == "valley" else QUASICONCAVE
-
-    @property
-    def dim(self):
-        return 1
 
     def __call__(self, comps):
         return _pl_eval(comps[0], self.breaks, self.values,

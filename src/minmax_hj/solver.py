@@ -1,8 +1,8 @@
-"""Monotone grid solvers on the torus.
+"""Monotone grid solvers on a periodic interval.
 
 The numerical Hamiltonian is global Lax-Friedrichs: evaluate at the
-centered difference and subtract theta/2 times the second difference per
-axis. With theta at least the certified gradient-Lipschitz bound of the
+centered difference and subtract theta/2 times the second difference.
+With theta at least the certified gradient-Lipschitz bound of the
 Hamiltonian the update is monotone, which is what every probe and
 comparison argument here leans on.
 
@@ -14,11 +14,11 @@ would otherwise force step counts to scale like 1/lam), then removes
 the mean with a single exact shift of the constant mode at the end.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
-x, medium) -> f(dv) with dv a tuple of difference arrays, plus
-lipschitz(medium). pbase is one base gradient, or a column of them
-(shape (n_p, 1, ..., 1, dim)) whose row i applies to row i of dv, which
-is how the discounted solver takes a whole gradient axis at once.
-Families, single pieces and interpolated curves all provide it.
+x, medium) -> f(dv) with dv a one-tuple holding the difference array,
+plus lipschitz(medium). pbase is one base gradient, or a column of them
+(shape (n_p, 1)) whose row i applies to row i of dv, which is how the
+discounted solver takes a whole gradient axis at once. Families, single
+pieces and interpolated curves all provide it.
 """
 
 import numpy as np
@@ -34,35 +34,19 @@ RETRY = "newton (retried from nested start)"
 
 
 class Grid:
-    """Uniform periodic grid, d in {1, 2}."""
+    """Uniform periodic grid of n nodes x on [0, length)."""
 
-    def __init__(self, n, length=1.0, dim=1):
-        if dim not in (1, 2):
-            raise SchemeParameterError("grid dimension must be 1 or 2")
-        n = (int(n),) * dim if np.ndim(n) == 0 else tuple(int(k) for k in n)
-        if len(n) != dim:
-            raise SchemeParameterError("need one cell count per axis")
-        if any(k < 16 for k in n):
-            raise SchemeParameterError("need at least 16 cells per axis")
-        L = (float(length),) * dim if np.ndim(length) == 0 \
-            else tuple(float(v) for v in length)
-        self.dim = dim
-        self.n = n
-        self.length = L
-        self.h = tuple(Li / ki for Li, ki in zip(L, n))
-        self.axes = tuple(np.arange(k) * hi for k, hi in zip(n, self.h))
+    def __init__(self, n, length=1.0):
+        self.n = int(n)
+        if self.n < 16:
+            raise SchemeParameterError("need at least 16 cells")
+        self.length = float(length)
+        self.h = self.length / self.n
+        self.x = np.arange(self.n) * self.h
 
     @property
     def shape(self):
-        return self.n
-
-    def mesh(self):
-        if self.dim == 1:
-            return (self.axes[0],)
-        return tuple(np.meshgrid(*self.axes, indexing="ij"))
-
-    def zeros(self):
-        return np.zeros(self.shape)
+        return (self.n,)
 
 
 class SchemeParams:
@@ -72,16 +56,16 @@ class SchemeParams:
         self.tol_fp = tol_fp
         self.max_iter = int(max_iter)
 
-    def theta_tuple(self, dim, hamiltonian=None, medium=None):
+    def dissipation(self, hamiltonian=None, medium=None):
+        """theta: the given value, else the Hamiltonian's Lipschitz bound."""
         th = self.theta
         if th is None:
             if hamiltonian is None:
                 raise SchemeParameterError("no dissipation bound available")
             th = hamiltonian.lipschitz(medium)
-        th = (float(th),) * dim if np.ndim(th) == 0 \
-            else tuple(float(t) for t in th)
-        if len(th) != dim or any(t <= 0 for t in th):
-            raise SchemeParameterError("dissipation must be positive per axis")
+        th = float(th)
+        if not th > 0:
+            raise SchemeParameterError("dissipation must be positive")
         return th
 
 
@@ -94,14 +78,6 @@ class GridField:
         if self.values.shape != grid.shape:
             raise ValueError("field shape does not match the grid")
         self.metadata = dict(metadata or {})
-
-    def to_csv(self, path):
-        cols = [m.ravel() for m in self.grid.mesh()] + [self.values.ravel()]
-        header = ["x", "y"][: self.grid.dim] + ["value"]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join("%.17g" % c for c in row) + "\n")
 
 
 class TimeSeries:
@@ -125,49 +101,34 @@ class TimeSeries:
 
 
 def upwind_diffs(v, grid):
-    """One-sided periodic differences per grid axis: (forward, backward).
-
-    The grid axes are the trailing axes of v, so a stack of fields (one
-    per leading index) is differenced field by field.
-    """
-    dp, dm = [], []
-    for ax, h in enumerate(grid.h, start=-grid.dim):
-        dp.append((np.roll(v, -1, axis=ax) - v) / h)
-        dm.append((v - np.roll(v, 1, axis=ax)) / h)
-    return dp, dm
+    """One-sided periodic differences along the last axis of v, which is
+    the grid (a stack of fields is differenced field by field):
+    (forward, backward)."""
+    h = grid.h
+    return (np.roll(v, -1, axis=-1) - v) / h, (v - np.roll(v, 1, axis=-1)) / h
 
 
 def lf_update(h_bound, v, grid, theta):
     """Lax-Friedrichs numerical Hamiltonian applied to a field."""
     dp, dm = upwind_diffs(v, grid)
-    davg = tuple(0.5 * (a + b) for a, b in zip(dp, dm))
-    jumps = [a - b for a, b in zip(dp, dm)]
+    davg = 0.5 * (dp + dm)
+    jump = dp - dm
     del dp, dm      # fewer live arrays while h_bound runs
-    out = np.asarray(h_bound(davg), dtype=float)
-    for th, jump in zip(theta, jumps):
-        out = out - 0.5 * th * jump
-    return out
+    out = np.asarray(h_bound((davg,)), dtype=float)
+    return out - 0.5 * theta * jump
 
 
-def prolong_periodic(values, dim=None):
-    """Double the resolution of the last ``dim`` axes (all axes by
-    default) by periodic linear interpolation.
+def prolong_periodic(values):
+    """Double the resolution of the last axis by periodic linear
+    interpolation (a stack of fields is refined field by field).
 
     Even fine nodes coincide with coarse nodes exactly.
     """
     v = np.asarray(values, dtype=float)
-    for ax in range(v.ndim - (v.ndim if dim is None else dim), v.ndim):
-        shape = list(v.shape)
-        shape[ax] *= 2
-        out = np.empty(shape)
-        even = [slice(None)] * v.ndim
-        odd = [slice(None)] * v.ndim
-        even[ax] = slice(0, None, 2)
-        odd[ax] = slice(1, None, 2)
-        out[tuple(even)] = v
-        out[tuple(odd)] = 0.5 * (v + np.roll(v, -1, axis=ax))
-        v = out
-    return v
+    out = np.empty(v.shape[:-1] + (2 * v.shape[-1],))
+    out[..., ::2] = v
+    out[..., 1::2] = 0.5 * (v + np.roll(v, -1, axis=-1))
+    return out
 
 
 def _cell_grid(grid, medium):
@@ -180,9 +141,9 @@ def _cell_grid(grid, medium):
     same set of equations.
     """
     period = getattr(medium, "period", None)
-    if grid.dim != 1 or period is None:
+    if period is None:
         return grid
-    length, n = grid.length[0], grid.n[0]
+    length, n = grid.length, grid.n
     copies = int(round(length / period))
     if copies < 2 or abs(length - copies * period) > 1e-12 * length \
             or n % copies or n // copies < 16:
@@ -212,13 +173,9 @@ class _CellProblem:
     def bound(self, rows):
         key = rows.tobytes()
         if key != self._key:
-            g = self.grid
-            # each row's gradient broadcasts over that row's grid axes
-            pbase = self.P[rows].reshape((rows.size,) + (1,) * (g.dim - 1)
-                                         + (g.dim,))
-            x = g.mesh()
+            # each row's gradient, shape (1,), broadcasts over its row
             self._bound = self.hamiltonian.bind_base(
-                pbase, x[0] if g.dim == 1 else x, self.medium)
+                self.P[rows], self.grid.x, self.medium)
             self._key = key
         return self._bound
 
@@ -228,22 +185,20 @@ class _CellProblem:
 
 
 def _row_sup(a):
-    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)))
+    return np.max(np.abs(a), axis=1)
 
 
 def _at_zero(cell):
     """H(p, x) on the nodes, per row: its sup over x, whether it is
     x-independent, and its value at the first node."""
-    shape = (len(cell.P),) + cell.grid.shape
-    zero = tuple(np.zeros(shape) for _ in range(cell.grid.dim))
-    h0 = np.asarray(cell.bound(np.arange(len(cell.P)))(zero)) \
+    shape = (len(cell.P), cell.grid.n)
+    h0 = np.asarray(cell.bound(np.arange(len(cell.P)))((np.zeros(shape),))) \
         + np.zeros(shape)
-    h0 = h0.reshape(len(cell.P), -1)
     return _row_sup(h0), h0.min(axis=1) == h0.max(axis=1), h0[:, 0].copy()
 
 
 def _newton_direction(h_bound, v, r, h, th, lam):
-    """Newton step of the 1-D Lax-Friedrichs residual r at the fields v,
+    """Newton step of the Lax-Friedrichs residual r at the fields v,
     one row per field.
 
     The Jacobian is periodic tridiagonal and strictly diagonally dominant
@@ -288,7 +243,7 @@ def _newton_direction(h_bound, v, r, h, th, lam):
 
 
 def _newton(cell, rows, v, tol, max_newton=80):
-    """Damped semismooth Newton for the 1-D cell problem, one row per
+    """Damped semismooth Newton for the cell problem, one row per
     base gradient in ``rows`` (indices into cell.P), from the fields v.
 
     A step is one banded solve for all rows at once (_newton_direction).
@@ -301,8 +256,8 @@ def _newton(cell, rows, v, tol, max_newton=80):
     rows that converged, and the residual history (one array per step,
     nan for rows no longer iterating).
     """
-    h = cell.grid.h[0]
-    th = cell.theta[0]
+    h = cell.grid.h
+    th = cell.theta
     v = np.array(v, dtype=float)
     its = np.zeros(rows.size, dtype=int)
     ok = np.zeros(rows.size, dtype=bool)
@@ -344,7 +299,7 @@ def _newton(cell, rows, v, tol, max_newton=80):
 
 
 def _nested_start(cell, rows, tol):
-    """Cold start for the 1-D Newton path by nested iteration.
+    """Cold start for the Newton path by nested iteration.
 
     Newton from zero stalls where the corrector switches between the
     min and max branches, so the same problem (same lam, theta and
@@ -353,14 +308,14 @@ def _nested_start(cell, rows, tol):
     least 16 nodes, and each level's result is prolonged to the next. A
     row whose Newton declines on a level passes its start up unchanged.
     """
-    sizes = [cell.grid.n[0]]
+    sizes = [cell.grid.n]
     while sizes[-1] % 2 == 0 and sizes[-1] // 2 >= 16:
         sizes.append(sizes[-1] // 2)
     v = np.zeros((rows.size, sizes[-1]))
     for m in reversed(sizes[1:]):
-        coarse = cell.on(Grid(m, cell.grid.length[0]))
+        coarse = cell.on(Grid(m, cell.grid.length))
         out, _, _, ok, _ = _newton(coarse, rows, v, tol)
-        v = prolong_periodic(np.where(ok[:, None], out, v), dim=1)
+        v = prolong_periodic(np.where(ok[:, None], out, v))
     return v
 
 
@@ -370,15 +325,14 @@ def _relax_projected(cell, rows, v, tol, params):
 
     Projecting out the constant mode keeps the step count independent
     of lam; the constant mode is restored by one exact shift at the
-    end. Dissipation-limited, so cost grows like n^2 per axis; used
-    where the Newton path does not apply or declines.
+    end. Dissipation-limited, so cost grows like n^2; used where Newton
+    declines or on request.
     """
     grid, lam = cell.grid, cell.lam
-    rate = lam + sum(t / h for t, h in zip(cell.theta, grid.h))
+    rate = lam + cell.theta / grid.h
     tau = params.tau if params.tau is not None else 0.95 / rate
     check_every = 16
-    back = max(8 * max(grid.n), 8000) // check_every
-    axes = tuple(range(1, v.ndim))
+    back = max(8 * grid.n, 8000) // check_every
     v = np.array(v, dtype=float)
     out = np.empty_like(v)
     its = np.zeros(rows.size, dtype=int)
@@ -395,7 +349,7 @@ def _relax_projected(cell, rows, v, tol, params):
     while act.size:
         va = v[act]
         r = cell.residual(rows[act], va)
-        rbar = r.mean(axis=axes, keepdims=True)
+        rbar = r.mean(axis=1, keepdims=True)
         dev = _row_sup(r - rbar)
         if it % check_every == 0:
             history.append(np.full(rows.size, np.nan))
@@ -427,16 +381,15 @@ def _relax_projected(cell, rows, v, tol, params):
     return out, its, res
 
 
-def _base_column(p0, dim):
-    """Base gradients as an (n_p, dim) array, and whether p0 was one
-    gradient rather than an array of them."""
+def _base_column(p0):
+    """Base gradients as an (n_p, 1) column, and whether p0 was one
+    gradient rather than a column of them."""
     p = np.asarray(p0, dtype=float)
     single = p.ndim < 2
     if single:
         p = p.reshape(1, -1)
-    if p.ndim != 2 or p.shape[1] != dim or not p.shape[0]:
-        raise SchemeParameterError(
-            f"base gradient must have {dim} components")
+    if p.ndim != 2 or p.shape[1] != 1 or not p.shape[0]:
+        raise SchemeParameterError("a base gradient is one number")
     return p, single
 
 
@@ -445,38 +398,38 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     """Solve lam*v + H_LF(p0 + Dv, x) = 0 on the torus to a certified
     residual.
 
-    p0 is one base gradient, or an (n_p, dim) array of them solved as
+    p0 is one base gradient, or an (n_p, 1) column of them solved as
     one batch; the result is then one GridField, or a list of n_p. v0,
     if given, is a start of shape grid.shape, or (n_p,) + grid.shape.
     Every row of a batch is solved as it would be alone.
 
     When the grid holds a whole number of medium periods, the problem is
     solved on one period at the same spacing and the result tiled back.
-    In one dimension a damped Newton iteration on the Lax-Friedrichs
-    residual does the work (each step one banded solve for all rows),
-    starting from v0 or, without one, from the nested-iteration start on
-    coarser grids. A row whose Newton from v0 declines is retried once
-    from the nested start; a row that still declines falls back to
-    monotone pseudo-time relaxation, which is also what runs in 2-D or on
-    request. Whatever the path, every returned field satisfies its
-    residual tolerance and the comparison bound
-    |lam*v| <= sup|H(p0,.)| + tol, or an error naming the base gradient
-    carries the residual history out. metadata["method"] names the path:
-    "constant", "newton", RETRY, or "relax (<reason>)".
+    A damped Newton iteration on the Lax-Friedrichs residual does the
+    work (each step one banded solve for all rows), starting from v0 or,
+    without one, from the nested-iteration start on coarser grids. A row
+    whose Newton from v0 declines is retried once from the nested start;
+    a row that still declines falls back to monotone pseudo-time
+    relaxation, which is also what runs on request. Whatever the path,
+    every returned field satisfies its residual tolerance and the
+    comparison bound |lam*v| <= sup|H(p0,.)| + tol, or an error naming
+    the base gradient carries the residual history out.
+    metadata["method"] names the path: "constant", "newton", RETRY, or
+    "relax (<reason>)".
     """
     if not lam > 0:
         raise SchemeParameterError("discount rate must be positive")
     if method not in ("auto", "newton", "relax"):
         raise SchemeParameterError(f"unknown method {method!r}")
     params = params or SchemeParams()
-    theta = params.theta_tuple(grid.dim, hamiltonian, medium)
-    rate = lam + sum(t / h for t, h in zip(theta, grid.h))
+    theta = params.dissipation(hamiltonian, medium)
+    rate = lam + theta / grid.h
     if params.tau is not None and params.tau * rate > 1.0:
         raise SchemeParameterError(
             f"step {params.tau:.3g} violates the monotonicity bound "
             f"1/{rate:.3g}")
 
-    P, single = _base_column(p0, grid.dim)
+    P, single = _base_column(p0)
     cell = _CellProblem(hamiltonian, P, _cell_grid(grid, medium), medium,
                         lam, theta)
     sup_h0, const, h0_first = _at_zero(cell)
@@ -485,10 +438,10 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     else:
         tol = np.full(len(P), float(params.tol_fp))
 
-    v = np.zeros((len(P),) + cell.grid.shape)
+    v = np.zeros((len(P), cell.grid.n))
     if v0 is not None:
-        v0 = np.asarray(v0, dtype=float).reshape((len(P),) + grid.shape)
-        v = np.array(v0[..., :cell.grid.n[-1]])     # one period of it
+        v0 = np.asarray(v0, dtype=float).reshape(len(P), grid.n)
+        v = np.array(v0[:, :cell.grid.n])     # one period of it
     its = np.zeros(len(P), dtype=int)
     res = np.zeros(len(P))
     used = np.empty(len(P), dtype=object)
@@ -496,15 +449,13 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     # x-independent problems: the constant solution is exact, and so is
     # its residual, the same at every node
     value = -h0_first[const] / lam
-    v[const] = value.reshape((-1,) + (1,) * grid.dim)
+    v[const] = value[:, None]
     res[const] = np.abs(lam * value + h0_first[const])
     used[const] = "constant"
 
     work = np.flatnonzero(~const)
     relax = work
-    if grid.dim != 1:
-        reason = "relax (2-d grid)"
-    elif method == "relax":
+    if method == "relax":
         reason = "relax (requested)"
     elif work.size:
         if v0 is None:
@@ -547,7 +498,7 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
             f"p0={P[i].tolist()}: |lam*v| = {sup_lv[i]:.6g} exceeds the "
             f"comparison bound {bound[i]:.6g}")
 
-    copies = grid.n[-1] // cell.grid.n[-1]
+    copies = grid.n // cell.grid.n
     if copies > 1:
         v = np.tile(v, copies)
     fields = []
@@ -578,7 +529,7 @@ def _fit_steps(T, n0, t_samples):
 
 
 def _march(h_bound, grid, theta, u0_values, T, params, t_samples, eps_label):
-    cfl_rate = sum(t / h for t, h in zip(theta, grid.h))
+    cfl_rate = theta / grid.h
     if params.tau is not None:
         if params.tau * cfl_rate > 0.9 + 1e-12:
             raise SchemeParameterError(
@@ -631,15 +582,13 @@ def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
     """
     if not eps > 0:
         raise SchemeParameterError("eps must be positive")
-    if eps < 2 * max(grid.h):
+    if eps < 2 * grid.h:
         raise SchemeParameterError(
-            f"eps = {eps:.4g} is under-resolved on spacing {max(grid.h):.4g}")
+            f"eps = {eps:.4g} is under-resolved on spacing {grid.h:.4g}")
     params = params or SchemeParams()
-    theta = params.theta_tuple(grid.dim, hamiltonian, medium)
-    x = grid.mesh()
-    x_arg = x[0] / eps if grid.dim == 1 else tuple(c / eps for c in x)
-    h_bound = hamiltonian.bind_base(np.zeros(grid.dim), x_arg, medium)
-    u0_values = u0(*grid.mesh()) if callable(u0) else u0
+    theta = params.dissipation(hamiltonian, medium)
+    h_bound = hamiltonian.bind_base(0.0, grid.x / eps, medium)
+    u0_values = u0(grid.x) if callable(u0) else u0
     return _march(h_bound, grid, theta, u0_values, T, params, t_samples,
                   {"equation": "evolution", "eps": float(eps)})
 
@@ -649,14 +598,11 @@ def solve_homogenized(curve, u0, grid, T=1.0, params=None, t_samples=()):
     object (evaluate(p) plus lipschitz())."""
     params = params or SchemeParams()
     th = params.theta
-    theta = (float(th if th is not None else curve.lipschitz()),) * grid.dim
-    if any(t < 0 for t in theta):
-        raise SchemeParameterError("dissipation must be nonnegative per axis")
+    theta = float(th if th is not None else curve.lipschitz())
+    if theta < 0:
+        raise SchemeParameterError("dissipation must be nonnegative")
 
-    if grid.dim == 1:
-        h_bound = lambda dv: curve.evaluate(dv[0])
-    else:
-        h_bound = lambda dv: curve.evaluate(np.hypot(dv[0], dv[1]))
-    u0_values = u0(*grid.mesh()) if callable(u0) else u0
+    h_bound = lambda dv: curve.evaluate(dv[0])
+    u0_values = u0(grid.x) if callable(u0) else u0
     return _march(h_bound, grid, theta, u0_values, T, params, t_samples,
                   {"equation": "homogenized"})

@@ -8,14 +8,14 @@ from minmax_hj.profiles import AbsShift, NegatedAbs
 
 @pytest.fixture
 def sin_sq_medium():
-    spec = MediumSpec("periodic", period=1.0, dim=1,
+    spec = MediumSpec("periodic", period=1.0,
                       channels=[{"formula": "sin_sq"}])
     return sample_realization(spec, 0)
 
 
 @pytest.fixture
 def two_channel_medium():
-    spec = MediumSpec("periodic", period=1.0, dim=1, channels=[
+    spec = MediumSpec("periodic", period=1.0, channels=[
         {"formula": "sin_sq"},
         {"formula": "cos_sq", "amplitude": 0.5},
         {"formula": "sin_sq", "amplitude": 1.0, "offset": 0.5},
@@ -46,12 +46,12 @@ def two_level_family():
     return MinMaxFamily(checks, hats, normalized=True)
 
 
-def random_piece(rng, medium, tag, dim=1):
-    center = rng.uniform(-1.5, 1.5, size=dim)
+def random_piece(rng, medium, tag):
+    center = rng.uniform(-1.5, 1.5, size=1)[0]
     slope = rng.uniform(0.3, 2.0)
     offset = rng.uniform(-2.0, 2.0)
     cls = AbsShift if tag == "quasiconvex" else NegatedAbs
-    profile = cls(center if dim > 1 else center[0], slope, offset)
+    profile = cls(center, slope, offset)
     mode = rng.integers(0, 4)
     if mode == 0:
         return Piece(profile)
@@ -62,7 +62,7 @@ def random_piece(rng, medium, tag, dim=1):
     return Piece(profile, "amplitude", 2, scale=float(rng.uniform(0.5, 1.5)))
 
 
-def random_family(rng, ell, medium, dim=1, normalized_flag=True):
-    checks = [random_piece(rng, medium, "quasiconvex", dim) for _ in range(ell)]
-    hats = [random_piece(rng, medium, "quasiconcave", dim) for _ in range(ell)]
+def random_family(rng, ell, medium, normalized_flag=True):
+    checks = [random_piece(rng, medium, "quasiconvex") for _ in range(ell)]
+    hats = [random_piece(rng, medium, "quasiconcave") for _ in range(ell)]
     return MinMaxFamily(checks, hats, normalized=normalized_flag)

@@ -42,7 +42,7 @@ def load_config(name, out_dir):
 
 
 def sin_sq_realization():
-    spec = MediumSpec("periodic", period=1.0, dim=1,
+    spec = MediumSpec("periodic", period=1.0,
                       channels=[{"formula": "sin_sq"}])
     return sample_realization(spec, 0)
 
@@ -80,7 +80,7 @@ def test_minmax_identity_exhaustive_and_random():
 
 def test_reordering_preserves_nested_values():
     t0 = time.perf_counter()
-    spec = MediumSpec("periodic", period=1.0, dim=1, channels=[
+    spec = MediumSpec("periodic", period=1.0, channels=[
         {"formula": "sin_sq"},
         {"formula": "cos_sq", "amplitude": 0.5},
         {"formula": "sin_sq", "amplitude": 1.0, "offset": 0.5},
@@ -184,7 +184,7 @@ def test_estimates_agree_with_separable_oracle():
 
 def test_solver_contract_probes():
     t0 = time.perf_counter()
-    spec = MediumSpec("periodic", period=1.0, dim=1, channels=[
+    spec = MediumSpec("periodic", period=1.0, channels=[
         {"formula": "sin_sq"},
         {"formula": "cos_sq", "amplitude": 0.5},
         {"formula": "sin_sq", "amplitude": 1.0, "offset": 0.5},
@@ -200,9 +200,9 @@ def test_solver_contract_probes():
         lam = float(rng.uniform(0.1, 0.5))
 
         # monotonicity: one relaxed Euler step preserves pointwise order
-        theta = (piece.lipschitz(medium),)
-        tau = 0.95 / (lam + theta[0] / grid.h[0])
-        h_bound = piece.bind_base(np.array([p]), grid.axes[0], medium)
+        theta = piece.lipschitz(medium)
+        tau = 0.95 / (lam + theta / grid.h)
+        h_bound = piece.bind_base(np.array([p]), grid.x, medium)
         v = rng.uniform(-1.0, 1.0, grid.shape)
         w = v + rng.uniform(0.0, 0.5, grid.shape)
         gv = v - tau * (lam * v + lf_update(h_bound, v, grid, theta))
@@ -224,7 +224,7 @@ def test_solver_contract_probes():
 
         # uniform bound: |lam v| never exceeds sup |H(p, .)|
         sup_h = float(np.max(np.abs(
-            piece.evaluate(p, grid.axes[0], medium))))
+            piece.evaluate(p, grid.x, medium))))
         if float(np.max(np.abs(lam * sol.values))) > \
                 sup_h + sol.metadata["tol_fp"] + 1e-12:
             violations += 1

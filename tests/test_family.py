@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from minmax_hj.errors import OrderingViolationError, ProfileShapeError
-from minmax_hj.family import (GradientShift, MinMaxFamily, Piece, even_dual,
-                              eval_minmax, negate_dual, reorder_family,
-                              validate_ordering)
+from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
+                              Piece, even_dual, eval_minmax, negate_dual,
+                              reorder_family, validate_ordering)
 from minmax_hj.profiles import AbsShift, NegatedAbs
 
 from _reference import nested_family_values
@@ -147,7 +147,7 @@ def test_even_dual_family_exact(two_channel_medium):
 
 
 def test_gradient_shift_identity(base_family, sin_sq_medium):
-    h = base_family.as_hamiltonian()
+    h = LevelHamiltonian(base_family, base_family.ell)
     shifted = GradientShift(h, 1.0)
     p = np.linspace(-2, 2, 21)
     x = 0.3
@@ -158,7 +158,7 @@ def test_gradient_shift_identity(base_family, sin_sq_medium):
 def test_bound_evaluator_matches_evaluate(two_channel_medium):
     rng = np.random.default_rng(13)
     fam = random_family(rng, 2, two_channel_medium)
-    h = fam.as_hamiltonian(1.5)
+    h = LevelHamiltonian(fam, 1.5)
     x = np.linspace(0, 1, 33)
     f = h.bind_base(0.7, x, two_channel_medium)
     dv = rng.uniform(-2, 2, 33)
@@ -170,7 +170,7 @@ def test_lipschitz_bound_covers_samples(two_channel_medium):
     rng = np.random.default_rng(14)
     for _ in range(10):
         fam = random_family(rng, 2, two_channel_medium)
-        h = fam.as_hamiltonian()
+        h = LevelHamiltonian(fam, fam.ell)
         lip = fam.lipschitz(two_channel_medium)
         p = np.sort(rng.uniform(-4, 4, 200))
         x = rng.uniform(0, 1)

@@ -9,12 +9,16 @@ import copy
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmax_hj import __version__, harness
 from minmax_hj.cli import main
@@ -63,6 +67,15 @@ def load_fixture(name, **over):
         data = yaml.safe_load(fh)
     data.update(over)
     return ExperimentConfig(data, source=name)
+
+
+# any value a YAML field can hold
+ANY_YAML = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
 
 
 def sha256(path):
@@ -194,6 +207,35 @@ class TestConfigValidation:
         path = key if section is None else f"{section}.{key}"
         with pytest.raises(ConfigError, match=f"{path}: unknown key"):
             ExperimentConfig(data)
+
+    @pytest.mark.parametrize("theta", [[1.0, 1.0], -1.0, "big"])
+    def test_theta_must_be_a_positive_number(self, theta):
+        data = small_config()
+        data["solver"]["theta"] = theta
+        with pytest.raises(ConfigError, match="solver.theta"):
+            ExperimentConfig(data)
+
+    def test_quasiperiodic_frequency_must_be_a_number(self):
+        data = small_config()
+        data["medium"] = {"kind": "quasiperiodic", "period": 1.0,
+                          "channels": [{"freqs": [[1.0, 2.0]],
+                                        "amps": [0.3]}]}
+        with pytest.raises(ConfigError, match="frequency is a number"):
+            ExperimentConfig(data)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(dim=st.one_of(st.just(1), ANY_YAML), center=ANY_YAML,
+           role=st.sampled_from(["checks", "hats"]))
+    def test_fuzzed_dim_and_center_load_or_name_the_field(self, dim, center,
+                                                          role):
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["medium"]["dim"] = dim
+        data["family"][role][0]["profile"]["center"] = center
+        try:
+            ExperimentConfig(data)
+        except ConfigError as err:
+            field = "medium.dim" if dim != 1 else f"family.{role}[0]"
+            assert field in str(err)
 
     def test_shipped_fixtures_load(self):
         for name in ("base_case.yaml", "ell2_strict.yaml",
@@ -502,6 +544,53 @@ class TestCLI:
         res = self.invoke("check", "--config", str(path))
         assert res.exit_code == 4
         assert "strictly decreasing" in res.stderr
+
+    @pytest.mark.parametrize("roles", [("checks", "hats"), ("hats",)])
+    def test_vector_center_exits_4_naming_the_piece(self, tmp_path, roles):
+        data = yaml.safe_load((CONFIG_DIR / "xindep.yaml").read_text())
+        for role in roles:
+            data["family"][role][0]["profile"]["center"] = [0.0, 0.0]
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "vector.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path))
+        assert res.exit_code == 4
+        assert f"family.{roles[0]}[0]: center must be a scalar" in res.stderr
+
+    @pytest.mark.parametrize("config", ["base_case.yaml", "xindep.yaml"])
+    def test_two_dimensional_medium_exits_4(self, tmp_path, config):
+        # base_case couples its pieces to the medium, xindep does not
+        data = yaml.safe_load((CONFIG_DIR / config).read_text())
+        data["medium"]["dim"] = 2
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "dim2.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path))
+        assert res.exit_code == 4
+        assert "medium.dim: 2" in res.stderr
+
+    def test_lock_of_an_exited_process_is_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(str(child.pid))
+        res = self.invoke("check", "--config",
+                          str(CONFIG_DIR / "xindep.yaml"),
+                          "--out", str(out))
+        assert res.exit_code == 0
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
+    def test_lock_of_a_live_process_exits_4(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        res = self.invoke("check", "--config",
+                          str(CONFIG_DIR / "xindep.yaml"),
+                          "--out", str(out))
+        assert res.exit_code == 4
+        assert "locked" in res.stderr
+        assert (out / ".lock").read_text() == str(os.getpid())
 
     def test_locked_directory_exits_4(self, tmp_path):
         out = tmp_path / "run"

@@ -5,8 +5,8 @@ from minmax_hj.errors import ConfigError
 from minmax_hj.media import MediumSpec, sample_realization
 
 
-def _checkerboard(seed=0, cell=0.25, lo=0.5, hi=1.5, dim=1):
-    spec = MediumSpec("checkerboard", period=1.0, dim=dim,
+def _checkerboard(seed=0, cell=0.25, lo=0.5, hi=1.5):
+    spec = MediumSpec("checkerboard", period=1.0,
                       channels=[{"cell": cell, "low": lo, "high": hi}])
     return sample_realization(spec, seed)
 
@@ -18,7 +18,7 @@ def test_periodic_formula_values(sin_sq_medium):
 
 
 def test_cos_sq_matches_shifted_sin_sq():
-    spec = MediumSpec("periodic", period=1.0, dim=1, channels=[
+    spec = MediumSpec("periodic", period=1.0, channels=[
         {"formula": "cos_sq"}, {"formula": "sin_sq", "shift": -0.5}])
     m = sample_realization(spec, 0)
     x = np.linspace(0, 1, 64)
@@ -35,15 +35,15 @@ def test_exact_periodicity(sin_sq_medium):
 def test_translate_matches_shifted_argument(sin_sq_medium):
     x = np.linspace(0, 1, 29)
     z = 0.3173
-    moved = sin_sq_medium.translate([z])
+    moved = sin_sq_medium.translate(z)
     assert np.array_equal(moved.evaluate_channel(0, x),
                           sin_sq_medium.evaluate_channel(0, x + z))
 
 
 def test_translate_group_law(sin_sq_medium):
     x = np.linspace(0, 1, 29)
-    a = sin_sq_medium.translate([0.2]).translate([0.15])
-    b = sin_sq_medium.translate([0.2 + 0.15])
+    a = sin_sq_medium.translate(0.2).translate(0.15)
+    b = sin_sq_medium.translate(0.2 + 0.15)
     assert np.array_equal(a.evaluate_channel(0, x), b.evaluate_channel(0, x))
 
 
@@ -67,7 +67,7 @@ def test_checkerboard_piecewise_constant_lookup():
 def test_checkerboard_aligned_translation_exact():
     m = _checkerboard()
     x = np.linspace(0, 1, 41)
-    moved = m.translate([0.25])
+    moved = m.translate(0.25)
     assert np.array_equal(moved.evaluate_channel(0, x),
                           m.evaluate_channel(0, x + 0.25))
 
@@ -75,31 +75,17 @@ def test_checkerboard_aligned_translation_exact():
 def test_checkerboard_misaligned_translation_snaps_with_warning():
     m = _checkerboard()
     with pytest.warns(UserWarning):
-        moved = m.translate([0.3])
+        moved = m.translate(0.3)
     x = np.linspace(0, 1, 11)
     assert np.array_equal(moved.evaluate_channel(0, x),
                           m.evaluate_channel(0, x + 0.25))
 
 
-def test_checkerboard_2d_lookup_and_stats():
-    spec = MediumSpec("checkerboard", period=1.0, dim=2,
-                      channels=[{"cell": 0.125, "low": 0.0, "high": 1.0}])
-    m = sample_realization(spec, 3)
-    assert m.tables[0].shape == (8, 8)
-    xs = (np.array([0.05, 0.95]), np.array([0.05, 0.95]))
-    vals = m.evaluate_channel(0, xs)
-    assert vals[0] == m.tables[0][0, 0]
-    assert vals[1] == m.tables[0][7, 7]
-    # mean of 64 uniform(0,1) cells within 3 sigma of 1/2
-    sigma = 1.0 / np.sqrt(12 * 64)
-    assert abs(m.tables[0].mean() - 0.5) <= 3 * sigma
-
-
 def test_bounds_cover_samples():
     specs = [
-        MediumSpec("periodic", 1.0, 1, [{"formula": "cos", "amplitude": 0.7, "offset": 0.2}]),
-        MediumSpec("checkerboard", 1.0, 1, [{"cell": 0.25, "low": 0.3, "high": 0.9}]),
-        MediumSpec("quasiperiodic", 1.0, 1,
+        MediumSpec("periodic", 1.0, [{"formula": "cos", "amplitude": 0.7, "offset": 0.2}]),
+        MediumSpec("checkerboard", 1.0, [{"cell": 0.25, "low": 0.3, "high": 0.9}]),
+        MediumSpec("quasiperiodic", 1.0,
                    [{"freqs": [1.0, np.sqrt(2)], "amps": [0.4, 0.3], "offset": 1.0}]),
     ]
     x = np.linspace(0, 1, 257)
@@ -112,7 +98,7 @@ def test_bounds_cover_samples():
 
 
 def test_quasiperiodic_wraps_at_seam():
-    spec = MediumSpec("quasiperiodic", 1.0, 1,
+    spec = MediumSpec("quasiperiodic", 1.0,
                       [{"freqs": [np.sqrt(2)], "amps": [1.0]}])
     m = sample_realization(spec, 0)
     # dyadic points shift exactly; non-dyadic shifts round in the argument
@@ -125,12 +111,12 @@ def test_quasiperiodic_wraps_at_seam():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        MediumSpec("periodic", 1.0, 1, [{"formula": "nope"}])
+        MediumSpec("periodic", 1.0, [{"formula": "nope"}])
     with pytest.raises(ConfigError):
-        MediumSpec("checkerboard", 1.0, 1, [{"cell": 0.3, "low": 0, "high": 1}])
+        MediumSpec("checkerboard", 1.0, [{"cell": 0.3, "low": 0, "high": 1}])
     with pytest.raises(ConfigError):
-        MediumSpec("checkerboard", 1.0, 1, [{"cell": 0.25, "low": 1, "high": 0}])
+        MediumSpec("checkerboard", 1.0, [{"cell": 0.25, "low": 1, "high": 0}])
     with pytest.raises(ConfigError):
-        MediumSpec("periodic", 1.0, 1, [])
+        MediumSpec("periodic", 1.0, [])
     with pytest.raises(ConfigError):
-        MediumSpec("sparkle", 1.0, 1, [{"formula": "sin_sq"}])
+        MediumSpec("sparkle", 1.0, [{"formula": "sin_sq"}])

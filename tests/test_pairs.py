@@ -95,15 +95,6 @@ class TestAnalyzePair:
         assert rep.stable
         assert rep.contact_value_V == 0.125
 
-    def test_radial_pair_2d(self):
-        V = lambda p: np.hypot(p[0], p[1])
-        L = lambda p: 1.0 - np.hypot(p[0], p[1])
-        rep = analyze_pair(V, L, ((-2.0, 2.0), (-2.0, 2.0)), 257)
-        assert rep.delta_nonempty
-        assert rep.stable
-        assert abs(rep.contact_value_V - 0.5) < 2e-3
-        assert rep.delta_descriptor["cells"] > 0
-
 
 def make_family(specs, medium_kwargs=None):
     """specs: list of (a_k, b_k, channel) for |p|-a+c and b-|p|+c pieces."""
@@ -162,7 +153,7 @@ class TestContactFields:
             assert np.allclose(a, b, atol=1e-13, rtol=0.0)
 
     def test_multiple_realizations_extrema(self, x_grid):
-        spec = MediumSpec("checkerboard", 1.0, 1,
+        spec = MediumSpec("checkerboard", 1.0,
                           [{"cell": 0.25, "low": 0.0, "high": 1.0}])
         media = [sample_realization(spec, s) for s in (0, 1, 2)]
         fam = make_family([(1.0, 1.0, 0)])
@@ -284,10 +275,16 @@ class TestKappaShift:
                            atol=1e-12, rtol=0.0)
 
 
+def _level1_contacts(family, medium, x_nodes):
+    return contact_fields(family, medium, x_nodes, BOX, N_P).m_fields[0][0]
+
+
 class TestConditionE:
     def test_sharp_minimum_holds(self, base_family, sin_sq_medium):
         x_nodes = np.linspace(0.0, 1.0, 17)[:-1]
-        out = check_condition_e(base_family, sin_sq_medium, x_nodes, BOX, N_P)
+        out = check_condition_e(
+            base_family, sin_sq_medium, x_nodes,
+            _level1_contacts(base_family, sin_sq_medium, x_nodes), BOX, N_P)
         assert out["holds"]
         assert out["witnesses"] == []
 
@@ -297,8 +294,10 @@ class TestConditionE:
         check = Piece(valley, None)
         hat = Piece(NegatedAbs(0.0, 1.0, 1.0), None)
         fam = MinMaxFamily([check], [hat], normalized=True)
-        out = check_condition_e(fam, sin_sq_medium, np.array([0.0, 0.3]),
-                                BOX, N_P)
+        x_nodes = np.array([0.0, 0.3])
+        out = check_condition_e(
+            fam, sin_sq_medium, x_nodes,
+            _level1_contacts(fam, sin_sq_medium, x_nodes), BOX, N_P)
         assert not out["holds"]
         w = out["witnesses"][0]
         assert w["piece"] == "check"

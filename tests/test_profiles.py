@@ -14,12 +14,6 @@ def test_abs_shift_values():
     assert phi.lipschitz() == 2.0
 
 
-def test_abs_shift_radial_2d():
-    phi = AbsShift([1.0, -1.0], 1.0, 0.0)
-    val = phi((np.array([4.0]), np.array([3.0])))
-    assert np.allclose(val, 5.0)
-
-
 def test_negated_abs_values():
     phi = NegatedAbs(0.0, 1.0, 1.0)
     assert np.allclose(phi((np.array([0.0, 2.0]),)), [1.0, -1.0])

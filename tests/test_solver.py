@@ -11,8 +11,8 @@ from minmax_hj.errors import NonConvergenceError, SchemeParameterError
 from minmax_hj.family import CombinedPiece, LevelHamiltonian, Piece
 from minmax_hj.media import sample_realization
 from minmax_hj.profiles import AbsShift, PiecewiseMonotone
-from minmax_hj.solver import (RETRY, Grid, GridField, SchemeParams,
-                              lf_update, prolong_periodic, solve_discounted,
+from minmax_hj.solver import (RETRY, Grid, SchemeParams, lf_update,
+                              prolong_periodic, solve_discounted,
                               solve_homogenized, solve_time_dependent)
 
 from _reference import hopf_lax_abs
@@ -38,20 +38,12 @@ class _Curve:
 class TestGrid:
     def test_axes_and_spacing(self):
         g = Grid(64, length=4.0)
-        assert g.h == (0.0625,)
-        assert g.axes[0][0] == 0.0 and g.axes[0][-1] == 4.0 - 0.0625
-
-    def test_2d_shapes(self):
-        g = Grid((32, 64), length=(1.0, 2.0), dim=2)
-        assert g.shape == (32, 64)
-        assert g.h == (1.0 / 32, 2.0 / 64)
-        assert g.mesh()[0].shape == (32, 64)
+        assert g.h == 0.0625
+        assert g.x[0] == 0.0 and g.x[-1] == 4.0 - 0.0625
 
     def test_rejects_small_and_odd_dims(self):
         with pytest.raises(SchemeParameterError):
             Grid(8)
-        with pytest.raises(SchemeParameterError):
-            Grid(32, dim=3)
 
 
 class TestDiscounted:
@@ -189,8 +181,8 @@ class TestNestedStart:
 
 
 def _full_grid_residual(ham, p, lam, grid, medium, params, values):
-    theta = params.theta_tuple(grid.dim, ham, medium)
-    h_bound = ham.bind_base(np.array(p), grid.axes[0], medium)
+    theta = params.dissipation(ham, medium)
+    h_bound = ham.bind_base(np.array(p), grid.x, medium)
     return float(np.max(np.abs(lam * values
                                 + lf_update(h_bound, values, grid, theta))))
 
@@ -290,9 +282,9 @@ class TestMonotoneProbes:
         rng = np.random.default_rng(7)
         g = Grid(64)
         lam = 0.1
-        theta = (1.0,)
-        tau = 0.95 / (lam + theta[0] / g.h[0])
-        h_bound = ABS.bind_base(np.array([0.3]), g.axes[0], None)
+        theta = 1.0
+        tau = 0.95 / (lam + theta / g.h)
+        h_bound = ABS.bind_base(np.array([0.3]), g.x, None)
         for _ in range(20):
             v = rng.uniform(-1.0, 1.0, g.shape)
             w = v + rng.uniform(0.0, 0.5, g.shape)
@@ -336,7 +328,7 @@ class TestTimeDependent:
             g = Grid(n, length=4.0)
             out = solve_time_dependent(ABS, periodized_well, 1.0, g, T=T)
             exact = hopf_lax_abs(lambda y: periodized_well(np.mod(y, 4.0)),
-                                 g.axes[0], T, (0.0, 4.0))
+                                 g.x, T, (0.0, 4.0))
             errs.append(float(np.max(np.abs(out.final.values - exact))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.05
@@ -381,7 +373,7 @@ class TestTimeDependent:
         out = solve_time_dependent(piece, periodized_well, 0.25, g,
                                    sin_sq_medium, T=0.5)
         drift = np.max(np.abs(out.final.values
-                              - periodized_well(g.axes[0])))
+                              - periodized_well(g.x)))
         assert drift <= out.metadata["k_bound"] * 0.5 + 1e-9
 
 
@@ -392,7 +384,7 @@ class TestHomogenized:
         g = Grid(64, length=4.0)
         curve = _Curve(lambda q: 0.0 * q + 0.75, 0.0)
         out = solve_homogenized(curve, periodized_well, g, T=0.4)
-        expected = periodized_well(g.axes[0]) - 0.75 * 0.4
+        expected = periodized_well(g.x) - 0.75 * 0.4
         assert np.allclose(out.final.values, expected, atol=1e-12, rtol=0.0)
 
     def test_abs_curve_matches_hopf_lax(self):
@@ -400,7 +392,7 @@ class TestHomogenized:
         curve = _Curve(np.abs, 1.0)
         out = solve_homogenized(curve, periodized_well, g, T=0.5)
         exact = hopf_lax_abs(lambda y: periodized_well(np.mod(y, 4.0)),
-                             g.axes[0], 0.5, (0.0, 4.0))
+                             g.x, 0.5, (0.0, 4.0))
         assert np.max(np.abs(out.final.values - exact)) <= 0.05
 
 
@@ -411,9 +403,9 @@ class TestConsistency:
         sups = []
         for n in (128, 256):
             g = Grid(n, length=1.0)
-            u0 = np.sin(2 * np.pi * g.axes[0])
-            exact = 2 * np.pi * np.cos(2 * np.pi * g.axes[0])
-            val = lf_update(lambda dv: dv[0], u0, g, (1.0,))
+            u0 = np.sin(2 * np.pi * g.x)
+            exact = 2 * np.pi * np.cos(2 * np.pi * g.x)
+            val = lf_update(lambda dv: dv[0], u0, g, 1.0)
             sups.append(float(np.max(np.abs(val - exact))))
         ratio = sups[0] / sups[1]
         assert 1.6 <= ratio <= 2.4
@@ -427,28 +419,11 @@ class TestProlong:
         assert np.array_equal(f[::2], v)
         assert np.array_equal(f[1::2], 0.5 * (v + np.roll(v, -1)))
 
-    def test_2d(self):
-        rng = np.random.default_rng(12)
-        v = rng.uniform(-1, 1, (8, 8))
-        f = prolong_periodic(v)
-        assert f.shape == (16, 16)
-        assert np.array_equal(f[::2, ::2], v)
-
     def test_trailing_axes_only(self):
         rng = np.random.default_rng(13)
         v = rng.uniform(-1, 1, (3, 8))
-        f = prolong_periodic(v, dim=1)
+        f = prolong_periodic(v)
         assert f.shape == (3, 16)
         for row, fine in zip(v, f):
             assert np.array_equal(fine, prolong_periodic(row))
 
-
-class TestFieldExport:
-    def test_csv_roundtrip(self, tmp_path):
-        g = Grid(16, length=1.0)
-        field = GridField(g, np.arange(16.0) / 7.0, {"equation": "test"})
-        path = tmp_path / "field.csv"
-        field.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        assert np.array_equal(data[:, 0], g.axes[0])
-        assert np.array_equal(data[:, 1], field.values)
