@@ -51,6 +51,8 @@ def _load(config, out, seed):
     if out is not None:
         cfg.output = out
     if seed is not None:
+        if seed < 0:
+            _fail(EXIT_CONFIG, "config error", f"--seed: {seed} is negative")
         cfg.seeds = [seed]
     return cfg
 

@@ -4,19 +4,22 @@ A config names everything a run needs: the piece family, the medium,
 the solver and gradient grids, the discount and oscillation schedules,
 the initial condition (from a fixed catalogue of bounded Lipschitz
 functions), seeds, and the output directory. Validation happens at load
-time so commands can assume a consistent config, and every failure
-carries the offending field path.
+time so commands can assume a consistent config: an unknown key, a
+value of the wrong type or an inconsistent value is rejected, and every
+failure carries the offending field path.
 """
 
 import copy
+import math
 import os
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .family import MinMaxFamily, piece_from_dict
+from .family import MinMaxFamily, Piece
 from .media import MediumSpec
+from .profiles import profile_from_dict
 
 
 def _wrap_dist(x, length):
@@ -32,60 +35,168 @@ U0_CATALOGUE = {
     "plateau_bump": lambda x, L: np.clip(2.0 - _wrap_dist(x, L), 0.0, 1.0),
 }
 
+# most gradient samples a p-axis may hold; the axis is built at load
+_MAX_P_COUNT = 10001
 
-def _need(data, key, where):
-    if key not in data:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return data[key]
+# what a converter or a constructor raises for a value of the wrong kind
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
 
 
-# Keys each section may hold; anything else is a typo or a leftover
+def _number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError
+    return v
+
+
+def _whole(v):
+    if not _number(v).is_integer():
+        raise ValueError
+    return int(v)
+
+
+def _of_type(cls):
+    def convert(v):
+        if not isinstance(v, cls):
+            raise TypeError
+        return v
+    return convert
+
+
+def _list_of(item):
+    def convert(v):
+        return [item(x) for x in _of_type(list)(v)]
+    return convert
+
+
+# the value kinds a field can have: (what it must be, converter)
+NUMBER = ("a finite number", _number)
+WHOLE = ("a whole number", _whole)
+TEXT = ("a string", _of_type(str))
+MAPPING = ("a mapping", _of_type(dict))
+LIST = ("a list", _of_type(list))
+NUMBERS = ("a list of finite numbers", _list_of(_number))
+WHOLES = ("a list of whole numbers", _list_of(_whole))
+
+_REQUIRED = object()
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else str(key)
+
+
+def _as(value, field, kind):
+    """``value`` converted to ``kind``; a mismatch names ``field``."""
+    what, convert = kind
+    try:
+        return convert(value)
+    except _BAD_VALUE:
+        raise ConfigError(f"{field}: {value!r} is not {what}") from None
+
+
+def _read(block, key, path, kind, default=_REQUIRED):
+    """``block[key]`` converted to ``kind``, or ``default`` when the key
+    is absent; an explicit null reads as a default of None. ``path``
+    names the block in errors ("" at the top level)."""
+    field = _join(path, key)
+    if key not in block or (block[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"{field}: missing required field")
+        return default
+    return _as(block[key], field, kind)
+
+
+# Keys each mapping may hold; anything else is a typo or a leftover
 # field and is rejected rather than silently ignored.
 _KEYS = {
-    None: {"family", "medium", "solver", "p_axis", "lambda_schedule",
-           "eps_schedule", "evolution", "seeds", "pairs", "output"},
+    "": {"family", "medium", "solver", "p_axis", "lambda_schedule",
+         "eps_schedule", "evolution", "seeds", "pairs", "output"},
+    "family": {"checks", "hats"},
+    "medium": {"kind", "period", "dim", "channels"},
     "solver": {"n", "length", "theta"},
     "p_axis": {"min", "max", "count"},
     "evolution": {"T", "u0", "t_samples"},
     "pairs": {"x_nodes", "p_box", "n_p"},
 }
+_PIECE_KEYS = {"profile", "coupling", "channel", "scale"}
+_CHANNEL_FIELDS = {
+    "periodic": {"formula": TEXT, "value": NUMBER, "amplitude": NUMBER,
+                 "offset": NUMBER, "shift": NUMBER},
+    "checkerboard": {"cell": NUMBER, "low": NUMBER, "high": NUMBER},
+    "quasiperiodic": {"freqs": NUMBERS, "amps": NUMBERS, "phases": NUMBERS,
+                      "offset": NUMBER},
+}
 
 
-def _reject_unknown(data, section, source):
-    block = data if section is None else data.get(section)
-    if not isinstance(block, dict):
-        return
-    for key in sorted(set(block) - _KEYS[section], key=str):
-        path = key if section is None else f"{section}.{key}"
-        raise ConfigError(f"{source}: {path}: unknown key")
+def _reject_unknown(block, path, allowed):
+    for key in sorted(set(block) - set(allowed), key=str):
+        raise ConfigError(f"{_join(path, key)}: unknown key")
+
+
+def _section(data, name, default=_REQUIRED):
+    """A top-level mapping, its keys checked against ``_KEYS``."""
+    block = _read(data, name, "", MAPPING, default)
+    _reject_unknown(block, name, _KEYS[name])
+    return block
 
 
 def _is_whole(ratio):
+    if not math.isfinite(ratio):
+        return False
     k = round(ratio)
     return k >= 1 and abs(ratio - k) <= 1e-9 * ratio
 
 
-def _pieces(fam, role, source):
+def _medium(data):
+    med = _section(data, "medium")
+    # the key stays for configs that state it; the medium is a line
+    if med.get("dim", 1) != 1:
+        raise ConfigError(f"medium.dim: {med['dim']!r}, but the medium is "
+                          f"one-dimensional (dim: 1)")
+    kind = _read(med, "kind", "medium", TEXT, "periodic")
+    if kind not in _CHANNEL_FIELDS:
+        raise ConfigError(f"medium.kind: unknown kind {kind!r}")
+    period = _read(med, "period", "medium", NUMBER, 1.0)
+    channels = _read(med, "channels", "medium", LIST)
+    for i, ch in enumerate(channels):
+        at = f"medium.channels[{i}]"
+        _as(ch, at, MAPPING)
+        _reject_unknown(ch, at, _CHANNEL_FIELDS[kind])
+        for key in ch:
+            _read(ch, key, at, _CHANNEL_FIELDS[kind][key])
+    try:
+        return MediumSpec(kind, period, channels)
+    except ConfigError as err:
+        raise ConfigError(f"medium: {err}") from err
+
+
+def _pieces(fam, role):
     """Build the pieces of family.checks or family.hats; a bad piece
     names its index."""
-    entries = _need(fam, role, f"{source}: family")
-    if not isinstance(entries, list):
-        raise ConfigError(f"{source}: family.{role}: need a list of pieces")
     pieces = []
-    for i, data in enumerate(entries):
+    for i, entry in enumerate(_read(fam, role, "family", LIST)):
+        at = f"family.{role}[{i}]"
+        _as(entry, at, MAPPING)
+        _reject_unknown(entry, at, _PIECE_KEYS)
+        profile = _read(entry, "profile", at, MAPPING)
+        coupling = _read(entry, "coupling", at, TEXT, None)
+        channel = _read(entry, "channel", at, WHOLE, None)
+        scale = _read(entry, "scale", at, NUMBER, 1.0)
         try:
-            pieces.append(piece_from_dict(data))
-        except Exception as err:
-            raise ConfigError(f"{source}: family.{role}[{i}]: {err}") from err
+            pieces.append(Piece(profile_from_dict(profile), coupling,
+                                channel, scale))
+        except _BAD_VALUE as err:
+            raise ConfigError(f"{at}: {err}") from err
     return pieces
 
 
-def _decreasing(values, where):
-    vals = [float(v) for v in values]
+def _decreasing(vals, field):
     if len(vals) < 1 or any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(f"{where}: schedule must be strictly decreasing")
+        raise ConfigError(f"{field}: schedule must be strictly decreasing")
     if any(v <= 0 for v in vals):
-        raise ConfigError(f"{where}: schedule entries must be positive")
+        raise ConfigError(f"{field}: schedule entries must be positive")
     return vals
 
 
@@ -93,119 +204,124 @@ class ExperimentConfig:
     """Validated experiment description; see configs/ for examples."""
 
     def __init__(self, data, source="<config>"):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{source}: top level must be a mapping")
         self.raw = copy.deepcopy(data)
-        self.source = source
-        for section in _KEYS:
-            _reject_unknown(data, section, source)
-
-        med = _need(data, "medium", source)
-        # the key stays for configs that state it; the medium is a line
-        if med.get("dim", 1) != 1:
-            raise ConfigError(
-                f"{source}: medium.dim: {med['dim']!r}, but the medium is "
-                f"one-dimensional (dim: 1)")
         try:
-            self.medium_spec = MediumSpec(
-                med.get("kind", "periodic"), med.get("period", 1.0),
-                med.get("channels"))
+            self._load(data)
         except ConfigError as err:
-            raise ConfigError(f"{source}: medium: {err}") from err
+            raise ConfigError(f"{source}: {err}") from err
 
-        fam = _need(data, "family", source)
-        checks = _pieces(fam, "checks", source)
-        hats = _pieces(fam, "hats", source)
+    def _load(self, data):
+        if not isinstance(data, dict):
+            raise ConfigError("top level must be a mapping")
+        _reject_unknown(data, "", _KEYS[""])
+
+        self.medium_spec = _medium(data)
+
+        fam = _section(data, "family")
+        checks = _pieces(fam, "checks")
+        hats = _pieces(fam, "hats")
         try:
-            self.family = MinMaxFamily(
-                checks, hats,
-                orientation=fam.get("orientation", "max_first"),
-                normalized=bool(fam.get("normalized", True)))
-        except Exception as err:
-            raise ConfigError(f"{source}: family: {err}") from err
+            self.family = MinMaxFamily(checks, hats)
+        except ValueError as err:
+            raise ConfigError(f"family: {err}") from err
         n_channels = len(self.medium_spec.channels)
-        for role, pieces in (("checks", self.family.checks),
-                             ("hats", self.family.hats)):
+        for role, pieces in (("checks", checks), ("hats", hats)):
             for i, pc in enumerate(pieces):
-                if pc.channel is not None and not pc.channel < n_channels:
+                if pc.channel is not None and \
+                        not 0 <= pc.channel < n_channels:
                     raise ConfigError(
-                        f"{source}: family.{role}[{i}]: channel {pc.channel} "
-                        f"not in medium (has {n_channels})")
+                        f"family.{role}[{i}]: channel {pc.channel} not in "
+                        f"medium (has {n_channels})")
 
-        sol = _need(data, "solver", source)
-        self.solver_n = int(_need(sol, "n", f"{source}: solver"))
-        self.solver_length = float(sol.get("length", 1.0))
-        self.theta = sol.get("theta")
-        if self.solver_n < 16 or self.solver_length <= 0:
-            raise ConfigError(f"{source}: solver: need n >= 16 and length > 0")
-        if self.theta is not None and not (
-                isinstance(self.theta, (int, float)) and self.theta > 0):
+        sol = _section(data, "solver")
+        self.solver_n = _read(sol, "n", "solver", WHOLE)
+        self.solver_length = _read(sol, "length", "solver", NUMBER, 1.0)
+        self.theta = _read(sol, "theta", "solver", NUMBER, None)
+        if self.solver_n < 16:
+            raise ConfigError(f"solver.n: {self.solver_n} is below 16")
+        if self.solver_length <= 0:
             raise ConfigError(
-                f"{source}: solver.theta: {self.theta!r} is not a positive "
-                f"number")
+                f"solver.length: {self.solver_length:g} is not positive")
+        if self.theta is not None and self.theta <= 0:
+            raise ConfigError(
+                f"solver.theta: {self.theta!r} is not a positive number")
         period = self.medium_spec.period
         # a partial period puts a seam in the medium: another equation
         if not _is_whole(self.solver_length / period):
             raise ConfigError(
-                f"{source}: solver.length: {self.solver_length:g} is not a "
-                f"whole multiple of medium.period {period:g}")
+                f"solver.length: {self.solver_length:g} is not a whole "
+                f"multiple of medium.period {period:g}")
 
-        pax = _need(data, "p_axis", source)
-        lo, hi = float(_need(pax, "min", f"{source}: p_axis")), \
-            float(_need(pax, "max", f"{source}: p_axis"))
-        count = int(_need(pax, "count", f"{source}: p_axis"))
-        if not (lo < hi and count >= 2):
-            raise ConfigError(f"{source}: p_axis: need min < max, count >= 2")
+        pax = _section(data, "p_axis")
+        lo = _read(pax, "min", "p_axis", NUMBER)
+        hi = _read(pax, "max", "p_axis", NUMBER)
+        count = _read(pax, "count", "p_axis", WHOLE)
+        if not lo < hi:
+            raise ConfigError(
+                f"p_axis: need p_axis.min < p_axis.max, got {lo:g}, {hi:g}")
+        if not 2 <= count <= _MAX_P_COUNT:
+            raise ConfigError(
+                f"p_axis.count: {count} is not in [2, {_MAX_P_COUNT}]")
         self.p_axis = np.linspace(lo, hi, count)
 
         self.lambda_schedule = _decreasing(
-            _need(data, "lambda_schedule", source),
-            f"{source}: lambda_schedule")
+            _read(data, "lambda_schedule", "", NUMBERS), "lambda_schedule")
         if len(self.lambda_schedule) < 3:
-            raise ConfigError(f"{source}: lambda_schedule: need >= 3 entries")
+            raise ConfigError("lambda_schedule: need >= 3 entries")
 
         h = self.solver_length / self.solver_n
-        self.eps_schedule = _decreasing(data.get("eps_schedule", [0.25]),
-                                        f"{source}: eps_schedule")
+        self.eps_schedule = _decreasing(
+            _read(data, "eps_schedule", "", NUMBERS, [0.25]), "eps_schedule")
         for eps in self.eps_schedule:
             if eps < 2.0 * h:
                 raise ConfigError(
-                    f"{source}: eps_schedule: eps={eps:g} under-resolved, "
-                    f"need eps >= 2h = {2 * h:g}")
+                    f"eps_schedule: eps={eps:g} under-resolved, need eps >= "
+                    f"2h = 2 * solver.length / solver.n = {2 * h:g}")
             if not _is_whole(self.solver_length / (eps * period)):
                 raise ConfigError(
-                    f"{source}: eps_schedule: eps={eps:g} does not fit the "
-                    f"domain: solver.length / (eps * medium.period) = "
+                    f"eps_schedule: eps={eps:g} does not fit the domain: "
+                    f"solver.length / (eps * medium.period) = "
                     f"{self.solver_length / (eps * period):g} is not whole")
 
-        evo = data.get("evolution", {})
-        self.T = float(evo.get("T", 0.5))
-        self.u0_name = evo.get("u0", "clipped_abs")
+        evo = _section(data, "evolution", {})
+        self.T = _read(evo, "T", "evolution", NUMBER, 0.5)
+        self.u0_name = _read(evo, "u0", "evolution", TEXT, "clipped_abs")
         if self.u0_name not in U0_CATALOGUE:
             raise ConfigError(
-                f"{source}: evolution.u0: unknown '{self.u0_name}', "
+                f"evolution.u0: unknown '{self.u0_name}', "
                 f"catalogue: {sorted(U0_CATALOGUE)}")
-        self.t_samples = [float(t) for t in
-                          evo.get("t_samples", [self.T / 2, self.T])]
-        if self.T <= 0 or any(t <= 0 or t > self.T for t in self.t_samples) \
-                or any(b <= a for a, b in
-                       zip(self.t_samples, self.t_samples[1:])):
+        if self.T <= 0:
+            raise ConfigError(f"evolution.T: {self.T:g} is not positive")
+        self.t_samples = _read(evo, "t_samples", "evolution", NUMBERS,
+                               [self.T / 2, self.T])
+        ts = self.t_samples
+        if not ts or any(t <= 0 or t > self.T for t in ts) \
+                or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(
-                f"{source}: evolution: t_samples must increase within (0, T]")
+                f"evolution.t_samples: must increase within (0, T], "
+                f"T = evolution.T = {self.T:g}")
 
-        self.seeds = [int(s) for s in data.get("seeds", [0])]
-        if not self.seeds:
-            raise ConfigError(f"{source}: seeds: need at least one")
+        self.seeds = _read(data, "seeds", "", WHOLES, [0])
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds: need at least one, none negative")
 
-        pairs = data.get("pairs", {})
-        self.x_nodes_count = int(pairs.get("x_nodes", 32))
-        box = pairs.get("p_box")
-        self.p_box = None if box is None else (float(box[0]), float(box[1]))
-        self.n_p = int(pairs.get("n_p", 2049))
-        if self.x_nodes_count < 4 or self.n_p < 65:
-            raise ConfigError(f"{source}: pairs: x_nodes >= 4, n_p >= 65")
+        pairs = _section(data, "pairs", {})
+        self.x_nodes_count = _read(pairs, "x_nodes", "pairs", WHOLE, 32)
+        box = _read(pairs, "p_box", "pairs", NUMBERS, None)
+        if box is not None and not (len(box) == 2 and box[0] < box[1]):
+            raise ConfigError(f"pairs.p_box: {box!r} is not [lo, hi] with "
+                              f"lo < hi")
+        self.p_box = None if box is None else tuple(box)
+        self.n_p = _read(pairs, "n_p", "pairs", WHOLE, 2049)
+        if self.x_nodes_count < 4:
+            raise ConfigError(f"pairs.x_nodes: {self.x_nodes_count} is "
+                              f"below 4")
+        if self.n_p < 65:
+            raise ConfigError(f"pairs.n_p: {self.n_p} is below 65")
 
-        self.output = data.get("output", "runs/out")
+        self.output = _read(data, "output", "", TEXT, "runs/out")
+        if not self.output:
+            raise ConfigError("output: need a directory path")
 
     @classmethod
     def from_yaml(cls, path):

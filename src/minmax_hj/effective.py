@@ -1,5 +1,5 @@
 """Effective Hamiltonians: numeric estimation, exact separable oracle,
-the nested min-max formula, and symmetry/plateau reports.
+the nested min-max formula, and the duality report for a piece.
 
 The estimator solves the discounted problem along a decreasing discount
 schedule and extrapolates -lam * v_lam(0) by fitting value + C*lam^alpha
@@ -13,8 +13,6 @@ monotone bisection.
 import numpy as np
 
 from .errors import ConfigError, ProfileShapeError, SchemeParameterError
-from .family import (LevelHamiltonian, MinMaxFamily, negate_dual, even_dual)
-from .pairs import contact_fields, kappa_shift
 from .profiles import QUASICONVEX
 from .solver import solve_discounted
 
@@ -89,12 +87,11 @@ class EffectiveCurve:
         return float(np.max(np.abs(np.diff(self.values) / np.diff(self.p))))
 
     def to_csv(self, path):
-        label = self.provenance if isinstance(self.provenance, str) \
-            else self.provenance.get("kind", "numeric")
         with open(path, "w") as fh:
             fh.write("p,value,error_bar,provenance\n")
             for pi, vi, ei in zip(self.p, self.values, self.error_bars):
-                fh.write("%.17g,%.17g,%.17g,%s\n" % (pi, vi, ei, label))
+                fh.write("%.17g,%.17g,%.17g,%s\n"
+                         % (pi, vi, ei, self.provenance))
 
 
 class Estimate:
@@ -120,13 +117,6 @@ class Estimate:
 
     def __iter__(self):
         return iter((self.value, self.error_bar))
-
-    def to_dict(self):
-        return {"value": self.value, "error_bar": self.error_bar,
-                "alpha": self.alpha, "coefficient": self.coefficient,
-                "lams": list(self.lams), "data": list(self.data),
-                "uniform_residual": self.uniform_residual,
-                "reliable": self.reliable}
 
 
 def _power_fit(lams, ys):
@@ -160,7 +150,7 @@ def _power_fit(lams, ys):
 
 
 def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
-                       params=None, method="auto"):
+                       params=None):
     """Extrapolate -lam * v_lam(0) along the discount schedule.
 
     p is one gradient, or an (n_p, 1) column of them: then every
@@ -185,7 +175,7 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
     v = None
     for lam in lams:
         fields = solve_discounted(hamiltonian, P, lam, grid, medium,
-                                  params=params, v0=v, method=method)
+                                  params=params, v0=v)
         runs.append([f.metadata for f in fields])
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip
@@ -322,13 +312,7 @@ def piece_effective_curve(piece, medium, p_samples, n_table=4096):
     if piece.coupling == "additive":
         V = V + piece.scale * medium.evaluate_channel(piece.channel, x)
     V = V + piece.extra_const
-    if piece.extra_field is not None:
-        V = V + piece.extra_field(x)
     return exact_effective_1d_separable(piece.profile, V, p_samples)
-
-
-def is_separable(piece):
-    return piece.coupling in (None, "additive")
 
 
 def theorem_formula_values(check_vals, hat_vals, m_bar, m_lower):
@@ -367,113 +351,24 @@ def theorem_formula(bar_checks, bar_hats, constants):
     return curve.validate()
 
 
-def _wrap_hamiltonian(obj):
-    if isinstance(obj, MinMaxFamily):
-        return LevelHamiltonian(obj, obj.ell)
-    return obj
-
-
-def verify_symmetries(hamiltonian, p_samples, medium, lam_schedule, grid,
+def verify_symmetries(piece, p_samples, medium, lam_schedule, grid,
                       params=None):
-    """Duality report: negation (every Hamiltonian) and evenness
+    """Duality report for a piece: negation (every piece) and evenness
     (quasiconvex pieces). Discrepancies come with their error bars."""
     p_samples = [float(p) for p in p_samples]
-    h_orig = _wrap_hamiltonian(hamiltonian)
-    h_neg = _wrap_hamiltonian(negate_dual(hamiltonian))
-
     column = np.array(p_samples)[:, None]
-    reflected = estimate_effective(h_orig, -column, medium, lam_schedule,
+    reflected = estimate_effective(piece, -column, medium, lam_schedule,
                                    grid, params)
 
-    def compare(h_dual, sign):
-        duals = estimate_effective(h_dual, column, medium, lam_schedule,
+    def compare(dual, sign):
+        duals = estimate_effective(dual, column, medium, lam_schedule,
                                    grid, params)
         disc = [abs(a.value + sign * b.value)
                 for a, b in zip(duals, reflected)]
         bars = [a.error_bar + b.error_bar for a, b in zip(duals, reflected)]
         return {"discrepancy": disc, "bars": bars, "max": max(disc)}
 
-    report = {"p": p_samples, "negation": compare(h_neg, 1.0)}
-    if getattr(hamiltonian, "tag", None) == QUASICONVEX:
-        report["evenness"] = compare(
-            _wrap_hamiltonian(even_dual(hamiltonian)), -1.0)
-    else:
-        report["evenness"] = None
-    return report
-
-
-def _level_crossings(curve, level, side="sublevel", tol=1e-12):
-    """Boundary points of {curve <= level} (sublevel) or {curve >= level}
-    (superlevel), by linear interpolation on the curve's own samples.
-    Tangential contact counts as inside, so a plateau that only touches
-    the level still yields its endpoints."""
-    v = curve.values - level
-    inside = (v <= tol) if side == "sublevel" else (v >= -tol)
-    pts = []
-    for i in range(v.size - 1):
-        if inside[i] != inside[i + 1]:
-            t = v[i] / (v[i] - v[i + 1])
-            pts.append(float(curve.p[i] + t * (curve.p[i + 1] - curve.p[i])))
-    return pts
-
-
-def plateau_check(family, constants, medium, grid, lam_schedule,
-                  p_samples=None, params=None, kappas=(0.0, 0.5, 1.0),
-                  x_nodes=None, p_box=None, n_p=2049):
-    """Flat-piece report for a one-level family.
-
-    Verifies that the direct estimate equals the upper contact constant
-    on the region where both piece curves sit at or below it, and
-    reports the kappa-shifted families: their contact constants (which
-    the shift provably preserves) and the per-piece level-set boundaries
-    at that constant.
-    """
-    if family.ell != 1:
-        raise ValueError("plateau analysis is for one-level families")
-    constants.require_stable()
-    m1 = float(constants.m_bar[0])
-    if p_samples is None:
-        p_samples = np.linspace(-3.0, 3.0, 25)
-    p_samples = np.asarray(p_samples, dtype=float)
-
-    check_curve = piece_effective_curve(family.checks[0], medium, p_samples)
-    hat_curve = piece_effective_curve(family.hats[0], medium, p_samples)
-    region = (check_curve.values <= m1 + 1e-9) \
-        & (hat_curve.values <= m1 + 1e-9)
-    h1 = LevelHamiltonian(family, 1)
-    idx = np.flatnonzero(region)
-    take = idx[np.unique(np.linspace(0, idx.size - 1, min(5, idx.size))
-                         .astype(int))] if idx.size else idx
-    ests = estimate_effective(h1, p_samples[take, None], medium,
-                              lam_schedule, grid, params) if take.size else []
-    probes = [{"p": float(p_samples[i]), "value": est.value,
-               "error_bar": est.error_bar} for i, est in zip(take, ests)]
-    deviations = [abs(est.value - m1) for est in ests]
-    report = {"m_bar_1": m1,
-              "region": [float(p_samples[i]) for i in idx],
-              "probes": probes,
-              "max_deviation": max(deviations) if deviations else None,
-              "kappa": {}}
-
-    if x_nodes is None:
-        x_nodes = np.linspace(0.0, medium.period, 33)[:-1]
-    for kappa in kappas:
-        fam_k = kappa_shift(family, kappa, (medium, x_nodes, p_box, n_p))
-        consts_k = contact_fields(fam_k, medium, x_nodes, p_box, n_p)
-        ck = piece_effective_curve(fam_k.checks[0], medium, p_samples,
-                                   n_table=1024)
-        hk = piece_effective_curve(fam_k.hats[0], medium, p_samples,
-                                   n_table=1024)
-        report["kappa"][kappa] = {
-            "m_bar_1": float(consts_k.m_bar[0]),
-            "check_boundaries": _level_crossings(ck, m1, "sublevel"),
-            "hat_boundaries": _level_crossings(hk, m1, "superlevel"),
-        }
-    ks = sorted(report["kappa"])
-    first, last = report["kappa"][ks[0]], report["kappa"][ks[-1]]
-    report["boundary_shift"] = {
-        side: max((abs(a - b) for a, b in zip(first[side], last[side])),
-                  default=None)
-        for side in ("check_boundaries", "hat_boundaries")
-        if len(first[side]) == len(last[side])}
-    return report
+    evenness = compare(piece.even_dual(), -1.0) \
+        if piece.tag == QUASICONVEX else None
+    return {"p": p_samples, "negation": compare(piece.negate_dual(), 1.0),
+            "evenness": evenness}

@@ -50,10 +50,6 @@ class MonotonicityError(MinMaxHJError):
         super().__init__(message)
 
 
-class PerturbationError(MinMaxHJError):
-    """Constant level shifts could not produce strictly monotone constants."""
-
-
 class BoxTooSmallError(MinMaxHJError, ValueError):
     """The gradient box does not contain the region the analysis needs."""
 

@@ -11,16 +11,14 @@ behind reordering says the nested value is unchanged when the sequences
 are replaced by their running extrema; ``reorder_family`` is its
 function-level counterpart.
 
-Families carry an ``orientation``: negation duality swaps piece roles
-and flips the nesting to min-first, so that evaluating the dual at p
-equals the negated original at -p exactly (no roundoff: only negations,
-maxima and minima are involved).
+Evaluation does not check the ordering of the pieces;
+``validate_ordering`` does, once, on a sample lattice.
 """
 
 import numpy as np
 
 from .errors import OrderingViolationError, ProfileShapeError
-from .profiles import QUASICONCAVE, QUASICONVEX, as_components, profile_from_dict
+from .profiles import QUASICONCAVE, QUASICONVEX, as_components
 
 
 def minmax_scalar(a, b):
@@ -69,12 +67,11 @@ class Piece:
       "amplitude" -- scale * coeff(x) * profile(p); coefficient must stay
                      positive or the convexity tag would be wrong.
 
-    ``extra_const`` and ``extra_field`` hold additive modifications used
-    by the strictness perturbation and the contact-flattening shift.
+    ``extra_const`` is a constant added to every value.
     """
 
     def __init__(self, profile, coupling=None, channel=None, scale=1.0,
-                 extra_const=0.0, extra_field=None):
+                 extra_const=0.0):
         if coupling not in (None, "additive", "amplitude"):
             raise ProfileShapeError(f"unknown coupling {coupling!r}")
         if coupling is not None and channel is None:
@@ -86,7 +83,6 @@ class Piece:
         self.channel = channel
         self.scale = float(scale)
         self.extra_const = float(extra_const)
-        self.extra_field = extra_field
 
     @property
     def tag(self):
@@ -96,12 +92,6 @@ class Piece:
         vals = medium.evaluate_channel(self.channel, x)
         return self.scale * vals
 
-    def _extras(self, x):
-        e = self.extra_const
-        if self.extra_field is not None:
-            e = e + self.extra_field(x)
-        return e
-
     def evaluate(self, p, x=None, medium=None):
         base = self.profile(as_components(p))
         if self.coupling is None:
@@ -110,7 +100,7 @@ class Piece:
             val = base + self._coeff(x, medium)
         else:
             val = self._coeff(x, medium) * base
-        return val + self._extras(x)
+        return val + self.extra_const
 
     def bind_base(self, pbase, x, medium):
         """Freeze the x-dependence on a node set; returns f(dv) = H(pbase+dv, x).
@@ -119,9 +109,9 @@ class Piece:
         ``profiles._offsets``); with a column, row i of dv is taken at
         pbase[i]."""
         f = self.profile.bind_base(pbase)
-        extras = self._extras(x)
+        extras = self.extra_const
         if self.coupling is None:
-            if np.all(np.asarray(extras) == 0.0):
+            if extras == 0.0:
                 return f
             return lambda dv: f(dv) + extras
         coeff = self._coeff(x, medium)
@@ -143,44 +133,23 @@ class Piece:
 
     def with_extra_const(self, delta):
         return Piece(self.profile, self.coupling, self.channel, self.scale,
-                     self.extra_const + delta, self.extra_field)
-
-    def with_extra_field(self, field):
-        if self.extra_field is not None:
-            old = self.extra_field
-            field_new = lambda x, _old=old, _f=field: _old(x) + _f(x)
-        else:
-            field_new = field
-        return Piece(self.profile, self.coupling, self.channel, self.scale,
-                     self.extra_const, field_new)
+                     self.extra_const + delta)
 
     def negate_dual(self):
+        """p -> -H(-p, x); swaps the convexity role."""
         scale = -self.scale if self.coupling == "additive" else self.scale
-        field = self.extra_field
-        if field is not None:
-            field = lambda x, _f=self.extra_field: -_f(x)
         return Piece(self.profile.negate_dual(), self.coupling, self.channel,
-                     scale, -self.extra_const, field)
+                     scale, -self.extra_const)
 
     def even_dual(self):
+        """p -> H(-p, x); keeps the convexity role."""
         return Piece(self.profile.even_dual(), self.coupling, self.channel,
-                     self.scale, self.extra_const, self.extra_field)
-
-    def describe(self):
-        d = {"profile": self.profile.describe(), "coupling": self.coupling,
-             "channel": self.channel, "scale": self.scale}
-        if self.extra_const:
-            d["extra_const"] = self.extra_const
-        if self.extra_field is not None:
-            d["extra_field"] = "callable"
-        return d
+                     self.scale, self.extra_const)
 
 
 class CombinedPiece:
-    """Pointwise max (of quasiconvex) or min (of quasiconcave) pieces.
-
-    Produced by reordering; closed under the dualities.
-    """
+    """Pointwise max (of quasiconvex) or min (of quasiconcave) pieces,
+    as reordering produces them."""
 
     def __init__(self, op, pieces):
         if op not in ("max", "min"):
@@ -219,21 +188,12 @@ class CombinedPiece:
     def lipschitz(self, medium=None):
         return max(pc.lipschitz(medium) for pc in self.pieces)
 
-    def negate_dual(self):
-        op = "min" if self.op == "max" else "max"
-        return CombinedPiece(op, [pc.negate_dual() for pc in self.pieces])
-
-    def even_dual(self):
-        return CombinedPiece(self.op, [pc.even_dual() for pc in self.pieces])
-
-    def describe(self):
-        return {"combine": self.op, "pieces": [pc.describe() for pc in self.pieces]}
-
 
 class MinMaxFamily:
-    """Equal-length lists of quasiconvex and quasiconcave pieces."""
+    """Equal-length lists of quasiconvex and quasiconcave pieces, nested
+    max-first."""
 
-    def __init__(self, checks, hats, orientation="max_first", normalized=False):
+    def __init__(self, checks, hats):
         if len(checks) != len(hats) or not checks:
             raise ProfileShapeError("need equally many checks and hats, at least one")
         for pc in checks:
@@ -242,31 +202,18 @@ class MinMaxFamily:
         for pc in hats:
             if pc.tag != QUASICONCAVE:
                 raise ProfileShapeError("hats must be quasiconcave")
-        if orientation not in ("max_first", "min_first"):
-            raise ProfileShapeError(f"unknown orientation {orientation!r}")
         self.checks = list(checks)
         self.hats = list(hats)
-        self.orientation = orientation
-        self.normalized = bool(normalized)
 
     @property
     def ell(self):
         return len(self.checks)
-
-    def levels(self):
-        """All valid evaluation levels: 1, 3/2, ..., ell."""
-        return [k / 2 for k in range(2, 2 * self.ell + 1)]
 
     def evaluate(self, s, p, x=None, medium=None):
         return eval_minmax(self, s, p, x, medium)
 
     def lipschitz(self, medium=None):
         return max(pc.lipschitz(medium) for pc in self.checks + self.hats)
-
-    def describe(self):
-        return {"orientation": self.orientation,
-                "checks": [pc.describe() for pc in self.checks],
-                "hats": [pc.describe() for pc in self.hats]}
 
 
 def _level_split(family, s):
@@ -278,43 +225,30 @@ def _level_split(family, s):
     return two_s // 2, two_s % 2 == 1
 
 
-def _fold(values_checks, values_hats, n_full, with_half, orientation):
-    # max_first: checks take the outer max, hats the inner min, half levels
-    # append an outer min with the next hat. min_first mirrors the roles.
-    if orientation == "max_first":
-        lead, other = values_checks, values_hats
-        outer, inner = np.maximum, np.minimum
-    else:
-        lead, other = values_hats, values_checks
-        outer, inner = np.minimum, np.maximum
-    v = outer(lead[0], other[0])
+def _fold(check_vals, hat_vals, n_full, with_half):
+    # checks take the outer max, hats the inner min; a half level appends
+    # an outer min with the next hat
+    v = np.maximum(check_vals[0], hat_vals[0])
     for k in range(1, n_full):
-        v = outer(lead[k], inner(other[k], v))
+        v = np.maximum(check_vals[k], np.minimum(hat_vals[k], v))
     if with_half:
-        v = inner(other[n_full], v)
+        v = np.minimum(hat_vals[n_full], v)
     return v
 
 
-def _used_counts(family, n_full, with_half):
-    if family.orientation == "max_first":
-        return n_full, n_full + (1 if with_half else 0)
-    return n_full + (1 if with_half else 0), n_full
+def _used_pieces(family, n_full, with_half):
+    """The checks and hats a level nests: n_full of each, and the next
+    hat at a half level."""
+    return family.checks[:n_full], family.hats[:n_full + with_half]
 
 
 def eval_minmax(family, s, p, x=None, medium=None):
-    """Evaluate the family nesting at whole or half level ``s``.
-
-    If the family has not been marked normalized, the ordering is
-    checked on the evaluation points themselves and a violation raises
-    with the failing level.
-    """
+    """Evaluate the family nesting at whole or half level ``s``."""
     n_full, with_half = _level_split(family, s)
-    n_checks, n_hats = _used_counts(family, n_full, with_half)
-    cv = [pc.evaluate(p, x, medium) for pc in family.checks[:n_checks]]
-    hv = [pc.evaluate(p, x, medium) for pc in family.hats[:n_hats]]
-    if not family.normalized:
-        _check_ordering_values(cv, hv, p, x)
-    return _fold(cv, hv, n_full, with_half, family.orientation)
+    checks, hats = _used_pieces(family, n_full, with_half)
+    cv = [pc.evaluate(p, x, medium) for pc in checks]
+    hv = [pc.evaluate(p, x, medium) for pc in hats]
+    return _fold(cv, hv, n_full, with_half)
 
 
 def _check_ordering_values(check_vals, hat_vals, p, x):
@@ -339,24 +273,19 @@ def _check_ordering_values(check_vals, hat_vals, p, x):
 
 
 def validate_ordering(family, medium, p_samples, x_samples):
-    """Check the monotone ordering on a sample lattice, tolerance zero.
-
-    Marks the family normalized on success; raises with the failing
-    level and a witness point otherwise.
-    """
+    """Check the monotone ordering on a sample lattice, tolerance zero;
+    raises with the failing level and a witness point."""
     for xs in x_samples:
         cv = [pc.evaluate(p_samples, xs, medium) for pc in family.checks]
         hv = [pc.evaluate(p_samples, xs, medium) for pc in family.hats]
         _check_ordering_values(cv, hv, p_samples, xs)
-    family.normalized = True
-    return family
 
 
 def reorder_family(family):
     """Replace pieces by running extrema over levels k..ell.
 
-    The nested value at every level is unchanged (scalar identity); the
-    returned family is normalized by construction.
+    The nested value at the top level is unchanged (scalar identity),
+    and the returned family is ordered by construction.
     """
     ell = family.ell
 
@@ -367,34 +296,8 @@ def reorder_family(family):
             out.append(tail[0] if len(tail) == 1 else CombinedPiece(op, tail))
         return out
 
-    # running extrema respect the convexity roles in both orientations
-    checks = combine(family.checks, "max")
-    hats = combine(family.hats, "min")
-    return MinMaxFamily(checks, hats, family.orientation, normalized=True)
-
-
-def negate_dual(obj):
-    """p -> -H(-p, x) duality; swaps convexity roles.
-
-    Families swap checks/hats and flip nesting orientation so that
-    evaluating the dual at (s, p) gives exactly the negated original at
-    (s, -p).
-    """
-    if isinstance(obj, MinMaxFamily):
-        orient = "min_first" if obj.orientation == "max_first" else "max_first"
-        return MinMaxFamily([pc.negate_dual() for pc in obj.hats],
-                            [pc.negate_dual() for pc in obj.checks],
-                            orientation=orient, normalized=obj.normalized)
-    return obj.negate_dual()
-
-
-def even_dual(obj):
-    """p -> H(-p, x) duality; preserves convexity roles."""
-    if isinstance(obj, MinMaxFamily):
-        return MinMaxFamily([pc.even_dual() for pc in obj.checks],
-                            [pc.even_dual() for pc in obj.hats],
-                            orientation=obj.orientation, normalized=obj.normalized)
-    return obj.even_dual()
+    return MinMaxFamily(combine(family.checks, "max"),
+                        combine(family.hats, "min"))
 
 
 class LevelHamiltonian:
@@ -409,22 +312,21 @@ class LevelHamiltonian:
         return eval_minmax(self.family, self.s, p, x, medium)
 
     def bind_base(self, pbase, x, medium):
-        fam = self.family
-        n_checks, n_hats = _used_counts(fam, self._n_full, self._with_half)
-        fc = [pc.bind_base(pbase, x, medium) for pc in fam.checks[:n_checks]]
-        fh = [pc.bind_base(pbase, x, medium) for pc in fam.hats[:n_hats]]
-        n_full, with_half, orient = self._n_full, self._with_half, fam.orientation
+        n_full, with_half = self._n_full, self._with_half
+        checks, hats = _used_pieces(self.family, n_full, with_half)
+        fc = [pc.bind_base(pbase, x, medium) for pc in checks]
+        fh = [pc.bind_base(pbase, x, medium) for pc in hats]
 
         def run(dv):
             cv = [f(dv) for f in fc]
             hv = [f(dv) for f in fh]
-            return _fold(cv, hv, n_full, with_half, orient)
+            return _fold(cv, hv, n_full, with_half)
         return run
 
     def lipschitz(self, medium=None):
-        n_checks, n_hats = _used_counts(self.family, self._n_full, self._with_half)
-        pcs = self.family.checks[:n_checks] + self.family.hats[:n_hats]
-        return max(pc.lipschitz(medium) for pc in pcs)
+        checks, hats = _used_pieces(self.family, self._n_full,
+                                    self._with_half)
+        return max(pc.lipschitz(medium) for pc in checks + hats)
 
 
 class GradientShift:
@@ -450,12 +352,3 @@ class GradientShift:
     def lipschitz(self, medium=None):
         return self.inner.lipschitz(medium)
 
-
-def piece_from_dict(data, medium_channels=None):
-    """Build a piece from plain config data."""
-    data = dict(data)
-    profile = profile_from_dict(data.pop("profile"))
-    return Piece(profile,
-                 coupling=data.pop("coupling", None),
-                 channel=data.pop("channel", None),
-                 scale=data.pop("scale", 1.0))

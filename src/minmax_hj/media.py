@@ -1,20 +1,13 @@
 """Coefficient fields on a circle: periodic formulas, seeded
 checkerboards, periodized quasiperiodic sums.
 
-A medium spec declares named coefficient channels; a realization is the
-spec plus a seed (random kinds draw their cell tables from it) plus an
-accumulated translation offset. Evaluation wraps the argument into the
-fundamental cell, so evaluate(x + period) == evaluate(x) holds exactly,
-and translate(z) followed by evaluate(x) matches evaluate(x + z) bit for
-bit because both paths reduce to the same float expression.
-
-Checkerboard cells define the only genuine lattice; translating one by a
-non-lattice shift snaps to the nearest lattice point with a warning.
-Quasiperiodic sums are wrapped at the seam (they are surrogates, not
-true quasiperiodic fields).
+A medium spec declares numbered coefficient channels; a realization is
+the spec plus a seed (random kinds draw their cell tables from it).
+Evaluation wraps the argument into the fundamental cell, so
+evaluate(x + period) == evaluate(x) holds exactly. Quasiperiodic sums
+are wrapped at the seam (they are surrogates, not true quasiperiodic
+fields).
 """
-
-import warnings
 
 import numpy as np
 
@@ -57,14 +50,11 @@ class MediumSpec:
         else:
             freqs = ch.get("freqs")
             amps = ch.get("amps")
-            if not freqs or not amps or len(freqs) != len(amps):
-                raise ConfigError(f"channel {i}: need matching freqs/amps")
-            if any(np.ndim(f) for f in freqs):
-                raise ConfigError(f"channel {i}: each frequency is a number")
-
-    def describe(self):
-        return {"kind": self.kind, "period": self.period,
-                "channels": [dict(c) for c in self.channels]}
+            phases = ch.get("phases", amps)
+            if not freqs or not amps or not \
+                    len(freqs) == len(amps) == len(phases):
+                raise ConfigError(
+                    f"channel {i}: need matching freqs/amps/phases")
 
 
 def sample_realization(spec, seed=0):
@@ -79,37 +69,19 @@ def sample_realization(spec, seed=0):
 
 
 class MediumRealization:
-    def __init__(self, spec, seed, tables, offset=0.0):
+    def __init__(self, spec, seed, tables):
         self.spec = spec
         self.seed = seed
         self.tables = tables
-        self.offset = float(offset)
 
     @property
     def period(self):
         return self.spec.period
 
-    def translate(self, z):
-        """Shifted realization; evaluate(x) afterwards equals evaluate(x+z)."""
-        z = float(z)
-        if self.spec.kind == "checkerboard":
-            cell = min(ch["cell"] for ch in self.spec.channels)
-            snapped = float(np.round(z / cell) * cell)
-            if abs(snapped - z) > 1e-12 * max(1.0, self.period):
-                warnings.warn(
-                    f"translation {z} is not cell-aligned; "
-                    f"snapping to {snapped}", stacklevel=2)
-            z = snapped
-        return MediumRealization(self.spec, self.seed, self.tables,
-                                 self.offset + z)
-
-    def _wrap(self, x):
-        return np.mod(np.asarray(x, dtype=float) + self.offset, self.period)
-
     def evaluate_channel(self, idx, x):
         """Channel value at x (any array shape); exact wrap semantics."""
         ch = self.spec.channels[idx]
-        y = self._wrap(x)
+        y = np.mod(np.asarray(x, dtype=float), self.period)
         if self.spec.kind == "periodic":
             return self._periodic_value(ch, y)
         if self.spec.kind == "checkerboard":
@@ -161,7 +133,3 @@ class MediumRealization:
         off = ch.get("offset", 0.0)
         spread = sum(abs(a) for a in ch["amps"])
         return (float(off - spread), float(off + spread))
-
-    def describe(self):
-        return {"spec": self.spec.describe(), "seed": self.seed,
-                "offset": self.offset}

@@ -12,6 +12,8 @@ Per-level contact fields m_k (V-contact of the k-th pair) and M_k
 absent check_0 means +infinity, so M_1 is the peak of hat_1) feed the
 effective-Hamiltonian formula; their extrema over the medium sample are
 the constants whose monotone chains the main gate checks.
+``check_condition_e`` reports level-1 pieces that are flat at their
+contact value.
 
 Everything works on a gradient grid. Boundary points are located by
 linear interpolation, which is exact for the piecewise-linear catalogue
@@ -20,9 +22,8 @@ as long as profile kinks do not share a cell with a crossing.
 
 import numpy as np
 
-from .errors import (BoxTooSmallError, MonotonicityError, PerturbationError,
-                     StabilityError)
-from .family import CombinedPiece, MinMaxFamily
+from .errors import BoxTooSmallError
+from .family import CombinedPiece
 
 
 class PairReport:
@@ -37,15 +38,6 @@ class PairReport:
         self.stable = stable
         self.tau_b = tau_b
         self.outside_gap = outside_gap
-
-    def to_dict(self):
-        return {"delta_nonempty": bool(self.delta_nonempty),
-                "delta_descriptor": self.delta_descriptor,
-                "contact_value_V": float(self.contact_value_V),
-                "contact_value_Lambda": float(self.contact_value_Lambda),
-                "boundary_variation": float(self.boundary_variation),
-                "stable": bool(self.stable),
-                "tau_b": float(self.tau_b)}
 
 
 def _grid_1d(p_box, n_p):
@@ -153,14 +145,6 @@ class ContactConstants:
     def all_pairs_stable(self):
         return not self.witnesses
 
-    def require_stable(self):
-        if self.witnesses:
-            w = self.witnesses[0]
-            raise StabilityError(
-                f"unstable pair at level {w['level']} ({w['kind']}), "
-                f"x={w['x']}: boundary variation {w['variation']:.4g} "
-                f"exceeds {w['tau_b']:.4g}", witness=w)
-
     def to_dict(self):
         return {"m_bar": self.m_bar.tolist(),
                 "M_lower": self.M_lower.tolist(),
@@ -171,33 +155,26 @@ class ContactConstants:
 
 
 def _piece_peak(piece, x, medium):
-    """Exact max over p of a quasiconcave piece at fixed x when decomposable;
-    grid scan otherwise."""
+    """Exact max over p of a quasiconcave piece at fixed x; None for a
+    combined piece, whose peak is found by grid scan."""
     if isinstance(piece, CombinedPiece):
         return None
     peak = piece.profile.extreme_value()
     if piece.coupling is None:
-        return peak + 0.0 * np.asarray(x, dtype=float)
-    coeff = piece.scale * medium.evaluate_channel(piece.channel, x)
-    if piece.coupling == "additive":
-        val = peak + coeff
+        val = peak + 0.0 * np.asarray(x, dtype=float)
     else:
-        val = coeff * peak
-    extras = piece.extra_const
-    if piece.extra_field is not None:
-        extras = extras + piece.extra_field(x)
-    return val + extras
+        coeff = piece.scale * medium.evaluate_channel(piece.channel, x)
+        val = peak + coeff if piece.coupling == "additive" else coeff * peak
+    return val + piece.extra_const
 
 
 def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, tau_b=None):
-    """Contact fields and constants for a max-first family.
+    """Contact fields and constants for a family.
 
     ``media`` is one realization or a list (the extrema then run over
     all of them). Unstable pairs are recorded as witnesses, not raised;
-    call .require_stable() on the result to gate.
+    ``all_pairs_stable`` on the result is the verdict.
     """
-    if family.orientation != "max_first":
-        raise ValueError("contact analysis expects a max-first family")
     if not isinstance(media, (list, tuple)):
         media = [media]
     if p_box is None:
@@ -266,82 +243,6 @@ def check_monotonicity(constants, strict=False):
             failures.append({"chain": "lower", "index": k + 1,
                              "values": [float(M[k]), float(M[k + 1])]})
     return {"monotone": not failures, "strict": strict, "failures": failures}
-
-
-def require_monotone(constants, strict=False):
-    verdict = check_monotonicity(constants, strict)
-    if not verdict["monotone"]:
-        f = verdict["failures"][0]
-        chain = "m-bar" if f["chain"] == "upper" else "M-lower"
-        raise MonotonicityError(
-            f"{chain} chain fails at levels {f['index']}/{f['index'] + 1}: "
-            f"{f['values'][0]:.6g} vs {f['values'][1]:.6g}",
-            chain=f["chain"], index=f["index"])
-    return verdict
-
-
-def perturb_to_strict(family, media, eps, x_nodes, p_box=None, n_p=2049,
-                      tau_b=None):
-    """Shift both pieces of level k by -k*eps/(2*ell).
-
-    Constant shifts move each m_k exactly by the shift (the comparison
-    region is unchanged), so the upper chain gains gaps of eps/(2*ell).
-    The lower chain moves by level-coupled amounts; if it fails to come
-    out strictly monotone (possible when it has exact ties), this raises
-    instead of pretending.
-
-    Returns (perturbed family, its contact constants).
-    """
-    ell = family.ell
-    checks, hats = [], []
-    for k in range(ell):
-        d = -(k + 1) * eps / (2.0 * ell)
-        checks.append(family.checks[k].with_extra_const(d))
-        hats.append(family.hats[k].with_extra_const(d))
-    fam2 = MinMaxFamily(checks, hats, family.orientation,
-                        normalized=family.normalized)
-    consts2 = contact_fields(fam2, media, x_nodes, p_box, n_p, tau_b)
-    verdict = check_monotonicity(consts2, strict=True)
-    if not verdict["monotone"]:
-        raise PerturbationError(
-            "constant level shifts cannot make the contact chains strictly "
-            f"monotone here: {verdict['failures'][0]}")
-    return fam2, consts2
-
-
-def kappa_shift(family, kappa, constants_args, level=1):
-    """Add the field kappa * (m_bar_k - m_k(x)) to both pieces of one level.
-
-    ``constants_args`` is (media, x_nodes, p_box, n_p) describing where
-    m_k and its max are computed; the field itself is evaluated exactly
-    (pair analysis on demand) at whatever x the shifted pieces see.
-    The shift is affine in kappa and vanishes at the contact maximizer.
-    """
-    media, x_nodes, p_box, n_p = constants_args
-    consts = contact_fields(family, media, x_nodes, p_box, n_p)
-    k = level - 1
-    m_bar_k = float(consts.m_bar[k])
-    medium0 = media[0] if isinstance(media, (list, tuple)) else media
-    if p_box is None:
-        p_box = expand_p_box(family, medium0)
-    check_k, hat_k = family.checks[k], family.hats[k]
-
-    def field(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        for j, xj in enumerate(x):
-            rep = analyze_pair(lambda P: check_k.evaluate(P, xj, medium0),
-                               lambda P: hat_k.evaluate(P, xj, medium0),
-                               p_box, n_p)
-            out[j] = kappa * (m_bar_k - rep.contact_value_V)
-        return out if out.size > 1 else float(out[0])
-
-    checks = list(family.checks)
-    hats = list(family.hats)
-    checks[k] = checks[k].with_extra_field(field)
-    hats[k] = hats[k].with_extra_field(field)
-    return MinMaxFamily(checks, hats, family.orientation,
-                        normalized=False)
 
 
 def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049,

@@ -8,10 +8,10 @@ Three shapes cover everything the rest of the package builds:
   extended past the end breakpoints with the terminal slopes. Valleys may
   have a flat bottom; branches must otherwise be strictly monotone.
 
-All three are exactly evaluable (piecewise linear in the scalar argument),
-closed under the two dualities ``negate_dual`` (phi -> -phi(-p)) and
-``even_dual`` (phi -> phi(-p)), and expose exact level-set endpoints,
-which the contact-value and cell-problem code relies on.
+All three are exactly evaluable (piecewise linear in the scalar argument)
+and closed under the two dualities ``negate_dual`` (phi -> -phi(-p)) and
+``even_dual`` (phi -> phi(-p)). Valleys also give their branch inverses
+exactly, which the separable oracle relies on.
 
 Gradients are numbers. A profile evaluates on a one-tuple holding an
 array of them, the same calling convention as the functions bind_base
@@ -59,7 +59,6 @@ def _offset(pbase, center):
 class AbsShift:
     """offset + slope * |p - center|."""
 
-    kind = "abs_shift"
     tag = QUASICONVEX
 
     def __init__(self, center, slope, offset=0.0):
@@ -84,13 +83,6 @@ class AbsShift:
     def extreme_value(self):
         return self.offset
 
-    def sublevel_interval(self, t):
-        """Endpoints of {phi <= t}; None if empty."""
-        if t < self.offset:
-            return None
-        r = (t - self.offset) / self.slope
-        return (self.center - r, self.center + r)
-
     def branch_inverses(self, t):
         """Leftmost/rightmost solutions of phi = t, vectorized."""
         t = np.asarray(t, dtype=float)
@@ -105,15 +97,10 @@ class AbsShift:
     def even_dual(self):
         return AbsShift(-self.center, self.slope, self.offset)
 
-    def describe(self):
-        return {"kind": self.kind, "center": self.center,
-                "slope": self.slope, "offset": self.offset}
-
 
 class NegatedAbs:
     """offset - slope * |p - center|."""
 
-    kind = "negated_abs"
     tag = QUASICONCAVE
 
     def __init__(self, center, slope, offset=0.0):
@@ -138,22 +125,11 @@ class NegatedAbs:
     def extreme_value(self):
         return self.offset
 
-    def superlevel_interval(self, t):
-        """Endpoints of {phi >= t}; None if empty."""
-        if t > self.offset:
-            return None
-        r = (self.offset - t) / self.slope
-        return (self.center - r, self.center + r)
-
     def negate_dual(self):
         return AbsShift(-self.center, self.slope, -self.offset)
 
     def even_dual(self):
         return NegatedAbs(-self.center, self.slope, self.offset)
-
-    def describe(self):
-        return {"kind": self.kind, "center": self.center,
-                "slope": self.slope, "offset": self.offset}
 
 
 def _pl_eval(u, breaks, values, slope_l, slope_r):
@@ -172,8 +148,6 @@ class PiecewiseMonotone:
     strictly rising -- mirrored for hills. Terminal slopes extend the
     profile linearly, so coercivity is genuine.
     """
-
-    kind = "piecewise_monotone"
 
     def __init__(self, breaks, values, direction="valley"):
         breaks = np.asarray(breaks, dtype=float)
@@ -245,23 +219,6 @@ class PiecewiseMonotone:
     def extreme_value(self):
         return float(self.values[self._ext_lo])
 
-    def sublevel_interval(self, t):
-        if self.direction != "valley":
-            raise ValueError("sublevel interval applies to valleys")
-        if t < self.extreme_value():
-            return None
-        lo, hi = self.branch_inverses(t)
-        return (float(lo), float(hi))
-
-    def superlevel_interval(self, t):
-        if self.direction != "hill":
-            raise ValueError("superlevel interval applies to hills")
-        if t > self.extreme_value():
-            return None
-        dual = self.negate_dual()
-        lo, hi = dual.branch_inverses(-t)
-        return (-float(hi), -float(lo))
-
     def branch_inverses(self, t):
         """Leftmost/rightmost solutions of phi = t for a valley, vectorized."""
         if self.direction != "valley":
@@ -292,17 +249,14 @@ class PiecewiseMonotone:
     def even_dual(self):
         return PiecewiseMonotone(-self.breaks[::-1], self.values[::-1], self.direction)
 
-    def describe(self):
-        return {"kind": self.kind, "breaks": self.breaks.tolist(),
-                "values": self.values.tolist(), "direction": self.direction}
-
 
 _KINDS = {"abs_shift": AbsShift, "negated_abs": NegatedAbs,
           "piecewise_monotone": PiecewiseMonotone}
 
 
 def profile_from_dict(data):
-    """Build a profile from its ``describe()`` dictionary (config loading)."""
+    """Build a profile from its config mapping: ``kind`` plus the
+    constructor's arguments."""
     data = dict(data)
     kind = data.pop("kind", None)
     if kind not in _KINDS:

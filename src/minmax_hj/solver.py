@@ -95,10 +95,6 @@ class TimeSeries:
             raise KeyError(f"no snapshot at t={t}")
         return self.fields[i]
 
-    @property
-    def final(self):
-        return self.fields[-1]
-
 
 def upwind_diffs(v, grid):
     """One-sided periodic differences along the last axis of v, which is

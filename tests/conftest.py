@@ -28,7 +28,7 @@ def base_family():
     """One level: check |p| - 1 + V(x), hat 1 - |p| + V(x), V = sin^2(pi x)."""
     check = Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0)
     hat = Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)
-    return MinMaxFamily([check], [hat], normalized=True)
+    return MinMaxFamily([check], [hat])
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ def two_level_family():
               Piece(AbsShift(0.0, 1.0, -3.0), "additive", 1)]
     hats = [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0),
             Piece(NegatedAbs(0.0, 1.0, 3.0), "additive", 1)]
-    return MinMaxFamily(checks, hats, normalized=True)
+    return MinMaxFamily(checks, hats)
 
 
 def random_piece(rng, medium, tag):
@@ -62,7 +62,7 @@ def random_piece(rng, medium, tag):
     return Piece(profile, "amplitude", 2, scale=float(rng.uniform(0.5, 1.5)))
 
 
-def random_family(rng, ell, medium, normalized_flag=True):
+def random_family(rng, ell, medium):
     checks = [random_piece(rng, medium, "quasiconvex") for _ in range(ell)]
     hats = [random_piece(rng, medium, "quasiconcave") for _ in range(ell)]
-    return MinMaxFamily(checks, hats, normalized=normalized_flag)
+    return MinMaxFamily(checks, hats)

@@ -6,11 +6,10 @@ import pytest
 from minmax_hj.effective import (EffectiveCurve, estimate_effective,
                                  exact_effective_1d_separable,
                                  fit_schedule_data, piece_effective_curve,
-                                 plateau_check, theorem_formula,
-                                 theorem_formula_values, verify_symmetries)
+                                 theorem_formula, theorem_formula_values,
+                                 verify_symmetries)
 from minmax_hj.errors import ConfigError, SchemeParameterError
-from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
-                              Piece, negate_dual)
+from minmax_hj.family import GradientShift, LevelHamiltonian, Piece
 from minmax_hj.pairs import contact_fields
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 from minmax_hj.solver import Grid
@@ -296,7 +295,7 @@ class TestSymmetries:
 
     def test_negation_involution_bit_exact(self, sin_sq_medium):
         piece = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
-        twice = negate_dual(negate_dual(piece))
+        twice = piece.negate_dual().negate_dual()
         sched = [0.3, 0.15, 0.08]
         a = estimate_effective(piece, [0.5], sin_sq_medium, sched, Grid(128))
         b = estimate_effective(twice, [0.5], sin_sq_medium, sched, Grid(128))
@@ -322,36 +321,3 @@ class TestSymmetries:
         assert rep["evenness"] is None
         assert rep["negation"]["max"] <= 1.5e-2
 
-
-class TestPlateau:
-    def test_base_family_report(self, base_family, sin_sq_medium):
-        consts = contact_fields(base_family, sin_sq_medium, X_NODES, BOX,
-                                2049)
-        rep = plateau_check(base_family, consts, sin_sq_medium, Grid(256),
-                            [0.16, 0.08, 0.04], p_box=BOX)
-        assert rep["m_bar_1"] == 1.0
-        assert rep["region"][0] == -1.5 and rep["region"][-1] == 1.5
-        assert len(rep["region"]) == 13
-        assert rep["max_deviation"] <= 1e-2
-        for kappa in (0.0, 0.5, 1.0):
-            assert abs(rep["kappa"][kappa]["m_bar_1"] - 1.0) <= 1e-12
-        k0, k1 = rep["kappa"][0.0], rep["kappa"][1.0]
-        assert np.allclose(k0["check_boundaries"], [-1.5, 1.5], atol=1e-9)
-        assert np.allclose(k0["hat_boundaries"], [-0.5, 0.5], atol=1e-9)
-        assert np.allclose(k1["check_boundaries"], [-1.0, 1.0], atol=1e-9)
-        assert np.allclose(k1["hat_boundaries"], [-1.0, 1.0], atol=1e-9)
-        khalf = rep["kappa"][0.5]
-        assert np.allclose(khalf["check_boundaries"], [-1.25, 1.25],
-                           atol=1e-9)
-        assert np.allclose(khalf["hat_boundaries"], [-0.75, 0.75], atol=1e-9)
-        # kappa 0 -> 1 boundary movement stays within twice the p-step
-        h_p = 0.25
-        for side in ("check_boundaries", "hat_boundaries"):
-            assert rep["boundary_shift"][side] <= 2.0 * h_p + 1e-9
-
-    def test_rejects_multilevel(self, two_level_family, two_channel_medium):
-        consts = contact_fields(two_level_family, two_channel_medium,
-                                X_NODES, BOX, 2049)
-        with pytest.raises(ValueError):
-            plateau_check(two_level_family, consts, two_channel_medium,
-                          Grid(256), [0.16, 0.08, 0.04], p_box=BOX)

@@ -3,8 +3,8 @@ import pytest
 
 from minmax_hj.errors import OrderingViolationError, ProfileShapeError
 from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
-                              Piece, even_dual, eval_minmax, negate_dual,
-                              reorder_family, validate_ordering)
+                              Piece, eval_minmax, reorder_family,
+                              validate_ordering)
 from minmax_hj.profiles import AbsShift, NegatedAbs
 
 from _reference import nested_family_values
@@ -74,7 +74,6 @@ def test_reordering_preserves_top_level(two_channel_medium):
         fam = random_family(rng, ell, two_channel_medium)
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
         reordered = reorder_family(fam)
-        assert reordered.normalized
         got = eval_minmax(reordered, ell, p, x, two_channel_medium)
         want = nested_family_values(cv, hv, ell)
         assert np.array_equal(got, want)
@@ -82,7 +81,7 @@ def test_reordering_preserves_top_level(two_channel_medium):
 
 def test_reordered_pieces_are_monotone(two_channel_medium):
     rng = np.random.default_rng(5)
-    fam = random_family(rng, 3, two_channel_medium, normalized_flag=False)
+    fam = random_family(rng, 3, two_channel_medium)
     reordered = reorder_family(fam)
     p = np.linspace(-5, 5, 101)
     x = np.linspace(0, 1, 17)[:, None]
@@ -95,13 +94,10 @@ def test_ordering_violation_names_level(two_channel_medium):
     hats = [Piece(NegatedAbs(0.0, 1.0, 0.0)), Piece(NegatedAbs(0.0, 1.0, 2.0))]
     fam = MinMaxFamily(checks, hats)
     with pytest.raises(OrderingViolationError) as err:
-        eval_minmax(fam, 2, np.linspace(-2, 2, 9), 0.0, two_channel_medium)
-    assert err.value.kind == "check"
-    assert err.value.level == 1
-
-    with pytest.raises(OrderingViolationError):
         validate_ordering(fam, two_channel_medium,
                           np.linspace(-2, 2, 9), np.linspace(0, 1, 5))
+    assert err.value.kind == "check"
+    assert err.value.level == 1
 
 
 def test_mislabeled_pieces_rejected():
@@ -111,39 +107,6 @@ def test_mislabeled_pieces_rejected():
     with pytest.raises(ProfileShapeError):
         MinMaxFamily([Piece(AbsShift(0.0, 1.0, 0.0))],
                      [Piece(AbsShift(0.0, 1.0, 0.0))])
-
-
-def test_negate_dual_family_exact(two_channel_medium):
-    rng = np.random.default_rng(11)
-    p = rng.uniform(-4, 4, 300)
-    x = rng.uniform(0, 1, 300)
-    for _ in range(20):
-        ell = int(rng.integers(1, 4))
-        fam = random_family(rng, ell, two_channel_medium)
-        dual = negate_dual(fam)
-        assert dual.orientation == "min_first"
-        for two_s in range(2, 2 * ell + 1):
-            s = two_s / 2
-            lhs = eval_minmax(dual, s, p, x, two_channel_medium)
-            rhs = -eval_minmax(fam, s, -p, x, two_channel_medium)
-            assert np.array_equal(lhs, rhs)
-        back = negate_dual(dual)
-        assert back.orientation == "max_first"
-        assert np.array_equal(
-            eval_minmax(back, ell, p, x, two_channel_medium),
-            eval_minmax(fam, ell, p, x, two_channel_medium))
-
-
-def test_even_dual_family_exact(two_channel_medium):
-    rng = np.random.default_rng(12)
-    p = rng.uniform(-4, 4, 300)
-    x = rng.uniform(0, 1, 300)
-    fam = random_family(rng, 2, two_channel_medium)
-    dual = even_dual(fam)
-    for s in (1, 1.5, 2):
-        assert np.array_equal(
-            eval_minmax(dual, s, p, x, two_channel_medium),
-            eval_minmax(fam, s, -p, x, two_channel_medium))
 
 
 def test_gradient_shift_identity(base_family, sin_sq_medium):

@@ -9,6 +9,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 from minmax_hj import __version__, harness
 from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig, U0_CATALOGUE
-from minmax_hj.errors import (ConfigError, MonotonicityError,
-                              PerturbationError, RunLockError, StabilityError)
+from minmax_hj.errors import (ConfigError, MinMaxHJError, MonotonicityError,
+                              RunLockError, StabilityError)
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_passed,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
@@ -76,6 +77,27 @@ ANY_YAML = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
+
+
+def at_path(data, path):
+    """The entry of a config dict at a field path like family.checks[0]."""
+    for part in re.findall(r"[^.\[\]]+", path):
+        data = data[int(part)] if part.isdigit() else data[part]
+    return data
+
+
+def set_path(data, path, value):
+    parent, _, key = path.rpartition(".")
+    (at_path(data, parent) if parent else data)[key] = value
+
+
+BASE_CASE = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+
+# every top-level section and every scalar field of the flat sections
+FUZZED_FIELDS = sorted(BASE_CASE) + [
+    "solver.n", "solver.length", "solver.theta", "p_axis.min",
+    "p_axis.max", "p_axis.count", "evolution.T", "evolution.u0",
+    "evolution.t_samples", "pairs.x_nodes", "pairs.p_box", "pairs.n_p"]
 
 
 def sha256(path):
@@ -200,12 +222,62 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("section,key", [
         (None, "threads"), ("solver", "solver_typo"), ("p_axis", "step"),
-        ("evolution", "dt"), ("pairs", "x_node")])
+        ("evolution", "dt"), ("pairs", "x_node"), ("family", "orientation"),
+        ("family", "normalized"), ("family.checks[0]", "scal"),
+        ("family.hats[0]", "extra_const"), ("medium", "offset"),
+        ("medium.channels[0]", "amplitud")])
     def test_unknown_keys_rejected(self, section, key):
         data = small_config()
-        (data if section is None else data[section])[key] = 4
+        (data if section is None else at_path(data, section))[key] = 4
         path = key if section is None else f"{section}.{key}"
-        with pytest.raises(ConfigError, match=f"{path}: unknown key"):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}: unknown key")):
+            ExperimentConfig(data)
+
+    @pytest.mark.parametrize("kind,channel,key", [
+        ("periodic", {"formula": "sin_sq", "cell": 0.5}, "cell"),
+        ("checkerboard",
+         {"cell": 0.25, "low": 0.0, "high": 1.0, "formula": "cos"},
+         "formula"),
+        ("quasiperiodic", {"freqs": [1.0], "amps": [0.3], "amplitude": 1.0},
+         "amplitude")])
+    def test_channel_keys_depend_on_the_kind(self, kind, channel, key):
+        data = small_config()
+        data["medium"] = {"kind": kind, "period": 1.0,
+                          "channels": [channel]}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"medium.channels[0].{key}: unknown key")):
+            ExperimentConfig(data)
+
+    @pytest.mark.parametrize("path,value", [
+        ("medium", 5), ("family", 5), ("solver", 3), ("p_axis", 3),
+        ("pairs", 3), ("evolution", 2), ("seeds", "abc"), ("seeds", 5),
+        ("lambda_schedule", 5), ("solver.n", "x"), ("p_axis.count", "x"),
+        ("pairs.p_box", 3), ("pairs.n_p", None), ("evolution.T", "x"),
+        ("medium.period", "x"), ("medium.channels", 5),
+        ("medium.channels[0].amplitude", "x"), ("family.hats[0].scale", "x"),
+        ("family.checks[0].channel", "a"), ("seeds", [-1]),
+        ("pairs.p_box", [4.0, -4.0]), ("solver.n", 256.5)])
+    def test_wrong_typed_values_name_the_field(self, path, value):
+        data = small_config()
+        set_path(data, path, value)
+        with pytest.raises(ConfigError,
+                           match=r"^<config>: " + re.escape(f"{path}: ")):
+            ExperimentConfig(data)
+
+    def test_quasiperiodic_phases_must_match_freqs(self):
+        data = small_config()
+        data["medium"] = {"kind": "quasiperiodic", "period": 1.0,
+                          "channels": [{"freqs": [1.0, 2.0],
+                                        "amps": [0.3, 0.2],
+                                        "phases": [0.5]}]}
+        with pytest.raises(ConfigError, match="freqs/amps/phases"):
+            ExperimentConfig(data)
+
+    def test_negative_piece_channel_rejected(self):
+        data = small_config()
+        data["family"]["checks"][0]["channel"] = -1
+        with pytest.raises(ConfigError, match="channel -1 not in medium"):
             ExperimentConfig(data)
 
     @pytest.mark.parametrize("theta", [[1.0, 1.0], -1.0, "big"])
@@ -220,7 +292,9 @@ class TestConfigValidation:
         data["medium"] = {"kind": "quasiperiodic", "period": 1.0,
                           "channels": [{"freqs": [[1.0, 2.0]],
                                         "amps": [0.3]}]}
-        with pytest.raises(ConfigError, match="frequency is a number"):
+        with pytest.raises(ConfigError, match=r"medium\.channels\[0\]\.freqs: "
+                                              r"\[\[1\.0, 2\.0\]\] is not a list "
+                                              r"of finite numbers"):
             ExperimentConfig(data)
 
     @settings(max_examples=80, deadline=None, database=None)
@@ -236,6 +310,16 @@ class TestConfigValidation:
         except ConfigError as err:
             field = "medium.dim" if dim != 1 else f"family.{role}[0]"
             assert field in str(err)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(path=st.sampled_from(FUZZED_FIELDS), value=ANY_YAML)
+    def test_fuzzed_fields_load_or_name_the_field(self, path, value):
+        data = copy.deepcopy(BASE_CASE)
+        set_path(data, path, value)
+        try:
+            ExperimentConfig(data)
+        except ConfigError as err:
+            assert path in str(err)
 
     def test_shipped_fixtures_load(self):
         for name in ("base_case.yaml", "ell2_strict.yaml",
@@ -611,6 +695,18 @@ class TestCLI:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["contact_constants"]["seeds"] == [7]
 
+    def test_negative_seed_override_exits_4(self, tmp_path):
+        # a checkerboard medium seeds its generator with the seed
+        data = small_config(output=str(tmp_path / "run"))
+        data["medium"] = {"kind": "checkerboard", "period": 1.0,
+                          "channels": [{"cell": 0.25, "low": 0.0,
+                                        "high": 1.0}]}
+        path = tmp_path / "checkerboard.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path), "--seed", "-1")
+        assert res.exit_code == 4
+        assert "--seed: -1 is negative" in res.stderr
+
     def test_unknown_key_exits_4_naming_it(self, tmp_path):
         path = tmp_path / "typo.yaml"
         data = small_config(output=str(tmp_path / "run"))
@@ -619,6 +715,23 @@ class TestCLI:
         res = self.invoke("check", "--config", str(path))
         assert res.exit_code == 4
         assert "solver.solver_typo: unknown key" in res.stderr
+
+    @pytest.mark.parametrize("path,value,message", [
+        ("family.orientation", "min_first",
+         "family.orientation: unknown key"),
+        ("family.checks[0].scal", 2.0, "family.checks[0].scal: unknown key"),
+        ("medium", 5, "medium: 5 is not a mapping"),
+        ("pairs.n_p", None, "pairs.n_p: None is not a whole number")])
+    def test_bad_field_exits_4_naming_it(self, tmp_path, path, value,
+                                         message):
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        set_path(data, path, value)
+        data["output"] = str(tmp_path / "run")
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(config))
+        assert res.exit_code == 4
+        assert message in res.stderr
 
     def test_small_p_box_exits_4(self, tmp_path):
         path = tmp_path / "box.yaml"
@@ -643,7 +756,7 @@ class TestCLI:
 
     def test_other_package_errors_exit_3(self, tmp_path, monkeypatch):
         def broken(cfg, out_dir=None):
-            raise PerturbationError("no strictly monotone shift")
+            raise MinMaxHJError("no strictly monotone shift")
         monkeypatch.setattr("minmax_hj.cli.run_check", broken)
         res = self.invoke("check", "--config",
                           str(CONFIG_DIR / "xindep.yaml"),

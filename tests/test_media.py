@@ -32,21 +32,6 @@ def test_exact_periodicity(sin_sq_medium):
     assert np.array_equal(a, b)
 
 
-def test_translate_matches_shifted_argument(sin_sq_medium):
-    x = np.linspace(0, 1, 29)
-    z = 0.3173
-    moved = sin_sq_medium.translate(z)
-    assert np.array_equal(moved.evaluate_channel(0, x),
-                          sin_sq_medium.evaluate_channel(0, x + z))
-
-
-def test_translate_group_law(sin_sq_medium):
-    x = np.linspace(0, 1, 29)
-    a = sin_sq_medium.translate(0.2).translate(0.15)
-    b = sin_sq_medium.translate(0.2 + 0.15)
-    assert np.array_equal(a.evaluate_channel(0, x), b.evaluate_channel(0, x))
-
-
 def test_checkerboard_deterministic_and_seed_sensitive():
     m1 = _checkerboard(seed=7)
     m2 = _checkerboard(seed=7)
@@ -62,23 +47,6 @@ def test_checkerboard_piecewise_constant_lookup():
     assert vals[0] == vals[1] == m.tables[0][0]
     assert vals[2] == m.tables[0][1]
     assert vals[3] == m.tables[0][3]
-
-
-def test_checkerboard_aligned_translation_exact():
-    m = _checkerboard()
-    x = np.linspace(0, 1, 41)
-    moved = m.translate(0.25)
-    assert np.array_equal(moved.evaluate_channel(0, x),
-                          m.evaluate_channel(0, x + 0.25))
-
-
-def test_checkerboard_misaligned_translation_snaps_with_warning():
-    m = _checkerboard()
-    with pytest.warns(UserWarning):
-        moved = m.translate(0.3)
-    x = np.linspace(0, 1, 11)
-    assert np.array_equal(moved.evaluate_channel(0, x),
-                          m.evaluate_channel(0, x + 0.25))
 
 
 def test_bounds_cover_samples():

@@ -1,4 +1,4 @@
-"""Stable-pair analysis, contact fields, chains, perturbations.
+"""Stable-pair analysis, contact fields, chains, thin level sets.
 
 Expected values are hand-derived for piecewise-linear pairs whose
 crossings land on grid nodes or inside kink-free cells, where linear
@@ -8,13 +8,11 @@ interpolation is exact.
 import numpy as np
 import pytest
 
-from minmax_hj.errors import (BoxTooSmallError, MonotonicityError,
-                              PerturbationError)
+from minmax_hj.errors import BoxTooSmallError
 from minmax_hj.family import MinMaxFamily, Piece, reorder_family
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import (analyze_pair, check_condition_e,
-                             check_monotonicity, contact_fields, expand_p_box,
-                             kappa_shift, perturb_to_strict, require_monotone)
+                             check_monotonicity, contact_fields, expand_p_box)
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 
 BOX = (-4.0, 4.0)
@@ -102,7 +100,7 @@ def make_family(specs, medium_kwargs=None):
               for a, _, ch in specs]
     hats = [Piece(NegatedAbs(0.0, 1.0, b), "additive", ch)
             for _, b, ch in specs]
-    return MinMaxFamily(checks, hats, normalized=True)
+    return MinMaxFamily(checks, hats)
 
 
 @pytest.fixture
@@ -165,15 +163,12 @@ class TestContactFields:
     def test_unstable_family_witnessed(self, sin_sq_medium, x_grid):
         check = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
         hat = Piece(NegatedAbs(-1.0, 1.0, 3.0), "additive", 0)
-        fam = MinMaxFamily([check], [hat], normalized=True)
+        fam = MinMaxFamily([check], [hat])
         consts = contact_fields(fam, sin_sq_medium, x_grid, BOX, N_P)
         assert not consts.all_pairs_stable
         w = consts.witnesses[0]
         assert w["level"] == 1
         assert w["variation"] == pytest.approx(2.0)
-        with pytest.raises(Exception) as exc:
-            consts.require_stable()
-        assert "unstable" in str(exc.value)
 
 
 class TestMonotonicity:
@@ -183,7 +178,6 @@ class TestMonotonicity:
                                 BOX, N_P)
         assert check_monotonicity(consts)["monotone"]
         assert check_monotonicity(consts, strict=True)["monotone"]
-        require_monotone(consts, strict=True)
 
     def test_upper_chain_violation(self, sin_sq_medium, x_grid):
         # level 1 rides a 0.2-amplitude field, level 2 the full one:
@@ -192,7 +186,7 @@ class TestMonotonicity:
                   Piece(AbsShift(0.0, 1.0, -3.0), "additive", 0)]
         hats = [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0, scale=0.2),
                 Piece(NegatedAbs(0.0, 1.0, 3.0), "additive", 0)]
-        fam = MinMaxFamily(checks, hats, normalized=True)
+        fam = MinMaxFamily(checks, hats)
         consts = contact_fields(fam, sin_sq_medium, x_grid, BOX, N_P)
         assert consts.m_bar[0] == pytest.approx(0.2)
         assert consts.m_bar[1] == 1.0
@@ -202,10 +196,6 @@ class TestMonotonicity:
         assert verdict["failures"][0]["chain"] == "upper"
         assert verdict["failures"][0]["index"] == 1
         assert verdict["failures"][0]["values"][1] == 1.0
-        with pytest.raises(MonotonicityError) as exc:
-            require_monotone(consts)
-        assert exc.value.chain == "upper"
-        assert exc.value.index == 1
 
     def test_tie_fails_strict_only(self, sin_sq_medium, x_grid):
         fam = make_family([(1.0, 1.0, 0), (4.0, 4.0, 0)])
@@ -215,64 +205,6 @@ class TestMonotonicity:
         assert consts.M_lower[1] == 1.5
         assert check_monotonicity(consts)["monotone"]
         assert not check_monotonicity(consts, strict=True)["monotone"]
-
-
-class TestPerturbation:
-    def test_graded_shift_restores_strictness(self, sin_sq_medium, x_grid):
-        fam = make_family([(1.0, 1.0, 0), (4.0, 4.0, 0)])
-        eps = 0.1
-        fam2, consts2 = perturb_to_strict(fam, sin_sq_medium, eps, x_grid,
-                                          (-8.0, 8.0), 4097)
-        gap = consts2.m_bar[0] - consts2.m_bar[1]
-        assert gap == pytest.approx(eps / 4.0, abs=1e-12)
-        assert check_monotonicity(consts2, strict=True)["monotone"]
-        # sup distance between old and new pieces is eps/2 at the last level
-        p = np.linspace(-3, 3, 101)
-        d = np.abs(fam2.checks[1].evaluate(p, 0.3, sin_sq_medium)
-                   - fam.checks[1].evaluate(p, 0.3, sin_sq_medium))
-        assert np.max(d) == pytest.approx(eps / 2.0, abs=1e-12)
-
-    def test_lower_chain_tie_cannot_be_fixed(self, sin_sq_medium, x_grid):
-        # M_lower has an exact tie; constant shifts move it the wrong way
-        fam = make_family([(1.0, 1.0, 0), (3.0, 3.0, 0)])
-        consts = contact_fields(fam, sin_sq_medium, x_grid, (-8.0, 8.0), 4097)
-        assert consts.M_lower[0] == consts.M_lower[1] == 1.0
-        with pytest.raises(PerturbationError):
-            perturb_to_strict(fam, sin_sq_medium, 0.1, x_grid,
-                              (-8.0, 8.0), 4097)
-
-
-class TestKappaShift:
-    def test_full_shift_flattens_contact(self, base_family, sin_sq_medium):
-        x_nodes = np.linspace(0.0, 1.0, 9)[:-1]
-        fam1 = kappa_shift(base_family, 1.0,
-                           (sin_sq_medium, x_nodes, BOX, N_P))
-        p = np.linspace(-2.0, 2.0, 41)
-        for x in (0.0, 0.3, 0.5):
-            cv = fam1.checks[0].evaluate(p, x, sin_sq_medium)
-            assert np.allclose(cv, np.abs(p), atol=1e-12, rtol=0.0)
-            hv = fam1.hats[0].evaluate(p, x, sin_sq_medium)
-            assert np.allclose(hv, 2.0 - np.abs(p), atol=1e-12, rtol=0.0)
-        consts = contact_fields(fam1, sin_sq_medium, x_nodes, BOX, N_P)
-        assert np.allclose(consts.m_fields[0][0], 1.0, atol=1e-12, rtol=0.0)
-
-    def test_zero_shift_is_identity(self, base_family, sin_sq_medium):
-        x_nodes = np.linspace(0.0, 1.0, 9)[:-1]
-        fam0 = kappa_shift(base_family, 0.0,
-                           (sin_sq_medium, x_nodes, BOX, N_P))
-        p = np.linspace(-2.0, 2.0, 41)
-        a = fam0.checks[0].evaluate(p, 0.3, sin_sq_medium)
-        b = base_family.checks[0].evaluate(p, 0.3, sin_sq_medium)
-        assert np.array_equal(a, b)
-
-    def test_affine_in_kappa(self, base_family, sin_sq_medium):
-        x_nodes = np.linspace(0.0, 1.0, 9)[:-1]
-        args = (sin_sq_medium, x_nodes, BOX, N_P)
-        fams = [kappa_shift(base_family, k, args) for k in (0.0, 0.5, 1.0)]
-        p = np.linspace(-2.0, 2.0, 17)
-        vals = [f.checks[0].evaluate(p, 0.3, sin_sq_medium) for f in fams]
-        assert np.allclose(vals[1], 0.5 * (vals[0] + vals[2]),
-                           atol=1e-12, rtol=0.0)
 
 
 def _level1_contacts(family, medium, x_nodes):
@@ -293,7 +225,7 @@ class TestConditionE:
                                    [1.0, 0.0, 0.0, 1.0], "valley")
         check = Piece(valley, None)
         hat = Piece(NegatedAbs(0.0, 1.0, 1.0), None)
-        fam = MinMaxFamily([check], [hat], normalized=True)
+        fam = MinMaxFamily([check], [hat])
         x_nodes = np.array([0.0, 0.3])
         out = check_condition_e(
             fam, sin_sq_medium, x_nodes,

@@ -76,7 +76,6 @@ def test_abs_branch_inverses():
     left, right = phi.branch_inverses(np.array([-0.5, 1.5, 3.5]))
     assert np.allclose(left, [1.0, 0.0, -1.0])
     assert np.allclose(right, [1.0, 2.0, 3.0])
-    assert phi.sublevel_interval(-1.0) is None
 
 
 def test_piecewise_branch_inverses_flat_bottom_and_tails():
@@ -85,18 +84,8 @@ def test_piecewise_branch_inverses_flat_bottom_and_tails():
     # leftmost/rightmost solutions; level 3 lives on the extended tails
     assert np.allclose(left, [-1.0, -1.5, -2.0, -4.0])
     assert np.allclose(right, [1.0, 1.5, 2.0, 4.0])
-    assert phi.sublevel_interval(0.5) == (-1.5, 1.5)
     with pytest.raises(ValueError):
         phi.branch_inverses(np.array([-0.1]))
-
-
-def test_hill_superlevel_interval():
-    phi = NegatedAbs(0.0, 1.0, 1.0)
-    assert phi.superlevel_interval(0.0) == (-1.0, 1.0)
-    assert phi.superlevel_interval(2.0) is None
-    hill = PiecewiseMonotone([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0], direction="hill")
-    lo, hi = hill.superlevel_interval(1.0)
-    assert np.allclose([lo, hi], [-0.5, 0.5])
 
 
 def test_bind_base_matches_direct():
@@ -110,8 +99,12 @@ def test_bind_base_matches_direct():
 
 
 def test_roundtrip_from_dict():
-    for phi in (AbsShift(0.3, 1.1, 0.4),
-                PiecewiseMonotone([-1.0, 0.0, 2.0], [1.0, -0.5, 3.0])):
-        clone = profile_from_dict(phi.describe())
+    for data, phi in (
+            ({"kind": "abs_shift", "center": 0.3, "slope": 1.1,
+              "offset": 0.4}, AbsShift(0.3, 1.1, 0.4)),
+            ({"kind": "piecewise_monotone", "breaks": [-1.0, 0.0, 2.0],
+              "values": [1.0, -0.5, 3.0], "direction": "valley"},
+             PiecewiseMonotone([-1.0, 0.0, 2.0], [1.0, -0.5, 3.0]))):
+        clone = profile_from_dict(data)
         p = np.linspace(-3, 3, 11)
         assert np.array_equal(clone((p,)), phi((p,)))

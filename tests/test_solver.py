@@ -319,7 +319,7 @@ class TestTimeDependent:
         out = solve_time_dependent(piece, lambda x: 0.0 * x + 2.0, 1.0, g,
                                    T=0.5, t_samples=(0.25, 0.5))
         assert np.allclose(out.at(0.25).values, 1.75, atol=1e-12, rtol=0.0)
-        assert np.allclose(out.final.values, 1.5, atol=1e-12, rtol=0.0)
+        assert np.allclose(out.fields[-1].values, 1.5, atol=1e-12, rtol=0.0)
 
     def test_hopf_lax_refinement(self):
         T = 0.5
@@ -329,7 +329,7 @@ class TestTimeDependent:
             out = solve_time_dependent(ABS, periodized_well, 1.0, g, T=T)
             exact = hopf_lax_abs(lambda y: periodized_well(np.mod(y, 4.0)),
                                  g.x, T, (0.0, 4.0))
-            errs.append(float(np.max(np.abs(out.final.values - exact))))
+            errs.append(float(np.max(np.abs(out.fields[-1].values - exact))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.05
 
@@ -341,9 +341,9 @@ class TestTimeDependent:
                                     params=params)
         half = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.25,
                                     params=params)
-        rest = solve_time_dependent(ABS, half.final.values, 1.0, g, T=0.25,
+        rest = solve_time_dependent(ABS, half.fields[-1].values, 1.0, g, T=0.25,
                                     params=params)
-        assert np.array_equal(rest.final.values, full.final.values)
+        assert np.array_equal(rest.fields[-1].values, full.fields[-1].values)
 
     def test_under_resolved_eps_rejected(self):
         g = Grid(64, length=4.0)  # h = 1/16
@@ -365,14 +365,14 @@ class TestTimeDependent:
         v0 = u_s + rng.uniform(0.0, 1.0, g.shape)
         a = solve_time_dependent(piece, u_s, 0.5, g, sin_sq_medium, T=0.25)
         b = solve_time_dependent(piece, v0, 0.5, g, sin_sq_medium, T=0.25)
-        assert np.all(b.final.values - a.final.values >= -1e-12)
+        assert np.all(b.fields[-1].values - a.fields[-1].values >= -1e-12)
 
     def test_drift_bounded_by_k(self, sin_sq_medium):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         g = Grid(256, length=4.0)
         out = solve_time_dependent(piece, periodized_well, 0.25, g,
                                    sin_sq_medium, T=0.5)
-        drift = np.max(np.abs(out.final.values
+        drift = np.max(np.abs(out.fields[-1].values
                               - periodized_well(g.x)))
         assert drift <= out.metadata["k_bound"] * 0.5 + 1e-9
 
@@ -385,7 +385,7 @@ class TestHomogenized:
         curve = _Curve(lambda q: 0.0 * q + 0.75, 0.0)
         out = solve_homogenized(curve, periodized_well, g, T=0.4)
         expected = periodized_well(g.x) - 0.75 * 0.4
-        assert np.allclose(out.final.values, expected, atol=1e-12, rtol=0.0)
+        assert np.allclose(out.fields[-1].values, expected, atol=1e-12, rtol=0.0)
 
     def test_abs_curve_matches_hopf_lax(self):
         g = Grid(1024, length=4.0)
@@ -393,7 +393,7 @@ class TestHomogenized:
         out = solve_homogenized(curve, periodized_well, g, T=0.5)
         exact = hopf_lax_abs(lambda y: periodized_well(np.mod(y, 4.0)),
                              g.x, 0.5, (0.0, 4.0))
-        assert np.max(np.abs(out.final.values - exact)) <= 0.05
+        assert np.max(np.abs(out.fields[-1].values - exact)) <= 0.05
 
 
 class TestConsistency:
