@@ -19,7 +19,7 @@ import yaml
 from .errors import ConfigError
 from .family import MinMaxFamily, Piece
 from .media import MediumSpec
-from .profiles import profile_from_dict
+from .profiles import QUASICONCAVE, QUASICONVEX, profile_from_dict
 
 
 def _wrap_dist(x, length):
@@ -121,6 +121,15 @@ _KEYS = {
     "pairs": {"x_nodes", "p_box", "n_p"},
 }
 _PIECE_KEYS = {"profile", "coupling", "channel", "scale"}
+_ABS_FIELDS = {"center": NUMBER, "slope": NUMBER, "offset": NUMBER}
+_PROFILE_FIELDS = {
+    "abs_shift": _ABS_FIELDS,
+    "negated_abs": _ABS_FIELDS,
+    "piecewise_monotone": {"breaks": NUMBERS, "values": NUMBERS,
+                           "direction": TEXT},
+}
+# profile fields without a default (offset is 0, direction "valley")
+_PROFILE_REQUIRED = {"center", "slope", "breaks", "values"}
 _CHANNEL_FIELDS = {
     "periodic": {"formula": TEXT, "value": NUMBER, "amplitude": NUMBER,
                  "offset": NUMBER, "shift": NUMBER},
@@ -130,9 +139,9 @@ _CHANNEL_FIELDS = {
 }
 
 
-def _reject_unknown(block, path, allowed):
+def _reject_unknown(block, path, allowed, why=""):
     for key in sorted(set(block) - set(allowed), key=str):
-        raise ConfigError(f"{_join(path, key)}: unknown key")
+        raise ConfigError(f"{_join(path, key)}: unknown key{why}")
 
 
 def _section(data, name, default=_REQUIRED):
@@ -163,32 +172,78 @@ def _medium(data):
     for i, ch in enumerate(channels):
         at = f"medium.channels[{i}]"
         _as(ch, at, MAPPING)
-        _reject_unknown(ch, at, _CHANNEL_FIELDS[kind])
+        _reject_unknown(ch, at, _CHANNEL_FIELDS[kind],
+                        f" for medium.kind {kind!r}")
         for key in ch:
             _read(ch, key, at, _CHANNEL_FIELDS[kind][key])
+    # MediumSpec names the field of a bad value itself
+    return MediumSpec(kind, period, channels)
+
+
+def _profile(block, at, role):
+    """The profile mapping ``block`` at ``at`` as a profile object; its
+    convexity must be the one family.<role> needs."""
+    kind = _read(block, "kind", at, TEXT)
+    if kind not in _PROFILE_FIELDS:
+        raise ConfigError(f"{at}.kind: unknown kind {kind!r}")
+    fields = _PROFILE_FIELDS[kind]
+    _reject_unknown(block, at, {"kind", *fields}, f" for {at}.kind {kind!r}")
+    args = {key: _read(block, key, at, what)
+            for key, what in fields.items()
+            if key in block or key in _PROFILE_REQUIRED}
+    if kind != "piecewise_monotone":
+        if not args["slope"] > 0:
+            raise ConfigError(f"{at}.slope: {args['slope']!r} is not positive")
+        shape = f"{at}.kind"
+    else:
+        breaks, values = args["breaks"], args["values"]
+        if len(breaks) < 2 or len(breaks) != len(values):
+            raise ConfigError(f"{at}: need {at}.breaks and {at}.values of "
+                              f"one length, at least two")
+        if any(b <= a for a, b in zip(breaks, breaks[1:])):
+            raise ConfigError(f"{at}.breaks: {breaks!r} do not increase "
+                              f"strictly")
+        if args.get("direction", "valley") not in ("valley", "hill"):
+            raise ConfigError(f"{at}.direction: {args['direction']!r} is "
+                              f"not 'valley' or 'hill'")
+        shape = f"{at}.direction"
     try:
-        return MediumSpec(kind, period, channels)
-    except ConfigError as err:
-        raise ConfigError(f"medium: {err}") from err
+        profile = profile_from_dict(dict(args, kind=kind))
+    except _BAD_VALUE as err:
+        # left to fail: the slope pattern of the values for the direction
+        raise ConfigError(f"{at}.values: {err} (see {shape})") from err
+    want = QUASICONVEX if role == "checks" else QUASICONCAVE
+    if profile.tag != want:
+        raise ConfigError(f"{shape}: makes a {profile.tag} profile, but "
+                          f"family.{role} must be {want}")
+    return profile
 
 
-def _pieces(fam, role):
-    """Build the pieces of family.checks or family.hats; a bad piece
-    names its index."""
+def _pieces(fam, role, n_channels):
+    """Build the pieces of family.checks or family.hats; a bad value
+    names its field."""
     pieces = []
     for i, entry in enumerate(_read(fam, role, "family", LIST)):
         at = f"family.{role}[{i}]"
         _as(entry, at, MAPPING)
         _reject_unknown(entry, at, _PIECE_KEYS)
-        profile = _read(entry, "profile", at, MAPPING)
+        profile = _profile(_read(entry, "profile", at, MAPPING),
+                           f"{at}.profile", role)
         coupling = _read(entry, "coupling", at, TEXT, None)
         channel = _read(entry, "channel", at, WHOLE, None)
         scale = _read(entry, "scale", at, NUMBER, 1.0)
-        try:
-            pieces.append(Piece(profile_from_dict(profile), coupling,
-                                channel, scale))
-        except _BAD_VALUE as err:
-            raise ConfigError(f"{at}: {err}") from err
+        if coupling not in (None, "additive", "amplitude"):
+            raise ConfigError(f"{at}.coupling: unknown coupling {coupling!r}")
+        if coupling is not None and channel is None:
+            raise ConfigError(f"{at}.channel: missing, {at}.coupling "
+                              f"{coupling!r} needs a medium channel")
+        if channel is not None and not 0 <= channel < n_channels:
+            raise ConfigError(f"{at}.channel: channel {channel} not in "
+                              f"medium (has {n_channels})")
+        if coupling == "amplitude" and not scale > 0:
+            raise ConfigError(f"{at}.scale: {scale!r} is not positive, as "
+                              f"{at}.coupling 'amplitude' needs")
+        pieces.append(Piece(profile, coupling, channel, scale))
     return pieces
 
 
@@ -218,20 +273,13 @@ class ExperimentConfig:
         self.medium_spec = _medium(data)
 
         fam = _section(data, "family")
-        checks = _pieces(fam, "checks")
-        hats = _pieces(fam, "hats")
-        try:
-            self.family = MinMaxFamily(checks, hats)
-        except ValueError as err:
-            raise ConfigError(f"family: {err}") from err
         n_channels = len(self.medium_spec.channels)
-        for role, pieces in (("checks", checks), ("hats", hats)):
-            for i, pc in enumerate(pieces):
-                if pc.channel is not None and \
-                        not 0 <= pc.channel < n_channels:
-                    raise ConfigError(
-                        f"family.{role}[{i}]: channel {pc.channel} not in "
-                        f"medium (has {n_channels})")
+        checks = _pieces(fam, "checks", n_channels)
+        hats = _pieces(fam, "hats", n_channels)
+        if len(checks) != len(hats) or not checks:
+            raise ConfigError(f"family: need as many family.checks as "
+                              f"family.hats, at least one")
+        self.family = MinMaxFamily(checks, hats)
 
         sol = _section(data, "solver")
         self.solver_n = _read(sol, "n", "solver", WHOLE)

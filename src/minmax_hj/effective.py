@@ -150,8 +150,9 @@ def _power_fit(lams, ys):
 
 
 def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
-                       params=None):
-    """Extrapolate -lam * v_lam(0) along the discount schedule.
+                       theta=None):
+    """Extrapolate -lam * v_lam(0) along the discount schedule, with
+    dissipation theta (see ``solve_discounted``).
 
     p is one gradient, or an (n_p, 1) column of them: then every
     gradient is solved in one batch per discount rate, each row
@@ -175,7 +176,7 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
     v = None
     for lam in lams:
         fields = solve_discounted(hamiltonian, P, lam, grid, medium,
-                                  params=params, v0=v)
+                                  theta=theta, v0=v)
         runs.append([f.metadata for f in fields])
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip
@@ -226,14 +227,14 @@ def fit_schedule_data(lams, ys, tol=0.0):
                     lams, ys, fit_residuals, None, bool(reliable))
 
 
-def exact_effective_1d_separable(profile, v_table, p_samples, tol=1e-10):
+def exact_effective_1d_separable(profile, v_table, p_samples):
     """Exact effective curve for H(p, x) = phi(p) + V(x).
 
     V enters as a table over one period (its mean realizes the spatial
     averages). At the critical level mu* = max V + min phi the admissible
     mean gradients sweep [avg phi_left_inv(mu* - V), avg phi_right_inv
     (mu* - V)]; outside, the level solving avg-inverse = p is found by
-    bisection on the monotone branch.
+    bisection on the monotone branch, to a level width of 1e-10.
     """
     if profile.tag != QUASICONVEX:
         raise ValueError("oracle profiles must be quasiconvex")
@@ -266,7 +267,7 @@ def exact_effective_1d_separable(profile, v_table, p_samples, tol=1e-10):
             hi = mu_star + 2.0 * (hi - mu_star)
             if hi - mu_star > 1e12:
                 raise ValueError("level search diverged; profile not coercive?")
-        while hi - lo > tol:
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             at = ends(mid)[side]
             if (at < p) if side else (at > p):
@@ -282,12 +283,13 @@ def exact_effective_1d_separable(profile, v_table, p_samples, tol=1e-10):
     return curve.validate()
 
 
-def _medium_table(medium, n_table=4096):
-    return np.arange(n_table) * (medium.period / n_table) if medium is not None \
+def _medium_table(medium):
+    """4096 nodes on one medium period (one node without a medium)."""
+    return np.arange(4096) * (medium.period / 4096) if medium is not None \
         else np.zeros(1)
 
 
-def piece_effective_curve(piece, medium, p_samples, n_table=4096):
+def piece_effective_curve(piece, medium, p_samples):
     """Effective curve of a single separable piece, via the oracle.
 
     Additive coupling only; quasiconcave pieces go through the
@@ -299,15 +301,14 @@ def piece_effective_curve(piece, medium, p_samples, n_table=4096):
     if piece.tag != QUASICONVEX:
         dual = piece.negate_dual()
         rev = piece_effective_curve(dual, medium, -np.asarray(p_samples,
-                                                              dtype=float)[::-1],
-                                    n_table)
+                                                              dtype=float)[::-1])
         values = -rev.values[::-1]
         curve = EffectiveCurve(p_samples, values, None, "oracle",
                                "anticoercive")
         curve.intermediates["dual_critical_level"] = \
             rev.intermediates["critical_level"]
         return curve.validate()
-    x = _medium_table(medium, n_table)
+    x = _medium_table(medium)
     V = np.zeros_like(x)
     if piece.coupling == "additive":
         V = V + piece.scale * medium.evaluate_channel(piece.channel, x)
@@ -351,18 +352,17 @@ def theorem_formula(bar_checks, bar_hats, constants):
     return curve.validate()
 
 
-def verify_symmetries(piece, p_samples, medium, lam_schedule, grid,
-                      params=None):
+def verify_symmetries(piece, p_samples, medium, lam_schedule, grid):
     """Duality report for a piece: negation (every piece) and evenness
     (quasiconvex pieces). Discrepancies come with their error bars."""
     p_samples = [float(p) for p in p_samples]
     column = np.array(p_samples)[:, None]
     reflected = estimate_effective(piece, -column, medium, lam_schedule,
-                                   grid, params)
+                                   grid)
 
     def compare(dual, sign):
         duals = estimate_effective(dual, column, medium, lam_schedule,
-                                   grid, params)
+                                   grid)
         disc = [abs(a.value + sign * b.value)
                 for a, b in zip(duals, reflected)]
         bars = [a.error_bar + b.error_bar for a, b in zip(duals, reflected)]

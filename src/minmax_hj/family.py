@@ -1,12 +1,13 @@
 """Min-max families of Hamiltonian pieces and the scalar nesting identity.
 
 A family holds an equal number of quasiconvex pieces (``checks``) and
-quasiconcave pieces (``hats``). Whole levels nest as
+quasiconcave pieces (``hats``). Levels nest as
 
     H_1 = max(check_1, hat_1)
     H_k = max(check_k, min(hat_k, H_{k-1}))
 
-and half levels as H_{k+1/2} = min(hat_{k+1}, H_k). The scalar identity
+Half levels, min(hat_{k+1}, H_k), appear only in the nested effective
+formula (``effective.theorem_formula_values``). The scalar identity
 behind reordering says the nested value is unchanged when the sequences
 are replaced by their running extrema; ``reorder_family`` is its
 function-level counterpart.
@@ -18,7 +19,7 @@ Evaluation does not check the ordering of the pieces;
 import numpy as np
 
 from .errors import OrderingViolationError, ProfileShapeError
-from .profiles import QUASICONCAVE, QUASICONVEX, as_components
+from .profiles import QUASICONCAVE, QUASICONVEX
 
 
 def minmax_scalar(a, b):
@@ -93,7 +94,7 @@ class Piece:
         return self.scale * vals
 
     def evaluate(self, p, x=None, medium=None):
-        base = self.profile(as_components(p))
+        base = self.profile((np.asarray(p, dtype=float),))
         if self.coupling is None:
             val = base
         elif self.coupling == "additive":
@@ -209,46 +210,31 @@ class MinMaxFamily:
     def ell(self):
         return len(self.checks)
 
-    def evaluate(self, s, p, x=None, medium=None):
-        return eval_minmax(self, s, p, x, medium)
 
-    def lipschitz(self, medium=None):
-        return max(pc.lipschitz(medium) for pc in self.checks + self.hats)
-
-
-def _level_split(family, s):
-    two_s = int(round(2 * float(s)))
-    if abs(2 * float(s) - two_s) > 0:
-        raise ValueError(f"level must be a whole or half integer, got {s}")
-    if two_s < 2 or two_s > 2 * family.ell:
+def _level(family, s):
+    """The whole level s, 1 <= s <= ell, as an int."""
+    k = int(round(float(s)))
+    if float(s) != k:
+        raise ValueError(f"level must be a whole number, got {s}")
+    if not 1 <= k <= family.ell:
         raise ValueError(f"level {s} out of range for a {family.ell}-level family")
-    return two_s // 2, two_s % 2 == 1
+    return k
 
 
-def _fold(check_vals, hat_vals, n_full, with_half):
-    # checks take the outer max, hats the inner min; a half level appends
-    # an outer min with the next hat
+def _fold(check_vals, hat_vals):
+    # checks take the outer max, hats the inner min
     v = np.maximum(check_vals[0], hat_vals[0])
-    for k in range(1, n_full):
+    for k in range(1, len(check_vals)):
         v = np.maximum(check_vals[k], np.minimum(hat_vals[k], v))
-    if with_half:
-        v = np.minimum(hat_vals[n_full], v)
     return v
 
 
-def _used_pieces(family, n_full, with_half):
-    """The checks and hats a level nests: n_full of each, and the next
-    hat at a half level."""
-    return family.checks[:n_full], family.hats[:n_full + with_half]
-
-
 def eval_minmax(family, s, p, x=None, medium=None):
-    """Evaluate the family nesting at whole or half level ``s``."""
-    n_full, with_half = _level_split(family, s)
-    checks, hats = _used_pieces(family, n_full, with_half)
-    cv = [pc.evaluate(p, x, medium) for pc in checks]
-    hv = [pc.evaluate(p, x, medium) for pc in hats]
-    return _fold(cv, hv, n_full, with_half)
+    """Evaluate the family nesting at whole level ``s``."""
+    k = _level(family, s)
+    cv = [pc.evaluate(p, x, medium) for pc in family.checks[:k]]
+    hv = [pc.evaluate(p, x, medium) for pc in family.hats[:k]]
+    return _fold(cv, hv)
 
 
 def _check_ordering_values(check_vals, hat_vals, p, x):
@@ -301,31 +287,28 @@ def reorder_family(family):
 
 
 class LevelHamiltonian:
-    """Solver-facing view of one nesting level (or a bare piece)."""
+    """Solver-facing view of one whole nesting level."""
 
     def __init__(self, family, s):
         self.family = family
         self.s = s
-        self._n_full, self._with_half = _level_split(family, s)
+        k = _level(family, s)
+        self._pieces = family.checks[:k], family.hats[:k]
 
     def evaluate(self, p, x=None, medium=None):
         return eval_minmax(self.family, self.s, p, x, medium)
 
     def bind_base(self, pbase, x, medium):
-        n_full, with_half = self._n_full, self._with_half
-        checks, hats = _used_pieces(self.family, n_full, with_half)
+        checks, hats = self._pieces
         fc = [pc.bind_base(pbase, x, medium) for pc in checks]
         fh = [pc.bind_base(pbase, x, medium) for pc in hats]
 
         def run(dv):
-            cv = [f(dv) for f in fc]
-            hv = [f(dv) for f in fh]
-            return _fold(cv, hv, n_full, with_half)
+            return _fold([f(dv) for f in fc], [f(dv) for f in fh])
         return run
 
     def lipschitz(self, medium=None):
-        checks, hats = _used_pieces(self.family, self._n_full,
-                                    self._with_half)
+        checks, hats = self._pieces
         return max(pc.lipschitz(medium) for pc in checks + hats)
 
 
@@ -342,8 +325,8 @@ class GradientShift:
         self.delta = float(delta)
 
     def evaluate(self, p, x=None, medium=None):
-        return self.inner.evaluate(as_components(p)[0] - self.delta, x,
-                                   medium)
+        return self.inner.evaluate(np.asarray(p, dtype=float) - self.delta,
+                                   x, medium)
 
     def bind_base(self, pbase, x, medium):
         return self.inner.bind_base(np.asarray(pbase, dtype=float)

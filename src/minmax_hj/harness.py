@@ -25,8 +25,7 @@ from .media import sample_realization
 from .pairs import (check_condition_e, check_monotonicity, contact_fields,
                     expand_p_box)
 from .profiles import QUASICONVEX
-from .solver import (FALLBACK, Grid, SchemeParams, solve_homogenized,
-                     solve_time_dependent)
+from .solver import FALLBACK, Grid, solve_homogenized, solve_time_dependent
 
 _G17 = "%.17g"
 
@@ -232,14 +231,16 @@ def run_check(cfg, out_dir=None):
     return _run(cfg, out_dir, "check", stages)
 
 
-def _numeric_curve(hamiltonian, cfg, medium, kind, params=None):
+def _numeric_curve(hamiltonian, cfg, medium, kind):
+    """Estimates on the p-axis as a curve, checked for shape and, against
+    the Hamiltonian's Lipschitz bound, for continuity."""
     grid = Grid(cfg.solver_n, cfg.solver_length)
     ests = estimate_effective(hamiltonian, cfg.p_axis[:, None], medium,
-                              cfg.lambda_schedule, grid, params)
+                              cfg.lambda_schedule, grid, cfg.theta)
     values = np.array([e.value for e in ests])
     bars = np.array([e.error_bar for e in ests])
     curve = EffectiveCurve(cfg.p_axis, values, bars, "numeric", kind)
-    curve.validate()
+    curve.validate(hamiltonian.lipschitz(medium))
     curve.intermediates["unreliable_p"] = [
         float(p) for p, e in zip(cfg.p_axis, ests) if not e.reliable]
     curve.intermediates["estimates"] = list(zip(cfg.p_axis.tolist(), ests))
@@ -272,7 +273,7 @@ def _solver_stats(curves):
     return {"solves": solves, "fallbacks": fallbacks, "per_p": per_p}
 
 
-def build_curves(cfg, medium, consts, params=None):
+def build_curves(cfg, medium, consts):
     """Per-piece effective curves (exact where the piece is separable,
     numeric otherwise) and the nested formula curve."""
     def one(piece):
@@ -280,7 +281,7 @@ def build_curves(cfg, medium, consts, params=None):
         try:
             return piece_effective_curve(piece, medium, cfg.p_axis)
         except ValueError:
-            return _numeric_curve(piece, cfg, medium, kind, params)
+            return _numeric_curve(piece, cfg, medium, kind)
 
     checks = [one(pc) for pc in cfg.family.checks]
     hats = [one(pc) for pc in cfg.family.hats]
@@ -288,20 +289,28 @@ def build_curves(cfg, medium, consts, params=None):
     return checks, hats, formula
 
 
+def _one_seed(cfg, command):
+    """The seeds of a command that solves in one medium: exactly one."""
+    if len(cfg.seeds) > 1:
+        raise ConfigError(
+            f"seeds: {cfg.seeds} lists {len(cfg.seeds)} seeds, but "
+            f"{command} solves in one medium; choose one with --seed")
+
+
 def run_effective(cfg, out_dir=None, force=False):
     """Piece curves, nested formula, direct estimate, and comparison."""
-    params = SchemeParams(theta=cfg.theta)
+    _one_seed(cfg, "effective")
 
     def stages(analysis, out_dir, timings):
         t0 = time.perf_counter()
         checks, hats, formula = build_curves(
-            cfg, analysis["medium0"], analysis["consts_obj"], params)
+            cfg, analysis["medium0"], analysis["consts_obj"])
         timings["piece_curves"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         h_top = LevelHamiltonian(cfg.family, cfg.family.ell)
         numeric = _numeric_curve(h_top, cfg, analysis["medium0"],
-                                 "coercive", params)
+                                 "coercive")
         timings["numeric_estimates"] = time.perf_counter() - t0
 
         numeric.to_csv(os.path.join(out_dir, "numeric.csv"))
@@ -338,13 +347,12 @@ def run_effective(cfg, out_dir=None, force=False):
 
 def run_sweep_eps(cfg, out_dir=None, force=False):
     """Oscillatory vs homogenized evolution over the eps schedule."""
-    params = SchemeParams(theta=cfg.theta)
+    _one_seed(cfg, "sweep-eps")
 
     def stages(analysis, out_dir, timings):
         medium = analysis["medium0"]
         t0 = time.perf_counter()
-        _, _, formula = build_curves(cfg, medium, analysis["consts_obj"],
-                                     params)
+        _, _, formula = build_curves(cfg, medium, analysis["consts_obj"])
         timings["effective_curve"] = time.perf_counter() - t0
 
         grid = Grid(cfg.solver_n, cfg.solver_length)
@@ -352,7 +360,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
         h_top = LevelHamiltonian(cfg.family, cfg.family.ell)
 
         t0 = time.perf_counter()
-        hom = solve_homogenized(formula, u0, grid, cfg.T, params,
+        hom = solve_homogenized(formula, u0, grid, cfg.T, cfg.theta,
                                 t_samples=cfg.t_samples)
         timings["homogenized"] = time.perf_counter() - t0
 
@@ -360,7 +368,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
         for eps in cfg.eps_schedule:
             t0 = time.perf_counter()
             osc = solve_time_dependent(h_top, u0, eps, grid, medium,
-                                       T=cfg.T, params=params,
+                                       T=cfg.T, theta=cfg.theta,
                                        t_samples=cfg.t_samples)
             err = max(float(np.max(np.abs(osc.at(t).values
                                           - hom.at(t).values)))

@@ -47,12 +47,13 @@ def _grid_1d(p_box, n_p):
     return np.linspace(lo, hi, int(n_p))
 
 
-def _default_tau_b(vals_V, vals_L, h):
+def _tau_b(vals_V, vals_L, h):
+    """Stability tolerance: ten grid steps of the steeper function."""
     lip = max(np.max(np.abs(np.diff(vals_V))), np.max(np.abs(np.diff(vals_L)))) / h
     return 10.0 * lip * h
 
 
-def analyze_pair(V_fn, L_fn, p_box, n_p=2049, tau_b=None):
+def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
     """Stability report for one (V, L) pair on a gradient box.
 
     V_fn/L_fn take gradient arrays. Raises BoxTooSmallError when the
@@ -62,8 +63,7 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049, tau_b=None):
     h = p[1] - p[0]
     vV = np.asarray(V_fn(p), dtype=float)
     vL = np.asarray(L_fn(p), dtype=float)
-    if tau_b is None:
-        tau_b = _default_tau_b(vV, vL, h)
+    tau_b = _tau_b(vV, vL, h)
     g = vL - vV
     mask = g >= 0.0
     if mask[0] or mask[-1]:
@@ -97,14 +97,14 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049, tau_b=None):
                       outside_gap)
 
 
-def expand_p_box(family, medium, x_probe=None, start=4.0, cap=1024.0):
-    """Grow a symmetric gradient box until every check dominates every hat
-    on its boundary."""
-    if x_probe is None:
-        x_probe = np.linspace(0.0, medium.period, 65) if medium is not None \
-            else np.zeros(1)
-    R = start
-    while R <= cap:
+def expand_p_box(family, medium):
+    """Grow a symmetric gradient box, doubling its half-width from 4 up to
+    1024, until every check dominates every hat on its boundary at 65
+    points of one medium period."""
+    x_probe = np.linspace(0.0, medium.period, 65) if medium is not None \
+        else np.zeros(1)
+    R = 4.0
+    while R <= 1024.0:
         edges = np.array([-R, R])
         ok = True
         for ck in family.checks:
@@ -129,13 +129,12 @@ class ContactConstants:
     m_bar[k-1] = max over samples of m_k; M_lower[k-1] = min of M_k.
     """
 
-    def __init__(self, m_fields, M_fields, x_nodes, seeds, witnesses, tau_b):
+    def __init__(self, m_fields, M_fields, x_nodes, seeds, witnesses):
         self.m_fields = m_fields
         self.M_fields = M_fields
         self.x_nodes = x_nodes
         self.seeds = seeds
         self.witnesses = witnesses
-        self.tau_b = tau_b
         stacked_m = np.concatenate(m_fields, axis=1)
         stacked_M = np.concatenate(M_fields, axis=1)
         self.m_bar = stacked_m.max(axis=1)
@@ -168,7 +167,7 @@ def _piece_peak(piece, x, medium):
     return val + piece.extra_const
 
 
-def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, tau_b=None):
+def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
     """Contact fields and constants for a family.
 
     ``media`` is one realization or a list (the extrema then run over
@@ -183,7 +182,6 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, tau_b=None):
     ell = family.ell
 
     m_fields, M_fields, witnesses = [], [], []
-    tau_used = tau_b
     for medium in media:
         m_arr = np.empty((ell, x_nodes.size))
         M_arr = np.empty((ell, x_nodes.size))
@@ -195,17 +193,16 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, tau_b=None):
                 rep = analyze_pair(
                     lambda P: family.checks[k].evaluate(P, xj, medium),
                     lambda P: family.hats[k].evaluate(P, xj, medium),
-                    p_box, n_p, tau_b)
+                    p_box, n_p)
                 m_arr[k, j] = rep.contact_value_V
                 if not rep.stable:
                     witnesses.append(_witness(k + 1, "level pair", xj, rep,
                                               medium.seed))
-                tau_used = rep.tau_b if tau_used is None else tau_used
                 if k > 0:
                     rep2 = analyze_pair(
                         lambda P: family.checks[k - 1].evaluate(P, xj, medium),
                         lambda P: family.hats[k].evaluate(P, xj, medium),
-                        p_box, n_p, tau_b)
+                        p_box, n_p)
                     M_arr[k, j] = rep2.contact_value_Lambda
                     if not rep2.stable:
                         witnesses.append(_witness(k + 1, "cross pair", xj, rep2,
@@ -217,8 +214,7 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, tau_b=None):
         m_fields.append(m_arr)
         M_fields.append(M_arr)
     seeds = [m.seed for m in media]
-    return ContactConstants(m_fields, M_fields, x_nodes, seeds, witnesses,
-                            tau_used)
+    return ContactConstants(m_fields, M_fields, x_nodes, seeds, witnesses)
 
 
 def _witness(level, kind, x, rep, seed):
@@ -245,17 +241,17 @@ def check_monotonicity(constants, strict=False):
     return {"monotone": not failures, "strict": strict, "failures": failures}
 
 
-def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049,
-                      tol=1e-9):
+def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049):
     """Thin-level-set check at level 1.
 
     m_1 holds the level-1 V-contact values at x_nodes in this medium,
     as ``contact_fields`` computed them on the same p_box and n_p (row 0
     of its m_fields). For each sampled x, the set
-    {p : |piece(p, x) - m_1(x)| <= tol} must have no grid-interior point
-    for either level-1 piece. The catalogue is exactly evaluable, so tol
-    is an arithmetic tolerance, not a grid-scale one: genuine flats
-    produce exact runs, sharp minima do not.
+    {p : |piece(p, x) - m_1(x)| <= 1e-9 * max(1, |m_1(x)|)} must have no
+    grid-interior point for either level-1 piece. The catalogue is
+    exactly evaluable, so the tolerance is an arithmetic one, not a
+    grid-scale one: genuine flats produce exact runs, sharp minima do
+    not.
     """
     P = _grid_1d(p_box, n_p)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -265,7 +261,7 @@ def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049,
         for name, piece in (("check", family.checks[0]),
                             ("hat", family.hats[0])):
             vals = piece.evaluate(P, xj, medium)
-            hit = np.abs(vals - m1) <= tol * scale
+            hit = np.abs(vals - m1) <= 1e-9 * scale
             interior = hit[1:-1] & hit[:-2] & hit[2:]
             if interior.any():
                 i = int(np.flatnonzero(interior)[0]) + 1

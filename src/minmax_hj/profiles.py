@@ -26,16 +26,6 @@ QUASICONVEX = "quasiconvex"
 QUASICONCAVE = "quasiconcave"
 
 
-def as_components(p):
-    """A gradient or an array of them as a one-tuple of arrays; a tuple
-    or list is taken as that one-tuple already."""
-    if isinstance(p, (tuple, list)):
-        if len(p) != 1:
-            raise ValueError(f"expected one gradient component, got {len(p)}")
-        p = p[0]
-    return (np.asarray(p, dtype=float),)
-
-
 def _scalar(center):
     if np.ndim(center) != 0:
         raise ProfileShapeError("center must be a scalar")

@@ -31,6 +31,8 @@ FALLBACK = "relax (newton declined)"
 # ... and of one whose Newton from the warm start declined but converged
 # when retried from the nested start
 RETRY = "newton (retried from nested start)"
+# sweeps after which a relaxation that has not converged gives up
+MAX_SWEEPS = 1_000_000
 
 
 class Grid:
@@ -49,24 +51,12 @@ class Grid:
         return (self.n,)
 
 
-class SchemeParams:
-    def __init__(self, theta=None, tau=None, tol_fp=None, max_iter=1_000_000):
-        self.theta = theta
-        self.tau = tau
-        self.tol_fp = tol_fp
-        self.max_iter = int(max_iter)
-
-    def dissipation(self, hamiltonian=None, medium=None):
-        """theta: the given value, else the Hamiltonian's Lipschitz bound."""
-        th = self.theta
-        if th is None:
-            if hamiltonian is None:
-                raise SchemeParameterError("no dissipation bound available")
-            th = hamiltonian.lipschitz(medium)
-        th = float(th)
-        if not th > 0:
-            raise SchemeParameterError("dissipation must be positive")
-        return th
+def _dissipation(theta, hamiltonian, medium):
+    """theta: the given value, else the Hamiltonian's Lipschitz bound."""
+    th = float(hamiltonian.lipschitz(medium) if theta is None else theta)
+    if not th > 0:
+        raise SchemeParameterError("dissipation must be positive")
+    return th
 
 
 class GridField:
@@ -238,19 +228,17 @@ def _newton_direction(h_bound, v, r, h, th, lam):
     return y - z * (w_y / (1.0 + w_z))[:, None]
 
 
-def _newton(cell, rows, v, tol, max_newton=80):
+def _newton(cell, rows, v, tol):
     """Damped semismooth Newton for the cell problem, one row per
     base gradient in ``rows`` (indices into cell.P), from the fields v.
 
     A step is one banded solve for all rows at once (_newton_direction).
     Every row keeps its own iteration: it stops once its residual is
     within its tolerance, halves its own step until its residual falls,
-    and declines when that step drops below 1/1024 or after max_newton
-    steps.
+    and declines when that step drops below 1/1024 or after 80 steps.
 
-    Returns the fields, iteration counts, final residuals, a mask of the
-    rows that converged, and the residual history (one array per step,
-    nan for rows no longer iterating).
+    Returns the fields, iteration counts, final residuals and a mask of
+    the rows that converged.
     """
     h = cell.grid.h
     th = cell.theta
@@ -260,10 +248,7 @@ def _newton(cell, rows, v, tol, max_newton=80):
     r = cell.residual(rows, v)
     res = _row_sup(r)
     act = np.arange(rows.size)
-    history = []
-    for it in range(max_newton):
-        history.append(np.full(rows.size, np.nan))
-        history[-1][act] = res[act]
+    for it in range(80):
         done = res[act] <= tol[act]
         ok[act[done]] = True
         its[act[done]] = it
@@ -291,7 +276,7 @@ def _newton(cell, rows, v, tol, max_newton=80):
             keep[pend[step[pend] < 1.0 / 1024.0]] = False
             pend = pend[step[pend] >= 1.0 / 1024.0]
         act = act[keep]
-    return v, its, res, ok, history
+    return v, its, res, ok
 
 
 def _nested_start(cell, rows, tol):
@@ -310,23 +295,22 @@ def _nested_start(cell, rows, tol):
     v = np.zeros((rows.size, sizes[-1]))
     for m in reversed(sizes[1:]):
         coarse = cell.on(Grid(m, cell.grid.length))
-        out, _, _, ok, _ = _newton(coarse, rows, v, tol)
+        out, _, _, ok = _newton(coarse, rows, v, tol)
         v = prolong_periodic(np.where(ok[:, None], out, v))
     return v
 
 
-def _relax_projected(cell, rows, v, tol, params):
+def _relax_projected(cell, rows, v, tol):
     """Monotone pseudo-time relaxation on the mean-projected residual,
     one row per base gradient in ``rows``, each stopping on its own.
 
     Projecting out the constant mode keeps the step count independent
     of lam; the constant mode is restored by one exact shift at the
     end. Dissipation-limited, so cost grows like n^2; used where Newton
-    declines or on request.
+    declines. The pseudo-time step is 0.95 times the monotonicity bound.
     """
     grid, lam = cell.grid, cell.lam
-    rate = lam + cell.theta / grid.h
-    tau = params.tau if params.tau is not None else 0.95 / rate
+    tau = 0.95 / (lam + cell.theta / grid.h)
     check_every = 16
     back = max(8 * grid.n, 8000) // check_every
     v = np.array(v, dtype=float)
@@ -367,7 +351,7 @@ def _relax_projected(cell, rows, v, tol, params):
             sel = act[near[fin]]
             out[sel], its[sel], res[sel] = shifted[fin], it, res_full[fin]
             done[near[fin]] = True
-        if it >= params.max_iter and not np.all(done):
+        if it >= MAX_SWEEPS and not np.all(done):
             j = int(np.argmin(done))
             fail(act[j], f"no convergence in {it} iterations "
                          f"(residual {dev[j]:.3g})")
@@ -389,15 +373,17 @@ def _base_column(p0):
     return p, single
 
 
-def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
-                     v0=None, method="auto"):
+def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
+                     v0=None):
     """Solve lam*v + H_LF(p0 + Dv, x) = 0 on the torus to a certified
     residual.
 
     p0 is one base gradient, or an (n_p, 1) column of them solved as
     one batch; the result is then one GridField, or a list of n_p. v0,
     if given, is a start of shape grid.shape, or (n_p,) + grid.shape.
-    Every row of a batch is solved as it would be alone.
+    Every row of a batch is solved as it would be alone. theta is the
+    Lax-Friedrichs dissipation, by default the Hamiltonian's Lipschitz
+    bound.
 
     When the grid holds a whole number of medium periods, the problem is
     solved on one period at the same spacing and the result tiled back.
@@ -406,33 +392,21 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     without one, from the nested-iteration start on coarser grids. A row
     whose Newton from v0 declines is retried once from the nested start;
     a row that still declines falls back to monotone pseudo-time
-    relaxation, which is also what runs on request. Whatever the path,
-    every returned field satisfies its residual tolerance and the
-    comparison bound |lam*v| <= sup|H(p0,.)| + tol, or an error naming
-    the base gradient carries the residual history out.
-    metadata["method"] names the path: "constant", "newton", RETRY, or
-    "relax (<reason>)".
+    relaxation. Whatever the path, every returned field satisfies its
+    residual tolerance 1e-8 * max(1, sup|H(p0,.)|) and the comparison
+    bound |lam*v| <= sup|H(p0,.)| + tol, or an error naming the base
+    gradient carries the residual history out. metadata["method"] names
+    the path: "constant", "newton", RETRY, or FALLBACK.
     """
     if not lam > 0:
         raise SchemeParameterError("discount rate must be positive")
-    if method not in ("auto", "newton", "relax"):
-        raise SchemeParameterError(f"unknown method {method!r}")
-    params = params or SchemeParams()
-    theta = params.dissipation(hamiltonian, medium)
-    rate = lam + theta / grid.h
-    if params.tau is not None and params.tau * rate > 1.0:
-        raise SchemeParameterError(
-            f"step {params.tau:.3g} violates the monotonicity bound "
-            f"1/{rate:.3g}")
+    theta = _dissipation(theta, hamiltonian, medium)
 
     P, single = _base_column(p0)
     cell = _CellProblem(hamiltonian, P, _cell_grid(grid, medium), medium,
                         lam, theta)
     sup_h0, const, h0_first = _at_zero(cell)
-    if params.tol_fp is None:
-        tol = 1e-8 * np.maximum(1.0, sup_h0)
-    else:
-        tol = np.full(len(P), float(params.tol_fp))
+    tol = 1e-8 * np.maximum(1.0, sup_h0)
 
     v = np.zeros((len(P), cell.grid.n))
     if v0 is not None:
@@ -450,36 +424,26 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, params=None,
     used[const] = "constant"
 
     work = np.flatnonzero(~const)
-    relax = work
-    if method == "relax":
-        reason = "relax (requested)"
-    elif work.size:
+    if work.size:
         if v0 is None:
             v[work] = _nested_start(cell, work, tol[work])
-        out, n_it, n_res, ok, history = _newton(cell, work, v[work],
-                                                tol[work])
+        out, n_it, n_res, ok = _newton(cell, work, v[work], tol[work])
         used[work] = "newton"
         again = np.flatnonzero(~ok)
         if v0 is not None and again.size:
             rows = work[again]
-            out2, it2, res2, ok2, _ = _newton(
+            out2, it2, res2, ok2 = _newton(
                 cell, rows, _nested_start(cell, rows, tol[rows]), tol[rows])
             out[again], n_it[again], n_res[again] = out2, it2, res2
             ok[again] = ok2
             used[rows[ok2]] = RETRY
         solved = work[ok]
         v[solved], its[solved], res[solved] = out[ok], n_it[ok], n_res[ok]
-        relax, reason = work[~ok], FALLBACK
-        if relax.size and method == "newton":
-            j = int(np.argmin(ok))
-            raise NonConvergenceError(
-                f"p0={P[work[j]].tolist()}: Newton iteration stalled",
-                residual_history=[float(h[j]) for h in history
-                                  if not np.isnan(h[j])])
-    if relax.size:
-        v[relax], its[relax], res[relax] = _relax_projected(
-            cell, relax, v[relax], tol[relax], params)
-        used[relax] = reason
+        relax = work[~ok]
+        if relax.size:
+            v[relax], its[relax], res[relax] = _relax_projected(
+                cell, relax, v[relax], tol[relax])
+            used[relax] = FALLBACK
 
     bound = sup_h0 + tol
     sup_lv = _row_sup(lam * v)
@@ -524,15 +488,9 @@ def _fit_steps(T, n0, t_samples):
         f"horizon {T}")
 
 
-def _march(h_bound, grid, theta, u0_values, T, params, t_samples, eps_label):
+def _march(h_bound, grid, theta, u0_values, T, t_samples, eps_label):
     cfl_rate = theta / grid.h
-    if params.tau is not None:
-        if params.tau * cfl_rate > 0.9 + 1e-12:
-            raise SchemeParameterError(
-                f"time step {params.tau:.3g} violates the CFL bound "
-                f"{0.9 / cfl_rate:.3g}")
-        n_steps = max(1, int(np.ceil(T / params.tau - 1e-12)))
-    elif cfl_rate > 0:
+    if cfl_rate > 0:
         n_steps = max(1, int(np.ceil(T * cfl_rate / 0.9 - 1e-12)))
     else:
         n_steps = 1
@@ -570,35 +528,34 @@ def _march(h_bound, grid, theta, u0_values, T, params, t_samples, eps_label):
 
 
 def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
-                         params=None, t_samples=()):
+                         theta=None, t_samples=()):
     """March u_t + H(Du, x/eps) = 0 by forward Euler under CFL 0.9.
 
-    u0 is a callable on grid nodes or a value array. Snapshot times must
-    be integer multiples of the step.
+    u0 is a callable on grid nodes or a value array. theta is the
+    dissipation, by default the Hamiltonian's Lipschitz bound. Snapshot
+    times must be integer multiples of the step.
     """
     if not eps > 0:
         raise SchemeParameterError("eps must be positive")
     if eps < 2 * grid.h:
         raise SchemeParameterError(
             f"eps = {eps:.4g} is under-resolved on spacing {grid.h:.4g}")
-    params = params or SchemeParams()
-    theta = params.dissipation(hamiltonian, medium)
+    theta = _dissipation(theta, hamiltonian, medium)
     h_bound = hamiltonian.bind_base(0.0, grid.x / eps, medium)
     u0_values = u0(grid.x) if callable(u0) else u0
-    return _march(h_bound, grid, theta, u0_values, T, params, t_samples,
+    return _march(h_bound, grid, theta, u0_values, T, t_samples,
                   {"equation": "evolution", "eps": float(eps)})
 
 
-def solve_homogenized(curve, u0, grid, T=1.0, params=None, t_samples=()):
+def solve_homogenized(curve, u0, grid, T=1.0, theta=None, t_samples=()):
     """Same march with the gradient-only Hamiltonian given by a curve
-    object (evaluate(p) plus lipschitz())."""
-    params = params or SchemeParams()
-    th = params.theta
-    theta = float(th if th is not None else curve.lipschitz())
+    object (evaluate(p) plus lipschitz()); theta defaults to the curve's
+    Lipschitz constant."""
+    theta = float(theta if theta is not None else curve.lipschitz())
     if theta < 0:
         raise SchemeParameterError("dissipation must be nonnegative")
 
     h_bound = lambda dv: curve.evaluate(dv[0])
     u0_values = u0(grid.x) if callable(u0) else u0
-    return _march(h_bound, grid, theta, u0_values, T, params, t_samples,
+    return _march(h_bound, grid, theta, u0_values, T, t_samples,
                   {"equation": "homogenized"})

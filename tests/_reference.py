@@ -19,15 +19,11 @@ def nested_family_values(check_vals, hat_vals, s):
     """Nested value from per-level piece values; level 1 innermost.
 
     check_vals/hat_vals are sequences of arrays (one per level).
-    s is a whole or half level.
+    s is a whole level.
     """
-    two_s = int(round(2 * s))
-    n_full, half = two_s // 2, two_s % 2 == 1
     v = np.maximum(check_vals[0], hat_vals[0])
-    for k in range(1, n_full):
+    for k in range(1, s):
         v = np.maximum(check_vals[k], np.minimum(hat_vals[k], v))
-    if half:
-        v = np.minimum(hat_vals[n_full], v)
     return v
 
 

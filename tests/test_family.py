@@ -46,8 +46,7 @@ def test_eval_levels_match_reference(two_channel_medium):
         ell = int(rng.integers(1, 4))
         fam = random_family(rng, ell, two_channel_medium)
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
-        for two_s in range(2, 2 * ell + 1):
-            s = two_s / 2
+        for s in range(1, ell + 1):
             got = eval_minmax(fam, s, p, x, two_channel_medium)
             want = nested_family_values(cv, hv, s)
             assert np.array_equal(got, want)
@@ -60,6 +59,26 @@ def test_level_out_of_range(base_family, sin_sq_medium):
         eval_minmax(base_family, 0.5, 0.0, 0.0, sin_sq_medium)
     with pytest.raises(ValueError):
         eval_minmax(base_family, 1.25, 0.0, 0.0, sin_sq_medium)
+    with pytest.raises(ValueError):
+        eval_minmax(base_family, 2, 0.0, 0.0, sin_sq_medium)
+
+
+def test_half_levels_are_not_evaluated(two_level_family, sin_sq_medium):
+    # half levels exist only in the nested formula, on effective curves
+    with pytest.raises(ValueError, match="whole number"):
+        eval_minmax(two_level_family, 1.5, 0.0, 0.0, sin_sq_medium)
+    with pytest.raises(ValueError, match="whole number"):
+        LevelHamiltonian(two_level_family, 1.5)
+
+
+def test_piece_evaluates_a_list_of_gradients():
+    # a list is gradients, not the components of one gradient
+    piece = Piece(AbsShift(0.0, 1.0, 0.0))
+    np.testing.assert_array_equal(piece.evaluate([0.0, 1.0]), [0.0, 1.0])
+    one = piece.evaluate([2.0])
+    assert one.shape == (1,) and one[0] == 2.0
+    shifted = GradientShift(piece, 1.0)
+    np.testing.assert_array_equal(shifted.evaluate([1.0, 3.0]), [0.0, 2.0])
 
 
 def test_reordering_preserves_top_level(two_channel_medium):
@@ -121,7 +140,7 @@ def test_gradient_shift_identity(base_family, sin_sq_medium):
 def test_bound_evaluator_matches_evaluate(two_channel_medium):
     rng = np.random.default_rng(13)
     fam = random_family(rng, 2, two_channel_medium)
-    h = LevelHamiltonian(fam, 1.5)
+    h = LevelHamiltonian(fam, 2)
     x = np.linspace(0, 1, 33)
     f = h.bind_base(0.7, x, two_channel_medium)
     dv = rng.uniform(-2, 2, 33)
@@ -134,7 +153,7 @@ def test_lipschitz_bound_covers_samples(two_channel_medium):
     for _ in range(10):
         fam = random_family(rng, 2, two_channel_medium)
         h = LevelHamiltonian(fam, fam.ell)
-        lip = fam.lipschitz(two_channel_medium)
+        lip = h.lipschitz(two_channel_medium)
         p = np.sort(rng.uniform(-4, 4, 200))
         x = rng.uniform(0, 1)
         vals = h.evaluate(p, x, two_channel_medium)

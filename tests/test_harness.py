@@ -24,8 +24,11 @@ from hypothesis import strategies as st
 from minmax_hj import __version__, harness
 from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig, U0_CATALOGUE
+from minmax_hj.effective import Estimate
 from minmax_hj.errors import (ConfigError, MinMaxHJError, MonotonicityError,
-                              RunLockError, StabilityError)
+                              ProfileShapeError, RunLockError, StabilityError)
+from minmax_hj.family import LevelHamiltonian
+from minmax_hj.media import sample_realization
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_passed,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
@@ -79,16 +82,23 @@ ANY_YAML = st.recursive(
     max_leaves=6)
 
 
+def _parts(path):
+    return [int(part) if part.isdigit() else part
+            for part in re.findall(r"[^.\[\]]+", path)]
+
+
 def at_path(data, path):
     """The entry of a config dict at a field path like family.checks[0]."""
-    for part in re.findall(r"[^.\[\]]+", path):
-        data = data[int(part)] if part.isdigit() else data[part]
+    for part in _parts(path):
+        data = data[part]
     return data
 
 
 def set_path(data, path, value):
-    parent, _, key = path.rpartition(".")
-    (at_path(data, parent) if parent else data)[key] = value
+    *parents, key = _parts(path)
+    for part in parents:
+        data = data[part]
+    data[key] = value
 
 
 BASE_CASE = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
@@ -98,6 +108,39 @@ FUZZED_FIELDS = sorted(BASE_CASE) + [
     "solver.n", "solver.length", "solver.theta", "p_axis.min",
     "p_axis.max", "p_axis.count", "evolution.T", "evolution.u0",
     "evolution.t_samples", "pairs.x_nodes", "pairs.p_box", "pairs.n_p"]
+
+
+# base_case variants whose pieces, profiles and channels the second fuzz
+# sets field by field: (changes to base_case, fields fuzzed)
+PIECEWISE_CHECK = {
+    "profile": {"kind": "piecewise_monotone",
+                "breaks": [-2.0, 0.0, 0.5, 2.0],
+                "values": [1.0, -1.0, -1.0, 0.5], "direction": "valley"},
+    "coupling": "additive", "channel": 0}
+NESTED_FIELDS = [
+    ({}, [f"family.{role}[0]{field}" for role in ("checks", "hats")
+          for field in ("", ".profile", ".coupling", ".channel", ".scale",
+                        ".profile.kind", ".profile.center",
+                        ".profile.slope", ".profile.offset")]
+     + ["family.checks", "family.hats", "medium.kind", "medium.period",
+        "medium.channels", "medium.channels[0]",
+        "medium.channels[0].formula", "medium.channels[0].value",
+        "medium.channels[0].amplitude", "medium.channels[0].offset",
+        "medium.channels[0].shift"]),
+    ({"family.checks[0]": PIECEWISE_CHECK},
+     ["family.checks[0].profile.kind", "family.checks[0].profile.breaks",
+      "family.checks[0].profile.values",
+      "family.checks[0].profile.direction"]),
+    ({"medium.channels[0]": {"cell": 0.25, "low": 0.0, "high": 1.0},
+      "medium.kind": "checkerboard"},
+     ["medium.channels[0].cell", "medium.channels[0].low",
+      "medium.channels[0].high"]),
+    ({"medium.channels[0]": {"freqs": [1.0, 2.0], "amps": [0.3, 0.2],
+                             "phases": [0.0, 1.0], "offset": 0.5},
+      "medium.kind": "quasiperiodic"},
+     ["medium.channels[0].freqs", "medium.channels[0].amps",
+      "medium.channels[0].phases", "medium.channels[0].offset"]),
+]
 
 
 def sha256(path):
@@ -271,7 +314,22 @@ class TestConfigValidation:
                           "channels": [{"freqs": [1.0, 2.0],
                                         "amps": [0.3, 0.2],
                                         "phases": [0.5]}]}
-        with pytest.raises(ConfigError, match="freqs/amps/phases"):
+        at = "medium.channels[0]"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{at}: need {at}.freqs, {at}.amps and {at}.phases of one "
+                f"nonzero length")):
+            ExperimentConfig(data)
+
+    @pytest.mark.parametrize("cell", [0.3, 5e-324, 2.0 ** -30])
+    def test_checkerboard_cell_must_divide_the_period(self, cell):
+        # 5e-324 gives infinitely many cells, 2^-30 an 8 GB table
+        data = small_config()
+        data["medium"] = {"kind": "checkerboard", "period": 1.0,
+                          "channels": [{"cell": cell, "low": 0.0,
+                                        "high": 1.0}]}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"medium.channels[0].cell: {cell:g} does not divide "
+                f"medium.period 1 into at most 1000000 cells")):
             ExperimentConfig(data)
 
     def test_negative_piece_channel_rejected(self):
@@ -308,7 +366,8 @@ class TestConfigValidation:
         try:
             ExperimentConfig(data)
         except ConfigError as err:
-            field = "medium.dim" if dim != 1 else f"family.{role}[0]"
+            field = "medium.dim" if dim != 1 \
+                else f"family.{role}[0].profile.center"
             assert field in str(err)
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -320,6 +379,81 @@ class TestConfigValidation:
             ExperimentConfig(data)
         except ConfigError as err:
             assert path in str(err)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_fuzzed_nested_fields_load_or_name_the_field(self, data):
+        changes, fields = data.draw(st.sampled_from(NESTED_FIELDS))
+        path = data.draw(st.sampled_from(fields))
+        value = data.draw(ANY_YAML)
+        config = copy.deepcopy(BASE_CASE)
+        for at, new in changes.items():
+            set_path(config, at, copy.deepcopy(new))
+        ExperimentConfig(config)        # each variant loads as it is
+        set_path(config, path, value)
+        try:
+            ExperimentConfig(config)
+        except ConfigError as err:
+            assert path in str(err)
+
+    @pytest.mark.parametrize("kind,key", [
+        ("abs_shift", "slop"), ("abs_shift", "breaks"),
+        ("negated_abs", "direction"), ("piecewise_monotone", "center")])
+    def test_profile_keys_depend_on_the_kind(self, kind, key):
+        data = small_config()
+        profile = (PIECEWISE_CHECK["profile"] if kind == "piecewise_monotone"
+                   else BASE_PAIR["checks"][0]["profile"])
+        role = "hats" if kind == "negated_abs" else "checks"
+        data["family"][role][0]["profile"] = dict(profile, kind=kind)
+        data["family"][role][0]["profile"][key] = 1
+        at = f"family.{role}[0].profile"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{at}.{key}: unknown key for {at}.kind {kind!r}")):
+            ExperimentConfig(data)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("offset", "-1.0", "'-1.0' is not a finite number"),
+        ("center", "0", "'0' is not a finite number"),
+        ("slope", 0.0, "0.0 is not positive"),
+        ("kind", "negated_abs", "makes a quasiconcave profile, but "
+                                "family.checks must be quasiconvex")])
+    def test_profile_fields_are_read_typed(self, field, value, message):
+        # the profile constructors would take "-1.0" and "0" as numbers
+        data = small_config()
+        data["family"]["checks"][0]["profile"][field] = value
+        with pytest.raises(ConfigError, match=re.escape(
+                f"family.checks[0].profile.{field}: {message}")):
+            ExperimentConfig(data)
+
+    def test_missing_profile_field_is_named(self):
+        data = small_config()
+        del data["family"]["hats"][0]["profile"]["slope"]
+        with pytest.raises(ConfigError, match=re.escape(
+                "family.hats[0].profile.slope: missing required field")):
+            ExperimentConfig(data)
+
+    def test_piecewise_values_must_match_the_direction(self):
+        data = small_config()
+        data["family"]["checks"][0] = copy.deepcopy(PIECEWISE_CHECK)
+        ExperimentConfig(data)
+        data["family"]["checks"][0]["profile"]["direction"] = "hill"
+        at = "family.checks[0].profile"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{at}.values: values do not form a hill")) as err:
+            ExperimentConfig(data)
+        assert f"{at}.direction" in str(err.value)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("coupling", "times", "unknown coupling 'times'"),
+        ("channel", None, "missing, family.hats[0].coupling 'additive' "
+                          "needs a medium channel"),
+        ("channel", 3, "channel 3 not in medium (has 1)")])
+    def test_piece_fields_are_named(self, field, value, message):
+        data = small_config()
+        data["family"]["hats"][0][field] = value
+        with pytest.raises(ConfigError, match=re.escape(
+                f"family.hats[0].{field}: {message}")):
+            ExperimentConfig(data)
 
     def test_shipped_fixtures_load(self):
         for name in ("base_case.yaml", "ell2_strict.yaml",
@@ -433,6 +567,22 @@ class TestRunEffective:
         assert stats["fallbacks"] == []
         assert sum(stats["solves"].values()) == 132
         assert set(stats["solves"]) <= {"newton", RETRY}
+
+    def test_numeric_curve_is_checked_for_continuity(self, monkeypatch):
+        # a jump of 1 where the Lipschitz bound 1 allows 0.25 + 2e-2
+        cfg = ExperimentConfig(small_config())
+
+        def jumpy(hamiltonian, P, medium, lams, grid, theta):
+            return [Estimate(abs(p) + (i == 12), 0.0, None, 0.0, lams, [],
+                             [], None, True)
+                    for i, p in enumerate(P[:, 0])]
+        monkeypatch.setattr(harness, "estimate_effective", jumpy)
+        ham = LevelHamiltonian(cfg.family, 1)
+        medium = sample_realization(cfg.medium_spec, 0)
+        assert ham.lipschitz(medium) == 1.0
+        with pytest.raises(ProfileShapeError,
+                           match="exceeds the continuity bound"):
+            harness._numeric_curve(ham, cfg, medium, "coercive")
 
     def test_failed_manifest_write_leaves_no_manifest(self, tmp_path,
                                                       monkeypatch):
@@ -639,7 +789,8 @@ class TestCLI:
         path.write_text(yaml.safe_dump(data))
         res = self.invoke("check", "--config", str(path))
         assert res.exit_code == 4
-        assert f"family.{roles[0]}[0]: center must be a scalar" in res.stderr
+        assert (f"family.{roles[0]}[0].profile.center: [0.0, 0.0] is not "
+                f"a finite number") in res.stderr
 
     @pytest.mark.parametrize("config", ["base_case.yaml", "xindep.yaml"])
     def test_two_dimensional_medium_exits_4(self, tmp_path, config):
@@ -695,6 +846,33 @@ class TestCLI:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["contact_constants"]["seeds"] == [7]
 
+    @pytest.mark.parametrize("command", ["effective", "sweep-eps"])
+    def test_several_seeds_exit_4_naming_seeds(self, tmp_path, command):
+        # both commands solve in the first seed's medium only
+        data = yaml.safe_load((CONFIG_DIR / "xindep.yaml").read_text())
+        data["seeds"] = [0, 1]
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "seeds.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke(command, "--config", str(path))
+        assert res.exit_code == 4
+        assert (f"seeds: [0, 1] lists 2 seeds, but {command} solves in one "
+                f"medium; choose one with --seed") in res.stderr
+        assert not (tmp_path / "run").exists()
+        res = self.invoke(command, "--config", str(path), "--seed", "1")
+        assert res.exit_code == 0
+
+    def test_check_keeps_every_seed(self, tmp_path):
+        data = yaml.safe_load((CONFIG_DIR / "xindep.yaml").read_text())
+        data["seeds"] = [0, 1, 2]
+        path = tmp_path / "seeds.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "run"
+        res = self.invoke("check", "--config", str(path), "--out", str(out))
+        assert res.exit_code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["contact_constants"]["seeds"] == [0, 1, 2]
+
     def test_negative_seed_override_exits_4(self, tmp_path):
         # a checkerboard medium seeds its generator with the seed
         data = small_config(output=str(tmp_path / "run"))
@@ -721,7 +899,11 @@ class TestCLI:
          "family.orientation: unknown key"),
         ("family.checks[0].scal", 2.0, "family.checks[0].scal: unknown key"),
         ("medium", 5, "medium: 5 is not a mapping"),
-        ("pairs.n_p", None, "pairs.n_p: None is not a whole number")])
+        ("pairs.n_p", None, "pairs.n_p: None is not a whole number"),
+        ("family.checks[0].profile.offset", "-1.0",
+         "family.checks[0].profile.offset: '-1.0' is not a finite number"),
+        ("family.checks[0].profile.slop", 1,
+         "family.checks[0].profile.slop: unknown key")])
     def test_bad_field_exits_4_naming_it(self, tmp_path, path, value,
                                          message):
         data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())

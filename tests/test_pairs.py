@@ -239,8 +239,12 @@ class TestConditionE:
 
 class TestExpandBox:
     def test_grows_until_checks_dominate(self, base_family, sin_sq_medium):
-        assert expand_p_box(base_family, sin_sq_medium, start=1.0) == (-2.0, 2.0)
         assert expand_p_box(base_family, sin_sq_medium) == (-4.0, 4.0)
+        # |p| - 10 + V stays below 1 - |p| + V at |p| = 4, not at 8
+        deep = MinMaxFamily(
+            [Piece(AbsShift(0.0, 1.0, -10.0), "additive", 0)],
+            [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)])
+        assert expand_p_box(deep, sin_sq_medium) == (-8.0, 8.0)
 
     def test_contact_fields_with_auto_box(self, base_family, sin_sq_medium,
                                           x_grid):

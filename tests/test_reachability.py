@@ -1,4 +1,4 @@
-"""Every function and method in the package is reached.
+"""Every function, method and parameter in the package is reached.
 
 A module-level function or a method (dunder methods aside) stays only if
 its name is referenced, as a name or an attribute, somewhere in the
@@ -6,6 +6,12 @@ package outside its own body, or in the acceptance tests. A function
 that a decorator call registers (the CLI commands) is reached through
 that call. The check goes by name, so it can miss a dead method that
 shares its name with a live one; it never flags a live one.
+
+A parameter with a default stays only if some call passes it, by
+keyword or by position, under the same rules: a call matches by the
+name it calls, a constructor call by its class name, and a function or
+class referenced without being called (registered, stored in a table)
+passes every parameter.
 """
 
 import ast
@@ -59,3 +65,90 @@ def test_every_function_is_reached():
             if not outside:
                 unreached.append(f"{module}: {label}")
     assert unreached == []
+
+
+def _defaulted(fn, skip):
+    """(name, position) of fn's parameters with defaults; position is
+    None for keyword-only ones, and counts from the first parameter
+    after the ``skip`` bound ones (self, cls)."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                         fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _callables(tree):
+    """(name called, label, function node, bound parameters) for
+    module-level functions, methods and constructors (a class's __init__
+    is called by the class's name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, 0
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            if fn.name == "__init__":
+                yield node.name, node.name, fn, 1
+            elif not (fn.name.startswith("__") and fn.name.endswith("__")):
+                yield (fn.name, f"{node.name}.{fn.name}", fn,
+                       0 if static else 1)
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _uses(tree):
+    """(name, line, positional count, keywords) for every call, and
+    (name, line, None, None) for every reference that is not the callee
+    of a call; None positional count or keywords mean all of them."""
+    callees = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func):
+            callees.add(id(node.func))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            yield (_name(node.func), node.lineno,
+                   None if starred else len(node.args),
+                   None if None in keywords else keywords)
+    for node in ast.walk(tree):
+        if _name(node) and id(node) not in callees:
+            yield _name(node), node.lineno, None, None
+
+
+def test_every_parameter_is_passed():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    uses = defaultdict(list)
+    for module, tree in trees.items():
+        for name, line, n_pos, keywords in _uses(tree):
+            uses[name].append((module, line, n_pos, keywords))
+    for name, _, n_pos, keywords in _uses(ast.parse(ACCEPTANCE.read_text())):
+        uses[name].append((None, 0, n_pos, keywords))
+
+    unpassed = []
+    for module, tree in trees.items():
+        for name, label, fn, skip in _callables(tree):
+            if any(isinstance(d, ast.Call) for d in fn.decorator_list):
+                continue
+            outside = [(n_pos, keywords)
+                       for m, line, n_pos, keywords in uses[name]
+                       if not (m == module
+                               and fn.lineno <= line <= fn.end_lineno)]
+            for param, pos in _defaulted(fn, skip):
+                if not any(n_pos is None or keywords is None
+                           or param in keywords
+                           or (pos is not None and pos < n_pos)
+                           for n_pos, keywords in outside):
+                    unpassed.append(f"{module}: {label}({param}=)")
+    assert unpassed == []

@@ -11,9 +11,9 @@ from minmax_hj.errors import NonConvergenceError, SchemeParameterError
 from minmax_hj.family import CombinedPiece, LevelHamiltonian, Piece
 from minmax_hj.media import sample_realization
 from minmax_hj.profiles import AbsShift, PiecewiseMonotone
-from minmax_hj.solver import (RETRY, Grid, SchemeParams, lf_update,
-                              prolong_periodic, solve_discounted,
-                              solve_homogenized, solve_time_dependent)
+from minmax_hj.solver import (RETRY, Grid, lf_update, prolong_periodic,
+                              solve_discounted, solve_homogenized,
+                              solve_time_dependent)
 
 from _reference import hopf_lax_abs
 
@@ -33,6 +33,18 @@ class _Curve:
 
     def lipschitz(self):
         return self.lip
+
+
+def _relaxed(ham, p, lam, grid, medium, tol, theta=None):
+    """The relaxation reference: the discounted solution by monotone
+    pseudo-time relaxation alone, on the whole grid."""
+    theta = ham.lipschitz(medium) if theta is None else theta
+    cell = solver._CellProblem(ham, np.array([p], dtype=float).reshape(1, 1),
+                               grid, medium, lam, theta)
+    out, _, _ = solver._relax_projected(cell, np.arange(1),
+                                        np.zeros((1, grid.n)),
+                                        np.array([tol]))
+    return out[0]
 
 
 class TestGrid:
@@ -94,31 +106,23 @@ class TestDiscounted:
         tol = cold.metadata["tol_fp"]
         assert np.max(np.abs(cold.values - warm.values)) <= 2 * tol / 0.2
 
-    def test_max_iter_exhausted_raises_with_history(self, sin_sq_medium):
+    def test_max_iter_exhausted_raises_with_history(self, sin_sq_medium,
+                                                    monkeypatch):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
-        g = Grid(256)
+        monkeypatch.setattr(solver, "MAX_SWEEPS", 5)
         with pytest.raises(NonConvergenceError) as exc:
-            solve_discounted(piece, [1.0], 1e-3, g, sin_sq_medium,
-                             params=SchemeParams(max_iter=5),
-                             method="relax")
+            _relaxed(piece, 1.0, 1e-3, Grid(256), sin_sq_medium, 1e-8)
         assert len(exc.value.residual_history) >= 1
 
     def test_relax_and_newton_agree(self, sin_sq_medium):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         g = Grid(64)
         lam = 0.2
-        a = solve_discounted(piece, [0.8], lam, g, sin_sq_medium,
-                             method="newton")
-        b = solve_discounted(piece, [0.8], lam, g, sin_sq_medium,
-                             method="relax")
-        tol = a.metadata["tol_fp"] + b.metadata["tol_fp"]
-        assert np.max(np.abs(a.values - b.values)) <= tol / lam
-
-    def test_tau_violating_monotonicity_rejected(self):
-        g = Grid(64)
-        params = SchemeParams(tau=1.0)  # rate ~ 64, bound ~ 1/64
-        with pytest.raises(SchemeParameterError):
-            solve_discounted(ABS, [0.5], 0.1, g, params=params)
+        a = solve_discounted(piece, [0.8], lam, g, sin_sq_medium)
+        assert a.metadata["method"] == "newton"
+        tol = a.metadata["tol_fp"]
+        b = _relaxed(piece, 0.8, lam, g, sin_sq_medium, tol)
+        assert np.max(np.abs(a.values - b)) <= 2 * tol / lam
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(SchemeParameterError):
@@ -138,34 +142,32 @@ class TestNestedStart:
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
         return (LevelHamiltonian(cfg.family, cfg.family.ell),
                 sample_realization(cfg.medium_spec, cfg.seeds[0]),
-                SchemeParams(theta=cfg.theta))
+                cfg.theta)
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_newton_converges_where_zero_start_stalls(self, ell2, n):
-        ham, medium, params = ell2
+        ham, medium, theta = ell2
         out = solve_discounted(ham, self.P0, self.LAM, Grid(n, length=4.0),
-                               medium, params, method="newton")
+                               medium, theta)
         assert out.metadata["method"] == "newton"
         assert out.metadata["residual"] <= out.metadata["tol_fp"]
 
     def test_newton_agrees_with_relaxation(self, ell2):
-        ham, medium, params = ell2
+        ham, medium, theta = ell2
         g = Grid(256, length=4.0)
-        a = solve_discounted(ham, self.P0, self.LAM, g, medium, params,
-                             method="newton")
-        b = solve_discounted(ham, self.P0, self.LAM, g, medium, params,
-                             method="relax")
-        assert b.metadata["method"] == "relax (requested)"
-        tol = a.metadata["tol_fp"] + b.metadata["tol_fp"]
-        assert np.max(np.abs(a.values - b.values)) <= tol / self.LAM
+        a = solve_discounted(ham, self.P0, self.LAM, g, medium, theta)
+        assert a.metadata["method"] == "newton"
+        tol = a.metadata["tol_fp"]
+        b = _relaxed(ham, self.P0[0], self.LAM, g, medium, tol, theta)
+        assert np.max(np.abs(a.values - b)) <= 2 * tol / self.LAM
 
     @pytest.mark.parametrize("n", [96, 100, 384])
     def test_non_power_of_two_sizes(self, ell2, n):
         # solved on one period: 96 -> 24 and 100 -> 25 nodes have no
         # coarser level; 384 -> 96 climbs from 24
-        ham, medium, params = ell2
+        ham, medium, theta = ell2
         out = solve_discounted(ham, self.P0, self.LAM, Grid(n, length=4.0),
-                               medium, params)
+                               medium, theta)
         assert out.values.shape == (n,)
         assert out.metadata["method"] == "newton"
         assert out.metadata["residual"] <= out.metadata["tol_fp"]
@@ -173,15 +175,15 @@ class TestNestedStart:
     def test_newton_converges_on_one_period(self, ell2):
         # the ladder reaches 16 nodes, the spacing 64 nodes give on 4
         # periods; from a 64-node coarsest level Newton stalls here
-        ham, medium, params = ell2
+        ham, medium, theta = ell2
         out = solve_discounted(ham, self.P0, self.LAM, Grid(1024, 1.0),
-                               medium, params, method="newton")
+                               medium, theta)
         assert out.metadata["method"] == "newton"
         assert out.metadata["residual"] <= out.metadata["tol_fp"]
 
 
-def _full_grid_residual(ham, p, lam, grid, medium, params, values):
-    theta = params.dissipation(ham, medium)
+def _full_grid_residual(ham, p, lam, grid, medium, values):
+    theta = ham.lipschitz(medium)
     h_bound = ham.bind_base(np.array(p), grid.x, medium)
     return float(np.max(np.abs(lam * values
                                 + lf_update(h_bound, values, grid, theta))))
@@ -196,51 +198,49 @@ class TestBatchAndPeriod:
     @pytest.fixture(scope="class")
     def ell2(self):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
+        assert cfg.theta is None    # the dissipation is the Lipschitz bound
         return (LevelHamiltonian(cfg.family, cfg.family.ell),
                 sample_realization(cfg.medium_spec, cfg.seeds[0]),
-                SchemeParams(theta=cfg.theta),
                 Grid(cfg.solver_n, cfg.solver_length))
 
     def test_rows_equal_single_solves(self, ell2):
         # a cold rate, then a warm one: at lam = 0.03 the warm starts at
         # p = +-1.875 decline and are retried from the nested start
-        ham, medium, params, grid = ell2
-        cold = solve_discounted(ham, self.P, 0.1, grid, medium, params)
+        ham, medium, grid = ell2
+        cold = solve_discounted(ham, self.P, 0.1, grid, medium)
         v0 = np.stack([f.values for f in cold])
-        warm = solve_discounted(ham, self.P, 0.03, grid, medium, params,
-                                v0=v0)
+        warm = solve_discounted(ham, self.P, 0.03, grid, medium, v0=v0)
         assert {f.metadata["method"] for f in warm} == {"newton", RETRY}
         for i, p in enumerate(self.P):
-            one = solve_discounted(ham, p, 0.1, grid, medium, params)
+            one = solve_discounted(ham, p, 0.1, grid, medium)
             np.testing.assert_array_equal(cold[i].values, one.values)
             assert cold[i].metadata == one.metadata
-            one = solve_discounted(ham, p, 0.03, grid, medium, params,
-                                   v0=v0[i])
+            one = solve_discounted(ham, p, 0.03, grid, medium, v0=v0[i])
             np.testing.assert_array_equal(warm[i].values, one.values)
             assert warm[i].metadata == one.metadata
 
     def test_one_period_matches_unfolded_solve(self, ell2, monkeypatch):
-        ham, medium, params, grid = ell2
+        ham, medium, grid = ell2
         lam = 0.1
         p = self.P[::4]
-        folded = solve_discounted(ham, p, lam, grid, medium, params)
+        folded = solve_discounted(ham, p, lam, grid, medium)
         monkeypatch.setattr(solver, "_cell_grid", lambda g, m: g)
-        whole = solve_discounted(ham, p, lam, grid, medium, params)
+        whole = solve_discounted(ham, p, lam, grid, medium)
         for a, b, pi in zip(folded, whole, p):
             tol = a.metadata["tol_fp"]
             assert np.max(np.abs(a.values - b.values)) <= tol / lam
             # the tiled field solves the equations of the whole grid
-            assert _full_grid_residual(ham, pi, lam, grid, medium, params,
+            assert _full_grid_residual(ham, pi, lam, grid, medium,
                                        a.values) <= tol
 
     def test_length_off_the_period_solves_unfolded(self, ell2):
-        ham, medium, params, _ = ell2
+        ham, medium, _ = ell2
         grid = Grid(320, 2.5)
         p, lam = [2.0625], 0.1
-        out = solve_discounted(ham, p, lam, grid, medium, params)
+        out = solve_discounted(ham, p, lam, grid, medium)
         assert out.values.shape == (320,)
         assert out.metadata["method"] == "newton"
-        assert _full_grid_residual(ham, p, lam, grid, medium, params,
+        assert _full_grid_residual(ham, p, lam, grid, medium,
                                    out.values) <= out.metadata["tol_fp"]
 
     def test_piecewise_profile_rows_equal_single_solves(self,
@@ -267,14 +267,6 @@ class TestBatchAndPeriod:
         assert not np.any(out[0].values)
         one = solve_discounted(ham, [2.0], 0.1, Grid(64), sin_sq_medium)
         np.testing.assert_array_equal(out[1].values, one.values)
-
-    def test_newton_failure_names_the_gradient(self, ell2):
-        ham, medium, params, _ = ell2
-        g = Grid(1024, 1.0)
-        with pytest.raises(NonConvergenceError, match=r"p0=\[2.0625\]"):
-            solve_discounted(ham, [[2.0625]], 0.1, g, medium,
-                             SchemeParams(theta=params.theta, tol_fp=1e-300),
-                             method="newton")
 
 
 class TestMonotoneProbes:
@@ -334,15 +326,13 @@ class TestTimeDependent:
         assert errs[2] <= 0.05
 
     def test_restart_matches_single_run_bitwise(self):
+        # CFL 0.9 gives 36 steps to T = 0.5 and 18 to T = 0.25: one step
         g = Grid(256, length=4.0)
-        dt = 1.0 / 4096.0
-        params = SchemeParams(tau=dt)
-        full = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.5,
-                                    params=params)
-        half = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.25,
-                                    params=params)
-        rest = solve_time_dependent(ABS, half.fields[-1].values, 1.0, g, T=0.25,
-                                    params=params)
+        full = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.5)
+        half = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.25)
+        rest = solve_time_dependent(ABS, half.fields[-1].values, 1.0, g, T=0.25)
+        assert full.metadata["dt"] == half.metadata["dt"] == rest.metadata["dt"]
+        assert full.metadata["n_steps"] == 2 * half.metadata["n_steps"]
         assert np.array_equal(rest.fields[-1].values, full.fields[-1].values)
 
     def test_under_resolved_eps_rejected(self):
