@@ -238,24 +238,21 @@ def eval_minmax(family, s, p, x=None, medium=None):
 
 
 def _check_ordering_values(check_vals, hat_vals, p, x):
-    def first_witness(bad):
-        idx = np.argwhere(bad)
-        return tuple(idx[0]) if idx.size else None
+    """Raise at the first sample where consecutive pieces are out of
+    order; the witness is that sample's gradient and medium point."""
+    def raise_at(kind, k, lhs, rhs):
+        bad = np.asarray(lhs < rhs if kind == "check" else lhs > rhs)
+        if not np.any(bad):
+            return
+        w = tuple(np.argwhere(bad)[0])
+        pick = lambda a: float(np.broadcast_to(a, bad.shape)[w])
+        raise OrderingViolationError(kind, k + 1, pick(p), pick(x),
+                                     pick(lhs), pick(rhs))
 
     for k in range(len(check_vals) - 1):
-        bad = check_vals[k] < check_vals[k + 1]
-        if np.any(bad):
-            w = first_witness(np.asarray(bad))
-            lhs = np.asarray(check_vals[k])[w] if w else float(check_vals[k])
-            rhs = np.asarray(check_vals[k + 1])[w] if w else float(check_vals[k + 1])
-            raise OrderingViolationError("check", k + 1, p, x, float(lhs), float(rhs))
+        raise_at("check", k, check_vals[k], check_vals[k + 1])
     for k in range(len(hat_vals) - 1):
-        bad = hat_vals[k] > hat_vals[k + 1]
-        if np.any(bad):
-            w = first_witness(np.asarray(bad))
-            lhs = np.asarray(hat_vals[k])[w] if w else float(hat_vals[k])
-            rhs = np.asarray(hat_vals[k + 1])[w] if w else float(hat_vals[k + 1])
-            raise OrderingViolationError("hat", k + 1, p, x, float(lhs), float(rhs))
+        raise_at("hat", k, hat_vals[k], hat_vals[k + 1])
 
 
 def validate_ordering(family, medium, p_samples, x_samples):

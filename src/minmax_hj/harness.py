@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .effective import (EffectiveCurve, estimate_effective,
                         piece_effective_curve, theorem_formula)
-from .errors import (ConfigError, MonotonicityError, RunLockError,
-                     StabilityError)
+from .errors import (ConfigError, MonotonicityError, OrderingViolationError,
+                     RunLockError, StabilityError)
 from .family import LevelHamiltonian, validate_ordering
 from .media import sample_realization
 from .pairs import (check_condition_e, check_monotonicity, contact_fields,
@@ -134,15 +134,18 @@ def analyze_hypotheses(cfg):
     x_nodes = cfg.x_nodes()
 
     ordering_ok, ordering_witness = True, None
-    try:
-        x_probe = np.linspace(0.0, cfg.medium_spec.period, 9)[:-1]
-        validate_ordering(cfg.family, medium0, cfg.p_axis, x_probe)
-    except Exception as err:
-        ordering_ok, ordering_witness = False, str(err)
+    x_probe = np.linspace(0.0, cfg.medium_spec.period, 9)[:-1]
+    for real in realizations:
+        try:
+            validate_ordering(cfg.family, real, cfg.p_axis, x_probe)
+        except OrderingViolationError as err:
+            ordering_ok = False
+            ordering_witness = f"seed {real.seed}: {err}"
+            break
     timings["ordering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    p_box = cfg.p_box or expand_p_box(cfg.family, medium0)
+    p_box = cfg.p_box or expand_p_box(cfg.family, realizations)
     consts = contact_fields(cfg.family, realizations, x_nodes, p_box,
                             cfg.n_p)
     stable = consts.all_pairs_stable
@@ -364,17 +367,21 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
                                 t_samples=cfg.t_samples)
         timings["homogenized"] = time.perf_counter() - t0
 
-        errs = []
-        for eps in cfg.eps_schedule:
-            t0 = time.perf_counter()
-            osc = solve_time_dependent(h_top, u0, eps, grid, medium,
-                                       T=cfg.T, theta=cfg.theta,
-                                       t_samples=cfg.t_samples)
-            err = max(float(np.max(np.abs(osc.at(t).values
-                                          - hom.at(t).values)))
-                      for t in cfg.t_samples)
-            errs.append(err)
-            timings[f"eps_{eps:g}"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        oscs = solve_time_dependent(h_top, u0, cfg.eps_schedule, grid,
+                                    medium, T=cfg.T, theta=cfg.theta,
+                                    t_samples=cfg.t_samples)
+        errs = [max(float(np.max(np.abs(osc.at(t).values
+                                        - hom.at(t).values)))
+                    for t in cfg.t_samples) for osc in oscs]
+        timings["evolution"] = time.perf_counter() - t0
+        meta = oscs[0].metadata
+        march_stats = {
+            "n_steps": meta["n_steps"], "dt": meta["dt"],
+            "theta": meta["theta"],
+            "per_eps": [{"eps": osc.metadata["eps"],
+                         "k_bound": osc.metadata["k_bound"], "err": err}
+                        for osc, err in zip(oscs, errs)]}
 
         ratios = [errs[i + 1] / errs[i] if errs[i] > 0 else float("nan")
                   for i in range(len(errs) - 1)]
@@ -388,6 +395,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
             "ratios": ratios,
             "nonincreasing": all(b <= a for a, b in zip(errs, errs[1:])),
             "strictly_decreasing": all(b < a for a, b in zip(errs, errs[1:])),
+            "march_stats": march_stats,
             "files": ["err_vs_eps.csv"],
         }
     return _run(cfg, out_dir, "sweep-eps", stages, force)

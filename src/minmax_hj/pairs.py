@@ -97,26 +97,20 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
                       outside_gap)
 
 
-def expand_p_box(family, medium):
+def expand_p_box(family, media):
     """Grow a symmetric gradient box, doubling its half-width from 4 up to
     1024, until every check dominates every hat on its boundary at 65
-    points of one medium period."""
-    x_probe = np.linspace(0.0, medium.period, 65) if medium is not None \
-        else np.zeros(1)
+    points of one medium period, in every realization of ``media`` (one
+    realization or a list): the widest box any of them needs."""
+    if not isinstance(media, (list, tuple)):
+        media = [media]
+    probes = [(m, np.linspace(0.0, m.period, 65)[None, :]) for m in media]
     R = 4.0
     while R <= 1024.0:
-        edges = np.array([-R, R])
-        ok = True
-        for ck in family.checks:
-            for ht in family.hats:
-                cv = ck.evaluate(edges[:, None], x_probe[None, :], medium)
-                hv = ht.evaluate(edges[:, None], x_probe[None, :], medium)
-                if not np.all(cv > hv):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        edges = np.array([-R, R])[:, None]
+        if all(np.all(ck.evaluate(edges, x, m) > ht.evaluate(edges, x, m))
+               for m, x in probes
+               for ck in family.checks for ht in family.hats):
             return (-R, R)
         R *= 2.0
     raise BoxTooSmallError("could not find a gradient box with dominant checks")
@@ -177,7 +171,7 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
     if not isinstance(media, (list, tuple)):
         media = [media]
     if p_box is None:
-        p_box = expand_p_box(family, media[0])
+        p_box = expand_p_box(family, media)
     x_nodes = np.asarray(x_nodes, dtype=float)
     ell = family.ell
 

@@ -6,19 +6,30 @@ With theta at least the certified gradient-Lipschitz bound of the
 Hamiltonian the update is monotone, which is what every probe and
 comparison argument here leans on.
 
-Two drivers share it: a pseudo-time relaxation for the discounted
-problem lam*v + H(p0 + Dv, x) = 0, and a forward-Euler march for
-u_t + H(Du, x/eps) = 0. The discounted driver iterates on the
+Two drivers share it: a damped Newton iteration (with a pseudo-time
+relaxation on the mean-projected residual as its fallback) for the
+discounted problem lam*v + H(p0 + Dv, x) = 0, and a forward-Euler march
+for u_t + H(Du, x/eps) = 0. The relaxation iterates on the
 mean-projected residual (the constant mode carries no information and
 would otherwise force step counts to scale like 1/lam), then removes
 the mean with a single exact shift of the constant mode at the end.
+
+Both drivers work on a stack of fields, one row per problem, and every
+row is bit-identical to solving its problem alone: the discounted
+driver takes a column of base gradients, the march a sequence of eps.
+The eps do not change theta or the spacing, so every row of the march
+takes the same steps; one eps is a stack of one, as is the homogenized
+march.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
 x, medium) -> f(dv) with dv a one-tuple holding the difference array,
 plus lipschitz(medium). pbase is one base gradient, or a column of them
 (shape (n_p, 1)) whose row i applies to row i of dv, which is how the
-discounted solver takes a whole gradient axis at once. Families, single
-pieces and interpolated curves all provide it.
+discounted solver takes a whole gradient axis at once; x is the node
+array, or an (n_eps, n) stack of them (the nodes over each eps) whose
+row i applies to row i of dv, which is how the march takes a whole eps
+schedule. Families, single pieces and interpolated curves all provide
+it.
 """
 
 import numpy as np
@@ -86,17 +97,26 @@ class TimeSeries:
         return self.fields[i]
 
 
-def upwind_diffs(v, grid):
-    """One-sided periodic differences along the last axis of v, which is
-    the grid (a stack of fields is differenced field by field):
-    (forward, backward)."""
-    h = grid.h
-    return (np.roll(v, -1, axis=-1) - v) / h, (v - np.roll(v, 1, axis=-1)) / h
+def upwind_diffs(v, h):
+    """One-sided periodic differences at spacing h along the last axis of
+    v, which is the grid (a stack of fields is differenced field by
+    field): (forward, backward).
+
+    The backward difference at node i is the forward one at node i-1,
+    so both are views of one array: the n forward differences with the
+    last one repeated in front.
+    """
+    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
+    np.subtract(v[..., :1], v[..., -1:], out=d[..., -1:])
+    d[..., 1:] /= h
+    d[..., 0] = d[..., -1]
+    return d[..., 1:], d[..., :-1]
 
 
 def lf_update(h_bound, v, grid, theta):
     """Lax-Friedrichs numerical Hamiltonian applied to a field."""
-    dp, dm = upwind_diffs(v, grid)
+    dp, dm = upwind_diffs(v, grid.h)
     davg = 0.5 * (dp + dm)
     jump = dp - dm
     del dp, dm      # fewer live arrays while h_bound runs
@@ -196,8 +216,9 @@ def _newton_direction(h_bound, v, r, h, th, lam):
     per row.
     """
     k, n = v.shape
-    davg = 0.5 * ((np.roll(v, -1, axis=-1) - v) / h
-                  + (v - np.roll(v, 1, axis=-1)) / h)
+    dp, dm = upwind_diffs(v, h)
+    davg = 0.5 * (dp + dm)
+    del dp, dm
     delta = 1e-6
     slope = (np.asarray(h_bound((davg + delta,)))
              - np.asarray(h_bound((davg - delta,)))) / (2 * delta)
@@ -488,7 +509,20 @@ def _fit_steps(T, n0, t_samples):
         f"horizon {T}")
 
 
-def _march(h_bound, grid, theta, u0_values, T, t_samples, eps_label):
+def _row_name(meta):
+    return f"eps={meta['eps']:g}" if "eps" in meta else meta["equation"]
+
+
+def _march(h_bound, grid, theta, u0_values, T, t_samples, metas):
+    """Forward-Euler march of a stack of fields, one row per entry of
+    ``metas`` (each row's metadata), all from the same initial data.
+
+    The step count depends only on theta, the spacing and the sample
+    times, so every row takes the same steps. Every row keeps its own
+    bound K (the sup of its first update), its own finiteness check and
+    its own comparison band |u - u0| <= K*t; a failure names the row.
+    Returns one TimeSeries per row.
+    """
     cfl_rate = theta / grid.h
     if cfl_rate > 0:
         n_steps = max(1, int(np.ceil(T * cfl_rate / 0.9 - 1e-12)))
@@ -497,60 +531,82 @@ def _march(h_bound, grid, theta, u0_values, T, t_samples, eps_label):
     n_steps = _fit_steps(T, n_steps, t_samples)
     dt = T / n_steps
 
-    u = np.array(u0_values, dtype=float)
-    if u.shape != grid.shape:
+    u0 = np.asarray(u0_values, dtype=float)
+    if u0.shape != grid.shape:
         raise ValueError("initial data shape does not match the grid")
-    k0 = float(np.max(np.abs(lf_update(h_bound, u, grid, theta))))
-    u_min0, u_max0 = float(u.min()), float(u.max())
+    u = np.tile(u0, (len(metas), 1))
+    k0 = _row_sup(lf_update(h_bound, u, grid, theta))
+    u_min0, u_max0 = float(u0.min()), float(u0.max())
 
+    # u is rebound, never written in place, so a snapshot is the stack
+    # itself at that step, shared by its rows' fields
     want = {int(round(t / dt)): float(t) for t in t_samples}
-    times, fields = [], []
-    meta = {"dt": dt, "n_steps": n_steps, "theta": theta, "k_bound": k0}
-    meta.update(eps_label)
-    if 0 in want:
-        times.append(0.0)
-        fields.append(GridField(grid, u.copy(), dict(meta, t=0.0)))
+    want.setdefault(n_steps, T)
+    snaps = [(0.0, u)] if 0 in want else []
     for k in range(1, n_steps + 1):
         u = u - dt * lf_update(h_bound, u, grid, theta)
         if k in want:
-            times.append(want[k])
-            fields.append(GridField(grid, u.copy(), dict(meta, t=want[k])))
-    if not np.all(np.isfinite(u)):
-        raise NonConvergenceError("evolution blew up")
-    slack = 1e-10 * max(1.0, k0 * T)
-    if u.max() > u_max0 + k0 * T + slack or u.min() < u_min0 - k0 * T - slack:
+            snaps.append((want[k], u))
+
+    finite = np.all(np.isfinite(u), axis=1)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise NonConvergenceError(f"{_row_name(metas[i])}: evolution blew up")
+    slack = 1e-10 * np.maximum(1.0, k0 * T)
+    out = (u.max(axis=1) > u_max0 + k0 * T + slack) \
+        | (u.min(axis=1) < u_min0 - k0 * T - slack)
+    if np.any(out):
+        i = int(np.argmax(out))
         raise NonConvergenceError(
-            "evolution left the comparison band |u - u0| <= K*t")
-    if n_steps not in want:
-        times.append(T)
-        fields.append(GridField(grid, u, dict(meta, t=T)))
-    return TimeSeries(grid, times, fields, meta)
+            f"{_row_name(metas[i])}: evolution left the comparison band "
+            f"|u - u0| <= K*t")
+
+    series = []
+    for i, row in enumerate(metas):
+        meta = {"dt": dt, "n_steps": n_steps, "theta": theta,
+                "k_bound": float(k0[i])}
+        meta.update(row)
+        series.append(TimeSeries(
+            grid, [t for t, _ in snaps],
+            [GridField(grid, snap[i], dict(meta, t=t)) for t, snap in snaps],
+            meta))
+    return series
 
 
 def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
                          theta=None, t_samples=()):
     """March u_t + H(Du, x/eps) = 0 by forward Euler under CFL 0.9.
 
-    u0 is a callable on grid nodes or a value array. theta is the
-    dissipation, by default the Hamiltonian's Lipschitz bound. Snapshot
-    times must be integer multiples of the step.
+    eps is one scale, giving one TimeSeries, or a sequence of them,
+    giving one TimeSeries per scale; a sequence is marched as one
+    (n_eps, n) stack, and every row is bit-identical to marching its
+    scale alone. u0 is a callable on grid nodes or a value array. theta
+    is the dissipation, by default the Hamiltonian's Lipschitz bound.
+    Snapshot times must be integer multiples of the step.
     """
-    if not eps > 0:
-        raise SchemeParameterError("eps must be positive")
-    if eps < 2 * grid.h:
-        raise SchemeParameterError(
-            f"eps = {eps:.4g} is under-resolved on spacing {grid.h:.4g}")
+    scales = np.asarray(eps, dtype=float)
+    single = scales.ndim == 0
+    scales = scales.reshape(-1)
+    for e in scales:
+        if not e > 0:
+            raise SchemeParameterError(f"eps = {e:.4g} is not positive")
+        if e < 2 * grid.h:
+            raise SchemeParameterError(
+                f"eps = {e:.4g} is under-resolved on spacing {grid.h:.4g}")
     theta = _dissipation(theta, hamiltonian, medium)
-    h_bound = hamiltonian.bind_base(0.0, grid.x / eps, medium)
+    h_bound = hamiltonian.bind_base(0.0, grid.x[None, :] / scales[:, None],
+                                    medium)
     u0_values = u0(grid.x) if callable(u0) else u0
-    return _march(h_bound, grid, theta, u0_values, T, t_samples,
-                  {"equation": "evolution", "eps": float(eps)})
+    series = _march(h_bound, grid, theta, u0_values, T, t_samples,
+                    [{"equation": "evolution", "eps": float(e)}
+                     for e in scales])
+    return series[0] if single else series
 
 
 def solve_homogenized(curve, u0, grid, T=1.0, theta=None, t_samples=()):
-    """Same march with the gradient-only Hamiltonian given by a curve
-    object (evaluate(p) plus lipschitz()); theta defaults to the curve's
-    Lipschitz constant."""
+    """Same march, a stack of one, with the gradient-only Hamiltonian
+    given by a curve object (evaluate(p) plus lipschitz()); theta
+    defaults to the curve's Lipschitz constant."""
     theta = float(theta if theta is not None else curve.lipschitz())
     if theta < 0:
         raise SchemeParameterError("dissipation must be nonnegative")
@@ -558,4 +614,4 @@ def solve_homogenized(curve, u0, grid, T=1.0, theta=None, t_samples=()):
     h_bound = lambda dv: curve.evaluate(dv[0])
     u0_values = u0(grid.x) if callable(u0) else u0
     return _march(h_bound, grid, theta, u0_values, T, t_samples,
-                  {"equation": "homogenized"})
+                  [{"equation": "homogenized"}])[0]

@@ -48,3 +48,15 @@ def running_extrema_nested(a, b):
     alphas = [max(a[:k + 1]) for k in range(len(a))]
     betas = [min(b[:k + 1]) for k in range(len(b))]
     return nested_scalar(alphas, betas)
+
+
+def lf_march(h, u0, grid, theta, T, n_steps):
+    """Forward-Euler march of one field under the Lax-Friedrichs
+    Hamiltonian of the gradient-only h, written out with np.roll."""
+    u = np.array(u0, dtype=float)
+    dt = T / n_steps
+    for _ in range(n_steps):
+        dp = (np.roll(u, -1) - u) / grid.h
+        dm = (u - np.roll(u, 1)) / grid.h
+        u = u - dt * (h(0.5 * (dp + dm)) - 0.5 * theta * (dp - dm))
+    return u

@@ -119,6 +119,20 @@ def test_ordering_violation_names_level(two_channel_medium):
     assert err.value.level == 1
 
 
+def test_ordering_witness_is_one_point(two_channel_medium):
+    # check_1 = |p| - 1 falls below check_2 = |p| / 2 where |p| < 2
+    checks = [Piece(AbsShift(0.0, 1.0, -1.0)), Piece(AbsShift(0.0, 0.5, 0.0))]
+    hats = [Piece(NegatedAbs(0.0, 1.0, 0.0)), Piece(NegatedAbs(0.0, 1.0, 2.0))]
+    fam = MinMaxFamily(checks, hats)
+    p = np.linspace(-3.0, 3.0, 9)
+    with pytest.raises(OrderingViolationError) as err:
+        validate_ordering(fam, two_channel_medium, p, np.array([0.5]))
+    # the first failing gradient on the axis, not the axis
+    assert err.value.p == -1.5 and err.value.x == 0.5
+    assert (err.value.lhs, err.value.rhs) == (0.5, 0.75)
+    assert "at p=-1.5, x=0.5" in str(err.value)
+
+
 def test_mislabeled_pieces_rejected():
     with pytest.raises(ProfileShapeError):
         MinMaxFamily([Piece(NegatedAbs(0.0, 1.0, 0.0))],

@@ -646,6 +646,23 @@ class TestRunSweep:
         assert len(manifest["errors"]) == 2
         assert manifest["ratios"][0] < 0.8
 
+    def test_manifest_records_march_stats(self, tmp_path):
+        cfg = ExperimentConfig(small_config(output=str(tmp_path / "run")))
+        manifest = run_sweep_eps(cfg)
+        stats = manifest["march_stats"]
+        # theta = 1 (the pieces' slope) on h = 1/256 to T = 0.25 at CFL 0.9
+        assert (stats["n_steps"], stats["theta"]) == (72, 1.0)
+        assert stats["dt"] == 0.25 / 72
+        assert [r["eps"] for r in stats["per_eps"]] == [0.25, 0.125]
+        assert [r["err"] for r in stats["per_eps"]] == manifest["errors"]
+        # the first update peaks on top of the tent u0, at x = 1/2: there
+        # H(0, x/eps) = 1 (V(x/eps) = 0 for both eps) plus the dissipation
+        # theta/2 times the slope jump 2
+        assert [r["k_bound"] for r in stats["per_eps"]] == [2.0, 2.0]
+        timings = manifest["timings"]
+        assert "evolution" in timings and "homogenized" in timings
+        assert not any(k.startswith("eps_") for k in timings)
+
     def test_gate_applies_to_sweep(self, tmp_path):
         cfg = load_fixture("unstable_pair.yaml", output=str(tmp_path / "run"))
         with pytest.raises(StabilityError):
@@ -872,6 +889,31 @@ class TestCLI:
         assert res.exit_code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["contact_constants"]["seeds"] == [0, 1, 2]
+
+    def test_check_judges_ordering_in_every_seed(self, tmp_path):
+        # check_1 = |p| - 1 + V dominates check_2 = |p| - 0.5 only where
+        # V >= 0.5; on two cells seed 1 draws (0.51, 0.95) and seed 0
+        # draws (0.64, 0.27)
+        data = small_config(seeds=[1, 0], output=str(tmp_path / "run"))
+        data["medium"] = {"kind": "checkerboard", "period": 1.0,
+                          "channels": [{"cell": 0.5, "low": 0.0,
+                                        "high": 1.0}]}
+        data["family"]["checks"].append(
+            {"profile": {"kind": "abs_shift", "center": 0.0, "slope": 1.0,
+                         "offset": -0.5}})
+        data["family"]["hats"].append(
+            {"profile": {"kind": "negated_abs", "center": 0.0, "slope": 1.0,
+                         "offset": 3.0}})
+        path = tmp_path / "two_seeds.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path))
+        assert res.exit_code == 2
+        assert "ordering: FAIL" in res.output
+        assert "witness[ordering]" in res.stderr
+        assert "seed 0: check pieces out of order at levels 1/2" \
+            in res.stderr
+        res = self.invoke("check", "--config", str(path), "--seed", "1")
+        assert "ordering: pass" in res.output
 
     def test_negative_seed_override_exits_4(self, tmp_path):
         # a checkerboard medium seeds its generator with the seed

@@ -246,6 +246,20 @@ class TestExpandBox:
             [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)])
         assert expand_p_box(deep, sin_sq_medium) == (-8.0, 8.0)
 
+    def test_widest_box_over_realizations(self):
+        # check |p| dominates hat 10 V - |p| at |p| = R once 2R > 10 max V:
+        # seed 0's cells stay below 0.8 (R = 4), seed 1 reaches 0.95 (R = 8)
+        spec = MediumSpec("checkerboard", period=1.0, channels=[
+            {"cell": 0.25, "low": 0.0, "high": 1.0}])
+        m0, m1 = sample_realization(spec, 0), sample_realization(spec, 1)
+        fam = MinMaxFamily(
+            [Piece(AbsShift(0.0, 1.0, 0.0))],
+            [Piece(NegatedAbs(0.0, 1.0, 0.0), "additive", 0, scale=10.0)])
+        assert expand_p_box(fam, m0) == (-4.0, 4.0)
+        assert expand_p_box(fam, m1) == (-8.0, 8.0)
+        assert expand_p_box(fam, [m0, m1]) == (-8.0, 8.0)
+        assert expand_p_box(fam, [m1, m0]) == (-8.0, 8.0)
+
     def test_contact_fields_with_auto_box(self, base_family, sin_sq_medium,
                                           x_grid):
         consts = contact_fields(base_family, sin_sq_medium, x_grid,

@@ -7,15 +7,16 @@ import pytest
 
 from minmax_hj import solver
 from minmax_hj.config import ExperimentConfig
+from minmax_hj.effective import EffectiveCurve
 from minmax_hj.errors import NonConvergenceError, SchemeParameterError
 from minmax_hj.family import CombinedPiece, LevelHamiltonian, Piece
-from minmax_hj.media import sample_realization
+from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.profiles import AbsShift, PiecewiseMonotone
 from minmax_hj.solver import (RETRY, Grid, lf_update, prolong_periodic,
                               solve_discounted, solve_homogenized,
                               solve_time_dependent)
 
-from _reference import hopf_lax_abs
+from _reference import hopf_lax_abs, lf_march
 
 ABS = Piece(AbsShift(0.0, 1.0, 0.0), None)  # H(p) = |p|, medium-free
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -367,7 +368,99 @@ class TestTimeDependent:
         assert drift <= out.metadata["k_bound"] * 0.5 + 1e-9
 
 
+class TestEpsStack:
+    """A sequence of eps is one (n_eps, n) march; a number is one row."""
+
+    @pytest.mark.parametrize("medium", ["sin_sq", "checkerboard"])
+    def test_rows_match_single_solves_bitwise(self, medium, sin_sq_medium):
+        if medium == "checkerboard":
+            spec = MediumSpec("checkerboard", period=1.0, channels=[
+                {"cell": 0.25, "low": 0.0, "high": 1.0}])
+            medium = sample_realization(spec, 1)
+        else:
+            medium = sin_sq_medium
+        piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
+        g = Grid(128, length=4.0)
+        schedule = [1.0, 0.5, 0.25]
+        stack = solve_time_dependent(piece, periodized_well, schedule, g,
+                                     medium, T=0.25, t_samples=(0.125, 0.25))
+        assert len(stack) == len(schedule)
+        for eps, row in zip(schedule, stack):
+            one = solve_time_dependent(piece, periodized_well, eps, g, medium,
+                                       T=0.25, t_samples=(0.125, 0.25))
+            assert row.times == one.times == [0.125, 0.25]
+            assert row.metadata == one.metadata
+            assert row.metadata["eps"] == eps
+            for a, b in zip(row.fields, one.fields):
+                assert np.array_equal(a.values, b.values)
+                assert a.metadata == b.metadata
+        # the scales see different media, so the rows differ
+        assert not np.array_equal(stack[0].fields[-1].values,
+                                  stack[2].fields[-1].values)
+
+    def test_number_in_one_series_out(self):
+        g = Grid(64, length=4.0)
+        one = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.25)
+        assert isinstance(one, solver.TimeSeries)
+        listed = solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.25)
+        assert len(listed) == 1
+        assert np.array_equal(listed[0].fields[-1].values,
+                              one.fields[-1].values)
+
+    def test_under_resolved_eps_in_sequence_named(self):
+        g = Grid(64, length=4.0)  # h = 1/16
+        with pytest.raises(SchemeParameterError, match="eps = 0.05 is under"):
+            solve_time_dependent(ABS, periodized_well, [1.0, 0.05, 0.5], g,
+                                 T=0.1)
+        with pytest.raises(SchemeParameterError, match="eps = -1 is not"):
+            solve_time_dependent(ABS, periodized_well, [1.0, -1.0], g, T=0.1)
+
+    # a dissipation far below the Lipschitz bound gives a step count of
+    # one; the sample time forces 128 steps of length 1e5/128, far past
+    # CFL, and the centered scheme overflows
+    UNSTABLE = {"T": 1e5, "theta": 1e-9, "t_samples": (1e5 / 128,)}
+
+    def test_blow_up_names_the_row(self):
+        g = Grid(64, length=4.0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonConvergenceError,
+                              match="^eps=0.5: evolution blew up"):
+            solve_time_dependent(ABS, periodized_well, [0.5, 0.25], g,
+                                 **self.UNSTABLE)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonConvergenceError,
+                              match="^homogenized: evolution blew up"):
+            solve_homogenized(_Curve(np.abs, 1.0), periodized_well, g,
+                              **self.UNSTABLE)
+
+    def test_band_violation_names_the_row(self):
+        g = Grid(64, length=4.0)
+        unstable = {"T": 100.0, "theta": 1e-9, "t_samples": (100.0 / 128,)}
+        with pytest.raises(NonConvergenceError,
+                           match="^eps=1: evolution left the comparison"):
+            solve_time_dependent(ABS, periodized_well, [1.0, 0.5], g,
+                                 **unstable)
+        with pytest.raises(NonConvergenceError,
+                           match="^homogenized: evolution left the comp"):
+            solve_homogenized(_Curve(np.abs, 1.0), periodized_well, g,
+                              **unstable)
+
+
 class TestHomogenized:
+    def test_march_matches_reference_bitwise(self):
+        # the base case's curve max(|p| - 1/2, 1) as sweep-eps passes it
+        p = np.linspace(-3.0, 3.0, 33)
+        curve = EffectiveCurve(p, np.maximum(np.abs(p) - 0.5, 1.0), None,
+                               "formula", "coercive")
+        g = Grid(256, length=4.0)
+        out = solve_homogenized(curve, periodized_well, g, T=0.5,
+                                t_samples=(0.25, 0.5))
+        n_steps = out.metadata["n_steps"]
+        assert n_steps == 36 and out.times == [0.25, 0.5]
+        want = lf_march(curve.evaluate, periodized_well(g.x), g, 1.0, 0.5,
+                        n_steps)
+        assert np.array_equal(out.fields[-1].values, want)
+
     def test_constant_curve_exact(self):
         # a constant Hamiltonian certifies zero dissipation, so kinks
         # in the data survive the march untouched
@@ -399,6 +492,14 @@ class TestConsistency:
             sups.append(float(np.max(np.abs(val - exact))))
         ratio = sups[0] / sups[1]
         assert 1.6 <= ratio <= 2.4
+
+    def test_diffs_match_roll_reference_bitwise(self):
+        rng = np.random.default_rng(17)
+        for shape in [(16,), (3, 16)]:
+            v = rng.uniform(-1, 1, shape)
+            dp, dm = solver.upwind_diffs(v, 0.1)
+            assert np.array_equal(dp, (np.roll(v, -1, axis=-1) - v) / 0.1)
+            assert np.array_equal(dm, (v - np.roll(v, 1, axis=-1)) / 0.1)
 
 
 class TestProlong:
