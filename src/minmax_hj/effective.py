@@ -6,8 +6,8 @@ schedule and extrapolates -lam * v_lam(0) by fitting value + C*lam^alpha
 with the exponent fitted rather than assumed. The oracle handles
 H(p, x) = phi(p) + V(x) exactly: below the critical level the mean
 gradient of the corrector sweeps an interval whose endpoints are the
-averaged branch inverses, and outside it the level is pinned down by
-monotone bisection.
+averaged branch inverses, and outside it the level is read off their
+exact piecewise-linear inverse.
 """
 
 import numpy as np
@@ -119,33 +119,39 @@ class Estimate:
         return iter((self.value, self.error_bar))
 
 
+# the exponents the schedule fit scans; a fit at either end is clamped,
+# its best power law lies outside
+ALPHA_WINDOW = (0.4, 1.1)
+
+
 def _power_fit(lams, ys):
     """Least squares for y = H + C * lam^alpha with alpha scanned on
-    [0.4, 1.1] and refined; closed-form 2x2 solve per alpha."""
+    ALPHA_WINDOW and refined; closed-form 2x2 solve per alpha, all
+    alphas of a round as one array."""
     lams = np.asarray(lams, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = lams.size
+    sy = ys.sum()
 
-    def solve_for(alpha):
-        g = lams ** alpha
-        sg, sgg, sy, sgy = g.sum(), (g * g).sum(), ys.sum(), (g * ys).sum()
-        det = n * sgg - sg * sg
-        if abs(det) < 1e-300:
-            return ys.mean(), 0.0, float(np.max(np.abs(ys - ys.mean())))
-        c = (n * sgy - sg * sy) / det
-        hbar = (sy - c * sg) / n
-        resid = float(np.max(np.abs(ys - hbar - c * g)))
-        return hbar, c, resid
-
-    lo, hi = 0.4, 1.1
+    lo, hi = ALPHA_WINDOW
     best = None
     for _ in range(3):
         alphas = np.linspace(lo, hi, 15)
-        tries = [(solve_for(a), a) for a in alphas]
-        (hbar, c, resid), alpha = min(tries, key=lambda t: t[0][2])
-        best = (hbar, c, resid, alpha)
+        # one power per alpha: a broadcast power may take a vector path
+        # that rounds differently from the scalar-exponent one
+        g = np.array([lams ** a for a in alphas])
+        sg, sgg, sgy = g.sum(axis=1), (g * g).sum(axis=1), (g * ys).sum(axis=1)
+        det = n * sgg - sg * sg
+        flat = np.abs(det) < 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(flat, 0.0, (n * sgy - sg * sy) / det)
+        hbar = np.where(flat, ys.mean(), (sy - c * sg) / n)
+        resid = np.max(np.abs(ys - hbar[:, None] - c[:, None] * g), axis=1)
+        i = int(np.argmin(resid))
+        best = (hbar[i], c[i], float(resid[i]), alphas[i])
         step = alphas[1] - alphas[0]
-        lo, hi = max(0.4, alpha - step), min(1.1, alpha + step)
+        lo = max(ALPHA_WINDOW[0], alphas[i] - step)
+        hi = min(ALPHA_WINDOW[1], alphas[i] + step)
     return best
 
 
@@ -231,55 +237,53 @@ def exact_effective_1d_separable(profile, v_table, p_samples):
     """Exact effective curve for H(p, x) = phi(p) + V(x).
 
     V enters as a table over one period (its mean realizes the spatial
-    averages). At the critical level mu* = max V + min phi the admissible
-    mean gradients sweep [avg phi_left_inv(mu* - V), avg phi_right_inv
-    (mu* - V)]; outside, the level solving avg-inverse = p is found by
-    bisection on the monotone branch, to a level width of 1e-10.
+    averages). Above the critical level mu* = max V + min phi the mean
+    gradients a level mu admits are the averaged branch inverses
+    g(mu) = mean_j phi_inv(mu - V_j), one per branch; at mu* they bound
+    the flat interval [g_left(mu*), g_right(mu*)], and outside it the
+    level of p solves g(mu) = p on the branch facing p.
+
+    Each branch inverse is linear between the profile's kink levels
+    L_0 = min phi < L_1 < ..., so it is a sum of ramps,
+    phi_inv(t) = phi_inv(L_0) + sum_k c_k max(t - L_k, 0), and
+    g(mu) = phi_inv(L_0) + sum_k c_k F(mu - L_k) with
+    F(s) = mean_j max(s - V_j, 0) (``mean_ramp``), exact from the sorted
+    table's prefix sums. g is then linear between its knots mu* and
+    V_j + L_k > mu*, so every p's level is read off the tabulated inverse
+    at once and extended past the last knot with the terminal slope.
     """
     if profile.tag != QUASICONVEX:
         raise ValueError("oracle profiles must be quasiconvex")
-    V = np.asarray(v_table, dtype=float)
+    V = np.sort(np.asarray(v_table, dtype=float))
     p_samples = np.asarray(p_samples, dtype=float)
-    v_max = float(V.max())
-    if v_max == float(V.min()):
-        # constant potential: no averaging, the curve is the profile
-        values = profile((p_samples,)) + v_max
-        curve = EffectiveCurve(p_samples, values, None, "oracle", "coercive")
-        curve.intermediates["critical_level"] = v_max + profile.extreme_value()
-        lo, hi = profile.branch_inverses(profile.extreme_value())
-        curve.intermediates["flat_interval"] = (float(lo), float(hi))
-        return curve.validate()
-    mu_star = v_max + profile.extreme_value()
+    csum = np.concatenate(([0.0], np.cumsum(V)))
 
-    def ends(mu):
-        left, right = profile.branch_inverses(mu - V)
-        return float(left.mean()), float(right.mean())
+    def mean_ramp(s):
+        k = np.searchsorted(V, s)
+        return (k * s - csum[k]) / V.size
 
-    pl_star, pr_star = ends(mu_star)
+    levels = profile.kink_levels()
+    probe = np.append(levels, levels[-1] + 1.0)
+    at = np.array(profile.branch_inverses(probe))    # (2 branches, K + 1)
+    slopes = np.diff(at, axis=1) / np.diff(probe)     # between the levels
+    ramps = np.diff(slopes, axis=1, prepend=0.0)
+    mu_star = V[-1] + levels[0]
+    knots = V[:, None] + levels[1:]
+    knots = np.unique(np.append(knots[knots > mu_star], mu_star))
+    g = at[:, :1] + ramps @ mean_ramp(knots - levels[:, None])
 
-    def level_for(p):
-        if pl_star <= p <= pr_star:
-            return mu_star
-        side = 1 if p > pr_star else 0
-        lo = mu_star
-        hi = mu_star + 1.0
-        while (ends(hi)[side] < p if side else ends(hi)[side] > p):
-            hi = mu_star + 2.0 * (hi - mu_star)
-            if hi - mu_star > 1e12:
-                raise ValueError("level search diverged; profile not coercive?")
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            at = ends(mid)[side]
-            if (at < p) if side else (at > p):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def level(q, h, slope):
+        # h rises along the knots; rounding must not make it dip, or
+        # the interpolation would pick a wrong interval
+        h = np.maximum.accumulate(h)
+        return np.interp(q, h, knots) + np.maximum(q - h[-1], 0.0) / slope
 
-    values = np.array([level_for(float(pi)) for pi in p_samples])
+    # each side's level is mu* on the flat interval and on the far side
+    values = np.maximum(level(-p_samples, -g[0], -slopes[0, -1]),
+                        level(p_samples, g[1], slopes[1, -1]))
     curve = EffectiveCurve(p_samples, values, None, "oracle", "coercive")
     curve.intermediates["critical_level"] = mu_star
-    curve.intermediates["flat_interval"] = (pl_star, pr_star)
+    curve.intermediates["flat_interval"] = (float(g[0, 0]), float(g[1, 0]))
     return curve.validate()
 
 

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .effective import (EffectiveCurve, estimate_effective,
+from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
                         piece_effective_curve, theorem_formula)
 from .errors import (ConfigError, MonotonicityError, OrderingViolationError,
                      RunLockError, StabilityError)
@@ -254,8 +254,9 @@ def _solver_stats(curves):
     """Solver telemetry over a run's numeric curves (a dict by name):
     discounted solves per solver path, the (p, lam) of every solve whose
     Newton iteration declined, and per curve and gradient the Newton
-    iterations summed over the schedule, the largest final residual and
-    the fitted exponent."""
+    iterations summed over the schedule, the largest final residual,
+    the fitted exponent and whether it sits at an end of the scanned
+    window."""
     solves, fallbacks, per_p = {}, [], {}
     for name, curve in curves.items():
         rows = []
@@ -270,7 +271,8 @@ def _solver_stats(curves):
                     it for it, m in zip(est.iterations, est.methods)
                     if m.startswith("newton")),
                 "max_residual": max(est.residuals),
-                "alpha": est.alpha})
+                "alpha": est.alpha,
+                "alpha_at_edge": est.alpha in ALPHA_WINDOW})
         if rows:
             per_p[name] = rows
     return {"solves": solves, "fallbacks": fallbacks, "per_p": per_p}

@@ -11,7 +11,8 @@ Three shapes cover everything the rest of the package builds:
 All three are exactly evaluable (piecewise linear in the scalar argument)
 and closed under the two dualities ``negate_dual`` (phi -> -phi(-p)) and
 ``even_dual`` (phi -> phi(-p)). Valleys also give their branch inverses
-exactly, which the separable oracle relies on.
+exactly, and the levels where those change slope, which the separable
+oracle relies on.
 
 Gradients are numbers. A profile evaluates on a one-tuple holding an
 array of them, the same calling convention as the functions bind_base
@@ -72,6 +73,11 @@ class AbsShift:
 
     def extreme_value(self):
         return self.offset
+
+    def kink_levels(self):
+        """Levels where a branch inverse changes slope, ascending from
+        the minimum; both are linear past the last."""
+        return np.array([self.offset])
 
     def branch_inverses(self, t):
         """Leftmost/rightmost solutions of phi = t, vectorized."""
@@ -208,6 +214,12 @@ class PiecewiseMonotone:
 
     def extreme_value(self):
         return float(self.values[self._ext_lo])
+
+    def kink_levels(self):
+        """Levels where a valley's branch inverses change slope (its
+        break values), ascending from the minimum; both are linear past
+        the last."""
+        return np.unique(self.values)
 
     def branch_inverses(self, t):
         """Leftmost/rightmost solutions of phi = t for a valley, vectorized."""

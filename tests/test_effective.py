@@ -3,16 +3,20 @@ import os
 import numpy as np
 import pytest
 
-from minmax_hj.effective import (EffectiveCurve, estimate_effective,
+from minmax_hj.effective import (EffectiveCurve, _power_fit,
+                                 estimate_effective,
                                  exact_effective_1d_separable,
                                  fit_schedule_data, piece_effective_curve,
                                  theorem_formula, theorem_formula_values,
                                  verify_symmetries)
 from minmax_hj.errors import ConfigError, SchemeParameterError
 from minmax_hj.family import GradientShift, LevelHamiltonian, Piece
+from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import contact_fields
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 from minmax_hj.solver import Grid
+
+from _reference import bisection_oracle, power_fit
 
 P33 = np.linspace(-3.0, 3.0, 33)
 X_NODES = np.linspace(0.0, 1.0, 33)[:-1]
@@ -24,12 +28,48 @@ def sin_sq_table(n=4096):
     return np.sin(np.pi * x) ** 2
 
 
+def medium_table(kind, n=512):
+    """One period of a seeded medium's first channel on n nodes."""
+    channel = {"sin_sq": {"formula": "sin_sq"},
+               "checkerboard": {"cell": 0.125, "low": -0.5, "high": 1.0},
+               "quasiperiodic": {"freqs": [1.0, 1.618], "amps": [0.4, 0.3],
+                                 "phases": [0.0, 0.7], "offset": 0.5}}[kind]
+    medium = sample_realization(
+        MediumSpec("periodic" if kind == "sin_sq" else kind, 1.0, [channel]),
+        3)
+    return medium.evaluate_channel(0, np.arange(n) / n)
+
+
+def random_valley(rng, flat):
+    """Falling, optionally flat, then rising pieces with random slopes."""
+    n_l, n_r = rng.integers(1, 4, size=2)
+    gaps = rng.uniform(0.3, 1.5, size=n_l + n_r + flat)
+    breaks = np.concatenate(([0.0], np.cumsum(gaps))) - rng.uniform(1, 3)
+    rises = rng.uniform(0.2, 2.0, size=n_l + n_r + flat) * gaps
+    steps = np.concatenate((-rises[:n_l], np.zeros(flat), rises[n_l + flat:]))
+    values = rng.uniform(-1, 1) + np.concatenate(([0.0], np.cumsum(steps)))
+    return PiecewiseMonotone(breaks, values, "valley")
+
+
+_RNG = np.random.default_rng(11)
+ORACLE_PROFILES = (
+    [AbsShift(_RNG.uniform(-1, 1), _RNG.uniform(0.3, 2.0),
+              _RNG.uniform(-1, 1)) for _ in range(3)]
+    # flat bottom, asymmetric slopes, kinks above the critical level
+    + [PiecewiseMonotone([-3.0, -1.5, -0.5, 0.5, 1.0, 2.5],
+                         [4.0, 1.5, 0.2, 0.2, 1.0, 3.5], "valley"),
+       PiecewiseMonotone([-1.0, 0.0, 3.0], [0.5, -0.25, 4.0], "valley")]
+    + [random_valley(_RNG, flat) for flat in (0, 1, 1)])
+
+
 class TestOracle:
     def test_abs_plus_sine_curve(self):
         curve = exact_effective_1d_separable(AbsShift(0.0, 1.0, 0.0),
                                              sin_sq_table(), P33)
         expect = np.maximum(np.abs(P33) + 0.5, 1.0)
         assert np.max(np.abs(curve.values - expect)) <= 1e-9
+        # exact up to rounding
+        assert np.max(np.abs(curve.values - expect)) <= 1e-13
         lo, hi = curve.intermediates["flat_interval"]
         assert abs(lo + 0.5) <= 1e-12 and abs(hi - 0.5) <= 1e-12
         assert curve.intermediates["critical_level"] == 1.0
@@ -52,6 +92,25 @@ class TestOracle:
         b = exact_effective_1d_separable(AbsShift(0.0, 1.0, 0.0),
                                          sin_sq_table(), P33)
         assert np.max(np.abs(a.values - b.values)) <= 1e-9
+        expect = np.maximum(np.abs(P33) + 0.5, 1.0)
+        assert np.max(np.abs(a.values - expect)) <= 1e-13
+
+    @pytest.mark.parametrize("table", ["sin_sq", "checkerboard",
+                                       "quasiperiodic"])
+    @pytest.mark.parametrize("profile", ORACLE_PROFILES)
+    def test_matches_bisection_definition(self, profile, table):
+        V = medium_table(table)
+        p = np.linspace(-6.0, 6.0, 25)
+        curve = exact_effective_1d_separable(profile, V, p)
+        values, mu_star, (lo, hi) = bisection_oracle(profile, V, p)
+        # gradients left of, inside and right of the flat interval
+        assert np.any(p < lo) and np.any((lo <= p) & (p <= hi)) \
+            and np.any(p > hi)
+        # the bisection stops at a level width of 1e-10
+        assert np.max(np.abs(curve.values - values)) <= 1e-10
+        assert curve.intermediates["critical_level"] == mu_star
+        assert np.allclose(curve.intermediates["flat_interval"], (lo, hi),
+                           rtol=0.0, atol=1e-13)
 
     def test_rejects_quasiconcave_profile(self):
         with pytest.raises(ValueError):
@@ -65,12 +124,14 @@ class TestPieceCurves:
                                       P33)
         expect = np.maximum(1.0, np.abs(P33) + 0.5) - 1.0
         assert np.max(np.abs(curve.values - expect)) <= 1e-9
+        assert np.max(np.abs(curve.values - expect)) <= 1e-13
         assert curve.kind == "coercive"
 
     def test_hat_piece_closed_form(self, base_family, sin_sq_medium):
         curve = piece_effective_curve(base_family.hats[0], sin_sq_medium, P33)
         expect = np.minimum(1.0, 1.5 - np.abs(P33))
         assert np.max(np.abs(curve.values - expect)) <= 1e-9
+        assert np.max(np.abs(curve.values - expect)) <= 1e-13
         assert curve.kind == "anticoercive"
 
     def test_second_level_closed_forms(self, two_level_family,
@@ -79,10 +140,12 @@ class TestPieceCurves:
                                       two_channel_medium, P33)
         hat = piece_effective_curve(two_level_family.hats[1],
                                     two_channel_medium, P33)
-        assert np.max(np.abs(check.values
-                             - np.maximum(np.abs(P33) - 2.75, -2.5))) <= 1e-9
-        assert np.max(np.abs(hat.values
-                             - np.minimum(3.0, 3.25 - np.abs(P33)))) <= 1e-9
+        check_err = np.max(np.abs(check.values
+                                  - np.maximum(np.abs(P33) - 2.75, -2.5)))
+        hat_err = np.max(np.abs(hat.values
+                                - np.minimum(3.0, 3.25 - np.abs(P33))))
+        assert check_err <= 1e-9 and hat_err <= 1e-9
+        assert check_err <= 1e-13 and hat_err <= 1e-13
 
     def test_amplitude_coupling_rejected(self, two_channel_medium):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "amplitude", 2, scale=1.0)
@@ -149,6 +212,20 @@ class TestEstimate:
         assert abs(est.value - 2.0) <= 1e-10
         assert abs(est.alpha - 0.7) <= 1e-3
         assert est.reliable
+
+    def test_power_fit_matches_loop(self):
+        # the batched exponent scan is the per-alpha loop, bit for bit
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            m = int(rng.integers(3, 12))
+            lams = np.sort(rng.uniform(1e-3, 0.5, m))[::-1]
+            ys = rng.uniform(-3, 3) + rng.uniform(-1, 1) * lams ** \
+                rng.uniform(0.2, 1.5)
+            if trial % 3 == 1:
+                ys = ys + 1e-6 * rng.normal(size=m)
+            if trial % 3 == 2:      # nearly flat data
+                ys = np.full(m, ys[0]) + 1e-14 * (np.arange(m) == 0)
+            assert _power_fit(lams, ys) == power_fit(lams, ys)
 
     def test_fit_flags_non_monotone_data(self):
         est = fit_schedule_data([0.1, 0.03, 0.01], [1.0, 1.1, 0.95])

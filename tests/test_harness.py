@@ -559,6 +559,10 @@ class TestRunEffective:
         assert all(0.0 <= r["max_residual"] <= 1e-8 * 3.0 for r in rows)
         assert all(r["alpha"] is None or 0.4 <= r["alpha"] <= 1.1
                    for r in rows)
+        # most base-case gradients fit best at an end of the window
+        assert all(r["alpha_at_edge"] == (r["alpha"] in (0.4, 1.1))
+                   for r in rows)
+        assert sum(r["alpha_at_edge"] for r in rows) == 20
 
     def test_two_level_fixture_needs_no_relaxation(self, tmp_path):
         # warm starts that decline are retried from the nested start
