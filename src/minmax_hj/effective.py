@@ -99,14 +99,13 @@ class Estimate:
     (value, error_bar)."""
 
     def __init__(self, value, error_bar, alpha, coefficient, lams, data,
-                 fit_residuals, uniform_residual, reliable):
+                 uniform_residual, reliable):
         self.value = value
         self.error_bar = error_bar
         self.alpha = alpha
         self.coefficient = coefficient
         self.lams = lams
         self.data = data
-        self.fit_residuals = fit_residuals
         self.uniform_residual = uniform_residual
         self.reliable = reliable
         # per lam, from solve_discounted: solver path, iterations and
@@ -158,14 +157,14 @@ def _power_fit(lams, ys):
 def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
                        theta=None):
     """Extrapolate -lam * v_lam(0) along the discount schedule, with
-    dissipation theta (see ``solve_discounted``).
+    dissipation theta (see ``solve_discounted``), for every gradient of
+    the 1-D array p; returns one Estimate per gradient.
 
-    p is one gradient, or an (n_p, 1) column of them: then every
-    gradient is solved in one batch per discount rate, each row
-    warm-started from its own solution at the previous rate, and a list
-    of n_p Estimates comes back. An Estimate's error bar combines the fit
-    residual, a fraction of the extrapolated correction, and the solver
-    tolerance. A poor fit is flagged (reliable=False), never hidden.
+    All gradients are solved in one batch per discount rate, each row
+    warm-started from its own solution at the previous rate. An
+    Estimate's error bar combines the fit residual, a fraction of the
+    extrapolated correction, and the solver tolerance. A poor fit is
+    flagged (reliable=False), never hidden.
     """
     lams = [float(l) for l in lam_schedule]
     if len(lams) < 3 or any(b >= a for a, b in zip(lams, lams[1:])):
@@ -175,34 +174,27 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
             f"smallest rate {lams[-1]:.3g} under-resolves the grid; "
             f"need rate * n >= 10")
 
-    P = np.asarray(p, dtype=float)
-    single = P.ndim < 2
-    P = P.reshape(-1, 1)
     runs, data = [], []
     v = None
     for lam in lams:
-        fields = solve_discounted(hamiltonian, P, lam, grid, medium,
-                                  theta=theta, v0=v)
-        runs.append([f.metadata for f in fields])
+        v, info = solve_discounted(hamiltonian, p, lam, grid, medium,
+                                   theta=theta, v0=v)
+        runs.append(info)
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip
-        data.append([f.metadata["constant_value"]
-                     if "constant_value" in f.metadata
-                     else float(-lam * f.values.flat[0]) for f in fields])
-        v = np.stack([f.values for f in fields])
-        del fields      # the next solve needs only the stacked start
+        data.append(np.where(info["method"] == "constant", info["constant"],
+                             -lam * v[:, 0]).tolist())
     ests = []
-    for i in range(len(P)):
-        metas = [run[i] for run in runs]
+    for i in range(len(v)):
         est = fit_schedule_data(lams, [ys[i] for ys in data],
-                                metas[-1]["tol_fp"])
+                                float(runs[-1]["tol"][i]))
         est.uniform_residual = float(np.max(np.abs(lams[-1] * v[i]
                                                    + est.value)))
-        est.methods = [m["method"] for m in metas]
-        est.iterations = [m["iterations"] for m in metas]
-        est.residuals = [m["residual"] for m in metas]
+        est.methods = [run["method"][i] for run in runs]
+        est.iterations = [int(run["iterations"][i]) for run in runs]
+        est.residuals = [float(run["residual"][i]) for run in runs]
         ests.append(est)
-    return ests[0] if single else ests
+    return ests
 
 
 def fit_schedule_data(lams, ys, tol=0.0):
@@ -216,8 +208,7 @@ def fit_schedule_data(lams, ys, tol=0.0):
     spread = max(ys) - min(ys)
     scale = max(1.0, max(abs(y) for y in ys))
     if spread <= 1e-13 * scale:
-        return Estimate(ys[-1], tol, None, 0.0, lams, ys, [0.0] * len(ys),
-                        None, True)
+        return Estimate(ys[-1], tol, None, 0.0, lams, ys, None, True)
     hbar, c, resid, alpha = _power_fit(lams, ys)
     correction = abs(c) * lams[-1] ** alpha
     error_bar = 3.0 * resid + 0.2 * correction + tol
@@ -228,9 +219,8 @@ def fit_schedule_data(lams, ys, tol=0.0):
     monotone = np.all(diffs >= 0.0) or np.all(diffs <= 0.0)
     reliable = monotone or resid <= max(0.05 * spread, 10 * tol,
                                         1e-12 * scale)
-    fit_residuals = [y - hbar - c * l ** alpha for y, l in zip(ys, lams)]
     return Estimate(float(hbar), float(error_bar), float(alpha), float(c),
-                    lams, ys, fit_residuals, None, bool(reliable))
+                    lams, ys, None, bool(reliable))
 
 
 def exact_effective_1d_separable(profile, v_table, p_samples):
@@ -360,13 +350,11 @@ def verify_symmetries(piece, p_samples, medium, lam_schedule, grid):
     """Duality report for a piece: negation (every piece) and evenness
     (quasiconvex pieces). Discrepancies come with their error bars."""
     p_samples = [float(p) for p in p_samples]
-    column = np.array(p_samples)[:, None]
-    reflected = estimate_effective(piece, -column, medium, lam_schedule,
-                                   grid)
+    axis = np.array(p_samples)
+    reflected = estimate_effective(piece, -axis, medium, lam_schedule, grid)
 
     def compare(dual, sign):
-        duals = estimate_effective(dual, column, medium, lam_schedule,
-                                   grid)
+        duals = estimate_effective(dual, axis, medium, lam_schedule, grid)
         disc = [abs(a.value + sign * b.value)
                 for a, b in zip(duals, reflected)]
         bars = [a.error_bar + b.error_bar for a, b in zip(duals, reflected)]

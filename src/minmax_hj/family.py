@@ -104,11 +104,8 @@ class Piece:
         return val + self.extra_const
 
     def bind_base(self, pbase, x, medium):
-        """Freeze the x-dependence on a node set; returns f(dv) = H(pbase+dv, x).
-
-        pbase is one gradient or a column of them (see
-        ``profiles._offsets``); with a column, row i of dv is taken at
-        pbase[i]."""
+        """Freeze the x-dependence on a node set; returns f(dv) = H(pbase+dv, x)
+        with pbase a column of gradients, row i of dv taken at pbase[i]."""
         f = self.profile.bind_base(pbase)
         extras = self.extra_const
         if self.coupling is None:

@@ -16,7 +16,8 @@ oracle relies on.
 
 Gradients are numbers. A profile evaluates on a one-tuple holding an
 array of them, the same calling convention as the functions bind_base
-returns.
+returns; bind_base takes a column of base gradients, shape (n_rows, 1),
+and row i of the differences is taken at the i-th.
 """
 
 import numpy as np
@@ -31,20 +32,6 @@ def _scalar(center):
     if np.ndim(center) != 0:
         raise ProfileShapeError("center must be a scalar")
     return float(center)
-
-
-def _offset(pbase, center):
-    """pbase - center, for ``bind_base``.
-
-    One gradient (a scalar or shape (1,)) gives a scalar. A column of
-    gradients, shape (n_p, 1), gives a column that broadcasts row by row
-    against (n_p, n); each row's offset is the same float operation as
-    for that gradient alone.
-    """
-    p = np.asarray(pbase, dtype=float)
-    if p.ndim < 2:
-        return p.reshape(()) - center
-    return p - center
 
 
 class AbsShift:
@@ -64,7 +51,7 @@ class AbsShift:
         return self.offset + self.slope * np.abs(comps[0] - self.center)
 
     def bind_base(self, pbase):
-        e = _offset(pbase, self.center)
+        e = np.asarray(pbase, dtype=float) - self.center
         s, o = self.slope, self.offset
         return lambda dv: o + s * np.abs(dv[0] + e)
 
@@ -111,7 +98,7 @@ class NegatedAbs:
         return self.offset - self.slope * np.abs(comps[0] - self.center)
 
     def bind_base(self, pbase):
-        e = _offset(pbase, self.center)
+        e = np.asarray(pbase, dtype=float) - self.center
         s, o = self.slope, self.offset
         return lambda dv: o - s * np.abs(dv[0] + e)
 
@@ -199,13 +186,9 @@ class PiecewiseMonotone:
                         self._slopes[0], self._slopes[-1])
 
     def bind_base(self, pbase):
-        p = np.asarray(pbase, dtype=float)
+        # one set of shifted breaks per row
+        bs = self.breaks - np.asarray(pbase, dtype=float)
         v, sl, sr = self.values, self._slopes[0], self._slopes[-1]
-        if p.ndim < 2:
-            b = self.breaks - p.reshape(())
-            return lambda dv: _pl_eval(dv[0], b, v, sl, sr)
-        # a column of gradients: one set of shifted breaks per row
-        bs = self.breaks - p
         return lambda dv: np.stack([_pl_eval(u, b, v, sl, sr)
                                     for u, b in zip(dv[0], bs)])
 

@@ -14,22 +14,19 @@ mean-projected residual (the constant mode carries no information and
 would otherwise force step counts to scale like 1/lam), then removes
 the mean with a single exact shift of the constant mode at the end.
 
-Both drivers work on a stack of fields, one row per problem, and every
-row is bit-identical to solving its problem alone: the discounted
-driver takes a column of base gradients, the march a sequence of eps.
-The eps do not change theta or the spacing, so every row of the march
-takes the same steps; one eps is a stack of one, as is the homogenized
-march.
+Both take a 1-D array of problems, base gradients or eps, and
+work on a stack of fields, one row per problem; every row is
+bit-identical to solving its problem alone, and one problem is a stack
+of one. The eps do not change theta or the spacing, so every row of the
+march takes the same steps. Results are plain arrays.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
 x, medium) -> f(dv) with dv a one-tuple holding the difference array,
-plus lipschitz(medium). pbase is one base gradient, or a column of them
-(shape (n_p, 1)) whose row i applies to row i of dv, which is how the
-discounted solver takes a whole gradient axis at once; x is the node
-array, or an (n_eps, n) stack of them (the nodes over each eps) whose
-row i applies to row i of dv, which is how the march takes a whole eps
-schedule. Families, single pieces and interpolated curves all provide
-it.
+plus lipschitz(medium). pbase is a column of base gradients, shape
+(n_rows, 1), whose row i applies to row i of dv; x is the node array,
+or an (n_eps, n) stack of them (the nodes over each eps) whose row i
+applies to row i of dv, which is how the march takes a whole eps
+schedule, binding a zero column. Families and single pieces provide it.
 """
 
 import numpy as np
@@ -37,7 +34,7 @@ from scipy.linalg import solve_banded
 
 from .errors import NonConvergenceError, SchemeParameterError
 
-# metadata["method"] of a solve whose Newton iteration declined
+# the "method" of a discounted row whose Newton iteration declined
 FALLBACK = "relax (newton declined)"
 # ... and of one whose Newton from the warm start declined but converged
 # when retried from the nested start
@@ -68,33 +65,6 @@ def _dissipation(theta, hamiltonian, medium):
     if not th > 0:
         raise SchemeParameterError("dissipation must be positive")
     return th
-
-
-class GridField:
-    """Values on a grid plus how they were produced."""
-
-    def __init__(self, grid, values, metadata=None):
-        self.grid = grid
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != grid.shape:
-            raise ValueError("field shape does not match the grid")
-        self.metadata = dict(metadata or {})
-
-
-class TimeSeries:
-    """Snapshots of an evolution at sampled times."""
-
-    def __init__(self, grid, times, fields, metadata=None):
-        self.grid = grid
-        self.times = list(times)
-        self.fields = fields
-        self.metadata = dict(metadata or {})
-
-    def at(self, t):
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise KeyError(f"no snapshot at t={t}")
-        return self.fields[i]
 
 
 def upwind_diffs(v, h):
@@ -382,29 +352,23 @@ def _relax_projected(cell, rows, v, tol):
     return out, its, res
 
 
-def _base_column(p0):
-    """Base gradients as an (n_p, 1) column, and whether p0 was one
-    gradient rather than a column of them."""
-    p = np.asarray(p0, dtype=float)
-    single = p.ndim < 2
-    if single:
-        p = p.reshape(1, -1)
-    if p.ndim != 2 or p.shape[1] != 1 or not p.shape[0]:
-        raise SchemeParameterError("a base gradient is one number")
-    return p, single
+def _rows(a, what):
+    """a as a nonempty 1-D float array, one entry per row of a stack."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or not a.size:
+        raise SchemeParameterError(
+            f"{what} must be a nonempty 1-D array, got shape {a.shape}")
+    return a
 
 
 def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
                      v0=None):
     """Solve lam*v + H_LF(p0 + Dv, x) = 0 on the torus to a certified
-    residual.
+    residual, for every base gradient of the 1-D array p0 as one batch.
 
-    p0 is one base gradient, or an (n_p, 1) column of them solved as
-    one batch; the result is then one GridField, or a list of n_p. v0,
-    if given, is a start of shape grid.shape, or (n_p,) + grid.shape.
-    Every row of a batch is solved as it would be alone. theta is the
-    Lax-Friedrichs dissipation, by default the Hamiltonian's Lipschitz
-    bound.
+    v0, if given, is a start of shape (n_p, grid.n). Every row is solved
+    as it would be alone. theta is the Lax-Friedrichs dissipation, by
+    default the Hamiltonian's Lipschitz bound.
 
     When the grid holds a whole number of medium periods, the problem is
     solved on one period at the same spacing and the result tiled back.
@@ -413,17 +377,21 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
     without one, from the nested-iteration start on coarser grids. A row
     whose Newton from v0 declines is retried once from the nested start;
     a row that still declines falls back to monotone pseudo-time
-    relaxation. Whatever the path, every returned field satisfies its
+    relaxation. Whatever the path, every returned row satisfies its
     residual tolerance 1e-8 * max(1, sup|H(p0,.)|) and the comparison
     bound |lam*v| <= sup|H(p0,.)| + tol, or an error naming the base
-    gradient carries the residual history out. metadata["method"] names
-    the path: "constant", "newton", RETRY, or FALLBACK.
+    gradient carries the residual history out.
+
+    Returns the (n_p, grid.n) solutions and a dict of per-row arrays:
+    "method" (the path: "constant", "newton", RETRY or FALLBACK),
+    "iterations", "residual", "tol", and "constant" (the exact value
+    H(p0) of an x-independent row, NaN on the others).
     """
     if not lam > 0:
         raise SchemeParameterError("discount rate must be positive")
     theta = _dissipation(theta, hamiltonian, medium)
 
-    P, single = _base_column(p0)
+    P = _rows(p0, "base gradients")[:, None]
     cell = _CellProblem(hamiltonian, P, _cell_grid(grid, medium), medium,
                         lam, theta)
     sup_h0, const, h0_first = _at_zero(cell)
@@ -482,16 +450,8 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
     copies = grid.n // cell.grid.n
     if copies > 1:
         v = np.tile(v, copies)
-    fields = []
-    for i in range(len(P)):
-        meta = {"equation": "discounted", "lam": float(lam),
-                "p0": P[i].tolist(), "iterations": int(its[i]),
-                "residual": float(res[i]), "tol_fp": float(tol[i]),
-                "theta": theta, "method": used[i]}
-        if const[i]:
-            meta["constant_value"] = float(h0_first[i])
-        fields.append(GridField(grid, v[i], meta))
-    return fields[0] if single else fields
+    return v, {"method": used, "iterations": its, "residual": res,
+               "tol": tol, "constant": np.where(const, h0_first, np.nan)}
 
 
 def _fit_steps(T, n0, t_samples):
@@ -509,19 +469,18 @@ def _fit_steps(T, n0, t_samples):
         f"horizon {T}")
 
 
-def _row_name(meta):
-    return f"eps={meta['eps']:g}" if "eps" in meta else meta["equation"]
-
-
-def _march(h_bound, grid, theta, u0_values, T, t_samples, metas):
+def _march(h_bound, grid, theta, u0_values, T, t_samples, names):
     """Forward-Euler march of a stack of fields, one row per entry of
-    ``metas`` (each row's metadata), all from the same initial data.
+    ``names`` (what a failure calls the row), all from the same initial
+    data.
 
     The step count depends only on theta, the spacing and the sample
     times, so every row takes the same steps. Every row keeps its own
     bound K (the sup of its first update), its own finiteness check and
     its own comparison band |u - u0| <= K*t; a failure names the row.
-    Returns one TimeSeries per row.
+    Returns the snapshots at the sample times (at T alone when there are
+    none), shape (n_t, n_rows, n) in sample-time order, and a dict of
+    "dt", "n_steps", "theta" and the per-row "k_bound".
     """
     cfl_rate = theta / grid.h
     if cfl_rate > 0:
@@ -530,63 +489,54 @@ def _march(h_bound, grid, theta, u0_values, T, t_samples, metas):
         n_steps = 1
     n_steps = _fit_steps(T, n_steps, t_samples)
     dt = T / n_steps
+    at = [int(round(t / dt)) for t in (t_samples or (T,))]
+    if min(at) < 0 or max(at) > n_steps:
+        raise SchemeParameterError(
+            f"sample times {tuple(t_samples)} leave [0, {T}]")
 
     u0 = np.asarray(u0_values, dtype=float)
     if u0.shape != grid.shape:
         raise ValueError("initial data shape does not match the grid")
-    u = np.tile(u0, (len(metas), 1))
+    u = np.tile(u0, (len(names), 1))
     k0 = _row_sup(lf_update(h_bound, u, grid, theta))
     u_min0, u_max0 = float(u0.min()), float(u0.max())
 
-    # u is rebound, never written in place, so a snapshot is the stack
-    # itself at that step, shared by its rows' fields
-    want = {int(round(t / dt)): float(t) for t in t_samples}
-    want.setdefault(n_steps, T)
-    snaps = [(0.0, u)] if 0 in want else []
+    # snapshot j is the stack at step at[j]
+    snaps = np.empty((len(at),) + u.shape)
+    snaps[np.equal(at, 0)] = u
     for k in range(1, n_steps + 1):
         u = u - dt * lf_update(h_bound, u, grid, theta)
-        if k in want:
-            snaps.append((want[k], u))
+        if k in at:
+            snaps[np.equal(at, k)] = u
 
     finite = np.all(np.isfinite(u), axis=1)
     if not np.all(finite):
         i = int(np.argmin(finite))
-        raise NonConvergenceError(f"{_row_name(metas[i])}: evolution blew up")
+        raise NonConvergenceError(f"{names[i]}: evolution blew up")
     slack = 1e-10 * np.maximum(1.0, k0 * T)
     out = (u.max(axis=1) > u_max0 + k0 * T + slack) \
         | (u.min(axis=1) < u_min0 - k0 * T - slack)
     if np.any(out):
         i = int(np.argmax(out))
         raise NonConvergenceError(
-            f"{_row_name(metas[i])}: evolution left the comparison band "
+            f"{names[i]}: evolution left the comparison band "
             f"|u - u0| <= K*t")
-
-    series = []
-    for i, row in enumerate(metas):
-        meta = {"dt": dt, "n_steps": n_steps, "theta": theta,
-                "k_bound": float(k0[i])}
-        meta.update(row)
-        series.append(TimeSeries(
-            grid, [t for t, _ in snaps],
-            [GridField(grid, snap[i], dict(meta, t=t)) for t, snap in snaps],
-            meta))
-    return series
+    return snaps, {"dt": dt, "n_steps": n_steps, "theta": theta,
+                   "k_bound": k0}
 
 
 def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
                          theta=None, t_samples=()):
-    """March u_t + H(Du, x/eps) = 0 by forward Euler under CFL 0.9.
+    """March u_t + H(Du, x/eps) = 0 by forward Euler under CFL 0.9 for
+    every scale of the 1-D array eps, as one (n_eps, n) stack; every row
+    is bit-identical to marching its scale alone.
 
-    eps is one scale, giving one TimeSeries, or a sequence of them,
-    giving one TimeSeries per scale; a sequence is marched as one
-    (n_eps, n) stack, and every row is bit-identical to marching its
-    scale alone. u0 is a callable on grid nodes or a value array. theta
-    is the dissipation, by default the Hamiltonian's Lipschitz bound.
-    Snapshot times must be integer multiples of the step.
+    u0 is a callable on grid nodes or a value array. theta is the
+    dissipation, by default the Hamiltonian's Lipschitz bound. Snapshot
+    times must be integer multiples of the step. Returns the march's
+    snapshots and dict (see ``_march``), one row per scale.
     """
-    scales = np.asarray(eps, dtype=float)
-    single = scales.ndim == 0
-    scales = scales.reshape(-1)
+    scales = _rows(eps, "eps")
     for e in scales:
         if not e > 0:
             raise SchemeParameterError(f"eps = {e:.4g} is not positive")
@@ -594,13 +544,12 @@ def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
             raise SchemeParameterError(
                 f"eps = {e:.4g} is under-resolved on spacing {grid.h:.4g}")
     theta = _dissipation(theta, hamiltonian, medium)
-    h_bound = hamiltonian.bind_base(0.0, grid.x[None, :] / scales[:, None],
+    h_bound = hamiltonian.bind_base(np.zeros((scales.size, 1)),
+                                    grid.x[None, :] / scales[:, None],
                                     medium)
     u0_values = u0(grid.x) if callable(u0) else u0
-    series = _march(h_bound, grid, theta, u0_values, T, t_samples,
-                    [{"equation": "evolution", "eps": float(e)}
-                     for e in scales])
-    return series[0] if single else series
+    return _march(h_bound, grid, theta, u0_values, T, t_samples,
+                  [f"eps={e:g}" for e in scales])
 
 
 def solve_homogenized(curve, u0, grid, T=1.0, theta=None, t_samples=()):
@@ -614,4 +563,4 @@ def solve_homogenized(curve, u0, grid, T=1.0, theta=None, t_samples=()):
     h_bound = lambda dv: curve.evaluate(dv[0])
     u0_values = u0(grid.x) if callable(u0) else u0
     return _march(h_bound, grid, theta, u0_values, T, t_samples,
-                  [{"equation": "homogenized"}])[0]
+                  ["homogenized"])

@@ -172,7 +172,7 @@ def test_estimates_agree_with_separable_oracle():
     schedule = [0.1, 0.03, 0.01, 0.003]
     worst, covered = 0.0, True
     for i, pi in enumerate(p):
-        est = estimate_effective(piece, [float(pi)], medium, schedule, grid)
+        est, = estimate_effective(piece, [float(pi)], medium, schedule, grid)
         err = abs(est.value - oracle.values[i])
         worst = max(worst, err)
         covered = covered and err <= est.error_bar + 5e-3
@@ -212,11 +212,11 @@ def test_solver_contract_probes():
 
         # comparison: lowering H by c raises v by c / lam
         c = float(rng.uniform(0.1, 1.0))
-        sol = solve_discounted(piece, [p], lam, grid, medium)
-        low = solve_discounted(piece.with_extra_const(-c), [p], lam, grid,
-                               medium)
-        slack = (sol.metadata["tol_fp"] + low.metadata["tol_fp"]) / lam
-        diff = low.values - sol.values
+        sol, sol_info = solve_discounted(piece, [p], lam, grid, medium)
+        low, low_info = solve_discounted(piece.with_extra_const(-c), [p],
+                                         lam, grid, medium)
+        slack = (sol_info["tol"][0] + low_info["tol"][0]) / lam
+        diff = low - sol
         if not (np.all(diff >= -slack)
                 and np.allclose(diff, c / lam, atol=2 * slack + 1e-9,
                                 rtol=0.0)):
@@ -225,8 +225,8 @@ def test_solver_contract_probes():
         # uniform bound: |lam v| never exceeds sup |H(p, .)|
         sup_h = float(np.max(np.abs(
             piece.evaluate(p, grid.x, medium))))
-        if float(np.max(np.abs(lam * sol.values))) > \
-                sup_h + sol.metadata["tol_fp"] + 1e-12:
+        if float(np.max(np.abs(lam * sol))) > \
+                sup_h + sol_info["tol"][0] + 1e-12:
             violations += 1
     conclude("solver monotonicity/comparison/bound probes (100 trials)",
              violations == 0, f"{violations} violations", "0", t0, 60.0)
@@ -261,8 +261,8 @@ def test_gradient_shift_reproduces_estimate_bitwise():
     shifted = GradientShift(piece, 1.0)
     grid = Grid(512)
     schedule = [0.1, 0.04, 0.02]
-    base = estimate_effective(piece, [0.5], medium, schedule, grid)
-    moved = estimate_effective(shifted, [1.5], medium, schedule, grid)
+    base, = estimate_effective(piece, [0.5], medium, schedule, grid)
+    moved, = estimate_effective(shifted, [1.5], medium, schedule, grid)
     ok = (moved.value == base.value and moved.error_bar == base.error_bar)
     conclude("gradient-shift estimate is bit-identical",
              ok, f"|diff| = {abs(moved.value - base.value):.1e}",

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -156,8 +157,8 @@ class TestPieceCurves:
 class TestEstimate:
     def test_x_independent_is_exact(self):
         flat = Piece(AbsShift(0.0, 1.0, 0.25))
-        est = estimate_effective(flat, [0.75], None, [0.1, 0.04, 0.02],
-                                 Grid(512))
+        est, = estimate_effective(flat, [0.75], None, [0.1, 0.04, 0.02],
+                                  Grid(512))
         assert est.value == 1.0
         assert est.alpha is None and est.coefficient == 0.0
         assert est.reliable
@@ -167,8 +168,8 @@ class TestEstimate:
 
     def test_oracle_example_abs_plus_sine(self, sin_sq_medium):
         bare = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
-        est = estimate_effective(bare, [1.0], sin_sq_medium,
-                                 [0.1, 0.04, 0.01], Grid(1024))
+        est, = estimate_effective(bare, [1.0], sin_sq_medium,
+                                  [0.1, 0.04, 0.01], Grid(1024))
         assert abs(est.value - 1.5) <= 5e-3
         assert abs(est.value - 1.5) <= est.error_bar + 5e-3
         assert est.reliable
@@ -177,8 +178,8 @@ class TestEstimate:
         h1 = LevelHamiltonian(base_family, 1)
         grid = Grid(512)
         for p in (0.0, 1.0, 2.0):
-            est = estimate_effective(h1, [p], sin_sq_medium,
-                                     [0.1, 0.04, 0.02], grid)
+            est, = estimate_effective(h1, [p], sin_sq_medium,
+                                      [0.1, 0.04, 0.02], grid)
             assert abs(est.value - max(abs(p) - 0.5, 1.0)) <= 5e-3
             assert 0.4 <= est.alpha <= 1.1
             assert est.uniform_residual <= 0.05
@@ -189,8 +190,8 @@ class TestEstimate:
                                               sin_sq_table(), P33)
         grid = Grid(512)
         for i in range(0, 33, 4):
-            est = estimate_effective(bare, [float(P33[i])], sin_sq_medium,
-                                     [0.1, 0.04, 0.02], grid)
+            est, = estimate_effective(bare, [float(P33[i])], sin_sq_medium,
+                                      [0.1, 0.04, 0.02], grid)
             assert abs(est.value - oracle.values[i]) <= est.error_bar + 5e-3
 
     def test_schedule_validation(self, base_family, sin_sq_medium):
@@ -236,11 +237,27 @@ class TestEstimate:
         h1 = LevelHamiltonian(base_family, 1)
         grid = Grid(512)
         sched = [0.1, 0.04, 0.02]
-        a = estimate_effective(h1, [0.5], sin_sq_medium, sched, grid)
-        b = estimate_effective(GradientShift(h1, 1.0), [1.5], sin_sq_medium,
-                               sched, grid)
+        a, = estimate_effective(h1, [0.5], sin_sq_medium, sched, grid)
+        b, = estimate_effective(GradientShift(h1, 1.0), [1.5], sin_sq_medium,
+                                sched, grid)
         assert a.value == b.value
         assert a.error_bar == b.error_bar
+
+    def test_gradient_axis_is_1d(self, sin_sq_medium):
+        # every gradient of the axis gets its Estimate, bit-identical to
+        # its one-gradient call; any other shape is rejected by name
+        bare = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
+        sched, grid = [0.1, 0.04, 0.02], Grid(512)
+        both = estimate_effective(bare, [0.5, 2.0], sin_sq_medium, sched,
+                                  grid)
+        assert len(both) == 2
+        for p, est in zip([0.5, 2.0], both):
+            one, = estimate_effective(bare, [p], sin_sq_medium, sched, grid)
+            assert vars(est) == vars(one)
+        for p in (0.5, [[0.5, 1.0]]):
+            with pytest.raises(SchemeParameterError,
+                               match=re.escape(f"got shape {np.shape(p)}")):
+                estimate_effective(bare, p, sin_sq_medium, sched, grid)
 
 
 class TestFormula:
@@ -374,8 +391,8 @@ class TestSymmetries:
         piece = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
         twice = piece.negate_dual().negate_dual()
         sched = [0.3, 0.15, 0.08]
-        a = estimate_effective(piece, [0.5], sin_sq_medium, sched, Grid(128))
-        b = estimate_effective(twice, [0.5], sin_sq_medium, sched, Grid(128))
+        a, = estimate_effective(piece, [0.5], sin_sq_medium, sched, Grid(128))
+        b, = estimate_effective(twice, [0.5], sin_sq_medium, sched, Grid(128))
         assert a.value == b.value
 
     def test_shifted_piece_duality(self, sin_sq_medium):

@@ -156,9 +156,10 @@ def test_bound_evaluator_matches_evaluate(two_channel_medium):
     fam = random_family(rng, 2, two_channel_medium)
     h = LevelHamiltonian(fam, 2)
     x = np.linspace(0, 1, 33)
-    f = h.bind_base(0.7, x, two_channel_medium)
+    f = h.bind_base(np.array([[0.7]]), x, two_channel_medium)
     dv = rng.uniform(-2, 2, 33)
-    assert np.allclose(f((dv,)), h.evaluate(0.7 + dv, x, two_channel_medium),
+    assert np.allclose(f((dv[None, :],))[0],
+                       h.evaluate(0.7 + dv, x, two_channel_medium),
                        atol=1e-13)
 
 

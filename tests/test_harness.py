@@ -576,10 +576,10 @@ class TestRunEffective:
         # a jump of 1 where the Lipschitz bound 1 allows 0.25 + 2e-2
         cfg = ExperimentConfig(small_config())
 
-        def jumpy(hamiltonian, P, medium, lams, grid, theta):
-            return [Estimate(abs(p) + (i == 12), 0.0, None, 0.0, lams, [],
-                             [], None, True)
-                    for i, p in enumerate(P[:, 0])]
+        def jumpy(hamiltonian, p, medium, lams, grid, theta):
+            return [Estimate(abs(pi) + (i == 12), 0.0, None, 0.0, lams, [],
+                             None, True)
+                    for i, pi in enumerate(p)]
         monkeypatch.setattr(harness, "estimate_effective", jumpy)
         ham = LevelHamiltonian(cfg.family, 1)
         medium = sample_realization(cfg.medium_spec, 0)
@@ -749,6 +749,24 @@ class TestCLI:
                           "--out", str(tmp_path / "run"))
         assert res.exit_code == 0
         assert "max_abs_err: 0" in res.output
+
+    def test_effective_runs_a_relaxation_fallback(self, tmp_path):
+        # the base case on a two-valued checkerboard: at p = 0 and the
+        # first rate Newton declines and relaxation converges
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data.update(
+            medium={"kind": "checkerboard", "period": 1.0, "channels": [
+                {"cell": 0.5, "low": 0.0, "high": 1.0}]},
+            solver={"n": 256, "length": 1.0},
+            lambda_schedule=[0.16, 0.08, 0.04], eps_schedule=[0.25])
+        path = tmp_path / "fallback.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("effective", "--config", str(path),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["solver_stats"]["fallbacks"] == [
+            {"p": 0.0, "lam": 0.16}]
 
     def test_effective_exits_2_without_force(self, tmp_path):
         res = self.invoke("effective", "--config",

@@ -89,13 +89,15 @@ def test_piecewise_branch_inverses_flat_bottom_and_tails():
 
 
 def test_bind_base_matches_direct():
+    # a column of base gradients, row i of dv taken at the i-th
     rng = np.random.default_rng(2)
-    dv = rng.uniform(-3, 3, 32)
+    dv = rng.uniform(-3, 3, (2, 32))
+    base = np.array([[0.7], [-0.2]])
     for phi in (AbsShift(0.3, 1.1, 0.4),
                 NegatedAbs(0.3, 1.1, 0.4),
                 PiecewiseMonotone([-1.0, 0.0, 2.0], [1.0, -0.5, 3.0])):
-        f = phi.bind_base(0.7)
-        assert np.allclose(f((dv,)), phi(((0.7 + dv),)), atol=1e-14)
+        f = phi.bind_base(base)
+        assert np.allclose(f((dv,)), phi((base + dv,)), atol=1e-14)
 
 
 def test_roundtrip_from_dict():

@@ -1,5 +1,6 @@
 """Grid solvers: exact constant cases, oracle comparisons, probes."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,13 @@ from minmax_hj import solver
 from minmax_hj.config import ExperimentConfig
 from minmax_hj.effective import EffectiveCurve
 from minmax_hj.errors import NonConvergenceError, SchemeParameterError
-from minmax_hj.family import CombinedPiece, LevelHamiltonian, Piece
+from minmax_hj.family import (CombinedPiece, LevelHamiltonian, MinMaxFamily,
+                              Piece)
 from minmax_hj.media import MediumSpec, sample_realization
-from minmax_hj.profiles import AbsShift, PiecewiseMonotone
-from minmax_hj.solver import (RETRY, Grid, lf_update, prolong_periodic,
-                              solve_discounted, solve_homogenized,
-                              solve_time_dependent)
+from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
+from minmax_hj.solver import (FALLBACK, RETRY, Grid, lf_update,
+                              prolong_periodic, solve_discounted,
+                              solve_homogenized, solve_time_dependent)
 
 from _reference import hopf_lax_abs, lf_march
 
@@ -34,6 +36,13 @@ class _Curve:
 
     def lipschitz(self):
         return self.lip
+
+
+def _assert_row_equal(info, i, one_info):
+    """Row i of a batch solve's per-row arrays equals the only row of a
+    one-row solve (NaN matching NaN)."""
+    np.testing.assert_equal({k: a[i] for k, a in info.items()},
+                            {k: a[0] for k, a in one_info.items()})
 
 
 def _relaxed(ham, p, lam, grid, medium, tol, theta=None):
@@ -62,25 +71,25 @@ class TestGrid:
 class TestDiscounted:
     def test_zero_base_gradient_zero_solution(self):
         g = Grid(64)
-        out = solve_discounted(ABS, [0.0], 0.1, g)
-        assert not np.any(out.values)
-        assert out.metadata["iterations"] == 0
+        v, info = solve_discounted(ABS, [0.0], 0.1, g)
+        assert not np.any(v)
+        assert info["iterations"][0] == 0
 
     def test_constant_solution_for_x_independent(self):
         g = Grid(64)
         lam = 0.05
-        out = solve_discounted(ABS, [0.7], lam, g)
-        assert np.allclose(out.values, -0.7 / lam, atol=1e-10, rtol=0.0)
-        assert out.metadata["method"] == "constant"
+        v, info = solve_discounted(ABS, [0.7], lam, g)
+        assert np.allclose(v, -0.7 / lam, atol=1e-10, rtol=0.0)
+        assert info["method"][0] == "constant"
         # -lam * v recovers H(p0) at every node
-        assert np.allclose(-lam * out.values, 0.7, atol=1e-11, rtol=0.0)
+        assert np.allclose(-lam * v, 0.7, atol=1e-11, rtol=0.0)
 
     def test_residual_certified(self, sin_sq_medium):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         g = Grid(128)
-        out = solve_discounted(piece, [1.0], 0.1, g, sin_sq_medium)
-        assert out.metadata["residual"] <= out.metadata["tol_fp"]
-        lam_v = 0.1 * np.abs(out.values)
+        v, info = solve_discounted(piece, [1.0], 0.1, g, sin_sq_medium)
+        assert info["residual"][0] <= info["tol"][0]
+        lam_v = 0.1 * np.abs(v)
         assert lam_v.max() <= 1.0 + 1.0 + 1e-6  # sup |p0| + sup sin^2
 
     def test_discount_refinement_approaches_cell_limit(self, sin_sq_medium):
@@ -90,10 +99,9 @@ class TestDiscounted:
         vals = []
         warm = None
         for lam in (1e-1, 3e-2, 1e-2):
-            out = solve_discounted(piece, [1.0], lam, g, sin_sq_medium,
-                                   v0=warm)
-            warm = out.values
-            vals.append(float(-lam * out.values[0]))
+            warm, _ = solve_discounted(piece, [1.0], lam, g, sin_sq_medium,
+                                       v0=warm)
+            vals.append(float(-lam * warm[0, 0]))
         errs = [abs(v - 1.5) for v in vals]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.05
@@ -101,11 +109,11 @@ class TestDiscounted:
     def test_warm_start_agrees_with_cold(self, sin_sq_medium):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         g = Grid(64)
-        cold = solve_discounted(piece, [0.5], 0.2, g, sin_sq_medium)
-        warm = solve_discounted(piece, [0.5], 0.2, g, sin_sq_medium,
-                                v0=cold.values + 0.3)
-        tol = cold.metadata["tol_fp"]
-        assert np.max(np.abs(cold.values - warm.values)) <= 2 * tol / 0.2
+        cold, info = solve_discounted(piece, [0.5], 0.2, g, sin_sq_medium)
+        warm, _ = solve_discounted(piece, [0.5], 0.2, g, sin_sq_medium,
+                                   v0=cold + 0.3)
+        tol = info["tol"][0]
+        assert np.max(np.abs(cold - warm)) <= 2 * tol / 0.2
 
     def test_max_iter_exhausted_raises_with_history(self, sin_sq_medium,
                                                     monkeypatch):
@@ -119,11 +127,11 @@ class TestDiscounted:
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         g = Grid(64)
         lam = 0.2
-        a = solve_discounted(piece, [0.8], lam, g, sin_sq_medium)
-        assert a.metadata["method"] == "newton"
-        tol = a.metadata["tol_fp"]
+        a, info = solve_discounted(piece, [0.8], lam, g, sin_sq_medium)
+        assert info["method"][0] == "newton"
+        tol = info["tol"][0]
         b = _relaxed(piece, 0.8, lam, g, sin_sq_medium, tol)
-        assert np.max(np.abs(a.values - b)) <= 2 * tol / lam
+        assert np.max(np.abs(a[0] - b)) <= 2 * tol / lam
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(SchemeParameterError):
@@ -148,53 +156,56 @@ class TestNestedStart:
     @pytest.mark.parametrize("n", [256, 4096])
     def test_newton_converges_where_zero_start_stalls(self, ell2, n):
         ham, medium, theta = ell2
-        out = solve_discounted(ham, self.P0, self.LAM, Grid(n, length=4.0),
-                               medium, theta)
-        assert out.metadata["method"] == "newton"
-        assert out.metadata["residual"] <= out.metadata["tol_fp"]
+        _, info = solve_discounted(ham, self.P0, self.LAM,
+                                   Grid(n, length=4.0), medium, theta)
+        assert info["method"][0] == "newton"
+        assert info["residual"][0] <= info["tol"][0]
 
     def test_newton_agrees_with_relaxation(self, ell2):
         ham, medium, theta = ell2
         g = Grid(256, length=4.0)
-        a = solve_discounted(ham, self.P0, self.LAM, g, medium, theta)
-        assert a.metadata["method"] == "newton"
-        tol = a.metadata["tol_fp"]
+        a, info = solve_discounted(ham, self.P0, self.LAM, g, medium, theta)
+        assert info["method"][0] == "newton"
+        tol = info["tol"][0]
         b = _relaxed(ham, self.P0[0], self.LAM, g, medium, tol, theta)
-        assert np.max(np.abs(a.values - b)) <= 2 * tol / self.LAM
+        assert np.max(np.abs(a[0] - b)) <= 2 * tol / self.LAM
 
     @pytest.mark.parametrize("n", [96, 100, 384])
     def test_non_power_of_two_sizes(self, ell2, n):
         # solved on one period: 96 -> 24 and 100 -> 25 nodes have no
         # coarser level; 384 -> 96 climbs from 24
         ham, medium, theta = ell2
-        out = solve_discounted(ham, self.P0, self.LAM, Grid(n, length=4.0),
-                               medium, theta)
-        assert out.values.shape == (n,)
-        assert out.metadata["method"] == "newton"
-        assert out.metadata["residual"] <= out.metadata["tol_fp"]
+        v, info = solve_discounted(ham, self.P0, self.LAM,
+                                   Grid(n, length=4.0), medium, theta)
+        assert v.shape == (1, n)
+        assert info["method"][0] == "newton"
+        assert info["residual"][0] <= info["tol"][0]
 
     def test_newton_converges_on_one_period(self, ell2):
         # the ladder reaches 16 nodes, the spacing 64 nodes give on 4
         # periods; from a 64-node coarsest level Newton stalls here
         ham, medium, theta = ell2
-        out = solve_discounted(ham, self.P0, self.LAM, Grid(1024, 1.0),
-                               medium, theta)
-        assert out.metadata["method"] == "newton"
-        assert out.metadata["residual"] <= out.metadata["tol_fp"]
+        _, info = solve_discounted(ham, self.P0, self.LAM, Grid(1024, 1.0),
+                                   medium, theta)
+        assert info["method"][0] == "newton"
+        assert info["residual"][0] <= info["tol"][0]
 
 
 def _full_grid_residual(ham, p, lam, grid, medium, values):
+    """Sup of the discounted residual of the field values (one row) at
+    the base gradient p on the whole grid."""
     theta = ham.lipschitz(medium)
-    h_bound = ham.bind_base(np.array(p), grid.x, medium)
-    return float(np.max(np.abs(lam * values
-                                + lf_update(h_bound, values, grid, theta))))
+    h_bound = ham.bind_base(np.array([[p]]), grid.x, medium)
+    v = values[None, :]
+    return float(np.max(np.abs(lam * v + lf_update(h_bound, v, grid,
+                                                   theta))))
 
 
 class TestBatchAndPeriod:
-    """A column of base gradients is solved as one batch, on one medium
+    """An axis of base gradients is solved as one batch, on one medium
     period when the grid holds a whole number of them."""
 
-    P = np.linspace(-3.0, 3.0, 33)[:, None]
+    P = np.linspace(-3.0, 3.0, 33)
 
     @pytest.fixture(scope="class")
     def ell2(self):
@@ -208,52 +219,51 @@ class TestBatchAndPeriod:
         # a cold rate, then a warm one: at lam = 0.03 the warm starts at
         # p = +-1.875 decline and are retried from the nested start
         ham, medium, grid = ell2
-        cold = solve_discounted(ham, self.P, 0.1, grid, medium)
-        v0 = np.stack([f.values for f in cold])
-        warm = solve_discounted(ham, self.P, 0.03, grid, medium, v0=v0)
-        assert {f.metadata["method"] for f in warm} == {"newton", RETRY}
+        cold, cold_info = solve_discounted(ham, self.P, 0.1, grid, medium)
+        warm, warm_info = solve_discounted(ham, self.P, 0.03, grid, medium,
+                                           v0=cold)
+        assert set(warm_info["method"]) == {"newton", RETRY}
         for i, p in enumerate(self.P):
-            one = solve_discounted(ham, p, 0.1, grid, medium)
-            np.testing.assert_array_equal(cold[i].values, one.values)
-            assert cold[i].metadata == one.metadata
-            one = solve_discounted(ham, p, 0.03, grid, medium, v0=v0[i])
-            np.testing.assert_array_equal(warm[i].values, one.values)
-            assert warm[i].metadata == one.metadata
+            for lam, v0, v, info in ((0.1, None, cold, cold_info),
+                                     (0.03, cold[i:i + 1], warm, warm_info)):
+                one, one_info = solve_discounted(ham, [p], lam, grid, medium,
+                                                 v0=v0)
+                np.testing.assert_array_equal(v[i], one[0])
+                _assert_row_equal(info, i, one_info)
 
     def test_one_period_matches_unfolded_solve(self, ell2, monkeypatch):
         ham, medium, grid = ell2
         lam = 0.1
         p = self.P[::4]
-        folded = solve_discounted(ham, p, lam, grid, medium)
+        folded, info = solve_discounted(ham, p, lam, grid, medium)
         monkeypatch.setattr(solver, "_cell_grid", lambda g, m: g)
-        whole = solve_discounted(ham, p, lam, grid, medium)
-        for a, b, pi in zip(folded, whole, p):
-            tol = a.metadata["tol_fp"]
-            assert np.max(np.abs(a.values - b.values)) <= tol / lam
+        whole, _ = solve_discounted(ham, p, lam, grid, medium)
+        for a, b, pi, tol in zip(folded, whole, p, info["tol"]):
+            assert np.max(np.abs(a - b)) <= tol / lam
             # the tiled field solves the equations of the whole grid
-            assert _full_grid_residual(ham, pi, lam, grid, medium,
-                                       a.values) <= tol
+            assert _full_grid_residual(ham, pi, lam, grid, medium, a) <= tol
 
     def test_length_off_the_period_solves_unfolded(self, ell2):
         ham, medium, _ = ell2
         grid = Grid(320, 2.5)
-        p, lam = [2.0625], 0.1
-        out = solve_discounted(ham, p, lam, grid, medium)
-        assert out.values.shape == (320,)
-        assert out.metadata["method"] == "newton"
+        p, lam = 2.0625, 0.1
+        v, info = solve_discounted(ham, [p], lam, grid, medium)
+        assert v.shape == (1, 320)
+        assert info["method"][0] == "newton"
         assert _full_grid_residual(ham, p, lam, grid, medium,
-                                   out.values) <= out.metadata["tol_fp"]
+                                   v[0]) <= info["tol"][0]
 
     def test_piecewise_profile_rows_equal_single_solves(self,
                                                         sin_sq_medium):
         valley = PiecewiseMonotone([-1.0, 0.0, 0.5, 2.0],
                                    [1.0, 0.0, 0.0, 0.75])
         piece = Piece(valley, "additive", 0)
-        p = [[-1.5], [0.25], [1.0]]
-        rows = solve_discounted(piece, p, 0.2, Grid(64), sin_sq_medium)
+        p = [-1.5, 0.25, 1.0]
+        rows, _ = solve_discounted(piece, p, 0.2, Grid(64), sin_sq_medium)
         for pi, row in zip(p, rows):
-            one = solve_discounted(piece, pi, 0.2, Grid(64), sin_sq_medium)
-            np.testing.assert_array_equal(row.values, one.values)
+            one, _ = solve_discounted(piece, [pi], 0.2, Grid(64),
+                                      sin_sq_medium)
+            np.testing.assert_array_equal(row, one[0])
 
     def test_constant_rows_ride_along(self, sin_sq_medium):
         # max(|p|, 3|p| - 1 + V(x)) with 0 <= V <= 1 is x-independent at
@@ -261,13 +271,54 @@ class TestBatchAndPeriod:
         ham = CombinedPiece("max", [
             Piece(AbsShift(0.0, 1.0, 0.0)),
             Piece(AbsShift(0.0, 3.0, -1.0), "additive", 0)])
-        out = solve_discounted(ham, [[0.0], [2.0]], 0.1, Grid(64),
-                               sin_sq_medium)
-        assert [f.metadata["method"] for f in out] == ["constant", "newton"]
-        assert out[0].metadata["constant_value"] == 0.0
-        assert not np.any(out[0].values)
-        one = solve_discounted(ham, [2.0], 0.1, Grid(64), sin_sq_medium)
-        np.testing.assert_array_equal(out[1].values, one.values)
+        v, info = solve_discounted(ham, [0.0, 2.0], 0.1, Grid(64),
+                                   sin_sq_medium)
+        assert info["method"].tolist() == ["constant", "newton"]
+        assert info["constant"][0] == 0.0 and np.isnan(info["constant"][1])
+        assert not np.any(v[0])
+        one, _ = solve_discounted(ham, [2.0], 0.1, Grid(64), sin_sq_medium)
+        np.testing.assert_array_equal(v[1], one[0])
+
+
+class TestRelaxationFallback:
+    """The base pair on a two-valued checkerboard at p = 0, lam = 0.16:
+    Newton from the nested start declines and relaxation converges."""
+
+    LAM = 0.16
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        spec = MediumSpec("checkerboard", 1.0, [
+            {"cell": 0.5, "low": 0.0, "high": 1.0}])
+        check = Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0)
+        hat = Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)
+        family = MinMaxFamily([check], [hat])
+        return (LevelHamiltonian(family, 1), sample_realization(spec, 0),
+                Grid(256, 1.0))
+
+    def test_fallback_row_is_certified(self, case):
+        ham, medium, grid = case
+        v, info = solve_discounted(ham, [0.0], self.LAM, grid, medium)
+        assert info["method"][0] == FALLBACK
+        assert info["residual"][0] <= info["tol"][0]
+        assert _full_grid_residual(ham, 0.0, self.LAM, grid, medium,
+                                   v[0]) <= info["tol"][0]
+        # comparison: |lam*v| <= sup|H(0,.)| + tol
+        h0 = ham.bind_base(np.zeros((1, 1)), grid.x, medium)(
+            (np.zeros((1, grid.n)),))
+        assert np.max(np.abs(self.LAM * v)) \
+            <= np.max(np.abs(h0)) + info["tol"][0]
+
+    def test_rows_beside_newton_rows_equal_single_solves(self, case):
+        ham, medium, grid = case
+        p = [-1.5, 0.0, 1.5]
+        v, info = solve_discounted(ham, p, self.LAM, grid, medium)
+        assert info["method"].tolist() == ["newton", FALLBACK, "newton"]
+        for i, pi in enumerate(p):
+            one, one_info = solve_discounted(ham, [pi], self.LAM, grid,
+                                             medium)
+            np.testing.assert_array_equal(v[i], one[0])
+            _assert_row_equal(info, i, one_info)
 
 
 class TestMonotoneProbes:
@@ -291,10 +342,10 @@ class TestMonotoneProbes:
         lam = 0.2
         p1 = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         p2 = Piece(AbsShift(0.0, 1.0, -0.25), "additive", 0)
-        v1 = solve_discounted(p1, [1.0], lam, g, sin_sq_medium)
-        v2 = solve_discounted(p2, [1.0], lam, g, sin_sq_medium)
-        diff = v2.values - v1.values
-        tol = v1.metadata["tol_fp"] + v2.metadata["tol_fp"]
+        v1, info1 = solve_discounted(p1, [1.0], lam, g, sin_sq_medium)
+        v2, info2 = solve_discounted(p2, [1.0], lam, g, sin_sq_medium)
+        diff = v2 - v1
+        tol = info1["tol"][0] + info2["tol"][0]
         assert np.all(diff >= -tol / lam)
         assert np.allclose(diff, 0.25 / lam, atol=2 * tol / lam, rtol=0.0)
 
@@ -309,43 +360,51 @@ class TestTimeDependent:
     def test_constant_data_exact_drift(self):
         g = Grid(64, length=4.0)
         piece = Piece(AbsShift(1.0, 1.0, 0.0), None)  # H(0) = 1
-        out = solve_time_dependent(piece, lambda x: 0.0 * x + 2.0, 1.0, g,
-                                   T=0.5, t_samples=(0.25, 0.5))
-        assert np.allclose(out.at(0.25).values, 1.75, atol=1e-12, rtol=0.0)
-        assert np.allclose(out.fields[-1].values, 1.5, atol=1e-12, rtol=0.0)
+        out, _ = solve_time_dependent(piece, lambda x: 0.0 * x + 2.0, [1.0],
+                                      g, T=0.5, t_samples=(0.25, 0.5))
+        assert np.allclose(out[0], 1.75, atol=1e-12, rtol=0.0)
+        assert np.allclose(out[1], 1.5, atol=1e-12, rtol=0.0)
 
     def test_hopf_lax_refinement(self):
         T = 0.5
         errs = []
         for n in (256, 512, 1024):
             g = Grid(n, length=4.0)
-            out = solve_time_dependent(ABS, periodized_well, 1.0, g, T=T)
+            out, _ = solve_time_dependent(ABS, periodized_well, [1.0], g, T=T)
             exact = hopf_lax_abs(lambda y: periodized_well(np.mod(y, 4.0)),
                                  g.x, T, (0.0, 4.0))
-            errs.append(float(np.max(np.abs(out.fields[-1].values - exact))))
+            errs.append(float(np.max(np.abs(out[-1, 0] - exact))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 0.05
 
     def test_restart_matches_single_run_bitwise(self):
         # CFL 0.9 gives 36 steps to T = 0.5 and 18 to T = 0.25: one step
         g = Grid(256, length=4.0)
-        full = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.5)
-        half = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.25)
-        rest = solve_time_dependent(ABS, half.fields[-1].values, 1.0, g, T=0.25)
-        assert full.metadata["dt"] == half.metadata["dt"] == rest.metadata["dt"]
-        assert full.metadata["n_steps"] == 2 * half.metadata["n_steps"]
-        assert np.array_equal(rest.fields[-1].values, full.fields[-1].values)
+        full, fm = solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.5)
+        half, hm = solve_time_dependent(ABS, periodized_well, [1.0], g,
+                                        T=0.25)
+        rest, rm = solve_time_dependent(ABS, half[-1, 0], [1.0], g, T=0.25)
+        assert fm["dt"] == hm["dt"] == rm["dt"]
+        assert fm["n_steps"] == 2 * hm["n_steps"]
+        assert np.array_equal(rest[-1], full[-1])
 
     def test_under_resolved_eps_rejected(self):
         g = Grid(64, length=4.0)  # h = 1/16
-        with pytest.raises(SchemeParameterError):
-            solve_time_dependent(ABS, periodized_well, 0.05, g, T=0.1)
+        with pytest.raises(SchemeParameterError, match="under-resolved"):
+            solve_time_dependent(ABS, periodized_well, [0.05], g, T=0.1)
 
     def test_incommensurate_sample_time_rejected(self):
         g = Grid(64, length=4.0)
-        with pytest.raises(SchemeParameterError):
-            solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.5,
+        with pytest.raises(SchemeParameterError, match="not commensurate"):
+            solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.5,
                                  t_samples=(0.1234567,))
+
+    def test_sample_time_past_the_horizon_rejected(self):
+        g = Grid(64, length=4.0)
+        for t in (0.75, -0.25):
+            with pytest.raises(SchemeParameterError, match="leave"):
+                solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.5,
+                                     t_samples=(0.25, t))
 
     def test_comparison_of_initial_data(self, sin_sq_medium):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
@@ -354,22 +413,24 @@ class TestTimeDependent:
         u = rng.uniform(-1, 1, g.shape)
         u_s = np.minimum.accumulate(u)  # arbitrary; just need u0 <= v0
         v0 = u_s + rng.uniform(0.0, 1.0, g.shape)
-        a = solve_time_dependent(piece, u_s, 0.5, g, sin_sq_medium, T=0.25)
-        b = solve_time_dependent(piece, v0, 0.5, g, sin_sq_medium, T=0.25)
-        assert np.all(b.fields[-1].values - a.fields[-1].values >= -1e-12)
+        a, _ = solve_time_dependent(piece, u_s, [0.5], g, sin_sq_medium,
+                                    T=0.25)
+        b, _ = solve_time_dependent(piece, v0, [0.5], g, sin_sq_medium,
+                                    T=0.25)
+        assert np.all(b[-1] - a[-1] >= -1e-12)
 
     def test_drift_bounded_by_k(self, sin_sq_medium):
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         g = Grid(256, length=4.0)
-        out = solve_time_dependent(piece, periodized_well, 0.25, g,
-                                   sin_sq_medium, T=0.5)
-        drift = np.max(np.abs(out.fields[-1].values
-                              - periodized_well(g.x)))
-        assert drift <= out.metadata["k_bound"] * 0.5 + 1e-9
+        out, march = solve_time_dependent(piece, periodized_well, [0.25], g,
+                                          sin_sq_medium, T=0.5)
+        drift = np.max(np.abs(out[-1, 0] - periodized_well(g.x)))
+        assert drift <= march["k_bound"][0] * 0.5 + 1e-9
 
 
 class TestEpsStack:
-    """A sequence of eps is one (n_eps, n) march; a number is one row."""
+    """An array of eps is one (n_eps, n) march; one eps is a stack of
+    one."""
 
     @pytest.mark.parametrize("medium", ["sin_sq", "checkerboard"])
     def test_rows_match_single_solves_bitwise(self, medium, sin_sq_medium):
@@ -382,30 +443,30 @@ class TestEpsStack:
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         g = Grid(128, length=4.0)
         schedule = [1.0, 0.5, 0.25]
-        stack = solve_time_dependent(piece, periodized_well, schedule, g,
-                                     medium, T=0.25, t_samples=(0.125, 0.25))
-        assert len(stack) == len(schedule)
-        for eps, row in zip(schedule, stack):
-            one = solve_time_dependent(piece, periodized_well, eps, g, medium,
-                                       T=0.25, t_samples=(0.125, 0.25))
-            assert row.times == one.times == [0.125, 0.25]
-            assert row.metadata == one.metadata
-            assert row.metadata["eps"] == eps
-            for a, b in zip(row.fields, one.fields):
-                assert np.array_equal(a.values, b.values)
-                assert a.metadata == b.metadata
+        stack, march = solve_time_dependent(
+            piece, periodized_well, schedule, g, medium, T=0.25,
+            t_samples=(0.125, 0.25))
+        # one snapshot per sample time, one row per eps
+        assert stack.shape == (2, len(schedule), g.n)
+        for i, eps in enumerate(schedule):
+            one, one_march = solve_time_dependent(
+                piece, periodized_well, [eps], g, medium, T=0.25,
+                t_samples=(0.125, 0.25))
+            assert np.array_equal(stack[:, i], one[:, 0])
+            for key in ("dt", "n_steps", "theta"):
+                assert march[key] == one_march[key]
+            assert march["k_bound"][i] == one_march["k_bound"][0]
         # the scales see different media, so the rows differ
-        assert not np.array_equal(stack[0].fields[-1].values,
-                                  stack[2].fields[-1].values)
+        assert not np.array_equal(stack[-1, 0], stack[-1, 2])
 
-    def test_number_in_one_series_out(self):
+    def test_eps_is_a_1d_array(self):
         g = Grid(64, length=4.0)
-        one = solve_time_dependent(ABS, periodized_well, 1.0, g, T=0.25)
-        assert isinstance(one, solver.TimeSeries)
-        listed = solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.25)
-        assert len(listed) == 1
-        assert np.array_equal(listed[0].fields[-1].values,
-                              one.fields[-1].values)
+        one, _ = solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.25)
+        assert one.shape == (1, 1, g.n)
+        for eps in (1.0, [[1.0, 0.5]], []):
+            with pytest.raises(SchemeParameterError,
+                               match=re.escape(f"got shape {np.shape(eps)}")):
+                solve_time_dependent(ABS, periodized_well, eps, g, T=0.25)
 
     def test_under_resolved_eps_in_sequence_named(self):
         g = Grid(64, length=4.0)  # h = 1/16
@@ -453,30 +514,30 @@ class TestHomogenized:
         curve = EffectiveCurve(p, np.maximum(np.abs(p) - 0.5, 1.0), None,
                                "formula", "coercive")
         g = Grid(256, length=4.0)
-        out = solve_homogenized(curve, periodized_well, g, T=0.5,
-                                t_samples=(0.25, 0.5))
-        n_steps = out.metadata["n_steps"]
-        assert n_steps == 36 and out.times == [0.25, 0.5]
+        out, march = solve_homogenized(curve, periodized_well, g, T=0.5,
+                                       t_samples=(0.25, 0.5))
+        n_steps = march["n_steps"]
+        assert n_steps == 36 and out.shape == (2, 1, g.n)
         want = lf_march(curve.evaluate, periodized_well(g.x), g, 1.0, 0.5,
                         n_steps)
-        assert np.array_equal(out.fields[-1].values, want)
+        assert np.array_equal(out[-1, 0], want)
 
     def test_constant_curve_exact(self):
         # a constant Hamiltonian certifies zero dissipation, so kinks
         # in the data survive the march untouched
         g = Grid(64, length=4.0)
         curve = _Curve(lambda q: 0.0 * q + 0.75, 0.0)
-        out = solve_homogenized(curve, periodized_well, g, T=0.4)
+        out, _ = solve_homogenized(curve, periodized_well, g, T=0.4)
         expected = periodized_well(g.x) - 0.75 * 0.4
-        assert np.allclose(out.fields[-1].values, expected, atol=1e-12, rtol=0.0)
+        assert np.allclose(out[-1, 0], expected, atol=1e-12, rtol=0.0)
 
     def test_abs_curve_matches_hopf_lax(self):
         g = Grid(1024, length=4.0)
         curve = _Curve(np.abs, 1.0)
-        out = solve_homogenized(curve, periodized_well, g, T=0.5)
+        out, _ = solve_homogenized(curve, periodized_well, g, T=0.5)
         exact = hopf_lax_abs(lambda y: periodized_well(np.mod(y, 4.0)),
                              g.x, 0.5, (0.0, 4.0))
-        assert np.max(np.abs(out.fields[-1].values - exact)) <= 0.05
+        assert np.max(np.abs(out[-1, 0] - exact)) <= 0.05
 
 
 class TestConsistency:
