@@ -37,6 +37,10 @@ class EffectiveCurve:
         if error_bars is None:
             error_bars = np.zeros_like(self.values)
         self.error_bars = np.asarray(error_bars, dtype=float)
+        # slopes of the end segments, which the tails extend
+        v, p = self.values, self.p
+        self.tail_slopes = ((v[1] - v[0]) / (p[1] - p[0]),
+                            (v[-1] - v[-2]) / (p[-1] - p[-2]))
         self.provenance = provenance
         self.kind = kind
         self.intermediates = {}
@@ -48,8 +52,7 @@ class EffectiveCurve:
         if not np.all(np.isfinite(self.values)):
             raise ProfileShapeError("curve has non-finite values")
         slack = np.max(self.error_bars) + 1e-9
-        sl_l = (self.values[1] - self.values[0]) / (self.p[1] - self.p[0])
-        sl_r = (self.values[-1] - self.values[-2]) / (self.p[-1] - self.p[-2])
+        sl_l, sl_r = self.tail_slopes
         rate = slack / min(np.diff(self.p))
         # tails may be flat (plateau at the window edge) but must not
         # point the wrong way
@@ -72,13 +75,13 @@ class EffectiveCurve:
         """Piecewise-linear interpolation with linear tail extension."""
         q = np.asarray(q, dtype=float)
         out = np.interp(q, self.p, self.values)
-        sl_l = (self.values[1] - self.values[0]) / (self.p[1] - self.p[0])
-        sl_r = (self.values[-1] - self.values[-2]) / (self.p[-1] - self.p[-2])
-        left = q < self.p[0]
-        right = q > self.p[-1]
-        if np.any(left):
+        sl_l, sl_r = self.tail_slopes
+        # the tails are rarely reached: a mask and a test cost less than
+        # tail terms computed over the whole array
+        left, right = q < self.p[0], q > self.p[-1]
+        if left.any():
             out = np.where(left, self.values[0] + sl_l * (q - self.p[0]), out)
-        if np.any(right):
+        if right.any():
             out = np.where(right, self.values[-1] + sl_r * (q - self.p[-1]),
                            out)
         return out
@@ -94,63 +97,46 @@ class EffectiveCurve:
                          % (pi, vi, ei, self.provenance))
 
 
-class Estimate:
-    """Extrapolated effective value at one gradient; unpacks as
-    (value, error_bar)."""
-
-    def __init__(self, value, error_bar, alpha, coefficient, lams, data,
-                 uniform_residual, reliable):
-        self.value = value
-        self.error_bar = error_bar
-        self.alpha = alpha
-        self.coefficient = coefficient
-        self.lams = lams
-        self.data = data
-        self.uniform_residual = uniform_residual
-        self.reliable = reliable
-        # per lam, from solve_discounted: solver path, iterations and
-        # final residual
-        self.methods = None
-        self.iterations = None
-        self.residuals = None
-
-    def __iter__(self):
-        return iter((self.value, self.error_bar))
-
-
 # the exponents the schedule fit scans; a fit at either end is clamped,
 # its best power law lies outside
 ALPHA_WINDOW = (0.4, 1.1)
 
 
-def _power_fit(lams, ys):
-    """Least squares for y = H + C * lam^alpha with alpha scanned on
-    ALPHA_WINDOW and refined; closed-form 2x2 solve per alpha, all
-    alphas of a round as one array."""
+def _power_fit(lams, Y):
+    """Least squares for y = H + C * lam^alpha on every row of the
+    (n_rows, n_lam) data Y, with alpha scanned on ALPHA_WINDOW and
+    refined around each row's best; closed-form 2x2 solve per alpha, all
+    rows and alphas of a round as one (n_rows, 15, n_lam) array. Returns
+    per-row arrays (hbar, c, resid, alpha)."""
     lams = np.asarray(lams, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     n = lams.size
-    sy = ys.sum()
+    sy = Y.sum(axis=1)[:, None]
+    rows = np.arange(len(Y))
 
-    lo, hi = ALPHA_WINDOW
-    best = None
+    lo = np.full(len(Y), ALPHA_WINDOW[0])
+    hi = np.full(len(Y), ALPHA_WINDOW[1])
     for _ in range(3):
-        alphas = np.linspace(lo, hi, 15)
-        # one power per alpha: a broadcast power may take a vector path
-        # that rounds differently from the scalar-exponent one
-        g = np.array([lams ** a for a in alphas])
-        sg, sgg, sgy = g.sum(axis=1), (g * g).sum(axis=1), (g * ys).sum(axis=1)
+        alphas = np.linspace(lo, hi, 15, axis=1)
+        # one scalar-exponent power per distinct exponent: a power with
+        # an array of exponents may take a vector path that rounds
+        # differently
+        u, inv = np.unique(alphas, return_inverse=True)
+        g = np.array([lams ** a for a in u])[inv.reshape(alphas.shape)]
+        sg, sgg = g.sum(axis=2), (g * g).sum(axis=2)
+        sgy = (g * Y[:, None]).sum(axis=2)
         det = n * sgg - sg * sg
         flat = np.abs(det) < 1e-300
         with np.errstate(divide="ignore", invalid="ignore"):
             c = np.where(flat, 0.0, (n * sgy - sg * sy) / det)
-        hbar = np.where(flat, ys.mean(), (sy - c * sg) / n)
-        resid = np.max(np.abs(ys - hbar[:, None] - c[:, None] * g), axis=1)
-        i = int(np.argmin(resid))
-        best = (hbar[i], c[i], float(resid[i]), alphas[i])
-        step = alphas[1] - alphas[0]
-        lo = max(ALPHA_WINDOW[0], alphas[i] - step)
-        hi = min(ALPHA_WINDOW[1], alphas[i] + step)
+        hbar = np.where(flat, Y.mean(axis=1)[:, None], (sy - c * sg) / n)
+        resid = np.max(np.abs(Y[:, None] - hbar[:, :, None]
+                              - c[:, :, None] * g), axis=2)
+        i = np.argmin(resid, axis=1)
+        best = (hbar[rows, i], c[rows, i], resid[rows, i], alphas[rows, i])
+        step = alphas[:, 1] - alphas[:, 0]
+        lo = np.maximum(ALPHA_WINDOW[0], best[3] - step)
+        hi = np.minimum(ALPHA_WINDOW[1], best[3] + step)
     return best
 
 
@@ -158,13 +144,15 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
                        theta=None):
     """Extrapolate -lam * v_lam(0) along the discount schedule, with
     dissipation theta (see ``solve_discounted``), for every gradient of
-    the 1-D array p; returns one Estimate per gradient.
+    the 1-D array p.
 
     All gradients are solved in one batch per discount rate, each row
-    warm-started from its own solution at the previous rate. An
-    Estimate's error bar combines the fit residual, a fraction of the
-    extrapolated correction, and the solver tolerance. A poor fit is
-    flagged (reliable=False), never hidden.
+    warm-started from its own solution at the previous rate, and the
+    whole (n_p, n_lam) table is fitted at once (``fit_schedule_data``).
+    Returns that fit's per-gradient arrays "value", "error_bar", "alpha"
+    and "reliable", the rates "lams", and per gradient and rate the
+    solver's "method", "iterations" and "residual" as (n_p, n_lam)
+    arrays.
     """
     lams = [float(l) for l in lam_schedule]
     if len(lams) < 3 or any(b >= a for a, b in zip(lams, lams[1:])):
@@ -183,44 +171,46 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip
         data.append(np.where(info["method"] == "constant", info["constant"],
-                             -lam * v[:, 0]).tolist())
-    ests = []
-    for i in range(len(v)):
-        est = fit_schedule_data(lams, [ys[i] for ys in data],
-                                float(runs[-1]["tol"][i]))
-        est.uniform_residual = float(np.max(np.abs(lams[-1] * v[i]
-                                                   + est.value)))
-        est.methods = [run["method"][i] for run in runs]
-        est.iterations = [int(run["iterations"][i]) for run in runs]
-        est.residuals = [float(run["residual"][i]) for run in runs]
-        ests.append(est)
-    return ests
+                             -lam * v[:, 0]))
+    out = fit_schedule_data(lams, np.stack(data, axis=1), runs[-1]["tol"])
+    out["lams"] = np.array(lams)
+    for key in ("method", "iterations", "residual"):
+        out[key] = np.stack([run[key] for run in runs], axis=1)
+    return out
 
 
-def fit_schedule_data(lams, ys, tol=0.0):
-    """Extrapolate schedule data  y(lam) = H + C * lam^alpha  to lam=0.
+def fit_schedule_data(lams, Y, tol):
+    """Extrapolate every row of the (n_rows, n_lam) schedule data
+    y(lam) = H + C * lam^alpha to lam=0; tol is the solver tolerance,
+    one per row or one for all.
 
-    Discount-independent data short-circuits to the exact value. The
-    error bar stacks the worst fit residual, a fraction of the applied
-    correction, and the solver tolerance; a fit that leaves residuals
-    comparable to the data spread marks the estimate unreliable.
+    A discount-independent row short-circuits to its exact value, with
+    alpha NaN. The error bar stacks the worst fit residual, a fraction of
+    the applied correction, and the solver tolerance; a fit that leaves
+    residuals comparable to the data spread marks its row unreliable.
+    Returns per-row arrays "value", "error_bar", "alpha", "reliable".
     """
-    spread = max(ys) - min(ys)
-    scale = max(1.0, max(abs(y) for y in ys))
-    if spread <= 1e-13 * scale:
-        return Estimate(ys[-1], tol, None, 0.0, lams, ys, None, True)
-    hbar, c, resid, alpha = _power_fit(lams, ys)
-    correction = abs(c) * lams[-1] ** alpha
+    Y = np.asarray(Y, dtype=float)
+    spread = Y.max(axis=1) - Y.min(axis=1)
+    scale = np.maximum(1.0, np.abs(Y).max(axis=1))
+    const = spread <= 1e-13 * scale
+    hbar, c, resid, alpha = _power_fit(lams, Y)
+    # one scalar power per row: an array power may take a vector path
+    # that rounds differently
+    last = float(lams[-1])
+    correction = np.abs(c) * np.array([last ** a for a in alpha])
     error_bar = 3.0 * resid + 0.2 * correction + tol
     # a power law is monotone in lam, so monotone data extrapolates
     # honestly even when the best exponent sits at the window edge;
     # non-monotone data must fit tightly or be flagged
-    diffs = np.diff(ys)
-    monotone = np.all(diffs >= 0.0) or np.all(diffs <= 0.0)
-    reliable = monotone or resid <= max(0.05 * spread, 10 * tol,
-                                        1e-12 * scale)
-    return Estimate(float(hbar), float(error_bar), float(alpha), float(c),
-                    lams, ys, None, bool(reliable))
+    diffs = np.diff(Y, axis=1)
+    monotone = np.all(diffs >= 0.0, axis=1) | np.all(diffs <= 0.0, axis=1)
+    tight = resid <= np.maximum(np.maximum(0.05 * spread, 10 * tol),
+                                1e-12 * scale)
+    return {"value": np.where(const, Y[:, -1], hbar),
+            "error_bar": np.where(const, tol, error_bar),
+            "alpha": np.where(const, np.nan, alpha),
+            "reliable": const | monotone | tight}
 
 
 def exact_effective_1d_separable(profile, v_table, p_samples):
@@ -355,10 +345,10 @@ def verify_symmetries(piece, p_samples, medium, lam_schedule, grid):
 
     def compare(dual, sign):
         duals = estimate_effective(dual, axis, medium, lam_schedule, grid)
-        disc = [abs(a.value + sign * b.value)
-                for a, b in zip(duals, reflected)]
-        bars = [a.error_bar + b.error_bar for a, b in zip(duals, reflected)]
-        return {"discrepancy": disc, "bars": bars, "max": max(disc)}
+        disc = np.abs(duals["value"] + sign * reflected["value"])
+        bars = duals["error_bar"] + reflected["error_bar"]
+        return {"discrepancy": disc.tolist(), "bars": bars.tolist(),
+                "max": float(disc.max())}
 
     evenness = compare(piece.even_dual(), -1.0) \
         if piece.tag == QUASICONVEX else None

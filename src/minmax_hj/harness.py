@@ -237,15 +237,13 @@ def _numeric_curve(hamiltonian, cfg, medium, kind):
     """Estimates on the p-axis as a curve, checked for shape and, against
     the Hamiltonian's Lipschitz bound, for continuity."""
     grid = Grid(cfg.solver_n, cfg.solver_length)
-    ests = estimate_effective(hamiltonian, cfg.p_axis, medium,
-                              cfg.lambda_schedule, grid, cfg.theta)
-    values = np.array([e.value for e in ests])
-    bars = np.array([e.error_bar for e in ests])
-    curve = EffectiveCurve(cfg.p_axis, values, bars, "numeric", kind)
+    est = estimate_effective(hamiltonian, cfg.p_axis, medium,
+                             cfg.lambda_schedule, grid, cfg.theta)
+    curve = EffectiveCurve(cfg.p_axis, est["value"], est["error_bar"],
+                           "numeric", kind)
     curve.validate(hamiltonian.lipschitz(medium))
-    curve.intermediates["unreliable_p"] = [
-        float(p) for p, e in zip(cfg.p_axis, ests) if not e.reliable]
-    curve.intermediates["estimates"] = list(zip(cfg.p_axis.tolist(), ests))
+    curve.intermediates["unreliable_p"] = curve.p[~est["reliable"]].tolist()
+    curve.intermediates["estimates"] = est
     return curve
 
 
@@ -258,22 +256,24 @@ def _solver_stats(curves):
     window."""
     solves, fallbacks, per_p = {}, [], {}
     for name, curve in curves.items():
-        rows = []
-        for p, est in curve.intermediates.get("estimates", []):
-            for lam, method in zip(est.lams, est.methods):
-                solves[method] = solves.get(method, 0) + 1
-                if method == FALLBACK:
-                    fallbacks.append({"p": p, "lam": lam})
-            rows.append({
-                "p": p,
-                "newton_iterations": sum(
-                    it for it, m in zip(est.iterations, est.methods)
-                    if m.startswith("newton")),
-                "max_residual": max(est.residuals),
-                "alpha": est.alpha,
-                "alpha_at_edge": est.alpha in ALPHA_WINDOW})
-        if rows:
-            per_p[name] = rows
+        est = curve.intermediates.get("estimates")
+        if est is None:
+            continue
+        method = est["method"]
+        for m in method.ravel().tolist():
+            solves[m] = solves.get(m, 0) + 1
+        for i, j in np.argwhere(method == FALLBACK):
+            fallbacks.append({"p": float(curve.p[i]),
+                              "lam": float(est["lams"][j])})
+        newton = np.char.startswith(method.astype(str), "newton")
+        iterations = np.where(newton, est["iterations"], 0).sum(axis=1)
+        alphas = [None if np.isnan(a) else a for a in est["alpha"].tolist()]
+        per_p[name] = [
+            {"p": p, "newton_iterations": it, "max_residual": res,
+             "alpha": a, "alpha_at_edge": a in ALPHA_WINDOW}
+            for p, it, res, a in zip(curve.p.tolist(), iterations.tolist(),
+                                     est["residual"].max(axis=1).tolist(),
+                                     alphas)]
     return {"solves": solves, "fallbacks": fallbacks, "per_p": per_p}
 
 
@@ -383,11 +383,13 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
                                                march["k_bound"].tolist(),
                                                errs)]}
 
-        ratios = [errs[i + 1] / errs[i] if errs[i] > 0 else float("nan")
+        # a ratio to a zero error is undefined: null in the manifest,
+        # which JSON has no NaN for, and nan in the CSV
+        ratios = [errs[i + 1] / errs[i] if errs[i] > 0 else None
                   for i in range(len(errs) - 1)]
-        rows = [[cfg.eps_schedule[i], errs[i],
-                 float("nan") if i == 0 else ratios[i - 1]]
-                for i in range(len(errs))]
+        rows = [[eps, err, float("nan") if ratio is None else ratio]
+                for eps, err, ratio in zip(cfg.eps_schedule, errs,
+                                           [None] + ratios)]
         _csv(os.path.join(out_dir, "err_vs_eps.csv"),
              "eps,err,ratio_to_prev", rows)
         return {

@@ -27,11 +27,8 @@ from .family import CombinedPiece
 
 
 class PairReport:
-    def __init__(self, delta_nonempty, delta_descriptor, contact_value_V,
-                 contact_value_Lambda, boundary_variation, stable, tau_b,
-                 outside_gap=None):
-        self.delta_nonempty = delta_nonempty
-        self.delta_descriptor = delta_descriptor
+    def __init__(self, contact_value_V, contact_value_Lambda,
+                 boundary_variation, stable, tau_b, outside_gap=None):
         self.contact_value_V = contact_value_V
         self.contact_value_Lambda = contact_value_Lambda
         self.boundary_variation = boundary_variation
@@ -72,8 +69,8 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
         imin = int(np.argmin(vV))
         if imin in (0, vV.size - 1):
             raise BoxTooSmallError("V attains its grid minimum on the box boundary")
-        return PairReport(False, [], float(vV[imin]), float(np.max(vL)),
-                          0.0, True, tau_b)
+        return PairReport(float(vV[imin]), float(np.max(vL)), 0.0, True,
+                          tau_b)
 
     idx = np.flatnonzero(mask[:-1] != mask[1:])
     p_star = p[idx] + g[idx] * h / (g[idx] - g[idx + 1])
@@ -83,18 +80,9 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
     c_V = float(np.mean(bV))
     c_L = float(np.mean(bL))
 
-    intervals = []
-    starts = np.flatnonzero(np.diff(mask.astype(int)) == 1)  # False -> True
-    ends = np.flatnonzero(np.diff(mask.astype(int)) == -1)   # True -> False
-    for s_i, e_i in zip(starts, ends):
-        lo = p[s_i] + g[s_i] * h / (g[s_i] - g[s_i + 1])
-        hi = p[e_i] + g[e_i] * h / (g[e_i] - g[e_i + 1])
-        intervals.append([float(lo), float(hi)])
-
     outside_gap = float(np.min(vV[~mask]) - c_V)
     stable = variation <= tau_b and outside_gap > -tau_b
-    return PairReport(True, intervals, c_V, c_L, variation, stable, tau_b,
-                      outside_gap)
+    return PairReport(c_V, c_L, variation, stable, tau_b, outside_gap)
 
 
 def expand_p_box(family, media):
@@ -123,10 +111,9 @@ class ContactConstants:
     m_bar[k-1] = max over samples of m_k; M_lower[k-1] = min of M_k.
     """
 
-    def __init__(self, m_fields, M_fields, x_nodes, seeds, witnesses):
+    def __init__(self, m_fields, M_fields, seeds, witnesses):
         self.m_fields = m_fields
         self.M_fields = M_fields
-        self.x_nodes = x_nodes
         self.seeds = seeds
         self.witnesses = witnesses
         stacked_m = np.concatenate(m_fields, axis=1)
@@ -208,7 +195,7 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
         m_fields.append(m_arr)
         M_fields.append(M_arr)
     seeds = [m.seed for m in media]
-    return ContactConstants(m_fields, M_fields, x_nodes, seeds, witnesses)
+    return ContactConstants(m_fields, M_fields, seeds, witnesses)
 
 
 def _witness(level, kind, x, rep, seed):

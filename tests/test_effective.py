@@ -15,7 +15,7 @@ from minmax_hj.family import GradientShift, LevelHamiltonian, Piece
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import contact_fields
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
-from minmax_hj.solver import Grid
+from minmax_hj.solver import Grid, solve_discounted
 
 from _reference import bisection_oracle, power_fit
 
@@ -157,42 +157,43 @@ class TestPieceCurves:
 class TestEstimate:
     def test_x_independent_is_exact(self):
         flat = Piece(AbsShift(0.0, 1.0, 0.25))
-        est, = estimate_effective(flat, [0.75], None, [0.1, 0.04, 0.02],
-                                  Grid(512))
-        assert est.value == 1.0
-        assert est.alpha is None and est.coefficient == 0.0
-        assert est.reliable
-        assert all(y == 1.0 for y in est.data)
-        value, bar = est
-        assert value == 1.0 and bar == est.error_bar
+        est = estimate_effective(flat, [0.75], None, [0.1, 0.04, 0.02],
+                                 Grid(512))
+        assert est["value"].tolist() == [1.0]
+        assert np.isnan(est["alpha"]).all() and est["reliable"].all()
+        assert (est["method"] == "constant").all()
 
     def test_oracle_example_abs_plus_sine(self, sin_sq_medium):
         bare = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
-        est, = estimate_effective(bare, [1.0], sin_sq_medium,
-                                  [0.1, 0.04, 0.01], Grid(1024))
-        assert abs(est.value - 1.5) <= 5e-3
-        assert abs(est.value - 1.5) <= est.error_bar + 5e-3
-        assert est.reliable
+        est = estimate_effective(bare, [1.0], sin_sq_medium,
+                                 [0.1, 0.04, 0.01], Grid(1024))
+        value, = est["value"]
+        assert abs(value - 1.5) <= 5e-3
+        assert abs(value - 1.5) <= est["error_bar"][0] + 5e-3
+        assert est["reliable"].all()
 
     def test_family_matches_expected_curve(self, base_family, sin_sq_medium):
         h1 = LevelHamiltonian(base_family, 1)
         grid = Grid(512)
-        for p in (0.0, 1.0, 2.0):
-            est, = estimate_effective(h1, [p], sin_sq_medium,
-                                      [0.1, 0.04, 0.02], grid)
-            assert abs(est.value - max(abs(p) - 0.5, 1.0)) <= 5e-3
-            assert 0.4 <= est.alpha <= 1.1
-            assert est.uniform_residual <= 0.05
+        p = np.array([0.0, 1.0, 2.0])
+        est = estimate_effective(h1, p, sin_sq_medium, [0.1, 0.04, 0.02],
+                                 grid)
+        assert np.all(np.abs(est["value"] - np.maximum(np.abs(p) - 0.5, 1.0))
+                      <= 5e-3)
+        assert np.all((0.4 <= est["alpha"]) & (est["alpha"] <= 1.1))
+        # the extrapolated value is within 0.05 of -lam * v_lam at every
+        # node at the smallest rate
+        v, _ = solve_discounted(h1, p, 0.02, grid, sin_sq_medium)
+        assert np.all(np.abs(0.02 * v + est["value"][:, None]) <= 0.05)
 
     def test_oracle_agreement_within_bars(self, sin_sq_medium):
         bare = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         oracle = exact_effective_1d_separable(AbsShift(0.0, 1.0, 0.0),
                                               sin_sq_table(), P33)
-        grid = Grid(512)
-        for i in range(0, 33, 4):
-            est, = estimate_effective(bare, [float(P33[i])], sin_sq_medium,
-                                      [0.1, 0.04, 0.02], grid)
-            assert abs(est.value - oracle.values[i]) <= est.error_bar + 5e-3
+        est = estimate_effective(bare, P33[::4], sin_sq_medium,
+                                 [0.1, 0.04, 0.02], Grid(512))
+        assert np.all(np.abs(est["value"] - oracle.values[::4])
+                      <= est["error_bar"] + 5e-3)
 
     def test_schedule_validation(self, base_family, sin_sq_medium):
         h1 = LevelHamiltonian(base_family, 1)
@@ -209,51 +210,77 @@ class TestEstimate:
     def test_fit_recovers_power_law(self):
         lams = [0.1, 0.04, 0.02, 0.008]
         ys = [2.0 + 0.8 * l ** 0.7 for l in lams]
-        est = fit_schedule_data(lams, ys)
-        assert abs(est.value - 2.0) <= 1e-10
-        assert abs(est.alpha - 0.7) <= 1e-3
-        assert est.reliable
+        fit = fit_schedule_data(lams, [ys], 0.0)
+        assert abs(fit["value"][0] - 2.0) <= 1e-10
+        assert abs(fit["alpha"][0] - 0.7) <= 1e-3
+        assert fit["reliable"].all()
 
     def test_power_fit_matches_loop(self):
-        # the batched exponent scan is the per-alpha loop, bit for bit
+        # the batched exponent scan is the per-alpha loop, bit for bit,
+        # on every row of a stack: a power law, noisy data and nearly
+        # flat data share each schedule
         rng = np.random.default_rng(5)
-        for trial in range(300):
+        for trial in range(100):
             m = int(rng.integers(3, 12))
             lams = np.sort(rng.uniform(1e-3, 0.5, m))[::-1]
             ys = rng.uniform(-3, 3) + rng.uniform(-1, 1) * lams ** \
                 rng.uniform(0.2, 1.5)
-            if trial % 3 == 1:
-                ys = ys + 1e-6 * rng.normal(size=m)
-            if trial % 3 == 2:      # nearly flat data
-                ys = np.full(m, ys[0]) + 1e-14 * (np.arange(m) == 0)
-            assert _power_fit(lams, ys) == power_fit(lams, ys)
+            Y = np.array([ys, ys + 1e-6 * rng.normal(size=m),
+                          np.full(m, ys[0]) + 1e-14 * (np.arange(m) == 0)])
+            fits = _power_fit(lams, Y)
+            for r, ys_r in enumerate(Y):
+                assert tuple(f[r] for f in fits) == power_fit(lams, ys_r)
+
+    def test_stacked_fit_is_each_row_alone(self):
+        # one call on the stack equals one call per row, bit for bit, for
+        # discount-independent, non-monotone and power-law rows
+        lams = [0.16, 0.08, 0.04, 0.02]
+        Y = np.array([[0.75] * 4,
+                      [1.0, 1.1, 0.95, 1.02],
+                      [2.0 + 0.8 * l ** 0.7 for l in lams],
+                      [-1.0 - 0.3 * l ** 1.05 for l in lams]])
+        tol = np.array([1e-8, 2e-8, 1e-8, 3e-8])
+        stacked = fit_schedule_data(lams, Y, tol)
+        assert stacked["reliable"].tolist() == [True, False, True, True]
+        assert np.isnan(stacked["alpha"]).tolist() == [True, False, False,
+                                                        False]
+        for r in range(len(Y)):
+            alone = fit_schedule_data(lams, Y[r:r + 1], tol[r])
+            for key, col in stacked.items():
+                assert col[r:r + 1].tobytes() == alone[key].tobytes(), key
 
     def test_fit_flags_non_monotone_data(self):
-        est = fit_schedule_data([0.1, 0.03, 0.01], [1.0, 1.1, 0.95])
-        assert not est.reliable
-        assert np.isfinite(est.value)
+        fit = fit_schedule_data([0.1, 0.03, 0.01], [[1.0, 1.1, 0.95]], 0.0)
+        assert not fit["reliable"][0]
+        assert np.isfinite(fit["value"][0])
 
     def test_shift_invariance_bit_exact(self, base_family, sin_sq_medium):
         h1 = LevelHamiltonian(base_family, 1)
         grid = Grid(512)
         sched = [0.1, 0.04, 0.02]
-        a, = estimate_effective(h1, [0.5], sin_sq_medium, sched, grid)
-        b, = estimate_effective(GradientShift(h1, 1.0), [1.5], sin_sq_medium,
-                                sched, grid)
-        assert a.value == b.value
-        assert a.error_bar == b.error_bar
+        a = estimate_effective(h1, [0.5], sin_sq_medium, sched, grid)
+        b = estimate_effective(GradientShift(h1, 1.0), [1.5], sin_sq_medium,
+                               sched, grid)
+        assert a["value"] == b["value"]
+        assert a["error_bar"] == b["error_bar"]
 
     def test_gradient_axis_is_1d(self, sin_sq_medium):
-        # every gradient of the axis gets its Estimate, bit-identical to
-        # its one-gradient call; any other shape is rejected by name
+        # every gradient of the axis gets its row, bit-identical to its
+        # one-gradient call; any other shape is rejected by name
         bare = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
         sched, grid = [0.1, 0.04, 0.02], Grid(512)
         both = estimate_effective(bare, [0.5, 2.0], sin_sq_medium, sched,
                                   grid)
-        assert len(both) == 2
-        for p, est in zip([0.5, 2.0], both):
-            one, = estimate_effective(bare, [p], sin_sq_medium, sched, grid)
-            assert vars(est) == vars(one)
+        assert both["value"].shape == (2,)
+        assert both["method"].shape == (2, 3)
+        for i, p in enumerate([0.5, 2.0]):
+            one = estimate_effective(bare, [p], sin_sq_medium, sched, grid)
+            row = {key: col if key == "lams" else col[i:i + 1]
+                   for key, col in both.items()}
+            assert one.keys() == row.keys()
+            for key in one:
+                np.testing.assert_array_equal(one[key], row[key],
+                                              err_msg=key)
         for p in (0.5, [[0.5, 1.0]]):
             with pytest.raises(SchemeParameterError,
                                match=re.escape(f"got shape {np.shape(p)}")):
@@ -391,9 +418,9 @@ class TestSymmetries:
         piece = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
         twice = piece.negate_dual().negate_dual()
         sched = [0.3, 0.15, 0.08]
-        a, = estimate_effective(piece, [0.5], sin_sq_medium, sched, Grid(128))
-        b, = estimate_effective(twice, [0.5], sin_sq_medium, sched, Grid(128))
-        assert a.value == b.value
+        a = estimate_effective(piece, [0.5], sin_sq_medium, sched, Grid(128))
+        b = estimate_effective(twice, [0.5], sin_sq_medium, sched, Grid(128))
+        assert a["value"] == b["value"]
 
     def test_shifted_piece_duality(self, sin_sq_medium):
         piece = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)

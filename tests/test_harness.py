@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from minmax_hj import __version__, harness
 from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig, U0_CATALOGUE
-from minmax_hj.effective import Estimate
 from minmax_hj.errors import (ConfigError, MinMaxHJError, MonotonicityError,
                               ProfileShapeError, RunLockError, StabilityError)
 from minmax_hj.family import LevelHamiltonian
@@ -577,9 +576,9 @@ class TestRunEffective:
         cfg = ExperimentConfig(small_config())
 
         def jumpy(hamiltonian, p, medium, lams, grid, theta):
-            return [Estimate(abs(pi) + (i == 12), 0.0, None, 0.0, lams, [],
-                             None, True)
-                    for i, pi in enumerate(p)]
+            return {"value": np.abs(p) + (np.arange(len(p)) == 12),
+                    "error_bar": np.zeros(len(p)),
+                    "reliable": np.ones(len(p), dtype=bool)}
         monkeypatch.setattr(harness, "estimate_effective", jumpy)
         ham = LevelHamiltonian(cfg.family, 1)
         medium = sample_realization(cfg.medium_spec, 0)
@@ -642,6 +641,20 @@ class TestRunSweep:
                          / "err_vs_eps.csv").read_text().splitlines()[:2]
         assert header == "eps,err,ratio_to_prev"
         assert first.split(",")[2] == "nan"
+
+    def test_ratio_to_zero_error_is_null_in_valid_json(self, tmp_path):
+        # every error of the field-free sweep is 0, so no ratio is
+        # defined; the manifest must still be strict JSON
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+        cfg = load_fixture("xindep.yaml", output=str(tmp_path / "run"))
+        run_sweep_eps(cfg)
+        text = (tmp_path / "run" / "manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=reject)
+        assert manifest["errors"] == [0.0, 0.0, 0.0]
+        assert manifest["ratios"] == [None, None]
+        rows = (tmp_path / "run" / "err_vs_eps.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["nan"] * 3
 
     def test_base_pair_errors_shrink(self, tmp_path):
         cfg = ExperimentConfig(small_config(output=str(tmp_path / "run")))

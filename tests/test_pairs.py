@@ -29,8 +29,6 @@ class TestAnalyzePair:
     def test_symmetric_pair_contact_on_nodes(self):
         V, L = abs_pair(1.0, 1.0, 0.25)
         rep = analyze_pair(V, L, BOX, N_P)
-        assert rep.delta_nonempty
-        assert rep.delta_descriptor == [[-1.0, 1.0]]
         assert rep.contact_value_V == 0.25
         assert rep.contact_value_Lambda == 0.25
         assert rep.boundary_variation == 0.0
@@ -39,8 +37,7 @@ class TestAnalyzePair:
     def test_empty_region(self):
         rep = analyze_pair(lambda p: np.abs(p),
                            lambda p: -1.0 - 0.5 * np.abs(p), BOX, N_P)
-        assert not rep.delta_nonempty
-        assert rep.delta_descriptor == []
+        assert rep.outside_gap is None     # no region, no boundary
         assert rep.contact_value_V == 0.0
         assert rep.contact_value_Lambda == -1.0
         assert rep.stable
@@ -50,9 +47,6 @@ class TestAnalyzePair:
         V = lambda p: np.abs(p - 0.5)
         L = lambda p: -np.abs(p - 0.5)
         rep = analyze_pair(V, L, BOX, N_P)
-        assert rep.delta_nonempty
-        lo, hi = rep.delta_descriptor[0]
-        assert lo == hi == 0.5
         assert rep.contact_value_V == 0.0
         assert rep.stable
 
@@ -61,7 +55,6 @@ class TestAnalyzePair:
         V = lambda p: np.abs(p - 1.0)
         L = lambda p: 3.0 - np.abs(p + 1.0)
         rep = analyze_pair(V, L, BOX, N_P)
-        assert rep.delta_descriptor == [[-1.5, 1.5]]
         assert rep.boundary_variation == 2.0
         assert not rep.stable
         assert rep.contact_value_V == 1.5  # mean of the two boundary values
@@ -88,7 +81,6 @@ class TestAnalyzePair:
         V = lambda p: np.minimum(np.abs(p + 2.0), np.abs(p - 2.0))
         L = lambda p: 0.25 - np.abs(np.abs(p) - 2.0)
         rep = analyze_pair(V, L, BOX, 4097)
-        assert len(rep.delta_descriptor) == 2
         assert rep.boundary_variation == 0.0
         assert rep.stable
         assert rep.contact_value_V == 0.125
