@@ -12,9 +12,17 @@ behind reordering says the nested value is unchanged when the sequences
 are replaced by their running extrema; ``reorder_family`` is its
 function-level counterpart.
 
+Every Hamiltonian here (a piece, a combined piece, a level, a gradient
+shift) writes its formula once, as ``bind(x, medium)``: H(., x) as a
+function of a plain gradient array, with the x-dependence frozen on x.
+``evaluate`` and the solvers' ``bind_base`` derive from it in the shared
+base ``Hamiltonian``.
+
 Evaluation does not check the ordering of the pieces;
 ``validate_ordering`` does, once, on a sample lattice.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -59,14 +67,30 @@ def minmax_scalar_monotone(a, b):
     return v if v.shape else float(v)
 
 
-class Piece:
+class Hamiltonian:
+    """What every Hamiltonian derives from its ``bind(x, medium)``."""
+
+    def evaluate(self, p, x=None, medium=None):
+        return self.bind(x, medium)(np.asarray(p, dtype=float))
+
+    def bind_base(self, pbase, x, medium):
+        """The solvers' binding: f(dv) = H(dv[0] + pbase, x), with dv a
+        one-tuple holding the difference array and pbase broadcasting
+        against it (a column of base gradients, one per row of dv, or a
+        scalar)."""
+        f = self.bind(x, medium)
+        return lambda dv: f(dv[0] + pbase)
+
+
+class Piece(Hamiltonian):
     """One Hamiltonian piece: profile in p coupled to a medium coefficient.
 
     coupling:
       None        -- x-independent, H(p) = profile(p)
       "additive"  -- profile(p) + scale * coeff(x)
       "amplitude" -- scale * coeff(x) * profile(p); coefficient must stay
-                     positive or the convexity tag would be wrong.
+                     positive or the convexity tag would be wrong, so
+                     every binding checks it on its nodes.
 
     ``extra_const`` is a constant added to every value.
     """
@@ -89,38 +113,22 @@ class Piece:
     def tag(self):
         return self.profile.tag
 
-    def _coeff(self, x, medium):
-        vals = medium.evaluate_channel(self.channel, x)
-        return self.scale * vals
-
-    def evaluate(self, p, x=None, medium=None):
-        base = self.profile((np.asarray(p, dtype=float),))
+    def bind(self, x, medium):
+        phi, extra = self.profile, self.extra_const
         if self.coupling is None:
-            val = base
-        elif self.coupling == "additive":
-            val = base + self._coeff(x, medium)
-        else:
-            val = self._coeff(x, medium) * base
-        return val + self.extra_const
-
-    def bind_base(self, pbase, x, medium):
-        """Freeze the x-dependence on a node set; returns f(dv) = H(pbase+dv, x)
-        with pbase a column of gradients, row i of dv taken at pbase[i]."""
-        f = self.profile.bind_base(pbase)
-        extras = self.extra_const
-        if self.coupling is None:
-            if extras == 0.0:
-                return f
-            return lambda dv: f(dv) + extras
-        coeff = self._coeff(x, medium)
+            return phi if extra == 0.0 else lambda p: phi(p) + extra
+        coeff = self.scale * medium.evaluate_channel(self.channel, x)
         if self.coupling == "additive":
-            shift = coeff + extras
-            return lambda dv: f(dv) + shift
-        if np.any(coeff <= 0):
+            shift = coeff + extra
+            return lambda p: phi(p) + shift
+        bad = np.ravel(coeff <= 0)
+        if np.any(bad):
+            i = int(np.argmax(bad))
             raise ProfileShapeError(
-                "amplitude coefficient is not positive on the node set; "
-                "convexity tag would be invalid")
-        return lambda dv: coeff * f(dv) + extras
+                f"amplitude channel {self.channel} has coefficient "
+                f"{np.ravel(coeff)[i]:.6g} <= 0 at x={np.ravel(x)[i]:.6g}; "
+                f"the convexity tag would be invalid")
+        return lambda p: coeff * phi(p) + extra
 
     def lipschitz(self, medium=None):
         lip = self.profile.lipschitz()
@@ -145,7 +153,7 @@ class Piece:
                      self.scale, self.extra_const)
 
 
-class CombinedPiece:
+class CombinedPiece(Hamiltonian):
     """Pointwise max (of quasiconvex) or min (of quasiconcave) pieces,
     as reordering produces them."""
 
@@ -165,23 +173,10 @@ class CombinedPiece:
     def tag(self):
         return QUASICONVEX if self.op == "max" else QUASICONCAVE
 
-    def evaluate(self, p, x=None, medium=None):
+    def bind(self, x, medium):
         red = np.maximum if self.op == "max" else np.minimum
-        out = self.pieces[0].evaluate(p, x, medium)
-        for pc in self.pieces[1:]:
-            out = red(out, pc.evaluate(p, x, medium))
-        return out
-
-    def bind_base(self, pbase, x, medium):
-        red = np.maximum if self.op == "max" else np.minimum
-        fs = [pc.bind_base(pbase, x, medium) for pc in self.pieces]
-
-        def run(dv):
-            out = fs[0](dv)
-            for f in fs[1:]:
-                out = red(out, f(dv))
-            return out
-        return run
+        fs = [pc.bind(x, medium) for pc in self.pieces]
+        return lambda p: reduce(red, [f(p) for f in fs])
 
     def lipschitz(self, medium=None):
         return max(pc.lipschitz(medium) for pc in self.pieces)
@@ -216,22 +211,6 @@ def _level(family, s):
     if not 1 <= k <= family.ell:
         raise ValueError(f"level {s} out of range for a {family.ell}-level family")
     return k
-
-
-def _fold(check_vals, hat_vals):
-    # checks take the outer max, hats the inner min
-    v = np.maximum(check_vals[0], hat_vals[0])
-    for k in range(1, len(check_vals)):
-        v = np.maximum(check_vals[k], np.minimum(hat_vals[k], v))
-    return v
-
-
-def eval_minmax(family, s, p, x=None, medium=None):
-    """Evaluate the family nesting at whole level ``s``."""
-    k = _level(family, s)
-    cv = [pc.evaluate(p, x, medium) for pc in family.checks[:k]]
-    hv = [pc.evaluate(p, x, medium) for pc in family.hats[:k]]
-    return _fold(cv, hv)
 
 
 def _check_ordering_values(check_vals, hat_vals, p, x):
@@ -280,33 +259,31 @@ def reorder_family(family):
                         combine(family.hats, "min"))
 
 
-class LevelHamiltonian:
-    """Solver-facing view of one whole nesting level."""
+class LevelHamiltonian(Hamiltonian):
+    """The family nesting at one whole level s: the level-s pieces
+    folded by ``minmax_scalar``, level s outermost."""
 
     def __init__(self, family, s):
-        self.family = family
-        self.s = s
         k = _level(family, s)
         self._pieces = family.checks[:k], family.hats[:k]
 
-    def evaluate(self, p, x=None, medium=None):
-        return eval_minmax(self.family, self.s, p, x, medium)
+    # a binding of its own, so that perfbench/tracer.py can wrap the
+    # solvers' level bindings on this class alone
+    bind_base = Hamiltonian.bind_base
 
-    def bind_base(self, pbase, x, medium):
+    def bind(self, x, medium):
         checks, hats = self._pieces
-        fc = [pc.bind_base(pbase, x, medium) for pc in checks]
-        fh = [pc.bind_base(pbase, x, medium) for pc in hats]
-
-        def run(dv):
-            return _fold([f(dv) for f in fc], [f(dv) for f in fh])
-        return run
+        fc = [pc.bind(x, medium) for pc in reversed(checks)]
+        fh = [pc.bind(x, medium) for pc in reversed(hats)]
+        return lambda p: minmax_scalar([f(p) for f in fc],
+                                       [f(p) for f in fh])
 
     def lipschitz(self, medium=None):
         checks, hats = self._pieces
         return max(pc.lipschitz(medium) for pc in checks + hats)
 
 
-class GradientShift:
+class GradientShift(Hamiltonian):
     """H'(p, x) = H(p - delta, x), with the shift folded into the base point.
 
     Folding keeps a shifted solve bit-identical to the original one when
@@ -318,9 +295,9 @@ class GradientShift:
         self.inner = inner
         self.delta = float(delta)
 
-    def evaluate(self, p, x=None, medium=None):
-        return self.inner.evaluate(np.asarray(p, dtype=float) - self.delta,
-                                   x, medium)
+    def bind(self, x, medium):
+        f, delta = self.inner.bind(x, medium), self.delta
+        return lambda p: f(p - delta)
 
     def bind_base(self, pbase, x, medium):
         return self.inner.bind_base(np.asarray(pbase, dtype=float)

@@ -14,10 +14,9 @@ and closed under the two dualities ``negate_dual`` (phi -> -phi(-p)) and
 exactly, and the levels where those change slope, which the separable
 oracle relies on.
 
-Gradients are numbers. A profile evaluates on a one-tuple holding an
-array of them, the same calling convention as the functions bind_base
-returns; bind_base takes a column of base gradients, shape (n_rows, 1),
-and row i of the differences is taken at the i-th.
+Gradients are numbers. A profile is a plain callable, phi(p), on an
+array of them of any shape; the pieces of ``family`` build every
+Hamiltonian formula on it.
 """
 
 import numpy as np
@@ -47,13 +46,8 @@ class AbsShift:
         self.slope = float(slope)
         self.offset = float(offset)
 
-    def __call__(self, comps):
-        return self.offset + self.slope * np.abs(comps[0] - self.center)
-
-    def bind_base(self, pbase):
-        e = np.asarray(pbase, dtype=float) - self.center
-        s, o = self.slope, self.offset
-        return lambda dv: o + s * np.abs(dv[0] + e)
+    def __call__(self, p):
+        return self.offset + self.slope * np.abs(p - self.center)
 
     def lipschitz(self):
         return self.slope
@@ -94,13 +88,8 @@ class NegatedAbs:
         self.slope = float(slope)
         self.offset = float(offset)
 
-    def __call__(self, comps):
-        return self.offset - self.slope * np.abs(comps[0] - self.center)
-
-    def bind_base(self, pbase):
-        e = np.asarray(pbase, dtype=float) - self.center
-        s, o = self.slope, self.offset
-        return lambda dv: o - s * np.abs(dv[0] + e)
+    def __call__(self, p):
+        return self.offset - self.slope * np.abs(p - self.center)
 
     def lipschitz(self):
         return self.slope
@@ -113,13 +102,6 @@ class NegatedAbs:
 
     def even_dual(self):
         return NegatedAbs(-self.center, self.slope, self.offset)
-
-
-def _pl_eval(u, breaks, values, slope_l, slope_r):
-    out = np.interp(u, breaks, values)
-    out = np.where(u < breaks[0], values[0] + slope_l * (u - breaks[0]), out)
-    out = np.where(u > breaks[-1], values[-1] + slope_r * (u - breaks[-1]), out)
-    return out
 
 
 class PiecewiseMonotone:
@@ -181,16 +163,12 @@ class PiecewiseMonotone:
     def tag(self):
         return QUASICONVEX if self.direction == "valley" else QUASICONCAVE
 
-    def __call__(self, comps):
-        return _pl_eval(comps[0], self.breaks, self.values,
-                        self._slopes[0], self._slopes[-1])
-
-    def bind_base(self, pbase):
-        # one set of shifted breaks per row
-        bs = self.breaks - np.asarray(pbase, dtype=float)
-        v, sl, sr = self.values, self._slopes[0], self._slopes[-1]
-        return lambda dv: np.stack([_pl_eval(u, b, v, sl, sr)
-                                    for u, b in zip(dv[0], bs)])
+    def __call__(self, p):
+        b, v = self.breaks, self.values
+        out = np.interp(p, b, v)
+        out = np.where(p < b[0], v[0] + self._slopes[0] * (p - b[0]), out)
+        return np.where(p > b[-1], v[-1] + self._slopes[-1] * (p - b[-1]),
+                        out)
 
     def lipschitz(self):
         return float(np.max(np.abs(self._slopes)))

@@ -21,12 +21,13 @@ of one. The eps do not change theta or the spacing, so every row of the
 march takes the same steps. Results are plain arrays.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
-x, medium) -> f(dv) with dv a one-tuple holding the difference array,
-plus lipschitz(medium). pbase is a column of base gradients, shape
-(n_rows, 1), whose row i applies to row i of dv; x is the node array,
-or an (n_eps, n) stack of them (the nodes over each eps) whose row i
-applies to row i of dv, which is how the march takes a whole eps
-schedule, binding a zero column. Families and single pieces provide it.
+x, medium) -> f(dv) = H(dv[0] + pbase, x) with dv a one-tuple holding
+the difference array, plus lipschitz(medium). The cell problem binds a
+column of base gradients, shape (n_rows, 1), whose row i applies to row
+i of dv; the march binds the scalar base 0.0 on an (n_eps, n) stack of
+node arrays (the nodes over each eps) whose row i applies to row i of
+dv, which is how it takes a whole eps schedule. Every Hamiltonian in
+``family`` derives bind_base from its one formula, bind(x, medium).
 """
 
 import numpy as np
@@ -544,8 +545,7 @@ def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
             raise SchemeParameterError(
                 f"eps = {e:.4g} is under-resolved on spacing {grid.h:.4g}")
     theta = _dissipation(theta, hamiltonian, medium)
-    h_bound = hamiltonian.bind_base(np.zeros((scales.size, 1)),
-                                    grid.x[None, :] / scales[:, None],
+    h_bound = hamiltonian.bind_base(0.0, grid.x[None, :] / scales[:, None],
                                     medium)
     u0_values = u0(grid.x) if callable(u0) else u0
     return _march(h_bound, grid, theta, u0_values, T, t_samples,

@@ -102,7 +102,7 @@ def bisection_oracle(profile, v_table, p_samples):
     v_max = float(V.max())
     if v_max == float(V.min()):
         # constant potential: no averaging, the curve is the profile
-        values = profile((p_samples,)) + v_max
+        values = profile(p_samples) + v_max
         lo, hi = profile.branch_inverses(profile.extreme_value())
         return values, v_max + profile.extreme_value(), (float(lo),
                                                          float(hi))

@@ -20,7 +20,7 @@ from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig
 from minmax_hj.effective import (estimate_effective, piece_effective_curve,
                                  verify_symmetries)
-from minmax_hj.family import (GradientShift, Piece, eval_minmax,
+from minmax_hj.family import (GradientShift, LevelHamiltonian, Piece,
                               minmax_scalar, minmax_scalar_monotone,
                               reorder_family)
 from minmax_hj.harness import run_effective, run_sweep_eps
@@ -96,7 +96,8 @@ def test_reordering_preserves_nested_values():
         cv = [pc.evaluate(p, x, medium) for pc in fam.checks]
         hv = [pc.evaluate(p, x, medium) for pc in fam.hats]
         want = nested_family_values(cv, hv, ell)
-        got = eval_minmax(reorder_family(fam), ell, p, x, medium)
+        got = LevelHamiltonian(reorder_family(fam), ell).evaluate(p, x,
+                                                                  medium)
         mismatches += int(np.count_nonzero(got != want))
     conclude("running-extrema reordering (100 families x 1000 samples)",
              mismatches == 0, f"{mismatches} mismatches", "0 (exact)",

@@ -3,7 +3,7 @@ import pytest
 
 from minmax_hj.errors import OrderingViolationError, ProfileShapeError
 from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
-                              Piece, eval_minmax, reorder_family,
+                              Piece, reorder_family,
                               validate_ordering)
 from minmax_hj.profiles import AbsShift, NegatedAbs
 
@@ -33,7 +33,7 @@ def test_amplitude_piece_evaluation(two_channel_medium):
 def test_base_family_values(base_family, sin_sq_medium):
     p = np.array([0.0, 1.0, 2.5])
     x = 0.25  # V = 1/2
-    got = eval_minmax(base_family, 1, p, x, sin_sq_medium)
+    got = LevelHamiltonian(base_family, 1).evaluate(p, x, sin_sq_medium)
     want = 0.5 + np.maximum(np.abs(p) - 1.0, 1.0 - np.abs(p))
     assert np.allclose(got, want)
 
@@ -47,26 +47,25 @@ def test_eval_levels_match_reference(two_channel_medium):
         fam = random_family(rng, ell, two_channel_medium)
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
         for s in range(1, ell + 1):
-            got = eval_minmax(fam, s, p, x, two_channel_medium)
+            got = LevelHamiltonian(fam, s).evaluate(p, x,
+                                                    two_channel_medium)
             want = nested_family_values(cv, hv, s)
             assert np.array_equal(got, want)
 
 
 def test_level_out_of_range(base_family, sin_sq_medium):
     with pytest.raises(ValueError):
-        eval_minmax(base_family, 1.5, 0.0, 0.0, sin_sq_medium)
+        LevelHamiltonian(base_family, 1.5).evaluate(0.0, 0.0, sin_sq_medium)
     with pytest.raises(ValueError):
-        eval_minmax(base_family, 0.5, 0.0, 0.0, sin_sq_medium)
+        LevelHamiltonian(base_family, 0.5).evaluate(0.0, 0.0, sin_sq_medium)
     with pytest.raises(ValueError):
-        eval_minmax(base_family, 1.25, 0.0, 0.0, sin_sq_medium)
+        LevelHamiltonian(base_family, 1.25).evaluate(0.0, 0.0, sin_sq_medium)
     with pytest.raises(ValueError):
-        eval_minmax(base_family, 2, 0.0, 0.0, sin_sq_medium)
+        LevelHamiltonian(base_family, 2).evaluate(0.0, 0.0, sin_sq_medium)
 
 
-def test_half_levels_are_not_evaluated(two_level_family, sin_sq_medium):
+def test_half_levels_are_not_evaluated(two_level_family):
     # half levels exist only in the nested formula, on effective curves
-    with pytest.raises(ValueError, match="whole number"):
-        eval_minmax(two_level_family, 1.5, 0.0, 0.0, sin_sq_medium)
     with pytest.raises(ValueError, match="whole number"):
         LevelHamiltonian(two_level_family, 1.5)
 
@@ -93,7 +92,8 @@ def test_reordering_preserves_top_level(two_channel_medium):
         fam = random_family(rng, ell, two_channel_medium)
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
         reordered = reorder_family(fam)
-        got = eval_minmax(reordered, ell, p, x, two_channel_medium)
+        got = LevelHamiltonian(reordered, ell).evaluate(p, x,
+                                                        two_channel_medium)
         want = nested_family_values(cv, hv, ell)
         assert np.array_equal(got, want)
 
@@ -158,9 +158,8 @@ def test_bound_evaluator_matches_evaluate(two_channel_medium):
     x = np.linspace(0, 1, 33)
     f = h.bind_base(np.array([[0.7]]), x, two_channel_medium)
     dv = rng.uniform(-2, 2, 33)
-    assert np.allclose(f((dv[None, :],))[0],
-                       h.evaluate(0.7 + dv, x, two_channel_medium),
-                       atol=1e-13)
+    assert np.array_equal(f((dv[None, :],))[0],
+                          h.evaluate(0.7 + dv, x, two_channel_medium))
 
 
 def test_lipschitz_bound_covers_samples(two_channel_medium):

@@ -1013,6 +1013,24 @@ class TestCLI:
         assert res.exit_code == 3
         assert "does not rise at the ends" in res.stderr
 
+    @pytest.mark.parametrize("command", ["check", "effective"])
+    def test_nonpositive_amplitude_exits_3_naming_the_node(self, tmp_path,
+                                                           command):
+        # 0.5 + cos(2 pi x) is first <= 0 at x = 3/8 among the ordering
+        # probes x = k/8, where it is 0.5 - 1/sqrt(2)
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["medium"]["channels"].append(
+            {"formula": "cos", "amplitude": 1.0, "offset": 0.5})
+        data["family"]["checks"][0].update(coupling="amplitude", channel=1)
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "amplitude.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke(command, "--config", str(path))
+        assert res.exit_code == 3
+        assert ("amplitude channel 1 has coefficient -0.207107 <= 0 at "
+                "x=0.375") in res.stderr
+        assert "witness" not in res.stderr
+
     def test_other_package_errors_exit_3(self, tmp_path, monkeypatch):
         def broken(cfg, out_dir=None):
             raise MinMaxHJError("no strictly monotone shift")

@@ -432,15 +432,22 @@ class TestEpsStack:
     """An array of eps is one (n_eps, n) march; one eps is a stack of
     one."""
 
-    @pytest.mark.parametrize("medium", ["sin_sq", "checkerboard"])
-    def test_rows_match_single_solves_bitwise(self, medium, sin_sq_medium):
+    @pytest.mark.parametrize("medium,profile", [
+        pytest.param("sin_sq", AbsShift(0.0, 1.0, 0.0), id="sin_sq"),
+        pytest.param("checkerboard", AbsShift(0.0, 1.0, 0.0),
+                     id="checkerboard"),
+        # the whole stack goes through one np.interp
+        pytest.param("sin_sq", PiecewiseMonotone(
+            [-1.0, 0.0, 0.5, 2.0], [1.0, -0.5, -0.5, 2.0]), id="piecewise")])
+    def test_rows_match_single_solves_bitwise(self, medium, profile,
+                                              sin_sq_medium):
         if medium == "checkerboard":
             spec = MediumSpec("checkerboard", period=1.0, channels=[
                 {"cell": 0.25, "low": 0.0, "high": 1.0}])
             medium = sample_realization(spec, 1)
         else:
             medium = sin_sq_medium
-        piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
+        piece = Piece(profile, "additive", 0)
         g = Grid(128, length=4.0)
         schedule = [1.0, 0.5, 0.25]
         stack, march = solve_time_dependent(

@@ -44,24 +44,44 @@ def _base_case(out_dir):
     return ExperimentConfig(data, source="base_case.yaml")
 
 
-def test_traced_effective_matches_untraced(tmp_path):
+def _traced_run(command, tmp_path):
+    """Run the harness command untraced into plain/ and traced into
+    traced/, check that every binding is put back, and return the
+    one-pass summary."""
     before = _bindings()
-    harness.run_effective(_base_case(tmp_path / "plain"))
+    getattr(harness, command)(_base_case(tmp_path / "plain"))
 
     tracer = _load_tracer().Tracer()
     tracer.install(minmax_hj)
     try:
-        harness.run_effective(_base_case(tmp_path / "traced"))
+        getattr(harness, command)(_base_case(tmp_path / "traced"))
     finally:
         tracer.restore()
 
-    for name in RESULTS:
-        assert (tmp_path / "traced" / name).read_bytes() \
-            == (tmp_path / "plain" / name).read_bytes()
-    summary = tracer.summary(1)
-    for metric in ("solver.lf_update.calls", "solver.newton_steps",
-                   "family.h_eval.nodes"):
-        assert summary[metric]["value"] > 0, metric
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+    return tracer.summary(1)
+
+
+def _same_results(tmp_path, names):
+    for name in names:
+        assert (tmp_path / "traced" / name).read_bytes() \
+            == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_traced_effective_matches_untraced(tmp_path):
+    summary = _traced_run("run_effective", tmp_path)
+    _same_results(tmp_path, RESULTS)
+    for metric in ("solver.lf_update.calls", "solver.newton_steps",
+                   "family.h_eval.nodes"):
+        assert summary[metric]["value"] > 0, metric
+
+
+def test_traced_sweep_matches_untraced(tmp_path):
+    # the march's level binding is seen through the same hook
+    summary = _traced_run("run_sweep_eps", tmp_path)
+    _same_results(tmp_path, ("err_vs_eps.csv",))
+    for metric in ("solver.march_steps", "family.bind_base.calls",
+                   "family.h_eval.nodes"):
+        assert summary[metric]["value"] > 0, metric
