@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigError
 from .family import MinMaxFamily, Piece
-from .media import MediumSpec
+from .media import MediumRealization, MediumSpec
 from .profiles import QUASICONCAVE, QUASICONVEX, profile_from_dict
 
 
@@ -34,6 +34,10 @@ U0_CATALOGUE = {
     "constant": lambda x, L: np.full_like(np.asarray(x, dtype=float), 0.75),
     "plateau_bump": lambda x, L: np.clip(2.0 - _wrap_dist(x, L), 0.0, 1.0),
 }
+
+# libyaml's parser, several times faster than the pure-Python one; the
+# latter only where PyYAML was built without libyaml
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # most gradient samples a p-axis may hold; the axis is built at load
 _MAX_P_COUNT = 10001
@@ -219,9 +223,10 @@ def _profile(block, at, role):
     return profile
 
 
-def _pieces(fam, role, n_channels):
-    """Build the pieces of family.checks or family.hats; a bad value
-    names its field."""
+def _pieces(fam, role, spec):
+    """Build the pieces of family.checks or family.hats on the medium
+    ``spec``; a bad value names its field."""
+    n_channels = len(spec.channels)
     pieces = []
     for i, entry in enumerate(_read(fam, role, "family", LIST)):
         at = f"family.{role}[{i}]"
@@ -243,6 +248,15 @@ def _pieces(fam, role, n_channels):
         if coupling == "amplitude" and not scale > 0:
             raise ConfigError(f"{at}.scale: {scale!r} is not positive, as "
                               f"{at}.coupling 'amplitude' needs")
+        if coupling == "amplitude" and spec.kind == "periodic":
+            # a periodic channel attains its bounds, so every run meets a
+            # coefficient <= 0; a drawn medium is checked where it is bound
+            low = MediumRealization(spec, 0, []).channel_bounds(channel)[0]
+            if low <= 0:
+                raise ConfigError(
+                    f"{at}.channel: medium.channels[{channel}] reaches "
+                    f"{low:g} <= 0, but {at}.coupling 'amplitude' needs a "
+                    f"positive coefficient")
         pieces.append(Piece(profile, coupling, channel, scale))
     return pieces
 
@@ -273,9 +287,8 @@ class ExperimentConfig:
         self.medium_spec = _medium(data)
 
         fam = _section(data, "family")
-        n_channels = len(self.medium_spec.channels)
-        checks = _pieces(fam, "checks", n_channels)
-        hats = _pieces(fam, "hats", n_channels)
+        checks = _pieces(fam, "checks", self.medium_spec)
+        hats = _pieces(fam, "hats", self.medium_spec)
         if len(checks) != len(hats) or not checks:
             raise ConfigError(f"family: need as many family.checks as "
                               f"family.hats, at least one")
@@ -375,7 +388,7 @@ class ExperimentConfig:
     def from_yaml(cls, path):
         try:
             with open(path) as fh:
-                data = yaml.safe_load(fh)
+                data = yaml.load(fh, Loader=YAML_LOADER)
         except FileNotFoundError as err:
             raise ConfigError(f"{path}: {err.strerror}") from err
         except yaml.YAMLError as err:

@@ -31,7 +31,6 @@ dv, which is how it takes a whole eps schedule. Every Hamiltonian in
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NonConvergenceError, SchemeParameterError
 
@@ -42,6 +41,14 @@ FALLBACK = "relax (newton declined)"
 RETRY = "newton (retried from nested start)"
 # sweeps after which a relaxation that has not converged gives up
 MAX_SWEEPS = 1_000_000
+
+
+def solve_banded(l_and_u, ab, b, **kwargs):
+    """scipy.linalg.solve_banded, imported on the first call: only the
+    Newton step needs scipy, so the commands that never reach it do not
+    pay for importing it."""
+    from scipy.linalg import solve_banded as solve
+    return solve(l_and_u, ab, b, **kwargs)
 
 
 class Grid:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from minmax_hj import __version__, harness
 from minmax_hj.cli import main
-from minmax_hj.config import ExperimentConfig, U0_CATALOGUE
+from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
 from minmax_hj.errors import (ConfigError, MinMaxHJError, MonotonicityError,
                               ProfileShapeError, RunLockError, StabilityError)
 from minmax_hj.family import LevelHamiltonian
@@ -233,6 +233,14 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_yaml(str(tmp_path / "nope.yaml"))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in
+                                            CONFIG_DIR.iterdir()))
+    def test_loader_parses_like_safe_loader(self, name):
+        # repr, not ==, so that 1 and 1.0 or a reordered mapping differ
+        text = (CONFIG_DIR / name).read_text()
+        assert repr(yaml.load(text, Loader=YAML_LOADER)) \
+            == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
     def test_u0_catalogue_values(self):
         cfg = ExperimentConfig(small_config(solver={"n": 256, "length": 4.0}))
@@ -1014,10 +1022,10 @@ class TestCLI:
         assert "does not rise at the ends" in res.stderr
 
     @pytest.mark.parametrize("command", ["check", "effective"])
-    def test_nonpositive_amplitude_exits_3_naming_the_node(self, tmp_path,
-                                                           command):
-        # 0.5 + cos(2 pi x) is first <= 0 at x = 3/8 among the ordering
-        # probes x = k/8, where it is 0.5 - 1/sqrt(2)
+    def test_nonpositive_periodic_amplitude_exits_4_naming_the_field(
+            self, tmp_path, command):
+        # 0.5 + cos(2 pi x) reaches -0.5 in every period, so no run of
+        # this config could bind the piece: it is refused at load
         data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
         data["medium"]["channels"].append(
             {"formula": "cos", "amplitude": 1.0, "offset": 0.5})
@@ -1026,9 +1034,33 @@ class TestCLI:
         path = tmp_path / "amplitude.yaml"
         path.write_text(yaml.safe_dump(data))
         res = self.invoke(command, "--config", str(path))
+        assert res.exit_code == 4
+        assert ("family.checks[0].channel: medium.channels[1] reaches -0.5 "
+                "<= 0") in res.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["check", "effective"])
+    def test_nonpositive_amplitude_exits_3_naming_the_node(self, tmp_path,
+                                                           command):
+        # a checkerboard channel on [-0.5, 1) may or may not draw a
+        # coefficient <= 0; seed 2 draws one cell, [0.5, 0.75), at
+        # -0.191727, and the first binding that meets it fails
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["medium"] = {"kind": "checkerboard", "period": 1.0, "channels": [
+            {"cell": 0.25, "low": 0.0, "high": 1.0},
+            {"cell": 0.25, "low": -0.5, "high": 1.0}]}
+        data["family"]["checks"][0].update(coupling="amplitude", channel=1)
+        data["seeds"] = [2]
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "amplitude.yaml"
+        path.write_text(yaml.safe_dump(data))
+        cfg = ExperimentConfig.from_yaml(str(path))
+        table = sample_realization(cfg.medium_spec, 2).tables[1]
+        assert [v <= 0 for v in table] == [False, False, True, False]
+        res = self.invoke(command, "--config", str(path))
         assert res.exit_code == 3
-        assert ("amplitude channel 1 has coefficient -0.207107 <= 0 at "
-                "x=0.375") in res.stderr
+        assert ("amplitude channel 1 has coefficient -0.191727 <= 0 at "
+                "x=0.5") in res.stderr
         assert "witness" not in res.stderr
 
     def test_other_package_errors_exit_3(self, tmp_path, monkeypatch):
@@ -1040,6 +1072,29 @@ class TestCLI:
                           "--out", str(tmp_path / "run"))
         assert res.exit_code == 3
         assert "no strictly monotone shift" in res.stderr
+
+    @pytest.mark.parametrize("command, loads_scipy", [
+        ("check", False), ("sweep-eps", False), ("effective", True)])
+    def test_only_the_cell_solver_imports_scipy(self, tmp_path, command,
+                                                loads_scipy):
+        # a fresh interpreter, so that nothing else has imported scipy;
+        # effective shows that the banded solve still reaches it
+        probe = ("import sys\n"
+                 "from minmax_hj.cli import main\n"
+                 "try:\n"
+                 "    main(sys.argv[1:])\n"
+                 "except SystemExit as stop:\n"
+                 "    assert not stop.code, stop.code\n"
+                 "print('scipy' in sys.modules)\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run(
+            [sys.executable, "-c", probe, command, "--config",
+             str(CONFIG_DIR / "base_case.yaml"), "--out",
+             str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == str(loads_scipy)
 
     def test_version_flag(self):
         res = self.invoke("--version")
