@@ -53,6 +53,10 @@ class MonotonicityError(MinMaxHJError):
 class BoxTooSmallError(MinMaxHJError, ValueError):
     """The gradient box does not contain the region the analysis needs."""
 
+    def __init__(self, message, row=None):
+        self.row = row    # first offending row of a batched pair analysis
+        super().__init__(message)
+
 
 class NonConvergenceError(MinMaxHJError):
     """Fixed-point iteration failed to reach tolerance; carries residual history."""

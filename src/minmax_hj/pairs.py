@@ -15,26 +15,16 @@ the constants whose monotone chains the main gate checks.
 ``check_condition_e`` reports level-1 pieces that are flat at their
 contact value.
 
-Everything works on a gradient grid. Boundary points are located by
-linear interpolation, which is exact for the piecewise-linear catalogue
-as long as profile kinks do not share a cell with a crossing.
+Each pair and level-1 piece is evaluated on one (x-node, gradient grid)
+table per medium. Boundary points are located by linear interpolation,
+which is exact for the piecewise-linear catalogue as long as profile
+kinks do not share a cell with a crossing.
 """
 
 import numpy as np
 
 from .errors import BoxTooSmallError
 from .family import CombinedPiece
-
-
-class PairReport:
-    def __init__(self, contact_value_V, contact_value_Lambda,
-                 boundary_variation, stable, tau_b, outside_gap=None):
-        self.contact_value_V = contact_value_V
-        self.contact_value_Lambda = contact_value_Lambda
-        self.boundary_variation = boundary_variation
-        self.stable = stable
-        self.tau_b = tau_b
-        self.outside_gap = outside_gap
 
 
 def _grid_1d(p_box, n_p):
@@ -44,45 +34,58 @@ def _grid_1d(p_box, n_p):
     return np.linspace(lo, hi, int(n_p))
 
 
-def _tau_b(vals_V, vals_L, h):
-    """Stability tolerance: ten grid steps of the steeper function."""
-    lip = max(np.max(np.abs(np.diff(vals_V))), np.max(np.abs(np.diff(vals_L)))) / h
-    return 10.0 * lip * h
+def _steepest(v):
+    d = np.diff(v, axis=1)
+    return np.abs(d, out=d).max(axis=1)
 
 
 def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
-    """Stability report for one (V, L) pair on a gradient box.
+    """Stability of a (V, L) pair on a gradient box, every row at once.
 
-    V_fn/L_fn take gradient arrays. Raises BoxTooSmallError when the
-    comparison region or the V-minimum touches the box boundary.
-    """
+    V_fn/L_fn take a gradient array that broadcasts against the x-nodes
+    column they close over (one row if they ignore x). Returns a dict of
+    per-row arrays: contact_value_V, contact_value_Lambda,
+    boundary_variation, stable, tau_b (ten grid steps of the steeper
+    function) and outside_gap (NaN where the region is empty). Raises
+    BoxTooSmallError with the first offending ``row`` when a comparison
+    region or an empty region's V-minimum touches the box."""
     p = _grid_1d(p_box, n_p)
     h = p[1] - p[0]
-    vV = np.asarray(V_fn(p), dtype=float)
-    vL = np.asarray(L_fn(p), dtype=float)
-    tau_b = _tau_b(vV, vL, h)
+    vV, vL = np.broadcast_arrays(np.atleast_2d(V_fn(p)),
+                                 np.atleast_2d(L_fn(p)))
+    tau_b = 10.0 * (np.maximum(_steepest(vV), _steepest(vL)) / h) * h
     g = vL - vV
     mask = g >= 0.0
-    if mask[0] or mask[-1]:
-        raise BoxTooSmallError("comparison region touches the gradient box")
-    if not mask.any():
-        imin = int(np.argmin(vV))
-        if imin in (0, vV.size - 1):
-            raise BoxTooSmallError("V attains its grid minimum on the box boundary")
-        return PairReport(float(vV[imin]), float(np.max(vL)), 0.0, True,
-                          tau_b)
-
-    idx = np.flatnonzero(mask[:-1] != mask[1:])
-    p_star = p[idx] + g[idx] * h / (g[idx] - g[idx + 1])
-    bV = np.asarray(V_fn(p_star), dtype=float)
-    bL = np.asarray(L_fn(p_star), dtype=float)
-    variation = float(np.max(bV) - np.min(bV))
-    c_V = float(np.mean(bV))
-    c_L = float(np.mean(bL))
-
-    outside_gap = float(np.min(vV[~mask]) - c_V)
-    stable = variation <= tau_b and outside_gap > -tau_b
-    return PairReport(c_V, c_L, variation, stable, tau_b, outside_gap)
+    empty = ~mask.any(axis=1)
+    imin = np.argmin(vV, axis=1)
+    edge = mask[:, 0] | mask[:, -1]
+    bad = edge | (empty & ((imin == 0) | (imin == n_p - 1)))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise BoxTooSmallError(
+            "comparison region touches the gradient box" if edge[row] else
+            "V attains its grid minimum on the box boundary", row)
+    # every row's crossings in one padded table; the padding is masked
+    rows, cols = np.nonzero(mask[:, :-1] != mask[:, 1:])
+    counts = np.bincount(rows, minlength=len(mask))
+    p_star = np.full((len(mask), max(counts.max(), 1)), p[0])
+    p_star[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = \
+        p[cols] + g[rows, cols] * h / (g[rows, cols] - g[rows, cols + 1])
+    valid = np.arange(p_star.shape[1]) < counts[:, None]
+    bV, bL = V_fn(p_star), L_fn(p_star)
+    n = np.maximum(counts, 1)
+    variation = (np.max(bV, axis=1, where=valid, initial=-np.inf)
+                 - np.min(bV, axis=1, where=valid, initial=np.inf))
+    c_V = np.add.reduce(bV, axis=1, where=valid) / n
+    outside_gap = np.min(vV, axis=1, where=~mask, initial=np.inf) - c_V
+    return {
+        "contact_value_V": np.where(empty, vV[np.arange(len(vV)), imin], c_V),
+        "contact_value_Lambda": np.where(
+            empty, vL.max(axis=1), np.add.reduce(bL, axis=1, where=valid) / n),
+        "boundary_variation": np.where(empty, 0.0, variation),
+        "stable": empty | ((variation <= tau_b) & (outside_gap > -tau_b)),
+        "tau_b": tau_b,
+        "outside_gap": np.where(empty, np.nan, outside_gap)}
 
 
 def expand_p_box(family, media):
@@ -116,10 +119,8 @@ class ContactConstants:
         self.M_fields = M_fields
         self.seeds = seeds
         self.witnesses = witnesses
-        stacked_m = np.concatenate(m_fields, axis=1)
-        stacked_M = np.concatenate(M_fields, axis=1)
-        self.m_bar = stacked_m.max(axis=1)
-        self.M_lower = stacked_M.min(axis=1)
+        self.m_bar = np.concatenate(m_fields, axis=1).max(axis=1)
+        self.M_lower = np.concatenate(M_fields, axis=1).min(axis=1)
 
     @property
     def all_pairs_stable(self):
@@ -134,11 +135,12 @@ class ContactConstants:
                 "witnesses": self.witnesses[:8]}
 
 
-def _piece_peak(piece, x, medium):
-    """Exact max over p of a quasiconcave piece at fixed x; None for a
-    combined piece, whose peak is found by grid scan."""
+def _piece_peak(piece, x, medium, P):
+    """Max over p of a quasiconcave piece at each x: exact, or for a
+    combined piece the peak of a grid scan over P."""
     if isinstance(piece, CombinedPiece):
-        return None
+        return np.max(np.atleast_2d(piece.evaluate(P, x[:, None], medium)),
+                      axis=1)
     peak = piece.profile.extreme_value()
     if piece.coupling is None:
         val = peak + 0.0 * np.asarray(x, dtype=float)
@@ -152,7 +154,8 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
     """Contact fields and constants for a family.
 
     ``media`` is one realization or a list (the extrema then run over
-    all of them). Unstable pairs are recorded as witnesses, not raised;
+    all of them). Unstable pairs are recorded as witnesses, not raised,
+    ordered by medium, x, level, then level pair before cross pair;
     ``all_pairs_stable`` on the result is the verdict.
     """
     if not isinstance(media, (list, tuple)):
@@ -160,49 +163,40 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
     if p_box is None:
         p_box = expand_p_box(family, media)
     x_nodes = np.asarray(x_nodes, dtype=float)
-    ell = family.ell
-
-    m_fields, M_fields, witnesses = [], [], []
-    for medium in media:
-        m_arr = np.empty((ell, x_nodes.size))
-        M_arr = np.empty((ell, x_nodes.size))
-        peak = _piece_peak(family.hats[0], x_nodes, medium)
-        if peak is not None:
-            M_arr[0] = peak
-        for j, xj in enumerate(x_nodes):
-            for k in range(ell):
-                rep = analyze_pair(
-                    lambda P: family.checks[k].evaluate(P, xj, medium),
-                    lambda P: family.hats[k].evaluate(P, xj, medium),
-                    p_box, n_p)
-                m_arr[k, j] = rep.contact_value_V
-                if not rep.stable:
-                    witnesses.append(_witness(k + 1, "level pair", xj, rep,
-                                              medium.seed))
-                if k > 0:
-                    rep2 = analyze_pair(
-                        lambda P: family.checks[k - 1].evaluate(P, xj, medium),
-                        lambda P: family.hats[k].evaluate(P, xj, medium),
-                        p_box, n_p)
-                    M_arr[k, j] = rep2.contact_value_Lambda
-                    if not rep2.stable:
-                        witnesses.append(_witness(k + 1, "cross pair", xj, rep2,
-                                                  medium.seed))
-            if peak is None:
-                # grid peak fallback for combined hats
-                P = _grid_1d(p_box, n_p)
-                M_arr[0, j] = float(np.max(family.hats[0].evaluate(P, xj, medium)))
-        m_fields.append(m_arr)
-        M_fields.append(M_arr)
-    seeds = [m.seed for m in media]
-    return ContactConstants(m_fields, M_fields, seeds, witnesses)
-
-
-def _witness(level, kind, x, rep, seed):
-    return {"level": level, "kind": kind, "x": float(x), "seed": seed,
-            "variation": rep.boundary_variation, "tau_b": rep.tau_b,
-            "contact_value_V": rep.contact_value_V,
-            "outside_gap": rep.outside_gap}
+    x = x_nodes[:, None]
+    fields = np.empty((len(media), 2, family.ell, x_nodes.size))  # m, M
+    witnesses = []
+    for medium, f in zip(media, fields):
+        f[1, 0] = _piece_peak(family.hats[0], x_nodes, medium,
+                              _grid_1d(p_box, n_p))
+        unstable = []
+        for k in range(family.ell):
+            # the level pair, then hat_k against check_{k-1}
+            for c, kind in enumerate(("level pair", "cross pair")[:k + 1]):
+                try:
+                    rep = analyze_pair(family.checks[k - c].bind(x, medium),
+                                       family.hats[k].bind(x, medium),
+                                       p_box, n_p)
+                except BoxTooSmallError as err:
+                    raise BoxTooSmallError(
+                        f"level {k + 1} {kind} at "
+                        f"x={float(x_nodes[err.row])}, seed {medium.seed}: "
+                        f"{err}") from None
+                # one entry per node, also for a pair that ignores x
+                rep = {key: np.broadcast_to(v, x_nodes.shape)
+                       for key, v in rep.items()}
+                f[c, k] = rep[("contact_value_V", "contact_value_Lambda")[c]]
+                unstable += [((j, k, c), {
+                    "level": k + 1, "kind": kind, "x": float(x_nodes[j]),
+                    "seed": medium.seed,
+                    "variation": float(rep["boundary_variation"][j]),
+                    "tau_b": float(rep["tau_b"][j]),
+                    "contact_value_V": float(rep["contact_value_V"][j]),
+                    "outside_gap": float(rep["outside_gap"][j])})
+                    for j in np.flatnonzero(~rep["stable"]).tolist()]
+        witnesses += [w for _, w in sorted(unstable, key=lambda u: u[0])]
+    return ContactConstants(list(fields[:, 0]), list(fields[:, 1]),
+                            [m.seed for m in media], witnesses)
 
 
 def check_monotonicity(constants, strict=False):
@@ -232,22 +226,24 @@ def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049):
     grid-interior point for either level-1 piece. The catalogue is
     exactly evaluable, so the tolerance is an arithmetic one, not a
     grid-scale one: genuine flats produce exact runs, sharp minima do
-    not.
+    not. One witness per x, the check's before the hat's.
     """
     P = _grid_1d(p_box, n_p)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    witnesses = []
-    for xj, m1 in zip(x_nodes, m_1):
-        scale = max(1.0, abs(m1))
-        for name, piece in (("check", family.checks[0]),
-                            ("hat", family.hats[0])):
-            vals = piece.evaluate(P, xj, medium)
-            hit = np.abs(vals - m1) <= 1e-9 * scale
-            interior = hit[1:-1] & hit[:-2] & hit[2:]
-            if interior.any():
-                i = int(np.flatnonzero(interior)[0]) + 1
-                witnesses.append({"x": float(xj), "piece": name,
-                                  "p": float(P[i]), "value": float(vals[i]),
-                                  "contact": float(m1)})
-                break
-    return {"holds": not witnesses, "witnesses": witnesses[:8]}
+    x = np.asarray(x_nodes, dtype=float)[:, None]
+    m1 = np.asarray(m_1, dtype=float)[:, None]
+    witnesses, found = [], np.zeros(len(x), dtype=bool)
+    for name, piece in (("check", family.checks[0]), ("hat", family.hats[0])):
+        vals = np.broadcast_to(piece.evaluate(P, x, medium), (len(x), P.size))
+        dev = vals - m1
+        hit = np.abs(dev, out=dev) <= 1e-9 * np.maximum(1.0, np.abs(m1))
+        interior = hit[:, 1:-1] & hit[:, :-2] & hit[:, 2:]
+        i = np.argmax(interior, axis=1) + 1
+        new = interior.any(axis=1) & ~found
+        witnesses += [(j, {"x": float(x[j, 0]), "piece": name,
+                           "p": float(P[i[j]]), "value": float(vals[j, i[j]]),
+                           "contact": float(m1[j, 0])})
+                      for j in np.flatnonzero(new)[:8]]
+        found |= new
+        del vals, dev   # one (x, p) table at a time
+    witnesses = [w for _, w in sorted(witnesses, key=lambda t: t[0])][:8]
+    return {"holds": not witnesses, "witnesses": witnesses}

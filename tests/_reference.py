@@ -7,6 +7,8 @@ against a separate code path.
 
 import numpy as np
 
+from minmax_hj.family import CombinedPiece
+
 
 def nested_scalar(a, b):
     """Literal recursion, first entries outermost."""
@@ -135,3 +137,117 @@ def bisection_oracle(profile, v_table, p_samples):
 
     values = np.array([level_for(float(pi)) for pi in p_samples])
     return values, mu_star, (pl_star, pr_star)
+
+
+def pair_report(V_fn, L_fn, p_box, n_p):
+    """Stability of one (V, L) pair at one x, as a dict of scalars; the
+    per-x form of ``pairs.analyze_pair`` (outside_gap None where the
+    region is empty). Raises ValueError where the box is too small."""
+    p = np.linspace(float(p_box[0]), float(p_box[1]), int(n_p))
+    h = p[1] - p[0]
+    vV = np.asarray(V_fn(p), dtype=float)
+    vL = np.asarray(L_fn(p), dtype=float)
+    lip = max(np.max(np.abs(np.diff(vV))), np.max(np.abs(np.diff(vL)))) / h
+    tau_b = 10.0 * lip * h
+    g = vL - vV
+    mask = g >= 0.0
+    if mask[0] or mask[-1]:
+        raise ValueError("comparison region touches the gradient box")
+    if not mask.any():
+        imin = int(np.argmin(vV))
+        if imin in (0, vV.size - 1):
+            raise ValueError("V attains its grid minimum on the box boundary")
+        return {"contact_value_V": float(vV[imin]),
+                "contact_value_Lambda": float(np.max(vL)),
+                "boundary_variation": 0.0, "stable": True, "tau_b": tau_b,
+                "outside_gap": None}
+    idx = np.flatnonzero(mask[:-1] != mask[1:])
+    p_star = p[idx] + g[idx] * h / (g[idx] - g[idx + 1])
+    bV = np.asarray(V_fn(p_star), dtype=float)
+    bL = np.asarray(L_fn(p_star), dtype=float)
+    variation = float(np.max(bV) - np.min(bV))
+    c_V = float(np.mean(bV))
+    outside_gap = float(np.min(vV[~mask]) - c_V)
+    return {"contact_value_V": c_V, "contact_value_Lambda": float(np.mean(bL)),
+            "boundary_variation": variation,
+            "stable": variation <= tau_b and outside_gap > -tau_b,
+            "tau_b": tau_b, "outside_gap": outside_gap}
+
+
+def hat_peak(piece, x, medium):
+    """Exact max over p of a quasiconcave piece at the points x; None
+    for a combined piece."""
+    if isinstance(piece, CombinedPiece):
+        return None
+    peak = piece.profile.extreme_value()
+    if piece.coupling is None:
+        val = peak + 0.0 * np.asarray(x, dtype=float)
+    else:
+        coeff = piece.scale * medium.evaluate_channel(piece.channel, x)
+        val = peak + coeff if piece.coupling == "additive" else coeff * peak
+    return val + piece.extra_const
+
+
+def contact_fields_per_x(family, media, x_nodes, p_box, n_p):
+    """(m_fields, M_fields, witnesses) by one ``pair_report`` per x-node
+    and pair: x outermost, then level, the level pair before the cross
+    pair. M_1 is ``hat_peak``, or for a combined hat its grid peak."""
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    ell = family.ell
+    P = np.linspace(float(p_box[0]), float(p_box[1]), int(n_p))
+    m_fields, M_fields, witnesses = [], [], []
+    for medium in media:
+        m_arr = np.empty((ell, x_nodes.size))
+        M_arr = np.empty((ell, x_nodes.size))
+        peak = hat_peak(family.hats[0], x_nodes, medium)
+        if peak is not None:
+            M_arr[0] = peak
+        for j, xj in enumerate(x_nodes):
+            def piece(pc):
+                return lambda p: pc.evaluate(p, xj, medium)
+            for k in range(ell):
+                pairs = [("level pair", family.checks[k])]
+                if k > 0:
+                    pairs.append(("cross pair", family.checks[k - 1]))
+                for kind, check in pairs:
+                    rep = pair_report(piece(check), piece(family.hats[k]),
+                                      p_box, n_p)
+                    if kind == "level pair":
+                        m_arr[k, j] = rep["contact_value_V"]
+                    else:
+                        M_arr[k, j] = rep["contact_value_Lambda"]
+                    if not rep["stable"]:
+                        witnesses.append({
+                            "level": k + 1, "kind": kind, "x": float(xj),
+                            "seed": medium.seed,
+                            "variation": rep["boundary_variation"],
+                            "tau_b": rep["tau_b"],
+                            "contact_value_V": rep["contact_value_V"],
+                            "outside_gap": rep["outside_gap"]})
+            if peak is None:
+                M_arr[0, j] = float(np.max(family.hats[0].evaluate(P, xj,
+                                                                   medium)))
+        m_fields.append(m_arr)
+        M_fields.append(M_arr)
+    return m_fields, M_fields, witnesses
+
+
+def condition_e_per_x(family, medium, x_nodes, m_1, p_box, n_p):
+    """Thin-level-set check at level 1, one x-node at a time: at most
+    one witness per x, the check's before the hat's."""
+    P = np.linspace(float(p_box[0]), float(p_box[1]), int(n_p))
+    witnesses = []
+    for xj, m1 in zip(np.asarray(x_nodes, dtype=float), m_1):
+        scale = max(1.0, abs(m1))
+        for name, piece in (("check", family.checks[0]),
+                            ("hat", family.hats[0])):
+            vals = piece.evaluate(P, xj, medium)
+            hit = np.abs(vals - m1) <= 1e-9 * scale
+            interior = hit[1:-1] & hit[:-2] & hit[2:]
+            if interior.any():
+                i = int(np.flatnonzero(interior)[0]) + 1
+                witnesses.append({"x": float(xj), "piece": name,
+                                  "p": float(P[i]), "value": float(vals[i]),
+                                  "contact": float(m1)})
+                break
+    return {"holds": not witnesses, "witnesses": witnesses[:8]}

@@ -1010,6 +1010,19 @@ class TestCLI:
         assert res.exit_code == 4
         assert "pairs.p_box" in res.stderr
 
+    def test_small_p_box_names_the_pair_x_and_seed(self, tmp_path):
+        # |p| - 1 + V against 1 - |p| + V meet at |p| = 1, outside the box
+        path = tmp_path / "box.yaml"
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["pairs"]["p_box"] = [-0.75, 0.75]
+        data["output"] = str(tmp_path / "run")
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path))
+        assert res.exit_code == 4
+        assert res.stderr == (
+            "config error: pairs.p_box: level 1 level pair at x=0.0, "
+            "seed 0: comparison region touches the gradient box\n")
+
     def test_misshapen_curve_exits_3(self, tmp_path):
         # a 9-point axis misses the coercive rise of the two-level curve
         path = tmp_path / "ell2_9.yaml"

@@ -5,15 +5,23 @@ crossings land on grid nodes or inside kink-free cells, where linear
 interpolation is exact.
 """
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from _reference import condition_e_per_x, contact_fields_per_x
+from minmax_hj.config import ExperimentConfig
 from minmax_hj.errors import BoxTooSmallError
 from minmax_hj.family import MinMaxFamily, Piece, reorder_family
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import (analyze_pair, check_condition_e,
                              check_monotonicity, contact_fields, expand_p_box)
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BOX = (-4.0, 4.0)
 N_P = 2049  # h = 1/256 on BOX, dyadic nodes
@@ -29,44 +37,45 @@ class TestAnalyzePair:
     def test_symmetric_pair_contact_on_nodes(self):
         V, L = abs_pair(1.0, 1.0, 0.25)
         rep = analyze_pair(V, L, BOX, N_P)
-        assert rep.contact_value_V == 0.25
-        assert rep.contact_value_Lambda == 0.25
-        assert rep.boundary_variation == 0.0
-        assert rep.stable
+        assert rep["contact_value_V"][0] == 0.25
+        assert rep["contact_value_Lambda"][0] == 0.25
+        assert rep["boundary_variation"][0] == 0.0
+        assert rep["stable"][0]
 
     def test_empty_region(self):
         rep = analyze_pair(lambda p: np.abs(p),
                            lambda p: -1.0 - 0.5 * np.abs(p), BOX, N_P)
-        assert rep.outside_gap is None     # no region, no boundary
-        assert rep.contact_value_V == 0.0
-        assert rep.contact_value_Lambda == -1.0
-        assert rep.stable
+        assert np.isnan(rep["outside_gap"][0])  # no region, no boundary
+        assert rep["contact_value_V"][0] == 0.0
+        assert rep["contact_value_Lambda"][0] == -1.0
+        assert rep["stable"][0]
 
     def test_tangent_touch_single_point(self):
         # L peaks exactly at V's value there; region degenerates to a point
         V = lambda p: np.abs(p - 0.5)
         L = lambda p: -np.abs(p - 0.5)
         rep = analyze_pair(V, L, BOX, N_P)
-        assert rep.contact_value_V == 0.0
-        assert rep.stable
+        assert rep["contact_value_V"][0] == 0.0
+        assert rep["stable"][0]
 
     def test_shifted_peak_unstable(self):
         # boundary at -3/2 and 3/2 with V values 5/2 and 1/2
         V = lambda p: np.abs(p - 1.0)
         L = lambda p: 3.0 - np.abs(p + 1.0)
         rep = analyze_pair(V, L, BOX, N_P)
-        assert rep.boundary_variation == 2.0
-        assert not rep.stable
-        assert rep.contact_value_V == 1.5  # mean of the two boundary values
+        assert rep["boundary_variation"][0] == 2.0
+        assert not rep["stable"][0]
+        # mean of the two boundary values
+        assert rep["contact_value_V"][0] == 1.5
 
     def test_outside_dip_unstable(self):
         # constant boundary value, but V dips lower outside the region
         V = lambda p: np.minimum(np.abs(p + 2.0), np.abs(p - 2.0))
         L = lambda p: 2.0 - 5.0 * np.abs(p + 2.0)
         rep = analyze_pair(V, L, BOX, N_P)
-        assert rep.boundary_variation <= rep.tau_b
-        assert rep.outside_gap < -rep.tau_b
-        assert not rep.stable
+        assert rep["boundary_variation"][0] <= rep["tau_b"][0]
+        assert rep["outside_gap"][0] < -rep["tau_b"][0]
+        assert not rep["stable"][0]
 
     def test_box_too_small_when_region_touches_edge(self):
         V, L = abs_pair(5.0, 1.0)
@@ -81,9 +90,9 @@ class TestAnalyzePair:
         V = lambda p: np.minimum(np.abs(p + 2.0), np.abs(p - 2.0))
         L = lambda p: 0.25 - np.abs(np.abs(p) - 2.0)
         rep = analyze_pair(V, L, BOX, 4097)
-        assert rep.boundary_variation == 0.0
-        assert rep.stable
-        assert rep.contact_value_V == 0.125
+        assert rep["boundary_variation"][0] == 0.0
+        assert rep["stable"][0]
+        assert rep["contact_value_V"][0] == 0.125
 
 
 def make_family(specs, medium_kwargs=None):
@@ -257,3 +266,115 @@ class TestExpandBox:
         consts = contact_fields(base_family, sin_sq_medium, x_grid,
                                 p_box=None, n_p=N_P)
         assert consts.m_bar[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def _same_json(a, b):
+    # how the manifest writes them: every float by its exact repr
+    return json.dumps(a) == json.dumps(b)
+
+
+class TestBatchMatchesPerX:
+    """The batched analysis against the per-x reference in _reference.py,
+    bit for bit: fields, witnesses and their order, thin-level-set
+    output."""
+
+    def assert_matches(self, cfg):
+        media = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
+        x_nodes = cfg.x_nodes()
+        consts = contact_fields(cfg.family, media, x_nodes, cfg.p_box,
+                                cfg.n_p)
+        m_ref, M_ref, w_ref = contact_fields_per_x(
+            cfg.family, media, x_nodes, cfg.p_box, cfg.n_p)
+        assert all(map(_same_bits, consts.m_fields, m_ref))
+        assert all(map(_same_bits, consts.M_fields, M_ref))
+        assert _same_json(consts.witnesses, w_ref)
+        for medium, m in zip(media, m_ref):
+            out = check_condition_e(cfg.family, medium, x_nodes, m[0],
+                                    cfg.p_box, cfg.n_p)
+            assert _same_json(out, condition_e_per_x(
+                cfg.family, medium, x_nodes, m[0], cfg.p_box, cfg.n_p))
+        return consts
+
+    @pytest.mark.parametrize("seed", [1, 2, 41])
+    def test_seeded_media(self, tmp_path, seed):
+        # sym1, tie2, rise2 and skew1 on checkerboard and quasiperiodic
+        # media, two draws each, three medium seeds per config
+        configs = _load_workloads()._media_configs(seed, str(tmp_path))
+        assert len(configs) == 16
+        for path, _, _ in configs:
+            self.assert_matches(ExperimentConfig.from_yaml(path))
+
+    @pytest.mark.parametrize("name", ["unstable_pair",
+                                      "monotonicity_violation", "base_case",
+                                      "ell2_strict", "xindep"])
+    def test_shipped_configs(self, name):
+        consts = self.assert_matches(ExperimentConfig.from_yaml(
+            ROOT / "configs" / f"{name}.yaml"))
+        if name == "unstable_pair":
+            # an x-independent pair: one witness per x-node all the same
+            assert len(consts.witnesses) == 32
+
+    def test_witness_order_is_x_then_level_then_pair(self, sin_sq_medium):
+        # level pair 2: |p - 1| against 1 + 2 V - |p + 1|, V = sin^2(pi x),
+        # meets only where V > 1/2 and then is unstable (boundary values
+        # differ by 2); cross pair 2 against |p| - 1 + V is unstable at
+        # every x; level 1 is the stable base pair
+        checks = [Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0),
+                  Piece(AbsShift(1.0, 1.0, 0.0))]
+        hats = [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0),
+                Piece(NegatedAbs(-1.0, 1.0, 1.0), "additive", 0, scale=2.0)]
+        fam = MinMaxFamily(checks, hats)
+        x_nodes = np.linspace(0.0, 1.0, 10)[:-1]
+        consts = contact_fields(fam, sin_sq_medium, x_nodes, BOX, N_P)
+        _, _, w_ref = contact_fields_per_x(fam, [sin_sq_medium], x_nodes,
+                                           BOX, N_P)
+        assert _same_json(consts.witnesses, w_ref)
+        order = [(w["x"], w["level"], w["kind"]) for w in consts.witnesses]
+        inner = [x for x in x_nodes if 0.25 < x < 0.75]
+        assert order == [(float(x), 2, kind) for x in x_nodes
+                         for kind in ("level pair", "cross pair")
+                         if kind == "cross pair" or x in inner]
+        assert len(inner) == 4
+
+
+class TestBatchIsTheOnlyShape:
+    def test_piece_evaluations_do_not_grow_with_x_nodes(self, monkeypatch,
+                                                        two_level_family,
+                                                        two_channel_medium):
+        calls = []
+        for cls in (AbsShift, NegatedAbs):
+            orig = cls.__call__
+            monkeypatch.setattr(cls, "__call__",
+                                lambda self, p, orig=orig:
+                                calls.append(1) or orig(self, p))
+
+        def count(n_x, per_x=False):
+            x_nodes = np.linspace(0.0, 1.0, n_x + 1)[:-1]
+            args = two_level_family, [two_channel_medium], x_nodes, BOX, N_P
+            calls.clear()
+            if per_x:
+                m = contact_fields_per_x(*args)[0][0][0]
+                condition_e_per_x(two_level_family, two_channel_medium,
+                                  x_nodes, m, BOX, N_P)
+            else:
+                m = contact_fields(*args).m_fields[0][0]
+                check_condition_e(two_level_family, two_channel_medium,
+                                  x_nodes, m, BOX, N_P)
+            return len(calls)
+
+        assert count(16) == count(64) > 0
+        # the counter does see the per-x reference's calls grow
+        assert count(64, per_x=True) > count(16, per_x=True) > count(16)
