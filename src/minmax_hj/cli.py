@@ -1,10 +1,11 @@
 """Command line entry points.
 
-Exit codes: 0 success, 2 hypothesis failure (unstable pair, broken
-contact-chain monotonicity, ordering violation), 3 numerical failure
-(non-convergence, scheme parameter out of range, an effective curve of
-the wrong shape, any other package error), 4 config or run-dir errors
-(including a gradient box too small for the pair analysis).
+Exit codes: 0 success, 2 hypothesis failure (``HypothesisError``: an
+unstable pair, a broken contact chain or an ordering violation, with a
+``witness:`` line on stderr), 3 numerical failure (non-convergence,
+scheme parameter out of range, an effective curve of the wrong shape,
+any other package error), 4 config or run-dir errors (including a
+gradient box too small for the pair analysis).
 """
 
 import json
@@ -14,10 +15,9 @@ import click
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import (BoxTooSmallError, ConfigError, MinMaxHJError,
-                     MonotonicityError, OrderingViolationError, RunLockError,
-                     StabilityError)
-from .harness import (gate_passed, run_check, run_effective, run_plotdata,
+from .errors import (BoxTooSmallError, ConfigError, HypothesisError,
+                     MinMaxHJError, RunLockError)
+from .harness import (gate_error, run_check, run_effective, run_plotdata,
                       run_sweep_eps)
 
 EXIT_HYPOTHESIS = 2
@@ -36,7 +36,7 @@ def _fail(code, kind, err):
 def _guarded(fn):
     try:
         return fn()
-    except (StabilityError, MonotonicityError, OrderingViolationError) as e:
+    except HypothesisError as e:
         _fail(EXIT_HYPOTHESIS, "hypothesis failure", e)
     except (RunLockError, ConfigError) as e:
         _fail(EXIT_CONFIG, "config error", e)
@@ -84,7 +84,7 @@ def check(config, out, seed):
     manifest = _guarded(lambda: run_check(cfg, out_dir=cfg.output))
     for name, ok in sorted(manifest["verdicts"].items()):
         click.echo(f"{name}: {'pass' if ok else 'FAIL'}")
-    if not gate_passed(manifest["verdicts"]):
+    if gate_error(manifest):
         for name, ok in manifest["verdicts"].items():
             if not ok and manifest["witnesses"].get(name):
                 click.echo("witness[%s]: %s" % (

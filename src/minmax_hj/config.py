@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigError
 from .family import MinMaxFamily, Piece
-from .media import MediumRealization, MediumSpec
+from .media import MediumSpec
 from .profiles import QUASICONCAVE, QUASICONVEX, profile_from_dict
 
 
@@ -251,7 +251,7 @@ def _pieces(fam, role, spec):
         if coupling == "amplitude" and spec.kind == "periodic":
             # a periodic channel attains its bounds, so every run meets a
             # coefficient <= 0; a drawn medium is checked where it is bound
-            low = MediumRealization(spec, 0, []).channel_bounds(channel)[0]
+            low = spec.channel_bounds(channel)[0]
             if low <= 0:
                 raise ConfigError(
                     f"{at}.channel: medium.channels[{channel}] reaches "

@@ -13,7 +13,7 @@ exact piecewise-linear inverse.
 import numpy as np
 
 from .errors import ConfigError, ProfileShapeError, SchemeParameterError
-from .profiles import QUASICONVEX
+from .profiles import QUASICONVEX, piecewise_linear
 from .solver import solve_discounted
 
 
@@ -73,18 +73,7 @@ class EffectiveCurve:
 
     def evaluate(self, q):
         """Piecewise-linear interpolation with linear tail extension."""
-        q = np.asarray(q, dtype=float)
-        out = np.interp(q, self.p, self.values)
-        sl_l, sl_r = self.tail_slopes
-        # the tails are rarely reached: a mask and a test cost less than
-        # tail terms computed over the whole array
-        left, right = q < self.p[0], q > self.p[-1]
-        if left.any():
-            out = np.where(left, self.values[0] + sl_l * (q - self.p[0]), out)
-        if right.any():
-            out = np.where(right, self.values[-1] + sl_r * (q - self.p[-1]),
-                           out)
-        return out
+        return piecewise_linear(q, self.p, self.values, self.tail_slopes)
 
     def lipschitz(self):
         return float(np.max(np.abs(np.diff(self.values) / np.diff(self.p))))
@@ -318,14 +307,16 @@ def theorem_formula_values(check_vals, hat_vals, m_bar, m_lower):
 
 
 def theorem_formula(bar_checks, bar_hats, constants):
-    """Assemble the nested effective curve from piece curves and
-    contact constants; intermediate half/full-step curves ride along."""
+    """Assemble the nested effective curve from piece curves and the
+    contact constants m_bar and M_lower of ``constants`` (a
+    ``contact_fields`` record); intermediate half/full-step curves ride
+    along."""
     p = bar_checks[0].p
     for c in list(bar_checks) + list(bar_hats):
         if not np.array_equal(c.p, p):
             raise ValueError("piece curves live on different gradient grids")
-    m_bar = np.asarray(constants.m_bar, dtype=float)
-    m_lower = np.asarray(constants.M_lower, dtype=float)
+    m_bar = np.asarray(constants["m_bar"], dtype=float)
+    m_lower = np.asarray(constants["M_lower"], dtype=float)
     values, inter = theorem_formula_values(
         [c.values for c in bar_checks], [c.values for c in bar_hats],
         m_bar, m_lower)

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: hypothesis failures (ordering,
-stability, monotonicity) exit 2, numerical failures exit 3, config
-problems exit 4.
+The CLI maps these onto exit codes: ``HypothesisError`` (ordering,
+stability or contact-chain monotonicity fails, with its witness) exits
+2; ``ConfigError``, ``RunLockError`` and ``BoxTooSmallError`` (config
+and run-directory problems) exit 4; every other package error is a
+numerical failure and exits 3.
 """
 
 
@@ -14,39 +16,13 @@ class ProfileShapeError(MinMaxHJError, ValueError):
     """Profile data does not have the declared shape (valley/hill, coercive tails)."""
 
 
-class OrderingViolationError(MinMaxHJError):
-    """Family pieces violate the monotone ordering required by the nesting.
-
-    Carries the failing level index and a witness point.
-    """
-
-    def __init__(self, kind, level, p, x, lhs, rhs):
-        self.kind = kind          # "check" or "hat"
-        self.level = level        # 1-based level of the violated comparison
-        self.p = p
-        self.x = x
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(
-            f"{kind} pieces out of order at levels {level}/{level + 1}: "
-            f"values {lhs:.6g} vs {rhs:.6g} at p={p}, x={x}"
-        )
-
-
-class StabilityError(MinMaxHJError):
-    """A required pair is unstable; carries the witness report."""
+class HypothesisError(MinMaxHJError):
+    """A gated hypothesis fails; ``witness`` is the evidence (the failing
+    sample of an ordering check, the unstable pairs, or the chain
+    failures), as JSON-ready data."""
 
     def __init__(self, message, witness=None):
         self.witness = witness
-        super().__init__(message)
-
-
-class MonotonicityError(MinMaxHJError):
-    """Contact-constant chains are not monotone; names the failing indices."""
-
-    def __init__(self, message, chain=None, index=None):
-        self.chain = chain        # "upper" (max-type) or "lower" (min-type)
-        self.index = index        # 1-based level where the chain fails
         super().__init__(message)
 
 

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import OrderingViolationError, ProfileShapeError
+from .errors import HypothesisError, ProfileShapeError
 from .profiles import QUASICONCAVE, QUASICONVEX
 
 
@@ -133,7 +133,7 @@ class Piece(Hamiltonian):
     def lipschitz(self, medium=None):
         lip = self.profile.lipschitz()
         if self.coupling == "amplitude":
-            lo, hi = medium.channel_bounds(self.channel)
+            lo, hi = medium.spec.channel_bounds(self.channel)
             lip *= self.scale * max(abs(lo), abs(hi))
         return lip
 
@@ -222,8 +222,12 @@ def _check_ordering_values(check_vals, hat_vals, p, x):
             return
         w = tuple(np.argwhere(bad)[0])
         pick = lambda a: float(np.broadcast_to(a, bad.shape)[w])
-        raise OrderingViolationError(kind, k + 1, pick(p), pick(x),
-                                     pick(lhs), pick(rhs))
+        at = {"kind": kind, "level": k + 1, "p": pick(p), "x": pick(x),
+              "lhs": pick(lhs), "rhs": pick(rhs)}
+        raise HypothesisError(
+            f"{kind} pieces out of order at levels {k + 1}/{k + 2}: values "
+            f"{at['lhs']:.6g} vs {at['rhs']:.6g} at p={at['p']}, "
+            f"x={at['x']}", at)
 
     for k in range(len(check_vals) - 1):
         raise_at("check", k, check_vals[k], check_vals[k + 1])

@@ -18,8 +18,7 @@ import numpy as np
 from . import __version__
 from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
                         piece_effective_curve, theorem_formula)
-from .errors import (ConfigError, MonotonicityError, OrderingViolationError,
-                     RunLockError, StabilityError)
+from .errors import ConfigError, HypothesisError, RunLockError
 from .family import LevelHamiltonian, validate_ordering
 from .media import sample_realization
 from .pairs import (check_condition_e, check_monotonicity, contact_fields,
@@ -125,8 +124,9 @@ def _csv(path, header, rows):
 
 def analyze_hypotheses(cfg):
     """Shared hypothesis stage: ordering, pair stability, contact chain
-    monotonicity, thin level sets. Returns verdicts plus the contact
-    constants the later stages reuse."""
+    monotonicity, thin level sets. Returns verdicts and witnesses, plus
+    the ``contact_fields`` record (under "constants") and the first
+    seed's medium, which the later stages reuse."""
     timings = {}
     t0 = time.perf_counter()
     realizations = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
@@ -138,7 +138,7 @@ def analyze_hypotheses(cfg):
     for real in realizations:
         try:
             validate_ordering(cfg.family, real, cfg.p_axis, x_probe)
-        except OrderingViolationError as err:
+        except HypothesisError as err:
             ordering_ok = False
             ordering_witness = f"seed {real.seed}: {err}"
             break
@@ -148,14 +148,14 @@ def analyze_hypotheses(cfg):
     p_box = cfg.p_box or expand_p_box(cfg.family, realizations)
     consts = contact_fields(cfg.family, realizations, x_nodes, p_box,
                             cfg.n_p)
-    stable = consts.all_pairs_stable
+    stable = consts["all_pairs_stable"]
     timings["stable_pairs"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     mono = check_monotonicity(consts)
     mono_strict = check_monotonicity(consts, strict=True)
     cond_e = {"holds": True, "witnesses": []}
-    for real, m in zip(realizations, consts.m_fields):
+    for real, m in zip(realizations, consts["m_fields"]):
         # the level-1 contact values contact_fields already found
         one = check_condition_e(cfg.family, real, x_nodes, m[0], p_box,
                                 cfg.n_p)
@@ -173,51 +173,60 @@ def analyze_hypotheses(cfg):
     }
     witnesses = {
         "ordering": ordering_witness,
-        "stable_pairs": consts.witnesses[:8],
+        "stable_pairs": consts["witnesses"][:8],
         "contact_monotonicity": mono["failures"],
         "level_set_thin": cond_e["witnesses"],
     }
     return {"verdicts": verdicts, "witnesses": witnesses,
-            "constants": consts.to_dict(), "consts_obj": consts,
-            "medium0": medium0, "timings": timings}
+            "constants": consts, "medium0": medium0, "timings": timings}
 
 
-def gate_passed(verdicts):
-    return (verdicts["ordering"] and verdicts["stable_pairs"]
-            and verdicts["contact_monotonicity"])
-
-
-def _require_gate(analysis, force):
-    v = analysis["verdicts"]
-    if force or gate_passed(v):
-        return
+def gate_error(report):
+    """The hypothesis gate: the nested formula needs stable pairs,
+    monotone contact chains and ordered pieces. ``report`` holds the
+    "verdicts" and "witnesses" of ``analyze_hypotheses`` (an analysis or
+    a check manifest). Returns None when all three hold, else the
+    HypothesisError of the first that fails, in that order, whose
+    witness is the one recorded for it."""
+    v, w = report["verdicts"], report["witnesses"]
     if not v["stable_pairs"]:
-        raise StabilityError("hypothesis gate: unstable pair",
-                             witness=analysis["witnesses"]["stable_pairs"])
+        return HypothesisError("hypothesis gate: unstable pair",
+                               w["stable_pairs"])
     if not v["contact_monotonicity"]:
-        fail = analysis["witnesses"]["contact_monotonicity"][0]
-        raise MonotonicityError(
+        fail = w["contact_monotonicity"][0]
+        return HypothesisError(
             f"hypothesis gate: {fail['chain']} contact chain not monotone "
-            f"at level index {fail['index']}",
-            chain=fail["chain"], index=fail["index"])
-    raise ConfigError(
-        f"hypothesis gate: ordering violated: "
-        f"{analysis['witnesses']['ordering']}")
+            f"at level index {fail['index']}", w["contact_monotonicity"])
+    if not v["ordering"]:
+        return HypothesisError(
+            f"hypothesis gate: ordering violated: {w['ordering']}",
+            w["ordering"])
+    return None
 
 
-def _run(cfg, out_dir, command, stages, force=None):
+def _contact_summary(consts):
+    """The manifest's projection of the ``contact_fields`` record."""
+    return {"m_bar": consts["m_bar"].tolist(),
+            "M_lower": consts["M_lower"].tolist(),
+            "seeds": consts["seeds"],
+            "all_pairs_stable": consts["all_pairs_stable"],
+            "n_x": consts["m_fields"][:, 0].size,
+            "witnesses": consts["witnesses"][:8]}
+
+
+def _run(cfg, out_dir, command, stages, force=True):
     """The frame every command shares. Make and lock the run directory,
-    analyze the hypotheses, gate on them (unless ``force`` is None, as
-    for check, which only reports them), run ``stages(analysis, out_dir,
-    timings)``, and write the manifest: command, config, verdicts and
-    timings, plus the keys ``stages`` returns (its result files among
-    them)."""
+    analyze the hypotheses, raise the gate's error unless ``force``
+    (check forces, as it only reports the verdicts), run
+    ``stages(analysis, out_dir, timings)``, and write the manifest:
+    command, config, verdicts and timings, plus the keys ``stages``
+    returns (its result files among them)."""
     out_dir = out_dir or cfg.output
     os.makedirs(out_dir, exist_ok=True)
     with RunLock(out_dir):
         analysis = analyze_hypotheses(cfg)
-        if force is not None:
-            _require_gate(analysis, force)
+        if not force and (err := gate_error(analysis)):
+            raise err
         timings = dict(analysis["timings"])
         manifest = {"command": command, "config": cfg.raw,
                     "verdicts": analysis["verdicts"], "timings": timings}
@@ -229,7 +238,8 @@ def run_check(cfg, out_dir=None):
     """Pure hypothesis gate; writes only the manifest."""
     def stages(analysis, out_dir, timings):
         return {"witnesses": analysis["witnesses"],
-                "contact_constants": analysis["constants"], "files": []}
+                "contact_constants": _contact_summary(analysis["constants"]),
+                "files": []}
     return _run(cfg, out_dir, "check", stages)
 
 
@@ -278,14 +288,15 @@ def _solver_stats(curves):
 
 
 def build_curves(cfg, medium, consts):
-    """Per-piece effective curves (exact where the piece is separable,
-    numeric otherwise) and the nested formula curve."""
+    """Per-piece effective curves (exact, except for amplitude-coupled
+    pieces, which are not separable and are solved numerically) and the
+    nested formula curve from ``consts``, the ``contact_fields``
+    record."""
     def one(piece):
-        kind = "coercive" if piece.tag == QUASICONVEX else "anticoercive"
-        try:
+        if piece.coupling != "amplitude":
             return piece_effective_curve(piece, medium, cfg.p_axis)
-        except ValueError:
-            return _numeric_curve(piece, cfg, medium, kind)
+        kind = "coercive" if piece.tag == QUASICONVEX else "anticoercive"
+        return _numeric_curve(piece, cfg, medium, kind)
 
     checks = [one(pc) for pc in cfg.family.checks]
     hats = [one(pc) for pc in cfg.family.hats]
@@ -308,7 +319,7 @@ def run_effective(cfg, out_dir=None, force=False):
     def stages(analysis, out_dir, timings):
         t0 = time.perf_counter()
         checks, hats, formula = build_curves(
-            cfg, analysis["medium0"], analysis["consts_obj"])
+            cfg, analysis["medium0"], analysis["constants"])
         timings["piece_curves"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -339,7 +350,7 @@ def run_effective(cfg, out_dir=None, force=False):
             {f"hat_{k + 1}": c for k, c in enumerate(hats)})
         named_curves["family"] = numeric
         return {
-            "contact_constants": analysis["constants"],
+            "contact_constants": _contact_summary(analysis["constants"]),
             "max_abs_err": float(abs_err.max()),
             "mean_abs_err": float(abs_err.mean()),
             "unreliable_p": numeric.intermediates["unreliable_p"],
@@ -356,7 +367,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
     def stages(analysis, out_dir, timings):
         medium = analysis["medium0"]
         t0 = time.perf_counter()
-        _, _, formula = build_curves(cfg, medium, analysis["consts_obj"])
+        _, _, formula = build_curves(cfg, medium, analysis["constants"])
         timings["effective_curve"] = time.perf_counter() - t0
 
         grid = Grid(cfg.solver_n, cfg.solver_length)

@@ -65,6 +65,27 @@ class MediumSpec:
                     f"{at}: need {at}.freqs, {at}.amps and {at}.phases "
                     f"of one nonzero length")
 
+    def channel_bounds(self, idx):
+        """Certified (low, high) bounds for a channel's values."""
+        ch = self.channels[idx]
+        if self.kind == "periodic":
+            f = ch["formula"]
+            if f == "constant":
+                v = float(ch["value"])
+                return (v, v)
+            amp = ch.get("amplitude", 1.0)
+            off = ch.get("offset", 0.0)
+            if f in ("sin_sq", "cos_sq"):
+                lo, hi = sorted((off, off + amp))
+            else:
+                lo, hi = off - abs(amp), off + abs(amp)
+            return (float(lo), float(hi))
+        if self.kind == "checkerboard":
+            return (float(ch["low"]), float(ch["high"]))
+        off = ch.get("offset", 0.0)
+        spread = sum(abs(a) for a in ch["amps"])
+        return (float(off - spread), float(off + spread))
+
 
 def sample_realization(spec, seed=0):
     """Draw the realization for (spec, seed); deterministic."""
@@ -121,24 +142,3 @@ class MediumRealization:
         for fr, am, phz in zip(ch["freqs"], ch["amps"], phases):
             acc = acc + am * np.cos(2 * np.pi * (float(fr) * y) + phz)
         return off + acc
-
-    def channel_bounds(self, idx):
-        """Certified (low, high) bounds for a channel's values."""
-        ch = self.spec.channels[idx]
-        if self.spec.kind == "periodic":
-            f = ch["formula"]
-            if f == "constant":
-                v = float(ch["value"])
-                return (v, v)
-            amp = ch.get("amplitude", 1.0)
-            off = ch.get("offset", 0.0)
-            if f in ("sin_sq", "cos_sq"):
-                lo, hi = sorted((off, off + amp))
-            else:
-                lo, hi = off - abs(amp), off + abs(amp)
-            return (float(lo), float(hi))
-        if self.spec.kind == "checkerboard":
-            return (float(ch["low"]), float(ch["high"]))
-        off = ch.get("offset", 0.0)
-        spread = sum(abs(a) for a in ch["amps"])
-        return (float(off - spread), float(off + spread))

@@ -107,34 +107,6 @@ def expand_p_box(family, media):
     raise BoxTooSmallError("could not find a gradient box with dominant checks")
 
 
-class ContactConstants:
-    """Per-level contact fields on the medium sample plus their extrema.
-
-    m_fields/M_fields: list over realizations of (ell, n_x) arrays.
-    m_bar[k-1] = max over samples of m_k; M_lower[k-1] = min of M_k.
-    """
-
-    def __init__(self, m_fields, M_fields, seeds, witnesses):
-        self.m_fields = m_fields
-        self.M_fields = M_fields
-        self.seeds = seeds
-        self.witnesses = witnesses
-        self.m_bar = np.concatenate(m_fields, axis=1).max(axis=1)
-        self.M_lower = np.concatenate(M_fields, axis=1).min(axis=1)
-
-    @property
-    def all_pairs_stable(self):
-        return not self.witnesses
-
-    def to_dict(self):
-        return {"m_bar": self.m_bar.tolist(),
-                "M_lower": self.M_lower.tolist(),
-                "seeds": list(self.seeds),
-                "all_pairs_stable": self.all_pairs_stable,
-                "n_x": int(sum(f.shape[1] for f in self.m_fields)),
-                "witnesses": self.witnesses[:8]}
-
-
 def _piece_peak(piece, x, medium, P):
     """Max over p of a quasiconcave piece at each x: exact, or for a
     combined piece the peak of a grid scan over P."""
@@ -151,12 +123,16 @@ def _piece_peak(piece, x, medium, P):
 
 
 def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
-    """Contact fields and constants for a family.
+    """Contact fields and constants for a family, as one dict.
 
     ``media`` is one realization or a list (the extrema then run over
-    all of them). Unstable pairs are recorded as witnesses, not raised,
-    ordered by medium, x, level, then level pair before cross pair;
-    ``all_pairs_stable`` on the result is the verdict.
+    all of them). The dict holds the fields ``m_fields`` and
+    ``M_fields``, (n_media, ell, n_x) arrays; their extrema ``m_bar``
+    (max of m_k over the sample) and ``M_lower`` (min of M_k), one entry
+    per level; the media's ``seeds``; and ``witnesses``, the unstable
+    pairs, recorded rather than raised and ordered by medium, x, level,
+    then level pair before cross pair. ``all_pairs_stable`` is the
+    verdict.
     """
     if not isinstance(media, (list, tuple)):
         media = [media]
@@ -195,14 +171,19 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
                     "outside_gap": float(rep["outside_gap"][j])})
                     for j in np.flatnonzero(~rep["stable"]).tolist()]
         witnesses += [w for _, w in sorted(unstable, key=lambda u: u[0])]
-    return ContactConstants(list(fields[:, 0]), list(fields[:, 1]),
-                            [m.seed for m in media], witnesses)
+    m_fields, M_fields = fields[:, 0], fields[:, 1]
+    return {"m_fields": m_fields, "M_fields": M_fields,
+            "m_bar": m_fields.max(axis=(0, 2)),
+            "M_lower": M_fields.min(axis=(0, 2)),
+            "seeds": [m.seed for m in media], "witnesses": witnesses,
+            "all_pairs_stable": not witnesses}
 
 
 def check_monotonicity(constants, strict=False):
-    """Verdicts for the two contact chains: m_bar non-increasing,
-    M_lower non-decreasing (strictly, when asked)."""
-    m, M = constants.m_bar, constants.M_lower
+    """Verdicts for the two contact chains of a ``contact_fields``
+    record: m_bar non-increasing, M_lower non-decreasing (strictly, when
+    asked)."""
+    m, M = constants["m_bar"], constants["M_lower"]
     failures = []
     for k in range(m.size - 1):
         ok = m[k] > m[k + 1] if strict else m[k] >= m[k + 1]
@@ -220,8 +201,8 @@ def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049):
     """Thin-level-set check at level 1.
 
     m_1 holds the level-1 V-contact values at x_nodes in this medium,
-    as ``contact_fields`` computed them on the same p_box and n_p (row 0
-    of its m_fields). For each sampled x, the set
+    as ``contact_fields`` computed them on the same p_box and n_p (level
+    1 of this medium's ``m_fields``). For each sampled x, the set
     {p : |piece(p, x) - m_1(x)| <= 1e-9 * max(1, |m_1(x)|)} must have no
     grid-interior point for either level-1 piece. The catalogue is
     exactly evaluable, so the tolerance is an arithmetic one, not a

@@ -27,6 +27,23 @@ QUASICONVEX = "quasiconvex"
 QUASICONCAVE = "quasiconcave"
 
 
+def piecewise_linear(q, knots, values, tail_slopes):
+    """Interpolate ``values`` at the increasing ``knots`` and extend past
+    the end knots linearly, with ``tail_slopes`` (left, right)."""
+    q = np.asarray(q, dtype=float)
+    out = np.interp(q, knots, values)
+    # the tails are rarely reached: a mask and a test cost less than
+    # tail terms computed over the whole array
+    left, right = q < knots[0], q > knots[-1]
+    if left.any():
+        out = np.where(left, values[0] + tail_slopes[0] * (q - knots[0]),
+                       out)
+    if right.any():
+        out = np.where(right, values[-1] + tail_slopes[1] * (q - knots[-1]),
+                       out)
+    return out
+
+
 def _scalar(center):
     if np.ndim(center) != 0:
         raise ProfileShapeError("center must be a scalar")
@@ -164,11 +181,8 @@ class PiecewiseMonotone:
         return QUASICONVEX if self.direction == "valley" else QUASICONCAVE
 
     def __call__(self, p):
-        b, v = self.breaks, self.values
-        out = np.interp(p, b, v)
-        out = np.where(p < b[0], v[0] + self._slopes[0] * (p - b[0]), out)
-        return np.where(p > b[-1], v[-1] + self._slopes[-1] * (p - b[-1]),
-                        out)
+        return piecewise_linear(p, self.breaks, self.values,
+                                (self._slopes[0], self._slopes[-1]))
 
     def lipschitz(self):
         return float(np.max(np.abs(self._slopes)))

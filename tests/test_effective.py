@@ -293,11 +293,9 @@ class TestFormula:
         hat = EffectiveCurve(P33, 1.0 - np.maximum(0.0, np.abs(P33) - 0.5),
                              kind="anticoercive")
 
-        class Consts:
-            m_bar = np.array([1.0])
-            M_lower = np.array([1.0])
+        consts = {"m_bar": np.array([1.0]), "M_lower": np.array([1.0])}
 
-        curve = theorem_formula([check], [hat], Consts())
+        curve = theorem_formula([check], [hat], consts)
         assert np.array_equal(curve.values, np.maximum(np.abs(P33) - 0.5, 1.0))
 
     def test_constant_inputs_pass_through(self):
@@ -306,12 +304,10 @@ class TestFormula:
         consth = lambda: EffectiveCurve(P33, np.full(33, c),
                                         kind="anticoercive")
 
-        class Consts:
-            m_bar = np.array([c, c])
-            M_lower = np.array([c, c])
+        consts = {"m_bar": np.array([c, c]), "M_lower": np.array([c, c])}
 
         curve = theorem_formula([const(), const()], [consth(), consth()],
-                                Consts())
+                                consts)
         assert np.all(curve.values == c)
 
     def test_two_level_scalar_smoke(self):
@@ -328,12 +324,10 @@ class TestFormula:
         a = EffectiveCurve(P33, np.abs(P33))
         b = EffectiveCurve(P33 + 0.1, np.abs(P33), kind="anticoercive")
 
-        class Consts:
-            m_bar = np.array([1.0])
-            M_lower = np.array([1.0])
+        consts = {"m_bar": np.array([1.0]), "M_lower": np.array([1.0])}
 
         with pytest.raises(ValueError):
-            theorem_formula([a], [b], Consts())
+            theorem_formula([a], [b], consts)
 
     def test_two_level_formula_closed_form(self, two_level_family,
                                            two_channel_medium):
@@ -356,11 +350,9 @@ class TestFormula:
         check = EffectiveCurve(P33, np.abs(P33), error_bars=bars)
         hat = EffectiveCurve(P33, 2.0 - np.abs(P33), kind="anticoercive")
 
-        class Consts:
-            m_bar = np.array([0.5])
-            M_lower = np.array([0.5])
+        consts = {"m_bar": np.array([0.5]), "M_lower": np.array([0.5])}
 
-        curve = theorem_formula([check], [hat], Consts())
+        curve = theorem_formula([check], [hat], consts)
         assert np.all(curve.error_bars == 0.25)
 
 

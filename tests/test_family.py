@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minmax_hj.errors import OrderingViolationError, ProfileShapeError
+from minmax_hj.errors import HypothesisError, ProfileShapeError
 from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
                               Piece, reorder_family,
                               validate_ordering)
@@ -112,11 +112,11 @@ def test_ordering_violation_names_level(two_channel_medium):
     checks = [Piece(AbsShift(0.0, 1.0, -3.0)), Piece(AbsShift(0.0, 1.0, 0.0))]
     hats = [Piece(NegatedAbs(0.0, 1.0, 0.0)), Piece(NegatedAbs(0.0, 1.0, 2.0))]
     fam = MinMaxFamily(checks, hats)
-    with pytest.raises(OrderingViolationError) as err:
+    with pytest.raises(HypothesisError) as err:
         validate_ordering(fam, two_channel_medium,
                           np.linspace(-2, 2, 9), np.linspace(0, 1, 5))
-    assert err.value.kind == "check"
-    assert err.value.level == 1
+    assert err.value.witness["kind"] == "check"
+    assert err.value.witness["level"] == 1
 
 
 def test_ordering_witness_is_one_point(two_channel_medium):
@@ -125,11 +125,12 @@ def test_ordering_witness_is_one_point(two_channel_medium):
     hats = [Piece(NegatedAbs(0.0, 1.0, 0.0)), Piece(NegatedAbs(0.0, 1.0, 2.0))]
     fam = MinMaxFamily(checks, hats)
     p = np.linspace(-3.0, 3.0, 9)
-    with pytest.raises(OrderingViolationError) as err:
+    with pytest.raises(HypothesisError) as err:
         validate_ordering(fam, two_channel_medium, p, np.array([0.5]))
     # the first failing gradient on the axis, not the axis
-    assert err.value.p == -1.5 and err.value.x == 0.5
-    assert (err.value.lhs, err.value.rhs) == (0.5, 0.75)
+    w = err.value.witness
+    assert w["p"] == -1.5 and w["x"] == 0.5
+    assert (w["lhs"], w["rhs"]) == (0.5, 0.75)
     assert "at p=-1.5, x=0.5" in str(err.value)
 
 

@@ -21,14 +21,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmax_hj import __version__, harness
+from minmax_hj import __version__, cli, errors, harness
 from minmax_hj.cli import main
 from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
-from minmax_hj.errors import (ConfigError, MinMaxHJError, MonotonicityError,
-                              ProfileShapeError, RunLockError, StabilityError)
+from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
+                              ProfileShapeError, RunLockError)
 from minmax_hj.family import LevelHamiltonian
 from minmax_hj.media import sample_realization
-from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_passed,
+from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_error,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
 from minmax_hj.solver import RETRY
@@ -475,7 +475,7 @@ class TestHypothesisStage:
         cfg = ExperimentConfig(small_config())
         analysis = analyze_hypotheses(cfg)
         assert all(analysis["verdicts"].values())
-        assert gate_passed(analysis["verdicts"])
+        assert gate_error(analysis) is None
         np.testing.assert_allclose(analysis["constants"]["m_bar"], [1.0])
         np.testing.assert_allclose(analysis["constants"]["M_lower"], [1.0])
 
@@ -485,7 +485,7 @@ class TestHypothesisStage:
         v = analysis["verdicts"]
         assert not v["stable_pairs"]
         assert v["ordering"] and v["contact_monotonicity"]
-        assert not gate_passed(v)
+        assert gate_error(analysis).witness[0]["level"] == 1
         w = analysis["witnesses"]["stable_pairs"][0]
         assert w["level"] == 1 and w["variation"] > w["tau_b"]
 
@@ -621,7 +621,7 @@ class TestRunEffective:
 
     def test_gate_blocks_unstable_family(self, tmp_path):
         cfg = load_fixture("unstable_pair.yaml", output=str(tmp_path / "run"))
-        with pytest.raises(StabilityError):
+        with pytest.raises(HypothesisError):
             run_effective(cfg)
         assert not (tmp_path / "run" / ".lock").exists()
 
@@ -634,9 +634,10 @@ class TestRunEffective:
     def test_gate_blocks_broken_chain(self, tmp_path):
         cfg = load_fixture("monotonicity_violation.yaml",
                            output=str(tmp_path / "run"))
-        with pytest.raises(MonotonicityError) as err:
+        with pytest.raises(HypothesisError) as err:
             run_effective(cfg)
-        assert err.value.chain == "upper" and err.value.index == 1
+        assert err.value.witness[0]["chain"] == "upper"
+        assert err.value.witness[0]["index"] == 1
 
 
 class TestRunSweep:
@@ -690,7 +691,7 @@ class TestRunSweep:
 
     def test_gate_applies_to_sweep(self, tmp_path):
         cfg = load_fixture("unstable_pair.yaml", output=str(tmp_path / "run"))
-        with pytest.raises(StabilityError):
+        with pytest.raises(HypothesisError):
             run_sweep_eps(cfg)
 
 
@@ -795,6 +796,41 @@ class TestCLI:
                           "--out", str(tmp_path / "run"))
         assert res.exit_code == 2
         assert "hypothesis failure" in res.stderr
+
+    @pytest.mark.parametrize("command", ["effective", "sweep-eps"])
+    def test_ordering_failure_exits_2_with_witness(self, tmp_path, command):
+        # stable pairs and monotone chains, but check_1 = |p| - 1 falls
+        # below check_2 = 2|p| - 6 where |p| > 5, first at p = -6
+        data = yaml.safe_load((CONFIG_DIR / "xindep.yaml").read_text())
+        piece = lambda kind, slope, offset: {"profile": {
+            "kind": kind, "center": 0.0, "slope": slope, "offset": offset}}
+        data["family"] = {
+            "checks": [piece("abs_shift", 1.0, -1.0),
+                       piece("abs_shift", 2.0, -6.0)],
+            "hats": [piece("negated_abs", 1.0, 1.0),
+                     piece("negated_abs", 1.0, 3.0)]}
+        data["p_axis"] = {"min": -6, "max": 6, "count": 25}
+        data["pairs"] = {"x_nodes": 16, "p_box": [-8, 8], "n_p": 4097}
+        path = tmp_path / "ordering.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke(command, "--config", str(path),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 2
+        assert "hypothesis failure: hypothesis gate: ordering violated" \
+            in res.stderr
+        witness = [line for line in res.stderr.splitlines()
+                   if line.startswith("witness: ")]
+        assert len(witness) == 1
+        assert ("seed 0: check pieces out of order at levels 1/2: values "
+                "5 vs 6 at p=-6.0, x=0.0") in witness[0]
+
+    def test_broken_chain_gate_prints_witness(self, tmp_path):
+        res = self.invoke("effective", "--config",
+                          str(CONFIG_DIR / "monotonicity_violation.yaml"),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 2
+        assert res.stderr.splitlines()[1:] == [
+            'witness: [{"chain": "upper", "index": 1, "values": [1.0, 2.5]}]']
 
     def test_effective_force_runs(self, tmp_path):
         res = self.invoke("effective", "--config",
@@ -1034,6 +1070,25 @@ class TestCLI:
         assert res.exit_code == 3
         assert "does not rise at the ends" in res.stderr
 
+    def test_misshapen_exact_curve_exits_3_without_solving(self, tmp_path,
+                                                           monkeypatch):
+        # on [-3, -2] the exact curve of check_1 never rises at the left
+        # end: the run fails there, before any numeric solve
+        def solve(*args, **kwargs):
+            raise AssertionError("numeric solve of an additive piece")
+        monkeypatch.setattr(harness, "estimate_effective", solve)
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data.update(p_axis={"min": -3, "max": -2, "count": 9},
+                    solver={"n": 256, "length": 1.0},
+                    lambda_schedule=[0.16, 0.08, 0.04],
+                    output=str(tmp_path / "run"))
+        path = tmp_path / "short_axis.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("effective", "--config", str(path))
+        assert res.exit_code == 3
+        assert res.stderr == ("numerical failure: coercive curve does not "
+                              "rise at the ends\n")
+
     @pytest.mark.parametrize("command", ["check", "effective"])
     def test_nonpositive_periodic_amplitude_exits_4_naming_the_field(
             self, tmp_path, command):
@@ -1085,6 +1140,26 @@ class TestCLI:
                           "--out", str(tmp_path / "run"))
         assert res.exit_code == 3
         assert "no strictly monotone shift" in res.stderr
+
+    # README's exit-code table, one entry per class in errors.py
+    EXIT_CODES = {"HypothesisError": 2, "ConfigError": 4, "RunLockError": 4,
+                  "BoxTooSmallError": 4, "MinMaxHJError": 3,
+                  "ProfileShapeError": 3, "NonConvergenceError": 3,
+                  "SchemeParameterError": 3}
+
+    def test_exit_code_table_names_every_error_class(self):
+        assert set(self.EXIT_CODES) == {
+            name for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, MinMaxHJError)}
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_class_exits_with_its_code(self, name, capsys):
+        def fail():
+            raise getattr(errors, name)("boom")
+        with pytest.raises(SystemExit) as stop:
+            cli._guarded(fail)
+        assert stop.value.code == self.EXIT_CODES[name]
+        assert "boom" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, loads_scipy", [
         ("check", False), ("sweep-eps", False), ("effective", True)])

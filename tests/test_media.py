@@ -59,7 +59,7 @@ def test_bounds_cover_samples():
     x = np.linspace(0, 1, 257)
     for spec in specs:
         m = sample_realization(spec, 11)
-        lo, hi = m.channel_bounds(0)
+        lo, hi = spec.channel_bounds(0)
         vals = m.evaluate_channel(0, x)
         assert np.all(vals >= lo - 1e-12)
         assert np.all(vals <= hi + 1e-12)

@@ -113,14 +113,14 @@ def x_grid():
 class TestContactFields:
     def test_base_family_constants(self, base_family, sin_sq_medium, x_grid):
         consts = contact_fields(base_family, sin_sq_medium, x_grid, BOX, N_P)
-        m = consts.m_fields[0][0]
+        m = consts["m_fields"][0][0]
         expected = np.sin(np.pi * x_grid) ** 2
         assert np.allclose(m, expected, atol=1e-13, rtol=0.0)
-        assert consts.m_bar[0] == 1.0
-        M = consts.M_fields[0][0]
+        assert consts["m_bar"][0] == 1.0
+        M = consts["M_fields"][0][0]
         assert np.allclose(M, 1.0 + expected, atol=1e-13, rtol=0.0)
-        assert consts.M_lower[0] == 1.0
-        assert consts.all_pairs_stable
+        assert consts["M_lower"][0] == 1.0
+        assert consts["all_pairs_stable"]
 
     def test_two_level_constants(self, two_level_family, two_channel_medium,
                                  x_grid):
@@ -128,17 +128,17 @@ class TestContactFields:
                                 BOX, N_P)
         s2 = np.sin(np.pi * x_grid) ** 2
         c2 = 0.5 * np.cos(np.pi * x_grid) ** 2
-        assert np.allclose(consts.m_fields[0][0], s2, atol=1e-13, rtol=0.0)
-        assert np.allclose(consts.m_fields[0][1], c2, atol=1e-13, rtol=0.0)
+        assert np.allclose(consts["m_fields"][0][0], s2, atol=1e-13, rtol=0.0)
+        assert np.allclose(consts["m_fields"][0][1], c2, atol=1e-13, rtol=0.0)
         # cross pair: hat_2 against check_1, contact on the hat side
         expected_M2 = 1.0 + 0.5 * s2 + 0.5 * c2
-        assert np.allclose(consts.M_fields[0][1], expected_M2,
+        assert np.allclose(consts["M_fields"][0][1], expected_M2,
                            atol=1e-12, rtol=0.0)
-        assert consts.m_bar[0] == 1.0
-        assert consts.m_bar[1] == 0.5
-        assert consts.M_lower[0] == 1.0
-        assert consts.M_lower[1] == 1.25
-        assert consts.all_pairs_stable
+        assert consts["m_bar"][0] == 1.0
+        assert consts["m_bar"][1] == 0.5
+        assert consts["M_lower"][0] == 1.0
+        assert consts["M_lower"][1] == 1.25
+        assert consts["all_pairs_stable"]
 
     def test_reordered_family_same_constants(self, two_level_family,
                                              two_channel_medium, x_grid):
@@ -146,9 +146,9 @@ class TestContactFields:
                                 BOX, N_P)
         consts_r = contact_fields(reorder_family(two_level_family),
                                   two_channel_medium, x_grid, BOX, N_P)
-        for a, b in zip(consts.m_fields, consts_r.m_fields):
+        for a, b in zip(consts["m_fields"], consts_r["m_fields"]):
             assert np.allclose(a, b, atol=1e-13, rtol=0.0)
-        for a, b in zip(consts.M_fields, consts_r.M_fields):
+        for a, b in zip(consts["M_fields"], consts_r["M_fields"]):
             assert np.allclose(a, b, atol=1e-13, rtol=0.0)
 
     def test_multiple_realizations_extrema(self, x_grid):
@@ -157,17 +157,17 @@ class TestContactFields:
         media = [sample_realization(spec, s) for s in (0, 1, 2)]
         fam = make_family([(1.0, 1.0, 0)])
         consts = contact_fields(fam, media, x_grid, BOX, N_P)
-        per_seed = [f[0].max() for f in consts.m_fields]
-        assert consts.m_bar[0] == max(per_seed)
-        assert len(consts.m_fields) == 3
+        per_seed = [f[0].max() for f in consts["m_fields"]]
+        assert consts["m_bar"][0] == max(per_seed)
+        assert len(consts["m_fields"]) == 3
 
     def test_unstable_family_witnessed(self, sin_sq_medium, x_grid):
         check = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
         hat = Piece(NegatedAbs(-1.0, 1.0, 3.0), "additive", 0)
         fam = MinMaxFamily([check], [hat])
         consts = contact_fields(fam, sin_sq_medium, x_grid, BOX, N_P)
-        assert not consts.all_pairs_stable
-        w = consts.witnesses[0]
+        assert not consts["all_pairs_stable"]
+        w = consts["witnesses"][0]
         assert w["level"] == 1
         assert w["variation"] == pytest.approx(2.0)
 
@@ -189,8 +189,8 @@ class TestMonotonicity:
                 Piece(NegatedAbs(0.0, 1.0, 3.0), "additive", 0)]
         fam = MinMaxFamily(checks, hats)
         consts = contact_fields(fam, sin_sq_medium, x_grid, BOX, N_P)
-        assert consts.m_bar[0] == pytest.approx(0.2)
-        assert consts.m_bar[1] == 1.0
+        assert consts["m_bar"][0] == pytest.approx(0.2)
+        assert consts["m_bar"][1] == 1.0
         verdict = check_monotonicity(consts)
         assert not verdict["monotone"]
         assert len(verdict["failures"]) == 1
@@ -201,15 +201,15 @@ class TestMonotonicity:
     def test_tie_fails_strict_only(self, sin_sq_medium, x_grid):
         fam = make_family([(1.0, 1.0, 0), (4.0, 4.0, 0)])
         consts = contact_fields(fam, sin_sq_medium, x_grid, (-8.0, 8.0), 4097)
-        assert consts.m_bar[0] == consts.m_bar[1] == 1.0
-        assert consts.M_lower[0] == 1.0
-        assert consts.M_lower[1] == 1.5
+        assert consts["m_bar"][0] == consts["m_bar"][1] == 1.0
+        assert consts["M_lower"][0] == 1.0
+        assert consts["M_lower"][1] == 1.5
         assert check_monotonicity(consts)["monotone"]
         assert not check_monotonicity(consts, strict=True)["monotone"]
 
 
 def _level1_contacts(family, medium, x_nodes):
-    return contact_fields(family, medium, x_nodes, BOX, N_P).m_fields[0][0]
+    return contact_fields(family, medium, x_nodes, BOX, N_P)["m_fields"][0][0]
 
 
 class TestConditionE:
@@ -265,7 +265,7 @@ class TestExpandBox:
                                           x_grid):
         consts = contact_fields(base_family, sin_sq_medium, x_grid,
                                 p_box=None, n_p=N_P)
-        assert consts.m_bar[0] == pytest.approx(1.0, abs=1e-12)
+        assert consts["m_bar"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def _load_workloads():
@@ -298,9 +298,9 @@ class TestBatchMatchesPerX:
                                 cfg.n_p)
         m_ref, M_ref, w_ref = contact_fields_per_x(
             cfg.family, media, x_nodes, cfg.p_box, cfg.n_p)
-        assert all(map(_same_bits, consts.m_fields, m_ref))
-        assert all(map(_same_bits, consts.M_fields, M_ref))
-        assert _same_json(consts.witnesses, w_ref)
+        assert all(map(_same_bits, consts["m_fields"], m_ref))
+        assert all(map(_same_bits, consts["M_fields"], M_ref))
+        assert _same_json(consts["witnesses"], w_ref)
         for medium, m in zip(media, m_ref):
             out = check_condition_e(cfg.family, medium, x_nodes, m[0],
                                     cfg.p_box, cfg.n_p)
@@ -325,7 +325,7 @@ class TestBatchMatchesPerX:
             ROOT / "configs" / f"{name}.yaml"))
         if name == "unstable_pair":
             # an x-independent pair: one witness per x-node all the same
-            assert len(consts.witnesses) == 32
+            assert len(consts["witnesses"]) == 32
 
     def test_witness_order_is_x_then_level_then_pair(self, sin_sq_medium):
         # level pair 2: |p - 1| against 1 + 2 V - |p + 1|, V = sin^2(pi x),
@@ -341,8 +341,8 @@ class TestBatchMatchesPerX:
         consts = contact_fields(fam, sin_sq_medium, x_nodes, BOX, N_P)
         _, _, w_ref = contact_fields_per_x(fam, [sin_sq_medium], x_nodes,
                                            BOX, N_P)
-        assert _same_json(consts.witnesses, w_ref)
-        order = [(w["x"], w["level"], w["kind"]) for w in consts.witnesses]
+        assert _same_json(consts["witnesses"], w_ref)
+        order = [(w["x"], w["level"], w["kind"]) for w in consts["witnesses"]]
         inner = [x for x in x_nodes if 0.25 < x < 0.75]
         assert order == [(float(x), 2, kind) for x in x_nodes
                          for kind in ("level pair", "cross pair")
@@ -370,7 +370,7 @@ class TestBatchIsTheOnlyShape:
                 condition_e_per_x(two_level_family, two_channel_medium,
                                   x_nodes, m, BOX, N_P)
             else:
-                m = contact_fields(*args).m_fields[0][0]
+                m = contact_fields(*args)["m_fields"][0][0]
                 check_condition_e(two_level_family, two_channel_medium,
                                   x_nodes, m, BOX, N_P)
             return len(calls)
