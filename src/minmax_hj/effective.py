@@ -78,13 +78,6 @@ class EffectiveCurve:
     def lipschitz(self):
         return float(np.max(np.abs(np.diff(self.values) / np.diff(self.p))))
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("p,value,error_bar,provenance\n")
-            for pi, vi, ei in zip(self.p, self.values, self.error_bars):
-                fh.write("%.17g,%.17g,%.17g,%s\n"
-                         % (pi, vi, ei, self.provenance))
-
 
 # the exponents the schedule fit scans; a fit at either end is clamped,
 # its best power law lies outside
@@ -275,12 +268,8 @@ def piece_effective_curve(piece, medium, p_samples):
         dual = piece.negate_dual()
         rev = piece_effective_curve(dual, medium, -np.asarray(p_samples,
                                                               dtype=float)[::-1])
-        values = -rev.values[::-1]
-        curve = EffectiveCurve(p_samples, values, None, "oracle",
-                               "anticoercive")
-        curve.intermediates["dual_critical_level"] = \
-            rev.intermediates["critical_level"]
-        return curve.validate()
+        return EffectiveCurve(p_samples, -rev.values[::-1], None, "oracle",
+                              "anticoercive").validate()
     x = _medium_table(medium)
     V = np.zeros_like(x)
     if piece.coupling == "additive":

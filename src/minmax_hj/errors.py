@@ -2,9 +2,9 @@
 
 The CLI maps these onto exit codes: ``HypothesisError`` (ordering,
 stability or contact-chain monotonicity fails, with its witness) exits
-2; ``ConfigError``, ``RunLockError`` and ``BoxTooSmallError`` (config
-and run-directory problems) exit 4; every other package error is a
-numerical failure and exits 3.
+2; ``ConfigError``, ``RunLockError`` (a run directory that cannot be
+made, or whose lock another run holds) and ``BoxTooSmallError`` exit 4;
+every other package error is a numerical failure and exits 3.
 """
 
 
@@ -18,8 +18,9 @@ class ProfileShapeError(MinMaxHJError, ValueError):
 
 class HypothesisError(MinMaxHJError):
     """A gated hypothesis fails; ``witness`` is the evidence (the failing
-    sample of an ordering check, the unstable pairs, or the chain
-    failures), as JSON-ready data."""
+    sample of an ordering check, a dict of ``kind``, ``level``, ``p``,
+    ``x``, ``lhs`` and ``rhs``, to which the gate adds the ``seed``; the
+    unstable pairs; or the chain failures), as JSON-ready data."""
 
     def __init__(self, message, witness=None):
         self.witness = witness
@@ -51,4 +52,4 @@ class ConfigError(MinMaxHJError, ValueError):
 
 
 class RunLockError(MinMaxHJError):
-    """Another process owns the requested run directory."""
+    """The run directory cannot be made, or another run holds its lock."""

@@ -203,14 +203,13 @@ class MinMaxFamily:
         return len(self.checks)
 
 
-def _level(family, s):
-    """The whole level s, 1 <= s <= ell, as an int."""
-    k = int(round(float(s)))
-    if float(s) != k:
-        raise ValueError(f"level must be a whole number, got {s}")
-    if not 1 <= k <= family.ell:
-        raise ValueError(f"level {s} out of range for a {family.ell}-level family")
-    return k
+def ordering_message(at):
+    """The text of an ordering witness: the kind of the pieces, the
+    lower of the two levels, the gradient ``p``, the medium point ``x``
+    and the values ``lhs`` and ``rhs`` of the two pieces there."""
+    return (f"{at['kind']} pieces out of order at levels {at['level']}/"
+            f"{at['level'] + 1}: values {at['lhs']:.6g} vs {at['rhs']:.6g} "
+            f"at p={at['p']}, x={at['x']}")
 
 
 def _check_ordering_values(check_vals, hat_vals, p, x):
@@ -224,10 +223,7 @@ def _check_ordering_values(check_vals, hat_vals, p, x):
         pick = lambda a: float(np.broadcast_to(a, bad.shape)[w])
         at = {"kind": kind, "level": k + 1, "p": pick(p), "x": pick(x),
               "lhs": pick(lhs), "rhs": pick(rhs)}
-        raise HypothesisError(
-            f"{kind} pieces out of order at levels {k + 1}/{k + 2}: values "
-            f"{at['lhs']:.6g} vs {at['rhs']:.6g} at p={at['p']}, "
-            f"x={at['x']}", at)
+        raise HypothesisError(ordering_message(at), at)
 
     for k in range(len(check_vals) - 1):
         raise_at("check", k, check_vals[k], check_vals[k + 1])
@@ -264,12 +260,11 @@ def reorder_family(family):
 
 
 class LevelHamiltonian(Hamiltonian):
-    """The family nesting at one whole level s: the level-s pieces
-    folded by ``minmax_scalar``, level s outermost."""
+    """The whole family's nesting: its pieces folded by
+    ``minmax_scalar``, level ell outermost."""
 
-    def __init__(self, family, s):
-        k = _level(family, s)
-        self._pieces = family.checks[:k], family.hats[:k]
+    def __init__(self, family):
+        self._pieces = family.checks, family.hats
 
     # a binding of its own, so that perfbench/tracer.py can wrap the
     # solvers' level bindings on this class alone

@@ -1,13 +1,16 @@
 """Experiment runner behind the CLI.
 
-Each command owns a run directory (lockfile), writes result files with
-stable CSV schemas, and finishes with a manifest recording the resolved
-config, hypothesis verdicts, per-stage timings, and sha256 checksums of
-every result file. Result files are deterministic for a fixed config
-and seed set; timings live only in the manifest.
+Each command owns a run directory while it writes it (an ``flock`` on
+``.lock``, which the kernel drops when the command exits or is killed),
+writes result files with stable CSV schemas, and finishes with a
+manifest recording the resolved config, the hypothesis block (verdicts,
+witnesses as JSON data, contact constants), per-stage timings, and
+sha256 checksums of every result file. Result files are deterministic
+for a fixed config and seed set; timings live only in the manifest.
 """
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -19,7 +22,7 @@ from . import __version__
 from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
                         piece_effective_curve, theorem_formula)
 from .errors import ConfigError, HypothesisError, RunLockError
-from .family import LevelHamiltonian, validate_ordering
+from .family import LevelHamiltonian, ordering_message, validate_ordering
 from .media import sample_realization
 from .pairs import (check_condition_e, check_monotonicity, contact_fields,
                     expand_p_box)
@@ -32,56 +35,44 @@ _G17 = "%.17g"
 class RunLock:
     """Exclusive ownership of a run directory while a command writes it.
 
-    The lock file holds the owner's pid. A lock whose owner no longer
-    exists (a killed run) is replaced; a lock whose pid is alive, or
-    cannot be read, is left alone. Two runs that find the same dead lock
-    at the same moment can both replace it.
+    The owner holds an ``flock`` on ``<run dir>/.lock``, which the kernel
+    releases when the owner exits or is killed, so a crashed run leaves
+    no lock behind; the file holds the owner's pid for a human reader.
+    A directory that cannot be made, or whose lock is held, raises
+    RunLockError.
     """
 
     def __init__(self, out_dir):
+        self.out_dir = out_dir
         self.path = os.path.join(out_dir, ".lock")
-        self.fd = None
-
-    def _create(self):
-        self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-
-    def _owner_is_dead(self):
-        try:
-            with open(self.path) as fh:
-                pid = int(fh.read())
-            if pid <= 0:
-                return False
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, OverflowError, ValueError):
-            pass
-        return False
-
-    def _locked(self):
-        return RunLockError(
-            f"run directory is locked ({self.path}); remove the stale lock "
-            f"if no other run is active")
 
     def __enter__(self):
         try:
-            self._create()
-        except FileExistsError:
-            if not self._owner_is_dead():
-                raise self._locked() from None
-            # a killed run's lock: replace it, again exclusively
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.path)
-            try:
-                self._create()
-            except FileExistsError:
-                raise self._locked() from None
-        os.write(self.fd, str(os.getpid()).encode())
+            os.makedirs(self.out_dir, exist_ok=True)
+            # no O_TRUNC: a refused contender leaves the owner's pid
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
+        except OSError as err:
+            raise RunLockError(
+                f"cannot lock run directory ({self.path}): "
+                f"{err.strerror}") from None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a finishing owner may have unlinked the file we opened
+            held = not os.path.samestat(os.fstat(fd), os.stat(self.path))
+        except (BlockingIOError, FileNotFoundError):
+            held = True
+        if held:
+            os.close(fd)
+            raise RunLockError(
+                f"run directory is locked by another run ({self.path})")
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode())
+        self.fd = fd
         return self
 
     def __exit__(self, *exc):
-        os.close(self.fd)
         os.unlink(self.path)
+        os.close(self.fd)
         return False
 
 
@@ -122,6 +113,12 @@ def _csv(path, header, rows):
                 v if isinstance(v, str) else _G17 % v for v in row) + "\n")
 
 
+def _curve_csv(path, curve):
+    _csv(path, "p,value,error_bar,provenance",
+         [(p, v, e, curve.provenance)
+          for p, v, e in zip(curve.p, curve.values, curve.error_bars)])
+
+
 def analyze_hypotheses(cfg):
     """Shared hypothesis stage: ordering, pair stability, contact chain
     monotonicity, thin level sets. Returns verdicts and witnesses, plus
@@ -140,7 +137,7 @@ def analyze_hypotheses(cfg):
             validate_ordering(cfg.family, real, cfg.p_axis, x_probe)
         except HypothesisError as err:
             ordering_ok = False
-            ordering_witness = f"seed {real.seed}: {err}"
+            ordering_witness = {"seed": real.seed, **err.witness}
             break
     timings["ordering"] = time.perf_counter() - t0
 
@@ -198,9 +195,10 @@ def gate_error(report):
             f"hypothesis gate: {fail['chain']} contact chain not monotone "
             f"at level index {fail['index']}", w["contact_monotonicity"])
     if not v["ordering"]:
+        at = w["ordering"]
         return HypothesisError(
-            f"hypothesis gate: ordering violated: {w['ordering']}",
-            w["ordering"])
+            f"hypothesis gate: ordering violated: seed {at['seed']}: "
+            f"{ordering_message(at)}", at)
     return None
 
 
@@ -219,28 +217,27 @@ def _run(cfg, out_dir, command, stages, force=True):
     analyze the hypotheses, raise the gate's error unless ``force``
     (check forces, as it only reports the verdicts), run
     ``stages(analysis, out_dir, timings)``, and write the manifest:
-    command, config, verdicts and timings, plus the keys ``stages``
-    returns (its result files among them)."""
+    command, config, timings and the hypothesis block (verdicts,
+    witnesses, contact constants), plus the keys ``stages`` returns (its
+    result files among them)."""
     out_dir = out_dir or cfg.output
-    os.makedirs(out_dir, exist_ok=True)
     with RunLock(out_dir):
         analysis = analyze_hypotheses(cfg)
         if not force and (err := gate_error(analysis)):
             raise err
         timings = dict(analysis["timings"])
-        manifest = {"command": command, "config": cfg.raw,
-                    "verdicts": analysis["verdicts"], "timings": timings}
+        manifest = {
+            "command": command, "config": cfg.raw, "timings": timings,
+            "verdicts": analysis["verdicts"],
+            "witnesses": analysis["witnesses"],
+            "contact_constants": _contact_summary(analysis["constants"])}
         manifest.update(stages(analysis, out_dir, timings))
         return _write_manifest(out_dir, manifest)
 
 
 def run_check(cfg, out_dir=None):
     """Pure hypothesis gate; writes only the manifest."""
-    def stages(analysis, out_dir, timings):
-        return {"witnesses": analysis["witnesses"],
-                "contact_constants": _contact_summary(analysis["constants"]),
-                "files": []}
-    return _run(cfg, out_dir, "check", stages)
+    return _run(cfg, out_dir, "check", lambda *_: {"files": []})
 
 
 def _numeric_curve(hamiltonian, cfg, medium, kind):
@@ -323,13 +320,13 @@ def run_effective(cfg, out_dir=None, force=False):
         timings["piece_curves"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        h_top = LevelHamiltonian(cfg.family, cfg.family.ell)
+        h_top = LevelHamiltonian(cfg.family)
         numeric = _numeric_curve(h_top, cfg, analysis["medium0"],
                                  "coercive")
         timings["numeric_estimates"] = time.perf_counter() - t0
 
-        numeric.to_csv(os.path.join(out_dir, "numeric.csv"))
-        formula.to_csv(os.path.join(out_dir, "formula.csv"))
+        _curve_csv(os.path.join(out_dir, "numeric.csv"), numeric)
+        _curve_csv(os.path.join(out_dir, "formula.csv"), formula)
 
         abs_err = np.abs(numeric.values - formula.values)
         inter_labels = [lab for lab in
@@ -350,7 +347,6 @@ def run_effective(cfg, out_dir=None, force=False):
             {f"hat_{k + 1}": c for k, c in enumerate(hats)})
         named_curves["family"] = numeric
         return {
-            "contact_constants": _contact_summary(analysis["constants"]),
             "max_abs_err": float(abs_err.max()),
             "mean_abs_err": float(abs_err.mean()),
             "unreliable_p": numeric.intermediates["unreliable_p"],
@@ -372,7 +368,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
 
         grid = Grid(cfg.solver_n, cfg.solver_length)
         u0 = cfg.u0_values(grid.x)
-        h_top = LevelHamiltonian(cfg.family, cfg.family.ell)
+        h_top = LevelHamiltonian(cfg.family)
 
         t0 = time.perf_counter()
         hom, _ = solve_homogenized(formula, u0, grid, cfg.T, cfg.theta,

@@ -96,7 +96,7 @@ def test_reordering_preserves_nested_values():
         cv = [pc.evaluate(p, x, medium) for pc in fam.checks]
         hv = [pc.evaluate(p, x, medium) for pc in fam.hats]
         want = nested_family_values(cv, hv, ell)
-        got = LevelHamiltonian(reorder_family(fam), ell).evaluate(p, x,
+        got = LevelHamiltonian(reorder_family(fam)).evaluate(p, x,
                                                                   medium)
         mismatches += int(np.count_nonzero(got != want))
     conclude("running-extrema reordering (100 families x 1000 samples)",

@@ -1,4 +1,3 @@
-import os
 import re
 
 import numpy as np
@@ -173,7 +172,7 @@ class TestEstimate:
         assert est["reliable"].all()
 
     def test_family_matches_expected_curve(self, base_family, sin_sq_medium):
-        h1 = LevelHamiltonian(base_family, 1)
+        h1 = LevelHamiltonian(base_family)
         grid = Grid(512)
         p = np.array([0.0, 1.0, 2.0])
         est = estimate_effective(h1, p, sin_sq_medium, [0.1, 0.04, 0.02],
@@ -196,7 +195,7 @@ class TestEstimate:
                       <= est["error_bar"] + 5e-3)
 
     def test_schedule_validation(self, base_family, sin_sq_medium):
-        h1 = LevelHamiltonian(base_family, 1)
+        h1 = LevelHamiltonian(base_family)
         with pytest.raises(ConfigError):
             estimate_effective(h1, [0.0], sin_sq_medium, [0.01, 0.04, 0.1],
                                Grid(512))
@@ -255,7 +254,7 @@ class TestEstimate:
         assert np.isfinite(fit["value"][0])
 
     def test_shift_invariance_bit_exact(self, base_family, sin_sq_medium):
-        h1 = LevelHamiltonian(base_family, 1)
+        h1 = LevelHamiltonian(base_family)
         grid = Grid(512)
         sched = [0.1, 0.04, 0.02]
         a = estimate_effective(h1, [0.5], sin_sq_medium, sched, grid)
@@ -385,17 +384,6 @@ class TestCurveType:
             EffectiveCurve([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             EffectiveCurve([0.0, 1.0], [1.0, 1.0, 1.0])
-
-    def test_csv_roundtrip(self, tmp_path):
-        path = os.path.join(tmp_path, "curve.csv")
-        curve = EffectiveCurve(P33, np.abs(P33), np.full(33, 1e-3), "oracle")
-        curve.to_csv(path)
-        data = np.genfromtxt(path, delimiter=",", skip_header=1,
-                             usecols=(0, 1, 2))
-        assert np.array_equal(data[:, 0], P33)
-        assert np.array_equal(data[:, 1], np.abs(P33))
-        with open(path) as fh:
-            assert fh.readline().strip() == "p,value,error_bar,provenance"
 
 
 class TestSymmetries:

@@ -33,7 +33,7 @@ def test_amplitude_piece_evaluation(two_channel_medium):
 def test_base_family_values(base_family, sin_sq_medium):
     p = np.array([0.0, 1.0, 2.5])
     x = 0.25  # V = 1/2
-    got = LevelHamiltonian(base_family, 1).evaluate(p, x, sin_sq_medium)
+    got = LevelHamiltonian(base_family).evaluate(p, x, sin_sq_medium)
     want = 0.5 + np.maximum(np.abs(p) - 1.0, 1.0 - np.abs(p))
     assert np.allclose(got, want)
 
@@ -47,27 +47,10 @@ def test_eval_levels_match_reference(two_channel_medium):
         fam = random_family(rng, ell, two_channel_medium)
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
         for s in range(1, ell + 1):
-            got = LevelHamiltonian(fam, s).evaluate(p, x,
-                                                    two_channel_medium)
+            level = MinMaxFamily(fam.checks[:s], fam.hats[:s])
+            got = LevelHamiltonian(level).evaluate(p, x, two_channel_medium)
             want = nested_family_values(cv, hv, s)
             assert np.array_equal(got, want)
-
-
-def test_level_out_of_range(base_family, sin_sq_medium):
-    with pytest.raises(ValueError):
-        LevelHamiltonian(base_family, 1.5).evaluate(0.0, 0.0, sin_sq_medium)
-    with pytest.raises(ValueError):
-        LevelHamiltonian(base_family, 0.5).evaluate(0.0, 0.0, sin_sq_medium)
-    with pytest.raises(ValueError):
-        LevelHamiltonian(base_family, 1.25).evaluate(0.0, 0.0, sin_sq_medium)
-    with pytest.raises(ValueError):
-        LevelHamiltonian(base_family, 2).evaluate(0.0, 0.0, sin_sq_medium)
-
-
-def test_half_levels_are_not_evaluated(two_level_family):
-    # half levels exist only in the nested formula, on effective curves
-    with pytest.raises(ValueError, match="whole number"):
-        LevelHamiltonian(two_level_family, 1.5)
 
 
 def test_piece_evaluates_a_list_of_gradients():
@@ -92,8 +75,7 @@ def test_reordering_preserves_top_level(two_channel_medium):
         fam = random_family(rng, ell, two_channel_medium)
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
         reordered = reorder_family(fam)
-        got = LevelHamiltonian(reordered, ell).evaluate(p, x,
-                                                        two_channel_medium)
+        got = LevelHamiltonian(reordered).evaluate(p, x, two_channel_medium)
         want = nested_family_values(cv, hv, ell)
         assert np.array_equal(got, want)
 
@@ -144,7 +126,7 @@ def test_mislabeled_pieces_rejected():
 
 
 def test_gradient_shift_identity(base_family, sin_sq_medium):
-    h = LevelHamiltonian(base_family, base_family.ell)
+    h = LevelHamiltonian(base_family)
     shifted = GradientShift(h, 1.0)
     p = np.linspace(-2, 2, 21)
     x = 0.3
@@ -155,7 +137,7 @@ def test_gradient_shift_identity(base_family, sin_sq_medium):
 def test_bound_evaluator_matches_evaluate(two_channel_medium):
     rng = np.random.default_rng(13)
     fam = random_family(rng, 2, two_channel_medium)
-    h = LevelHamiltonian(fam, 2)
+    h = LevelHamiltonian(fam)
     x = np.linspace(0, 1, 33)
     f = h.bind_base(np.array([[0.7]]), x, two_channel_medium)
     dv = rng.uniform(-2, 2, 33)
@@ -167,7 +149,7 @@ def test_lipschitz_bound_covers_samples(two_channel_medium):
     rng = np.random.default_rng(14)
     for _ in range(10):
         fam = random_family(rng, 2, two_channel_medium)
-        h = LevelHamiltonian(fam, fam.ell)
+        h = LevelHamiltonian(fam)
         lip = h.lipschitz(two_channel_medium)
         p = np.sort(rng.uniform(-4, 4, 200))
         x = rng.uniform(0, 1)

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from minmax_hj import __version__, cli, errors, harness
 from minmax_hj.cli import main
 from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
+from minmax_hj.effective import EffectiveCurve
 from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
                               ProfileShapeError, RunLockError)
 from minmax_hj.family import LevelHamiltonian
@@ -34,6 +35,16 @@ from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_error,
 from minmax_hj.solver import RETRY
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = str(Path(harness.__file__).resolve().parent.parent)
+
+# holds a run directory's lock until killed
+HOLD_LOCK = """
+import sys, time
+from minmax_hj.harness import RunLock
+with RunLock(sys.argv[1]):
+    print("held", flush=True)
+    time.sleep(60)
+"""
 
 BASE_PAIR = {
     "checks": [{"profile": {"kind": "abs_shift", "center": 0.0,
@@ -534,8 +545,53 @@ class TestRunCheck:
                 run_check(cfg)
         run_check(cfg)
 
+    def test_every_command_writes_one_hypothesis_block(self, tmp_path):
+        blocks = []
+        for name, run in [("check", run_check), ("effective", run_effective),
+                          ("sweep", run_sweep_eps)]:
+            run(load_fixture("base_case.yaml", output=str(tmp_path / name)))
+            manifest = json.loads(
+                (tmp_path / name / "manifest.json").read_text())
+            blocks.append({k: manifest[k] for k in
+                           ("verdicts", "witnesses", "contact_constants")})
+        assert blocks[0] == blocks[1] == blocks[2]
+        assert blocks[0]["contact_constants"]["m_bar"] == [1.0]
+
+    @pytest.mark.parametrize("recreated", [False, True])
+    def test_lock_on_an_unlinked_file_is_refused(self, tmp_path, monkeypatch,
+                                                  recreated):
+        # between our open and our flock, the owner finished and unlinked
+        # the file we opened (and, maybe, the next run made a new one)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text("")
+        flock = harness.fcntl.flock
+
+        def flock_after_release(fd, op):
+            os.unlink(out / ".lock")
+            if recreated:
+                (out / ".lock").write_text("")
+            return flock(fd, op)
+        monkeypatch.setattr(harness.fcntl, "flock", flock_after_release)
+        with pytest.raises(RunLockError, match="locked"):
+            with RunLock(str(out)):
+                pass
+
 
 class TestRunEffective:
+    def test_curve_csv_roundtrip(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        p = np.linspace(-3.0, 3.0, 33)
+        curve = EffectiveCurve(p, np.abs(p), np.full(33, 1e-3), "oracle")
+        harness._curve_csv(str(path), curve)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["p,value,error_bar,provenance",
+                             "-3,3,0.001,oracle"]
+        data = np.genfromtxt(path, delimiter=",", skip_header=1,
+                             usecols=(0, 1, 2))
+        assert np.array_equal(data[:, 0], p)
+        assert np.array_equal(data[:, 1], np.abs(p))
+
     def test_field_free_family_is_exact(self, tmp_path):
         cfg = load_fixture("xindep.yaml", output=str(tmp_path / "run"))
         manifest = run_effective(cfg)
@@ -588,7 +644,7 @@ class TestRunEffective:
                     "error_bar": np.zeros(len(p)),
                     "reliable": np.ones(len(p), dtype=bool)}
         monkeypatch.setattr(harness, "estimate_effective", jumpy)
-        ham = LevelHamiltonian(cfg.family, 1)
+        ham = LevelHamiltonian(cfg.family)
         medium = sample_realization(cfg.medium_spec, 0)
         assert ham.lipschitz(medium) == 1.0
         with pytest.raises(ProfileShapeError,
@@ -629,6 +685,7 @@ class TestRunEffective:
         cfg = load_fixture("unstable_pair.yaml", output=str(tmp_path / "run"))
         manifest = run_effective(cfg, force=True)
         assert not manifest["verdicts"]["stable_pairs"]
+        assert manifest["witnesses"]["stable_pairs"]
         assert (tmp_path / "run" / "compare.csv").exists()
 
     def test_gate_blocks_broken_chain(self, tmp_path):
@@ -816,13 +873,15 @@ class TestCLI:
         res = self.invoke(command, "--config", str(path),
                           "--out", str(tmp_path / "run"))
         assert res.exit_code == 2
-        assert "hypothesis failure: hypothesis gate: ordering violated" \
-            in res.stderr
-        witness = [line for line in res.stderr.splitlines()
-                   if line.startswith("witness: ")]
-        assert len(witness) == 1
-        assert ("seed 0: check pieces out of order at levels 1/2: values "
-                "5 vs 6 at p=-6.0, x=0.0") in witness[0]
+        first, *witness = res.stderr.splitlines()
+        assert first == (
+            "hypothesis failure: hypothesis gate: ordering violated: seed 0: "
+            "check pieces out of order at levels 1/2: values 5 vs 6 at "
+            "p=-6.0, x=0.0")
+        assert len(witness) == 1 and witness[0].startswith("witness: ")
+        assert json.loads(witness[0][len("witness: "):]) == {
+            "seed": 0, "kind": "check", "level": 1, "p": -6.0, "x": 0.0,
+            "lhs": 5.0, "rhs": 6.0}
 
     def test_broken_chain_gate_prints_witness(self, tmp_path):
         res = self.invoke("effective", "--config",
@@ -912,26 +971,61 @@ class TestCLI:
         assert res.exit_code == 0
         assert sorted(os.listdir(out)) == ["manifest.json"]
 
-    def test_lock_of_a_live_process_exits_4(self, tmp_path):
-        out = tmp_path / "run"
-        out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
-        res = self.invoke("check", "--config",
-                          str(CONFIG_DIR / "xindep.yaml"),
-                          "--out", str(out))
-        assert res.exit_code == 4
-        assert "locked" in res.stderr
-        assert (out / ".lock").read_text() == str(os.getpid())
+    def test_lock_file_of_a_live_process_does_not_block(self, tmp_path):
+        # a pid reused after a crash: alive, but holding no lock
+        sleeper = subprocess.Popen(["sleep", "60"])
+        try:
+            out = tmp_path / "run"
+            out.mkdir()
+            (out / ".lock").write_text(str(sleeper.pid))
+            res = self.invoke("check", "--config",
+                              str(CONFIG_DIR / "xindep.yaml"),
+                              "--out", str(out))
+            assert res.exit_code == 0
+            assert sorted(os.listdir(out)) == ["manifest.json"]
+        finally:
+            sleeper.kill()
+            sleeper.wait(timeout=10)
 
     def test_locked_directory_exits_4(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
-        (out / ".lock").write_text("held")
+        check = ["check", "--config", str(CONFIG_DIR / "xindep.yaml"),
+                 "--out", str(out)]
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLD_LOCK, str(out)],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        try:
+            assert holder.stdout.readline() == "held\n"
+            assert (out / ".lock").read_text() == str(holder.pid)
+            res = self.invoke(*check)
+            assert res.exit_code == 4
+            assert "locked" in res.stderr
+            assert str(out / ".lock") in res.stderr
+            assert (out / ".lock").read_text() == str(holder.pid)
+            # killed and not yet reaped: its pid still exists, its lock
+            # went with it
+            holder.kill()
+            os.waitid(os.P_PID, holder.pid, os.WEXITED | os.WNOWAIT)
+            res = self.invoke(*check)
+            assert res.exit_code == 0
+            assert sorted(os.listdir(out)) == ["manifest.json"]
+        finally:
+            holder.kill()
+            holder.wait(timeout=10)
+            holder.stdout.close()
+
+    def test_unmakeable_run_directory_exits_4(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "run"
         res = self.invoke("check", "--config",
-                          str(CONFIG_DIR / "xindep.yaml"),
-                          "--out", str(out))
+                          str(CONFIG_DIR / "xindep.yaml"), "--out", str(out))
         assert res.exit_code == 4
-        assert "locked" in res.stderr
+        assert isinstance(res.exception, SystemExit)
+        assert str(out) in res.stderr
+        assert "Not a directory" in res.stderr
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -988,9 +1082,12 @@ class TestCLI:
         res = self.invoke("check", "--config", str(path))
         assert res.exit_code == 2
         assert "ordering: FAIL" in res.output
-        assert "witness[ordering]" in res.stderr
-        assert "seed 0: check pieces out of order at levels 1/2" \
-            in res.stderr
+        witness = [line for line in res.stderr.splitlines()
+                   if line.startswith("witness[ordering]: ")]
+        assert len(witness) == 1
+        assert json.loads(witness[0][len("witness[ordering]: "):]) == {
+            "seed": 0, "kind": "check", "level": 1, "p": -3.0, "x": 0.5,
+            "lhs": pytest.approx(2.26979, abs=1e-5), "rhs": 2.5}
         res = self.invoke("check", "--config", str(path), "--seed", "1")
         assert "ordering: pass" in res.output
 

@@ -149,7 +149,7 @@ class TestNestedStart:
     @pytest.fixture(scope="class")
     def ell2(self):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
-        return (LevelHamiltonian(cfg.family, cfg.family.ell),
+        return (LevelHamiltonian(cfg.family),
                 sample_realization(cfg.medium_spec, cfg.seeds[0]),
                 cfg.theta)
 
@@ -211,7 +211,7 @@ class TestBatchAndPeriod:
     def ell2(self):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
         assert cfg.theta is None    # the dissipation is the Lipschitz bound
-        return (LevelHamiltonian(cfg.family, cfg.family.ell),
+        return (LevelHamiltonian(cfg.family),
                 sample_realization(cfg.medium_spec, cfg.seeds[0]),
                 Grid(cfg.solver_n, cfg.solver_length))
 
@@ -293,7 +293,7 @@ class TestRelaxationFallback:
         check = Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0)
         hat = Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)
         family = MinMaxFamily([check], [hat])
-        return (LevelHamiltonian(family, 1), sample_realization(spec, 0),
+        return (LevelHamiltonian(family), sample_realization(spec, 0),
                 Grid(256, 1.0))
 
     def test_fallback_row_is_certified(self, case):
