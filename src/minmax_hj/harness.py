@@ -24,8 +24,8 @@ from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
 from .errors import ConfigError, HypothesisError, RunLockError
 from .family import LevelHamiltonian, ordering_message, validate_ordering
 from .media import sample_realization
-from .pairs import (check_condition_e, check_monotonicity, contact_fields,
-                    expand_p_box)
+from .pairs import (Workspace, check_condition_e, check_monotonicity,
+                    contact_fields, expand_p_box)
 from .profiles import QUASICONVEX
 from .solver import FALLBACK, Grid, solve_homogenized, solve_time_dependent
 
@@ -143,8 +143,9 @@ def analyze_hypotheses(cfg):
 
     t0 = time.perf_counter()
     p_box = cfg.p_box or expand_p_box(cfg.family, realizations)
+    work = Workspace()  # the pair analysis' tables, for both stages
     consts = contact_fields(cfg.family, realizations, x_nodes, p_box,
-                            cfg.n_p)
+                            cfg.n_p, work)
     stable = consts["all_pairs_stable"]
     timings["stable_pairs"] = time.perf_counter() - t0
 
@@ -155,7 +156,7 @@ def analyze_hypotheses(cfg):
     for real, m in zip(realizations, consts["m_fields"]):
         # the level-1 contact values contact_fields already found
         one = check_condition_e(cfg.family, real, x_nodes, m[0], p_box,
-                                cfg.n_p)
+                                cfg.n_p, work)
         if not one["holds"]:
             cond_e = one
             break

@@ -16,9 +16,11 @@ the constants whose monotone chains the main gate checks.
 contact value.
 
 Each pair and level-1 piece is evaluated on one (x-node, gradient grid)
-table per medium. Boundary points are located by linear interpolation,
-which is exact for the piecewise-linear catalogue as long as profile
-kinks do not share a cell with a crossing.
+table per medium: a call holds the two piece tables plus a float and a
+bool table of the one ``Workspace`` its hypothesis analysis reuses, as
+freed tables would be faulted in again. Boundary points are located by
+linear interpolation, which is exact for the piecewise-linear catalogue
+as long as profile kinks do not share a cell with a crossing.
 """
 
 import numpy as np
@@ -34,12 +36,23 @@ def _grid_1d(p_box, n_p):
     return np.linspace(lo, hi, int(n_p))
 
 
-def _steepest(v):
-    d = np.diff(v, axis=1)
+class Workspace(dict):
+    """Reused scratch: one byte buffer per slot, grown to the largest
+    table asked of it and viewed as its dtype, undefined until written."""
+
+    def table(self, slot, shape, dtype=float):
+        size = shape[0] * shape[1] * np.dtype(dtype).itemsize
+        if len(self.get(slot, ())) < size:
+            self[slot] = np.empty(size, np.uint8)
+        return self[slot][:size].view(dtype).reshape(shape)
+
+
+def _steepest(v, out):
+    d = np.subtract(v[:, 1:], v[:, :-1], out=out[:, 1:])
     return np.abs(d, out=d).max(axis=1)
 
 
-def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
+def analyze_pair(V_fn, L_fn, p_box, n_p=2049, work=None):
     """Stability of a (V, L) pair on a gradient box, every row at once.
 
     V_fn/L_fn take a gradient array that broadcasts against the x-nodes
@@ -48,14 +61,19 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
     boundary_variation, stable, tau_b (ten grid steps of the steeper
     function) and outside_gap (NaN where the region is empty). Raises
     BoxTooSmallError with the first offending ``row`` when a comparison
-    region or an empty region's V-minimum touches the box."""
+    region or an empty region's V-minimum touches the box. Scratch tables
+    come from ``work`` (a new ``Workspace`` if None), never the outputs."""
+    work = Workspace() if work is None else work
     p = _grid_1d(p_box, n_p)
     h = p[1] - p[0]
     vV, vL = np.broadcast_arrays(np.atleast_2d(V_fn(p)),
                                  np.atleast_2d(L_fn(p)))
-    tau_b = 10.0 * (np.maximum(_steepest(vV), _steepest(vL)) / h) * h
-    g = vL - vV
-    mask = g >= 0.0
+    # one table holds the steepness differences, then g, then the sign
+    # changes: each is done with before the next is written
+    g = work.table("values", vV.shape)
+    tau_b = 10.0 * (np.maximum(_steepest(vV, g), _steepest(vL, g)) / h) * h
+    np.subtract(vL, vV, out=g)
+    mask = np.greater_equal(g, 0.0, out=work.table("mask", g.shape, bool))
     empty = ~mask.any(axis=1)
     imin = np.argmin(vV, axis=1)
     edge = mask[:, 0] | mask[:, -1]
@@ -66,18 +84,22 @@ def analyze_pair(V_fn, L_fn, p_box, n_p=2049):
             "comparison region touches the gradient box" if edge[row] else
             "V attains its grid minimum on the box boundary", row)
     # every row's crossings in one padded table; the padding is masked
-    rows, cols = np.nonzero(mask[:, :-1] != mask[:, 1:])
+    change = np.not_equal(mask[:, :-1], mask[:, 1:], out=work.table(
+        "values", (len(mask), n_p - 1), bool))
+    rows, cols = np.divmod(np.flatnonzero(change), n_p - 1)
+    g0, g1 = (vL[rows, c] - vV[rows, c] for c in (cols, cols + 1))
     counts = np.bincount(rows, minlength=len(mask))
     p_star = np.full((len(mask), max(counts.max(), 1)), p[0])
     p_star[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = \
-        p[cols] + g[rows, cols] * h / (g[rows, cols] - g[rows, cols + 1])
+        p[cols] + g0 * h / (g0 - g1)
     valid = np.arange(p_star.shape[1]) < counts[:, None]
     bV, bL = V_fn(p_star), L_fn(p_star)
     n = np.maximum(counts, 1)
     variation = (np.max(bV, axis=1, where=valid, initial=-np.inf)
                  - np.min(bV, axis=1, where=valid, initial=np.inf))
     c_V = np.add.reduce(bV, axis=1, where=valid) / n
-    outside_gap = np.min(vV, axis=1, where=~mask, initial=np.inf) - c_V
+    outside = np.logical_not(mask, out=mask)
+    outside_gap = np.min(vV, axis=1, where=outside, initial=np.inf) - c_V
     return {
         "contact_value_V": np.where(empty, vV[np.arange(len(vV)), imin], c_V),
         "contact_value_Lambda": np.where(
@@ -122,7 +144,7 @@ def _piece_peak(piece, x, medium, P):
     return val + piece.extra_const
 
 
-def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
+def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, work=None):
     """Contact fields and constants for a family, as one dict.
 
     ``media`` is one realization or a list (the extrema then run over
@@ -132,12 +154,13 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
     per level; the media's ``seeds``; and ``witnesses``, the unstable
     pairs, recorded rather than raised and ordered by medium, x, level,
     then level pair before cross pair. ``all_pairs_stable`` is the
-    verdict.
+    verdict. Every pair's analysis reuses the tables of ``work``.
     """
     if not isinstance(media, (list, tuple)):
         media = [media]
     if p_box is None:
         p_box = expand_p_box(family, media)
+    work = Workspace() if work is None else work
     x_nodes = np.asarray(x_nodes, dtype=float)
     x = x_nodes[:, None]
     fields = np.empty((len(media), 2, family.ell, x_nodes.size))  # m, M
@@ -152,7 +175,7 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049):
                 try:
                     rep = analyze_pair(family.checks[k - c].bind(x, medium),
                                        family.hats[k].bind(x, medium),
-                                       p_box, n_p)
+                                       p_box, n_p, work)
                 except BoxTooSmallError as err:
                     raise BoxTooSmallError(
                         f"level {k + 1} {kind} at "
@@ -197,7 +220,8 @@ def check_monotonicity(constants, strict=False):
     return {"monotone": not failures, "strict": strict, "failures": failures}
 
 
-def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049):
+def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049,
+                      work=None):
     """Thin-level-set check at level 1.
 
     m_1 holds the level-1 V-contact values at x_nodes in this medium,
@@ -209,15 +233,20 @@ def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049):
     grid-scale one: genuine flats produce exact runs, sharp minima do
     not. One witness per x, the check's before the hat's.
     """
+    work = Workspace() if work is None else work
     P = _grid_1d(p_box, n_p)
     x = np.asarray(x_nodes, dtype=float)[:, None]
     m1 = np.asarray(m_1, dtype=float)[:, None]
+    tol = 1e-9 * np.maximum(1.0, np.abs(m1))
     witnesses, found = [], np.zeros(len(x), dtype=bool)
     for name, piece in (("check", family.checks[0]), ("hat", family.hats[0])):
         vals = np.broadcast_to(piece.evaluate(P, x, medium), (len(x), P.size))
-        dev = vals - m1
-        hit = np.abs(dev, out=dev) <= 1e-9 * np.maximum(1.0, np.abs(m1))
-        interior = hit[:, 1:-1] & hit[:, :-2] & hit[:, 2:]
+        dev = np.subtract(vals, m1, out=work.table("values", vals.shape))
+        hit = np.less_equal(np.abs(dev, out=dev), tol,
+                            out=work.table("mask", vals.shape, bool))
+        interior = np.logical_and(hit[:, 1:-1], hit[:, :-2], out=work.table(
+            "values", (len(x), P.size - 2), bool))
+        interior &= hit[:, 2:]
         i = np.argmax(interior, axis=1) + 1
         new = interior.any(axis=1) & ~found
         witnesses += [(j, {"x": float(x[j, 0]), "piece": name,
@@ -225,6 +254,6 @@ def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049):
                            "contact": float(m1[j, 0])})
                       for j in np.flatnonzero(new)[:8]]
         found |= new
-        del vals, dev   # one (x, p) table at a time
+        del vals   # one fresh (x, p) table at a time
     witnesses = [w for _, w in sorted(witnesses, key=lambda t: t[0])][:8]
     return {"holds": not witnesses, "witnesses": witnesses}

@@ -7,6 +7,7 @@ interpolation is exact.
 
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ from _reference import condition_e_per_x, contact_fields_per_x
 from minmax_hj.config import ExperimentConfig
 from minmax_hj.errors import BoxTooSmallError
 from minmax_hj.family import MinMaxFamily, Piece, reorder_family
+from minmax_hj.harness import analyze_hypotheses
 from minmax_hj.media import MediumSpec, sample_realization
-from minmax_hj.pairs import (analyze_pair, check_condition_e,
+from minmax_hj.pairs import (Workspace, analyze_pair, check_condition_e,
                              check_monotonicity, contact_fields, expand_p_box)
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 
@@ -291,11 +293,11 @@ class TestBatchMatchesPerX:
     bit for bit: fields, witnesses and their order, thin-level-set
     output."""
 
-    def assert_matches(self, cfg):
+    def assert_matches(self, cfg, work=None):
         media = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
         x_nodes = cfg.x_nodes()
         consts = contact_fields(cfg.family, media, x_nodes, cfg.p_box,
-                                cfg.n_p)
+                                cfg.n_p, work)
         m_ref, M_ref, w_ref = contact_fields_per_x(
             cfg.family, media, x_nodes, cfg.p_box, cfg.n_p)
         assert all(map(_same_bits, consts["m_fields"], m_ref))
@@ -303,7 +305,7 @@ class TestBatchMatchesPerX:
         assert _same_json(consts["witnesses"], w_ref)
         for medium, m in zip(media, m_ref):
             out = check_condition_e(cfg.family, medium, x_nodes, m[0],
-                                    cfg.p_box, cfg.n_p)
+                                    cfg.p_box, cfg.n_p, work)
             assert _same_json(out, condition_e_per_x(
                 cfg.family, medium, x_nodes, m[0], cfg.p_box, cfg.n_p))
         return consts
@@ -326,6 +328,26 @@ class TestBatchMatchesPerX:
         if name == "unstable_pair":
             # an x-independent pair: one witness per x-node all the same
             assert len(consts["witnesses"]) == 32
+
+    def test_one_workspace_across_configs(self, tmp_path):
+        # as analyze_hypotheses shares one workspace between its pairs,
+        # media and stages: 32 x 2049 tables, then 32 x 3073, then the
+        # one-row tables of x-independent pairs (on 32 and 16 x-nodes),
+        # then 2049 again inside larger buffers; a stale entry or a view
+        # the next pair overwrites would break the match
+        media = {Path(path).stem: path for path, _, _ in
+                 _load_workloads()._media_configs(41, str(tmp_path))}
+        paths = [media["checkerboard_sym1_0"], media["checkerboard_rise2_0"],
+                 ROOT / "configs" / "unstable_pair.yaml",
+                 ROOT / "configs" / "xindep.yaml",
+                 media["quasiperiodic_tie2_1"]]
+        work, shapes = Workspace(), []
+        for path in paths:
+            cfg = ExperimentConfig.from_yaml(path)
+            self.assert_matches(cfg, work)
+            shapes.append((cfg.x_nodes().size, cfg.n_p))
+        assert shapes == [(32, 2049), (32, 3073), (32, 2049), (16, 2049),
+                          (32, 2049)]
 
     def test_witness_order_is_x_then_level_then_pair(self, sin_sq_medium):
         # level pair 2: |p - 1| against 1 + 2 V - |p + 1|, V = sin^2(pi x),
@@ -378,3 +400,27 @@ class TestBatchIsTheOnlyShape:
         assert count(16) == count(64) > 0
         # the counter does see the per-x reference's calls grow
         assert count(64, per_x=True) > count(16, per_x=True) > count(16)
+
+
+class TestPeakMemory:
+    def test_analysis_holds_no_more_tables(self, tmp_path):
+        # one analysis of a three-seed rise2 config (32 x 3073 tables);
+        # with fresh intermediate tables in every call its tracemalloc
+        # peak was 3.306 such tables: the two piece tables of a pair plus
+        # its diff or g table and the masks. The workspace must not add
+        # to that: its float table takes the diffs, g and the sign
+        # changes in turn.
+        path = next(path for path, _, _ in
+                    _load_workloads()._media_configs(41, str(tmp_path))
+                    if Path(path).stem == "checkerboard_rise2_0")
+        cfg = ExperimentConfig.from_yaml(path)
+        assert len(cfg.seeds) == 3 and cfg.n_p == 3073
+        table = cfg.x_nodes().size * cfg.n_p * 8
+        analyze_hypotheses(cfg)   # first-call imports and caches
+        tracemalloc.start()
+        try:
+            analyze_hypotheses(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.306 * table
