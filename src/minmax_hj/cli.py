@@ -1,5 +1,8 @@
 """Command line entry points.
 
+Every ``click.echo`` names its stream: click caches one it resolves,
+keyed by itself, so a redirected stream would never be freed.
+
 Exit codes: 0 success, 2 hypothesis failure (``HypothesisError``: an
 unstable pair, a broken contact chain or an ordering violation, with a
 ``witness:`` line on stderr), 3 numerical failure (non-convergence,
@@ -26,10 +29,11 @@ EXIT_CONFIG = 4
 
 
 def _fail(code, kind, err):
-    click.echo(f"{kind}: {err}", err=True)
+    click.echo(f"{kind}: {err}", file=sys.stderr)
     witness = getattr(err, "witness", None)
     if witness:
-        click.echo("witness: " + json.dumps(witness, default=str), err=True)
+        click.echo("witness: " + json.dumps(witness, default=str),
+                   file=sys.stderr)
     sys.exit(code)
 
 
@@ -83,13 +87,13 @@ def check(config, out, seed):
     cfg = _load(config, out, seed)
     manifest = _guarded(lambda: run_check(cfg, out_dir=cfg.output))
     for name, ok in sorted(manifest["verdicts"].items()):
-        click.echo(f"{name}: {'pass' if ok else 'FAIL'}")
+        click.echo(f"{name}: {'pass' if ok else 'FAIL'}", file=sys.stdout)
     if gate_error(manifest):
         for name, ok in manifest["verdicts"].items():
             if not ok and manifest["witnesses"].get(name):
                 click.echo("witness[%s]: %s" % (
                     name, json.dumps(manifest["witnesses"][name],
-                                     default=str)), err=True)
+                                     default=str)), file=sys.stderr)
         sys.exit(EXIT_HYPOTHESIS)
 
 
@@ -102,7 +106,7 @@ def effective(config, out, seed, force):
     cfg = _load(config, out, seed)
     manifest = _guarded(lambda: run_effective(cfg, out_dir=cfg.output,
                                               force=force))
-    click.echo("max_abs_err: %.6g" % manifest["max_abs_err"])
+    click.echo(f"max_abs_err: {manifest['max_abs_err']:.6g}", file=sys.stdout)
 
 
 @main.command("sweep-eps")
@@ -115,8 +119,8 @@ def sweep_eps(config, out, seed, force):
     manifest = _guarded(lambda: run_sweep_eps(cfg, out_dir=cfg.output,
                                               force=force))
     for eps, err in zip(cfg.eps_schedule, manifest["errors"]):
-        click.echo("eps=%g: err=%.6g" % (eps, err))
-    click.echo("nonincreasing: %s" % manifest["nonincreasing"])
+        click.echo("eps=%g: err=%.6g" % (eps, err), file=sys.stdout)
+    click.echo(f"nonincreasing: {manifest['nonincreasing']}", file=sys.stdout)
 
 
 @main.command()
@@ -125,7 +129,7 @@ def plotdata(run_dir):
     """Emit gnuplot-style .dat files from a completed run directory."""
     written = _guarded(lambda: run_plotdata(run_dir))
     for path in written:
-        click.echo(path)
+        click.echo(path, file=sys.stdout)
 
 
 if __name__ == "__main__":

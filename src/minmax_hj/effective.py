@@ -4,10 +4,11 @@ the nested min-max formula, and the duality report for a piece.
 The estimator solves the discounted problem along a decreasing discount
 schedule and extrapolates -lam * v_lam(0) by fitting value + C*lam^alpha
 with the exponent fitted rather than assumed. The oracle handles
-H(p, x) = phi(p) + V(x) exactly: below the critical level the mean
-gradient of the corrector sweeps an interval whose endpoints are the
-averaged branch inverses, and outside it the level is read off their
-exact piecewise-linear inverse.
+H(p, x) = a(x) phi(p) + b(x), a > 0, exactly (a = 1 for additive
+coupling, b constant for amplitude coupling): below the critical level
+the mean gradient of the corrector sweeps an interval whose endpoints
+are the averaged branch inverses, and outside it the level is read off
+their exact piecewise-linear inverse.
 """
 
 import numpy as np
@@ -195,44 +196,61 @@ def fit_schedule_data(lams, Y, tol):
             "reliable": const | monotone | tight}
 
 
-def exact_effective_1d_separable(profile, v_table, p_samples):
-    """Exact effective curve for H(p, x) = phi(p) + V(x).
+def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None):
+    """Exact effective curve for H(p, x_j) = a_j * phi(p) + b_j, a_j > 0.
 
-    V enters as a table over one period (its mean realizes the spatial
-    averages). Above the critical level mu* = max V + min phi the mean
-    gradients a level mu admits are the averaged branch inverses
-    g(mu) = mean_j phi_inv(mu - V_j), one per branch; at mu* they bound
-    the flat interval [g_left(mu*), g_right(mu*)], and outside it the
-    level of p solves g(mu) = p on the branch facing p.
+    The tables run over one period (their means realize the spatial
+    averages); a_table None means a = 1. Above the critical level
+    mu* = max_j (a_j min phi + b_j) the mean gradients a level mu admits
+    are the averaged branch inverses g(mu) = mean_j phi_inv((mu - b_j) /
+    a_j), one per branch; at mu* they bound the flat interval
+    [g_left(mu*), g_right(mu*)], and outside it the level of p solves
+    g(mu) = p on the branch facing p.
 
     Each branch inverse is linear between the profile's kink levels
     L_0 = min phi < L_1 < ..., so it is a sum of ramps,
     phi_inv(t) = phi_inv(L_0) + sum_k c_k max(t - L_k, 0), and
-    g(mu) = phi_inv(L_0) + sum_k c_k F(mu - L_k) with
-    F(s) = mean_j max(s - V_j, 0) (``mean_ramp``), exact from the sorted
-    table's prefix sums. g is then linear between its knots mu* and
-    V_j + L_k > mu*, so every p's level is read off the tabulated inverse
-    at once and extended past the last knot with the terminal slope.
+    g(mu) = phi_inv(L_0) + sum_k c_k F_k(mu). With a0 = min a, node j's
+    ramp is max((mu - b_j) / a_j - L_k, 0) = w_j max(s_k - key_jk, 0)
+    for w_j = 1 / a_j, s_k = mu - a0 L_k and key_jk = b_j + (a_j - a0) L_k,
+    so F_k = mean_j w_j max(s_k - key_jk, 0) is exact from the prefix
+    sums of w and w * key over level k's sorted keys (``mean_ramp``;
+    a = 1 makes the keys b and the weights 1). g is then linear between
+    its knots mu* and a_j L_k + b_j > mu*, so every p's level is read off
+    the tabulated inverse at once, and past the last knot off the last
+    inverse slope times mean w.
     """
     if profile.tag != QUASICONVEX:
         raise ValueError("oracle profiles must be quasiconvex")
-    V = np.sort(np.asarray(v_table, dtype=float))
+    b = np.asarray(b_table, dtype=float)
+    a = np.ones_like(b) if a_table is None else np.asarray(a_table, float)
+    a0 = a.min()
+    if not a0 > 0:
+        raise ValueError("amplitudes must be positive")
     p_samples = np.asarray(p_samples, dtype=float)
-    csum = np.concatenate(([0.0], np.cumsum(V)))
+    levels, w = profile.kink_levels(), 1.0 / a
+    keys = b + (a - a0) * levels[:, None]             # (K levels, nodes)
+    # a medium table is a few monotone runs, which a stable sort merges
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys, ws = np.take_along_axis(keys, order, axis=1), w[order]
+    # per level, the prefix sums of w and w * key from an empty prefix
+    wsum, wksum = np.concatenate((np.zeros((2, len(levels), 1)),
+                                  np.cumsum([ws, ws * keys], axis=2)), axis=2)
 
-    def mean_ramp(s):
-        k = np.searchsorted(V, s)
-        return (k * s - csum[k]) / V.size
+    def mean_ramp(k, s):
+        m = np.searchsorted(keys[k], s)
+        return (wsum[k, m] * s - wksum[k, m]) / b.size
 
-    levels = profile.kink_levels()
     probe = np.append(levels, levels[-1] + 1.0)
     at = np.array(profile.branch_inverses(probe))    # (2 branches, K + 1)
     slopes = np.diff(at, axis=1) / np.diff(probe)     # between the levels
     ramps = np.diff(slopes, axis=1, prepend=0.0)
-    mu_star = V[-1] + levels[0]
-    knots = V[:, None] + levels[1:]
+    mu_star = np.max(a * levels[0] + b)
+    knots = b[:, None] + a[:, None] * levels[1:]
     knots = np.unique(np.append(knots[knots > mu_star], mu_star))
-    g = at[:, :1] + ramps @ mean_ramp(knots - levels[:, None])
+    s = knots - a0 * levels[:, None]
+    g = at[:, :1] + ramps @ [mean_ramp(k, s[k]) for k in range(len(s))]
+    tail = slopes[:, -1] * np.mean(w)
 
     def level(q, h, slope):
         # h rises along the knots; rounding must not make it dip, or
@@ -241,8 +259,8 @@ def exact_effective_1d_separable(profile, v_table, p_samples):
         return np.interp(q, h, knots) + np.maximum(q - h[-1], 0.0) / slope
 
     # each side's level is mu* on the flat interval and on the far side
-    values = np.maximum(level(-p_samples, -g[0], -slopes[0, -1]),
-                        level(p_samples, g[1], slopes[1, -1]))
+    values = np.maximum(level(-p_samples, -g[0], -tail[0]),
+                        level(p_samples, g[1], tail[1]))
     curve = EffectiveCurve(p_samples, values, None, "oracle", "coercive")
     curve.intermediates["critical_level"] = mu_star
     curve.intermediates["flat_interval"] = (float(g[0, 0]), float(g[1, 0]))
@@ -256,14 +274,10 @@ def _medium_table(medium):
 
 
 def piece_effective_curve(piece, medium, p_samples):
-    """Effective curve of a single separable piece, via the oracle.
-
-    Additive coupling only; quasiconcave pieces go through the
-    negation duality (their curve is the reflected negative of the
-    dual's curve). Amplitude coupling is not separable.
-    """
-    if piece.coupling == "amplitude":
-        raise ValueError("amplitude-coupled pieces are not separable")
+    """Exact effective curve of a single piece: the oracle on its affine
+    maps a * profile + b (``Piece.coefficients``) on the medium table.
+    Quasiconcave pieces go through the negation duality (their curve is
+    the reflected negative of the dual's curve)."""
     if piece.tag != QUASICONVEX:
         dual = piece.negate_dual()
         rev = piece_effective_curve(dual, medium, -np.asarray(p_samples,
@@ -271,11 +285,8 @@ def piece_effective_curve(piece, medium, p_samples):
         return EffectiveCurve(p_samples, -rev.values[::-1], None, "oracle",
                               "anticoercive").validate()
     x = _medium_table(medium)
-    V = np.zeros_like(x)
-    if piece.coupling == "additive":
-        V = V + piece.scale * medium.evaluate_channel(piece.channel, x)
-    V = V + piece.extra_const
-    return exact_effective_1d_separable(piece.profile, V, p_samples)
+    a, b, _ = np.broadcast_arrays(*piece.coefficients(x, medium), x)
+    return exact_effective_1d_separable(piece.profile, b, p_samples, a)
 
 
 def theorem_formula_values(check_vals, hat_vals, m_bar, m_lower):

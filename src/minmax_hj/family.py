@@ -85,14 +85,12 @@ class Hamiltonian:
 class Piece(Hamiltonian):
     """One Hamiltonian piece: profile in p coupled to a medium coefficient.
 
-    coupling:
-      None        -- x-independent, H(p) = profile(p)
-      "additive"  -- profile(p) + scale * coeff(x)
-      "amplitude" -- scale * coeff(x) * profile(p); coefficient must stay
-                     positive or the convexity tag would be wrong, so
-                     every binding checks it on its nodes.
-
-    ``extra_const`` is a constant added to every value.
+    On every node x it is an affine map of its profile,
+    H(p, x) = a(x) * profile(p) + b(x), written once, by ``coefficients``:
+      None        -- a = 1, b = extra_const
+      "additive"  -- a = 1, b = scale * coeff(x) + extra_const
+      "amplitude" -- a = scale * coeff(x), b = extra_const; a must stay
+                     positive or the convexity tag would be wrong
     """
 
     def __init__(self, profile, coupling=None, channel=None, scale=1.0,
@@ -113,14 +111,15 @@ class Piece(Hamiltonian):
     def tag(self):
         return self.profile.tag
 
-    def bind(self, x, medium):
-        phi, extra = self.profile, self.extra_const
+    def coefficients(self, x, medium):
+        """(a, b) of H(p, x) = a * profile(p) + b on the nodes x; a
+        scalar stands for a value constant over x. Raises
+        ProfileShapeError at the first node where an amplitude a <= 0."""
         if self.coupling is None:
-            return phi if extra == 0.0 else lambda p: phi(p) + extra
+            return 1.0, self.extra_const
         coeff = self.scale * medium.evaluate_channel(self.channel, x)
         if self.coupling == "additive":
-            shift = coeff + extra
-            return lambda p: phi(p) + shift
+            return 1.0, coeff + self.extra_const
         bad = np.ravel(coeff <= 0)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -128,7 +127,17 @@ class Piece(Hamiltonian):
                 f"amplitude channel {self.channel} has coefficient "
                 f"{np.ravel(coeff)[i]:.6g} <= 0 at x={np.ravel(x)[i]:.6g}; "
                 f"the convexity tag would be invalid")
-        return lambda p: coeff * phi(p) + extra
+        return coeff, self.extra_const
+
+    def bind(self, x, medium):
+        phi = self.profile
+        a, b = self.coefficients(x, medium)
+        if self.coupling == "amplitude":
+            return lambda p: a * phi(p) + b
+        # a = 1 is left out, so that an additive binding adds only b
+        if self.coupling is None and b == 0.0:
+            return phi
+        return lambda p: phi(p) + b
 
     def lipschitz(self, medium=None):
         lip = self.profile.lipschitz()

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .family import LevelHamiltonian, ordering_message, validate_ordering
 from .media import sample_realization
 from .pairs import (Workspace, check_condition_e, check_monotonicity,
                     contact_fields, expand_p_box)
-from .profiles import QUASICONVEX
 from .solver import FALLBACK, Grid, solve_homogenized, solve_time_dependent
 
 _G17 = "%.17g"
@@ -241,65 +241,50 @@ def run_check(cfg, out_dir=None):
     return _run(cfg, out_dir, "check", lambda *_: {"files": []})
 
 
-def _numeric_curve(hamiltonian, cfg, medium, kind):
-    """Estimates on the p-axis as a curve, checked for shape and, against
-    the Hamiltonian's Lipschitz bound, for continuity."""
+def _numeric_curve(hamiltonian, cfg, medium):
+    """Estimates on the p-axis as a coercive curve, checked for shape
+    and, against the Hamiltonian's Lipschitz bound, for continuity."""
     grid = Grid(cfg.solver_n, cfg.solver_length)
     est = estimate_effective(hamiltonian, cfg.p_axis, medium,
                              cfg.lambda_schedule, grid, cfg.theta)
     curve = EffectiveCurve(cfg.p_axis, est["value"], est["error_bar"],
-                           "numeric", kind)
+                           "numeric")
     curve.validate(hamiltonian.lipschitz(medium))
     curve.intermediates["unreliable_p"] = curve.p[~est["reliable"]].tolist()
     curve.intermediates["estimates"] = est
     return curve
 
 
-def _solver_stats(curves):
-    """Solver telemetry over a run's numeric curves (a dict by name):
-    discounted solves per solver path, the (p, lam) of every solve whose
-    Newton iteration declined, and per curve and gradient the Newton
-    iterations summed over the schedule, the largest final residual,
-    the fitted exponent and whether it sits at an end of the scanned
-    window."""
-    solves, fallbacks, per_p = {}, [], {}
-    for name, curve in curves.items():
-        est = curve.intermediates.get("estimates")
-        if est is None:
-            continue
-        method = est["method"]
-        for m in method.ravel().tolist():
-            solves[m] = solves.get(m, 0) + 1
-        for i, j in np.argwhere(method == FALLBACK):
-            fallbacks.append({"p": float(curve.p[i]),
-                              "lam": float(est["lams"][j])})
-        newton = np.char.startswith(method.astype(str), "newton")
-        iterations = np.where(newton, est["iterations"], 0).sum(axis=1)
-        alphas = [None if np.isnan(a) else a for a in est["alpha"].tolist()]
-        per_p[name] = [
-            {"p": p, "newton_iterations": it, "max_residual": res,
-             "alpha": a, "alpha_at_edge": a in ALPHA_WINDOW}
-            for p, it, res, a in zip(curve.p.tolist(), iterations.tolist(),
-                                     est["residual"].max(axis=1).tolist(),
-                                     alphas)]
+def _solver_stats(curve):
+    """Solver telemetry of a numeric curve: discounted solves per solver
+    path, the (p, lam) of every solve whose Newton iteration declined,
+    and per gradient the Newton iterations summed over the schedule, the
+    largest final residual, the fitted exponent and whether it sits at
+    an end of the scanned window."""
+    est = curve.intermediates["estimates"]
+    method = est["method"]
+    solves = dict(Counter(method.ravel().tolist()))
+    fallbacks = [{"p": float(curve.p[i]), "lam": float(est["lams"][j])}
+                 for i, j in np.argwhere(method == FALLBACK)]
+    newton = np.char.startswith(method.astype(str), "newton")
+    iterations = np.where(newton, est["iterations"], 0).sum(axis=1)
+    alphas = [None if np.isnan(a) else a for a in est["alpha"].tolist()]
+    per_p = [{"p": p, "newton_iterations": it, "max_residual": res,
+              "alpha": a, "alpha_at_edge": a in ALPHA_WINDOW}
+             for p, it, res, a in zip(curve.p.tolist(), iterations.tolist(),
+                                      est["residual"].max(axis=1).tolist(),
+                                      alphas)]
     return {"solves": solves, "fallbacks": fallbacks, "per_p": per_p}
 
 
 def build_curves(cfg, medium, consts):
-    """Per-piece effective curves (exact, except for amplitude-coupled
-    pieces, which are not separable and are solved numerically) and the
-    nested formula curve from ``consts``, the ``contact_fields``
+    """The nested formula curve from the exact piece curves
+    (``piece_effective_curve``) and ``consts``, the ``contact_fields``
     record."""
-    def one(piece):
-        if piece.coupling != "amplitude":
-            return piece_effective_curve(piece, medium, cfg.p_axis)
-        kind = "coercive" if piece.tag == QUASICONVEX else "anticoercive"
-        return _numeric_curve(piece, cfg, medium, kind)
-
-    checks = [one(pc) for pc in cfg.family.checks]
-    hats = [one(pc) for pc in cfg.family.hats]
-    formula = theorem_formula(checks, hats, consts)
-    return checks, hats, formula
+    checks, hats = ([piece_effective_curve(pc, medium, cfg.p_axis)
+                     for pc in pieces]
+                    for pieces in (cfg.family.checks, cfg.family.hats))
+    return theorem_formula(checks, hats, consts)
 
 
 def _one_seed(cfg, command):
@@ -316,14 +301,13 @@ def run_effective(cfg, out_dir=None, force=False):
 
     def stages(analysis, out_dir, timings):
         t0 = time.perf_counter()
-        checks, hats, formula = build_curves(
-            cfg, analysis["medium0"], analysis["constants"])
+        formula = build_curves(cfg, analysis["medium0"],
+                               analysis["constants"])
         timings["piece_curves"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         h_top = LevelHamiltonian(cfg.family)
-        numeric = _numeric_curve(h_top, cfg, analysis["medium0"],
-                                 "coercive")
+        numeric = _numeric_curve(h_top, cfg, analysis["medium0"])
         timings["numeric_estimates"] = time.perf_counter() - t0
 
         _curve_csv(os.path.join(out_dir, "numeric.csv"), numeric)
@@ -335,23 +319,15 @@ def run_effective(cfg, out_dir=None, force=False):
                         if float(lab) < cfg.family.ell]
         header = "p,numeric,formula,abs_err" + "".join(
             ",level_" + lab.replace(".", "_") for lab in inter_labels)
-        rows = []
-        for i in range(len(cfg.p_axis)):
-            row = [cfg.p_axis[i], numeric.values[i], formula.values[i],
-                   abs_err[i]]
-            row += [formula.intermediates[lab][i] for lab in inter_labels]
-            rows.append(row)
-        _csv(os.path.join(out_dir, "compare.csv"), header, rows)
+        columns = [cfg.p_axis, numeric.values, formula.values, abs_err]
+        columns += [formula.intermediates[lab] for lab in inter_labels]
+        _csv(os.path.join(out_dir, "compare.csv"), header, zip(*columns))
 
-        named_curves = {f"check_{k + 1}": c for k, c in enumerate(checks)}
-        named_curves.update(
-            {f"hat_{k + 1}": c for k, c in enumerate(hats)})
-        named_curves["family"] = numeric
         return {
             "max_abs_err": float(abs_err.max()),
             "mean_abs_err": float(abs_err.mean()),
             "unreliable_p": numeric.intermediates["unreliable_p"],
-            "solver_stats": _solver_stats(named_curves),
+            "solver_stats": _solver_stats(numeric),
             "files": ["numeric.csv", "formula.csv", "compare.csv"],
         }
     return _run(cfg, out_dir, "effective", stages, force)
@@ -364,7 +340,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
     def stages(analysis, out_dir, timings):
         medium = analysis["medium0"]
         t0 = time.perf_counter()
-        _, _, formula = build_curves(cfg, medium, analysis["constants"])
+        formula = build_curves(cfg, medium, analysis["constants"])
         timings["effective_curve"] = time.perf_counter() - t0
 
         grid = Grid(cfg.solver_n, cfg.solver_length)

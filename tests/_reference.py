@@ -94,24 +94,26 @@ def power_fit(lams, ys):
     return best
 
 
-def bisection_oracle(profile, v_table, p_samples):
-    """Separable oracle for H(p, x) = phi(p) + V(x) by its definition:
-    each p's level solves avg phi_inv(mu - V) = p on the monotone
-    branch, found by bisection to a level width of 1e-10. Returns
-    (values, critical level, flat interval)."""
+def bisection_oracle(profile, v_table, p_samples, a_table=None):
+    """Oracle for H(p, x) = a(x) phi(p) + V(x), a > 0 (a = 1 by
+    default), by its definition: each p's level solves
+    avg phi_inv((mu - V) / a) = p on the monotone branch, found by
+    bisection to a level width of 1e-10. Returns (values, critical
+    level, flat interval)."""
     V = np.asarray(v_table, dtype=float)
+    a = np.ones_like(V) if a_table is None else np.asarray(a_table, float)
+    assert np.all(a > 0)
     p_samples = np.asarray(p_samples, dtype=float)
-    v_max = float(V.max())
-    if v_max == float(V.min()):
-        # constant potential: no averaging, the curve is the profile
-        values = profile(p_samples) + v_max
+    bottoms = a * profile.extreme_value() + V
+    if np.all(V == V[0]) and np.all(a == a[0]):
+        # one map at every node: no averaging, the curve is the map
+        values = a[0] * profile(p_samples) + V[0]
         lo, hi = profile.branch_inverses(profile.extreme_value())
-        return values, v_max + profile.extreme_value(), (float(lo),
-                                                         float(hi))
-    mu_star = v_max + profile.extreme_value()
+        return values, float(bottoms[0]), (float(lo), float(hi))
+    mu_star = float(bottoms.max())
 
     def ends(mu):
-        left, right = profile.branch_inverses(mu - V)
+        left, right = profile.branch_inverses((mu - V) / a)
         return float(left.mean()), float(right.mean())
 
     pl_star, pr_star = ends(mu_star)

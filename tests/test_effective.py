@@ -17,6 +17,7 @@ from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 from minmax_hj.solver import Grid, solve_discounted
 
 from _reference import bisection_oracle, power_fit
+from conftest import random_piece
 
 P33 = np.linspace(-3.0, 3.0, 33)
 X_NODES = np.linspace(0.0, 1.0, 33)[:-1]
@@ -96,13 +97,18 @@ class TestOracle:
         assert np.max(np.abs(a.values - expect)) <= 1e-13
 
     @pytest.mark.parametrize("table", ["sin_sq", "checkerboard",
-                                       "quasiperiodic"])
+                                       "quasiperiodic", "sin_sq+a",
+                                       "checkerboard+a", "quasiperiodic+a"])
     @pytest.mark.parametrize("profile", ORACLE_PROFILES)
     def test_matches_bisection_definition(self, profile, table):
-        V = medium_table(table)
+        V = medium_table(table.removesuffix("+a"))
+        # "+a" adds an amplitude: the same table a third of a period on,
+        # so that a and V peak at different nodes, moved onto [0.5, 1.5]
+        A = np.roll(V, V.size // 3)
+        A = 0.5 + (A - A.min()) / np.ptp(A) if table.endswith("+a") else None
         p = np.linspace(-6.0, 6.0, 25)
-        curve = exact_effective_1d_separable(profile, V, p)
-        values, mu_star, (lo, hi) = bisection_oracle(profile, V, p)
+        curve = exact_effective_1d_separable(profile, V, p, A)
+        values, mu_star, (lo, hi) = bisection_oracle(profile, V, p, A)
         # gradients left of, inside and right of the flat interval
         assert np.any(p < lo) and np.any((lo <= p) & (p <= hi)) \
             and np.any(p > hi)
@@ -147,10 +153,21 @@ class TestPieceCurves:
         assert check_err <= 1e-9 and hat_err <= 1e-9
         assert check_err <= 1e-13 and hat_err <= 1e-13
 
-    def test_amplitude_coupling_rejected(self, two_channel_medium):
+    def test_amplitude_closed_form(self, two_channel_medium):
+        # H = a |p| with a = 1/2 + sin^2: level mu >= 0 admits the mean
+        # gradients +-mu mean(1/a) = +-mu / sqrt(3/4), so the curve is
+        # sqrt(3/4) |p|, flat only at its critical level 0 at p = 0
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "amplitude", 2, scale=1.0)
-        with pytest.raises(ValueError):
-            piece_effective_curve(piece, two_channel_medium, P33)
+        curve = piece_effective_curve(piece, two_channel_medium, P33)
+        expect = np.abs(P33) * np.sqrt(0.75)
+        assert np.max(np.abs(curve.values - expect)) <= 1e-13
+        assert curve.intermediates["critical_level"] == 0.0
+
+    def test_oracle_rejects_nonpositive_amplitude(self):
+        with pytest.raises(ValueError, match="amplitudes must be positive"):
+            exact_effective_1d_separable(AbsShift(0.0, 1.0, 0.0),
+                                         np.zeros(4), P33,
+                                         np.array([1.0, 0.5, 0.0, 1.0]))
 
 
 class TestEstimate:
@@ -193,6 +210,25 @@ class TestEstimate:
                                  [0.1, 0.04, 0.02], Grid(512))
         assert np.all(np.abs(est["value"] - oracle.values[::4])
                       <= est["error_bar"] + 5e-3)
+
+    @pytest.mark.parametrize("tag", ["quasiconvex", "quasiconcave"])
+    def test_oracle_agreement_on_amplitude_pieces(self, tag,
+                                                  two_channel_medium):
+        # seeded draws of random_piece until three are amplitude-coupled;
+        # the 5e-3 slack covers the grid bias the bare bar leaves out
+        rng = np.random.default_rng(23)
+        pieces = []
+        while len(pieces) < 3:
+            piece = random_piece(rng, two_channel_medium, tag)
+            if piece.coupling == "amplitude":
+                pieces.append(piece)
+        for piece in pieces:
+            oracle = piece_effective_curve(piece, two_channel_medium,
+                                           P33[::4])
+            est = estimate_effective(piece, P33[::4], two_channel_medium,
+                                     [0.1, 0.04, 0.02], Grid(512))
+            assert np.all(np.abs(est["value"] - oracle.values)
+                          <= est["error_bar"] + 5e-3)
 
     def test_schedule_validation(self, base_family, sin_sq_medium):
         h1 = LevelHamiltonian(base_family)

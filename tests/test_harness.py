@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from minmax_hj import __version__, cli, errors, harness
 from minmax_hj.cli import main
 from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
-from minmax_hj.effective import EffectiveCurve
+from minmax_hj.effective import EffectiveCurve, piece_effective_curve
 from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
                               ProfileShapeError, RunLockError)
 from minmax_hj.family import LevelHamiltonian
@@ -615,8 +615,7 @@ class TestRunEffective:
         assert stats["solves"] == {"newton": 132}
         assert stats["fallbacks"] == []
         # the piece curves are exact; only the family curve is numeric
-        assert list(stats["per_p"]) == ["family"]
-        rows = stats["per_p"]["family"]
+        rows = stats["per_p"]
         assert [r["p"] for r in rows] == cfg.p_axis.tolist()
         assert all(r["newton_iterations"] > 0 for r in rows)
         assert all(0.0 <= r["max_residual"] <= 1e-8 * 3.0 for r in rows)
@@ -649,7 +648,7 @@ class TestRunEffective:
         assert ham.lipschitz(medium) == 1.0
         with pytest.raises(ProfileShapeError,
                            match="exceeds the continuity bound"):
-            harness._numeric_curve(ham, cfg, medium, "coercive")
+            harness._numeric_curve(ham, cfg, medium)
 
     def test_failed_manifest_write_leaves_no_manifest(self, tmp_path,
                                                       monkeypatch):
@@ -1227,6 +1226,62 @@ class TestCLI:
         assert ("amplitude channel 1 has coefficient -0.191727 <= 0 at "
                 "x=0.5") in res.stderr
         assert "witness" not in res.stderr
+
+    def test_nonpositive_amplitude_met_first_by_the_oracle(self, tmp_path):
+        # 16 cells on [-0.25, 1), seed 5: only cells 7 and 13 draw a
+        # coefficient <= 0, and the hypothesis stage, on the x-nodes k/8,
+        # samples the even cells alone; the piece curve's 4096-node table
+        # meets cell 7 at x = 7/16
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["medium"] = {"kind": "checkerboard", "period": 1.0, "channels": [
+            {"cell": 0.25, "low": 0.0, "high": 1.0},
+            {"cell": 0.0625, "low": -0.25, "high": 1.0}]}
+        data["family"]["checks"][0].update(coupling="amplitude", channel=1)
+        data["pairs"]["x_nodes"] = 8
+        data["seeds"] = [5]
+        path = tmp_path / "amplitude.yaml"
+        path.write_text(yaml.safe_dump(data))
+        cfg = ExperimentConfig.from_yaml(str(path))
+        medium = sample_realization(cfg.medium_spec, 5)
+        assert np.flatnonzero(medium.tables[1] <= 0).tolist() == [7, 13]
+        message = ("amplitude channel 1 has coefficient -0.161503 <= 0 at "
+                   "x=0.4375")
+        with pytest.raises(ProfileShapeError, match=re.escape(message)):
+            piece_effective_curve(cfg.family.checks[0], medium, cfg.p_axis)
+        res = self.invoke("check", "--config", str(path),
+                          "--out", str(tmp_path / "check"))
+        assert res.exit_code == 0
+        res = self.invoke("effective", "--config", str(path),
+                          "--out", str(tmp_path / "effective"))
+        assert res.exit_code == 3
+        assert res.stderr == f"numerical failure: {message}; the convexity " \
+            "tag would be invalid\n"
+
+    def test_amplitude_coupled_base_case_is_checked_by_the_oracle(
+            self, tmp_path):
+        # both pieces scaled by 1/2 + sin^2: the formula's piece curves
+        # are exact, so only the family curve is solved, and the two
+        # estimates differ by the solver's error alone
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["medium"]["channels"] = [
+            {"formula": "sin_sq", "amplitude": 1.0, "offset": 0.5}]
+        for piece in data["family"]["checks"] + data["family"]["hats"]:
+            piece["coupling"] = "amplitude"
+        path = tmp_path / "amplitude.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("effective", "--config", str(path),
+                          "--out", str(tmp_path / "effective"))
+        assert res.exit_code == 0
+        manifest = json.loads(
+            (tmp_path / "effective" / "manifest.json").read_text())
+        stats = manifest["solver_stats"]
+        assert stats["solves"] == {"newton": 132}
+        assert [r["p"] for r in stats["per_p"]] == \
+            np.linspace(-3.0, 3.0, 33).tolist()
+        assert 0.0 < manifest["max_abs_err"] <= 1e-3
+        res = self.invoke("sweep-eps", "--config", str(path),
+                          "--out", str(tmp_path / "sweep"))
+        assert res.exit_code == 0
 
     def test_other_package_errors_exit_3(self, tmp_path, monkeypatch):
         def broken(cfg, out_dir=None):
