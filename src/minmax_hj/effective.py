@@ -267,7 +267,7 @@ def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None):
     return curve.validate()
 
 
-def _medium_table(medium):
+def medium_table(medium):
     """4096 nodes on one medium period (one node without a medium)."""
     return np.arange(4096) * (medium.period / 4096) if medium is not None \
         else np.zeros(1)
@@ -284,7 +284,7 @@ def piece_effective_curve(piece, medium, p_samples):
                                                               dtype=float)[::-1])
         return EffectiveCurve(p_samples, -rev.values[::-1], None, "oracle",
                               "anticoercive").validate()
-    x = _medium_table(medium)
+    x = medium_table(medium)
     a, b, _ = np.broadcast_arrays(*piece.coefficients(x, medium), x)
     return exact_effective_1d_separable(piece.profile, b, p_samples, a)
 

@@ -27,6 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import HypothesisError, ProfileShapeError
+from .media import distinct
 from .profiles import QUASICONCAVE, QUASICONVEX
 
 
@@ -221,32 +222,40 @@ def ordering_message(at):
             f"at p={at['p']}, x={at['x']}")
 
 
-def _check_ordering_values(check_vals, hat_vals, p, x):
-    """Raise at the first sample where consecutive pieces are out of
-    order; the witness is that sample's gradient and medium point."""
-    def raise_at(kind, k, lhs, rhs):
-        bad = np.asarray(lhs < rhs if kind == "check" else lhs > rhs)
-        if not np.any(bad):
-            return
-        w = tuple(np.argwhere(bad)[0])
-        pick = lambda a: float(np.broadcast_to(a, bad.shape)[w])
-        at = {"kind": kind, "level": k + 1, "p": pick(p), "x": pick(x),
-              "lhs": pick(lhs), "rhs": pick(rhs)}
-        raise HypothesisError(ordering_message(at), at)
-
-    for k in range(len(check_vals) - 1):
-        raise_at("check", k, check_vals[k], check_vals[k + 1])
-    for k in range(len(hat_vals) - 1):
-        raise_at("hat", k, hat_vals[k], hat_vals[k + 1])
-
-
 def validate_ordering(family, medium, p_samples, x_samples):
-    """Check the monotone ordering on a sample lattice, tolerance zero;
-    raises with the failing level and a witness point."""
-    for xs in x_samples:
-        cv = [pc.evaluate(p_samples, xs, medium) for pc in family.checks]
-        hv = [pc.evaluate(p_samples, xs, medium) for pc in family.hats]
-        _check_ordering_values(cv, hv, p_samples, xs)
+    """Check the monotone ordering on a sample lattice (1-D gradients by
+    x-nodes), tolerance zero, evaluating each piece once on the probes
+    of distinct medium states. Raises with a witness point: the first
+    failing probe, checks before hats, the lower level, the first p."""
+    x_samples = np.asarray(x_samples, dtype=float)
+    reps, inv = distinct(medium.node_keys(x_samples))
+    x = x_samples[reps][:, None]
+    p = np.asarray(p_samples, dtype=float)
+    try:
+        vals = [[np.broadcast_to(pc.evaluate(p, x, medium), (len(x), p.size))
+                 for pc in pieces] for pieces in (family.checks, family.hats)]
+    except ProfileShapeError:
+        # name the piece and node the first failing probe meets
+        for xs in x:
+            for pc in family.checks + family.hats:
+                pc.evaluate(p, xs, medium)
+        raise
+    tests = [(kind, k, v[k], v[k + 1])
+             for kind, v in zip(("check", "hat"), vals)
+             for k in range(len(v) - 1)]
+    bad = np.array([lhs < rhs if kind == "check" else lhs > rhs
+                    for kind, _, lhs, rhs in tests], bool).reshape(
+                        -1, len(x), p.size)   # (test, probe state, p)
+    failing = bad.any(axis=(0, 2))[inv]
+    if failing.any():
+        j = int(np.argmax(failing))
+        r = inv[j]
+        t, i = np.argwhere(bad[:, r])[0]
+        kind, k, lhs, rhs = tests[t]
+        at = {"kind": kind, "level": k + 1, "p": float(p[i]),
+              "x": float(x_samples[j]), "lhs": float(lhs[r, i]),
+              "rhs": float(rhs[r, i])}
+        raise HypothesisError(ordering_message(at), at)
 
 
 def reorder_family(family):

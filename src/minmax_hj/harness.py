@@ -21,10 +21,10 @@ import numpy as np
 
 from . import __version__
 from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
-                        piece_effective_curve, theorem_formula)
+                        medium_table, piece_effective_curve, theorem_formula)
 from .errors import ConfigError, HypothesisError, RunLockError
 from .family import LevelHamiltonian, ordering_message, validate_ordering
-from .media import sample_realization
+from .media import distinct, sample_realization
 from .pairs import (Workspace, check_condition_e, check_monotonicity,
                     contact_fields, expand_p_box)
 from .solver import FALLBACK, Grid, solve_homogenized, solve_time_dependent
@@ -121,18 +121,23 @@ def _curve_csv(path, curve):
 
 def analyze_hypotheses(cfg):
     """Shared hypothesis stage: ordering, pair stability, contact chain
-    monotonicity, thin level sets. Returns verdicts and witnesses, plus
-    the ``contact_fields`` record (under "constants") and the first
+    monotonicity, thin level sets, and positive amplitude coefficients
+    on the exact piece curves' medium table, each stage once per
+    distinct medium state (seeds that draw one medium share it, and so
+    do x-nodes of equal channel values). Returns verdicts and witnesses,
+    plus the ``contact_fields`` record (under "constants") and the first
     seed's medium, which the later stages reuse."""
     timings = {}
     t0 = time.perf_counter()
     realizations = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
     medium0 = realizations[0]
+    reps = distinct(r.key for r in realizations)[0]
+    distinct_media = [realizations[i] for i in reps]
     x_nodes = cfg.x_nodes()
 
     ordering_ok, ordering_witness = True, None
     x_probe = np.linspace(0.0, cfg.medium_spec.period, 9)[:-1]
-    for real in realizations:
+    for real in distinct_media:
         try:
             validate_ordering(cfg.family, real, cfg.p_axis, x_probe)
         except HypothesisError as err:
@@ -142,7 +147,7 @@ def analyze_hypotheses(cfg):
     timings["ordering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    p_box = cfg.p_box or expand_p_box(cfg.family, realizations)
+    p_box = cfg.p_box or expand_p_box(cfg.family, distinct_media)
     work = Workspace()  # the pair analysis' tables, for both stages
     consts = contact_fields(cfg.family, realizations, x_nodes, p_box,
                             cfg.n_p, work)
@@ -153,7 +158,7 @@ def analyze_hypotheses(cfg):
     mono = check_monotonicity(consts)
     mono_strict = check_monotonicity(consts, strict=True)
     cond_e = {"holds": True, "witnesses": []}
-    for real, m in zip(realizations, consts["m_fields"]):
+    for real, m in zip(distinct_media, consts["m_fields"][reps]):
         # the level-1 contact values contact_fields already found
         one = check_condition_e(cfg.family, real, x_nodes, m[0], p_box,
                                 cfg.n_p, work)
@@ -161,6 +166,12 @@ def analyze_hypotheses(cfg):
             cond_e = one
             break
     timings["contact_chains"] = time.perf_counter() - t0
+
+    # a coefficient <= 0 the exact piece curves meet fails here, as there
+    for real in distinct_media:
+        for piece in cfg.family.checks + cfg.family.hats:
+            if piece.coupling == "amplitude":
+                piece.coefficients(medium_table(real), real)
 
     verdicts = {
         "ordering": ordering_ok,

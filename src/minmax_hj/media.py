@@ -87,6 +87,19 @@ class MediumSpec:
         return (float(off - spread), float(off + spread))
 
 
+def distinct(keys):
+    """(reps, inverse) of a sequence of hashable keys: ``reps`` indexes
+    the first occurrence of each distinct key, in order, and
+    ``inverse[i]`` is the position in ``reps`` of key i's."""
+    first, reps, inverse = {}, [], []
+    for i, key in enumerate(keys):
+        if key not in first:
+            first[key] = len(reps)
+            reps.append(i)
+        inverse.append(first[key])
+    return np.array(reps, dtype=np.intp), np.array(inverse, dtype=np.intp)
+
+
 def sample_realization(spec, seed=0):
     """Draw the realization for (spec, seed); deterministic."""
     tables = []
@@ -107,6 +120,21 @@ class MediumRealization:
     @property
     def period(self):
         return self.spec.period
+
+    @property
+    def key(self):
+        """Equal for realizations that draw the same medium: the spec and
+        the bytes of the drawn tables (none but a checkerboard's)."""
+        return (self.spec, *(t.tobytes() for t in self.tables))
+
+    def node_keys(self, x, *extra):
+        """One key per node of the 1-D array x: the bytes of its channel
+        vector, and of its entries of the ``extra`` per-node arrays.
+        Everything that couples a piece to x goes through these values."""
+        cols = [self.evaluate_channel(i, x)
+                for i in range(len(self.spec.channels))]
+        rows = np.column_stack(cols + [np.asarray(e, float) for e in extra])
+        return [row.tobytes() for row in rows]
 
     def evaluate_channel(self, idx, x):
         """Channel value at x (any array shape); exact wrap semantics."""

@@ -15,18 +15,22 @@ the constants whose monotone chains the main gate checks.
 ``check_condition_e`` reports level-1 pieces that are flat at their
 contact value.
 
-Each pair and level-1 piece is evaluated on one (x-node, gradient grid)
-table per medium: a call holds the two piece tables plus a float and a
-bool table of the one ``Workspace`` its hypothesis analysis reuses, as
-freed tables would be faulted in again. Boundary points are located by
-linear interpolation, which is exact for the piecewise-linear catalogue
-as long as profile kinks do not share a cell with a crossing.
+A piece depends on x only through the channel values there, so each
+pair and level-1 piece is evaluated on one (distinct medium state,
+gradient grid) table: x-nodes of byte-equal channel vectors share the
+row of the first of them, and the rows expand back to every node bit
+for bit. A call holds the two piece tables plus a float and a bool
+table of the one ``Workspace`` its hypothesis analysis reuses, as freed
+tables would be faulted in again. Boundary points are located by linear
+interpolation, which is exact for the piecewise-linear catalogue as
+long as profile kinks do not share a cell with a crossing.
 """
 
 import numpy as np
 
 from .errors import BoxTooSmallError
 from .family import CombinedPiece
+from .media import distinct
 
 
 def _grid_1d(p_box, n_p):
@@ -114,10 +118,14 @@ def expand_p_box(family, media):
     """Grow a symmetric gradient box, doubling its half-width from 4 up to
     1024, until every check dominates every hat on its boundary at 65
     points of one medium period, in every realization of ``media`` (one
-    realization or a list): the widest box any of them needs."""
+    realization or a list): the widest box any of them needs. Each
+    distinct medium state among the probes is evaluated once."""
     if not isinstance(media, (list, tuple)):
         media = [media]
-    probes = [(m, np.linspace(0.0, m.period, 65)[None, :]) for m in media]
+    probes = []
+    for m in [media[i] for i in distinct(r.key for r in media)[0]]:
+        x = np.linspace(0.0, m.period, 65)
+        probes.append((m, x[distinct(m.node_keys(x))[0]][None, :]))
     R = 4.0
     while R <= 1024.0:
         edges = np.array([-R, R])[:, None]
@@ -155,6 +163,9 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, work=None):
     pairs, recorded rather than raised and ordered by medium, x, level,
     then level pair before cross pair. ``all_pairs_stable`` is the
     verdict. Every pair's analysis reuses the tables of ``work``.
+
+    A realization that draws the medium of an earlier one copies its
+    fields and witnesses (under its own seed).
     """
     if not isinstance(media, (list, tuple)):
         media = [media]
@@ -162,12 +173,15 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, work=None):
         p_box = expand_p_box(family, media)
     work = Workspace() if work is None else work
     x_nodes = np.asarray(x_nodes, dtype=float)
-    x = x_nodes[:, None]
-    fields = np.empty((len(media), 2, family.ell, x_nodes.size))  # m, M
-    witnesses = []
-    for medium, f in zip(media, fields):
-        f[1, 0] = _piece_peak(family.hats[0], x_nodes, medium,
-                              _grid_1d(p_box, n_p))
+    real_reps, real_inv = distinct(m.key for m in media)
+    fields = np.empty((real_reps.size, 2, family.ell, x_nodes.size))  # m, M
+    found = []
+    for medium, f in zip((media[i] for i in real_reps), fields):
+        reps, inv = distinct(medium.node_keys(x_nodes))
+        xr = x_nodes[reps]
+        x = xr[:, None]
+        f[1, 0] = _piece_peak(family.hats[0], xr, medium,
+                              _grid_1d(p_box, n_p))[inv]
         unstable = []
         for k in range(family.ell):
             # the level pair, then hat_k against check_{k-1}
@@ -179,10 +193,10 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, work=None):
                 except BoxTooSmallError as err:
                     raise BoxTooSmallError(
                         f"level {k + 1} {kind} at "
-                        f"x={float(x_nodes[err.row])}, seed {medium.seed}: "
+                        f"x={float(xr[err.row])}, seed {medium.seed}: "
                         f"{err}") from None
                 # one entry per node, also for a pair that ignores x
-                rep = {key: np.broadcast_to(v, x_nodes.shape)
+                rep = {key: np.broadcast_to(v, xr.shape)[inv]
                        for key, v in rep.items()}
                 f[c, k] = rep[("contact_value_V", "contact_value_Lambda")[c]]
                 unstable += [((j, k, c), {
@@ -193,8 +207,10 @@ def contact_fields(family, media, x_nodes, p_box=None, n_p=2049, work=None):
                     "contact_value_V": float(rep["contact_value_V"][j]),
                     "outside_gap": float(rep["outside_gap"][j])})
                     for j in np.flatnonzero(~rep["stable"]).tolist()]
-        witnesses += [w for _, w in sorted(unstable, key=lambda u: u[0])]
-    m_fields, M_fields = fields[:, 0], fields[:, 1]
+        found.append([w for _, w in sorted(unstable, key=lambda u: u[0])])
+    witnesses = [{**w, "seed": medium.seed}
+                 for medium, i in zip(media, real_inv) for w in found[i]]
+    m_fields, M_fields = fields[real_inv, 0], fields[real_inv, 1]
     return {"m_fields": m_fields, "M_fields": M_fields,
             "m_bar": m_fields.max(axis=(0, 2)),
             "M_lower": M_fields.min(axis=(0, 2)),
@@ -231,14 +247,18 @@ def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049,
     grid-interior point for either level-1 piece. The catalogue is
     exactly evaluable, so the tolerance is an arithmetic one, not a
     grid-scale one: genuine flats produce exact runs, sharp minima do
-    not. One witness per x, the check's before the hat's.
+    not. One witness per x, the check's before the hat's. The x-nodes of
+    byte-equal channel vectors and m_1 values are checked once, on the
+    first of them.
     """
     work = Workspace() if work is None else work
     P = _grid_1d(p_box, n_p)
-    x = np.asarray(x_nodes, dtype=float)[:, None]
-    m1 = np.asarray(m_1, dtype=float)[:, None]
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    m_1 = np.asarray(m_1, dtype=float)
+    reps, inv = distinct(medium.node_keys(x_nodes, m_1))
+    x, m1 = x_nodes[reps][:, None], m_1[reps][:, None]
     tol = 1e-9 * np.maximum(1.0, np.abs(m1))
-    witnesses, found = [], np.zeros(len(x), dtype=bool)
+    witnesses, found = [], np.zeros(x_nodes.size, dtype=bool)
     for name, piece in (("check", family.checks[0]), ("hat", family.hats[0])):
         vals = np.broadcast_to(piece.evaluate(P, x, medium), (len(x), P.size))
         dev = np.subtract(vals, m1, out=work.table("values", vals.shape))
@@ -248,11 +268,12 @@ def check_condition_e(family, medium, x_nodes, m_1, p_box, n_p=2049,
             "values", (len(x), P.size - 2), bool))
         interior &= hit[:, 2:]
         i = np.argmax(interior, axis=1) + 1
-        new = interior.any(axis=1) & ~found
-        witnesses += [(j, {"x": float(x[j, 0]), "piece": name,
-                           "p": float(P[i[j]]), "value": float(vals[j, i[j]]),
-                           "contact": float(m1[j, 0])})
-                      for j in np.flatnonzero(new)[:8]]
+        new = interior.any(axis=1)[inv] & ~found
+        first = np.flatnonzero(new)[:8]
+        witnesses += [(j, {"x": float(x_nodes[j]), "piece": name,
+                           "p": float(P[i[r]]), "value": float(vals[r, i[r]]),
+                           "contact": float(m_1[j])})
+                      for j, r in zip(first.tolist(), inv[first].tolist())]
         found |= new
         del vals   # one fresh (x, p) table at a time
     witnesses = [w for _, w in sorted(witnesses, key=lambda t: t[0])][:8]

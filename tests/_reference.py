@@ -193,7 +193,9 @@ def hat_peak(piece, x, medium):
 def contact_fields_per_x(family, media, x_nodes, p_box, n_p):
     """(m_fields, M_fields, witnesses) by one ``pair_report`` per x-node
     and pair: x outermost, then level, the level pair before the cross
-    pair. M_1 is ``hat_peak``, or for a combined hat its grid peak."""
+    pair. M_1 is ``hat_peak``, or for a combined hat its grid peak. A
+    box too small for a pair raises ValueError naming the pair, x and
+    seed."""
     x_nodes = np.asarray(x_nodes, dtype=float)
     ell = family.ell
     P = np.linspace(float(p_box[0]), float(p_box[1]), int(n_p))
@@ -212,8 +214,13 @@ def contact_fields_per_x(family, media, x_nodes, p_box, n_p):
                 if k > 0:
                     pairs.append(("cross pair", family.checks[k - 1]))
                 for kind, check in pairs:
-                    rep = pair_report(piece(check), piece(family.hats[k]),
-                                      p_box, n_p)
+                    try:
+                        rep = pair_report(piece(check), piece(family.hats[k]),
+                                          p_box, n_p)
+                    except ValueError as err:
+                        raise ValueError(
+                            f"level {k + 1} {kind} at x={float(xj)}, "
+                            f"seed {medium.seed}: {err}") from None
                     if kind == "level pair":
                         m_arr[k, j] = rep["contact_value_V"]
                     else:
@@ -253,3 +260,25 @@ def condition_e_per_x(family, medium, x_nodes, m_1, p_box, n_p):
                                   "contact": float(m1)})
                 break
     return {"holds": not witnesses, "witnesses": witnesses[:8]}
+
+
+def ordering_witness_per_x(family, medium, p_samples, x_samples):
+    """The ordering witness one probe at a time, or None: the first
+    probe where consecutive pieces are out of order, checks before hats,
+    the lower level first, then the first gradient."""
+    p_samples = np.asarray(p_samples, dtype=float)
+    for xs in np.asarray(x_samples, dtype=float):
+        values = {"check": [pc.evaluate(p_samples, xs, medium)
+                            for pc in family.checks],
+                  "hat": [pc.evaluate(p_samples, xs, medium)
+                          for pc in family.hats]}
+        for kind, vals in values.items():
+            for k in range(len(vals) - 1):
+                lhs, rhs = vals[k], vals[k + 1]
+                bad = lhs < rhs if kind == "check" else lhs > rhs
+                if np.any(bad):
+                    i = int(np.argmax(bad))
+                    return {"kind": kind, "level": k + 1,
+                            "p": float(p_samples[i]), "x": float(xs),
+                            "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+    return None

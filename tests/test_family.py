@@ -5,9 +5,10 @@ from minmax_hj.errors import HypothesisError, ProfileShapeError
 from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
                               Piece, reorder_family,
                               validate_ordering)
+from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs
 
-from _reference import nested_family_values
+from _reference import nested_family_values, ordering_witness_per_x
 from conftest import random_family
 
 
@@ -114,6 +115,63 @@ def test_ordering_witness_is_one_point(two_channel_medium):
     assert w["p"] == -1.5 and w["x"] == 0.5
     assert (w["lhs"], w["rhs"]) == (0.5, 0.75)
     assert "at p=-1.5, x=0.5" in str(err.value)
+
+
+def _ordering_witness(family, medium, p, x):
+    try:
+        validate_ordering(family, medium, p, x)
+    except HypothesisError as err:
+        return err.witness
+    return None
+
+
+# out of order, with V = sin^2(pi x) on the probes k/8, where it takes
+# 0, 0.146, 0.5, 0.854, 1, 0.854, 0.5, 0.146:
+#   checks at level 1 where V < 0.1 (|p| + 2V - 1 < |p| + V - 0.9),
+#   checks at level 2 where V > 0.6 (|p| + V - 0.9 < |p| + 2V - 1.5),
+#   hats at level 1 where V > 0.6 (1 - |p| + V > 1.6 - |p|)
+TWO_PROBES_TWO_LEVELS = MinMaxFamily(
+    [Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0, scale=2.0),
+     Piece(AbsShift(0.0, 1.0, -0.9), "additive", 0),
+     Piece(AbsShift(0.0, 1.0, -1.5), "additive", 0, scale=2.0)],
+    [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0),
+     Piece(NegatedAbs(0.0, 1.0, 1.6)),
+     Piece(NegatedAbs(0.0, 1.0, 10.0))])
+
+
+@pytest.mark.parametrize("start, witness", [
+    (0, ("check", 1, 0.0)),     # the first probe fails at level 1
+    (1, ("check", 2, 0.375)),   # checks at level 2 before hats at level 1
+    (4, ("check", 2, 0.5)),
+    (6, ("check", 1, 0.0))])    # probes 0.75 and 0.875 are in order
+def test_ordering_witness_is_the_per_probe_loops(sin_sq_medium, start,
+                                                 witness):
+    p = np.linspace(-3.0, 3.0, 25)
+    x = np.roll(np.linspace(0.0, 1.0, 9)[:-1], -start)
+    got = _ordering_witness(TWO_PROBES_TWO_LEVELS, sin_sq_medium, p, x)
+    assert got == ordering_witness_per_x(TWO_PROBES_TWO_LEVELS,
+                                         sin_sq_medium, p, x)
+    assert (got["kind"], got["level"], got["x"]) == witness
+    assert got["p"] == -3.0
+
+
+def test_ordering_on_repeated_states_matches_the_loop():
+    # a four-cell checkerboard has four states on the 8 probes, and the
+    # witness must still name the first failing probe; random families
+    # break the ordering almost everywhere, so also a reordered one
+    spec = MediumSpec("checkerboard", 1.0, [
+        {"cell": 0.25, "low": 0.0, "high": 1.0},
+        {"cell": 0.5, "low": 0.0, "high": 0.5},
+        {"cell": 0.25, "low": 0.5, "high": 1.5}])
+    p = np.linspace(-3.0, 3.0, 25)
+    rng = np.random.default_rng(3)
+    for seed in range(6):
+        medium = sample_realization(spec, seed)
+        x = rng.permutation(np.linspace(0.0, 1.0, 9)[:-1])
+        for fam in (TWO_PROBES_TWO_LEVELS, random_family(rng, 3, medium),
+                    reorder_family(random_family(rng, 3, medium))):
+            assert _ordering_witness(fam, medium, p, x) == \
+                ordering_witness_per_x(fam, medium, p, x)
 
 
 def test_mislabeled_pieces_rejected():

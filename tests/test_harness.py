@@ -1229,9 +1229,11 @@ class TestCLI:
 
     def test_nonpositive_amplitude_met_first_by_the_oracle(self, tmp_path):
         # 16 cells on [-0.25, 1), seed 5: only cells 7 and 13 draw a
-        # coefficient <= 0, and the hypothesis stage, on the x-nodes k/8,
+        # coefficient <= 0, and the pair analysis, on the x-nodes k/8,
         # samples the even cells alone; the piece curve's 4096-node table
-        # meets cell 7 at x = 7/16
+        # meets cell 7 at x = 7/16, and so does the hypothesis stage,
+        # which checks the amplitudes on that table: check fails as
+        # effective does
         data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
         data["medium"] = {"kind": "checkerboard", "period": 1.0, "channels": [
             {"cell": 0.25, "low": 0.0, "high": 1.0},
@@ -1248,14 +1250,12 @@ class TestCLI:
                    "x=0.4375")
         with pytest.raises(ProfileShapeError, match=re.escape(message)):
             piece_effective_curve(cfg.family.checks[0], medium, cfg.p_axis)
-        res = self.invoke("check", "--config", str(path),
-                          "--out", str(tmp_path / "check"))
-        assert res.exit_code == 0
-        res = self.invoke("effective", "--config", str(path),
-                          "--out", str(tmp_path / "effective"))
-        assert res.exit_code == 3
-        assert res.stderr == f"numerical failure: {message}; the convexity " \
-            "tag would be invalid\n"
+        for command in ("check", "effective"):
+            res = self.invoke(command, "--config", str(path),
+                              "--out", str(tmp_path / command))
+            assert res.exit_code == 3
+            assert res.stderr == f"numerical failure: {message}; the " \
+                "convexity tag would be invalid\n"
 
     def test_amplitude_coupled_base_case_is_checked_by_the_oracle(
             self, tmp_path):

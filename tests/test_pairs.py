@@ -349,6 +349,43 @@ class TestBatchMatchesPerX:
         assert shapes == [(32, 2049), (32, 3073), (32, 2049), (16, 2049),
                           (32, 2049)]
 
+    @pytest.mark.parametrize("name, seeds", [
+        ("checkerboard_skew1_0", [7, 7, 9]),    # a drawn medium, twice
+        ("quasiperiodic_skew1_0", None)])       # three seeds, one medium
+    def test_repeated_media_copy_witnesses_with_their_seeds(
+            self, tmp_path, name, seeds):
+        path = next(path for path, _, _ in
+                    _load_workloads()._media_configs(41, str(tmp_path))
+                    if Path(path).stem == name)
+        cfg = ExperimentConfig.from_yaml(path)
+        cfg.seeds = seeds or cfg.seeds
+        assert len(cfg.seeds) == 3
+        consts = self.assert_matches(cfg)
+        # skew1 is unstable at every node: 32 witnesses per medium, each
+        # medium's under its own seed, in medium order
+        assert [w["seed"] for w in consts["witnesses"]] == \
+            [s for s in cfg.seeds for _ in range(32)]
+
+    def test_small_box_names_the_reference_node_and_seed(self):
+        # |p| - 1 + V against 1 - |p| + 2V: the region reaches the box
+        # [-1.45, 1.45] where V >= 0.9, which seed 2 never draws and seed
+        # 0 first draws in cell 5 of 8, at x = 0.625
+        spec = MediumSpec("checkerboard", 1.0, [
+            {"cell": 0.125, "low": 0.0, "high": 1.0}])
+        fam = MinMaxFamily([Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0)],
+                           [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0,
+                                  scale=2.0)])
+        media = [sample_realization(spec, s) for s in (2, 2, 0)]
+        x_nodes = np.linspace(0.0, 1.0, 33)[:-1]
+        box = (-1.45, 1.45)
+        with pytest.raises(ValueError) as ref:
+            contact_fields_per_x(fam, media, x_nodes, box, N_P)
+        with pytest.raises(BoxTooSmallError) as err:
+            contact_fields(fam, media, x_nodes, box, N_P)
+        assert str(err.value) == str(ref.value) == (
+            "level 1 level pair at x=0.625, seed 0: comparison region "
+            "touches the gradient box")
+
     def test_witness_order_is_x_then_level_then_pair(self, sin_sq_medium):
         # level pair 2: |p - 1| against 1 + 2 V - |p + 1|, V = sin^2(pi x),
         # meets only where V > 1/2 and then is unstable (boundary values
@@ -400,6 +437,48 @@ class TestBatchIsTheOnlyShape:
         assert count(16) == count(64) > 0
         # the counter does see the per-x reference's calls grow
         assert count(64, per_x=True) > count(16, per_x=True) > count(16)
+
+
+    def test_one_row_per_distinct_medium_state(self, monkeypatch):
+        # four cells on 32 x-nodes: each pair is analyzed on a 4-row table
+        rows = []
+
+        def spy(V_fn, L_fn, *args):
+            rows.append(np.broadcast_shapes(np.shape(V_fn(np.zeros(3))),
+                                            np.shape(L_fn(np.zeros(3)))))
+            return analyze_pair(V_fn, L_fn, *args)
+        monkeypatch.setattr("minmax_hj.pairs.analyze_pair", spy)
+        spec = MediumSpec("checkerboard", 1.0, [
+            {"cell": 0.25, "low": 0.0, "high": 1.0}])
+        consts = contact_fields(make_family([(1.0, 1.0, 0)]),
+                                sample_realization(spec, 0),
+                                np.linspace(0.0, 1.0, 33)[:-1], BOX, N_P)
+        assert rows == [(4, 3)]
+        assert np.unique(consts["m_fields"]).size == 4
+
+    def test_piece_evaluations_do_not_grow_with_seeds(self, monkeypatch,
+                                                      tmp_path):
+        # every seed of a quasiperiodic medium draws the same medium
+        path = next(path for path, _, _ in
+                    _load_workloads()._media_configs(41, str(tmp_path))
+                    if Path(path).stem == "quasiperiodic_tie2_0")
+        cfg = ExperimentConfig.from_yaml(path)
+        calls = []
+        for cls in (AbsShift, NegatedAbs):
+            orig = cls.__call__
+            monkeypatch.setattr(cls, "__call__",
+                                lambda self, p, orig=orig:
+                                calls.append(1) or orig(self, p))
+
+        def count(seeds):
+            cfg.seeds = seeds
+            calls.clear()
+            analyze_hypotheses(cfg)
+            return len(calls)
+
+        seeds = list(cfg.seeds)
+        assert len(seeds) == 3
+        assert count(seeds[:1]) == count(seeds) > 0
 
 
 class TestPeakMemory:
