@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .family import MinMaxFamily, Piece
+from .family import LevelHamiltonian, MinMaxFamily, Piece
 from .media import MediumSpec
 from .profiles import QUASICONCAVE, QUASICONVEX, profile_from_dict
 
@@ -306,6 +306,14 @@ class ExperimentConfig:
         if self.theta is not None and self.theta <= 0:
             raise ConfigError(
                 f"solver.theta: {self.theta!r} is not a positive number")
+        if self.theta is not None:
+            # the default theta; below it the scheme is not monotone
+            bound = LevelHamiltonian(self.family).lipschitz(self.medium_spec)
+            if self.theta < bound:
+                raise ConfigError(
+                    f"solver.theta: {self.theta:g} is below {bound:g}, the "
+                    f"family's Lipschitz bound in p; the Lax-Friedrichs "
+                    f"scheme is monotone only for theta >= that bound")
         period = self.medium_spec.period
         # a partial period puts a seam in the medium: another equation
         if not _is_whole(self.solver_length / period):

@@ -78,8 +78,11 @@ class Hamiltonian:
         """The solvers' binding: f(dv) = H(dv[0] + pbase, x), with dv a
         one-tuple holding the difference array and pbase broadcasting
         against it (a column of base gradients, one per row of dv, or a
-        scalar)."""
+        scalar). A scalar zero base is not added: that only turns -0.0
+        into 0.0, which every profile maps to the same value."""
         f = self.bind(x, medium)
+        if np.ndim(pbase) == 0 and pbase == 0.0:
+            return lambda dv: f(dv[0])
         return lambda dv: f(dv[0] + pbase)
 
 
@@ -141,9 +144,13 @@ class Piece(Hamiltonian):
         return lambda p: phi(p) + b
 
     def lipschitz(self, medium=None):
+        """Lipschitz bound in p; an amplitude piece scales its profile's
+        by the largest |coefficient| the channel bounds of ``medium`` (a
+        realization or its spec) allow."""
         lip = self.profile.lipschitz()
         if self.coupling == "amplitude":
-            lo, hi = medium.spec.channel_bounds(self.channel)
+            spec = getattr(medium, "spec", medium)
+            lo, hi = spec.channel_bounds(self.channel)
             lip *= self.scale * max(abs(lo), abs(hi))
         return lip
 
@@ -298,6 +305,22 @@ class LevelHamiltonian(Hamiltonian):
     def lipschitz(self, medium=None):
         checks, hats = self._pieces
         return max(pc.lipschitz(medium) for pc in checks + hats)
+
+
+def outermost_levels(family, p, x, medium):
+    """Per point of p (broadcast against the nodes x), the outermost
+    level k whose value H_k(p, x) differs from H_{k-1}(p, x), with the
+    levels nested as in the module docstring; 1 where no level above
+    the first changes the value."""
+    (c1, *checks), (h1, *hats) = [[pc.bind(x, medium)(p) for pc in pieces]
+                                  for pieces in (family.checks, family.hats)]
+    v = np.maximum(c1, h1)
+    level = np.ones(v.shape, dtype=int)
+    for k, (c, h) in enumerate(zip(checks, hats), start=2):
+        w = np.maximum(c, np.minimum(h, v))
+        level[w != v] = k
+        v = w
+    return level
 
 
 class GradientShift(Hamiltonian):

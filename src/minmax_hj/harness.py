@@ -23,11 +23,13 @@ from . import __version__
 from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
                         medium_table, piece_effective_curve, theorem_formula)
 from .errors import ConfigError, HypothesisError, RunLockError
-from .family import LevelHamiltonian, ordering_message, validate_ordering
+from .family import (LevelHamiltonian, ordering_message, outermost_levels,
+                     validate_ordering)
 from .media import distinct, sample_realization
 from .pairs import (Workspace, check_condition_e, check_monotonicity,
                     contact_fields, expand_p_box)
-from .solver import FALLBACK, Grid, solve_homogenized, solve_time_dependent
+from .solver import (FALLBACK, Grid, solve_homogenized, solve_time_dependent,
+                     upwind_diffs)
 
 _G17 = "%.17g"
 
@@ -344,6 +346,20 @@ def run_effective(cfg, out_dir=None, force=False):
     return _run(cfg, out_dir, "effective", stages, force)
 
 
+def _level_shares(cfg, snaps, grid, medium):
+    """Per eps, the share of (sample time, node) pairs whose outermost
+    value-changing level (``outermost_levels``) is k, for k = 1..ell, at
+    the centered differences of the march's snapshots ``snaps``: the
+    gradients its next step would evaluate."""
+    if cfg.family.ell == 1:
+        return [[1.0]] * len(cfg.eps_schedule)
+    dp, dm = upwind_diffs(snaps, grid.h)
+    x = grid.x / np.asarray(cfg.eps_schedule)[:, None]
+    levels = outermost_levels(cfg.family, 0.5 * (dp + dm), x, medium)
+    return [(np.bincount(levels[:, i].ravel(), minlength=cfg.family.ell + 1)
+             [1:] / levels[:, i].size).tolist() for i in range(x.shape[0])]
+
+
 def run_sweep_eps(cfg, out_dir=None, force=False):
     """Oscillatory vs homogenized evolution over the eps schedule."""
     _one_seed(cfg, "sweep-eps")
@@ -370,13 +386,14 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
         # per eps, the largest gap over the sample times and the nodes
         errs = np.max(np.abs(osc - hom), axis=(0, 2)).tolist()
         timings["evolution"] = time.perf_counter() - t0
+        shares = _level_shares(cfg, osc, grid, medium)
         march_stats = {
             "n_steps": march["n_steps"], "dt": march["dt"],
             "theta": march["theta"],
-            "per_eps": [{"eps": float(eps), "k_bound": k, "err": err}
-                        for eps, k, err in zip(cfg.eps_schedule,
-                                               march["k_bound"].tolist(),
-                                               errs)]}
+            "per_eps": [{"eps": float(eps), "k_bound": k, "err": err,
+                         "level_share": s} for eps, k, err, s in zip(
+                             cfg.eps_schedule, march["k_bound"].tolist(),
+                             errs, shares)]}
 
         # a ratio to a zero error is undefined: null in the manifest,
         # which JSON has no NaN for, and nan in the CSV

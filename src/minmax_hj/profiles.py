@@ -44,6 +44,16 @@ def piecewise_linear(q, knots, values, tail_slopes):
     return out
 
 
+def _distance(p, center, slope):
+    """slope * |p - center|, leaving a zero center and a unit slope out
+    on a float array, where p - 0.0 and 1.0 * d change no bit; other
+    inputs (np.abs of an int array stays int) take the formula as is."""
+    if not (isinstance(p, np.ndarray) and p.dtype.kind == "f"):
+        return slope * np.abs(p - center)
+    d = np.abs(p - center) if center else np.abs(p)
+    return d if slope == 1.0 else slope * d
+
+
 def _scalar(center):
     if np.ndim(center) != 0:
         raise ProfileShapeError("center must be a scalar")
@@ -64,7 +74,7 @@ class AbsShift:
         self.offset = float(offset)
 
     def __call__(self, p):
-        return self.offset + self.slope * np.abs(p - self.center)
+        return self.offset + _distance(p, self.center, self.slope)
 
     def lipschitz(self):
         return self.slope
@@ -106,7 +116,7 @@ class NegatedAbs:
         self.offset = float(offset)
 
     def __call__(self, p):
-        return self.offset - self.slope * np.abs(p - self.center)
+        return self.offset - _distance(p, self.center, self.slope)
 
     def lipschitz(self):
         return self.slope

@@ -6,28 +6,30 @@ With theta at least the certified gradient-Lipschitz bound of the
 Hamiltonian the update is monotone, which is what every probe and
 comparison argument here leans on.
 
-Two drivers share it: a damped Newton iteration (with a pseudo-time
-relaxation on the mean-projected residual as its fallback) for the
-discounted problem lam*v + H(p0 + Dv, x) = 0, and a forward-Euler march
-for u_t + H(Du, x/eps) = 0. The relaxation iterates on the
-mean-projected residual (the constant mode carries no information and
-would otherwise force step counts to scale like 1/lam), then removes
-the mean with a single exact shift of the constant mode at the end.
+Two drivers share its one kernel, ``lf_update``: a damped Newton
+iteration (with a pseudo-time relaxation on the mean-projected residual
+as its fallback) for the discounted problem lam*v + H(p0 + Dv, x) = 0,
+and a forward-Euler march for u_t + H(Du, x/eps) = 0, which makes the
+kernel's work arrays once and steps in place. The relaxation iterates
+on the mean-projected residual (the constant mode carries no
+information and would otherwise force step counts to scale like 1/lam),
+then removes the mean with a single exact shift of the constant mode.
 
-Both take a 1-D array of problems, base gradients or eps, and
-work on a stack of fields, one row per problem; every row is
-bit-identical to solving its problem alone, and one problem is a stack
-of one. The eps do not change theta or the spacing, so every row of the
-march takes the same steps. Results are plain arrays.
+Both take a 1-D array of problems, base gradients or eps, and work on a
+stack of fields, one row per problem; every row is bit-identical to
+solving its problem alone, and one problem is a stack of one. The eps
+do not change theta or the spacing, so every row of the march takes the
+same steps. Results are plain arrays.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
 x, medium) -> f(dv) = H(dv[0] + pbase, x) with dv a one-tuple holding
 the difference array, plus lipschitz(medium). The cell problem binds a
 column of base gradients, shape (n_rows, 1), whose row i applies to row
-i of dv; the march binds the scalar base 0.0 on an (n_eps, n) stack of
-node arrays (the nodes over each eps) whose row i applies to row i of
-dv, which is how it takes a whole eps schedule. Every Hamiltonian in
-``family`` derives bind_base from its one formula, bind(x, medium).
+i of dv; the march binds the scalar base 0.0, which adds nothing, on an
+(n_eps, n) stack of node arrays (the nodes over each eps) whose row i
+applies to row i of dv, which is how it takes a whole eps schedule.
+Every Hamiltonian in ``family`` derives bind_base from its one formula,
+bind(x, medium).
 """
 
 import numpy as np
@@ -75,16 +77,17 @@ def _dissipation(theta, hamiltonian, medium):
     return th
 
 
-def upwind_diffs(v, h):
+def upwind_diffs(v, h, out=None):
     """One-sided periodic differences at spacing h along the last axis of
     v, which is the grid (a stack of fields is differenced field by
     field): (forward, backward).
 
     The backward difference at node i is the forward one at node i-1,
     so both are views of one array: the n forward differences with the
-    last one repeated in front.
+    last one repeated in front. ``out``, if given, is that array, of
+    v's shape with one more node; else it is made.
     """
-    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,)) if out is None else out
     np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
     np.subtract(v[..., :1], v[..., -1:], out=d[..., -1:])
     d[..., 1:] /= h
@@ -92,14 +95,29 @@ def upwind_diffs(v, h):
     return d[..., 1:], d[..., :-1]
 
 
-def lf_update(h_bound, v, grid, theta):
-    """Lax-Friedrichs numerical Hamiltonian applied to a field."""
-    dp, dm = upwind_diffs(v, grid.h)
-    davg = 0.5 * (dp + dm)
-    jump = dp - dm
-    del dp, dm      # fewer live arrays while h_bound runs
+def _work_arrays(v):
+    """The work tuple of ``lf_update`` for fields of v's shape: the
+    difference, average and jump arrays."""
+    return (np.empty(v.shape[:-1] + (v.shape[-1] + 1,)), np.empty(v.shape),
+            np.empty(v.shape))
+
+
+def lf_update(h_bound, v, grid, theta, work=None):
+    """Lax-Friedrichs numerical Hamiltonian of a field or a stack of
+    fields: H(avg, x) - theta/2 * jump, with avg and jump the mean and
+    the difference of the one-sided differences. ``work``, if given, is
+    a tuple from ``_work_arrays(v)`` that the update is computed in, and
+    its jump array is the result; without it the result is a fresh
+    array, with the same bits."""
+    d, davg, jump = _work_arrays(v) if work is None else work
+    dp, dm = upwind_diffs(v, grid.h, d)
+    np.add(dp, dm, out=davg)
+    davg *= 0.5
+    np.subtract(dp, dm, out=jump)
+    del d, dp, dm   # a fresh difference array is freed while h_bound runs
     out = np.asarray(h_bound((davg,)), dtype=float)
-    return out - 0.5 * theta * jump
+    jump *= 0.5 * theta
+    return np.subtract(out, jump, out=jump)
 
 
 def prolong_periodic(values):
@@ -506,14 +524,17 @@ def _march(h_bound, grid, theta, u0_values, T, t_samples, names):
     if u0.shape != grid.shape:
         raise ValueError("initial data shape does not match the grid")
     u = np.tile(u0, (len(names), 1))
-    k0 = _row_sup(lf_update(h_bound, u, grid, theta))
+    work = _work_arrays(u)
+    k0 = _row_sup(lf_update(h_bound, u, grid, theta, work))
     u_min0, u_max0 = float(u0.min()), float(u0.max())
 
-    # snapshot j is the stack at step at[j]
+    # snapshot j is the stack at step at[j]; u is updated in place
     snaps = np.empty((len(at),) + u.shape)
     snaps[np.equal(at, 0)] = u
     for k in range(1, n_steps + 1):
-        u = u - dt * lf_update(h_bound, u, grid, theta)
+        step = lf_update(h_bound, u, grid, theta, work)
+        step *= dt
+        u -= step
         if k in at:
             snaps[np.equal(at, k)] = u
 

@@ -3,7 +3,7 @@ import pytest
 
 from minmax_hj.errors import HypothesisError, ProfileShapeError
 from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
-                              Piece, reorder_family,
+                              Piece, outermost_levels, reorder_family,
                               validate_ordering)
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs
@@ -214,3 +214,29 @@ def test_lipschitz_bound_covers_samples(two_channel_medium):
         vals = h.evaluate(p, x, two_channel_medium)
         rates = np.abs(np.diff(vals)) / np.diff(p)
         assert np.all(rates <= lip + 1e-9)
+
+
+def test_outermost_level_is_the_last_to_change_the_value(two_channel_medium):
+    # against the literal nesting of each level in turn: level k is the
+    # outermost that changes the value where H_k != H_{k-1} and every
+    # level above it keeps H_k
+    rng = np.random.default_rng(37)
+    seen = set()
+    p = np.linspace(-4.0, 4.0, 41)[:, None, None]
+    x = np.linspace(0.0, 1.0, 9)[None, :, None] + np.zeros((1, 1, 2))
+    for ell in (1, 2, 3):
+        for _ in range(4):
+            fam = random_family(rng, ell, two_channel_medium)
+            cv, hv = _piece_values(fam, p, x, two_channel_medium)
+            nested = [nested_family_values(cv, hv, s)
+                      for s in range(1, ell + 1)]
+            want = np.ones(np.broadcast(p, x).shape, dtype=int)
+            for k in range(2, ell + 1):
+                want[nested[k - 1] != nested[k - 2]] = k
+            got = outermost_levels(fam, p, x, two_channel_medium)
+            assert np.array_equal(got, want)
+            assert np.array_equal(
+                nested[-1], LevelHamiltonian(fam).evaluate(
+                    p, x, two_channel_medium))
+            seen.update(np.unique(got).tolist())
+    assert seen == {1, 2, 3}

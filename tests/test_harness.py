@@ -363,6 +363,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="solver.theta"):
             ExperimentConfig(data)
 
+    def test_theta_at_the_lipschitz_bound_loads(self):
+        # the bound of an amplitude piece comes from its channel bounds:
+        # slope 1 times scale 2 times 1/4 + cos^2 / 2 <= 3/4 is 3/2, and
+        # the hat's slope 3 is the larger; at scale 8 the check's 6 is
+        data = small_config()
+        data["medium"]["channels"].append(
+            {"formula": "cos_sq", "amplitude": 0.5, "offset": 0.25})
+        data["family"]["checks"][0].update(coupling="amplitude", channel=1,
+                                           scale=2.0)
+        data["family"]["hats"][0]["profile"]["slope"] = 3.0
+        data["solver"]["theta"] = 3.0
+        assert ExperimentConfig(data).theta == 3.0
+        data["family"]["checks"][0]["scale"] = 8.0
+        with pytest.raises(ConfigError, match=re.escape(
+                "solver.theta: 3 is below 6, the family's Lipschitz bound")):
+            ExperimentConfig(data)
+
     def test_quasiperiodic_frequency_must_be_a_number(self):
         data = small_config()
         data["medium"] = {"kind": "quasiperiodic", "period": 1.0,
@@ -744,6 +761,30 @@ class TestRunSweep:
         timings = manifest["timings"]
         assert "evolution" in timings and "homogenized" in timings
         assert not any(k.startswith("eps_") for k in timings)
+
+    def test_level_share_of_a_sweep_below_level_two(self, tmp_path):
+        # every u0 slope of ell2_strict is at most pi/2, and level 2 acts
+        # only for |p| >= 2: level 1 sets the value at every node
+        cfg = load_fixture("ell2_strict.yaml", output=str(tmp_path / "run"))
+        manifest = run_sweep_eps(cfg)
+        assert [r["level_share"] for r in
+                manifest["march_stats"]["per_eps"]] == [[1.0, 0.0]] * 3
+
+    def test_level_share_of_a_sweep_that_reaches_level_two(self, tmp_path):
+        # the same family on one period: the cosine's slopes reach 2 pi
+        data = yaml.safe_load((CONFIG_DIR / "ell2_strict.yaml").read_text())
+        data.update(small_config(output=str(tmp_path / "run")),
+                    family=data["family"], medium=data["medium"],
+                    p_axis={"min": -8.0, "max": 8.0, "count": 65})
+        data["evolution"]["u0"] = "cosine"
+        manifest = run_sweep_eps(ExperimentConfig(data))
+        for row in manifest["march_stats"]["per_eps"]:
+            share = row["level_share"]
+            assert len(share) == 2 and share[1] > 0.0
+            assert abs(sum(share) - 1.0) <= 1e-12
+        # the result file holds no share
+        rows = (tmp_path / "run" / "err_vs_eps.csv").read_text()
+        assert rows.splitlines()[0] == "eps,err,ratio_to_prev"
 
     def test_gate_applies_to_sweep(self, tmp_path):
         cfg = load_fixture("unstable_pair.yaml", output=str(tmp_path / "run"))
@@ -1131,6 +1172,24 @@ class TestCLI:
         res = self.invoke("check", "--config", str(config))
         assert res.exit_code == 4
         assert message in res.stderr
+
+    @pytest.mark.parametrize("theta", [0.9, 0.5])
+    @pytest.mark.parametrize("command", ["check", "sweep-eps"])
+    def test_theta_below_the_lipschitz_bound_exits_4(self, tmp_path, theta,
+                                                     command):
+        # below the bound 1 of base_case the scheme is not monotone: at
+        # 0.9 sweep-eps used to exit 0 with errors that shrink at half
+        # the rate, at 0.5 it left the comparison band
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["solver"]["theta"] = theta
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "theta.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke(command, "--config", str(path))
+        assert res.exit_code == 4
+        assert (f"solver.theta: {theta:g} is below 1, the family's "
+                f"Lipschitz bound in p") in res.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_small_p_box_exits_4(self, tmp_path):
         path = tmp_path / "box.yaml"

@@ -111,3 +111,41 @@ def test_roundtrip_from_dict():
         clone = profile_from_dict(data)
         p = np.linspace(-3, 3, 11)
         assert np.array_equal(clone(p), phi(p))
+
+
+def _general(cls, center, slope, offset, p):
+    """The abs profiles' formula as written, with nothing left out."""
+    d = slope * np.abs(p - center)
+    return offset + d if cls is AbsShift else offset - d
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cls", [AbsShift, NegatedAbs])
+@pytest.mark.parametrize("center,slope", [(0.0, 1.0), (-0.0, 1.0),
+                                          (1.0, 1.0), (0.0, 2.5)])
+@pytest.mark.parametrize("offset", [0.0, -1.0])
+def test_identity_arithmetic_left_out_is_exact(cls, center, slope, offset):
+    # a zero center and a unit slope are left out of the arithmetic on
+    # float arrays; the result keeps every bit, dtype and the scalar kind
+    phi = cls(center, slope, offset)
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        5e-324, -1.0, 1.0, 1e308, -1e308])
+    ints = np.iinfo(np.int64)
+    inputs = [special, special.reshape(1, -1, 1),
+              special[:-2].astype(np.float32),
+              rng.standard_normal((3, 17)), np.asarray(-0.0), 0.0, -0.0,
+              np.float64(-0.0), np.inf, 3, -2, True,
+              np.array([0, -3, 7, ints.min, ints.max]),
+              np.array([1, 200], dtype=np.uint8),
+              np.array([True, False])]
+    for p in inputs:
+        with np.errstate(over="ignore"):     # 2.5 * 1e308
+            got, want = phi(p), _general(cls, center, slope, offset, p)
+        assert type(got) is type(want)
+        assert _same_bits(got, want), (p, got, want)

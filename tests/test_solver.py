@@ -466,6 +466,41 @@ class TestEpsStack:
         # the scales see different media, so the rows differ
         assert not np.array_equal(stack[-1, 0], stack[-1, 2])
 
+    @pytest.mark.parametrize("family", [
+        # every center 0, every slope 1: all identity arithmetic left out
+        pytest.param("base_case", id="base_case"),
+        pytest.param("ell2_strict", id="ell2_strict"),
+        # centers +-1 keep their subtraction, slope 2 its product, an
+        # amplitude piece its coefficient, a valley its interpolation
+        pytest.param(MinMaxFamily(
+            [Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)],
+            [Piece(NegatedAbs(-1.0, 2.0, 3.0), "amplitude", 2, 0.5)]),
+            id="skew"),
+        pytest.param(MinMaxFamily(
+            [Piece(PiecewiseMonotone([-1.0, 0.0, 0.5, 2.0],
+                                     [1.0, -0.5, -0.5, 2.0]))],
+            [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)]),
+            id="piecewise")])
+    def test_rows_match_the_reference_march_bitwise(self, family,
+                                                     two_channel_medium):
+        # each row is the literal np.roll march of its own bound
+        # Hamiltonian H(., x / eps), with no base gradient added
+        medium = two_channel_medium
+        if isinstance(family, str):
+            cfg = ExperimentConfig.from_yaml(CONFIG_DIR / f"{family}.yaml")
+            family = cfg.family
+            medium = sample_realization(cfg.medium_spec, 0)
+        ham = LevelHamiltonian(family)
+        g = Grid(100, length=4.0)     # h = 0.04 is not a power of two
+        schedule = [1.0, 0.5, 0.25]
+        stack, march = solve_time_dependent(
+            ham, periodized_well, schedule, g, medium, T=0.25,
+            t_samples=(0.125, 0.25))
+        for i, eps in enumerate(schedule):
+            want = lf_march(ham.bind(g.x / eps, medium), periodized_well(g.x),
+                            g, march["theta"], 0.25, march["n_steps"])
+            assert stack[-1, i].tobytes() == want.tobytes()
+
     def test_eps_is_a_1d_array(self):
         g = Grid(64, length=4.0)
         one, _ = solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.25)
@@ -560,6 +595,28 @@ class TestConsistency:
             sups.append(float(np.max(np.abs(val - exact))))
         ratio = sups[0] / sups[1]
         assert 1.6 <= ratio <= 2.4
+
+    @pytest.mark.parametrize("pbase", ["zero", "column"])
+    def test_work_tuple_changes_no_bit(self, pbase, two_level_family,
+                                       two_channel_medium):
+        # the march's in-place kernel against the fresh-array one, on
+        # random stacks, theta values and spacings
+        rng = np.random.default_rng(29)
+        ham = LevelHamiltonian(two_level_family)
+        for k, n in [(1, 16), (3, 64), (5, 33)]:
+            g = Grid(n, length=rng.uniform(0.5, 4.0))
+            x = g.x / rng.uniform(0.1, 1.0, (k, 1))
+            base = 0.0 if pbase == "zero" else rng.uniform(-3, 3, (k, 1))
+            h_bound = ham.bind_base(base, x, two_channel_medium)
+            work = solver._work_arrays(np.empty((k, n)))
+            for theta in rng.uniform(0.5, 4.0, 3):
+                v = rng.uniform(-2, 2, (k, n)) * rng.uniform(0.1, 10.0)
+                fresh = lf_update(h_bound, v, g, theta)
+                assert not any(np.shares_memory(fresh, a)
+                               for a in (v, *work))
+                got = lf_update(h_bound, v, g, theta, work)
+                assert got is work[2]
+                assert got.tobytes() == fresh.tobytes()
 
     def test_diffs_match_roll_reference_bitwise(self):
         rng = np.random.default_rng(17)
