@@ -8,7 +8,7 @@ unstable pair, a broken contact chain or an ordering violation, with a
 ``witness:`` line on stderr), 3 numerical failure (non-convergence,
 scheme parameter out of range, an effective curve of the wrong shape,
 any other package error), 4 config or run-dir errors (including a
-gradient box too small for the pair analysis).
+sweep-eps whose u0 has grid slopes off the p-axis).
 """
 
 import json
@@ -18,8 +18,8 @@ import click
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import (BoxTooSmallError, ConfigError, HypothesisError,
-                     MinMaxHJError, RunLockError)
+from .errors import (ConfigError, HypothesisError, MinMaxHJError,
+                     RunLockError)
 from .harness import (gate_error, run_check, run_effective, run_plotdata,
                       run_sweep_eps)
 
@@ -44,8 +44,6 @@ def _guarded(fn):
         _fail(EXIT_HYPOTHESIS, "hypothesis failure", e)
     except (RunLockError, ConfigError) as e:
         _fail(EXIT_CONFIG, "config error", e)
-    except BoxTooSmallError as e:
-        _fail(EXIT_CONFIG, "config error: pairs.p_box", e)
     except MinMaxHJError as e:
         _fail(EXIT_NUMERICAL, "numerical failure", e)
 

@@ -12,6 +12,7 @@ failure carries the offending field path.
 import copy
 import math
 import os
+import sys
 
 import numpy as np
 import yaml
@@ -374,19 +375,11 @@ class ExperimentConfig:
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError("seeds: need at least one, none negative")
 
-        pairs = _section(data, "pairs", {})
-        self.x_nodes_count = _read(pairs, "x_nodes", "pairs", WHOLE, 32)
-        box = _read(pairs, "p_box", "pairs", NUMBERS, None)
-        if box is not None and not (len(box) == 2 and box[0] < box[1]):
-            raise ConfigError(f"pairs.p_box: {box!r} is not [lo, hi] with "
-                              f"lo < hi")
-        self.p_box = None if box is None else tuple(box)
-        self.n_p = _read(pairs, "n_p", "pairs", WHOLE, 2049)
-        if self.x_nodes_count < 4:
-            raise ConfigError(f"pairs.x_nodes: {self.x_nodes_count} is "
-                              f"below 4")
-        if self.n_p < 65:
-            raise ConfigError(f"pairs.n_p: {self.n_p} is below 65")
+        # the contact analysis is exact and reads no value of this
+        # section; configs written for the gradient-grid scan still load
+        for key in _section(data, "pairs", {}):
+            print(f"config note: pairs.{key} is ignored; the contact "
+                  f"analysis is exact", file=sys.stderr)
 
         self.output = _read(data, "output", "", TEXT, "runs/out")
         if not self.output:
@@ -407,8 +400,3 @@ class ExperimentConfig:
 
     def u0_values(self, x):
         return U0_CATALOGUE[self.u0_name](x, self.solver_length)
-
-    def x_nodes(self):
-        """Medium sampling nodes for the pair analysis, one period."""
-        return np.linspace(0.0, self.medium_spec.period,
-                           self.x_nodes_count + 1)[:-1]

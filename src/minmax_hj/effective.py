@@ -14,6 +14,7 @@ their exact piecewise-linear inverse.
 import numpy as np
 
 from .errors import ConfigError, ProfileShapeError, SchemeParameterError
+from .media import medium_table
 from .profiles import QUASICONVEX, piecewise_linear
 from .solver import solve_discounted
 
@@ -265,12 +266,6 @@ def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None):
     curve.intermediates["critical_level"] = mu_star
     curve.intermediates["flat_interval"] = (float(g[0, 0]), float(g[1, 0]))
     return curve.validate()
-
-
-def medium_table(medium):
-    """4096 nodes on one medium period (one node without a medium)."""
-    return np.arange(4096) * (medium.period / 4096) if medium is not None \
-        else np.zeros(1)
 
 
 def piece_effective_curve(piece, medium, p_samples):

@@ -2,9 +2,9 @@
 
 The CLI maps these onto exit codes: ``HypothesisError`` (ordering,
 stability or contact-chain monotonicity fails, with its witness) exits
-2; ``ConfigError``, ``RunLockError`` (a run directory that cannot be
-made, or whose lock another run holds) and ``BoxTooSmallError`` exit 4;
-every other package error is a numerical failure and exits 3.
+2; ``ConfigError`` and ``RunLockError`` (a run directory that cannot be
+made, or whose lock another run holds) exit 4; every other package
+error is a numerical failure and exits 3.
 """
 
 
@@ -24,14 +24,6 @@ class HypothesisError(MinMaxHJError):
 
     def __init__(self, message, witness=None):
         self.witness = witness
-        super().__init__(message)
-
-
-class BoxTooSmallError(MinMaxHJError, ValueError):
-    """The gradient box does not contain the region the analysis needs."""
-
-    def __init__(self, message, row=None):
-        self.row = row    # first offending row of a batched pair analysis
         super().__init__(message)
 
 

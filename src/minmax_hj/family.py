@@ -19,7 +19,7 @@ function of a plain gradient array, with the x-dependence frozen on x.
 base ``Hamiltonian``.
 
 Evaluation does not check the ordering of the pieces;
-``validate_ordering`` does, once, on a sample lattice.
+``validate_ordering`` does, once and exactly, on a ``PieceTable``.
 """
 
 from functools import reduce
@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import HypothesisError, ProfileShapeError
-from .media import distinct
+from .media import medium_table
 from .profiles import QUASICONCAVE, QUASICONVEX
 
 
@@ -229,40 +229,83 @@ def ordering_message(at):
             f"at p={at['p']}, x={at['x']}")
 
 
-def validate_ordering(family, medium, p_samples, x_samples):
-    """Check the monotone ordering on a sample lattice (1-D gradients by
-    x-nodes), tolerance zero, evaluating each piece once on the probes
-    of distinct medium states. Raises with a witness point: the first
-    failing probe, checks before hats, the lower level, the first p."""
-    x_samples = np.asarray(x_samples, dtype=float)
-    reps, inv = distinct(medium.node_keys(x_samples))
-    x = x_samples[reps][:, None]
-    p = np.asarray(p_samples, dtype=float)
-    try:
-        vals = [[np.broadcast_to(pc.evaluate(p, x, medium), (len(x), p.size))
-                 for pc in pieces] for pieces in (family.checks, family.hats)]
-    except ProfileShapeError:
-        # name the piece and node the first failing probe meets
-        for xs in x:
-            for pc in family.checks + family.hats:
-                pc.evaluate(p, xs, medium)
-        raise
-    tests = [(kind, k, v[k], v[k + 1])
-             for kind, v in zip(("check", "hat"), vals)
-             for k in range(len(v) - 1)]
-    bad = np.array([lhs < rhs if kind == "check" else lhs > rhs
-                    for kind, _, lhs, rhs in tests], bool).reshape(
-                        -1, len(x), p.size)   # (test, probe state, p)
-    failing = bad.any(axis=(0, 2))[inv]
-    if failing.any():
-        j = int(np.argmax(failing))
-        r = inv[j]
-        t, i = np.argwhere(bad[:, r])[0]
-        kind, k, lhs, rhs = tests[t]
-        at = {"kind": kind, "level": k + 1, "p": float(p[i]),
-              "x": float(x_samples[j]), "lhs": float(lhs[r, i]),
-              "rhs": float(rhs[r, i])}
-        raise HypothesisError(ordering_message(at), at)
+class PieceTable:
+    """A family's plain pieces on the nodes of ``medium_table(medium)``,
+    the exact oracle's, one row per distinct medium state
+    (``MediumRealization.node_states``): ``x`` holds the first node of
+    each state, ``first`` its index and ``inverse`` each node's row.
+    ``checks[k]`` and ``hats[k]`` hold each piece as (profile, a, b),
+    H = a * profile + b, with a and b arrays over the rows
+    (``Piece.coefficients``, which raises ProfileShapeError at the first
+    node where an amplitude a <= 0)."""
+
+    def __init__(self, family, medium):
+        self.nodes = medium_table(medium)
+        self.first, self.inverse = medium.node_states(self.nodes)
+        self.x = self.nodes[self.first]
+
+        def rows(piece):
+            a, b = piece.coefficients(self.x, medium)
+            return (piece.profile,
+                    *np.broadcast_arrays(a, b, self.x)[:2])
+
+        self.checks = [rows(pc) for pc in family.checks]
+        self.hats = [rows(pc) for pc in family.hats]
+
+
+def _out_of_order(upper, lower):
+    """Where the piece ``upper`` falls below ``lower``, both as
+    (profile, a, b) over the rows of a ``PieceTable``. Their difference
+    is affine between the union K of their kinks and on each tail, so
+    it is judged at the left tail, at K and at the right tail: returns
+    a (|K| + 2, rows) table of those verdicts and one of the gradients
+    that witness them, each kink itself, and for a tail the point one
+    unit past where the pieces cross (or past the end kink where they
+    are out of order already)."""
+    (fu, au, bu), (fl, al, bl) = upper, lower
+    (ku, (ul, ur)), (kl, (ll, lr)) = fu.kinks(), fl.kinks()
+    K = np.union1d(ku, kl)
+    au, bu, al, bl = (np.reshape(c, (1, -1)) for c in (au, bu, al, bl))
+    vu, vl = au * fu(K)[:, None] + bu, al * fl(K)[:, None] + bl
+    # a tail falls out of order where the upper piece rises slower
+    # outward: by these amounts per unit
+    fall = au * ul - al * ll, al * lr - au * ur
+    bad = np.concatenate((fall[0] > 0, vu < vl, fall[1] > 0))
+    gap = np.maximum(vu - vl, 0.0)
+    left = K[0] - 1.0 - gap[:1] / np.where(bad[:1], fall[0], 1.0)
+    right = K[-1] + 1.0 + gap[-1:] / np.where(bad[-1:], fall[1], 1.0)
+    return bad, np.concatenate((left, np.broadcast_to(K[:, None], gap.shape),
+                                right))
+
+
+def validate_ordering(family, table):
+    """Check the monotone ordering exactly on every row of a
+    ``PieceTable``: no check may lie below the next level's, and no hat
+    above it, at any gradient (``_out_of_order``). Raises with a witness
+    point: the first failing node, checks before hats, the lower level,
+    then the leftmost failing place (the left tail, the kinks in order,
+    the right tail)."""
+    tests = [(kind, k, rows[k], rows[k + 1])
+             for kind, rows in (("check", table.checks), ("hat", table.hats))
+             for k in range(len(rows) - 1)]
+    found = [_out_of_order(*((lhs, rhs) if kind == "check" else (rhs, lhs)))
+             for kind, _, lhs, rhs in tests]
+    failing = np.zeros(table.x.size, dtype=bool)
+    for bad, _ in found:
+        failing |= bad.any(axis=0)
+    failing = failing[table.inverse]
+    if not failing.any():
+        return
+    j = int(np.argmax(failing))
+    r = table.inverse[j]
+    t = next(t for t, (bad, _) in enumerate(found) if bad[:, r].any())
+    bad, points = found[t]
+    p = points[np.argmax(bad[:, r]), r]
+    kind, k, *pieces = tests[t]
+    lhs, rhs = (a[r] * f(p) + b[r] for f, a, b in pieces)
+    at = {"kind": kind, "level": k + 1, "p": float(p),
+          "x": float(table.nodes[j]), "lhs": float(lhs), "rhs": float(rhs)}
+    raise HypothesisError(ordering_message(at), at)
 
 
 def reorder_family(family):

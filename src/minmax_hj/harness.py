@@ -21,13 +21,12 @@ import numpy as np
 
 from . import __version__
 from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
-                        medium_table, piece_effective_curve, theorem_formula)
+                        piece_effective_curve, theorem_formula)
 from .errors import ConfigError, HypothesisError, RunLockError
-from .family import (LevelHamiltonian, ordering_message, outermost_levels,
-                     validate_ordering)
+from .family import (LevelHamiltonian, PieceTable, ordering_message,
+                     outermost_levels, validate_ordering)
 from .media import distinct, sample_realization
-from .pairs import (Workspace, check_condition_e, check_monotonicity,
-                    contact_fields, expand_p_box)
+from .pairs import check_condition_e, check_monotonicity, contact_fields
 from .solver import (FALLBACK, Grid, solve_homogenized, solve_time_dependent,
                      upwind_diffs)
 
@@ -123,36 +122,32 @@ def _curve_csv(path, curve):
 
 def analyze_hypotheses(cfg):
     """Shared hypothesis stage: ordering, pair stability, contact chain
-    monotonicity, thin level sets, and positive amplitude coefficients
-    on the exact piece curves' medium table, each stage once per
-    distinct medium state (seeds that draw one medium share it, and so
-    do x-nodes of equal channel values). Returns verdicts and witnesses,
-    plus the ``contact_fields`` record (under "constants") and the first
-    seed's medium, which the later stages reuse."""
+    monotonicity and thin level sets, all exact on one ``PieceTable``
+    per distinct medium (seeds that draw one medium share it): the
+    pieces' coefficients on the distinct states of the exact piece
+    curves' medium table, where an amplitude coefficient <= 0 fails as
+    it does there. Returns verdicts and witnesses, plus the
+    ``contact_fields`` record (under "constants") and the first seed's
+    medium, which the later stages reuse."""
     timings = {}
     t0 = time.perf_counter()
     realizations = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
     medium0 = realizations[0]
     reps = distinct(r.key for r in realizations)[0]
-    distinct_media = [realizations[i] for i in reps]
-    x_nodes = cfg.x_nodes()
+    tables = [PieceTable(cfg.family, realizations[i]) for i in reps]
 
     ordering_ok, ordering_witness = True, None
-    x_probe = np.linspace(0.0, cfg.medium_spec.period, 9)[:-1]
-    for real in distinct_media:
+    for i, table in zip(reps.tolist(), tables):
         try:
-            validate_ordering(cfg.family, real, cfg.p_axis, x_probe)
+            validate_ordering(cfg.family, table)
         except HypothesisError as err:
             ordering_ok = False
-            ordering_witness = {"seed": real.seed, **err.witness}
+            ordering_witness = {"seed": realizations[i].seed, **err.witness}
             break
     timings["ordering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    p_box = cfg.p_box or expand_p_box(cfg.family, distinct_media)
-    work = Workspace()  # the pair analysis' tables, for both stages
-    consts = contact_fields(cfg.family, realizations, x_nodes, p_box,
-                            cfg.n_p, work)
+    consts = contact_fields(cfg.family, realizations, tables)
     stable = consts["all_pairs_stable"]
     timings["stable_pairs"] = time.perf_counter() - t0
 
@@ -160,20 +155,13 @@ def analyze_hypotheses(cfg):
     mono = check_monotonicity(consts)
     mono_strict = check_monotonicity(consts, strict=True)
     cond_e = {"holds": True, "witnesses": []}
-    for real, m in zip(distinct_media, consts["m_fields"][reps]):
+    for table, m in zip(tables, consts["m_fields"][reps]):
         # the level-1 contact values contact_fields already found
-        one = check_condition_e(cfg.family, real, x_nodes, m[0], p_box,
-                                cfg.n_p, work)
+        one = check_condition_e(cfg.family, table, m[0])
         if not one["holds"]:
             cond_e = one
             break
     timings["contact_chains"] = time.perf_counter() - t0
-
-    # a coefficient <= 0 the exact piece curves meet fails here, as there
-    for real in distinct_media:
-        for piece in cfg.family.checks + cfg.family.hats:
-            if piece.coupling == "amplitude":
-                piece.coefficients(medium_table(real), real)
 
     verdicts = {
         "ordering": ordering_ok,
@@ -184,7 +172,7 @@ def analyze_hypotheses(cfg):
     }
     witnesses = {
         "ordering": ordering_witness,
-        "stable_pairs": consts["witnesses"][:8],
+        "stable_pairs": consts["witnesses"],
         "contact_monotonicity": mono["failures"],
         "level_set_thin": cond_e["witnesses"],
     }
@@ -221,9 +209,11 @@ def _contact_summary(consts):
     return {"m_bar": consts["m_bar"].tolist(),
             "M_lower": consts["M_lower"].tolist(),
             "seeds": consts["seeds"],
+            "n_states": consts["n_states"],
+            "stability_tolerance": consts["tolerance"],
+            "n_unstable": consts["n_unstable"],
             "all_pairs_stable": consts["all_pairs_stable"],
-            "n_x": consts["m_fields"][:, 0].size,
-            "witnesses": consts["witnesses"][:8]}
+            "witnesses": consts["witnesses"]}
 
 
 def _run(cfg, out_dir, command, stages, force=True):
@@ -360,9 +350,27 @@ def _level_shares(cfg, snaps, grid, medium):
              [1:] / levels[:, i].size).tolist() for i in range(x.shape[0])]
 
 
+def _slopes_on_axis(cfg):
+    """The homogenized march reads the formula curve at the grid slopes
+    of its solution, and a monotone scheme keeps those within the grid
+    slopes of u0: all of them must lie on the p-axis, or the march runs
+    on the curve's extension past it."""
+    grid = Grid(cfg.solver_n, cfg.solver_length)
+    u0 = cfg.u0_values(grid.x)
+    slopes = (np.roll(u0, -1) - u0) / grid.h
+    lo, hi = cfg.p_axis[0], cfg.p_axis[-1]
+    if slopes.min() < lo or slopes.max() > hi:
+        raise ConfigError(
+            f"p_axis: [{lo:g}, {hi:g}] does not hold the grid slopes of "
+            f"evolution.u0 {cfg.u0_name!r}, which reach "
+            f"[{slopes.min():.6g}, {slopes.max():.6g}]; sweep-eps needs "
+            f"the formula curve on all of them")
+
+
 def run_sweep_eps(cfg, out_dir=None, force=False):
     """Oscillatory vs homogenized evolution over the eps schedule."""
     _one_seed(cfg, "sweep-eps")
+    _slopes_on_axis(cfg)
 
     def stages(analysis, out_dir, timings):
         medium = analysis["medium0"]

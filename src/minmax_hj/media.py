@@ -100,6 +100,13 @@ def distinct(keys):
     return np.array(reps, dtype=np.intp), np.array(inverse, dtype=np.intp)
 
 
+def medium_table(medium):
+    """The nodes on which the hypotheses and the exact oracle read a
+    medium: 4096 on one period (one node without a medium)."""
+    return np.arange(4096) * (medium.period / 4096) if medium is not None \
+        else np.zeros(1)
+
+
 def sample_realization(spec, seed=0):
     """Draw the realization for (spec, seed); deterministic."""
     tables = []
@@ -127,14 +134,26 @@ class MediumRealization:
         the bytes of the drawn tables (none but a checkerboard's)."""
         return (self.spec, *(t.tobytes() for t in self.tables))
 
-    def node_keys(self, x, *extra):
-        """One key per node of the 1-D array x: the bytes of its channel
-        vector, and of its entries of the ``extra`` per-node arrays.
-        Everything that couples a piece to x goes through these values."""
-        cols = [self.evaluate_channel(i, x)
-                for i in range(len(self.spec.channels))]
-        rows = np.column_stack(cols + [np.asarray(e, float) for e in extra])
-        return [row.tobytes() for row in rows]
+    def node_states(self, x):
+        """The distinct medium states among the nodes of the 1-D array x:
+        their channel vectors, which carry everything that couples a
+        piece to x, compared bit for bit. Returns (first, inverse):
+        ``first`` indexes the first node of each state, in node order,
+        and ``inverse[i]`` is the position in ``first`` of node i's."""
+        bits = np.column_stack([
+            self.evaluate_channel(i, x)
+            for i in range(len(self.spec.channels))]).view(np.uint64)
+        # stable: the first node of a state leads its run
+        order = np.lexsort(bits.T[::-1])
+        run = np.ones(order.size, dtype=bool)
+        run[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+        first = order[run]
+        by_node = np.argsort(first)
+        rank = np.empty_like(by_node)
+        rank[by_node] = np.arange(by_node.size)
+        inverse = np.empty_like(order)
+        inverse[order] = rank[np.cumsum(run) - 1]
+        return first[by_node], inverse
 
     def evaluate_channel(self, idx, x):
         """Channel value at x (any array shape); exact wrap semantics."""

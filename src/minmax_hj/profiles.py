@@ -8,7 +8,8 @@ Three shapes cover everything the rest of the package builds:
   extended past the end breakpoints with the terminal slopes. Valleys may
   have a flat bottom; branches must otherwise be strictly monotone.
 
-All three are exactly evaluable (piecewise linear in the scalar argument)
+All three are exactly evaluable (piecewise linear in the scalar argument,
+with kinks at fixed gradients that ``kinks`` lists, and linear tails)
 and closed under the two dualities ``negate_dual`` (phi -> -phi(-p)) and
 ``even_dual`` (phi -> phi(-p)). Valleys also give their branch inverses
 exactly, and the levels where those change slope, which the separable
@@ -76,6 +77,11 @@ class AbsShift:
     def __call__(self, p):
         return self.offset + _distance(p, self.center, self.slope)
 
+    def kinks(self):
+        """The gradients where the slope changes, ascending, and the
+        slopes of the two linear tails beyond them, (left, right)."""
+        return np.array([self.center]), (-self.slope, self.slope)
+
     def lipschitz(self):
         return self.slope
 
@@ -117,6 +123,9 @@ class NegatedAbs:
 
     def __call__(self, p):
         return self.offset - _distance(p, self.center, self.slope)
+
+    def kinks(self):
+        return np.array([self.center]), (self.slope, -self.slope)
 
     def lipschitz(self):
         return self.slope
@@ -193,6 +202,9 @@ class PiecewiseMonotone:
     def __call__(self, p):
         return piecewise_linear(p, self.breaks, self.values,
                                 (self._slopes[0], self._slopes[-1]))
+
+    def kinks(self):
+        return self.breaks, (self._slopes[0], self._slopes[-1])
 
     def lipschitz(self):
         return float(np.max(np.abs(self._slopes)))

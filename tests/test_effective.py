@@ -20,8 +20,6 @@ from _reference import bisection_oracle, power_fit
 from conftest import random_piece
 
 P33 = np.linspace(-3.0, 3.0, 33)
-X_NODES = np.linspace(0.0, 1.0, 33)[:-1]
-BOX = (-4.0, 4.0)
 
 
 def sin_sq_table(n=4096):
@@ -370,8 +368,7 @@ class TestFormula:
                   for pc in two_level_family.checks]
         hats = [piece_effective_curve(pc, two_channel_medium, P33)
                 for pc in two_level_family.hats]
-        consts = contact_fields(two_level_family, two_channel_medium,
-                                X_NODES, BOX, 2049)
+        consts = contact_fields(two_level_family, two_channel_medium)
         curve = theorem_formula(checks, hats, consts)
         q = np.abs(P33)
         inner = np.maximum(q - 0.5, 1.0)

@@ -3,9 +3,9 @@ import pytest
 
 from minmax_hj.errors import HypothesisError, ProfileShapeError
 from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
-                              Piece, outermost_levels, reorder_family,
-                              validate_ordering)
-from minmax_hj.media import MediumSpec, sample_realization
+                              Piece, PieceTable, outermost_levels,
+                              reorder_family, validate_ordering)
+from minmax_hj.media import MediumSpec, medium_table, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs
 
 from _reference import nested_family_values, ordering_witness_per_x
@@ -82,12 +82,24 @@ def test_reordering_preserves_top_level(two_channel_medium):
 
 
 def test_reordered_pieces_are_monotone(two_channel_medium):
+    # the running extrema are combined pieces, which the exact ordering
+    # check does not read: compare them on a lattice
     rng = np.random.default_rng(5)
     fam = random_family(rng, 3, two_channel_medium)
     reordered = reorder_family(fam)
-    p = np.linspace(-5, 5, 101)
-    x = np.linspace(0, 1, 17)[:, None]
-    validate_ordering(reordered, two_channel_medium, p, x.ravel())
+    p = np.linspace(-5, 5, 101)[:, None]
+    x = np.linspace(0, 1, 17)
+    cv, hv = _piece_values(reordered, p, x, two_channel_medium)
+    for k in range(2):
+        assert np.all(cv[k] >= cv[k + 1]) and np.all(hv[k] <= hv[k + 1])
+
+
+def _ordering_witness(family, medium):
+    try:
+        validate_ordering(family, PieceTable(family, medium))
+    except HypothesisError as err:
+        return err.witness
+    return None
 
 
 def test_ordering_violation_names_level(two_channel_medium):
@@ -95,11 +107,9 @@ def test_ordering_violation_names_level(two_channel_medium):
     checks = [Piece(AbsShift(0.0, 1.0, -3.0)), Piece(AbsShift(0.0, 1.0, 0.0))]
     hats = [Piece(NegatedAbs(0.0, 1.0, 0.0)), Piece(NegatedAbs(0.0, 1.0, 2.0))]
     fam = MinMaxFamily(checks, hats)
-    with pytest.raises(HypothesisError) as err:
-        validate_ordering(fam, two_channel_medium,
-                          np.linspace(-2, 2, 9), np.linspace(0, 1, 5))
-    assert err.value.witness["kind"] == "check"
-    assert err.value.witness["level"] == 1
+    w = _ordering_witness(fam, two_channel_medium)
+    assert w["kind"] == "check"
+    assert w["level"] == 1
 
 
 def test_ordering_witness_is_one_point(two_channel_medium):
@@ -107,25 +117,54 @@ def test_ordering_witness_is_one_point(two_channel_medium):
     checks = [Piece(AbsShift(0.0, 1.0, -1.0)), Piece(AbsShift(0.0, 0.5, 0.0))]
     hats = [Piece(NegatedAbs(0.0, 1.0, 0.0)), Piece(NegatedAbs(0.0, 1.0, 2.0))]
     fam = MinMaxFamily(checks, hats)
-    p = np.linspace(-3.0, 3.0, 9)
     with pytest.raises(HypothesisError) as err:
-        validate_ordering(fam, two_channel_medium, p, np.array([0.5]))
-    # the first failing gradient on the axis, not the axis
+        validate_ordering(fam, PieceTable(fam, two_channel_medium))
+    # the kink at 0, where the gap is widest, not the whole interval
     w = err.value.witness
-    assert w["p"] == -1.5 and w["x"] == 0.5
-    assert (w["lhs"], w["rhs"]) == (0.5, 0.75)
-    assert "at p=-1.5, x=0.5" in str(err.value)
+    assert w["p"] == 0.0 and w["x"] == 0.0
+    assert (w["lhs"], w["rhs"]) == (-1.0, 0.0)
+    assert "at p=0.0, x=0.0" in str(err.value)
 
 
-def _ordering_witness(family, medium, p, x):
-    try:
-        validate_ordering(family, medium, p, x)
-    except HypothesisError as err:
-        return err.witness
-    return None
+@pytest.mark.parametrize("slope, offset, p", [
+    (2.0, -6.0, -6.0),   # |p| - 1 < 2|p| - 6 past |p| = 5: one unit out
+    (2.0, 0.0, -1.0)])   # out of order at the kink already: one unit out
+def test_ordering_witness_on_a_tail(sin_sq_medium, slope, offset, p):
+    fam = MinMaxFamily(
+        [Piece(AbsShift(0.0, 1.0, -1.0)), Piece(AbsShift(0.0, slope,
+                                                         offset))],
+        [Piece(NegatedAbs(0.0, 1.0, 1.0)), Piece(NegatedAbs(0.0, 1.0, 3.0))])
+    w = _ordering_witness(fam, sin_sq_medium)
+    assert (w["kind"], w["level"], w["p"]) == ("check", 1, p)
+    assert w["lhs"] == abs(p) - 1.0 < w["rhs"] == slope * abs(p) + offset
 
 
-# out of order, with V = sin^2(pi x) on the probes k/8, where it takes
+def test_equal_tail_slopes_stay_in_order(sin_sq_medium):
+    # offsets whose sums round: the tails are compared by their slopes,
+    # exactly, not by differences of values
+    fam = MinMaxFamily(
+        [Piece(AbsShift(0.3, 1.7, 0.7), "additive", 0),
+         Piece(AbsShift(0.3, 1.7, 0.3), "additive", 0)],
+        [Piece(NegatedAbs(0.1, 0.9, 1.3), "additive", 0),
+         Piece(NegatedAbs(0.1, 0.9, 1.7), "additive", 0)])
+    assert _ordering_witness(fam, sin_sq_medium) is None
+
+
+def _shifted(start):
+    """sin^2 on the circle, shifted so that node 0 sees x = start / 8."""
+    spec = MediumSpec("periodic", 1.0, [{"formula": "sin_sq",
+                                          "shift": -start / 8}])
+    return sample_realization(spec, 0)
+
+
+def _dense_witness(family, medium):
+    """The per-node loops of the reference on a lattice that holds every
+    kink, wide enough for the tails of the families below."""
+    return ordering_witness_per_x(family, medium, np.linspace(-8, 8, 257),
+                                  medium_table(medium))
+
+
+# out of order, with V = sin^2(pi x), which takes at x = k/8
 # 0, 0.146, 0.5, 0.854, 1, 0.854, 0.5, 0.146:
 #   checks at level 1 where V < 0.1 (|p| + 2V - 1 < |p| + V - 0.9),
 #   checks at level 2 where V > 0.6 (|p| + V - 0.9 < |p| + 2V - 1.5),
@@ -140,38 +179,44 @@ TWO_PROBES_TWO_LEVELS = MinMaxFamily(
 
 
 @pytest.mark.parametrize("start, witness", [
-    (0, ("check", 1, 0.0)),     # the first probe fails at level 1
-    (1, ("check", 2, 0.375)),   # checks at level 2 before hats at level 1
-    (4, ("check", 2, 0.5)),
-    (6, ("check", 1, 0.0))])    # probes 0.75 and 0.875 are in order
-def test_ordering_witness_is_the_per_probe_loops(sin_sq_medium, start,
-                                                 witness):
-    p = np.linspace(-3.0, 3.0, 25)
-    x = np.roll(np.linspace(0.0, 1.0, 9)[:-1], -start)
-    got = _ordering_witness(TWO_PROBES_TWO_LEVELS, sin_sq_medium, p, x)
-    assert got == ordering_witness_per_x(TWO_PROBES_TWO_LEVELS,
-                                         sin_sq_medium, p, x)
-    assert (got["kind"], got["level"], got["x"]) == witness
-    assert got["p"] == -3.0
+    (0, ("check", 1, 0.0)),       # the first node fails at level 1
+    (1, ("check", 2, 644 / 4096)),  # checks at level 2 before hats at 1
+    (4, ("check", 2, 0.0)),
+    (6, ("check", 1, 605 / 4096))])  # V is in (0.1, 0.6) until then
+def test_ordering_witness_is_the_per_probe_loops(start, witness):
+    medium = _shifted(start)
+    got = _ordering_witness(TWO_PROBES_TWO_LEVELS, medium)
+    want = _dense_witness(TWO_PROBES_TWO_LEVELS, medium)
+    assert (got["kind"], got["level"], got["x"]) == \
+        (want["kind"], want["level"], want["x"]) == witness
+    # the gap is the same at every p: the witness sits at the kink
+    assert got["p"] == 0.0
 
 
 def test_ordering_on_repeated_states_matches_the_loop():
-    # a four-cell checkerboard has four states on the 8 probes, and the
-    # witness must still name the first failing probe; random families
-    # break the ordering almost everywhere, so also a reordered one
+    # a four-cell checkerboard has four states on the table, and the
+    # witness must still name the first failing node; random families
+    # break the ordering almost everywhere, so also one ordered by
+    # construction (each level a constant shift of the first)
     spec = MediumSpec("checkerboard", 1.0, [
         {"cell": 0.25, "low": 0.0, "high": 1.0},
         {"cell": 0.5, "low": 0.0, "high": 0.5},
         {"cell": 0.25, "low": 0.5, "high": 1.5}])
-    p = np.linspace(-3.0, 3.0, 25)
     rng = np.random.default_rng(3)
     for seed in range(6):
         medium = sample_realization(spec, seed)
-        x = rng.permutation(np.linspace(0.0, 1.0, 9)[:-1])
+        base = random_family(rng, 1, medium)
+        ordered = MinMaxFamily(
+            [base.checks[0].with_extra_const(-k) for k in range(3)],
+            [base.hats[0].with_extra_const(k) for k in range(3)])
         for fam in (TWO_PROBES_TWO_LEVELS, random_family(rng, 3, medium),
-                    reorder_family(random_family(rng, 3, medium))):
-            assert _ordering_witness(fam, medium, p, x) == \
-                ordering_witness_per_x(fam, medium, p, x)
+                    ordered):
+            got, want = (_ordering_witness(fam, medium),
+                         _dense_witness(fam, medium))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert [got[k] for k in ("kind", "level", "x")] == \
+                    [want[k] for k in ("kind", "level", "x")]
 
 
 def test_mislabeled_pieces_rejected():

@@ -27,8 +27,8 @@ from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
 from minmax_hj.effective import EffectiveCurve, piece_effective_curve
 from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
                               ProfileShapeError, RunLockError)
-from minmax_hj.family import LevelHamiltonian
-from minmax_hj.media import sample_realization
+from minmax_hj.family import LevelHamiltonian, PieceTable
+from minmax_hj.media import medium_table, sample_realization
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_error,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
@@ -69,7 +69,6 @@ def small_config(**over):
         "evolution": {"T": 0.25, "u0": "clipped_abs",
                       "t_samples": [0.125, 0.25]},
         "seeds": [0],
-        "pairs": {"x_nodes": 16, "p_box": [-4.0, 4.0], "n_p": 513},
         "output": "runs/test",
     }
     data.update(over)
@@ -117,7 +116,7 @@ BASE_CASE = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
 FUZZED_FIELDS = sorted(BASE_CASE) + [
     "solver.n", "solver.length", "solver.theta", "p_axis.min",
     "p_axis.max", "p_axis.count", "evolution.T", "evolution.u0",
-    "evolution.t_samples", "pairs.x_nodes", "pairs.p_box", "pairs.n_p"]
+    "evolution.t_samples", "pairs"]
 
 
 # base_case variants whose pieces, profiles and channels the second fuzz
@@ -224,11 +223,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seeds"):
             ExperimentConfig(data)
 
-    def test_pairs_bounds(self):
-        data = small_config(pairs={"x_nodes": 2, "n_p": 513})
-        with pytest.raises(ConfigError, match="pairs"):
-            ExperimentConfig(data)
-
     def test_broken_piece_reported_under_family(self):
         data = small_config()
         data["family"]["hats"][0]["profile"]["kind"] = "mystery"
@@ -262,10 +256,27 @@ class TestConfigValidation:
                                      "plateau_bump"}
 
     def test_x_nodes_cover_one_period(self):
+        # the hypotheses read the exact oracle's medium table
         cfg = ExperimentConfig(small_config())
-        nodes = cfg.x_nodes()
-        assert nodes.shape == (16,)
+        medium = sample_realization(cfg.medium_spec, 0)
+        nodes = PieceTable(cfg.family, medium).nodes
+        assert nodes.shape == (4096,)
         assert nodes[0] == 0.0 and nodes[-1] < cfg.medium_spec.period
+
+    def test_pairs_section_is_read_and_ignored(self, capsys):
+        # configs written for the gradient-grid scan still load, with a
+        # note per key; no value is read, and a typo is still refused
+        data = small_config(pairs={"x_nodes": 2, "p_box": None, "n_p": "x"})
+        ExperimentConfig(data)
+        assert capsys.readouterr().err.splitlines() == [
+            f"config note: pairs.{key} is ignored; the contact analysis is "
+            f"exact" for key in ("x_nodes", "p_box", "n_p")]
+        ExperimentConfig(small_config())
+        assert capsys.readouterr().err == ""
+        data["pairs"]["x_node"] = 32
+        with pytest.raises(ConfigError, match=re.escape(
+                "pairs.x_node: unknown key")):
+            ExperimentConfig(data)
 
     def test_length_must_hold_whole_periods(self):
         data = small_config(solver={"n": 256, "length": 1.5})
@@ -288,7 +299,7 @@ class TestConfigValidation:
         ("family.hats[0]", "extra_const"), ("medium", "offset"),
         ("medium.channels[0]", "amplitud")])
     def test_unknown_keys_rejected(self, section, key):
-        data = small_config()
+        data = small_config(pairs={})   # an optional section, stated empty
         (data if section is None else at_path(data, section))[key] = 4
         path = key if section is None else f"{section}.{key}"
         with pytest.raises(ConfigError,
@@ -314,11 +325,11 @@ class TestConfigValidation:
         ("medium", 5), ("family", 5), ("solver", 3), ("p_axis", 3),
         ("pairs", 3), ("evolution", 2), ("seeds", "abc"), ("seeds", 5),
         ("lambda_schedule", 5), ("solver.n", "x"), ("p_axis.count", "x"),
-        ("pairs.p_box", 3), ("pairs.n_p", None), ("evolution.T", "x"),
+        ("pairs", None), ("pairs", "x"), ("evolution.T", "x"),
         ("medium.period", "x"), ("medium.channels", 5),
         ("medium.channels[0].amplitude", "x"), ("family.hats[0].scale", "x"),
         ("family.checks[0].channel", "a"), ("seeds", [-1]),
-        ("pairs.p_box", [4.0, -4.0]), ("solver.n", 256.5)])
+        ("pairs", [4.0, -4.0]), ("solver.n", 256.5)])
     def test_wrong_typed_values_name_the_field(self, path, value):
         data = small_config()
         set_path(data, path, value)
@@ -515,7 +526,8 @@ class TestHypothesisStage:
         assert v["ordering"] and v["contact_monotonicity"]
         assert gate_error(analysis).witness[0]["level"] == 1
         w = analysis["witnesses"]["stable_pairs"][0]
-        assert w["level"] == 1 and w["variation"] > w["tau_b"]
+        assert w["level"] == 1 and w["variation"] == 2.0
+        assert w["boundary_values_V"] == [0.5, 2.5]
 
     def test_monotonicity_fixture_fails_upper_chain(self):
         cfg = load_fixture("monotonicity_violation.yaml")
@@ -907,7 +919,6 @@ class TestCLI:
             "hats": [piece("negated_abs", 1.0, 1.0),
                      piece("negated_abs", 1.0, 3.0)]}
         data["p_axis"] = {"min": -6, "max": 6, "count": 25}
-        data["pairs"] = {"x_nodes": 16, "p_box": [-8, 8], "n_p": 4097}
         path = tmp_path / "ordering.yaml"
         path.write_text(yaml.safe_dump(data))
         res = self.invoke(command, "--config", str(path),
@@ -1106,7 +1117,8 @@ class TestCLI:
     def test_check_judges_ordering_in_every_seed(self, tmp_path):
         # check_1 = |p| - 1 + V dominates check_2 = |p| - 0.5 only where
         # V >= 0.5; on two cells seed 1 draws (0.51, 0.95) and seed 0
-        # draws (0.64, 0.27)
+        # draws (0.64, 0.27): the gap is the same at every p, and the
+        # witness sits at the kink
         data = small_config(seeds=[1, 0], output=str(tmp_path / "run"))
         data["medium"] = {"kind": "checkerboard", "period": 1.0,
                           "channels": [{"cell": 0.5, "low": 0.0,
@@ -1126,8 +1138,8 @@ class TestCLI:
                    if line.startswith("witness[ordering]: ")]
         assert len(witness) == 1
         assert json.loads(witness[0][len("witness[ordering]: "):]) == {
-            "seed": 0, "kind": "check", "level": 1, "p": -3.0, "x": 0.5,
-            "lhs": pytest.approx(2.26979, abs=1e-5), "rhs": 2.5}
+            "seed": 0, "kind": "check", "level": 1, "p": 0.0, "x": 0.5,
+            "lhs": pytest.approx(-0.73021, abs=1e-5), "rhs": -0.5}
         res = self.invoke("check", "--config", str(path), "--seed", "1")
         assert "ordering: pass" in res.output
 
@@ -1157,7 +1169,6 @@ class TestCLI:
          "family.orientation: unknown key"),
         ("family.checks[0].scal", 2.0, "family.checks[0].scal: unknown key"),
         ("medium", 5, "medium: 5 is not a mapping"),
-        ("pairs.n_p", None, "pairs.n_p: None is not a whole number"),
         ("family.checks[0].profile.offset", "-1.0",
          "family.checks[0].profile.offset: '-1.0' is not a finite number"),
         ("family.checks[0].profile.slop", 1,
@@ -1172,6 +1183,75 @@ class TestCLI:
         res = self.invoke("check", "--config", str(config))
         assert res.exit_code == 4
         assert message in res.stderr
+
+    @pytest.mark.parametrize("center", [0.01, 0.035, 0.0])
+    def test_shifted_hat_is_an_unstable_pair(self, tmp_path, center):
+        # base_case with the hat's center moved off the check's: the V
+        # boundary values differ by the shift, which ten steps of a
+        # gradient grid used to forgive
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["family"]["hats"][0]["profile"]["center"] = center
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "shifted.yaml"
+        path.write_text(yaml.safe_dump(data))
+        res = self.invoke("check", "--config", str(path))
+        if center == 0.0:
+            assert res.exit_code == 0 and "stable_pairs: pass" in res.output
+            return
+        assert res.exit_code == 2 and "stable_pairs: FAIL" in res.output
+        line, = [line for line in res.stderr.splitlines()
+                 if line.startswith("witness[stable_pairs]: ")]
+        for w in json.loads(line[len("witness[stable_pairs]: "):]):
+            low, high = w["boundary_values_V"]
+            assert high - low == pytest.approx(center, abs=1e-12)
+            assert w["variation"] == high - low
+
+    def test_contact_constants_report_the_exact_gate(self, tmp_path):
+        out = tmp_path / "run"
+        res = self.invoke("check", "--config",
+                          str(CONFIG_DIR / "unstable_pair.yaml"),
+                          "--out", str(out))
+        assert res.exit_code == 2
+        consts = json.loads((out / "manifest.json").read_text())[
+            "contact_constants"]
+        medium = sample_realization(load_fixture(
+            "unstable_pair.yaml").medium_spec, 0)
+        assert consts["n_states"] == [medium.node_states(
+            medium_table(medium))[0].size]
+        # 1e-12 times the largest |value|: L = 3 at the kink -1
+        assert consts["stability_tolerance"] == 3e-12
+        assert consts["n_unstable"] == 4096
+        assert len(consts["witnesses"]) == 8 and "n_x" not in consts
+
+    def _off_axis_sweep(self, tmp_path, axis):
+        # ell2_strict with the cosine u0 on one period: its grid slopes
+        # reach 2 pi sin(pi / 256) * 256 / pi = 6.28
+        data = yaml.safe_load((CONFIG_DIR / "ell2_strict.yaml").read_text())
+        data.update(solver={"n": 256, "length": 1.0},
+                    eps_schedule=[0.25, 0.125, 0.0625, 0.03125],
+                    p_axis={"min": -axis, "max": axis, "count": 33},
+                    output=str(tmp_path / "run"))
+        data["evolution"]["u0"] = "cosine"
+        path = tmp_path / f"axis{axis}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return self.invoke("sweep-eps", "--config", str(path))
+
+    def test_sweep_with_slopes_off_the_axis_exits_4(self, tmp_path):
+        res = self._off_axis_sweep(tmp_path, 3.0)
+        assert res.exit_code == 4
+        assert ("p_axis: [-3, 3] does not hold the grid slopes of "
+                "evolution.u0 'cosine', which reach [-6.28") in res.stderr
+        assert not (tmp_path / "run").exists()
+        # check and effective do not march
+        res = self.invoke("check", "--config", str(tmp_path / "axis3.0.yaml"))
+        assert res.exit_code == 0
+
+    def test_sweep_with_slopes_on_the_axis_runs(self, tmp_path):
+        res = self._off_axis_sweep(tmp_path, 8.0)
+        assert res.exit_code == 0
+        errs = [float(line.split("=")[-1]) for line in res.output.splitlines()
+                if line.startswith("eps=")]
+        assert len(errs) == 4 and errs[-1] < 0.5 * errs[0]
 
     @pytest.mark.parametrize("theta", [0.9, 0.5])
     @pytest.mark.parametrize("command", ["check", "sweep-eps"])
@@ -1190,29 +1270,6 @@ class TestCLI:
         assert (f"solver.theta: {theta:g} is below 1, the family's "
                 f"Lipschitz bound in p") in res.stderr
         assert not (tmp_path / "run").exists()
-
-    def test_small_p_box_exits_4(self, tmp_path):
-        path = tmp_path / "box.yaml"
-        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
-        data["pairs"]["p_box"] = [-0.8, 0.8]
-        data["output"] = str(tmp_path / "run")
-        path.write_text(yaml.safe_dump(data))
-        res = self.invoke("check", "--config", str(path))
-        assert res.exit_code == 4
-        assert "pairs.p_box" in res.stderr
-
-    def test_small_p_box_names_the_pair_x_and_seed(self, tmp_path):
-        # |p| - 1 + V against 1 - |p| + V meet at |p| = 1, outside the box
-        path = tmp_path / "box.yaml"
-        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
-        data["pairs"]["p_box"] = [-0.75, 0.75]
-        data["output"] = str(tmp_path / "run")
-        path.write_text(yaml.safe_dump(data))
-        res = self.invoke("check", "--config", str(path))
-        assert res.exit_code == 4
-        assert res.stderr == (
-            "config error: pairs.p_box: level 1 level pair at x=0.0, "
-            "seed 0: comparison region touches the gradient box\n")
 
     def test_misshapen_curve_exits_3(self, tmp_path):
         # a 9-point axis misses the coercive rise of the two-level curve
@@ -1288,17 +1345,14 @@ class TestCLI:
 
     def test_nonpositive_amplitude_met_first_by_the_oracle(self, tmp_path):
         # 16 cells on [-0.25, 1), seed 5: only cells 7 and 13 draw a
-        # coefficient <= 0, and the pair analysis, on the x-nodes k/8,
-        # samples the even cells alone; the piece curve's 4096-node table
-        # meets cell 7 at x = 7/16, and so does the hypothesis stage,
-        # which checks the amplitudes on that table: check fails as
-        # effective does
+        # coefficient <= 0; the piece curve's 4096-node table meets cell
+        # 7 at x = 7/16, and so does the hypothesis stage, which reads
+        # the coefficients on that table: check fails as effective does
         data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
         data["medium"] = {"kind": "checkerboard", "period": 1.0, "channels": [
             {"cell": 0.25, "low": 0.0, "high": 1.0},
             {"cell": 0.0625, "low": -0.25, "high": 1.0}]}
         data["family"]["checks"][0].update(coupling="amplitude", channel=1)
-        data["pairs"]["x_nodes"] = 8
         data["seeds"] = [5]
         path = tmp_path / "amplitude.yaml"
         path.write_text(yaml.safe_dump(data))
@@ -1354,7 +1408,7 @@ class TestCLI:
 
     # README's exit-code table, one entry per class in errors.py
     EXIT_CODES = {"HypothesisError": 2, "ConfigError": 4, "RunLockError": 4,
-                  "BoxTooSmallError": 4, "MinMaxHJError": 3,
+                  "MinMaxHJError": 3,
                   "ProfileShapeError": 3, "NonConvergenceError": 3,
                   "SchemeParameterError": 3}
 
