@@ -115,13 +115,17 @@ class Piece(Hamiltonian):
     def tag(self):
         return self.profile.tag
 
-    def coefficients(self, x, medium):
+    def coefficients(self, x, medium, columns=None):
         """(a, b) of H(p, x) = a * profile(p) + b on the nodes x; a
-        scalar stands for a value constant over x. Raises
-        ProfileShapeError at the first node where an amplitude a <= 0."""
+        scalar stands for a value constant over x. ``columns``, if
+        given, maps the piece's channel to its values on x, which are
+        then read instead of evaluated. Raises ProfileShapeError at the
+        first node where an amplitude a <= 0."""
         if self.coupling is None:
             return 1.0, self.extra_const
-        coeff = self.scale * medium.evaluate_channel(self.channel, x)
+        coeff = self.scale * (
+            medium.evaluate_channel(self.channel, x) if columns is None
+            else columns[self.channel])
         if self.coupling == "additive":
             return 1.0, coeff + self.extra_const
         bad = np.ravel(coeff <= 0)
@@ -232,20 +236,25 @@ def ordering_message(at):
 class PieceTable:
     """A family's plain pieces on the nodes of ``medium_table(medium)``,
     the exact oracle's, one row per distinct medium state
-    (``MediumRealization.node_states``): ``x`` holds the first node of
+    (``MediumRealization.node_states`` over the channels some piece
+    couples to, each evaluated once): ``x`` holds the first node of
     each state, ``first`` its index and ``inverse`` each node's row.
     ``checks[k]`` and ``hats[k]`` hold each piece as (profile, a, b),
     H = a * profile + b, with a and b arrays over the rows
-    (``Piece.coefficients``, which raises ProfileShapeError at the first
-    node where an amplitude a <= 0)."""
+    (``Piece.coefficients`` on the states' channel values, which raises
+    ProfileShapeError at the first node where an amplitude a <= 0)."""
 
     def __init__(self, family, medium):
         self.nodes = medium_table(medium)
-        self.first, self.inverse = medium.node_states(self.nodes)
+        channels = sorted({pc.channel for pc in family.checks + family.hats
+                           if pc.coupling is not None})
+        self.first, self.inverse, columns = medium.node_states(self.nodes,
+                                                               channels)
         self.x = self.nodes[self.first]
+        columns = {c: v[self.first] for c, v in columns.items()}
 
         def rows(piece):
-            a, b = piece.coefficients(self.x, medium)
+            a, b = piece.coefficients(self.x, medium, columns)
             return (piece.profile,
                     *np.broadcast_arrays(a, b, self.x)[:2])
 

@@ -7,14 +7,22 @@ manifest recording the resolved config, the hypothesis block (verdicts,
 witnesses as JSON data, contact constants), per-stage timings, and
 sha256 checksums of every result file. Result files are deterministic
 for a fixed config and seed set; timings live only in the manifest.
+
+``sweep-eps`` marches the homogenized problem in a forked child beside
+the eps stack (``fork_join``), and inline when the process may run on
+one CPU only; the results are the same either way.
 """
 
 import contextlib
 import fcntl
+import gc
 import hashlib
 import json
 import os
+import pickle
+import signal
 import time
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -22,7 +30,8 @@ import numpy as np
 from . import __version__
 from .effective import (ALPHA_WINDOW, EffectiveCurve, estimate_effective,
                         piece_effective_curve, theorem_formula)
-from .errors import ConfigError, HypothesisError, RunLockError
+from .errors import (ConfigError, HypothesisError, NonConvergenceError,
+                     RunLockError)
 from .family import (LevelHamiltonian, PieceTable, ordering_message,
                      outermost_levels, validate_ordering)
 from .media import distinct, sample_realization
@@ -96,8 +105,8 @@ def _write_manifest(out_dir, manifest):
     tmp = os.path.join(out_dir, f".manifest.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # one write: json.dump writes each of the encoder's chunks
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, os.path.join(out_dir, "manifest.json"))
     except BaseException:
         with contextlib.suppress(OSError):
@@ -336,6 +345,95 @@ def run_effective(cfg, out_dir=None, force=False):
     return _run(cfg, out_dir, "effective", stages, force)
 
 
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _child_main(child, wfd):
+    """The forked child of ``fork_join``: run ``child``, write one pickle
+    of ("ok", result) or ("error", exception, traceback text) to ``wfd``
+    and leave by ``os._exit``, so that no ``finally`` block, atexit hook
+    or stdio flush of the parent's runs here. Never returns."""
+    status = 1
+    try:
+        gc.disable()        # no finalizer of an inherited object runs here
+        try:
+            reply = ("ok", child())
+        except Exception as err:
+            reply = ("error", err, traceback.format_exc())
+        view = memoryview(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        while view:
+            view = view[os.write(wfd, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(name, data, status):
+    """The result a ``fork_join`` child sent, or its exception raised
+    again; a child that sent nothing whole raises NonConvergenceError
+    naming its signal or exit status."""
+    try:
+        kind, value, *tb = pickle.loads(data)
+    except Exception:
+        if os.WIFSIGNALED(status):
+            how = f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+        else:
+            how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+        raise NonConvergenceError(
+            f"{name}: its forked process {how} without a result") from None
+    if kind == "error":
+        raise value from RuntimeError(f"in the forked process:\n{tb[0]}")
+    return value
+
+
+def fork_join(name, child, parent):
+    """``(child(), parent())``, with ``child`` run in a forked process
+    beside ``parent`` here; inline, child first, when this process may
+    run on one CPU only, where forking costs more than it saves.
+
+    The child returns its result, or the exception it raised, through a
+    pipe as one pickle and leaves by ``os._exit`` (``_child_main``): it
+    never runs the parent's cleanup, such as the run lock's unlink.
+    ``child`` must not call BLAS or LAPACK, whose thread pools do not
+    survive a fork. Errors come in the inline order, the child's first:
+    when ``parent`` raises, the parent still waits for the child's
+    result, so which error is reported does not depend on the CPU count.
+    A child's exception is raised again with its class and message; a
+    child that dies without a result raises NonConvergenceError naming
+    ``name`` and the signal. An interrupt (any BaseException that is not
+    an Exception) kills the child. The child is reaped on every path."""
+    if _cpus() < 2:
+        return child(), parent()
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(rfd)
+        _child_main(child, wfd)
+    os.close(wfd)
+    status = None
+    try:
+        with open(rfd, "rb") as pipe:
+            try:
+                mine = parent()
+            except Exception:
+                data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                _child_result(name, data, status)
+                raise
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        return _child_result(name, data, status), mine
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _level_shares(cfg, snaps, grid, medium):
     """Per eps, the share of (sample time, node) pairs whose outermost
     value-changing level (``outermost_levels``) is k, for k = 1..ell, at
@@ -382,18 +480,25 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
         u0 = cfg.u0_values(grid.x)
         h_top = LevelHamiltonian(cfg.family)
 
-        t0 = time.perf_counter()
-        hom, _ = solve_homogenized(formula, u0, grid, cfg.T, cfg.theta,
-                                   t_samples=cfg.t_samples)
-        timings["homogenized"] = time.perf_counter() - t0
+        def homogenized():
+            t0 = time.perf_counter()
+            hom, _ = solve_homogenized(formula, u0, grid, cfg.T, cfg.theta,
+                                       t_samples=cfg.t_samples)
+            return hom, time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        osc, march = solve_time_dependent(h_top, u0, cfg.eps_schedule, grid,
-                                          medium, T=cfg.T, theta=cfg.theta,
-                                          t_samples=cfg.t_samples)
+        def evolution():
+            t0 = time.perf_counter()
+            marched = solve_time_dependent(
+                h_top, u0, cfg.eps_schedule, grid, medium, T=cfg.T,
+                theta=cfg.theta, t_samples=cfg.t_samples)
+            return marched, time.perf_counter() - t0
+
+        # each march times itself, the homogenized one in its own process
+        ((hom, timings["homogenized"]),
+         ((osc, march), timings["evolution"])) = fork_join(
+             "homogenized march", homogenized, evolution)
         # per eps, the largest gap over the sample times and the nodes
         errs = np.max(np.abs(osc - hom), axis=(0, 2)).tolist()
-        timings["evolution"] = time.perf_counter() - t0
         shares = _level_shares(cfg, osc, grid, medium)
         march_stats = {
             "n_steps": march["n_steps"], "dt": march["dt"],

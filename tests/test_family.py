@@ -219,6 +219,51 @@ def test_ordering_on_repeated_states_matches_the_loop():
                     [want[k] for k in ("kind", "level", "x")]
 
 
+def test_piece_table_evaluates_each_coupled_channel_once(
+        two_level_family, two_channel_medium, monkeypatch):
+    # four pieces on channels 0 and 1 of a three-channel medium
+    calls = []
+    evaluate = type(two_channel_medium).evaluate_channel
+
+    def counted(self, idx, x):
+        calls.append(idx)
+        return evaluate(self, idx, x)
+    monkeypatch.setattr(type(two_channel_medium), "evaluate_channel",
+                        counted)
+    PieceTable(two_level_family, two_channel_medium)
+    assert calls == [0, 1]
+
+
+def test_piece_table_states_are_those_of_the_coupled_channels():
+    # channel 1 is coupled to nothing, so it splits no state although
+    # its shift tells apart nodes on which channel 0 agrees; the rows
+    # are the pieces evaluated on the states' first nodes
+    medium = sample_realization(MediumSpec("periodic", 1.0, [
+        {"formula": "cos_sq", "offset": 0.5},
+        {"formula": "cos", "shift": 0.1}]), 0)
+    check = Piece(AbsShift(0.0, 1.0, -1.0), "amplitude", 0, scale=2.0)
+    hat = Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)
+    table = PieceTable(MinMaxFamily([check], [hat]), medium)
+    nodes = medium_table(medium)
+    first, inverse, _ = medium.node_states(nodes, [0])
+    assert np.array_equal(table.first, first)
+    assert np.array_equal(table.inverse, inverse)
+    assert table.x.size < medium.node_states(nodes, [0, 1])[0].size
+    for (_, a, b), pc in ((table.checks[0], check), (table.hats[0], hat)):
+        want = np.broadcast_arrays(*pc.coefficients(table.x, medium),
+                                   table.x)[:2]
+        assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
+
+
+def test_medium_free_family_is_one_state(two_channel_medium):
+    fam = MinMaxFamily([Piece(AbsShift(0.0, 1.0, -1.0))],
+                       [Piece(NegatedAbs(0.0, 1.0, 1.0))])
+    table = PieceTable(fam, two_channel_medium)
+    assert table.first.tolist() == [0] and table.x.tolist() == [0.0]
+    assert np.array_equal(table.inverse,
+                          np.zeros(table.nodes.size, dtype=int))
+
+
 def test_mislabeled_pieces_rejected():
     with pytest.raises(ProfileShapeError):
         MinMaxFamily([Piece(NegatedAbs(0.0, 1.0, 0.0))],

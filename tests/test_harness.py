@@ -10,8 +10,10 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +28,10 @@ from minmax_hj.cli import main
 from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
 from minmax_hj.effective import EffectiveCurve, piece_effective_curve
 from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
-                              ProfileShapeError, RunLockError)
+                              NonConvergenceError, ProfileShapeError,
+                              RunLockError, SchemeParameterError)
 from minmax_hj.family import LevelHamiltonian, PieceTable
-from minmax_hj.media import medium_table, sample_realization
+from minmax_hj.media import sample_realization
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_error,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
@@ -548,6 +551,12 @@ class TestHypothesisStage:
         np.testing.assert_allclose(analysis["constants"]["M_lower"],
                                    [1.0, 1.25])
 
+    @pytest.mark.parametrize("name", ["xindep.yaml", "unstable_pair.yaml"])
+    def test_medium_free_family_is_one_state(self, name):
+        # no piece couples to the medium, so its channels split no state
+        consts = analyze_hypotheses(load_fixture(name))["constants"]
+        assert consts["n_states"] == [1]
+
 
 class TestRunCheck:
     def test_writes_manifest_only(self, tmp_path):
@@ -683,7 +692,7 @@ class TestRunEffective:
                                                       monkeypatch):
         def broken(*args, **kwargs):
             raise OSError("disk full")
-        monkeypatch.setattr(harness.json, "dump", broken)
+        monkeypatch.setattr(harness.json, "dumps", broken)
         cfg = load_fixture("xindep.yaml", output=str(tmp_path / "run"))
         with pytest.raises(OSError, match="disk full"):
             run_effective(cfg)
@@ -802,6 +811,156 @@ class TestRunSweep:
         cfg = load_fixture("unstable_pair.yaml", output=str(tmp_path / "run"))
         with pytest.raises(HypothesisError):
             run_sweep_eps(cfg)
+
+
+SWEEP = ["sweep-eps", "--config", str(CONFIG_DIR / "base_case.yaml")]
+
+# runs the CLI with the homogenized march forked; the unflushed line
+# before it shows whether a child flushed what it inherited
+FORKED_CLI = """
+import sys
+from minmax_hj import harness
+from minmax_hj.cli import main
+harness._cpus = lambda: 2
+print("before the command")
+main(sys.argv[1:])
+"""
+
+
+class TestSweepFork:
+    """sweep-eps marches the homogenized problem in a forked child while
+    the parent marches the eps stack; on one CPU both run inline."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Force the forked path; the list collects the forked pids."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(harness.os, "fork", counted)
+        return pids
+
+    def sweep(self, out):
+        return CliRunner().invoke(main, SWEEP + ["--out", str(out)])
+
+    @staticmethod
+    def in_child(parent, action):
+        """A stand-in for a march that runs ``action`` in a forked
+        child and fails the test if it runs in the parent instead."""
+        def march(*args, **kwargs):
+            assert os.getpid() != parent, "ran in the parent"
+            action()
+        return march
+
+    def test_forked_and_inline_runs_write_the_same_files(self, tmp_path,
+                                                         forks, monkeypatch):
+        forked = self.sweep(tmp_path / "forked")
+        assert forks and forked.exit_code == 0
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        inline = self.sweep(tmp_path / "inline")
+        assert len(forks) == 1 and inline.exit_code == 0
+        assert forked.stdout == inline.stdout
+        assert (tmp_path / "forked" / "err_vs_eps.csv").read_bytes() == \
+            (tmp_path / "inline" / "err_vs_eps.csv").read_bytes()
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text())
+                for d in ("forked", "inline"))
+        assert set(a.pop("timings")) == set(b.pop("timings"))
+        assert a == b
+
+    def test_child_error_exits_3_with_its_message(self, tmp_path, forks,
+                                                  monkeypatch):
+        def fail():
+            raise NonConvergenceError("homogenized: evolution blew up")
+        monkeypatch.setattr(harness, "solve_homogenized",
+                            self.in_child(os.getpid(), fail))
+        res = self.sweep(tmp_path / "run")
+        assert forks and res.exit_code == 3
+        assert res.stderr == ("numerical failure: homogenized: evolution "
+                              "blew up\n")
+
+    def test_killed_child_exits_3(self, tmp_path, forks, monkeypatch):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(harness, "solve_homogenized",
+                            self.in_child(os.getpid(), die))
+        res = self.sweep(tmp_path / "run")
+        assert forks and res.exit_code == 3
+        assert res.stderr == ("numerical failure: homogenized march: its "
+                              "forked process was killed by SIGKILL "
+                              "without a result\n")
+
+    def test_parent_error_leaves_no_child(self, tmp_path, forks,
+                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise NonConvergenceError("eps=0.25: evolution blew up")
+        monkeypatch.setattr(harness, "solve_time_dependent", fail)
+        res = self.sweep(tmp_path / "run")
+        assert forks and res.exit_code == 3
+        assert "eps=0.25: evolution blew up" in res.stderr
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_homogenized_error_wins_when_both_fail(self, tmp_path,
+                                                   monkeypatch, cpus):
+        # as in the inline order, whichever process finishes first
+        def hom(*args, **kwargs):
+            time.sleep(0.2)
+            raise SchemeParameterError("homogenized fails")
+
+        def eps(*args, **kwargs):
+            raise NonConvergenceError("eps fails")
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "solve_homogenized", hom)
+        monkeypatch.setattr(harness, "solve_time_dependent", eps)
+        res = self.sweep(tmp_path / "run")
+        assert res.exit_code == 3
+        assert res.stderr == "numerical failure: homogenized fails\n"
+
+    def test_interrupted_parent_kills_its_child(self, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            harness.fork_join("sleep", lambda: time.sleep(60), interrupt)
+        assert time.perf_counter() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_stdout_is_printed_once(self, tmp_path):
+        # block-buffered stdout, so that the first line waits in the buffer
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        res = subprocess.run(
+            [sys.executable, "-c", FORKED_CLI, *SWEEP, "--out",
+             str(tmp_path / "run")], capture_output=True, text=True,
+            env=dict(env, PYTHONPATH=SRC_DIR), timeout=120)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == "before the command"
+        assert len(lines) == 5 and lines[-1] == "nonincreasing: True"
+
+    def test_lock_is_removed_by_the_parent_only(self, tmp_path, forks,
+                                                monkeypatch):
+        exits = tmp_path / "exits"
+        release = harness.RunLock.__exit__
+
+        def recorded(lock, *exc):
+            with open(exits, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return release(lock, *exc)
+        monkeypatch.setattr(harness.RunLock, "__exit__", recorded)
+        res = self.sweep(tmp_path / "run")
+        assert forks and res.exit_code == 0
+        assert exits.read_text() == f"{os.getpid()}\n"
+        assert not (tmp_path / "run" / ".lock").exists()
 
 
 class TestPlotdata:
@@ -1214,10 +1373,8 @@ class TestCLI:
         assert res.exit_code == 2
         consts = json.loads((out / "manifest.json").read_text())[
             "contact_constants"]
-        medium = sample_realization(load_fixture(
-            "unstable_pair.yaml").medium_spec, 0)
-        assert consts["n_states"] == [medium.node_states(
-            medium_table(medium))[0].size]
+        # no piece couples to the medium: one state
+        assert consts["n_states"] == [1]
         # 1e-12 times the largest |value|: L = 3 at the kink -1
         assert consts["stability_tolerance"] == 3e-12
         assert consts["n_unstable"] == 4096
