@@ -14,7 +14,6 @@ their exact piecewise-linear inverse.
 import numpy as np
 
 from .errors import ConfigError, ProfileShapeError, SchemeParameterError
-from .media import medium_table
 from .profiles import QUASICONVEX, piecewise_linear
 from .solver import solve_discounted
 
@@ -268,20 +267,18 @@ def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None):
     return curve.validate()
 
 
-def piece_effective_curve(piece, medium, p_samples):
-    """Exact effective curve of a single piece: the oracle on its affine
-    maps a * profile + b (``Piece.coefficients``) on the medium table.
-    Quasiconcave pieces go through the negation duality (their curve is
-    the reflected negative of the dual's curve)."""
-    if piece.tag != QUASICONVEX:
-        dual = piece.negate_dual()
-        rev = piece_effective_curve(dual, medium, -np.asarray(p_samples,
-                                                              dtype=float)[::-1])
+def piece_effective_curve(profile, a, b, p_samples):
+    """Exact effective curve of the single piece a * profile + b, with a
+    and b arrays over the nodes of one period (a ``PieceTable`` row
+    expanded through its ``inverse``): the oracle's. A quasiconcave
+    profile goes through the negation duality, as (profile.negate_dual(),
+    a, -b), and its curve is the reflected negative of the dual's."""
+    if profile.tag != QUASICONVEX:
+        q = -np.asarray(p_samples, dtype=float)[::-1]
+        rev = piece_effective_curve(profile.negate_dual(), a, -b, q)
         return EffectiveCurve(p_samples, -rev.values[::-1], None, "oracle",
                               "anticoercive").validate()
-    x = medium_table(medium)
-    a, b, _ = np.broadcast_arrays(*piece.coefficients(x, medium), x)
-    return exact_effective_1d_separable(piece.profile, b, p_samples, a)
+    return exact_effective_1d_separable(profile, b, p_samples, a)
 
 
 def theorem_formula_values(check_vals, hat_vals, m_bar, m_lower):

@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import HypothesisError, ProfileShapeError
-from .media import medium_table
+from .media import distinct, medium_table
 from .profiles import QUASICONCAVE, QUASICONVEX
 
 
@@ -233,28 +233,59 @@ def ordering_message(at):
             f"at p={at['p']}, x={at['x']}")
 
 
-class PieceTable:
-    """A family's plain pieces on the nodes of ``medium_table(medium)``,
-    the exact oracle's, one row per distinct medium state
-    (``MediumRealization.node_states`` over the channels some piece
-    couples to, each evaluated once): ``x`` holds the first node of
-    each state, ``first`` its index and ``inverse`` each node's row.
-    ``checks[k]`` and ``hats[k]`` hold each piece as (profile, a, b),
-    H = a * profile + b, with a and b arrays over the rows
-    (``Piece.coefficients`` on the states' channel values, which raises
-    ProfileShapeError at the first node where an amplitude a <= 0)."""
+def _states(columns, shape):
+    """(first, inverse) of the distinct states of the entries of an
+    array of ``shape``, told apart bit for bit by the flat arrays
+    ``columns`` (one state without them): ``first`` holds each state's
+    first flat index, in order, and ``inverse`` each entry's state."""
+    if not columns:
+        return np.zeros(1, dtype=np.intp), np.zeros(shape, dtype=np.intp)
+    bits = np.column_stack(columns).view(np.uint64)
+    # stable: the first entry of a state leads its run
+    order = np.lexsort(bits.T[::-1])
+    run = np.ones(order.size, dtype=bool)
+    run[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+    first = order[run]
+    by_entry = np.argsort(first)
+    rank = np.empty_like(by_entry)
+    rank[by_entry] = np.arange(by_entry.size)
+    inverse = np.empty_like(order)
+    inverse[order] = rank[np.cumsum(run) - 1]
+    return first[by_entry], inverse.reshape(shape)
 
-    def __init__(self, family, medium):
-        self.nodes = medium_table(medium)
+
+class PieceTable:
+    """A family's plain pieces on a whole sample of realizations, on the
+    exact oracle's ``medium_table``: where a family meets a sample.
+
+    ``first_draw[d]`` indexes the first realization that draws distinct
+    medium d (equal ``key``), ``medium_of[s]`` is realization s's, and
+    ``seeds`` holds every realization's seed. The rows are the distinct
+    states of all (distinct medium, node) entries, told apart by the
+    channels some piece couples to, each evaluated once per medium:
+    ``inverse[d, j]`` is node j's row in medium d, ``first`` each row's
+    first entry (flat in ``inverse``) and ``x`` its node. ``checks[k]``
+    and ``hats[k]`` hold each piece as (profile, a, b), H = a * profile
+    + b, with a and b arrays over the rows (``Piece.coefficients``,
+    which raises ProfileShapeError at the first row where an amplitude
+    a <= 0)."""
+
+    def __init__(self, family, realizations):
+        self.seeds = [r.seed for r in realizations]
+        self.first_draw, self.medium_of = distinct(r.key for r in realizations)
+        media = [realizations[i] for i in self.first_draw]
+        self.nodes = medium_table(media[0])
         channels = sorted({pc.channel for pc in family.checks + family.hats
                            if pc.coupling is not None})
-        self.first, self.inverse, columns = medium.node_states(self.nodes,
-                                                               channels)
-        self.x = self.nodes[self.first]
+        columns = {c: np.concatenate([m.evaluate_channel(c, self.nodes)
+                                      for m in media]) for c in channels}
+        self.first, self.inverse = _states(list(columns.values()),
+                                           (len(media), self.nodes.size))
+        self.x = self.nodes[self.first % self.nodes.size]
         columns = {c: v[self.first] for c, v in columns.items()}
 
         def rows(piece):
-            a, b = piece.coefficients(self.x, medium, columns)
+            a, b = piece.coefficients(self.x, None, columns)
             return (piece.profile,
                     *np.broadcast_arrays(a, b, self.x)[:2])
 
@@ -287,13 +318,13 @@ def _out_of_order(upper, lower):
                                 right))
 
 
-def validate_ordering(family, table):
+def validate_ordering(table):
     """Check the monotone ordering exactly on every row of a
     ``PieceTable``: no check may lie below the next level's, and no hat
     above it, at any gradient (``_out_of_order``). Raises with a witness
-    point: the first failing node, checks before hats, the lower level,
-    then the leftmost failing place (the left tail, the kinks in order,
-    the right tail)."""
+    point: the first failing medium (its first ``seed``) and node,
+    checks before hats, the lower level, then the leftmost failing place
+    (the left tail, the kinks in order, the right tail)."""
     tests = [(kind, k, rows[k], rows[k + 1])
              for kind, rows in (("check", table.checks), ("hat", table.hats))
              for k in range(len(rows) - 1)]
@@ -305,14 +336,15 @@ def validate_ordering(family, table):
     failing = failing[table.inverse]
     if not failing.any():
         return
-    j = int(np.argmax(failing))
-    r = table.inverse[j]
+    d, j = np.unravel_index(np.argmax(failing), failing.shape)
+    r = table.inverse[d, j]
     t = next(t for t, (bad, _) in enumerate(found) if bad[:, r].any())
     bad, points = found[t]
     p = points[np.argmax(bad[:, r]), r]
     kind, k, *pieces = tests[t]
     lhs, rhs = (a[r] * f(p) + b[r] for f, a, b in pieces)
-    at = {"kind": kind, "level": k + 1, "p": float(p),
+    at = {"seed": table.seeds[table.first_draw[d]],
+          "kind": kind, "level": k + 1, "p": float(p),
           "x": float(table.nodes[j]), "lhs": float(lhs), "rhs": float(rhs)}
     raise HypothesisError(ordering_message(at), at)
 

@@ -34,7 +34,7 @@ from .errors import (ConfigError, HypothesisError, NonConvergenceError,
                      RunLockError)
 from .family import (LevelHamiltonian, PieceTable, ordering_message,
                      outermost_levels, validate_ordering)
-from .media import distinct, sample_realization
+from .media import sample_realization
 from .pairs import check_condition_e, check_monotonicity, contact_fields
 from .solver import (FALLBACK, Grid, solve_homogenized, solve_time_dependent,
                      upwind_diffs)
@@ -81,8 +81,12 @@ class RunLock:
         return self
 
     def __exit__(self, *exc):
-        os.unlink(self.path)
-        os.close(self.fd)
+        # a .lock removed mid-run leaves nothing to unlink
+        try:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.path)
+        finally:
+            os.close(self.fd)
         return False
 
 
@@ -131,49 +135,38 @@ def _curve_csv(path, curve):
 
 def analyze_hypotheses(cfg):
     """Shared hypothesis stage: ordering, pair stability, contact chain
-    monotonicity and thin level sets, all exact on one ``PieceTable``
-    per distinct medium (seeds that draw one medium share it): the
+    monotonicity and thin level sets, all exact on one ``PieceTable`` of
+    the whole sample (seeds that draw one medium share its rows): the
     pieces' coefficients on the distinct states of the exact piece
     curves' medium table, where an amplitude coefficient <= 0 fails as
-    it does there. Returns verdicts and witnesses, plus the
+    it does there. Returns verdicts and witnesses, plus the table, the
     ``contact_fields`` record (under "constants") and the first seed's
     medium, which the later stages reuse."""
     timings = {}
     t0 = time.perf_counter()
     realizations = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
-    medium0 = realizations[0]
-    reps = distinct(r.key for r in realizations)[0]
-    tables = [PieceTable(cfg.family, realizations[i]) for i in reps]
-
-    ordering_ok, ordering_witness = True, None
-    for i, table in zip(reps.tolist(), tables):
-        try:
-            validate_ordering(cfg.family, table)
-        except HypothesisError as err:
-            ordering_ok = False
-            ordering_witness = {"seed": realizations[i].seed, **err.witness}
-            break
+    table = PieceTable(cfg.family, realizations)
+    ordering_witness = None
+    try:
+        validate_ordering(table)
+    except HypothesisError as err:
+        ordering_witness = err.witness
     timings["ordering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    consts = contact_fields(cfg.family, realizations, tables)
+    consts = contact_fields(table)
     stable = consts["all_pairs_stable"]
     timings["stable_pairs"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     mono = check_monotonicity(consts)
     mono_strict = check_monotonicity(consts, strict=True)
-    cond_e = {"holds": True, "witnesses": []}
-    for table, m in zip(tables, consts["m_fields"][reps]):
-        # the level-1 contact values contact_fields already found
-        one = check_condition_e(cfg.family, table, m[0])
-        if not one["holds"]:
-            cond_e = one
-            break
+    # the level-1 contact values contact_fields already found
+    cond_e = check_condition_e(table, consts["m_fields"][:, 0])
     timings["contact_chains"] = time.perf_counter() - t0
 
     verdicts = {
-        "ordering": ordering_ok,
+        "ordering": ordering_witness is None,
         "stable_pairs": stable,
         "contact_monotonicity": mono["monotone"],
         "contact_monotonicity_strict": mono_strict["monotone"],
@@ -185,8 +178,9 @@ def analyze_hypotheses(cfg):
         "contact_monotonicity": mono["failures"],
         "level_set_thin": cond_e["witnesses"],
     }
-    return {"verdicts": verdicts, "witnesses": witnesses,
-            "constants": consts, "medium0": medium0, "timings": timings}
+    return {"verdicts": verdicts, "witnesses": witnesses, "table": table,
+            "constants": consts, "medium0": realizations[0],
+            "timings": timings}
 
 
 def gate_error(report):
@@ -289,13 +283,14 @@ def _solver_stats(curve):
     return {"solves": solves, "fallbacks": fallbacks, "per_p": per_p}
 
 
-def build_curves(cfg, medium, consts):
+def build_curves(cfg, table, consts):
     """The nested formula curve from the exact piece curves
-    (``piece_effective_curve``) and ``consts``, the ``contact_fields``
-    record."""
-    checks, hats = ([piece_effective_curve(pc, medium, cfg.p_axis)
-                     for pc in pieces]
-                    for pieces in (cfg.family.checks, cfg.family.hats))
+    (``piece_effective_curve``) of the pieces of ``table`` in its first
+    medium and ``consts``, the ``contact_fields`` record."""
+    inverse = table.inverse[0]
+    checks, hats = ([piece_effective_curve(f, a[inverse], b[inverse],
+                                           cfg.p_axis) for f, a, b in rows]
+                    for rows in (table.checks, table.hats))
     return theorem_formula(checks, hats, consts)
 
 
@@ -313,7 +308,7 @@ def run_effective(cfg, out_dir=None, force=False):
 
     def stages(analysis, out_dir, timings):
         t0 = time.perf_counter()
-        formula = build_curves(cfg, analysis["medium0"],
+        formula = build_curves(cfg, analysis["table"],
                                analysis["constants"])
         timings["piece_curves"] = time.perf_counter() - t0
 
@@ -361,6 +356,10 @@ def _child_main(child, wfd):
     status = 1
     try:
         gc.disable()        # no finalizer of an inherited object runs here
+        # an orphan of a killed parent must not hold its run lock, whose
+        # flock belongs to the open file description both share
+        os.closerange(3, wfd)
+        os.closerange(max(wfd + 1, 3), os.sysconf("SC_OPEN_MAX"))
         try:
             reply = ("ok", child())
         except Exception as err:
@@ -398,7 +397,8 @@ def fork_join(name, child, parent):
 
     The child returns its result, or the exception it raised, through a
     pipe as one pickle and leaves by ``os._exit`` (``_child_main``): it
-    never runs the parent's cleanup, such as the run lock's unlink.
+    never runs the parent's cleanup, such as the run lock's unlink, and
+    first closes its other inherited descriptors, the run lock's too.
     ``child`` must not call BLAS or LAPACK, whose thread pools do not
     survive a fork. Errors come in the inline order, the child's first:
     when ``parent`` raises, the parent still waits for the child's
@@ -473,7 +473,8 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
     def stages(analysis, out_dir, timings):
         medium = analysis["medium0"]
         t0 = time.perf_counter()
-        formula = build_curves(cfg, medium, analysis["constants"])
+        formula = build_curves(cfg, analysis["table"],
+                               analysis["constants"])
         timings["effective_curve"] = time.perf_counter() - t0
 
         grid = Grid(cfg.solver_n, cfg.solver_length)

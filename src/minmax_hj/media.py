@@ -102,9 +102,8 @@ def distinct(keys):
 
 def medium_table(medium):
     """The nodes on which the hypotheses and the exact oracle read a
-    medium: 4096 on one period (one node without a medium)."""
-    return np.arange(4096) * (medium.period / 4096) if medium is not None \
-        else np.zeros(1)
+    medium: 4096 on one period."""
+    return np.arange(4096) * (medium.period / 4096)
 
 
 def sample_realization(spec, seed=0):
@@ -133,32 +132,6 @@ class MediumRealization:
         """Equal for realizations that draw the same medium: the spec and
         the bytes of the drawn tables (none but a checkerboard's)."""
         return (self.spec, *(t.tobytes() for t in self.tables))
-
-    def node_states(self, x, channels):
-        """The distinct medium states among the nodes of the 1-D array x,
-        told apart by the values there of the listed ``channels`` (the
-        ones that couple a piece to x), compared bit for bit; without
-        channels every node is one state. Each channel is evaluated
-        once. Returns (first, inverse, columns): ``first`` indexes the
-        first node of each state, in node order, ``inverse[i]`` is the
-        position in ``first`` of node i's, and ``columns`` maps each
-        listed channel to its values on x."""
-        columns = {c: self.evaluate_channel(c, x) for c in channels}
-        if not columns:
-            return np.zeros(1, dtype=np.intp), \
-                np.zeros(np.size(x), dtype=np.intp), columns
-        bits = np.column_stack(list(columns.values())).view(np.uint64)
-        # stable: the first node of a state leads its run
-        order = np.lexsort(bits.T[::-1])
-        run = np.ones(order.size, dtype=bool)
-        run[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
-        first = order[run]
-        by_node = np.argsort(first)
-        rank = np.empty_like(by_node)
-        rank[by_node] = np.arange(by_node.size)
-        inverse = np.empty_like(order)
-        inverse[order] = rank[np.cumsum(run) - 1]
-        return first[by_node], inverse, columns
 
     def evaluate_channel(self, idx, x):
         """Channel value at x (any array shape); exact wrap semantics."""

@@ -21,17 +21,15 @@ kinks at fixed gradients (``kinks``). So for a pair, L - V is affine
 on each segment between the union K of the two profiles' kinks and on
 each tail: a segment holds one crossing, solved in closed form, or lies
 on one side of D. Everything is read off the values at K, on one
-(medium state, |K|) table per pair, whose rows are the distinct medium
-states of a ``PieceTable``; the fields expand back to every node.
+(medium state, |K|) table per pair, whose rows are the distinct states
+of a ``PieceTable``'s whole sample; the fields expand back to every
+node of every realization.
 Stability is decided to rounding: boundary values agree, and V outside
 D stays above them, within STABILITY_RTOL times the scale of the pair's
 values there.
 """
 
 import numpy as np
-
-from .family import PieceTable
-from .media import distinct
 
 # the stability tolerance, relative to the largest |value| of V and L
 # at the kinks and of V on the boundary (about 4500 rounding units)
@@ -91,76 +89,66 @@ def analyze_pair(V, L):
         "stable": empty | ((variation <= tol) & (gap >= -tol))}
 
 
-def contact_fields(family, media, tables=None):
-    """Contact fields and constants for a family, as one dict.
+def contact_fields(table):
+    """Contact fields and constants of a ``PieceTable``'s sample.
 
-    ``media`` is one realization or a list (the extrema then run over
-    all of them); ``tables`` holds one ``PieceTable`` per distinct medium
-    among them, in order of first appearance (made on each medium's
-    table when None). The dict holds the fields ``m_fields`` and
-    ``M_fields``, (n_media, ell, n_nodes) arrays; their extrema
-    ``m_bar`` (max of m_k over the sample) and ``M_lower`` (min of M_k),
-    one entry per level; the media's ``seeds`` and the number of medium
-    states analyzed in each (``n_states``); the largest stability
-    tolerance applied (``tolerance``); the count of unstable (node,
-    level, pair) entries over all media (``n_unstable``) and
-    ``witnesses``, the first 8 of them, ordered by medium, node, level,
-    then level pair before cross pair. ``all_pairs_stable`` is the
-    verdict. A realization that draws the medium of an earlier one
-    shares its fields and entries, under its own seed.
+    The pairs are analyzed once on the table's rows, and the extrema
+    run over every node of every realization. The dict holds the fields
+    ``m_fields`` and ``M_fields``, (n_seeds, ell, n_nodes) arrays; their
+    extrema ``m_bar`` (max of m_k over the sample) and ``M_lower`` (min
+    of M_k), one entry per level; the realizations' ``seeds`` and the
+    number of medium states analyzed in each (``n_states``); the largest
+    stability tolerance applied (``tolerance``); the count of unstable
+    (node, level, pair) entries over all realizations (``n_unstable``)
+    and ``witnesses``, the first 8 of them, ordered by realization,
+    node, level, then level pair before cross pair. ``all_pairs_stable``
+    is the verdict. A realization that draws the medium of an earlier
+    one shares its fields and entries, under its own seed.
     """
-    if not isinstance(media, (list, tuple)):
-        media = [media]
-    real_reps, real_inv = distinct(m.key for m in media)
-    if tables is None:
-        tables = [PieceTable(family, media[i]) for i in real_reps]
-    ell = family.ell
-    fields, unstable, reports, tolerance = [], [], [], 0.0
-    for table in tables:
-        f = np.empty((2, ell, table.x.size))     # m, M per state
-        profile, a, b = table.hats[0]
-        f[1, 0] = a * profile.extreme_value() + b
-        bad = np.zeros((ell, 2, table.x.size), dtype=bool)
-        reps = {}
-        for k in range(ell):
-            # the level pair, then hat_k against check_{k-1}
-            for c in range(min(k + 1, 2)):
-                rep = analyze_pair(table.checks[k - c], table.hats[k])
-                f[c, k] = rep[("contact_value_V", "contact_value_Lambda")[c]]
-                bad[k, c] = ~rep["stable"]
-                tolerance = max(tolerance, float(rep["tolerance"].max()))
-                reps[k, c] = rep
-        fields.append(f[:, :, table.inverse])
-        unstable.append(bad)
-        reports.append(reps)
-    witnesses, n_unstable = [], 0
-    for medium, i in zip(media, real_inv):
-        table, bad = tables[i], unstable[i]
-        n_unstable += int(bad.sum(axis=(0, 1)) @ np.bincount(table.inverse))
-        nodes = np.flatnonzero(bad.any(axis=(0, 1))[table.inverse])
-        for j in nodes[:8 - len(witnesses)].tolist():
-            r = table.inverse[j]
+    ell, n_rows = len(table.checks), table.x.size
+    f = np.empty((2, ell, n_rows))     # m, M per row
+    profile, a, b = table.hats[0]
+    f[1, 0] = a * profile.extreme_value() + b
+    bad = np.zeros((ell, 2, n_rows), dtype=bool)
+    reps, tolerance = {}, 0.0
+    for k in range(ell):
+        # the level pair, then hat_k against check_{k-1}
+        for c in range(min(k + 1, 2)):
+            rep = analyze_pair(table.checks[k - c], table.hats[k])
+            f[c, k] = rep[("contact_value_V", "contact_value_Lambda")[c]]
+            bad[k, c] = ~rep["stable"]
+            tolerance = max(tolerance, float(rep["tolerance"].max()))
+            reps[k, c] = rep
+    # unstable entries per (distinct medium, node)
+    failing = bad.sum(axis=(0, 1))[table.inverse]
+    witnesses = []
+    for seed, d in zip(table.seeds, table.medium_of.tolist()):
+        if len(witnesses) >= 8:
+            break
+        for j in np.flatnonzero(failing[d])[:8 - len(witnesses)].tolist():
+            r = table.inverse[d, j]
             for k, c in zip(*np.nonzero(bad[:, :, r])):
-                rep = reports[i][k, c]
+                rep = reps[k, c]
                 witnesses.append({
                     "level": int(k) + 1,
                     "kind": ("level pair", "cross pair")[c],
-                    "x": float(table.nodes[j]), "seed": medium.seed,
+                    "x": float(table.nodes[j]), "seed": seed,
                     "variation": float(rep["boundary_variation"][r]),
                     "boundary_values_V": [float(rep["V_low"][r]),
                                           float(rep["V_high"][r])],
                     "contact_value_V": float(rep["contact_value_V"][r]),
                     "outside_gap": float(rep["outside_gap"][r])})
-    witnesses = witnesses[:8]
-    fields = np.stack(fields)[real_inv]
-    m_fields, M_fields = fields[:, 0], fields[:, 1]
+    n_unstable = int(failing.sum(axis=1)[table.medium_of].sum())
+    m_fields, M_fields = np.moveaxis(f[:, :, table.inverse[table.medium_of]],
+                                     2, 1)
     return {"m_fields": m_fields, "M_fields": M_fields,
             "m_bar": m_fields.max(axis=(0, 2)),
             "M_lower": M_fields.min(axis=(0, 2)),
-            "seeds": [m.seed for m in media],
-            "n_states": [tables[i].x.size for i in real_inv.tolist()],
+            "seeds": table.seeds,
+            "n_states": [int(np.count_nonzero(np.bincount(table.inverse[d])))
+                         for d in table.medium_of],
             "tolerance": tolerance, "n_unstable": n_unstable,
-            "witnesses": witnesses, "all_pairs_stable": n_unstable == 0}
+            "witnesses": witnesses[:8], "all_pairs_stable": n_unstable == 0}
 
 
 def check_monotonicity(constants, strict=False):
@@ -181,37 +169,44 @@ def check_monotonicity(constants, strict=False):
     return {"monotone": not failures, "strict": strict, "failures": failures}
 
 
-def check_condition_e(family, table, m_1):
+def check_condition_e(table, m_1):
     """Thin-level-set check at level 1.
 
-    m_1 holds the level-1 V-contact values at the nodes of ``table``, a
-    ``PieceTable`` (level 1 of its medium's ``m_fields``). Neither
-    level-1 piece may be flat at its contact value: a piece is flat only
-    on a segment between two of its kinks where its profile takes one
-    value, and it fails where a * value + b is within 1e-9 * max(1,
-    |m_1|) of m_1 (an arithmetic tolerance; the catalogue is exactly
-    evaluable). One witness per node, the check's before the hat's, at
-    the middle of the first such segment, for the first 8 nodes.
+    m_1 holds the level-1 V-contact values of each realization of the
+    ``PieceTable`` ``table`` at its nodes (``m_fields[:, 0]`` of
+    ``contact_fields``). Neither level-1 piece may be flat at its
+    contact value: a piece is flat only on a segment between two of its
+    kinks where its profile takes one value, and it fails where a *
+    value + b is within 1e-9 * max(1, |m_1|) of m_1 (an arithmetic
+    tolerance; the catalogue is exactly evaluable). Witnesses come from
+    the first medium that fails: one per node, the check's before the
+    hat's, at the middle of the first such segment, for 8 nodes.
     """
-    m_1 = np.asarray(m_1, dtype=float)
-    m1 = m_1[table.first][:, None]
+    m_1 = np.asarray(m_1, dtype=float)[table.first_draw]
+    m1 = m_1.ravel()[table.first][:, None]
     tol = 1e-9 * np.maximum(1.0, np.abs(m1))
-    witnesses, found = [], np.zeros(table.nodes.size, dtype=bool)
+    hits = []
     for name, (profile, a, b) in (("check", table.checks[0]),
                                   ("hat", table.hats[0])):
         k = profile.kinks()[0]
         v = profile(k)
         flat = np.flatnonzero(v[:-1] == v[1:])
         vals = a[:, None] * v[flat] + b[:, None]
-        hit = np.abs(vals - m1) <= tol
-        new = hit.any(axis=1)[table.inverse] & ~found
-        for j in np.flatnonzero(new)[:8].tolist():
-            r = table.inverse[j]
-            i = int(np.argmax(hit[r]))
-            witnesses.append((j, {
-                "x": float(table.nodes[j]), "piece": name,
-                "p": float(0.5 * (k[flat[i]] + k[flat[i] + 1])),
-                "value": float(vals[r, i]), "contact": float(m_1[j])}))
-        found |= new
-    witnesses = [w for _, w in sorted(witnesses, key=lambda t: t[0])][:8]
-    return {"holds": not witnesses, "witnesses": witnesses}
+        hits.append((name, k, flat, vals, np.abs(vals - m1) <= tol))
+    for d, inverse in enumerate(table.inverse):
+        witnesses, found = [], np.zeros(inverse.size, dtype=bool)
+        for name, k, flat, vals, hit in hits:
+            new = hit.any(axis=1)[inverse] & ~found
+            for j in np.flatnonzero(new)[:8].tolist():
+                r = inverse[j]
+                i = int(np.argmax(hit[r]))
+                witnesses.append((j, {
+                    "x": float(table.nodes[j]), "piece": name,
+                    "p": float(0.5 * (k[flat[i]] + k[flat[i] + 1])),
+                    "value": float(vals[r, i]),
+                    "contact": float(m_1[d, j])}))
+            found |= new
+        if witnesses:
+            return {"holds": False, "witnesses": [
+                w for _, w in sorted(witnesses, key=lambda t: t[0])][:8]}
+    return {"holds": True, "witnesses": []}

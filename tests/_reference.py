@@ -7,7 +7,9 @@ against a separate code path.
 
 import numpy as np
 
-from minmax_hj.family import CombinedPiece
+from minmax_hj.errors import HypothesisError
+from minmax_hj.family import CombinedPiece, PieceTable, validate_ordering
+from minmax_hj.pairs import check_condition_e, contact_fields
 
 
 def nested_scalar(a, b):
@@ -282,3 +284,52 @@ def ordering_witness_per_x(family, medium, p_samples, x_samples):
                             "p": float(p_samples[i]), "x": float(xs),
                             "lhs": float(lhs[i]), "rhs": float(rhs[i])}
     return None
+
+
+def states_per_entry(columns):
+    """(first, inverse) of the entries of the 1-D arrays ``columns``,
+    one entry at a time: an entry's state is the tuple of its values'
+    bit patterns, and states are numbered in order of first
+    appearance."""
+    bits = np.column_stack(columns).view(np.uint64)
+    seen, first, inverse = {}, [], []
+    for i, key in enumerate(map(tuple, bits.tolist())):
+        if key not in seen:
+            seen[key] = len(first)
+            first.append(i)
+        inverse.append(seen[key])
+    return np.array(first), np.array(inverse)
+
+
+def per_seed_hypotheses(family, realizations):
+    """The sample-wide hypothesis stage one ``PieceTable`` per seed: the
+    ordering witness of the first seed that breaks the ordering, the
+    contact witnesses of the seeds in order (each under its own seed,
+    the first 8 kept), ``n_unstable`` summed over the seeds, ``n_states``
+    per seed, the contact extrema over all seeds, and the thin-level-set
+    report of the first seed that fails it. A seed's ProfileShapeError
+    is raised as its table meets it, the first seed's first."""
+    tables = [PieceTable(family, [r]) for r in realizations]
+    out = {"ordering": None, "witnesses": [], "n_unstable": 0,
+           "n_states": [], "level_set_thin": {"holds": True,
+                                              "witnesses": []}}
+    m_bar, M_lower = [], []
+    for table in tables:
+        if out["ordering"] is None:
+            try:
+                validate_ordering(table)
+            except HypothesisError as err:
+                out["ordering"] = err.witness
+        consts = contact_fields(table)
+        out["witnesses"] += consts["witnesses"]
+        out["n_unstable"] += consts["n_unstable"]
+        out["n_states"] += consts["n_states"]
+        m_bar.append(consts["m_bar"])
+        M_lower.append(consts["M_lower"])
+        cond_e = check_condition_e(table, consts["m_fields"][:, 0])
+        if out["level_set_thin"]["holds"]:
+            out["level_set_thin"] = cond_e
+    out["witnesses"] = out["witnesses"][:8]
+    out["m_bar"] = np.max(m_bar, axis=0)
+    out["M_lower"] = np.min(M_lower, axis=0)
+    return out

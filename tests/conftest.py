@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from minmax_hj.effective import piece_effective_curve
 from minmax_hj.family import MinMaxFamily, Piece
-from minmax_hj.media import MediumSpec, sample_realization
+from minmax_hj.media import MediumSpec, medium_table, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs
 
 
@@ -60,6 +61,14 @@ def random_piece(rng, medium, tag):
     if mode == 2:
         return Piece(profile, "additive", 1, scale=float(rng.uniform(0.2, 1.5)))
     return Piece(profile, "amplitude", 2, scale=float(rng.uniform(0.5, 1.5)))
+
+
+def piece_curve(piece, medium, p):
+    """The exact effective curve of one piece in ``medium``: the oracle
+    on the piece's coefficients at every node of ``medium_table``."""
+    x = medium_table(medium)
+    a, b, _ = np.broadcast_arrays(*piece.coefficients(x, medium), x)
+    return piece_effective_curve(piece.profile, a, b, p)
 
 
 def random_family(rng, ell, medium):

@@ -18,8 +18,7 @@ from click.testing import CliRunner
 
 from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig
-from minmax_hj.effective import (estimate_effective, piece_effective_curve,
-                                 verify_symmetries)
+from minmax_hj.effective import estimate_effective, verify_symmetries
 from minmax_hj.family import (GradientShift, LevelHamiltonian, Piece,
                               minmax_scalar, minmax_scalar_monotone,
                               reorder_family)
@@ -29,7 +28,7 @@ from minmax_hj.profiles import AbsShift
 from minmax_hj.solver import Grid, lf_update, solve_discounted
 
 from _reference import nested_family_values
-from conftest import random_family, random_piece
+from conftest import piece_curve, random_family, random_piece
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -168,7 +167,7 @@ def test_estimates_agree_with_separable_oracle():
     medium = sin_sq_realization()
     piece = Piece(AbsShift(0.0, 1.0, 0.0), "additive", 0)
     p = np.linspace(-3.0, 3.0, 33)
-    oracle = piece_effective_curve(piece, medium, p)
+    oracle = piece_curve(piece, medium, p)
     grid = Grid(4096, 4.0)
     schedule = [0.1, 0.03, 0.01, 0.003]
     worst, covered = 0.0, True

@@ -6,18 +6,18 @@ import pytest
 from minmax_hj.effective import (EffectiveCurve, _power_fit,
                                  estimate_effective,
                                  exact_effective_1d_separable,
-                                 fit_schedule_data, piece_effective_curve,
-                                 theorem_formula, theorem_formula_values,
+                                 fit_schedule_data, theorem_formula,
+                                 theorem_formula_values,
                                  verify_symmetries)
 from minmax_hj.errors import ConfigError, SchemeParameterError
-from minmax_hj.family import GradientShift, LevelHamiltonian, Piece
+from minmax_hj.family import GradientShift, LevelHamiltonian, Piece, PieceTable
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import contact_fields
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 from minmax_hj.solver import Grid, solve_discounted
 
 from _reference import bisection_oracle, power_fit
-from conftest import random_piece
+from conftest import piece_curve, random_piece
 
 P33 = np.linspace(-3.0, 3.0, 33)
 
@@ -124,15 +124,14 @@ class TestOracle:
 
 class TestPieceCurves:
     def test_check_piece_closed_form(self, base_family, sin_sq_medium):
-        curve = piece_effective_curve(base_family.checks[0], sin_sq_medium,
-                                      P33)
+        curve = piece_curve(base_family.checks[0], sin_sq_medium, P33)
         expect = np.maximum(1.0, np.abs(P33) + 0.5) - 1.0
         assert np.max(np.abs(curve.values - expect)) <= 1e-9
         assert np.max(np.abs(curve.values - expect)) <= 1e-13
         assert curve.kind == "coercive"
 
     def test_hat_piece_closed_form(self, base_family, sin_sq_medium):
-        curve = piece_effective_curve(base_family.hats[0], sin_sq_medium, P33)
+        curve = piece_curve(base_family.hats[0], sin_sq_medium, P33)
         expect = np.minimum(1.0, 1.5 - np.abs(P33))
         assert np.max(np.abs(curve.values - expect)) <= 1e-9
         assert np.max(np.abs(curve.values - expect)) <= 1e-13
@@ -140,10 +139,9 @@ class TestPieceCurves:
 
     def test_second_level_closed_forms(self, two_level_family,
                                        two_channel_medium):
-        check = piece_effective_curve(two_level_family.checks[1],
-                                      two_channel_medium, P33)
-        hat = piece_effective_curve(two_level_family.hats[1],
-                                    two_channel_medium, P33)
+        check = piece_curve(two_level_family.checks[1], two_channel_medium,
+                            P33)
+        hat = piece_curve(two_level_family.hats[1], two_channel_medium, P33)
         check_err = np.max(np.abs(check.values
                                   - np.maximum(np.abs(P33) - 2.75, -2.5)))
         hat_err = np.max(np.abs(hat.values
@@ -156,7 +154,7 @@ class TestPieceCurves:
         # gradients +-mu mean(1/a) = +-mu / sqrt(3/4), so the curve is
         # sqrt(3/4) |p|, flat only at its critical level 0 at p = 0
         piece = Piece(AbsShift(0.0, 1.0, 0.0), "amplitude", 2, scale=1.0)
-        curve = piece_effective_curve(piece, two_channel_medium, P33)
+        curve = piece_curve(piece, two_channel_medium, P33)
         expect = np.abs(P33) * np.sqrt(0.75)
         assert np.max(np.abs(curve.values - expect)) <= 1e-13
         assert curve.intermediates["critical_level"] == 0.0
@@ -221,8 +219,7 @@ class TestEstimate:
             if piece.coupling == "amplitude":
                 pieces.append(piece)
         for piece in pieces:
-            oracle = piece_effective_curve(piece, two_channel_medium,
-                                           P33[::4])
+            oracle = piece_curve(piece, two_channel_medium, P33[::4])
             est = estimate_effective(piece, P33[::4], two_channel_medium,
                                      [0.1, 0.04, 0.02], Grid(512))
             assert np.all(np.abs(est["value"] - oracle.values)
@@ -364,11 +361,12 @@ class TestFormula:
 
     def test_two_level_formula_closed_form(self, two_level_family,
                                            two_channel_medium):
-        checks = [piece_effective_curve(pc, two_channel_medium, P33)
+        checks = [piece_curve(pc, two_channel_medium, P33)
                   for pc in two_level_family.checks]
-        hats = [piece_effective_curve(pc, two_channel_medium, P33)
+        hats = [piece_curve(pc, two_channel_medium, P33)
                 for pc in two_level_family.hats]
-        consts = contact_fields(two_level_family, two_channel_medium)
+        consts = contact_fields(PieceTable(two_level_family,
+                                           [two_channel_medium]))
         curve = theorem_formula(checks, hats, consts)
         q = np.abs(P33)
         inner = np.maximum(q - 0.5, 1.0)

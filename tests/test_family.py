@@ -8,7 +8,8 @@ from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
 from minmax_hj.media import MediumSpec, medium_table, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs
 
-from _reference import nested_family_values, ordering_witness_per_x
+from _reference import (nested_family_values, ordering_witness_per_x,
+                        states_per_entry)
 from conftest import random_family
 
 
@@ -96,7 +97,7 @@ def test_reordered_pieces_are_monotone(two_channel_medium):
 
 def _ordering_witness(family, medium):
     try:
-        validate_ordering(family, PieceTable(family, medium))
+        validate_ordering(PieceTable(family, [medium]))
     except HypothesisError as err:
         return err.witness
     return None
@@ -118,7 +119,7 @@ def test_ordering_witness_is_one_point(two_channel_medium):
     hats = [Piece(NegatedAbs(0.0, 1.0, 0.0)), Piece(NegatedAbs(0.0, 1.0, 2.0))]
     fam = MinMaxFamily(checks, hats)
     with pytest.raises(HypothesisError) as err:
-        validate_ordering(fam, PieceTable(fam, two_channel_medium))
+        validate_ordering(PieceTable(fam, [two_channel_medium]))
     # the kink at 0, where the gap is widest, not the whole interval
     w = err.value.witness
     assert w["p"] == 0.0 and w["x"] == 0.0
@@ -230,7 +231,7 @@ def test_piece_table_evaluates_each_coupled_channel_once(
         return evaluate(self, idx, x)
     monkeypatch.setattr(type(two_channel_medium), "evaluate_channel",
                         counted)
-    PieceTable(two_level_family, two_channel_medium)
+    PieceTable(two_level_family, [two_channel_medium])
     assert calls == [0, 1]
 
 
@@ -243,12 +244,13 @@ def test_piece_table_states_are_those_of_the_coupled_channels():
         {"formula": "cos", "shift": 0.1}]), 0)
     check = Piece(AbsShift(0.0, 1.0, -1.0), "amplitude", 0, scale=2.0)
     hat = Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)
-    table = PieceTable(MinMaxFamily([check], [hat]), medium)
-    nodes = medium_table(medium)
-    first, inverse, _ = medium.node_states(nodes, [0])
+    table = PieceTable(MinMaxFamily([check], [hat]), [medium])
+    columns = [medium.evaluate_channel(c, medium_table(medium))
+               for c in (0, 1)]
+    first, inverse = states_per_entry(columns[:1])
     assert np.array_equal(table.first, first)
-    assert np.array_equal(table.inverse, inverse)
-    assert table.x.size < medium.node_states(nodes, [0, 1])[0].size
+    assert np.array_equal(table.inverse, inverse[None])
+    assert table.x.size < states_per_entry(columns)[0].size
     for (_, a, b), pc in ((table.checks[0], check), (table.hats[0], hat)):
         want = np.broadcast_arrays(*pc.coefficients(table.x, medium),
                                    table.x)[:2]
@@ -258,10 +260,10 @@ def test_piece_table_states_are_those_of_the_coupled_channels():
 def test_medium_free_family_is_one_state(two_channel_medium):
     fam = MinMaxFamily([Piece(AbsShift(0.0, 1.0, -1.0))],
                        [Piece(NegatedAbs(0.0, 1.0, 1.0))])
-    table = PieceTable(fam, two_channel_medium)
+    table = PieceTable(fam, [two_channel_medium])
     assert table.first.tolist() == [0] and table.x.tolist() == [0.0]
     assert np.array_equal(table.inverse,
-                          np.zeros(table.nodes.size, dtype=int))
+                          np.zeros((1, table.nodes.size), dtype=int))
 
 
 def test_mislabeled_pieces_rejected():

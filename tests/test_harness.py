@@ -6,6 +6,7 @@ except where a shipped fixture is exercised end to end.
 """
 
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -23,10 +24,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import per_seed_hypotheses
 from minmax_hj import __version__, cli, errors, harness
 from minmax_hj.cli import main
 from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
-from minmax_hj.effective import EffectiveCurve, piece_effective_curve
+from minmax_hj.effective import EffectiveCurve
 from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
                               NonConvergenceError, ProfileShapeError,
                               RunLockError, SchemeParameterError)
@@ -262,7 +264,7 @@ class TestConfigValidation:
         # the hypotheses read the exact oracle's medium table
         cfg = ExperimentConfig(small_config())
         medium = sample_realization(cfg.medium_spec, 0)
-        nodes = PieceTable(cfg.family, medium).nodes
+        nodes = PieceTable(cfg.family, [medium]).nodes
         assert nodes.shape == (4096,)
         assert nodes[0] == 0.0 and nodes[-1] < cfg.medium_spec.period
 
@@ -615,6 +617,23 @@ class TestRunCheck:
             with RunLock(str(out)):
                 pass
 
+    def test_lock_file_removed_mid_run(self, tmp_path):
+        # the run still finishes whole, and the lock's descriptor is
+        # closed all the same
+        out = tmp_path / "run"
+        cfg = ExperimentConfig(small_config(output=str(out)))
+
+        def stages(analysis, out_dir, timings):
+            os.unlink(os.path.join(out_dir, ".lock"))
+            return {"files": []}
+        harness._run(cfg, None, "check", stages)
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+        with RunLock(str(out)) as lock:
+            os.unlink(lock.path)
+        with pytest.raises(OSError) as err:
+            os.fstat(lock.fd)
+        assert err.value.errno == errno.EBADF
+
 
 class TestRunEffective:
     def test_curve_csv_roundtrip(self, tmp_path):
@@ -826,6 +845,29 @@ print("before the command")
 main(sys.argv[1:])
 """
 
+# a parent killed while the forked child of fork_join runs: the child
+# records its pid and sleeps, and the parent then sends itself SIGTERM
+KILLED_PARENT = """
+import os, signal, sys, time
+from minmax_hj import harness
+harness._cpus = lambda: 2
+out, pid_file = sys.argv[1:]
+
+def child():
+    with open(pid_file + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(pid_file + ".tmp", pid_file)
+    time.sleep(60)
+
+def parent():
+    while not os.path.exists(pid_file):
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+with harness.RunLock(out):
+    harness.fork_join("sleep", child, parent)
+"""
+
 
 class TestSweepFork:
     """sweep-eps marches the homogenized problem in a forked child while
@@ -946,6 +988,34 @@ class TestSweepFork:
         lines = res.stdout.splitlines()
         assert lines[0] == "before the command"
         assert len(lines) == 5 and lines[-1] == "nonincreasing: True"
+
+    def test_child_holds_no_inherited_descriptor(self, tmp_path, forks):
+        # an flock belongs to the open file description, which a child
+        # that kept its copy of lock.fd would hold past its parent
+        def lock_fd_errno():
+            try:
+                os.fstat(lock.fd)
+            except OSError as err:
+                return err.errno
+            return 0
+        with RunLock(str(tmp_path / "run")) as lock:
+            got, _ = harness.fork_join("probe", lock_fd_errno, lambda: None)
+        assert forks and got == errno.EBADF
+
+    def test_killed_parent_leaves_no_lock(self, tmp_path):
+        # the orphaned child still runs, and holds no lock
+        out, pid_file = tmp_path / "run", tmp_path / "child.pid"
+        res = subprocess.run(
+            [sys.executable, "-c", KILLED_PARENT, str(out), str(pid_file)],
+            env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=60)
+        child = int(pid_file.read_text())
+        try:
+            assert res.returncode == -signal.SIGTERM
+            os.kill(child, 0)
+            with RunLock(str(out)):
+                pass
+        finally:
+            os.kill(child, signal.SIGKILL)
 
     def test_lock_is_removed_by_the_parent_only(self, tmp_path, forks,
                                                 monkeypatch):
@@ -1502,9 +1572,9 @@ class TestCLI:
 
     def test_nonpositive_amplitude_met_first_by_the_oracle(self, tmp_path):
         # 16 cells on [-0.25, 1), seed 5: only cells 7 and 13 draw a
-        # coefficient <= 0; the piece curve's 4096-node table meets cell
-        # 7 at x = 7/16, and so does the hypothesis stage, which reads
-        # the coefficients on that table: check fails as effective does
+        # coefficient <= 0; the 4096-node table that the hypothesis stage
+        # and the piece curves both read meets cell 7 at x = 7/16: check
+        # fails as effective does
         data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
         data["medium"] = {"kind": "checkerboard", "period": 1.0, "channels": [
             {"cell": 0.25, "low": 0.0, "high": 1.0},
@@ -1519,13 +1589,36 @@ class TestCLI:
         message = ("amplitude channel 1 has coefficient -0.161503 <= 0 at "
                    "x=0.4375")
         with pytest.raises(ProfileShapeError, match=re.escape(message)):
-            piece_effective_curve(cfg.family.checks[0], medium, cfg.p_axis)
+            PieceTable(cfg.family, [medium])
         for command in ("check", "effective"):
             res = self.invoke(command, "--config", str(path),
                               "--out", str(tmp_path / command))
             assert res.exit_code == 3
             assert res.stderr == f"numerical failure: {message}; the " \
                 "convexity tag would be invalid\n"
+
+    def test_nonpositive_amplitude_in_the_second_draw_exits_3(self,
+                                                              tmp_path):
+        # of the amplitude channel's four cells, seeds 0 and 5 draw none
+        # <= 0 and seed 2 draws cell 2 at -0.191727: the message is the
+        # one the per-seed tables meet first
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        data["medium"] = {"kind": "checkerboard", "period": 1.0, "channels": [
+            {"cell": 0.25, "low": 0.0, "high": 1.0},
+            {"cell": 0.25, "low": -0.5, "high": 1.0}]}
+        data["family"]["checks"][0].update(coupling="amplitude", channel=1)
+        data["seeds"] = [0, 2, 5]
+        path = tmp_path / "amplitude.yaml"
+        path.write_text(yaml.safe_dump(data))
+        cfg = ExperimentConfig.from_yaml(str(path))
+        media = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
+        with pytest.raises(ProfileShapeError) as want:
+            per_seed_hypotheses(cfg.family, media)
+        assert "coefficient -0.191727 <= 0 at x=0.5;" in str(want.value)
+        res = self.invoke("check", "--config", str(path),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 3
+        assert res.stderr == f"numerical failure: {want.value}\n"
 
     def test_amplitude_coupled_base_case_is_checked_by_the_oracle(
             self, tmp_path):

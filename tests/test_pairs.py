@@ -13,9 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _reference import condition_e_per_x, contact_fields_per_x
+from _reference import (condition_e_per_x, contact_fields_per_x,
+                        per_seed_hypotheses)
 from minmax_hj.config import ExperimentConfig
-from minmax_hj.family import MinMaxFamily, Piece, PieceTable, reorder_family
+from minmax_hj.errors import HypothesisError
+from minmax_hj.family import (MinMaxFamily, Piece, PieceTable, reorder_family,
+                              validate_ordering)
 from minmax_hj.harness import analyze_hypotheses
 from minmax_hj.media import MediumSpec, medium_table, sample_realization
 from minmax_hj.pairs import (STABILITY_RTOL, analyze_pair, check_condition_e,
@@ -157,7 +160,7 @@ def channel(medium, idx):
 
 class TestContactFields:
     def test_base_family_constants(self, base_family, sin_sq_medium):
-        consts = contact_fields(base_family, sin_sq_medium)
+        consts = contact_fields(PieceTable(base_family, [sin_sq_medium]))
         expected = channel(sin_sq_medium, 0)
         # m = sin^2 and M = 1 + sin^2 at every node of the table, exactly
         assert np.array_equal(consts["m_fields"][0][0], expected)
@@ -168,7 +171,8 @@ class TestContactFields:
         assert consts["n_unstable"] == 0 and consts["witnesses"] == []
 
     def test_two_level_constants(self, two_level_family, two_channel_medium):
-        consts = contact_fields(two_level_family, two_channel_medium)
+        consts = contact_fields(PieceTable(two_level_family,
+                                           [two_channel_medium]))
         s2, c2 = channel(two_channel_medium, 0), channel(two_channel_medium, 1)
         assert np.allclose(consts["m_fields"][0][0], s2, atol=1e-13, rtol=0.0)
         assert np.allclose(consts["m_fields"][0][1], c2, atol=1e-13, rtol=0.0)
@@ -187,7 +191,8 @@ class TestContactFields:
         # the reordered family's pieces are combined ones, which only the
         # grid-scan reference reads: on the old x-nodes it finds the
         # original family's exact constants
-        consts = contact_fields(two_level_family, two_channel_medium)
+        consts = contact_fields(PieceTable(two_level_family,
+                                           [two_channel_medium]))
         x = medium_table(two_channel_medium)[OLD_NODES]
         m_r, M_r, _ = contact_fields_per_x(reorder_family(two_level_family),
                                            [two_channel_medium], x, BOX, N_P)
@@ -201,7 +206,7 @@ class TestContactFields:
                           [{"cell": 0.25, "low": 0.0, "high": 1.0}])
         media = [sample_realization(spec, s) for s in (0, 1, 2)]
         fam = make_family([(1.0, 1.0, 0)])
-        consts = contact_fields(fam, media)
+        consts = contact_fields(PieceTable(fam, media))
         per_seed = [f[0].max() for f in consts["m_fields"]]
         assert consts["m_bar"][0] == max(per_seed)
         assert len(consts["m_fields"]) == 3
@@ -211,7 +216,7 @@ class TestContactFields:
         check = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
         hat = Piece(NegatedAbs(-1.0, 1.0, 3.0), "additive", 0)
         fam = MinMaxFamily([check], [hat])
-        consts = contact_fields(fam, sin_sq_medium)
+        consts = contact_fields(PieceTable(fam, [sin_sq_medium]))
         assert not consts["all_pairs_stable"]
         assert consts["n_unstable"] == 4096
         assert len(consts["witnesses"]) == 8
@@ -223,7 +228,8 @@ class TestContactFields:
 
 class TestMonotonicity:
     def test_two_level_strict(self, two_level_family, two_channel_medium):
-        consts = contact_fields(two_level_family, two_channel_medium)
+        consts = contact_fields(PieceTable(two_level_family,
+                                           [two_channel_medium]))
         assert check_monotonicity(consts)["monotone"]
         assert check_monotonicity(consts, strict=True)["monotone"]
 
@@ -235,7 +241,7 @@ class TestMonotonicity:
         hats = [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0, scale=0.2),
                 Piece(NegatedAbs(0.0, 1.0, 3.0), "additive", 0)]
         fam = MinMaxFamily(checks, hats)
-        consts = contact_fields(fam, sin_sq_medium)
+        consts = contact_fields(PieceTable(fam, [sin_sq_medium]))
         assert consts["m_bar"][0] == pytest.approx(0.2)
         assert consts["m_bar"][1] == 1.0
         verdict = check_monotonicity(consts)
@@ -247,7 +253,7 @@ class TestMonotonicity:
 
     def test_tie_fails_strict_only(self, sin_sq_medium):
         fam = make_family([(1.0, 1.0, 0), (4.0, 4.0, 0)])
-        consts = contact_fields(fam, sin_sq_medium)
+        consts = contact_fields(PieceTable(fam, [sin_sq_medium]))
         assert consts["m_bar"][0] == consts["m_bar"][1] == 1.0
         assert consts["M_lower"][0] == 1.0
         assert consts["M_lower"][1] == 1.5
@@ -256,9 +262,8 @@ class TestMonotonicity:
 
 
 def _condition_e(family, medium):
-    table = PieceTable(family, medium)
-    m_1 = contact_fields(family, medium, [table])["m_fields"][0][0]
-    return check_condition_e(family, table, m_1)
+    table = PieceTable(family, [medium])
+    return check_condition_e(table, contact_fields(table)["m_fields"][:, 0])
 
 
 class TestConditionE:
@@ -322,7 +327,7 @@ class TestBatchMatchesPerX:
 
     def assert_matches(self, cfg, on_grid=True):
         media = [sample_realization(cfg.medium_spec, s) for s in cfg.seeds]
-        consts = contact_fields(cfg.family, media)
+        consts = contact_fields(PieceTable(cfg.family, media))
         x = medium_table(media[0])[OLD_NODES]
         m_ref, M_ref, w_ref = contact_fields_per_x(cfg.family, media, x,
                                                    BOX, N_P)
@@ -341,8 +346,7 @@ class TestBatchMatchesPerX:
                                             BOX, N_P)
             assert _witness_key(w) in [_witness_key(r) for r in at]
         for medium, m in zip(media, consts["m_fields"]):
-            out = check_condition_e(cfg.family,
-                                    PieceTable(cfg.family, medium), m[0])
+            out = check_condition_e(PieceTable(cfg.family, [medium]), m[:1])
             ref = condition_e_per_x(cfg.family, medium, x, m[0][OLD_NODES],
                                     BOX, N_P)
             assert out["holds"] == ref["holds"]
@@ -405,7 +409,7 @@ class TestBatchMatchesPerX:
         assert str(ref.value) == (
             "level 1 level pair at x=0.625, seed 0: comparison region "
             "touches the gradient box")
-        consts = contact_fields(fam, media)
+        consts = contact_fields(PieceTable(fam, media))
         m_ref, M_ref, _ = contact_fields_per_x(fam, media, x, BOX, N_P)
         for got, want in ((consts["m_fields"], m_ref),
                           (consts["M_fields"], M_ref)):
@@ -424,7 +428,7 @@ class TestBatchMatchesPerX:
         hats = [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0),
                 Piece(NegatedAbs(-1.0, 1.0, 1.0), "additive", 0, scale=2.0)]
         fam = MinMaxFamily(checks, hats)
-        consts = contact_fields(fam, medium)
+        consts = contact_fields(PieceTable(fam, [medium]))
         x = medium_table(medium)
         _, _, w_ref = contact_fields_per_x(fam, [medium], x[:4], BOX, N_P)
         order = [(w["x"], w["level"], w["kind"]) for w in consts["witnesses"]]
@@ -497,9 +501,9 @@ class TestBatchIsTheOnlyShape:
                 m = contact_fields_per_x(fam, [medium], x, BOX, N_P)[0][0]
                 condition_e_per_x(fam, medium, x, m[0], BOX, N_P)
             else:
-                table = PieceTable(fam, medium)
-                m = contact_fields(fam, medium, [table])["m_fields"][0]
-                check_condition_e(fam, table, m[0])
+                table = PieceTable(fam, [medium])
+                m = contact_fields(table)["m_fields"]
+                check_condition_e(table, m[:, 0])
             return len(calls)
 
         assert count(4) == count(64) > 0
@@ -518,8 +522,8 @@ class TestBatchIsTheOnlyShape:
         monkeypatch.setattr("minmax_hj.pairs.analyze_pair", spy)
         spec = MediumSpec("checkerboard", 1.0, [
             {"cell": 0.25, "low": 0.0, "high": 1.0}])
-        consts = contact_fields(make_family([(1.0, 1.0, 0)]),
-                                sample_realization(spec, 0))
+        consts = contact_fields(PieceTable(make_family([(1.0, 1.0, 0)]),
+                                           [sample_realization(spec, 0)]))
         assert rows == [(4,)]
         assert np.unique(consts["m_fields"]).size == 4
         assert consts["m_fields"].shape == (1, 1, 4096)
@@ -546,8 +550,87 @@ class TestBatchIsTheOnlyShape:
         assert count(seeds[:1]) == count(seeds) > 0
 
 
+class TestSampleTable:
+    """One ``PieceTable`` for the whole sample against one per seed
+    (``per_seed_hypotheses``)."""
+
+    @staticmethod
+    def checkerboard(cells, high=1.0):
+        return MediumSpec("checkerboard", 1.0, [
+            {"cell": 1.0 / cells, "low": 0.0, "high": high}])
+
+    def test_ordering_witness_of_the_second_draw(self):
+        # check_1 = |p| - 1 + V falls below check_2 = |p| - 0.5 where
+        # V < 0.5: of the two cells, seeds 1 and 4 draw none such and
+        # seed 0 draws (0.64, 0.27)
+        fam = MinMaxFamily(
+            [Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0),
+             Piece(AbsShift(0.0, 1.0, -0.5))],
+            [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0),
+             Piece(NegatedAbs(0.0, 1.0, 3.0))])
+        media = [sample_realization(self.checkerboard(2), s)
+                 for s in (1, 0, 4)]
+        with pytest.raises(HypothesisError) as err:
+            validate_ordering(PieceTable(fam, media))
+        want = per_seed_hypotheses(fam, media)["ordering"]
+        assert err.value.witness == want
+        assert want["seed"] == 0 and want["x"] == 0.5
+
+    def test_thin_level_sets_of_the_second_draw(self):
+        # the hat 0.5 - |p| + V meets the valley on its flat bottom, at
+        # the contact value 0, where V <= 1/2: only seed 0 draws such a
+        # cell, its second
+        valley = PiecewiseMonotone([-2.0, -1.0, 1.0, 2.0],
+                                   [1.0, 0.0, 0.0, 1.0], "valley")
+        fam = MinMaxFamily([Piece(valley)],
+                           [Piece(NegatedAbs(0.0, 1.0, 0.5), "additive", 0)])
+        media = [sample_realization(self.checkerboard(2), s)
+                 for s in (1, 0, 4)]
+        table = PieceTable(fam, media)
+        got = check_condition_e(table, contact_fields(table)["m_fields"][:, 0])
+        assert got == per_seed_hypotheses(fam, media)["level_set_thin"]
+        assert [w["x"] for w in got["witnesses"]] == \
+            (0.5 + np.arange(8) / 4096).tolist()
+
+    def test_unstable_pairs_in_two_seeds(self):
+        # |p - 1| against 1 + 2 V - |p + 1| meets, and is unstable, only
+        # where V >= 1/2: in 2 of 2048 cells (4 nodes) of seed 0, 2 of
+        # seed 7 and 3 of seed 2
+        fam = MinMaxFamily([Piece(AbsShift(1.0, 1.0, 0.0))],
+                           [Piece(NegatedAbs(-1.0, 1.0, 1.0), "additive", 0,
+                                  scale=2.0)])
+        media = [sample_realization(self.checkerboard(2048, 0.501), s)
+                 for s in (0, 7, 2)]
+        consts = contact_fields(PieceTable(fam, media))
+        want = per_seed_hypotheses(fam, media)
+        assert consts["witnesses"] == want["witnesses"]
+        assert [w["seed"] for w in consts["witnesses"]] == [0] * 4 + [7] * 4
+        assert consts["n_unstable"] == want["n_unstable"] == 14
+        assert consts["n_states"] == want["n_states"] == [2048] * 3
+        assert _same_bits(consts["m_bar"], want["m_bar"])
+        assert _same_bits(consts["M_lower"], want["M_lower"])
+
+    def test_seeds_that_draw_one_medium_share_its_rows(self):
+        fam = make_family([(1.0, 1.0, 0), (3.0, 3.0, 0)])
+        spec = self.checkerboard(4)
+        media = [sample_realization(spec, s) for s in (7, 7, 9)]
+        table = PieceTable(fam, media)
+        assert table.medium_of.tolist() == [0, 0, 1]
+        assert table.inverse.shape == (2, 4096) and table.x.size == 8
+        for medium, d in zip(media, table.medium_of):
+            one = PieceTable(fam, [medium])
+            for rows, want in zip(table.checks + table.hats,
+                                  one.checks + one.hats):
+                for got, ref in zip(rows[1:], want[1:]):
+                    assert _same_bits(got[table.inverse[d]],
+                                      ref[one.inverse[0]])
+        consts = contact_fields(table)
+        assert consts["n_states"] == per_seed_hypotheses(
+            fam, media)["n_states"] == [4, 4, 4]
+
+
 def test_witness_is_json_ready(sin_sq_medium):
     fam = MinMaxFamily([Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)],
                        [Piece(NegatedAbs(-1.0, 1.0, 3.0), "additive", 0)])
-    w = contact_fields(fam, sin_sq_medium)["witnesses"][0]
+    w = contact_fields(PieceTable(fam, [sin_sq_medium]))["witnesses"][0]
     assert json.loads(json.dumps(w)) == w
