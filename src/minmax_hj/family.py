@@ -18,17 +18,35 @@ function of a plain gradient array, with the x-dependence frozen on x.
 ``evaluate`` and the solvers' ``bind_base`` derive from it in the shared
 base ``Hamiltonian``.
 
+A level's binding is a compiled kernel (``_LevelKernel``), the one path
+every solve evaluates a family through. Binding evaluates each coupled
+channel once and reads every piece's coefficients off it. A call
+computes each distinct distance |p - c| (and each slope times it)
+once, folds the pieces in scratch buffers the binding keeps, and
+returns a fresh array. Pieces that add the same coefficient b (same
+coupling, channel, scale and extra_const, so bit-equal b) have it
+added once, after their max or min. That changes no bit. g(t) =
+fl(t + b) is monotone: where g(s) < g(t), s < t as well, so
+max(g(s), g(t)) = g(t) = g(max(s, t)). Where g(s) and g(t) compare
+equal they are the same float bit for bit, so the tie rule of max
+cannot tell them apart: with b nonzero g returns -0.0 nowhere (an exact
+cancellation rounds to +0.0), with b = +0.0 it maps both zeros to
++0.0, and with b = -0.0 it is the identity. The same holds for min,
+and by induction for the whole fold; a NaN operand gives NaN either
+way.
+
 Evaluation does not check the ordering of the pieces;
 ``validate_ordering`` does, once and exactly, on a ``PieceTable``.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
 
 from .errors import HypothesisError, ProfileShapeError
 from .media import distinct, medium_table
-from .profiles import QUASICONCAVE, QUASICONVEX
+from .profiles import QUASICONCAVE, QUASICONVEX, AbsShift, NegatedAbs
 
 
 def minmax_scalar(a, b):
@@ -75,15 +93,24 @@ class Hamiltonian:
         return self.bind(x, medium)(np.asarray(p, dtype=float))
 
     def bind_base(self, pbase, x, medium):
-        """The solvers' binding: f(dv) = H(dv[0] + pbase, x), with dv a
-        one-tuple holding the difference array and pbase broadcasting
-        against it (a column of base gradients, one per row of dv, or a
-        scalar). A scalar zero base is not added: that only turns -0.0
-        into 0.0, which every profile maps to the same value."""
+        """The solvers' binding: f(dv, rows=None) = H(dv[0] + pbase, x),
+        with dv a one-tuple holding the difference array and pbase
+        broadcasting against it (a column of base gradients, one per
+        row of dv, or a scalar). ``rows``, if given, indexes the rows of
+        the column that the rows of dv take, so that one binding serves
+        every subset of them. A scalar zero base is not added: that only
+        turns -0.0 into 0.0, which every profile maps to the same
+        value."""
         f = self.bind(x, medium)
-        if np.ndim(pbase) == 0 and pbase == 0.0:
-            return lambda dv: f(dv[0])
-        return lambda dv: f(dv[0] + pbase)
+        if _zero(pbase):
+            return lambda dv, rows=None: f(dv[0])
+        return lambda dv, rows=None: f(
+            dv[0] + (pbase if rows is None else pbase[rows]))
+
+
+def _zero(pbase):
+    """Whether pbase is the scalar zero base, which is not added."""
+    return np.ndim(pbase) == 0 and pbase == 0.0
 
 
 class Piece(Hamiltonian):
@@ -368,23 +395,274 @@ def reorder_family(family):
                         combine(family.hats, "min"))
 
 
+def _plain(piece):
+    """The plain pieces of a piece, in order."""
+    if isinstance(piece, CombinedPiece):
+        return [q for pc in piece.pieces for q in _plain(pc)]
+    return [piece]
+
+
+def _fold_tree(checks, hats):
+    """The nesting of the module docstring as a tree: a plain piece, or
+    (ufunc, operands) with the operands in the order the fold passes
+    them, a combined piece reducing its pieces from the left."""
+    def node(pc):
+        if isinstance(pc, CombinedPiece):
+            return (np.maximum if pc.op == "max" else np.minimum,
+                    [node(q) for q in pc.pieces])
+        return pc
+
+    tree = (np.maximum, [node(checks[0]), node(hats[0])])
+    for c, h in zip(checks[1:], hats[1:]):
+        tree = (np.maximum, [node(c), (np.minimum, [node(h), tree])])
+    return tree
+
+
+_P, _BASE, _OUT = ("p",), ("base",), ("out",)    # the fixed slots
+
+
+def _key(pc):
+    """What tells apart the b a plain piece adds: equal keys, bit-equal
+    b. None for an uncoupled piece that adds nothing."""
+    if pc.coupling is None and pc.extra_const == 0.0:
+        return None
+    return pc.coupling, pc.channel, pc.scale.hex(), pc.extra_const.hex()
+
+
+class _Plan:
+    """The steps of a ``_LevelKernel``: (function, argument slots, output
+    slot), with slots named by a tuple whose first entry is their kind:
+    _P, _BASE, _OUT, ("k", i) for constant i and ("s", i) for scratch
+    buffer i; ``scratch`` lists the scratch slots the steps use.
+
+    The scratch buffer that holds p + base, a distance or a value is
+    reused by the step that reads it last; a value read by a max or min
+    is released to the next step that needs a buffer. The buffer that
+    ends up holding the whole fold is the result buffer all along."""
+
+    def __init__(self, tree, coeffs, add_base):
+        self.coeffs = coeffs
+        self.steps, self.consts, self.adds = [], {}, {}
+        self.n_scratch, self.free = 0, []
+        self.uses = {}          # reads left of p + base and of distances
+        self.slot_of = {"q": _P}
+        self._count(tree)
+        if add_base:
+            self.slot_of["q"] = self.new()
+            self.steps.append((np.add, (_P, _BASE), self.slot_of["q"]))
+        acc, key = self.fold(tree)
+        self.settle(acc, key)
+        # the buffer that ends up holding the value is the result itself
+        rename = {acc: _OUT}
+        self.steps = [(fn, tuple(rename.get(a, a) for a in args),
+                       rename.get(o, o)) for fn, args, o in self.steps]
+        self.scratch = list(dict.fromkeys(
+            a for _, args, o in self.steps for a in (*args, o)
+            if a[0] == "s"))
+
+    def _count(self, node):
+        if isinstance(node, tuple):
+            for kid in node[1]:
+                self._count(kid)
+            return
+        uses = self.uses
+        phi = node.profile
+        if not isinstance(phi, (AbsShift, NegatedAbs)):
+            uses["q"] = uses.get("q", 0) + 1
+            return
+        c, s = phi.center, phi.slope
+        if ("c", c) not in uses:
+            uses["q"] = uses.get("q", 0) + 1
+            uses[("c", c)] = 0
+        d = ("c", c) if s == 1.0 else ("d", c, s)
+        if d not in uses:
+            uses[d] = 0
+            if s != 1.0:
+                uses[("c", c)] += 1
+        uses[d] += 1
+
+    def const(self, v):
+        return self.consts.setdefault(id(v), (("k", len(self.consts)), v))[0]
+
+    def new(self):
+        if self.free:
+            return self.free.pop()
+        self.n_scratch += 1
+        return ("s", self.n_scratch - 1)
+
+    def read(self, key):
+        """The slot of ``key``, counting one read of it, and the slot its
+        reader writes: the same one on the last read of a scratch
+        buffer, else a new one."""
+        self.uses[key] -= 1
+        slot = self.slot_of[key]
+        last = self.uses[key] == 0 and slot != _P
+        return slot, slot if last else self.new()
+
+    def distance(self, c, s):
+        """The key of s * |q - c|, as ``profiles._distance`` writes it."""
+        steps, slot_of = self.steps, self.slot_of
+        if ("c", c) not in slot_of:
+            q, o = self.read("q")
+            if c:
+                steps.append((np.subtract, (q, self.const(c)), o))
+                q = o
+            steps.append((np.absolute, (q,), o))
+            slot_of[("c", c)] = o
+        if s == 1.0:
+            return ("c", c)
+        if ("d", c, s) not in slot_of:
+            d, o = self.read(("c", c))
+            steps.append((np.multiply, (self.const(s), d), o))
+            slot_of[("d", c, s)] = o
+        return ("d", c, s)
+
+    def settle(self, slot, key):
+        """Add the pending b of ``key`` to the value in ``slot``."""
+        if key is not None:
+            self.steps.append((np.add, (slot, self.const(self.adds[key])),
+                               slot))
+
+    def leaf(self, pc):
+        phi, steps = pc.profile, self.steps
+        if isinstance(phi, (AbsShift, NegatedAbs)):
+            d, o = self.read(self.distance(phi.center, phi.slope))
+            off = self.const(phi.offset)
+            steps.append((np.add, (off, d), o) if isinstance(phi, AbsShift)
+                         else (np.subtract, (off, d), o))
+        else:
+            q, o = self.read("q")
+            steps.append((phi, (q,), o))
+        a, b = self.coeffs[id(pc)]
+        if pc.coupling == "amplitude":
+            steps.append((np.multiply, (self.const(a), o), o))
+        key = _key(pc)
+        self.adds.setdefault(key, b)
+        return o, key
+
+    def fold(self, node):
+        """(slot, key) of a node's value: b of ``key`` is still to be
+        added to the value in the slot."""
+        if not isinstance(node, tuple):
+            return self.leaf(node)
+        ufunc, kids = node
+        # subtrees first: the deepest level is folded before the pieces
+        # around it are evaluated
+        vals = [None] * len(kids)
+        for i in sorted(range(len(kids)),
+                        key=lambda i: not isinstance(kids[i], tuple)):
+            vals[i] = self.fold(kids[i])
+        acc, key = vals[0]
+        for val, k in vals[1:]:
+            if k != key:
+                self.settle(acc, key)
+                self.settle(val, k)
+                key = None
+            self.steps.append((ufunc, (acc, val), acc))
+            self.free.append(val)
+        return acc, key
+
+
+class _LevelKernel:
+    """A family's levels bound on the nodes x, compiled (``_Plan``) to a
+    list of steps on numbered slots: p, the base, the result, the
+    constants (offsets and coefficients) and the scratch buffers.
+
+    ``kernel(p, rows=None)`` is H(p + base[rows], x) as a fresh array
+    (a float when it is 0-d), bit for bit the fold of the pieces' own
+    bindings by ``minmax_scalar``. The base, if given, is added into a
+    scratch buffer first; ``rows`` picks the rows of the base that the
+    rows of p take. Each coupled channel is evaluated once, here. The
+    scratch buffers are views of one array the kernel keeps and grows
+    to its largest call.
+    """
+
+    def __init__(self, checks, hats, x, medium, base=None):
+        # coefficients in the order the pieces' own bindings meet them,
+        # so that an amplitude <= 0 raises the same error first
+        leaves = [q for pc in (*reversed(checks), *reversed(hats))
+                  for q in _plain(pc)]
+        channels = sorted({pc.channel for pc in leaves
+                           if pc.coupling is not None})
+        columns = {c: medium.evaluate_channel(c, x) for c in channels}
+        coeffs = {}
+        for pc in leaves:
+            if id(pc) not in coeffs:
+                coeffs[id(pc)] = pc.coefficients(x, medium, columns)
+        plan = _Plan(_fold_tree(checks, hats), coeffs, base is not None)
+        self._base = base
+        self._consts = [v for _, v in plan.consts.values()]
+        self._shape = np.broadcast_shapes(*map(np.shape, self._consts))
+        self._n_scratch = len(plan.scratch)
+        self._scratch = np.empty(0)
+        self._views = {}        # (p's shape, base's shape) -> scratch views
+        index = {_P: 0, _BASE: 1, _OUT: 2}
+        index.update((k, 3 + i) for i, (k, _) in
+                     enumerate(plan.consts.values()))
+        index.update((slot, 3 + len(self._consts) + i)
+                     for i, slot in enumerate(plan.scratch))
+        self._steps = [_step(fn, [index[a] for a in args], index[o])
+                       for fn, args, o in plan.steps]
+
+    def __call__(self, p, rows=None):
+        p = np.asarray(p, dtype=float)
+        base = self._base if rows is None else self._base[rows]
+        views = self._views.get((p.shape, np.shape(base)))
+        if views is None:
+            views = self._scratch_views(p.shape, np.shape(base))
+        # every plan has a scratch buffer: no value is written into p
+        R = [p, base, np.empty(views[0].shape), *self._consts, *views]
+        for step in self._steps:
+            step(R)
+        out = R[2]
+        return out if out.ndim else float(out)
+
+    def _scratch_views(self, *shapes):
+        """The scratch buffers, of the result's shape, of a call on p
+        and a base of these shapes."""
+        shape = np.broadcast_shapes(*shapes, self._shape)
+        size = math.prod(shape)
+        if self._scratch.size < self._n_scratch * size:
+            self._scratch = np.empty(self._n_scratch * size)
+            self._views.clear()
+        views = [self._scratch[i * size:(i + 1) * size].reshape(shape)
+                 for i in range(self._n_scratch)]
+        self._views[shapes] = views
+        return views
+
+
+def _step(fn, args, o):
+    """One kernel step on the slot list R: a ufunc writing slot o, or a
+    profile whose value is copied into it."""
+    if not isinstance(fn, np.ufunc):
+        (i,) = args
+        return lambda R: np.copyto(R[o], fn(R[i]))
+    if len(args) == 1:
+        (i,) = args
+        return lambda R: fn(R[i], out=R[o])
+    i, j = args
+    return lambda R: fn(R[i], R[j], out=R[o])
+
+
 class LevelHamiltonian(Hamiltonian):
-    """The whole family's nesting: its pieces folded by
-    ``minmax_scalar``, level ell outermost."""
+    """The whole family's nesting, level ell outermost, evaluated by
+    one compiled kernel per binding (``_LevelKernel``)."""
 
     def __init__(self, family):
         self._pieces = family.checks, family.hats
 
-    # a binding of its own, so that perfbench/tracer.py can wrap the
-    # solvers' level bindings on this class alone
-    bind_base = Hamiltonian.bind_base
+    def bind_base(self, pbase, x, medium):
+        """``Hamiltonian.bind_base`` on the kernel, which adds the base
+        column (its ``rows``, if given) into its own scratch. A method
+        of this class, so that perfbench/tracer.py can wrap the solvers'
+        level bindings on it alone."""
+        run = _LevelKernel(*self._pieces, x, medium,
+                           None if _zero(pbase)
+                           else np.asarray(pbase, dtype=float))
+        return lambda dv, rows=None: run(dv[0], rows)
 
     def bind(self, x, medium):
-        checks, hats = self._pieces
-        fc = [pc.bind(x, medium) for pc in reversed(checks)]
-        fh = [pc.bind(x, medium) for pc in reversed(hats)]
-        return lambda p: minmax_scalar([f(p) for f in fc],
-                                       [f(p) for f in fh])
+        return _LevelKernel(*self._pieces, x, medium)
 
     def lipschitz(self, medium=None):
         checks, hats = self._pieces

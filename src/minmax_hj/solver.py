@@ -22,14 +22,20 @@ do not change theta or the spacing, so every row of the march takes the
 same steps. Results are plain arrays.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
-x, medium) -> f(dv) = H(dv[0] + pbase, x) with dv a one-tuple holding
-the difference array, plus lipschitz(medium). The cell problem binds a
-column of base gradients, shape (n_rows, 1), whose row i applies to row
-i of dv; the march binds the scalar base 0.0, which adds nothing, on an
-(n_eps, n) stack of node arrays (the nodes over each eps) whose row i
-applies to row i of dv, which is how it takes a whole eps schedule.
-Every Hamiltonian in ``family`` derives bind_base from its one formula,
-bind(x, medium).
+x, medium) -> f(dv, rows=None) = H(dv[0] + pbase[rows], x) with dv a
+one-tuple holding the difference array, plus lipschitz(medium). The
+cell problem binds once per grid, on a column of all its base
+gradients, shape (n_rows, 1); an evaluation passes the indices ``rows``
+of the column's rows that the rows of dv take (all of them, in order,
+when it passes none). The march binds the scalar base 0.0, which adds
+nothing, on an (n_eps, n) stack of node arrays (the nodes over each
+eps) whose row i applies to row i of dv, which is how it takes a whole
+eps schedule. Every Hamiltonian in ``family`` derives bind_base from
+its one formula, bind(x, medium); a level binds a compiled kernel.
+
+The Newton step and the residual of a cell problem work in place, in
+one workspace per grid sized at its full row count, and the banded
+solve is LAPACK gtsv on those buffers.
 """
 
 import numpy as np
@@ -45,12 +51,18 @@ RETRY = "newton (retried from nested start)"
 MAX_SWEEPS = 1_000_000
 
 
-def solve_banded(l_and_u, ab, b, **kwargs):
-    """scipy.linalg.solve_banded, imported on the first call: only the
-    Newton step needs scipy, so the commands that never reach it do not
+def solve_banded(dl, d, du, b):
+    """Solve the tridiagonal system with sub-, main and super-diagonal
+    dl, d and du for the Fortran-ordered right-hand sides b, in place:
+    LAPACK gtsv, the routine scipy.linalg.solve_banded calls for (1, 1)
+    bands, given leave to overwrite all four arrays. Returns the
+    solution, in b's memory, and gtsv's info (i > 0: the i-th pivot is
+    exactly zero). scipy is imported on the first call: only the
+    Newton step needs it, so the commands that never reach it do not
     pay for importing it."""
-    from scipy.linalg import solve_banded as solve
-    return solve(l_and_u, ab, b, **kwargs)
+    from scipy.linalg.lapack import dgtsv
+    *_, x, info = dgtsv(dl, d, du, b, True, True, True, True)
+    return x, info
 
 
 class Grid:
@@ -155,8 +167,12 @@ def _cell_grid(grid, medium):
 
 class _CellProblem:
     """lam*v + H_LF(p + Dv, x) = 0 on one grid for a column of base
-    gradients P, one row per gradient; ``bound(rows)`` binds the
-    Hamiltonian for a subset of the rows (the last binding is kept)."""
+    gradients P, one row per gradient.
+
+    The Hamiltonian is bound once, for all rows: ``bound(dv, rows)``
+    evaluates it for the rows ``rows`` of P. The residual and the
+    Newton step work in one workspace (``work``), made on first use and
+    sized once at the full row count."""
 
     def __init__(self, hamiltonian, P, grid, medium, lam, theta):
         self.hamiltonian = hamiltonian
@@ -165,25 +181,42 @@ class _CellProblem:
         self.medium = medium
         self.lam = lam
         self.theta = theta
-        self._key = None
-        self._bound = None
+        # each row's gradient, shape (1,), broadcasts over its row
+        self.bound = hamiltonian.bind_base(P, grid.x, medium)
+        self._work = None
 
     def on(self, grid):
         return _CellProblem(self.hamiltonian, self.P, grid, self.medium,
                             self.lam, self.theta)
 
-    def bound(self, rows):
-        key = rows.tobytes()
-        if key != self._key:
-            # each row's gradient, shape (1,), broadcasts over its row
-            self._bound = self.hamiltonian.bind_base(
-                self.P[rows], self.grid.x, self.medium)
-            self._key = key
-        return self._bound
+    def work(self, k):
+        """The workspace of k rows, each role the leading k rows of its
+        buffer: a difference array (k, n + 1); two tables (k, n); the
+        difference array's first k * n entries as a (k, n) table; and
+        the band (2, k, n), whose two tables are the columns of one
+        Fortran-ordered (k * n, 2) array."""
+        n = self.grid.n
+        if self._work is None:
+            # one block: freed whole when the solve ends, it is reused
+            # whole by the next solve's, where separate buffers went back
+            # to the system and were faulted in again
+            rows = len(self.P)
+            self._work = np.split(np.empty(rows * (5 * n + 1)),
+                                  np.cumsum([rows * (n + 1), rows * n,
+                                             rows * n]))
+        d, avg, jump, band = self._work
+        return (d[:k * (n + 1)].reshape(k, n + 1),
+                avg[:k * n].reshape(k, n), jump[:k * n].reshape(k, n),
+                d[:k * n].reshape(k, n), band[:2 * k * n].reshape(2, k, n))
 
     def residual(self, rows, v):
-        return self.lam * v + lf_update(self.bound(rows), v, self.grid,
-                                        self.theta)
+        """The residual of the rows ``rows`` at the fields v, in the
+        workspace: it holds until the next residual or Newton step."""
+        d, avg, jump, _, _ = self.work(len(v))
+        lf = lf_update(lambda dv: self.bound(dv, rows), v, self.grid,
+                       self.theta, (d, avg, jump))
+        np.multiply(v, self.lam, out=avg)
+        return np.add(avg, lf, out=lf)
 
 
 def _row_sup(a):
@@ -194,14 +227,15 @@ def _at_zero(cell):
     """H(p, x) on the nodes, per row: its sup over x, whether it is
     x-independent, and its value at the first node."""
     shape = (len(cell.P), cell.grid.n)
-    h0 = np.asarray(cell.bound(np.arange(len(cell.P)))((np.zeros(shape),))) \
-        + np.zeros(shape)
+    h0 = np.asarray(cell.bound((np.zeros(shape),))) + np.zeros(shape)
     return _row_sup(h0), h0.min(axis=1) == h0.max(axis=1), h0[:, 0].copy()
 
 
-def _newton_direction(h_bound, v, r, h, th, lam):
+def _newton_direction(cell, rows, v, r):
     """Newton step of the Lax-Friedrichs residual r at the fields v,
-    one row per field.
+    one row per base gradient in ``rows``, computed in the cell's
+    workspace: the step is the leading table of the band, and holds
+    until the next Newton step.
 
     The Jacobian is periodic tridiagonal and strictly diagonally dominant
     whenever |dH/dp| <= theta; piecewise-linear Hamiltonians give exact
@@ -209,40 +243,67 @@ def _newton_direction(h_bound, v, r, h, th, lam):
     solve as the blocks of a block-diagonal system (couplings between
     blocks are zero, so no row sees another), with the Sherman-Morrison
     column stacked the same way; the rank-one correction is then applied
-    per row.
+    per row. A system that is not finite (its matrix is finite iff the
+    clipped slopes are, its right-hand side iff r is), or whose solve
+    meets a zero pivot, raises NonConvergenceError naming the row's
+    base gradient.
     """
     k, n = v.shape
-    dp, dm = upwind_diffs(v, h)
-    davg = 0.5 * (dp + dm)
+    h, th, lam = cell.grid.h, cell.theta, cell.lam
+    d, avg, shifted, up, band = cell.work(k)
+    dp, dm = upwind_diffs(v, h, d)
+    np.add(dp, dm, out=avg)
+    avg *= 0.5
     del dp, dm
     delta = 1e-6
-    slope = (np.asarray(h_bound((davg + delta,)))
-             - np.asarray(h_bound((davg - delta,)))) / (2 * delta)
-    del davg
-    slope = np.clip(slope, -th, th)
+    slope = band[1]
+    hp = cell.bound((np.add(avg, delta, out=shifted),), rows)
+    hm = cell.bound((np.subtract(avg, delta, out=shifted),), rows)
+    np.subtract(hp, hm, out=slope)
+    del hp, hm
+    slope /= 2 * delta
+    np.clip(slope, -th, th, out=slope)
+    finite = np.isfinite(slope).all(axis=1) & np.isfinite(r).all(axis=1)
+    if not finite.all():
+        _fail_row(cell, rows, int(np.argmin(finite)),
+                  "Newton system is not finite")
     diag = lam + th / h
     alpha = -(slope[:, 0] + th) / (2 * h)       # row 0, column n-1
     beta = (slope[:, -1] - th) / (2 * h)        # row n-1, column 0
     gamma = -diag
-    ab = np.zeros((3, k, n))
-    ab[0, :, 1:] = (slope[:, :-1] - th) / (2 * h)
-    ab[1] = diag
-    ab[1, :, 0] -= gamma
-    ab[1, :, -1] -= alpha * beta / gamma
-    ab[2, :, :-1] = -(slope[:, 1:] + th) / (2 * h)
-    del slope
-    # right-hand side and Sherman-Morrison column, in the column-major
-    # layout LAPACK solves in place
-    b = np.zeros((k * n, 2), order="F")
-    b[:, 0] = -r.ravel()
-    b[::n, 1] = gamma
-    b[n - 1::n, 1] = beta
-    sol = solve_banded((1, 1), ab.reshape(3, k * n), b, overwrite_ab=True,
-                       overwrite_b=True)
-    y, z = sol[:, 0].reshape(k, n), sol[:, 1].reshape(k, n)
+    # the three diagonals, each a (k, n) table read flat: the super-
+    # diagonal from its second entry, the sub-diagonal to its last but
+    # one; the entries coupling two blocks are zero
+    mid, low = avg, shifted
+    up[:, 0] = 0.0
+    np.subtract(slope[:, :-1], th, out=up[:, 1:])
+    up[:, 1:] /= 2 * h
+    mid.fill(diag)
+    mid[:, 0] -= gamma
+    mid[:, -1] -= alpha * beta / gamma
+    np.add(slope[:, 1:], th, out=low[:, :-1])
+    np.negative(low[:, :-1], out=low[:, :-1])
+    low[:, :-1] /= 2 * h
+    low[:, -1] = 0.0
+    # right-hand side and Sherman-Morrison column
+    np.negative(r, out=band[0])
+    band[1] = 0.0
+    band[1, :, 0] = gamma
+    band[1, :, -1] = beta
+    sol, info = solve_banded(low.reshape(-1)[:-1], mid.reshape(-1),
+                             up.reshape(-1)[1:],
+                             band.reshape(2, -1).T)
+    if info > 0:
+        _fail_row(cell, rows, (info - 1) // n, "Newton system is singular")
+    y, z = sol.T.reshape(2, k, n)
     w_y = y[:, 0] + alpha / gamma * y[:, -1]
     w_z = z[:, 0] + alpha / gamma * z[:, -1]
-    return y - z * (w_y / (1.0 + w_z))[:, None]
+    np.multiply(z, (w_y / (1.0 + w_z))[:, None], out=z)
+    return np.subtract(y, z, out=y)
+
+
+def _fail_row(cell, rows, i, why):
+    raise NonConvergenceError(f"p0={cell.P[rows[i]].tolist()}: {why}")
 
 
 def _newton(cell, rows, v, tol):
@@ -257,12 +318,10 @@ def _newton(cell, rows, v, tol):
     Returns the fields, iteration counts, final residuals and a mask of
     the rows that converged.
     """
-    h = cell.grid.h
-    th = cell.theta
     v = np.array(v, dtype=float)
     its = np.zeros(rows.size, dtype=int)
     ok = np.zeros(rows.size, dtype=bool)
-    r = cell.residual(rows, v)
+    r = cell.residual(rows, v).copy()
     res = _row_sup(r)
     act = np.arange(rows.size)
     for it in range(80):
@@ -273,27 +332,45 @@ def _newton(cell, rows, v, tol):
         if not act.size:
             break
         sub = rows[act]
-        if act.size == rows.size:       # all rows: no copies needed
-            dv = _newton_direction(cell.bound(sub), v, r, h, th, cell.lam)
-        else:
-            dv = _newton_direction(cell.bound(sub), v[act], r[act], h, th,
-                                   cell.lam)
+        dv = _newton_direction(cell, sub, _take(v, act), _take(r, act))
         step = np.ones(act.size)
         pend = np.arange(act.size)
         keep = np.ones(act.size, dtype=bool)
         while pend.size:
-            vn = v[act[pend]] + step[pend, None] * dv[pend]
+            # the trial fields go to the band's second table, which
+            # the step no longer needs
+            vn = cell.work(act.size)[4][1, :pend.size]
+            np.multiply(step[pend, None], _take(dv, pend), out=vn)
+            np.add(_take(v, act[pend]), vn, out=vn)
             rn = cell.residual(sub[pend], vn)
             resn = _row_sup(rn)
             good = resn <= (1.0 - 0.25 * step[pend]) * res[act[pend]]
-            sel = act[pend[good]]
-            v[sel], r[sel], res[sel] = vn[good], rn[good], resn[good]
+            kept = np.flatnonzero(good)
+            sel = act[pend[kept]]
+            _put(v, sel, _take(vn, kept))
+            _put(r, sel, _take(rn, kept))
+            res[sel] = resn[kept]
             pend = pend[~good]
             step[pend] *= 0.5
             keep[pend[step[pend] < 1.0 / 1024.0]] = False
             pend = pend[step[pend] >= 1.0 / 1024.0]
         act = act[keep]
     return v, its, res, ok
+
+
+def _take(a, idx):
+    """The rows idx of a, without a copy when idx is every row: the row
+    indices here are increasing, so one that keeps the row count is
+    every row in order."""
+    return a if len(idx) == len(a) else a[idx]
+
+
+def _put(a, idx, values):
+    """a[idx] = values, as one plain copy when idx is every row."""
+    if len(idx) == len(a):
+        a[...] = values
+    else:
+        a[idx] = values
 
 
 def _nested_start(cell, rows, tol):
@@ -347,7 +424,8 @@ def _relax_projected(cell, rows, v, tol):
         va = v[act]
         r = cell.residual(rows[act], va)
         rbar = r.mean(axis=1, keepdims=True)
-        dev = _row_sup(r - rbar)
+        r = r - rbar
+        dev = _row_sup(r)
         if it % check_every == 0:
             history.append(np.full(rows.size, np.nan))
             history[-1][act] = dev
@@ -372,7 +450,7 @@ def _relax_projected(cell, rows, v, tol):
             j = int(np.argmin(done))
             fail(act[j], f"no convergence in {it} iterations "
                          f"(residual {dev[j]:.3g})")
-        v[act[~done]] = va[~done] - tau * (r[~done] - rbar[~done])
+        v[act[~done]] = va[~done] - tau * r[~done]
         act = act[~done]
         it += 1
     return out, its, res
@@ -442,7 +520,7 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
     if work.size:
         if v0 is None:
             v[work] = _nested_start(cell, work, tol[work])
-        out, n_it, n_res, ok = _newton(cell, work, v[work], tol[work])
+        out, n_it, n_res, ok = _newton(cell, work, _take(v, work), tol[work])
         used[work] = "newton"
         again = np.flatnonzero(~ok)
         if v0 is not None and again.size:
@@ -474,6 +552,7 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
             f"comparison bound {bound[i]:.6g}")
 
     copies = grid.n // cell.grid.n
+    del cell    # its workspace is freed before the tiled copy is made
     if copies > 1:
         v = np.tile(v, copies)
     return v, {"method": used, "iterations": its, "residual": res,

@@ -8,7 +8,8 @@ against a separate code path.
 import numpy as np
 
 from minmax_hj.errors import HypothesisError
-from minmax_hj.family import CombinedPiece, PieceTable, validate_ordering
+from minmax_hj.family import (CombinedPiece, PieceTable, minmax_scalar,
+                              validate_ordering)
 from minmax_hj.pairs import check_condition_e, contact_fields
 
 
@@ -333,3 +334,11 @@ def per_seed_hypotheses(family, realizations):
     out["m_bar"] = np.max(m_bar, axis=0)
     out["M_lower"] = np.min(M_lower, axis=0)
     return out
+
+
+def level_fold(family, x, medium):
+    """The level Hamiltonian of ``family`` bound on x as the fold of its
+    pieces' own bindings by ``minmax_scalar``, level ell outermost."""
+    fc = [pc.bind(x, medium) for pc in reversed(family.checks)]
+    fh = [pc.bind(x, medium) for pc in reversed(family.hats)]
+    return lambda p: minmax_scalar([f(p) for f in fc], [f(p) for f in fh])

@@ -75,3 +75,19 @@ def random_family(rng, ell, medium):
     checks = [random_piece(rng, medium, "quasiconvex") for _ in range(ell)]
     hats = [random_piece(rng, medium, "quasiconcave") for _ in range(ell)]
     return MinMaxFamily(checks, hats)
+
+
+class CountingMedium:
+    """A medium realization that counts its ``evaluate_channel`` calls
+    per channel in ``calls``; everything else is the realization's."""
+
+    def __init__(self, medium):
+        self._medium = medium
+        self.calls = {}
+
+    def evaluate_channel(self, idx, x):
+        self.calls[idx] = self.calls.get(idx, 0) + 1
+        return self._medium.evaluate_channel(idx, x)
+
+    def __getattr__(self, name):
+        return getattr(self._medium, name)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from minmax_hj.errors import HypothesisError, ProfileShapeError
-from minmax_hj.family import (GradientShift, LevelHamiltonian, MinMaxFamily,
-                              Piece, PieceTable, outermost_levels,
-                              reorder_family, validate_ordering)
+from minmax_hj.family import (CombinedPiece, GradientShift, LevelHamiltonian,
+                              MinMaxFamily, Piece, PieceTable,
+                              outermost_levels, reorder_family,
+                              validate_ordering)
 from minmax_hj.media import MediumSpec, medium_table, sample_realization
-from minmax_hj.profiles import AbsShift, NegatedAbs
+from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 
-from _reference import (nested_family_values, ordering_witness_per_x,
-                        states_per_entry)
-from conftest import random_family
+from _reference import (level_fold, nested_family_values,
+                        ordering_witness_per_x, states_per_entry)
+from conftest import CountingMedium, random_family
 
 
 def _piece_values(family, p, x, medium):
@@ -332,3 +333,113 @@ def test_outermost_level_is_the_last_to_change_the_value(two_channel_medium):
                     p, x, two_channel_medium))
             seen.update(np.unique(got).tolist())
     assert seen == {1, 2, 3}
+
+
+def _plain_pieces(family):
+    out = []
+    for pc in family.checks + family.hats:
+        out += pc.pieces if isinstance(pc, CombinedPiece) else [pc]
+    return out
+
+
+def _kernel_families(rng, medium):
+    """Families for the kernel: random ones (uncoupled, shared and
+    distinct channels, amplitude pieces), their reorderings (combined
+    pieces), piecewise profiles, uncoupled pieces with a nonzero
+    extra_const, and pieces that add a b holding -0.0."""
+    for ell in (1, 2, 3):
+        for _ in range(6):
+            fam = random_family(rng, ell, medium)
+            yield fam
+            yield reorder_family(fam)
+    valley = PiecewiseMonotone([-1.0, 0.0, 2.0], [1.0, -0.5, 3.0])
+    hill = PiecewiseMonotone([-2.0, 0.5, 1.0], [-1.0, 2.0, 0.5], "hill")
+    yield MinMaxFamily([Piece(valley, "additive", 0)],
+                       [Piece(hill, "additive", 0)])
+    yield MinMaxFamily([Piece(valley, "amplitude", 2, scale=0.7),
+                        Piece(AbsShift(0.5, 2.0, 1.0), None,
+                              extra_const=0.25)],
+                       [Piece(NegatedAbs(0.0, 1.0, 0.5), None,
+                              extra_const=0.25),
+                        Piece(hill, None, extra_const=-0.5)])
+    yield MinMaxFamily([Piece(AbsShift(0.0, 1.0, 0.7), None,
+                              extra_const=0.3)],
+                       [Piece(NegatedAbs(0.0, 1.5, 1.0), None,
+                              extra_const=0.3)])
+    # b = -1.0 * 0.0 + -0.0 = -0.0 where the channel is zero; the
+    # offsets -0.0 make the profiles themselves -0.0 or 0.0 at p = 0
+    yield MinMaxFamily([Piece(AbsShift(0.0, 1.0, -0.0), "additive", 0,
+                              scale=-1.0, extra_const=-0.0)],
+                       [Piece(NegatedAbs(0.0, 1.0, -0.0), "additive", 0,
+                              scale=-1.0, extra_const=-0.0)])
+
+
+class TestLevelKernel:
+    """The compiled level kernel against the fold of the pieces' own
+    bindings (``_reference.level_fold``), bit for bit: values and the
+    signs of zeros."""
+
+    def test_matches_the_piece_fold_bitwise(self, two_channel_medium):
+        rng = np.random.default_rng(41)
+        # node 0 is x = 0, where the sin^2 channels are 0.0
+        x = np.linspace(0.0, 1.0, 13)
+        seen = 0
+        for fam in _kernel_families(rng, two_channel_medium):
+            kinks = np.concatenate([pc.profile.kinks()[0]
+                                    for pc in _plain_pieces(fam)])
+            p = np.concatenate((rng.uniform(-4.0, 4.0, 24), kinks, -kinks,
+                                [0.0, -0.0]))[:, None] + np.zeros(x.shape)
+            want = level_fold(fam, x, two_channel_medium)(p)
+            h = LevelHamiltonian(fam)
+            got = h.bind(x, two_channel_medium)(p)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            base = rng.uniform(-2.0, 2.0, (p.shape[0], 1))
+            dv = p - base
+            got = h.bind_base(base, x, two_channel_medium)((dv,))
+            want = level_fold(fam, x, two_channel_medium)(dv + base)
+            assert got.tobytes() == want.tobytes()
+            seen += 1
+        assert seen == 40
+
+    def test_broadcasts_like_the_fold(self, two_channel_medium):
+        rng = np.random.default_rng(43)
+        fam = random_family(rng, 2, two_channel_medium)
+        h = LevelHamiltonian(fam)
+        p = np.linspace(-3.0, 3.0, 7)[:, None, None]
+        x = np.linspace(0.0, 1.0, 5)[None, :, None] + np.zeros((1, 1, 2))
+        want = level_fold(fam, x, two_channel_medium)(p)
+        assert h.evaluate(p, x, two_channel_medium).tobytes() \
+            == want.tobytes()
+        assert h.evaluate(0.3, 0.2, two_channel_medium) \
+            == level_fold(fam, 0.2, two_channel_medium)(np.asarray(0.3))
+
+    def test_subset_rows_equal_a_fresh_binding(self, two_channel_medium):
+        rng = np.random.default_rng(47)
+        x = np.linspace(0.0, 1.0, 17)
+        P = rng.uniform(-3.0, 3.0, (9, 1))
+        for fam in list(_kernel_families(rng, two_channel_medium))[::3]:
+            for ham in (LevelHamiltonian(fam),
+                        GradientShift(LevelHamiltonian(fam), 0.37)):
+                f = ham.bind_base(P, x, two_channel_medium)
+                f((rng.uniform(-2.0, 2.0, (9, x.size)),))
+                for rows in (np.array([0, 4, 5, 8]), np.array([3]),
+                             np.arange(9)):
+                    dv = rng.uniform(-2.0, 2.0, (rows.size, x.size))
+                    fresh = ham.bind_base(P[rows], x, two_channel_medium)
+                    assert f((dv,), rows).tobytes() \
+                        == fresh((dv,)).tobytes()
+
+    def test_one_channel_evaluation_per_binding(self, two_channel_medium):
+        # two levels on channel 0, a hat on channel 1 and an amplitude
+        # check on channel 2: every channel is evaluated once per binding
+        fam = MinMaxFamily(
+            [Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0),
+             Piece(AbsShift(0.0, 1.0, -3.0), "amplitude", 2)],
+            [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0),
+             Piece(NegatedAbs(0.0, 1.0, 3.0), "additive", 1)])
+        x = np.linspace(0.0, 1.0, 16)
+        for pbase in (0.0, np.zeros((3, 1))):
+            medium = CountingMedium(two_channel_medium)
+            LevelHamiltonian(fam).bind_base(pbase, x, medium)
+            assert medium.calls == {0: 1, 1: 1, 2: 1}

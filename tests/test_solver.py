@@ -1,6 +1,7 @@
 """Grid solvers: exact constant cases, oracle comparisons, probes."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from minmax_hj import solver
 from minmax_hj.config import ExperimentConfig
 from minmax_hj.effective import EffectiveCurve
 from minmax_hj.errors import NonConvergenceError, SchemeParameterError
-from minmax_hj.family import (CombinedPiece, LevelHamiltonian, MinMaxFamily,
-                              Piece)
+from minmax_hj.family import (CombinedPiece, Hamiltonian, LevelHamiltonian,
+                              MinMaxFamily, Piece)
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 from minmax_hj.solver import (FALLBACK, RETRY, Grid, lf_update,
@@ -19,6 +20,7 @@ from minmax_hj.solver import (FALLBACK, RETRY, Grid, lf_update,
                               solve_homogenized, solve_time_dependent)
 
 from _reference import hopf_lax_abs, lf_march
+from conftest import CountingMedium
 
 ABS = Piece(AbsShift(0.0, 1.0, 0.0), None)  # H(p) = |p|, medium-free
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -136,6 +138,73 @@ class TestDiscounted:
     def test_lambda_must_be_positive(self):
         with pytest.raises(SchemeParameterError):
             solve_discounted(ABS, [0.5], 0.0, Grid(64))
+
+    def test_non_finite_newton_system_names_the_gradient(self):
+        # H = |p| + NaN at x = 1/2, a node of every grid of the ladder
+        with pytest.raises(NonConvergenceError,
+                           match=r"^p0=\[0\.25\]: Newton system is not "
+                                 r"finite$"):
+            solve_discounted(_NaNAtHalf(), [0.25], 0.1, Grid(64))
+
+    def test_zero_pivot_names_the_gradient(self, monkeypatch, base_family,
+                                           sin_sq_medium):
+        # a pivot of the last block is zero: its row's gradient is named
+        monkeypatch.setattr(solver, "solve_banded",
+                            lambda dl, d, du, b: (b, len(b)))
+        with pytest.raises(NonConvergenceError,
+                           match=r"^p0=\[1\.5\]: Newton system is "
+                                 r"singular$"):
+            solve_discounted(LevelHamiltonian(base_family), [0.5, 1.5], 0.1,
+                             Grid(64), sin_sq_medium)
+
+    def test_one_binding_per_grid(self, base_family, sin_sq_medium):
+        # a cold solve on 64 nodes climbs 16 -> 32 -> 64: three grids,
+        # one binding and so one channel evaluation each; a warm one
+        # binds its grid alone
+        medium = CountingMedium(sin_sq_medium)
+        ham = LevelHamiltonian(base_family)
+        v, info = solve_discounted(ham, [0.5, 1.5], 0.1, Grid(64), medium)
+        assert list(info["method"]) == ["newton", "newton"]
+        assert medium.calls == {0: 3}
+        solve_discounted(ham, [0.5, 1.5], 0.05, Grid(64), medium, v0=v)
+        assert medium.calls == {0: 4}
+
+
+class _NaNAtHalf(Hamiltonian):
+    def bind(self, x, medium):
+        bad = np.where(np.asarray(x) == 0.5, np.nan, 0.0)
+        return lambda p: np.abs(p) + bad
+
+    def lipschitz(self, medium=None):
+        return 1.0
+
+
+class TestPeakMemory:
+    """The memory one batched cell solve holds at its peak, counted in
+    (n_p, n) tables of its cell grid: the base case's 33 gradients on
+    4096 nodes, solved on one 1024-node period, cold and warm. The
+    Newton workspace and the level kernel's scratch are sized once per
+    grid; the count takes in the (n_p, 4096) result, four tables."""
+
+    TABLES = 11.5
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_batched_solve(self, warm, base_family, sin_sq_medium):
+        # scipy is imported before tracing: its import is not the solve's
+        import scipy.linalg.lapack  # noqa: F401
+        ham = LevelHamiltonian(base_family)
+        P = np.linspace(-3.0, 3.0, 33)
+        grid = Grid(4096, 4.0)
+        v0 = solve_discounted(ham, P, 0.1, grid, sin_sq_medium)[0] \
+            if warm else None
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve_discounted(ham, P, 0.03, grid, sin_sq_medium, v0=v0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / (33 * 1024 * 8) <= self.TABLES
 
 
 class TestNestedStart:
