@@ -12,18 +12,19 @@ behind reordering says the nested value is unchanged when the sequences
 are replaced by their running extrema; ``reorder_family`` is its
 function-level counterpart.
 
-Every Hamiltonian here (a piece, a combined piece, a level, a gradient
-shift) writes its formula once, as ``bind(x, medium)``: H(., x) as a
-function of a plain gradient array, with the x-dependence frozen on x.
-``evaluate`` and the solvers' ``bind_base`` derive from it in the shared
-base ``Hamiltonian``.
+A piece, a combined piece and a gradient shift each write their
+formula once, as ``bind(x, medium)``: H(., x) as a function of a plain
+gradient array, with the x-dependence frozen on x. ``evaluate`` and the
+solvers' ``bind_base`` derive from it in the shared base
+``Hamiltonian``.
 
-A level's binding is a compiled kernel (``_LevelKernel``), the one path
-every solve evaluates a family through. Binding evaluates each coupled
-channel once and reads every piece's coefficients off it. A call
-computes each distinct distance |p - c| (and each slope times it)
-once, folds the pieces in scratch buffers the binding keeps, and
-returns a fresh array. Pieces that add the same coefficient b (same
+A level's binding, the one path every solve evaluates a family
+through, writes the fold of its pieces out directly, in place
+(``_LevelKernel``), and gives bit for bit the fold of the pieces' own
+bindings. Binding evaluates each coupled channel once and reads every
+piece's coefficients off it. A call computes each distinct distance
+s * |p - c| once, folds the pieces in scratch tables the binding keeps,
+and returns a fresh array. Pieces that add the same coefficient b (same
 coupling, channel, scale and extra_const, so bit-equal b) have it
 added once, after their max or min. That changes no bit. g(t) =
 fl(t + b) is monotone: where g(s) < g(t), s < t as well, so
@@ -78,12 +79,8 @@ def minmax_scalar_monotone(a, b):
     b = np.stack([np.asarray(v, dtype=float) for v in b])
     if a.shape != b.shape:
         raise ValueError("need equal-length sequences")
-    alpha = np.maximum.accumulate(a, axis=0)
-    beta = np.minimum.accumulate(b, axis=0)
-    v = np.maximum(alpha[-1], beta[-1])
-    for k in range(a.shape[0] - 2, -1, -1):
-        v = np.maximum(alpha[k], np.minimum(beta[k], v))
-    return v if v.shape else float(v)
+    return minmax_scalar(np.maximum.accumulate(a, axis=0),
+                         np.minimum.accumulate(b, axis=0))
 
 
 class Hamiltonian:
@@ -164,9 +161,9 @@ class Piece(Hamiltonian):
                 f"the convexity tag would be invalid")
         return coeff, self.extra_const
 
-    def bind(self, x, medium):
+    def bind(self, x, medium, columns=None):
         phi = self.profile
-        a, b = self.coefficients(x, medium)
+        a, b = self.coefficients(x, medium, columns)
         if self.coupling == "amplitude":
             return lambda p: a * phi(p) + b
         # a = 1 is left out, so that an additive binding adds only b
@@ -221,9 +218,9 @@ class CombinedPiece(Hamiltonian):
     def tag(self):
         return QUASICONVEX if self.op == "max" else QUASICONCAVE
 
-    def bind(self, x, medium):
+    def bind(self, x, medium, columns=None):
         red = np.maximum if self.op == "max" else np.minimum
-        fs = [pc.bind(x, medium) for pc in self.pieces]
+        fs = [pc.bind(x, medium, columns) for pc in self.pieces]
         return lambda p: reduce(red, [f(p) for f in fs])
 
     def lipschitz(self, medium=None):
@@ -402,25 +399,6 @@ def _plain(piece):
     return [piece]
 
 
-def _fold_tree(checks, hats):
-    """The nesting of the module docstring as a tree: a plain piece, or
-    (ufunc, operands) with the operands in the order the fold passes
-    them, a combined piece reducing its pieces from the left."""
-    def node(pc):
-        if isinstance(pc, CombinedPiece):
-            return (np.maximum if pc.op == "max" else np.minimum,
-                    [node(q) for q in pc.pieces])
-        return pc
-
-    tree = (np.maximum, [node(checks[0]), node(hats[0])])
-    for c, h in zip(checks[1:], hats[1:]):
-        tree = (np.maximum, [node(c), (np.minimum, [node(h), tree])])
-    return tree
-
-
-_P, _BASE, _OUT = ("p",), ("base",), ("out",)    # the fixed slots
-
-
 def _key(pc):
     """What tells apart the b a plain piece adds: equal keys, bit-equal
     b. None for an uncoupled piece that adds nothing."""
@@ -429,224 +407,152 @@ def _key(pc):
     return pc.coupling, pc.channel, pc.scale.hex(), pc.extra_const.hex()
 
 
-class _Plan:
-    """The steps of a ``_LevelKernel``: (function, argument slots, output
-    slot), with slots named by a tuple whose first entry is their kind:
-    _P, _BASE, _OUT, ("k", i) for constant i and ("s", i) for scratch
-    buffer i; ``scratch`` lists the scratch slots the steps use.
-
-    The scratch buffer that holds p + base, a distance or a value is
-    reused by the step that reads it last; a value read by a max or min
-    is released to the next step that needs a buffer. The buffer that
-    ends up holding the whole fold is the result buffer all along."""
-
-    def __init__(self, tree, coeffs, add_base):
-        self.coeffs = coeffs
-        self.steps, self.consts, self.adds = [], {}, {}
-        self.n_scratch, self.free = 0, []
-        self.uses = {}          # reads left of p + base and of distances
-        self.slot_of = {"q": _P}
-        self._count(tree)
-        if add_base:
-            self.slot_of["q"] = self.new()
-            self.steps.append((np.add, (_P, _BASE), self.slot_of["q"]))
-        acc, key = self.fold(tree)
-        self.settle(acc, key)
-        # the buffer that ends up holding the value is the result itself
-        rename = {acc: _OUT}
-        self.steps = [(fn, tuple(rename.get(a, a) for a in args),
-                       rename.get(o, o)) for fn, args, o in self.steps]
-        self.scratch = list(dict.fromkeys(
-            a for _, args, o in self.steps for a in (*args, o)
-            if a[0] == "s"))
-
-    def _count(self, node):
-        if isinstance(node, tuple):
-            for kid in node[1]:
-                self._count(kid)
-            return
-        uses = self.uses
-        phi = node.profile
-        if not isinstance(phi, (AbsShift, NegatedAbs)):
-            uses["q"] = uses.get("q", 0) + 1
-            return
-        c, s = phi.center, phi.slope
-        if ("c", c) not in uses:
-            uses["q"] = uses.get("q", 0) + 1
-            uses[("c", c)] = 0
-        d = ("c", c) if s == 1.0 else ("d", c, s)
-        if d not in uses:
-            uses[d] = 0
-            if s != 1.0:
-                uses[("c", c)] += 1
-        uses[d] += 1
-
-    def const(self, v):
-        return self.consts.setdefault(id(v), (("k", len(self.consts)), v))[0]
-
-    def new(self):
-        if self.free:
-            return self.free.pop()
-        self.n_scratch += 1
-        return ("s", self.n_scratch - 1)
-
-    def read(self, key):
-        """The slot of ``key``, counting one read of it, and the slot its
-        reader writes: the same one on the last read of a scratch
-        buffer, else a new one."""
-        self.uses[key] -= 1
-        slot = self.slot_of[key]
-        last = self.uses[key] == 0 and slot != _P
-        return slot, slot if last else self.new()
-
-    def distance(self, c, s):
-        """The key of s * |q - c|, as ``profiles._distance`` writes it."""
-        steps, slot_of = self.steps, self.slot_of
-        if ("c", c) not in slot_of:
-            q, o = self.read("q")
-            if c:
-                steps.append((np.subtract, (q, self.const(c)), o))
-                q = o
-            steps.append((np.absolute, (q,), o))
-            slot_of[("c", c)] = o
-        if s == 1.0:
-            return ("c", c)
-        if ("d", c, s) not in slot_of:
-            d, o = self.read(("c", c))
-            steps.append((np.multiply, (self.const(s), d), o))
-            slot_of[("d", c, s)] = o
-        return ("d", c, s)
-
-    def settle(self, slot, key):
-        """Add the pending b of ``key`` to the value in ``slot``."""
-        if key is not None:
-            self.steps.append((np.add, (slot, self.const(self.adds[key])),
-                               slot))
-
-    def leaf(self, pc):
-        phi, steps = pc.profile, self.steps
-        if isinstance(phi, (AbsShift, NegatedAbs)):
-            d, o = self.read(self.distance(phi.center, phi.slope))
-            off = self.const(phi.offset)
-            steps.append((np.add, (off, d), o) if isinstance(phi, AbsShift)
-                         else (np.subtract, (off, d), o))
-        else:
-            q, o = self.read("q")
-            steps.append((phi, (q,), o))
-        a, b = self.coeffs[id(pc)]
-        if pc.coupling == "amplitude":
-            steps.append((np.multiply, (self.const(a), o), o))
-        key = _key(pc)
-        self.adds.setdefault(key, b)
-        return o, key
-
-    def fold(self, node):
-        """(slot, key) of a node's value: b of ``key`` is still to be
-        added to the value in the slot."""
-        if not isinstance(node, tuple):
-            return self.leaf(node)
-        ufunc, kids = node
-        # subtrees first: the deepest level is folded before the pieces
-        # around it are evaluated
-        vals = [None] * len(kids)
-        for i in sorted(range(len(kids)),
-                        key=lambda i: not isinstance(kids[i], tuple)):
-            vals[i] = self.fold(kids[i])
-        acc, key = vals[0]
-        for val, k in vals[1:]:
-            if k != key:
-                self.settle(acc, key)
-                self.settle(val, k)
-                key = None
-            self.steps.append((ufunc, (acc, val), acc))
-            self.free.append(val)
-        return acc, key
+def _columns(pieces, x, medium):
+    """Each channel that a plain piece of ``pieces`` couples to,
+    evaluated once on the nodes x: the ``columns`` of
+    ``Piece.coefficients``."""
+    channels = sorted({q.channel for pc in pieces for q in _plain(pc)
+                       if q.coupling is not None})
+    return {c: medium.evaluate_channel(c, x) for c in channels}
 
 
 class _LevelKernel:
-    """A family's levels bound on the nodes x, compiled (``_Plan``) to a
-    list of steps on numbered slots: p, the base, the result, the
-    constants (offsets and coefficients) and the scratch buffers.
+    """A family's levels bound on the nodes x: ``kernel(p, rows=None)``
+    is H(p + base[rows], x) as a fresh array (a float when it is 0-d),
+    bit for bit the fold of the pieces' own bindings by
+    ``minmax_scalar``. ``rows`` picks the rows of the base that the rows
+    of p take; without a base it is ignored.
 
-    ``kernel(p, rows=None)`` is H(p + base[rows], x) as a fresh array
-    (a float when it is 0-d), bit for bit the fold of the pieces' own
-    bindings by ``minmax_scalar``. The base, if given, is added into a
-    scratch buffer first; ``rows`` picks the rows of the base that the
-    rows of p take. Each coupled channel is evaluated once, here. The
-    scratch buffers are views of one array the kernel keeps and grows
-    to its largest call.
+    Binding evaluates each coupled channel once and reads every plain
+    piece's (a, b) off it; a combined piece keeps its own binding. A
+    call computes q = p + base and each distinct distance s * |q - c|
+    once, then folds the pieces in the module docstring's order:
+    check_1, hat_1, then hat_k and check_k for each level k above, with
+    the operands of each max and min in the nesting's order. The b that
+    the leading pieces of the fold share (equal ``_key``) is added once,
+    after their max or min; every other piece adds its own.
+
+    Memory: q goes into scratch, and the distance computed last
+    overwrites it unless a profile reads q itself (a piecewise profile,
+    or a combined piece, whose value is copied in). Each distance is
+    computed where its first reader meets it; the last piece that reads
+    it writes its value over it, and a distance that one piece reads is
+    computed where that piece writes. check_1 writes into the result;
+    every other value goes into one more scratch table, free again once
+    it is folded in. The scratch tables are views of one array the
+    kernel keeps and grows to its largest call.
     """
 
     def __init__(self, checks, hats, x, medium, base=None):
-        # coefficients in the order the pieces' own bindings meet them,
-        # so that an amplitude <= 0 raises the same error first
-        leaves = [q for pc in (*reversed(checks), *reversed(hats))
-                  for q in _plain(pc)]
-        channels = sorted({pc.channel for pc in leaves
-                           if pc.coupling is not None})
-        columns = {c: medium.evaluate_channel(c, x) for c in channels}
-        coeffs = {}
-        for pc in leaves:
-            if id(pc) not in coeffs:
-                coeffs[id(pc)] = pc.coefficients(x, medium, columns)
-        plan = _Plan(_fold_tree(checks, hats), coeffs, base is not None)
+        # bound in the order the pieces' own bindings meet them, so that
+        # an amplitude <= 0 raises the same error first
+        pieces = (*reversed(checks), *reversed(hats))
+        columns = _columns(pieces, x, medium)
+        bound = {id(pc): pc.coefficients(x, medium, columns)
+                 if isinstance(pc, Piece) else pc.bind(x, medium, columns)
+                 for pc in pieces}
+        order = [(checks[0], None), (hats[0], np.maximum)]
+        for c, h in zip(checks[1:], hats[1:]):
+            order += [(h, np.minimum), (c, np.maximum)]
+        # the distance s * |q - c| each piece reads; None for a piecewise
+        # profile or a combined piece, which read q itself
+        dists = [(pc.profile.center, pc.profile.slope)
+                 if isinstance(getattr(pc, "profile", None),
+                               (AbsShift, NegatedAbs)) else None
+                 for pc, _ in order]
+        last = {d: i for i, d in enumerate(dists)}    # in first-read order
+        # tables by index: q, with a base, is scratch 0, which the
+        # distance computed last may overwrite if no profile reads q
+        n = int(base is not None)
+        over_q = (list(last)[-1]
+                  if base is not None and None not in last else None)
+        self._steps, slot = [], {}
+        for i, ((pc, op), d) in enumerate(zip(order, dists)):
+            new = d is not None and d not in slot   # computes d here
+            if new and d == over_q:
+                slot[d] = 0
+            elif new and last[d] > i:
+                slot[d], n = n, n + 1
+            if i == 0:
+                o = -1                  # the result, after the scratch
+            elif d in slot and last[d] == i:
+                o = slot[d]
+            else:
+                o = -2                  # the value table, scratch's last
+            if new and d not in slot:
+                slot[d] = o             # its one reader writes over it
+            if isinstance(pc, Piece):
+                phi, (a, b), key = pc.profile, bound[id(pc)], _key(pc)
+                a = a if pc.coupling == "amplitude" else None
+            else:
+                phi, a, b, key = bound[id(pc)], None, None, None
+            f = phi if d is None else (
+                np.add if isinstance(phi, AbsShift) else np.subtract)
+            self._steps.append((o, slot.get(d), d if new else None, f,
+                                phi.offset if d else None, a, key, b, op,
+                                i == 1))
         self._base = base
-        self._consts = [v for _, v in plan.consts.values()]
-        self._shape = np.broadcast_shapes(*map(np.shape, self._consts))
-        self._n_scratch = len(plan.scratch)
+        self._n = n + any(step[0] == -2 for step in self._steps)
+        self._shape = np.broadcast_shapes(*map(np.shape, columns.values()))
         self._scratch = np.empty(0)
         self._views = {}        # (p's shape, base's shape) -> scratch views
-        index = {_P: 0, _BASE: 1, _OUT: 2}
-        index.update((k, 3 + i) for i, (k, _) in
-                     enumerate(plan.consts.values()))
-        index.update((slot, 3 + len(self._consts) + i)
-                     for i, slot in enumerate(plan.scratch))
-        self._steps = [_step(fn, [index[a] for a in args], index[o])
-                       for fn, args, o in plan.steps]
 
     def __call__(self, p, rows=None):
         p = np.asarray(p, dtype=float)
-        base = self._base if rows is None else self._base[rows]
-        views = self._views.get((p.shape, np.shape(base)))
-        if views is None:
-            views = self._scratch_views(p.shape, np.shape(base))
-        # every plan has a scratch buffer: no value is written into p
-        R = [p, base, np.empty(views[0].shape), *self._consts, *views]
-        for step in self._steps:
-            step(R)
-        out = R[2]
+        base = self._base
+        if base is not None and rows is not None:
+            base = base[rows]
+        shapes = p.shape, np.shape(base)
+        if shapes not in self._views:
+            shape = np.broadcast_shapes(*shapes, self._shape)
+            size = math.prod(shape)
+            if self._scratch.size < self._n * size:
+                self._scratch = np.empty(self._n * size)
+                self._views.clear()
+            self._views[shapes] = [
+                self._scratch[i * size:(i + 1) * size].reshape(shape)
+                for i in range(self._n)]
+        S = self._views[shapes]
+        out = np.empty(S[0].shape)
+        S = [*S, out]
+        q = p if base is None else np.add(p, base, out=S[0])
+        pending = add = None
+        for o, d, new, f, off, a, key, b, op, first in self._steps:
+            v = S[o]
+            if new is not None:
+                c, s = new
+                w = S[d]
+                np.absolute(np.subtract(q, c, out=w) if c else q, out=w)
+                if s != 1.0:
+                    np.multiply(s, w, out=w)
+            if d is None:
+                np.copyto(v, f(q))
+            else:
+                f(off, S[d], out=v)
+            if a is not None:
+                np.multiply(a, v, out=v)
+            if op is None:
+                pending, add = key, b
+                continue
+            # a pending b is added where the run of its key ends
+            if key != pending:
+                if pending is not None:
+                    np.add(out, add, out=out)
+                if key is not None:
+                    np.add(v, b, out=v)
+                pending = None
+            if first:
+                op(out, v, out=out)
+            else:
+                op(v, out, out=out)
+        if pending is not None:
+            np.add(out, add, out=out)
         return out if out.ndim else float(out)
-
-    def _scratch_views(self, *shapes):
-        """The scratch buffers, of the result's shape, of a call on p
-        and a base of these shapes."""
-        shape = np.broadcast_shapes(*shapes, self._shape)
-        size = math.prod(shape)
-        if self._scratch.size < self._n_scratch * size:
-            self._scratch = np.empty(self._n_scratch * size)
-            self._views.clear()
-        views = [self._scratch[i * size:(i + 1) * size].reshape(shape)
-                 for i in range(self._n_scratch)]
-        self._views[shapes] = views
-        return views
-
-
-def _step(fn, args, o):
-    """One kernel step on the slot list R: a ufunc writing slot o, or a
-    profile whose value is copied into it."""
-    if not isinstance(fn, np.ufunc):
-        (i,) = args
-        return lambda R: np.copyto(R[o], fn(R[i]))
-    if len(args) == 1:
-        (i,) = args
-        return lambda R: fn(R[i], out=R[o])
-    i, j = args
-    return lambda R: fn(R[i], R[j], out=R[o])
 
 
 class LevelHamiltonian(Hamiltonian):
     """The whole family's nesting, level ell outermost, evaluated by
-    one compiled kernel per binding (``_LevelKernel``)."""
+    one in-place fold per binding (``_LevelKernel``)."""
 
     def __init__(self, family):
         self._pieces = family.checks, family.hats
@@ -673,14 +579,17 @@ def outermost_levels(family, p, x, medium):
     """Per point of p (broadcast against the nodes x), the outermost
     level k whose value H_k(p, x) differs from H_{k-1}(p, x), with the
     levels nested as in the module docstring; 1 where no level above
-    the first changes the value."""
-    (c1, *checks), (h1, *hats) = [[pc.bind(x, medium)(p) for pc in pieces]
-                                  for pieces in (family.checks, family.hats)]
+    the first changes the value. Each coupled channel is evaluated
+    once, as a level binding does."""
+    columns = _columns(family.checks + family.hats, x, medium)
+    (c1, *checks), (h1, *hats) = [
+        [pc.bind(x, medium, columns)(p) for pc in pieces]
+        for pieces in (family.checks, family.hats)]
     v = np.maximum(c1, h1)
-    level = np.ones(v.shape, dtype=int)
+    level = np.ones(np.broadcast(v, x).shape, dtype=int)
     for k, (c, h) in enumerate(zip(checks, hats), start=2):
         w = np.maximum(c, np.minimum(h, v))
-        level[w != v] = k
+        level = np.where(w != v, k, level)
         v = w
     return level
 

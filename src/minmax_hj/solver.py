@@ -30,8 +30,9 @@ of the column's rows that the rows of dv take (all of them, in order,
 when it passes none). The march binds the scalar base 0.0, which adds
 nothing, on an (n_eps, n) stack of node arrays (the nodes over each
 eps) whose row i applies to row i of dv, which is how it takes a whole
-eps schedule. Every Hamiltonian in ``family`` derives bind_base from
-its one formula, bind(x, medium); a level binds a compiled kernel.
+eps schedule. Pieces and gradient shifts derive bind_base from their
+one formula, bind(x, medium); a level binds one in-place fold of its
+pieces, which evaluates them bit for bit as their own bindings do.
 
 The Newton step and the residual of a cell problem work in place, in
 one workspace per grid sized at its full row count, and the banded

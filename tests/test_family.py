@@ -312,26 +312,31 @@ def test_lipschitz_bound_covers_samples(two_channel_medium):
 def test_outermost_level_is_the_last_to_change_the_value(two_channel_medium):
     # against the literal nesting of each level in turn: level k is the
     # outermost that changes the value where H_k != H_{k-1} and every
-    # level above it keeps H_k
+    # level above it keeps H_k. On random families and on the kernel's
+    # plain ones: piecewise profiles, amplitude pieces, a b holding -0.0
     rng = np.random.default_rng(37)
+    families = [random_family(rng, ell, two_channel_medium)
+                for ell in (1, 2, 3) for _ in range(4)]
+    families += [fam for fam in _kernel_families(np.random.default_rng(41),
+                                                 two_channel_medium)
+                 if not any(isinstance(pc, CombinedPiece)
+                            for pc in fam.checks + fam.hats)]
     seen = set()
     p = np.linspace(-4.0, 4.0, 41)[:, None, None]
     x = np.linspace(0.0, 1.0, 9)[None, :, None] + np.zeros((1, 1, 2))
-    for ell in (1, 2, 3):
-        for _ in range(4):
-            fam = random_family(rng, ell, two_channel_medium)
-            cv, hv = _piece_values(fam, p, x, two_channel_medium)
-            nested = [nested_family_values(cv, hv, s)
-                      for s in range(1, ell + 1)]
-            want = np.ones(np.broadcast(p, x).shape, dtype=int)
-            for k in range(2, ell + 1):
-                want[nested[k - 1] != nested[k - 2]] = k
-            got = outermost_levels(fam, p, x, two_channel_medium)
-            assert np.array_equal(got, want)
-            assert np.array_equal(
-                nested[-1], LevelHamiltonian(fam).evaluate(
-                    p, x, two_channel_medium))
-            seen.update(np.unique(got).tolist())
+    for fam in families:
+        ell = fam.ell
+        cv, hv = _piece_values(fam, p, x, two_channel_medium)
+        nested = [nested_family_values(cv, hv, s) for s in range(1, ell + 1)]
+        want = np.ones(np.broadcast(p, x).shape, dtype=int)
+        for k in range(2, ell + 1):
+            want[nested[k - 1] != nested[k - 2]] = k
+        got = outermost_levels(fam, p, x, two_channel_medium)
+        assert np.array_equal(got, want)
+        assert nested[-1].tobytes() == LevelHamiltonian(fam).evaluate(
+            p, x, two_channel_medium).tobytes()
+        seen.update(np.unique(got).tolist())
+    assert len(families) == 40
     assert seen == {1, 2, 3}
 
 
@@ -419,16 +424,21 @@ class TestLevelKernel:
         x = np.linspace(0.0, 1.0, 17)
         P = rng.uniform(-3.0, 3.0, (9, 1))
         for fam in list(_kernel_families(rng, two_channel_medium))[::3]:
-            for ham in (LevelHamiltonian(fam),
-                        GradientShift(LevelHamiltonian(fam), 0.37)):
-                f = ham.bind_base(P, x, two_channel_medium)
-                f((rng.uniform(-2.0, 2.0, (9, x.size)),))
-                for rows in (np.array([0, 4, 5, 8]), np.array([3]),
-                             np.arange(9)):
-                    dv = rng.uniform(-2.0, 2.0, (rows.size, x.size))
-                    fresh = ham.bind_base(P[rows], x, two_channel_medium)
-                    assert f((dv,), rows).tobytes() \
-                        == fresh((dv,)).tobytes()
+            # and a scalar base that adds nothing, where rows are ignored
+            for ham, zero in ((LevelHamiltonian(fam), 0.0),
+                              (GradientShift(LevelHamiltonian(fam), 0.37),
+                               0.37)):
+                for base in (P, zero):
+                    f = ham.bind_base(base, x, two_channel_medium)
+                    f((rng.uniform(-2.0, 2.0, (9, x.size)),))
+                    for rows in (np.array([0, 4, 5, 8]), np.array([3]),
+                                 np.arange(9)):
+                        dv = rng.uniform(-2.0, 2.0, (rows.size, x.size))
+                        fresh = ham.bind_base(
+                            base if base is zero else base[rows], x,
+                            two_channel_medium)
+                        assert f((dv,), rows).tobytes() \
+                            == fresh((dv,)).tobytes()
 
     def test_one_channel_evaluation_per_binding(self, two_channel_medium):
         # two levels on channel 0, a hat on channel 1 and an amplitude

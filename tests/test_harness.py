@@ -24,7 +24,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import per_seed_hypotheses
+from _reference import level_fold, per_seed_hypotheses
+from conftest import CountingMedium
 from minmax_hj import __version__, cli, errors, harness
 from minmax_hj.cli import main
 from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
@@ -32,7 +33,8 @@ from minmax_hj.effective import EffectiveCurve
 from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
                               NonConvergenceError, ProfileShapeError,
                               RunLockError, SchemeParameterError)
-from minmax_hj.family import LevelHamiltonian, PieceTable
+from minmax_hj.family import (Hamiltonian, LevelHamiltonian, MinMaxFamily,
+                              PieceTable)
 from minmax_hj.media import sample_realization
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_error,
                                run_check, run_effective, run_plotdata,
@@ -802,13 +804,23 @@ class TestRunSweep:
         assert "evolution" in timings and "homogenized" in timings
         assert not any(k.startswith("eps_") for k in timings)
 
-    def test_level_share_of_a_sweep_below_level_two(self, tmp_path):
+    def test_level_share_of_a_sweep_below_level_two(self, tmp_path,
+                                                    monkeypatch):
         # every u0 slope of ell2_strict is at most pi/2, and level 2 acts
-        # only for |p| >= 2: level 1 sets the value at every node
+        # only for |p| >= 2: level 1 sets the value at every node. Its
+        # channels 0 and 1 are read once each by the piece table, the
+        # march's level binding and the level shares
+        made = []
+
+        def counting(spec, seed):
+            made.append(CountingMedium(sample_realization(spec, seed)))
+            return made[-1]
+        monkeypatch.setattr(harness, "sample_realization", counting)
         cfg = load_fixture("ell2_strict.yaml", output=str(tmp_path / "run"))
         manifest = run_sweep_eps(cfg)
         assert [r["level_share"] for r in
                 manifest["march_stats"]["per_eps"]] == [[1.0, 0.0]] * 3
+        assert [m.calls for m in made] == [{0: 3, 1: 3}]
 
     def test_level_share_of_a_sweep_that_reaches_level_two(self, tmp_path):
         # the same family on one period: the cosine's slopes reach 2 pi
@@ -867,6 +879,29 @@ def parent():
 with harness.RunLock(out):
     harness.fork_join("sleep", child, parent)
 """
+
+
+def test_results_equal_those_of_the_piece_fold(tmp_path, monkeypatch):
+    # every level binding replaced by the fold of the pieces' own
+    # bindings (_reference.level_fold), with the base and rows of
+    # Hamiltonian.bind_base: through Newton, the schedule fit and the
+    # march, no result file of ell2_strict changes a bit
+    def run(out):
+        files = {}
+        for command in (run_effective, run_sweep_eps):
+            cfg = load_fixture("ell2_strict.yaml", output=str(
+                tmp_path / out / command.__name__))
+            names = command(cfg)["files"]
+            files.update({(command.__name__, name): sha256(
+                tmp_path / out / command.__name__ / name) for name in names})
+        return files
+
+    kernel = run("kernel")
+    monkeypatch.setattr(LevelHamiltonian, "bind", lambda self, x, medium:
+                        level_fold(MinMaxFamily(*self._pieces), x, medium))
+    monkeypatch.setattr(LevelHamiltonian, "bind_base", Hamiltonian.bind_base)
+    assert len(kernel) == 4
+    assert run("fold") == kernel
 
 
 class TestSweepFork:
