@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ProfileShapeError, SchemeParameterError
 from .profiles import QUASICONVEX, piecewise_linear
-from .solver import solve_discounted
+from .solver import CellProblem, solve_discounted
 
 
 class EffectiveCurve:
@@ -53,15 +53,23 @@ class EffectiveCurve:
         if not np.all(np.isfinite(self.values)):
             raise ProfileShapeError("curve has non-finite values")
         slack = np.max(self.error_bars) + 1e-9
-        sl_l, sl_r = self.tail_slopes
         rate = slack / min(np.diff(self.p))
         # tails may be flat (plateau at the window edge) but must not
-        # point the wrong way
-        if self.kind == "coercive" and (sl_l > rate or sl_r < -rate):
-            raise ProfileShapeError("coercive curve does not rise at the ends")
-        if self.kind == "anticoercive" and (sl_l < -rate or sl_r > rate):
-            raise ProfileShapeError(
-                "anticoercive curve does not fall at the ends")
+        # point the wrong way, by more than the rate the error bars allow
+        if self.kind in ("coercive", "anticoercive"):
+            rise = 1.0 if self.kind == "coercive" else -1.0
+            for end, sl, way, (a, b) in (
+                    ("left", self.tail_slopes[0], -rise, self.p[:2]),
+                    ("right", self.tail_slopes[1], rise, self.p[-2:])):
+                if way * sl < -rate:
+                    allowed = f">= {-rate:.3g}" if way > 0 \
+                        else f"<= {rate:.3g}"
+                    raise ProfileShapeError(
+                        f"{self.kind} curve does not "
+                        f"{'rise' if rise > 0 else 'fall'} at the ends: "
+                        f"the {self.provenance} curve's {end} end slope is "
+                        f"{sl:.6g} between p={a:.6g} and p={b:.6g}, and the "
+                        f"allowed slope there is {allowed}")
         if lipschitz is not None:
             jumps = np.abs(np.diff(self.values))
             bounds = lipschitz * np.diff(self.p) + 2e-2 + 2 * slack
@@ -132,6 +140,8 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
     All gradients are solved in one batch per discount rate, each row
     warm-started from its own solution at the previous rate, and the
     whole (n_p, n_lam) table is fitted at once (``fit_schedule_data``).
+    The rates share one ``solver.CellProblem``: one binding of the cell
+    grid, one probe of H at v = 0 and one Newton workspace.
     Returns that fit's per-gradient arrays "value", "error_bar", "alpha"
     and "reliable", the rates "lams", and per gradient and rate the
     solver's "method", "iterations" and "residual" as (n_p, n_lam)
@@ -145,11 +155,15 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
             f"smallest rate {lams[-1]:.3g} under-resolves the grid; "
             f"need rate * n >= 10")
 
+    # one cell problem for the schedule, whose rates are solved on its
+    # cell grid: the solution on the whole grid is that one tiled, and
+    # only its first node is read
+    cell = CellProblem(hamiltonian, p, grid, medium, theta)
     runs, data = [], []
     v = None
     for lam in lams:
-        v, info = solve_discounted(hamiltonian, p, lam, grid, medium,
-                                   theta=theta, v0=v)
+        v, info = solve_discounted(hamiltonian, p, lam, cell.grid, medium,
+                                   theta=theta, v0=v, cell=cell)
         runs.append(info)
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip

@@ -95,19 +95,24 @@ class Hamiltonian:
         broadcasting against it (a column of base gradients, one per
         row of dv, or a scalar). ``rows``, if given, indexes the rows of
         the column that the rows of dv take, so that one binding serves
-        every subset of them. A scalar zero base is not added: that only
-        turns -0.0 into 0.0, which every profile maps to the same
-        value."""
+        every subset of them; a scalar base serves every row as it is.
+        A scalar zero base is not added: that only turns -0.0 into 0.0,
+        which every profile maps to the same value."""
         f = self.bind(x, medium)
         if _zero(pbase):
             return lambda dv, rows=None: f(dv[0])
-        return lambda dv, rows=None: f(
-            dv[0] + (pbase if rows is None else pbase[rows]))
+        return lambda dv, rows=None: f(dv[0] + _pick(pbase, rows))
 
 
 def _zero(pbase):
     """Whether pbase is the scalar zero base, which is not added."""
     return np.ndim(pbase) == 0 and pbase == 0.0
+
+
+def _pick(pbase, rows):
+    """The rows ``rows`` of a base column; a scalar base, or no rows,
+    as it is."""
+    return pbase if rows is None or np.ndim(pbase) == 0 else pbase[rows]
 
 
 class Piece(Hamiltonian):
@@ -421,7 +426,7 @@ class _LevelKernel:
     is H(p + base[rows], x) as a fresh array (a float when it is 0-d),
     bit for bit the fold of the pieces' own bindings by
     ``minmax_scalar``. ``rows`` picks the rows of the base that the rows
-    of p take; without a base it is ignored.
+    of p take; without a base, or with a scalar one, it is ignored.
 
     Binding evaluates each coupled channel once and reads every plain
     piece's (a, b) off it; a combined piece keeps its own binding. A
@@ -500,8 +505,8 @@ class _LevelKernel:
     def __call__(self, p, rows=None):
         p = np.asarray(p, dtype=float)
         base = self._base
-        if base is not None and rows is not None:
-            base = base[rows]
+        if base is not None:
+            base = _pick(base, rows)
         shapes = p.shape, np.shape(base)
         if shapes not in self._views:
             shape = np.broadcast_shapes(*shapes, self._shape)

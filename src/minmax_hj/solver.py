@@ -24,20 +24,37 @@ same steps. Results are plain arrays.
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
 x, medium) -> f(dv, rows=None) = H(dv[0] + pbase[rows], x) with dv a
 one-tuple holding the difference array, plus lipschitz(medium). The
-cell problem binds once per grid, on a column of all its base
-gradients, shape (n_rows, 1); an evaluation passes the indices ``rows``
-of the column's rows that the rows of dv take (all of them, in order,
-when it passes none). The march binds the scalar base 0.0, which adds
+cell problem binds once per grid of a schedule, on a column of all its
+base gradients, shape (n_rows, 1); an evaluation passes the indices
+``rows`` of the column's rows that the rows of dv take (all of them, in
+order, when it passes none). The march binds the scalar base 0.0, which adds
 nothing, on an (n_eps, n) stack of node arrays (the nodes over each
 eps) whose row i applies to row i of dv, which is how it takes a whole
 eps schedule. Pieces and gradient shifts derive bind_base from their
 one formula, bind(x, medium); a level binds one in-place fold of its
 pieces, which evaluates them bit for bit as their own bindings do.
 
-The Newton step and the residual of a cell problem work in place, in
-one workspace per grid sized at its full row count, and the banded
-solve is LAPACK gtsv on those buffers.
+A ``CellProblem`` holds what every discount rate of a schedule shares:
+the binding on the cell grid, one probe of H at v = 0 (its sup, the
+tolerance, the x-independent rows) and one workspace. The workspace is
+sized at the full row count on the cell grid; the residual, the Newton
+step and the coarser grids of the nested start all work in it, and the
+banded solve is LAPACK gtsv on its buffers.
+
+Each Newton step's line search takes two rounds. Round 1 tries the full
+step for every row. Round 2 tries every halving 1/2, ..., 1/1024 for
+the rows round 1 did not serve, in one residual evaluation, split into
+groups of consecutive halvings, longest first, when the trials would
+overflow the workspace; each row keeps the longest that passes. A
+row's residual depends on that row alone, so every row keeps the step,
+and the bits, that halving one step at a time would give.
+
+Where the spacing h is a power of two, differences are scaled by its
+exact reciprocal, whose products have the quotients' bits.
 """
+
+import copy
+import math
 
 import numpy as np
 
@@ -103,9 +120,21 @@ def upwind_diffs(v, h, out=None):
     d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,)) if out is None else out
     np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
     np.subtract(v[..., :1], v[..., -1:], out=d[..., -1:])
-    d[..., 1:] /= h
+    _divide(d[..., 1:], h)
     d[..., 0] = d[..., -1]
     return d[..., 1:], d[..., :-1]
+
+
+def _divide(a, h):
+    """a /= h in place. When h is a power of two its reciprocal is exact
+    (finite, possibly subnormal), and a product by it rounds the same
+    real number as the quotient, so it has the same bits, at the cost
+    of a multiplication."""
+    r = 1.0 / h
+    if math.frexp(h)[0] == 0.5 and math.isfinite(r):
+        np.multiply(a, r, out=a)
+    else:
+        np.divide(a, h, out=a)
 
 
 def _work_arrays(v):
@@ -166,49 +195,92 @@ def _cell_grid(grid, medium):
     return Grid(n // copies, period)
 
 
-class _CellProblem:
-    """lam*v + H_LF(p + Dv, x) = 0 on one grid for a column of base
-    gradients P, one row per gradient.
+class CellProblem:
+    """H_LF(p + Dv, x) for the base gradients of the 1-D array p0, one
+    row per gradient, on the cell grid of ``grid`` (``_cell_grid``): what
+    every discount rate of a schedule shares. ``at(lam)`` is the problem
+    lam*v + H_LF(p + Dv, x) = 0 at one rate, and ``on(grid)`` the same on
+    a coarser grid of the nested start.
 
-    The Hamiltonian is bound once, for all rows: ``bound(dv, rows)``
-    evaluates it for the rows ``rows`` of P. The residual and the
-    Newton step work in one workspace (``work``), made on first use and
-    sized once at the full row count."""
+    The Hamiltonian is bound once per grid, for all rows: ``bound(dv,
+    rows)`` evaluates it for the rows ``rows`` of the column P. H is
+    probed at v = 0 once: ``sup_h0`` (its sup over x), ``tol`` (the
+    residual tolerance), ``const`` (whether it is x-independent) and
+    ``h0_first`` (its value at the first node), per row. The residual
+    and the Newton step of every rate and grid work in one workspace
+    (``work``), sized at the full row count on the cell grid; a coarser
+    grid holds more rows in it (``capacity``)."""
 
-    def __init__(self, hamiltonian, P, grid, medium, lam, theta):
+    def __init__(self, hamiltonian, p0, grid, medium=None, theta=None):
         self.hamiltonian = hamiltonian
-        self.P = P
-        self.grid = grid
         self.medium = medium
-        self.lam = lam
-        self.theta = theta
+        self.theta = _dissipation(theta, hamiltonian, medium)
+        self.P = _rows(p0, "base gradients")[:, None]
+        self.lam = None
+        self._bind(_cell_grid(grid, medium))
+        self.sup_h0, self.const, self.h0_first = _at_zero(self)
+        self.tol = 1e-8 * np.maximum(1.0, self.sup_h0)
+        self._size = len(self.P), self.grid.n
+        self._block = []        # shared by every rate and grid
+
+    def _bind(self, grid):
+        self.grid = grid
         # each row's gradient, shape (1,), broadcasts over its row
-        self.bound = hamiltonian.bind_base(P, grid.x, medium)
-        self._work = None
+        self.bound = self.hamiltonian.bind_base(self.P, grid.x, self.medium)
+        self._views = {}
+
+    def at(self, lam):
+        """The problem at the discount rate lam, sharing all the rest."""
+        out = copy.copy(self)
+        out.lam = lam
+        return out
 
     def on(self, grid):
-        return _CellProblem(self.hamiltonian, self.P, grid, self.medium,
-                            self.lam, self.theta)
+        """The problem on a coarser grid, bound anew, sharing the
+        workspace."""
+        out = copy.copy(self)
+        out._bind(grid)
+        return out
+
+    def _regions(self):
+        """The workspace's one block, made on first use, as four regions
+        (a difference array and two tables, then the band) that fit the
+        full row count on the cell grid. (Made up front, before the
+        solve's own arrays, it took three times the page faults over
+        warm-started solves.)"""
+        if not self._block:
+            rows, n = self._size
+            self._block += np.split(np.empty(rows * (5 * n + 1)),
+                                    np.cumsum([rows * (n + 1), rows * n,
+                                               rows * n]))
+        return self._block
+
+    @property
+    def capacity(self):
+        """How many rows the workspace holds on this grid."""
+        return self._regions()[0].size // (self.grid.n + 1)
 
     def work(self, k):
         """The workspace of k rows, each role the leading k rows of its
-        buffer: a difference array (k, n + 1); two tables (k, n); the
+        region: a difference array (k, n + 1); two tables (k, n); the
         difference array's first k * n entries as a (k, n) table; and
         the band (2, k, n), whose two tables are the columns of one
-        Fortran-ordered (k * n, 2) array."""
+        Fortran-ordered (k * n, 2) array. Made once per row count."""
+        if k not in self._views:
+            n = self.grid.n
+            d, avg, jump, band = self._regions()
+            self._views[k] = (
+                d[:k * (n + 1)].reshape(k, n + 1), avg[:k * n].reshape(k, n),
+                jump[:k * n].reshape(k, n), d[:k * n].reshape(k, n),
+                band[:2 * k * n].reshape(2, k, n))
+        return self._views[k]
+
+    def trials(self, k, m):
+        """Room for m trial fields in the band region, past the Newton
+        step of k rows that its leading table holds; m up to
+        ``capacity``."""
         n = self.grid.n
-        if self._work is None:
-            # one block: freed whole when the solve ends, it is reused
-            # whole by the next solve's, where separate buffers went back
-            # to the system and were faulted in again
-            rows = len(self.P)
-            self._work = np.split(np.empty(rows * (5 * n + 1)),
-                                  np.cumsum([rows * (n + 1), rows * n,
-                                             rows * n]))
-        d, avg, jump, band = self._work
-        return (d[:k * (n + 1)].reshape(k, n + 1),
-                avg[:k * n].reshape(k, n), jump[:k * n].reshape(k, n),
-                d[:k * n].reshape(k, n), band[:2 * k * n].reshape(2, k, n))
+        return self._regions()[3][k * n:(k + m) * n].reshape(m, n)
 
     def residual(self, rows, v):
         """The residual of the rows ``rows`` at the fields v, in the
@@ -221,7 +293,13 @@ class _CellProblem:
 
 
 def _row_sup(a):
-    return np.max(np.abs(a), axis=1)
+    """max |a| per row, without an |a| table: the larger of the row max
+    and minus the row min, plus 0.0, which turns a -0.0 into 0.0 as the
+    absolute value would. NaN propagates."""
+    out = np.negative(a.min(axis=1))
+    np.maximum(out, a.max(axis=1), out=out)
+    out += 0.0
+    return out
 
 
 def _at_zero(cell):
@@ -278,13 +356,13 @@ def _newton_direction(cell, rows, v, r):
     mid, low = avg, shifted
     up[:, 0] = 0.0
     np.subtract(slope[:, :-1], th, out=up[:, 1:])
-    up[:, 1:] /= 2 * h
+    _divide(up[:, 1:], 2 * h)
     mid.fill(diag)
     mid[:, 0] -= gamma
     mid[:, -1] -= alpha * beta / gamma
     np.add(slope[:, 1:], th, out=low[:, :-1])
     np.negative(low[:, :-1], out=low[:, :-1])
-    low[:, :-1] /= 2 * h
+    _divide(low[:, :-1], 2 * h)
     low[:, -1] = 0.0
     # right-hand side and Sherman-Morrison column
     np.negative(r, out=band[0])
@@ -311,10 +389,11 @@ def _newton(cell, rows, v, tol):
     """Damped semismooth Newton for the cell problem, one row per
     base gradient in ``rows`` (indices into cell.P), from the fields v.
 
-    A step is one banded solve for all rows at once (_newton_direction).
-    Every row keeps its own iteration: it stops once its residual is
-    within its tolerance, halves its own step until its residual falls,
-    and declines when that step drops below 1/1024 or after 80 steps.
+    A step is one banded solve for all rows at once (_newton_direction)
+    and a line search in two rounds (_line_search). Every row keeps its
+    own iteration: it stops once its residual is within its tolerance,
+    takes the longest of the steps 1, 1/2, ..., 1/1024 that lowers its
+    residual enough, and declines when none does or after 80 steps.
 
     Returns the fields, iteration counts, final residuals and a mask of
     the rows that converged.
@@ -332,31 +411,53 @@ def _newton(cell, rows, v, tol):
         act = act[~done]
         if not act.size:
             break
-        sub = rows[act]
-        dv = _newton_direction(cell, sub, _take(v, act), _take(r, act))
-        step = np.ones(act.size)
-        pend = np.arange(act.size)
-        keep = np.ones(act.size, dtype=bool)
-        while pend.size:
-            # the trial fields go to the band's second table, which
-            # the step no longer needs
-            vn = cell.work(act.size)[4][1, :pend.size]
-            np.multiply(step[pend, None], _take(dv, pend), out=vn)
-            np.add(_take(v, act[pend]), vn, out=vn)
-            rn = cell.residual(sub[pend], vn)
-            resn = _row_sup(rn)
-            good = resn <= (1.0 - 0.25 * step[pend]) * res[act[pend]]
-            kept = np.flatnonzero(good)
-            sel = act[pend[kept]]
-            _put(v, sel, _take(vn, kept))
-            _put(r, sel, _take(rn, kept))
-            res[sel] = resn[kept]
-            pend = pend[~good]
-            step[pend] *= 0.5
-            keep[pend[step[pend] < 1.0 / 1024.0]] = False
-            pend = pend[step[pend] >= 1.0 / 1024.0]
-        act = act[keep]
+        dv = _newton_direction(cell, rows[act], _take(v, act), _take(r, act))
+        act = np.delete(act, _line_search(cell, rows, act, dv, v, r, res))
     return v, its, res, ok
+
+
+# the line search's steps, longest first
+STEPS = 0.5 ** np.arange(11)
+
+
+def _line_search(cell, rows, act, dv, v, r, res):
+    """Move each row of act (indices into rows, v, r and res) by the
+    longest step s of STEPS whose trial v + s dv meets
+    res_new <= (1 - s/4) res, updating v, r and res in place; return the
+    indices into act of the rows that no step serves.
+
+    Round 1 tries the full step for every row; round 2 tries all the
+    halvings for the rows it did not serve in one residual evaluation,
+    split into groups of consecutive halvings, longest first, when the
+    trials would not fit the workspace. A trial's residual depends on
+    its row alone, so each row keeps the step that halving one step at a
+    time would keep, with the same bits.
+    """
+    k, n = dv.shape
+    pend = np.arange(k)
+    j = 0
+    while pend.size and j < STEPS.size:
+        m = pend.size
+        g = 1 if j == 0 else min(STEPS.size - j, cell.capacity // m)
+        steps = STEPS[j:j + g]
+        j += g
+        trial = cell.trials(k, g * m)
+        stack = trial.reshape(g, m, n)
+        np.multiply(steps[:, None, None], _take(dv, pend), out=stack)
+        np.add(_take(v, act[pend]), stack, out=stack)
+        rn = cell.residual(np.tile(rows[act[pend]], g), trial)
+        resn = _row_sup(rn).reshape(g, m)
+        good = resn <= (1.0 - 0.25 * steps)[:, None] * res[act[pend]]
+        first = np.argmax(good, axis=0)         # the longest that passes
+        served = good[first, np.arange(m)]
+        i = np.flatnonzero(served)
+        at = first[i] * m + i
+        sel = act[pend[i]]
+        _put(v, sel, _take(trial, at))
+        _put(r, sel, _take(rn, at))
+        res[sel] = resn[first[i], i]
+        pend = pend[~served]
+    return pend
 
 
 def _take(a, idx):
@@ -467,13 +568,17 @@ def _rows(a, what):
 
 
 def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
-                     v0=None):
+                     v0=None, cell=None):
     """Solve lam*v + H_LF(p0 + Dv, x) = 0 on the torus to a certified
     residual, for every base gradient of the 1-D array p0 as one batch.
 
     v0, if given, is a start of shape (n_p, grid.n). Every row is solved
     as it would be alone. theta is the Lax-Friedrichs dissipation, by
-    default the Hamiltonian's Lipschitz bound.
+    default the Hamiltonian's Lipschitz bound. cell, if given, is a
+    ``CellProblem`` of the same Hamiltonian, gradients, medium and theta
+    on a grid whose cell grid is grid's, made once for a schedule of
+    rates: the solve then reuses its binding, its probe of H at v = 0
+    and its workspace, with the same bits as without it.
 
     When the grid holds a whole number of medium periods, the problem is
     solved on one period at the same spacing and the result tiled back.
@@ -494,13 +599,10 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
     """
     if not lam > 0:
         raise SchemeParameterError("discount rate must be positive")
-    theta = _dissipation(theta, hamiltonian, medium)
-
-    P = _rows(p0, "base gradients")[:, None]
-    cell = _CellProblem(hamiltonian, P, _cell_grid(grid, medium), medium,
-                        lam, theta)
-    sup_h0, const, h0_first = _at_zero(cell)
-    tol = 1e-8 * np.maximum(1.0, sup_h0)
+    if cell is None:
+        cell = CellProblem(hamiltonian, p0, grid, medium, theta)
+    cell = cell.at(lam)
+    P, tol, const, h0_first = cell.P, cell.tol, cell.const, cell.h0_first
 
     v = np.zeros((len(P), cell.grid.n))
     if v0 is not None:
@@ -539,7 +641,7 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
                 cell, relax, v[relax], tol[relax])
             used[relax] = FALLBACK
 
-    bound = sup_h0 + tol
+    bound = cell.sup_h0 + tol
     sup_lv = _row_sup(lam * v)
     if not np.all(np.isfinite(sup_lv)):
         i = int(np.argmin(np.isfinite(sup_lv)))
@@ -553,7 +655,7 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
             f"comparison bound {bound[i]:.6g}")
 
     copies = grid.n // cell.grid.n
-    del cell    # its workspace is freed before the tiled copy is made
+    del cell    # a workspace of its own is freed before the tiled copy
     if copies > 1:
         v = np.tile(v, copies)
     return v, {"method": used, "iterations": its, "residual": res,

@@ -11,6 +11,7 @@ from minmax_hj.errors import HypothesisError
 from minmax_hj.family import (CombinedPiece, PieceTable, minmax_scalar,
                               validate_ordering)
 from minmax_hj.pairs import check_condition_e, contact_fields
+from minmax_hj.solver import _newton_direction
 
 
 def nested_scalar(a, b):
@@ -342,3 +343,47 @@ def level_fold(family, x, medium):
     fc = [pc.bind(x, medium) for pc in reversed(family.checks)]
     fh = [pc.bind(x, medium) for pc in reversed(family.hats)]
     return lambda p: minmax_scalar([f(p) for f in fc], [f(p) for f in fh])
+
+
+def sequential_newton(cell, rows, v, tol):
+    """The damped Newton iteration of ``solver._newton`` with a line
+    search that halves one step at a time: each row tries 1, 1/2, ...
+    in turn, one residual evaluation per try, keeps the first step whose
+    residual meets res_new <= (1 - step/4) res, and declines once its
+    step drops below 1/1024. The trial fields are fresh arrays and the
+    residual sup is max |r|. Returns the fields, iteration counts, final
+    residuals, the mask of converged rows, and the shortest step any row
+    kept."""
+    v = np.array(v, dtype=float)
+    its = np.zeros(rows.size, dtype=int)
+    ok = np.zeros(rows.size, dtype=bool)
+    r = cell.residual(rows, v).copy()
+    res = np.max(np.abs(r), axis=1)
+    act = np.arange(rows.size)
+    shortest = 1.0
+    for it in range(80):
+        done = res[act] <= tol[act]
+        ok[act[done]] = True
+        its[act[done]] = it
+        act = act[~done]
+        if not act.size:
+            break
+        sub = rows[act]
+        dv = _newton_direction(cell, sub, v[act], r[act])
+        step = np.ones(act.size)
+        pend = np.arange(act.size)
+        keep = np.ones(act.size, dtype=bool)
+        while pend.size:
+            vn = step[pend, None] * dv[pend] + v[act[pend]]
+            rn = cell.residual(sub[pend], vn)
+            resn = np.max(np.abs(rn), axis=1)
+            good = resn <= (1.0 - 0.25 * step[pend]) * res[act[pend]]
+            sel = act[pend[good]]
+            v[sel], r[sel], res[sel] = vn[good], rn[good], resn[good]
+            shortest = min([shortest, *step[pend[good]]])
+            pend = pend[~good]
+            step[pend] *= 0.5
+            keep[pend[step[pend] < 1.0 / 1024.0]] = False
+            pend = pend[step[pend] >= 1.0 / 1024.0]
+        act = act[keep]
+    return v, its, res, ok, shortest

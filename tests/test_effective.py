@@ -404,6 +404,19 @@ class TestCurveType:
         with pytest.raises(ValueError):
             EffectiveCurve([-1, 0, 1], valley, kind="anticoercive").validate()
 
+    @pytest.mark.parametrize("end, values, slope", [
+        ("left", [0.0, 0.25, 0.0, 1.0, 2.0], "0.25"),
+        ("right", [2.0, 1.0, 0.0, 0.25, 0.125], "-0.125")])
+    def test_shape_error_names_curve_and_end(self, end, values, slope):
+        curve = EffectiveCurve([-2.0, -1.0, 0.0, 1.0, 2.0], values,
+                               [0.0, 1e-3, 0.0, 0.0, 0.0], "formula")
+        bound = "<= 0.001" if end == "left" else ">= -0.001"
+        with pytest.raises(ValueError, match=re.escape(
+                f"coercive curve does not rise at the ends: the formula "
+                f"curve's {end} end slope is {slope} between p=")) as err:
+            curve.validate()
+        assert str(err.value).endswith(f"allowed slope there is {bound}")
+
     def test_continuity_bound(self):
         jumpy = EffectiveCurve([0.0, 0.1, 0.2], [0.0, 5.0, 0.1],
                                kind="anticoercive")

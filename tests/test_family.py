@@ -440,6 +440,20 @@ class TestLevelKernel:
                         assert f((dv,), rows).tobytes() \
                             == fresh((dv,)).tobytes()
 
+    def test_nonzero_scalar_base_serves_every_row(self, two_channel_medium):
+        # a piece's own binding and a level kernel (a shift folds its
+        # delta into the zero base) given a scalar base and rows
+        rng = np.random.default_rng(53)
+        x = np.linspace(0.0, 1.0, 17)
+        fam = random_family(rng, 2, two_channel_medium)
+        dv = rng.uniform(-2.0, 2.0, (4, x.size))
+        for ham, base in ((Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0),
+                           0.5),
+                          (GradientShift(LevelHamiltonian(fam), 0.37), 0.0)):
+            f = ham.bind_base(base, x, two_channel_medium)
+            assert f((dv,), np.array([0, 4, 5, 8])).tobytes() \
+                == f((dv,)).tobytes()
+
     def test_one_channel_evaluation_per_binding(self, two_channel_medium):
         # two levels on channel 0, a hat on channel 1 and an amplitude
         # check on channel 2: every channel is evaluated once per binding

@@ -1546,8 +1546,9 @@ class TestCLI:
 
     def test_misshapen_exact_curve_exits_3_without_solving(self, tmp_path,
                                                            monkeypatch):
-        # on [-3, -2] the exact curve of check_1 never rises at the left
-        # end: the run fails there, before any numeric solve
+        # on [-3, -2] the exact curve of check_1 falls all the way, so it
+        # does not rise at the right end: the run fails there, before any
+        # numeric solve, and the message names the curve and the end
         def solve(*args, **kwargs):
             raise AssertionError("numeric solve of an additive piece")
         monkeypatch.setattr(harness, "estimate_effective", solve)
@@ -1560,8 +1561,10 @@ class TestCLI:
         path.write_text(yaml.safe_dump(data))
         res = self.invoke("effective", "--config", str(path))
         assert res.exit_code == 3
-        assert res.stderr == ("numerical failure: coercive curve does not "
-                              "rise at the ends\n")
+        assert res.stderr == (
+            "numerical failure: coercive curve does not rise at the ends: "
+            "the oracle curve's right end slope is -1 between p=-2.125 and "
+            "p=-2, and the allowed slope there is >= -8e-09\n")
 
     @pytest.mark.parametrize("command", ["check", "effective"])
     def test_nonpositive_periodic_amplitude_exits_4_naming_the_field(

@@ -9,17 +9,17 @@ import pytest
 
 from minmax_hj import solver
 from minmax_hj.config import ExperimentConfig
-from minmax_hj.effective import EffectiveCurve
+from minmax_hj.effective import EffectiveCurve, estimate_effective
 from minmax_hj.errors import NonConvergenceError, SchemeParameterError
 from minmax_hj.family import (CombinedPiece, Hamiltonian, LevelHamiltonian,
                               MinMaxFamily, Piece)
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
-from minmax_hj.solver import (FALLBACK, RETRY, Grid, lf_update,
+from minmax_hj.solver import (FALLBACK, RETRY, CellProblem, Grid, lf_update,
                               prolong_periodic, solve_discounted,
                               solve_homogenized, solve_time_dependent)
 
-from _reference import hopf_lax_abs, lf_march
+from _reference import hopf_lax_abs, lf_march, sequential_newton
 from conftest import CountingMedium
 
 ABS = Piece(AbsShift(0.0, 1.0, 0.0), None)  # H(p) = |p|, medium-free
@@ -49,12 +49,10 @@ def _assert_row_equal(info, i, one_info):
 
 def _relaxed(ham, p, lam, grid, medium, tol, theta=None):
     """The relaxation reference: the discounted solution by monotone
-    pseudo-time relaxation alone, on the whole grid."""
-    theta = ham.lipschitz(medium) if theta is None else theta
-    cell = solver._CellProblem(ham, np.array([p], dtype=float).reshape(1, 1),
-                               grid, medium, lam, theta)
+    pseudo-time relaxation alone, on the cell grid of ``grid``."""
+    cell = solver.CellProblem(ham, [p], grid, medium, theta).at(lam)
     out, _, _ = solver._relax_projected(cell, np.arange(1),
-                                        np.zeros((1, grid.n)),
+                                        np.zeros((1, cell.grid.n)),
                                         np.array([tol]))
     return out[0]
 
@@ -169,6 +167,89 @@ class TestDiscounted:
         solve_discounted(ham, [0.5, 1.5], 0.05, Grid(64), medium, v0=v)
         assert medium.calls == {0: 4}
 
+    def test_schedule_shares_one_cell_problem(self, base_family,
+                                              sin_sq_medium, monkeypatch):
+        # a cold 3-rate schedule on 64 nodes of one period: the first rate
+        # climbs 16 -> 32 -> 64, the others reuse the 64-node binding and
+        # the one probe of H at zero, with the bits of separate solves
+        medium = CountingMedium(sin_sq_medium)
+        probes = []
+        at_zero = solver._at_zero
+        monkeypatch.setattr(solver, "_at_zero",
+                            lambda cell: probes.append(cell) or at_zero(cell))
+        ham = LevelHamiltonian(base_family)
+        p, lams, grid = [0.5, 1.5], [0.4, 0.3, 0.2], Grid(128, 2.0)
+        est = estimate_effective(ham, p, medium, lams, grid)
+        assert (est["method"] == "newton").all()
+        assert medium.calls == {0: 3}
+        assert len(probes) == 1
+        v = None
+        for j, lam in enumerate(lams):
+            v, info = solve_discounted(ham, p, lam, grid, sin_sq_medium,
+                                       v0=v)
+            for key in ("iterations", "residual"):
+                assert info[key].tobytes() == est[key][:, j].tobytes()
+
+
+class TestLineSearch:
+    """The two-round line search of ``solver._newton`` against the
+    one-halving-at-a-time search of ``_reference.sequential_newton``,
+    bit for bit: fields, iteration counts, residuals and converged rows.
+    The rows halve down to the shortest step and decline, from zero,
+    from the nested start and warm from the previous rate (where a
+    solve would retry them), on the cell grid and on a coarser level,
+    whose workspace holds more trials than rows."""
+
+    @staticmethod
+    def _compare(cell, v, seen):
+        rows = np.flatnonzero(~cell.const)
+        tol = cell.tol[rows]
+        want = sequential_newton(cell, rows, v, tol)
+        got = solver._newton(cell, rows, v, tol)
+        for a, b in zip(want[:4], got):
+            assert a.tobytes() == b.tobytes()
+        seen["declined"] += int(np.sum(~got[3]))
+        seen["shortest"] = min(seen["shortest"], want[4])
+        return got[0]
+
+    def test_cold_ell2(self):
+        # TestNestedStart's case beside a p-axis, on small grids
+        cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
+        ham = LevelHamiltonian(cfg.family)
+        medium = sample_realization(cfg.medium_spec, cfg.seeds[0])
+        P = np.append(2.0625, np.linspace(-3.0, 3.0, 9))
+        seen = {"declined": 0, "shortest": 1.0}
+        for n in (64, 128, 256):
+            cell = CellProblem(ham, P, Grid(n, 4.0), medium).at(0.1)
+            for level in (cell, cell.on(Grid(16, 1.0))):
+                self._compare(level, np.zeros((len(P), level.grid.n)), seen)
+        assert seen["declined"] and seen["shortest"] == 1.0 / 1024.0
+
+    def test_quasiperiodic_tie2(self):
+        tie2 = MinMaxFamily(
+            [Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0),
+             Piece(AbsShift(0.0, 1.0, -3.0), "additive", 0)],
+            [Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0),
+             Piece(NegatedAbs(0.0, 1.0, 3.0), "additive", 0)])
+        spec = MediumSpec("quasiperiodic", 1.0, [
+            {"freqs": [1.0, 1.618], "amps": [0.4, 0.3],
+             "phases": [0.0, 0.7], "offset": 0.5}])
+        cell = CellProblem(LevelHamiltonian(tie2), np.linspace(-3, 3, 25),
+                           Grid(256, 1.0), sample_realization(spec, 3))
+        rows = np.arange(25)
+        seen = {"declined": 0, "shortest": 1.0}
+        self._compare(cell.on(Grid(32, 1.0)).at(0.16),
+                      np.zeros((25, 32)), seen)
+        warm = None
+        for lam in (0.16, 0.08, 0.04):
+            at = cell.at(lam)
+            self._compare(at, np.zeros((25, 256)), seen)
+            if warm is not None:
+                self._compare(at, warm, seen)
+            warm = self._compare(
+                at, solver._nested_start(at, rows, at.tol), seen)
+        assert seen["declined"] and seen["shortest"] == 1.0 / 1024.0
+
 
 class _NaNAtHalf(Hamiltonian):
     def bind(self, x, medium):
@@ -230,12 +311,14 @@ class TestNestedStart:
         assert info["method"][0] == "newton"
         assert info["residual"][0] <= info["tol"][0]
 
-    def test_newton_agrees_with_relaxation(self, ell2):
+    def test_newton_agrees_with_relaxation(self, ell2, monkeypatch):
         ham, medium, theta = ell2
         g = Grid(256, length=4.0)
         a, info = solve_discounted(ham, self.P0, self.LAM, g, medium, theta)
         assert info["method"][0] == "newton"
         tol = info["tol"][0]
+        # the reference relaxes on the whole grid, not on one period
+        monkeypatch.setattr(solver, "_cell_grid", lambda g, m: g)
         b = _relaxed(ham, self.P0[0], self.LAM, g, medium, tol, theta)
         assert np.max(np.abs(a[0] - b)) <= 2 * tol / self.LAM
 
@@ -687,13 +770,32 @@ class TestConsistency:
                 assert got is work[2]
                 assert got.tobytes() == fresh.tobytes()
 
-    def test_diffs_match_roll_reference_bitwise(self):
+    @pytest.mark.parametrize("h", [0.1, 3.0, 0.125, 2.0 ** -12,
+                                   2.0 ** -1030, 2.0 ** 1023])
+    def test_diffs_match_roll_reference_bitwise(self, h):
+        # a power-of-two spacing multiplies by its exact reciprocal,
+        # also a subnormal one; the reference divides
         rng = np.random.default_rng(17)
         for shape in [(16,), (3, 16)]:
-            v = rng.uniform(-1, 1, shape)
-            dp, dm = solver.upwind_diffs(v, 0.1)
-            assert np.array_equal(dp, (np.roll(v, -1, axis=-1) - v) / 0.1)
-            assert np.array_equal(dm, (v - np.roll(v, 1, axis=-1)) / 0.1)
+            v = rng.uniform(-1, 1, shape) * rng.choice([1e-300, 1.0, 1e300])
+            with np.errstate(over="ignore", under="ignore"):
+                dp, dm = solver.upwind_diffs(v, h)
+                want = ((np.roll(v, -1, axis=-1) - v) / h,
+                        (v - np.roll(v, 1, axis=-1)) / h)
+            assert dp.tobytes() == want[0].tobytes()
+            assert dm.tobytes() == want[1].tobytes()
+
+    def test_row_sup_is_the_row_max_of_abs(self):
+        rng = np.random.default_rng(19)
+        a = rng.uniform(-1, 1, (5, 33))
+        assert solver._row_sup(a).tobytes() \
+            == np.max(np.abs(a), axis=1).tobytes()
+        edge = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0],
+                         [-np.inf, 1.0], [np.nan, -2.0], [3.0, -np.nan]])
+        got = solver._row_sup(edge)
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, np.inf, np.nan,
+                                            np.nan])
+        assert not np.signbit(got[:4]).any()
 
 
 class TestProlong:
