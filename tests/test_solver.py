@@ -770,20 +770,20 @@ class TestConsistency:
                 assert got is work[2]
                 assert got.tobytes() == fresh.tobytes()
 
-    @pytest.mark.parametrize("h", [0.1, 3.0, 0.125, 2.0 ** -12,
-                                   2.0 ** -1030, 2.0 ** 1023])
-    def test_diffs_match_roll_reference_bitwise(self, h):
+    def test_diffs_match_roll_reference_bitwise(self):
         # a power-of-two spacing multiplies by its exact reciprocal,
         # also a subnormal one; the reference divides
         rng = np.random.default_rng(17)
-        for shape in [(16,), (3, 16)]:
-            v = rng.uniform(-1, 1, shape) * rng.choice([1e-300, 1.0, 1e300])
-            with np.errstate(over="ignore", under="ignore"):
-                dp, dm = solver.upwind_diffs(v, h)
-                want = ((np.roll(v, -1, axis=-1) - v) / h,
-                        (v - np.roll(v, 1, axis=-1)) / h)
-            assert dp.tobytes() == want[0].tobytes()
-            assert dm.tobytes() == want[1].tobytes()
+        for h in [0.1, 3.0, 0.125, 2.0 ** -12, 2.0 ** -1030, 2.0 ** 1023]:
+            for shape in [(16,), (3, 16)]:
+                v = rng.uniform(-1, 1, shape) \
+                    * rng.choice([1e-300, 1.0, 1e300])
+                with np.errstate(over="ignore", under="ignore"):
+                    dp, dm = solver.upwind_diffs(v, h)
+                    want = ((np.roll(v, -1, axis=-1) - v) / h,
+                            (v - np.roll(v, 1, axis=-1)) / h)
+                assert dp.tobytes() == want[0].tobytes(), h
+                assert dm.tobytes() == want[1].tobytes(), h
 
     def test_row_sup_is_the_row_max_of_abs(self):
         rng = np.random.default_rng(19)
