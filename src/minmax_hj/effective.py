@@ -210,7 +210,8 @@ def fit_schedule_data(lams, Y, tol):
             "reliable": const | monotone | tight}
 
 
-def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None):
+def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None,
+                                 provenance="oracle"):
     """Exact effective curve for H(p, x_j) = a_j * phi(p) + b_j, a_j > 0.
 
     The tables run over one period (their means realize the spatial
@@ -232,7 +233,8 @@ def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None):
     a = 1 makes the keys b and the weights 1). g is then linear between
     its knots mu* and a_j L_k + b_j > mu*, so every p's level is read off
     the tabulated inverse at once, and past the last knot off the last
-    inverse slope times mean w.
+    inverse slope times mean w. The curve is returned unchecked, named
+    ``provenance``; ``piece_effective_curve`` checks its shape.
     """
     if profile.tag != QUASICONVEX:
         raise ValueError("oracle profiles must be quasiconvex")
@@ -275,24 +277,26 @@ def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None):
     # each side's level is mu* on the flat interval and on the far side
     values = np.maximum(level(-p_samples, -g[0], -tail[0]),
                         level(p_samples, g[1], tail[1]))
-    curve = EffectiveCurve(p_samples, values, None, "oracle", "coercive")
+    curve = EffectiveCurve(p_samples, values, None, provenance, "coercive")
     curve.intermediates["critical_level"] = mu_star
     curve.intermediates["flat_interval"] = (float(g[0, 0]), float(g[1, 0]))
-    return curve.validate()
+    return curve
 
 
-def piece_effective_curve(profile, a, b, p_samples):
+def piece_effective_curve(profile, a, b, p_samples, provenance="oracle"):
     """Exact effective curve of the single piece a * profile + b, with a
     and b arrays over the nodes of one period (a ``PieceTable`` row
-    expanded through its ``inverse``): the oracle's. A quasiconcave
-    profile goes through the negation duality, as (profile.negate_dual(),
-    a, -b), and its curve is the reflected negative of the dual's."""
-    if profile.tag != QUASICONVEX:
-        q = -np.asarray(p_samples, dtype=float)[::-1]
-        rev = piece_effective_curve(profile.negate_dual(), a, -b, q)
-        return EffectiveCurve(p_samples, -rev.values[::-1], None, "oracle",
-                              "anticoercive").validate()
-    return exact_effective_1d_separable(profile, b, p_samples, a)
+    expanded through its ``inverse``): the oracle's, checked for shape
+    and named ``provenance`` in a shape error. A quasiconcave profile
+    goes through the negation duality, as (profile.negate_dual(), a,
+    -b), and its curve is the reflected negative of the dual's."""
+    if profile.tag == QUASICONVEX:
+        return exact_effective_1d_separable(profile, b, p_samples, a,
+                                            provenance).validate()
+    q = -np.asarray(p_samples, dtype=float)[::-1]
+    rev = exact_effective_1d_separable(profile.negate_dual(), -b, q, a)
+    return EffectiveCurve(p_samples, -rev.values[::-1], None, provenance,
+                          "anticoercive").validate()
 
 
 def theorem_formula_values(check_vals, hat_vals, m_bar, m_lower):

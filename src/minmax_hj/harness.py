@@ -8,6 +8,13 @@ witnesses as JSON data, contact constants), per-stage timings, and
 sha256 checksums of every result file. Result files are deterministic
 for a fixed config and seed set; timings live only in the manifest.
 
+Once a command holds the lock it unlinks the old manifest, so a run
+that fails or is killed leaves none, and every file it writes is
+unlinked and made anew (``_recreate``), never truncated or renamed
+over: on ext4 with its default ``auto_da_alloc`` each truncation to
+zero and each rename over an existing file forces the new data to
+disk, which no command needs. ``plotdata`` takes the lock too.
+
 ``sweep-eps`` marches the homogenized problem in a forked child beside
 the eps stack (``fork_join``), and inline when the process may run on
 one CPU only; the results are the same either way.
@@ -47,9 +54,10 @@ class RunLock:
 
     The owner holds an ``flock`` on ``<run dir>/.lock``, which the kernel
     releases when the owner exits or is killed, so a crashed run leaves
-    no lock behind; the file holds the owner's pid for a human reader.
-    A directory that cannot be made, or whose lock is held, raises
-    RunLockError.
+    no lock behind; the file holds the owner's pid for a human reader,
+    written over the old one and cut to its length, never truncated to
+    zero (see the module docstring). A directory that cannot be made,
+    or whose lock is held, raises RunLockError.
     """
 
     def __init__(self, out_dir):
@@ -75,8 +83,9 @@ class RunLock:
             os.close(fd)
             raise RunLockError(
                 f"run directory is locked by another run ({self.path})")
-        os.ftruncate(fd, 0)
-        os.write(fd, str(os.getpid()).encode())
+        pid = str(os.getpid()).encode()
+        os.pwrite(fd, pid, 0)
+        os.ftruncate(fd, len(pid))      # a longer stale pid
         self.fd = fd
         return self
 
@@ -98,6 +107,14 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _recreate(path):
+    """``path`` made anew and open for writing text: an old file there is
+    unlinked, not truncated. Only the run lock's holder calls it."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return open(path, "x")
+
+
 def _write_manifest(out_dir, manifest):
     manifest = dict(manifest)
     manifest["tool_version"] = __version__
@@ -105,10 +122,11 @@ def _write_manifest(out_dir, manifest):
         name: _sha256(os.path.join(out_dir, name))
         for name in sorted(manifest.get("files", []))}
     # written whole or not at all: a crash mid-write leaves no manifest
-    # (the run lock makes this process the directory's only writer)
+    # (the run lock makes this process the directory's only writer, and
+    # _run has unlinked the old one, so the rename lands on a free name)
     tmp = os.path.join(out_dir, f".manifest.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with _recreate(tmp) as fh:
             # one write: json.dump writes each of the encoder's chunks
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, os.path.join(out_dir, "manifest.json"))
@@ -120,7 +138,7 @@ def _write_manifest(out_dir, manifest):
 
 
 def _csv(path, header, rows):
-    with open(path, "w") as fh:
+    with _recreate(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(
@@ -226,9 +244,12 @@ def _run(cfg, out_dir, command, stages, force=True):
     ``stages(analysis, out_dir, timings)``, and write the manifest:
     command, config, timings and the hypothesis block (verdicts,
     witnesses, contact constants), plus the keys ``stages`` returns (its
-    result files among them)."""
+    result files among them). The old manifest goes first: a run that
+    stops before its own is written leaves none."""
     out_dir = out_dir or cfg.output
     with RunLock(out_dir):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(out_dir, "manifest.json"))
         analysis = analyze_hypotheses(cfg)
         if not force and (err := gate_error(analysis)):
             raise err
@@ -285,12 +306,15 @@ def _solver_stats(curve):
 
 def build_curves(cfg, table, consts):
     """The nested formula curve from the exact piece curves
-    (``piece_effective_curve``) of the pieces of ``table`` in its first
-    medium and ``consts``, the ``contact_fields`` record."""
+    (``piece_effective_curve``, named check_k or hat_k in a shape error)
+    of the pieces of ``table`` in its first medium and ``consts``, the
+    ``contact_fields`` record."""
     inverse = table.inverse[0]
     checks, hats = ([piece_effective_curve(f, a[inverse], b[inverse],
-                                           cfg.p_axis) for f, a, b in rows]
-                    for rows in (table.checks, table.hats))
+                                           cfg.p_axis, f"{role}_{k} oracle")
+                     for k, (f, a, b) in enumerate(rows, 1)]
+                    for role, rows in (("check", table.checks),
+                                       ("hat", table.hats)))
     return theorem_formula(checks, hats, consts)
 
 
@@ -537,7 +561,9 @@ def _read_csv(path):
 
 
 def run_plotdata(run_dir):
-    """Derive gnuplot-style .dat files from a completed run directory.
+    """Derive gnuplot-style .dat files from a completed run directory,
+    holding its run lock, so that no command replaces a CSV while it is
+    read. A missing directory raises ConfigError and is not made.
 
     Pure text transform of the CSVs, so reruns are byte-identical.
     """
@@ -547,12 +573,16 @@ def run_plotdata(run_dir):
                                           or os.path.exists(sweep)):
         raise ConfigError(
             f"{run_dir}: no compare.csv or err_vs_eps.csv to plot")
-    written = []
+    with RunLock(run_dir):
+        return _plotdata(run_dir, compare, sweep)
 
+
+def _plotdata(run_dir, compare, sweep):
+    written = []
     if os.path.exists(compare):
         header, rows = _read_csv(compare)
         path = os.path.join(run_dir, "hbar_curves.dat")
-        with open(path, "w") as fh:
+        with _recreate(path) as fh:
             fh.write("# " + " ".join(header) + "\n")
             for row in rows:
                 fh.write(" ".join(row) + "\n")
@@ -563,7 +593,7 @@ def run_plotdata(run_dir):
         vals = np.array([float(r[2]) for r in rows])
         tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
         path = os.path.join(run_dir, "plateau.dat")
-        with open(path, "w") as fh:
+        with _recreate(path) as fh:
             fh.write("# region p value\n")
             region = 0
             i = 0
@@ -582,7 +612,7 @@ def run_plotdata(run_dir):
     if os.path.exists(sweep):
         header, rows = _read_csv(sweep)
         path = os.path.join(run_dir, "eps_loglog.dat")
-        with open(path, "w") as fh:
+        with _recreate(path) as fh:
             fh.write("# eps err log10_eps log10_err\n")
             for row in rows:
                 eps, err = float(row[0]), float(row[1])

@@ -63,12 +63,12 @@ def random_piece(rng, medium, tag):
     return Piece(profile, "amplitude", 2, scale=float(rng.uniform(0.5, 1.5)))
 
 
-def piece_curve(piece, medium, p):
+def piece_curve(piece, medium, p, provenance="oracle"):
     """The exact effective curve of one piece in ``medium``: the oracle
     on the piece's coefficients at every node of ``medium_table``."""
     x = medium_table(medium)
     a, b, _ = np.broadcast_arrays(*piece.coefficients(x, medium), x)
-    return piece_effective_curve(piece.profile, a, b, p)
+    return piece_effective_curve(piece.profile, a, b, p, provenance)
 
 
 def random_family(rng, ell, medium):

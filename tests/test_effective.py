@@ -9,7 +9,8 @@ from minmax_hj.effective import (EffectiveCurve, _power_fit,
                                  fit_schedule_data, theorem_formula,
                                  theorem_formula_values,
                                  verify_symmetries)
-from minmax_hj.errors import ConfigError, SchemeParameterError
+from minmax_hj.errors import (ConfigError, ProfileShapeError,
+                              SchemeParameterError)
 from minmax_hj.family import GradientShift, LevelHamiltonian, Piece, PieceTable
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import contact_fields
@@ -158,6 +159,22 @@ class TestPieceCurves:
         expect = np.abs(P33) * np.sqrt(0.75)
         assert np.max(np.abs(curve.values - expect)) <= 1e-13
         assert curve.intermediates["critical_level"] == 0.0
+
+    @pytest.mark.parametrize("role, way, slope", [
+        ("check", "rise", "1"), ("hat", "fall", "-1")])
+    def test_shape_error_names_the_piece_and_its_end(
+            self, base_family, sin_sq_medium, role, way, slope):
+        # on [2, 3] the check curve |p| - 0.5 and the hat curve 1.5 - |p|
+        # both fail at the left end; a hat's error names its own end, not
+        # the reflected (right) end of its negation dual
+        piece = getattr(base_family, role + "s")[0]
+        kind = "coercive" if role == "check" else "anticoercive"
+        with pytest.raises(ProfileShapeError) as err:
+            piece_curve(piece, sin_sq_medium, np.linspace(2.0, 3.0, 9),
+                        f"{role}_1 oracle")
+        assert str(err.value).startswith(
+            f"{kind} curve does not {way} at the ends: the {role}_1 oracle "
+            f"curve's left end slope is {slope} between p=2 and p=2.125")
 
     def test_oracle_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError, match="amplitudes must be positive"):

@@ -720,6 +720,39 @@ class TestRunEffective:
         left = sorted(p.name for p in (tmp_path / "run").iterdir())
         assert left == ["compare.csv", "formula.csv", "numeric.csv"]
 
+    def test_manifest_goes_once_the_lock_is_held(self, tmp_path,
+                                                   monkeypatch):
+        out = tmp_path / "run"
+        config = str(CONFIG_DIR / "xindep.yaml")
+        run_effective(load_fixture("xindep.yaml", output=str(out)))
+
+        def snapshot():
+            return {p.name: (p.read_bytes(), p.stat().st_ino,
+                             p.stat().st_mtime_ns) for p in out.iterdir()}
+        # a contender refused by the owner's lock touches nothing
+        before = snapshot()
+        with RunLock(str(out)):
+            held = snapshot()
+            for command in ("check", "effective", "sweep-eps"):
+                res = CliRunner().invoke(main, [command, "--config", config,
+                                                "--out", str(out)])
+                assert res.exit_code == 4 and "locked" in res.stderr
+            assert snapshot() == held
+        assert snapshot() == before
+
+        # a rerun that rewrites all three CSVs on a 9-point axis and then
+        # fails leaves no manifest, whose checksums would no longer hold
+        def broken(*args, **kwargs):
+            raise OSError("disk full")
+        monkeypatch.setattr(harness.json, "dumps", broken)
+        cfg = load_fixture("xindep.yaml", output=str(out),
+                           p_axis={"min": -3.0, "max": 3.0, "count": 9})
+        with pytest.raises(OSError, match="disk full"):
+            run_effective(cfg)
+        left = sorted(p.name for p in out.iterdir())
+        assert left == ["compare.csv", "formula.csv", "numeric.csv"]
+        assert len((out / "numeric.csv").read_text().splitlines()) == 10
+
     def test_two_level_compare_has_half_step_columns(self, tmp_path):
         data = small_config(output=str(tmp_path / "run"))
         fam = yaml.safe_load((CONFIG_DIR / "ell2_strict.yaml").read_text())
@@ -1068,6 +1101,54 @@ class TestSweepFork:
         assert not (tmp_path / "run" / ".lock").exists()
 
 
+class TestReplacedFiles:
+    """A rerun into a run directory replaces its files: it renames onto no
+    existing path, truncates nothing to zero and opens no existing
+    non-empty file for writing (on ext4 with auto_da_alloc each of these
+    forces the data to disk)."""
+
+    def test_reruns_replace_and_write_the_same_bytes(self, tmp_path,
+                                                     monkeypatch):
+        out = tmp_path / "run"
+        replace, ftruncate = os.replace, os.ftruncate
+
+        def guarded_replace(src, dst, **kwargs):
+            if os.path.lexists(dst):
+                raise AssertionError(f"rename over {dst}")
+            return replace(src, dst, **kwargs)
+
+        def guarded_ftruncate(fd, length):
+            if length == 0:
+                raise AssertionError("truncation to zero")
+            return ftruncate(fd, length)
+
+        def guarded_open(file, mode="r", *args, **kwargs):
+            if (set(mode) & set("wa+") and os.path.isfile(file)
+                    and os.path.getsize(file) > 0):
+                raise AssertionError(f"{file} opened for writing")
+            return open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(harness.os, "replace", guarded_replace)
+        monkeypatch.setattr(harness.os, "ftruncate", guarded_ftruncate)
+        monkeypatch.setattr(harness, "open", guarded_open, raising=False)
+
+        cfg = ExperimentConfig(small_config(output=str(out)))
+        runs = []
+        for _ in range(2):
+            manifests = [run(cfg) for run in
+                         (run_check, run_effective, run_sweep_eps)]
+            run_plotdata(str(out))
+            runs.append(({p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "manifest.json"}, manifests))
+        (first, first_manifests), (second, second_manifests) = runs
+        assert sorted(first) == [
+            "compare.csv", "eps_loglog.dat", "err_vs_eps.csv",
+            "formula.csv", "hbar_curves.dat", "numeric.csv", "plateau.dat"]
+        assert second == first
+        for m1, m2 in zip(first_manifests, second_manifests):
+            del m1["timings"], m2["timings"]
+            assert m1 == m2
+
+
 class TestPlotdata:
     def test_effective_run_yields_curves_and_plateau(self, tmp_path):
         cfg = ExperimentConfig(small_config(output=str(tmp_path / "run")))
@@ -1105,6 +1186,32 @@ class TestPlotdata:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no compare.csv"):
             run_plotdata(str(tmp_path))
+
+    def test_takes_the_lock_of_an_existing_directory(self, tmp_path):
+        # a missing directory is not made, as the lock would make it
+        with pytest.raises(ConfigError, match="no compare.csv"):
+            run_plotdata(str(tmp_path / "nope"))
+        assert not (tmp_path / "nope").exists()
+        out = tmp_path / "run"
+        run_sweep_eps(ExperimentConfig(small_config(output=str(out))))
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLD_LOCK, str(out)],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        try:
+            assert holder.stdout.readline() == "held\n"
+            res = CliRunner().invoke(main, ["plotdata", str(out)])
+            assert res.exit_code == 4
+            assert "locked" in res.stderr
+            assert not (out / "eps_loglog.dat").exists()
+        finally:
+            holder.kill()
+            holder.wait(timeout=10)
+            holder.stdout.close()
+        res = CliRunner().invoke(main, ["plotdata", str(out)])
+        assert res.exit_code == 0
+        assert sorted(os.listdir(out)) == ["eps_loglog.dat", "err_vs_eps.csv",
+                                           "manifest.json"]
 
 
 class TestCLI:
@@ -1548,7 +1655,7 @@ class TestCLI:
                                                            monkeypatch):
         # on [-3, -2] the exact curve of check_1 falls all the way, so it
         # does not rise at the right end: the run fails there, before any
-        # numeric solve, and the message names the curve and the end
+        # numeric solve, and the message names the piece and the end
         def solve(*args, **kwargs):
             raise AssertionError("numeric solve of an additive piece")
         monkeypatch.setattr(harness, "estimate_effective", solve)
@@ -1563,8 +1670,8 @@ class TestCLI:
         assert res.exit_code == 3
         assert res.stderr == (
             "numerical failure: coercive curve does not rise at the ends: "
-            "the oracle curve's right end slope is -1 between p=-2.125 and "
-            "p=-2, and the allowed slope there is >= -8e-09\n")
+            "the check_1 oracle curve's right end slope is -1 between "
+            "p=-2.125 and p=-2, and the allowed slope there is >= -8e-09\n")
 
     @pytest.mark.parametrize("command", ["check", "effective"])
     def test_nonpositive_periodic_amplitude_exits_4_naming_the_field(
