@@ -1,20 +1,25 @@
 """Command line entry points.
 
-Every ``click.echo`` names its stream: click caches one it resolves,
-keyed by itself, so a redirected stream would never be freed.
+One ``argparse`` parser per program name and process: building it costs
+more than ten times as much as parsing a command line with it. Every
+output line is written whole and flushed at once, so stdout and stderr
+keep their order.
 
-Exit codes: 0 success, 2 hypothesis failure (``HypothesisError``: an
+Exit codes: 0 success, 1 interrupted (``Aborted!`` on stderr) or a
+closed output pipe, 2 hypothesis failure (``HypothesisError``: an
 unstable pair, a broken contact chain or an ordering violation, with a
 ``witness:`` line on stderr), 3 numerical failure (non-convergence,
 scheme parameter out of range, an effective curve of the wrong shape,
-any other package error), 4 config or run-dir errors (including a
-sweep-eps whose u0 has grid slopes off the p-axis).
+any other package error), 4 config or run-dir errors (including usage
+errors, such as a missing or unknown option, and a sweep-eps whose u0
+has grid slopes off the p-axis).
 """
 
+import argparse
+import functools
 import json
+import os
 import sys
-
-import click
 
 from . import __version__
 from .config import ExperimentConfig
@@ -23,17 +28,22 @@ from .errors import (ConfigError, HypothesisError, MinMaxHJError,
 from .harness import (gate_error, run_check, run_effective, run_plotdata,
                       run_sweep_eps)
 
+EXIT_INTERRUPTED = 1
 EXIT_HYPOTHESIS = 2
 EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
 
 
+def _echo(line, stream):
+    stream.write(line + "\n")
+    stream.flush()
+
+
 def _fail(code, kind, err):
-    click.echo(f"{kind}: {err}", file=sys.stderr)
+    _echo(f"{kind}: {err}", sys.stderr)
     witness = getattr(err, "witness", None)
     if witness:
-        click.echo("witness: " + json.dumps(witness, default=str),
-                   file=sys.stderr)
+        _echo("witness: " + json.dumps(witness, default=str), sys.stderr)
     sys.exit(code)
 
 
@@ -48,87 +58,122 @@ def _guarded(fn):
         _fail(EXIT_NUMERICAL, "numerical failure", e)
 
 
-def _load(config, out, seed):
-    cfg = _guarded(lambda: ExperimentConfig.from_yaml(config))
-    if out is not None:
-        cfg.output = out
-    if seed is not None:
-        if seed < 0:
-            _fail(EXIT_CONFIG, "config error", f"--seed: {seed} is negative")
-        cfg.seeds = [seed]
+def _load(args):
+    cfg = _guarded(lambda: ExperimentConfig.from_yaml(args.config))
+    if args.out is not None:
+        cfg.output = args.out
+    if args.seed is not None:
+        if args.seed < 0:
+            _fail(EXIT_CONFIG, "config error",
+                  f"--seed: {args.seed} is negative")
+        cfg.seeds = [args.seed]
     return cfg
 
 
-def _common(fn):
-    fn = click.option("--config", required=True,
-                      type=click.Path(dir_okay=False),
-                      help="experiment YAML")(fn)
-    fn = click.option("--out", type=click.Path(file_okay=False),
-                      help="run directory (default: config output)")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="override the seed list with one seed")(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Min-max Hamiltonian experiments: hypothesis checks, effective
-    curves, homogenization sweeps, plot data."""
-
-
-@main.command()
-@_common
-def check(config, out, seed):
+def check(args):
     """Validate ordering, pair stability, contact-chain monotonicity,
     and thin level sets; write the manifest and stop."""
-    cfg = _load(config, out, seed)
+    cfg = _load(args)
     manifest = _guarded(lambda: run_check(cfg, out_dir=cfg.output))
     for name, ok in sorted(manifest["verdicts"].items()):
-        click.echo(f"{name}: {'pass' if ok else 'FAIL'}", file=sys.stdout)
+        _echo(f"{name}: {'pass' if ok else 'FAIL'}", sys.stdout)
     if gate_error(manifest):
         for name, ok in manifest["verdicts"].items():
             if not ok and manifest["witnesses"].get(name):
-                click.echo("witness[%s]: %s" % (
+                _echo("witness[%s]: %s" % (
                     name, json.dumps(manifest["witnesses"][name],
-                                     default=str)), file=sys.stderr)
+                                     default=str)), sys.stderr)
         sys.exit(EXIT_HYPOTHESIS)
 
 
-@main.command()
-@_common
-@click.option("--force", is_flag=True, help="run despite failed hypotheses")
-def effective(config, out, seed, force):
+def effective(args):
     """Piece curves, nested formula curve, direct estimates, and the
     numeric-vs-formula comparison files."""
-    cfg = _load(config, out, seed)
+    cfg = _load(args)
     manifest = _guarded(lambda: run_effective(cfg, out_dir=cfg.output,
-                                              force=force))
-    click.echo(f"max_abs_err: {manifest['max_abs_err']:.6g}", file=sys.stdout)
+                                              force=args.force))
+    _echo(f"max_abs_err: {manifest['max_abs_err']:.6g}", sys.stdout)
 
 
-@main.command("sweep-eps")
-@_common
-@click.option("--force", is_flag=True, help="run despite failed hypotheses")
-def sweep_eps(config, out, seed, force):
+def sweep_eps(args):
     """Oscillatory vs homogenized evolution error across the eps
     schedule."""
-    cfg = _load(config, out, seed)
+    cfg = _load(args)
     manifest = _guarded(lambda: run_sweep_eps(cfg, out_dir=cfg.output,
-                                              force=force))
+                                              force=args.force))
     for eps, err in zip(cfg.eps_schedule, manifest["errors"]):
-        click.echo("eps=%g: err=%.6g" % (eps, err), file=sys.stdout)
-    click.echo(f"nonincreasing: {manifest['nonincreasing']}", file=sys.stdout)
+        _echo("eps=%g: err=%.6g" % (eps, err), sys.stdout)
+    _echo(f"nonincreasing: {manifest['nonincreasing']}", sys.stdout)
 
 
-@main.command()
-@click.argument("run_dir", type=click.Path(file_okay=False))
-def plotdata(run_dir):
+def plotdata(args):
     """Emit gnuplot-style .dat files from a completed run directory."""
-    written = _guarded(lambda: run_plotdata(run_dir))
-    for path in written:
-        click.echo(path, file=sys.stdout)
+    for path in _guarded(lambda: run_plotdata(args.run_dir)):
+        _echo(path, sys.stdout)
+
+
+def _usage_error(message):
+    """Every parser's ``error``: a usage error is a config error."""
+    _fail(EXIT_CONFIG, "config error", message)
+
+
+def _subparser(commands, name, fn):
+    sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                              add_help=False, allow_abbrev=False)
+    sub.error = _usage_error
+    sub.add_argument("--help", action="help",
+                     help="show this message and exit")
+    sub.set_defaults(run=fn)
+    return sub
+
+
+@functools.cache
+def _parser(prog):
+    parser = argparse.ArgumentParser(
+        prog=prog, add_help=False, allow_abbrev=False,
+        description="Min-max Hamiltonian experiments: hypothesis checks, "
+        "effective curves, homogenization sweeps, plot data.")
+    parser.error = _usage_error
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}",
+                        help="show the version and exit")
+    parser.add_argument("--help", action="help",
+                        help="show this message and exit")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, fn, force in (("check", check, False),
+                            ("effective", effective, True),
+                            ("sweep-eps", sweep_eps, True)):
+        sub = _subparser(commands, name, fn)
+        sub.add_argument("--config", required=True, help="experiment YAML")
+        sub.add_argument("--out",
+                         help="run directory (default: config output)")
+        sub.add_argument("--seed", type=int,
+                         help="override the seed list with one seed")
+        if force:
+            sub.add_argument("--force", action="store_true",
+                             help="run despite failed hypotheses")
+    _subparser(commands, "plotdata", plotdata).add_argument("run_dir")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Run one command line (``sys.argv[1:]`` by default) under the
+    program name ``prog_name`` (by default the script's, as the console
+    script's ``minmax-hj``): return on success, ``sys.exit`` with the
+    command's exit code otherwise. An interrupt exits 1 after
+    ``Aborted!`` on stderr, a closed output pipe exits 1 quietly; neither
+    prints a traceback."""
+    prog = prog_name or os.path.basename(sys.argv[0])
+    try:
+        parsed = _parser(prog).parse_args(args)
+        parsed.run(parsed)
+    except KeyboardInterrupt:
+        _echo("", sys.stderr)
+        _echo("Aborted!", sys.stderr)
+        sys.exit(EXIT_INTERRUPTED)
+    except BrokenPipeError:     # the reader went away, as in ``| head -1``
+        sys.exit(1)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:], prog_name="python -m minmax_hj.cli")

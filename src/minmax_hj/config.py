@@ -388,10 +388,13 @@ class ExperimentConfig:
     @classmethod
     def from_yaml(cls, path):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = yaml.load(fh, Loader=YAML_LOADER)
-        except FileNotFoundError as err:
+        except OSError as err:      # missing, a directory, unreadable
             raise ConfigError(f"{path}: {err.strerror}") from err
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text ({err.reason})") \
+                from err
         except yaml.YAMLError as err:
             mark = getattr(err, "problem_mark", None)
             at = f" (line {mark.line + 1})" if mark else ""

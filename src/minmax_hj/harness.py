@@ -553,34 +553,67 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
     return _run(cfg, out_dir, "sweep-eps", stages, force)
 
 
-def _read_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+def _listed_text(run_dir, name, digest):
+    """The text of the result file ``name``, whose sha256 the run's
+    manifest lists as ``digest``; ConfigError if it differs."""
+    path = os.path.join(run_dir, name)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror}, but the manifest "
+                          f"lists it") from None
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise ConfigError(f"{path}: sha256 differs from the manifest's; "
+                          f"the file changed after its run")
+    return data.decode()
+
+
+def _csv_rows(text):
+    header, *rows = [line.strip().split(",") for line in text.splitlines()
+                     if line.strip()]
     return header, rows
 
 
 def run_plotdata(run_dir):
     """Derive gnuplot-style .dat files from a completed run directory,
     holding its run lock, so that no command replaces a CSV while it is
-    read. A missing directory raises ConfigError and is not made.
+    read. Only the CSVs the run's manifest lists are read, each checked
+    against the manifest's sha256, so the result files of an earlier,
+    different command in the directory are never plotted. A missing
+    directory raises ConfigError and is not made.
 
     Pure text transform of the CSVs, so reruns are byte-identical.
     """
-    compare = os.path.join(run_dir, "compare.csv")
-    sweep = os.path.join(run_dir, "err_vs_eps.csv")
-    if not os.path.isdir(run_dir) or not (os.path.exists(compare)
-                                          or os.path.exists(sweep)):
-        raise ConfigError(
-            f"{run_dir}: no compare.csv or err_vs_eps.csv to plot")
+    nothing = ConfigError(f"{run_dir}: no compare.csv or err_vs_eps.csv "
+                          f"listed in a manifest to plot")
+    if not os.path.isdir(run_dir):
+        raise nothing
     with RunLock(run_dir):
-        return _plotdata(run_dir, compare, sweep)
+        path = os.path.join(run_dir, "manifest.json")
+        try:
+            with open(path) as fh:
+                files = json.load(fh)["files"]
+        except FileNotFoundError:
+            raise nothing from None
+        except (OSError, ValueError, KeyError) as err:
+            raise ConfigError(f"{path}: not a run manifest ({err!r})") \
+                from None
+        texts = {name: _listed_text(run_dir, name, files[name])
+                 for name in ("compare.csv", "err_vs_eps.csv")
+                 if name in files}
+        if not texts:
+            raise nothing
+        return _plotdata(run_dir, texts.get("compare.csv"),
+                         texts.get("err_vs_eps.csv"))
 
 
 def _plotdata(run_dir, compare, sweep):
+    """Write the .dat files of the texts of compare.csv and
+    err_vs_eps.csv (None where the run has none); return their paths."""
     written = []
-    if os.path.exists(compare):
-        header, rows = _read_csv(compare)
+    if compare is not None:
+        header, rows = _csv_rows(compare)
         path = os.path.join(run_dir, "hbar_curves.dat")
         with _recreate(path) as fh:
             fh.write("# " + " ".join(header) + "\n")
@@ -609,8 +642,8 @@ def _plotdata(run_dir, compare, sweep):
                 i = j + 1
         written.append(path)
 
-    if os.path.exists(sweep):
-        header, rows = _read_csv(sweep)
+    if sweep is not None:
+        header, rows = _csv_rows(sweep)
         path = os.path.join(run_dir, "eps_loglog.dat")
         with _recreate(path) as fh:
             fh.write("# eps err log10_eps log10_err\n")

@@ -1,6 +1,11 @@
+import collections
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from minmax_hj.cli import main
 from minmax_hj.effective import piece_effective_curve
 from minmax_hj.family import MinMaxFamily, Piece
 from minmax_hj.media import MediumSpec, medium_table, sample_realization
@@ -91,3 +96,38 @@ class CountingMedium:
 
     def __getattr__(self, name):
         return getattr(self._medium, name)
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies every write into ``shared``."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self._shared = shared
+
+    def write(self, text):
+        self._shared.write(text)
+        return super().write(text)
+
+
+# one ``minmax-hj`` command run in this process: ``output`` holds its
+# stdout and stderr interleaved as written, ``exception`` the SystemExit
+# of a nonzero exit (else None)
+CliResult = collections.namedtuple(
+    "CliResult", "exit_code output stdout stderr exception")
+
+
+def run_cli(args):
+    """Run ``minmax_hj.cli.main`` on the argument list ``args`` with
+    stdout and stderr captured; any other exception propagates."""
+    output = io.StringIO()
+    out, err = _Tee(output), _Tee(output)
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args, prog_name="minmax-hj")
+        except SystemExit as stop:
+            code = stop.code or 0
+            exception = stop if code else None
+    return CliResult(code, output.getvalue(), out.getvalue(),
+                     err.getvalue(), exception)

@@ -14,9 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from click.testing import CliRunner
 
-from minmax_hj.cli import main
 from minmax_hj.config import ExperimentConfig
 from minmax_hj.effective import estimate_effective, verify_symmetries
 from minmax_hj.family import (GradientShift, LevelHamiltonian, Piece,
@@ -28,7 +26,7 @@ from minmax_hj.profiles import AbsShift
 from minmax_hj.solver import Grid, lf_update, solve_discounted
 
 from _reference import nested_family_values
-from conftest import piece_curve, random_family, random_piece
+from conftest import piece_curve, random_family, random_piece, run_cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -234,11 +232,10 @@ def test_solver_contract_probes():
 
 def test_hypothesis_gate_exit_codes(tmp_path):
     t0 = time.perf_counter()
-    runner = CliRunner()
-    unstable = runner.invoke(main, [
+    unstable = run_cli([
         "check", "--config", str(CONFIG_DIR / "unstable_pair.yaml"),
         "--out", str(tmp_path / "a")])
-    broken = runner.invoke(main, [
+    broken = run_cli([
         "check", "--config", str(CONFIG_DIR / "monotonicity_violation.yaml"),
         "--out", str(tmp_path / "b")])
     ok = (unstable.exit_code == 2

@@ -20,14 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import level_fold, per_seed_hypotheses
-from conftest import CountingMedium
+from conftest import CountingMedium, run_cli
 from minmax_hj import __version__, cli, errors, harness
-from minmax_hj.cli import main
 from minmax_hj.config import U0_CATALOGUE, YAML_LOADER, ExperimentConfig
 from minmax_hj.effective import EffectiveCurve
 from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
@@ -734,8 +732,8 @@ class TestRunEffective:
         with RunLock(str(out)):
             held = snapshot()
             for command in ("check", "effective", "sweep-eps"):
-                res = CliRunner().invoke(main, [command, "--config", config,
-                                                "--out", str(out)])
+                res = run_cli([command, "--config", config, "--out",
+                               str(out)])
                 assert res.exit_code == 4 and "locked" in res.stderr
             assert snapshot() == held
         assert snapshot() == before
@@ -957,7 +955,7 @@ class TestSweepFork:
         return pids
 
     def sweep(self, out):
-        return CliRunner().invoke(main, SWEEP + ["--out", str(out)])
+        return run_cli(SWEEP + ["--out", str(out)])
 
     @staticmethod
     def in_child(parent, action):
@@ -1134,8 +1132,10 @@ class TestReplacedFiles:
         cfg = ExperimentConfig(small_config(output=str(out)))
         runs = []
         for _ in range(2):
-            manifests = [run(cfg) for run in
-                         (run_check, run_effective, run_sweep_eps)]
+            # plotdata plots the files of the last run's manifest only
+            manifests = [run_check(cfg), run_effective(cfg)]
+            run_plotdata(str(out))
+            manifests.append(run_sweep_eps(cfg))
             run_plotdata(str(out))
             runs.append(({p.name: p.read_bytes() for p in out.iterdir()
                           if p.name != "manifest.json"}, manifests))
@@ -1183,6 +1183,42 @@ class TestPlotdata:
         assert first == second
         assert all(Path(p).read_bytes() == before[p] for p in second)
 
+    def test_plots_only_the_files_of_the_last_run(self, tmp_path):
+        # the effective CSVs stay beside the sweep's, unlisted in its
+        # manifest, and are not plotted
+        out = tmp_path / "run"
+        cfg = ExperimentConfig(small_config(output=str(out)))
+        run_effective(cfg)
+        run_sweep_eps(cfg)
+        written = run_plotdata(str(out))
+        assert written == [str(out / "eps_loglog.dat")]
+        assert sorted(os.listdir(out)) == [
+            "compare.csv", "eps_loglog.dat", "err_vs_eps.csv",
+            "formula.csv", "manifest.json", "numeric.csv"]
+
+    def test_changed_result_file_exits_4_naming_it(self, tmp_path):
+        out = tmp_path / "run"
+        run_effective(ExperimentConfig(small_config(output=str(out))))
+        compare = out / "compare.csv"
+        compare.write_text(compare.read_text() + "9,9,9,0\n")
+        res = run_cli(["plotdata", str(out)])
+        assert res.exit_code == 4
+        assert res.stderr == (f"config error: {compare}: sha256 differs "
+                              f"from the manifest's; the file changed "
+                              f"after its run\n")
+        compare.unlink()
+        res = run_cli(["plotdata", str(out)])
+        assert res.exit_code == 4
+        assert str(compare) in res.stderr
+        manifest = out / "manifest.json"
+        manifest.write_text("{")
+        res = run_cli(["plotdata", str(out)])
+        assert res.exit_code == 4
+        assert res.stderr.startswith(f"config error: {manifest}: not a run "
+                                     f"manifest")
+        assert sorted(os.listdir(out)) == ["formula.csv", "manifest.json",
+                                           "numeric.csv"]
+
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no compare.csv"):
             run_plotdata(str(tmp_path))
@@ -1200,7 +1236,7 @@ class TestPlotdata:
             env=dict(os.environ, PYTHONPATH=SRC_DIR))
         try:
             assert holder.stdout.readline() == "held\n"
-            res = CliRunner().invoke(main, ["plotdata", str(out)])
+            res = run_cli(["plotdata", str(out)])
             assert res.exit_code == 4
             assert "locked" in res.stderr
             assert not (out / "eps_loglog.dat").exists()
@@ -1208,18 +1244,15 @@ class TestPlotdata:
             holder.kill()
             holder.wait(timeout=10)
             holder.stdout.close()
-        res = CliRunner().invoke(main, ["plotdata", str(out)])
+        res = run_cli(["plotdata", str(out)])
         assert res.exit_code == 0
         assert sorted(os.listdir(out)) == ["eps_loglog.dat", "err_vs_eps.csv",
                                            "manifest.json"]
 
 
 class TestCLI:
-    def setup_method(self):
-        self.runner = CliRunner()
-
     def invoke(self, *args):
-        return self.runner.invoke(main, list(args))
+        return run_cli(list(args))
 
     def test_check_passes_on_clean_fixture(self, tmp_path):
         res = self.invoke("check", "--config",
@@ -1847,3 +1880,89 @@ class TestCLI:
     def test_version_flag(self):
         res = self.invoke("--version")
         assert res.exit_code == 0 and __version__ in res.output
+
+    @pytest.mark.parametrize("args, named", [
+        (["check"], "the following arguments are required: --config"),
+        (["check", "--config", str(CONFIG_DIR / "xindep.yaml"), "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["check", "--config", str(CONFIG_DIR / "xindep.yaml"),
+          "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        # no prefix of an option stands for it
+        (["effective", "--conf", str(CONFIG_DIR / "xindep.yaml")],
+         "the following arguments are required: --config")],
+        ids=["no-config", "unknown-option", "non-integer-seed",
+             "no-command", "option-prefix"])
+    def test_usage_error_exits_4_naming_the_argument(self, tmp_path,
+                                                     monkeypatch, args,
+                                                     named):
+        monkeypatch.chdir(tmp_path)
+        res = self.invoke(*args)
+        assert res.exit_code == 4
+        assert res.stderr == f"config error: {named}\n"
+        assert res.stdout == "" and os.listdir(tmp_path) == []
+
+    def test_config_that_is_a_directory_exits_4(self, tmp_path):
+        res = self.invoke("check", "--config", str(tmp_path),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 4
+        assert res.stderr == f"config error: {tmp_path}: Is a directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_config_that_is_not_text_exits_4(self, tmp_path):
+        path = tmp_path / "binary.yaml"
+        path.write_bytes(b"seeds: [0]\n\xff\n")
+        res = self.invoke("check", "--config", str(path),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 4
+        assert res.stderr == (f"config error: {path}: not UTF-8 text "
+                              f"(invalid start byte)\n")
+
+    def test_file_where_a_run_directory_belongs_exits_4(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        res = self.invoke("check", "--config",
+                          str(CONFIG_DIR / "xindep.yaml"),
+                          "--out", str(blocker))
+        assert res.exit_code == 4 and str(blocker) in res.stderr
+        res = self.invoke("plotdata", str(blocker))
+        assert res.exit_code == 4 and str(blocker) in res.stderr
+        assert os.listdir(tmp_path) == ["file"]
+
+    def test_interrupt_exits_1_with_aborted(self, tmp_path, monkeypatch):
+        def interrupted(cfg, out_dir=None):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("minmax_hj.cli.run_check", interrupted)
+        res = self.invoke("check", "--config",
+                          str(CONFIG_DIR / "xindep.yaml"),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 1
+        assert (res.stdout, res.stderr) == ("", "\nAborted!\n")
+
+    def test_closed_output_pipe_exits_1_quietly(self, tmp_path):
+        # the reader is gone before the first line is written
+        cmd = subprocess.Popen(
+            [sys.executable, "-m", "minmax_hj.cli", "check", "--config",
+             str(CONFIG_DIR / "xindep.yaml"), "--out", str(tmp_path / "run")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        cmd.stdout.close()
+        try:
+            assert cmd.wait(timeout=120) == 1
+            assert cmd.stderr.read() == b""
+        finally:
+            cmd.kill()
+            cmd.wait(timeout=10)
+            cmd.stderr.close()
+
+    def test_importing_the_cli_loads_neither_click_nor_scipy(self):
+        # a fresh interpreter, so that nothing else has imported either
+        probe = ("import sys\n"
+                 "import minmax_hj.cli\n"
+                 "print(sorted({name.partition('.')[0] for name in "
+                 "sys.modules} & {'click', 'scipy'}))\n")
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
