@@ -172,6 +172,14 @@ def main(args=None, prog_name=None):
         _echo("Aborted!", sys.stderr)
         sys.exit(EXIT_INTERRUPTED)
     except BrokenPipeError:     # the reader went away, as in ``| head -1``
+        # the interpreter flushes stdout once more on its way out, which
+        # would fail again (exit 120); send what is left to devnull
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            fd = None           # a captured stream, with nothing to flush
+        if fd is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         sys.exit(1)
 
 

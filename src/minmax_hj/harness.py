@@ -594,9 +594,12 @@ def run_plotdata(run_dir):
         try:
             with open(path) as fh:
                 files = json.load(fh)["files"]
+            if not isinstance(files, dict):
+                raise TypeError(f"files is a {type(files).__name__}, "
+                                f"not a map of names to sha256")
         except FileNotFoundError:
             raise nothing from None
-        except (OSError, ValueError, KeyError) as err:
+        except (OSError, ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"{path}: not a run manifest ({err!r})") \
                 from None
         texts = {name: _listed_text(run_dir, name, files[name])

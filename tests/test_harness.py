@@ -1211,11 +1211,13 @@ class TestPlotdata:
         assert res.exit_code == 4
         assert str(compare) in res.stderr
         manifest = out / "manifest.json"
-        manifest.write_text("{")
-        res = run_cli(["plotdata", str(out)])
-        assert res.exit_code == 4
-        assert res.stderr.startswith(f"config error: {manifest}: not a run "
-                                     f"manifest")
+        # not JSON, JSON of the wrong shape, a files list for a map
+        for text in ("{", "[]", "null", '{"files": ["compare.csv"]}'):
+            manifest.write_text(text)
+            res = run_cli(["plotdata", str(out)])
+            assert res.exit_code == 4
+            assert res.stderr.startswith(f"config error: {manifest}: not a "
+                                         f"run manifest")
         assert sorted(os.listdir(out)) == ["formula.csv", "manifest.json",
                                            "numeric.csv"]
 
@@ -1940,12 +1942,16 @@ class TestCLI:
         assert (res.stdout, res.stderr) == ("", "\nAborted!\n")
 
     def test_closed_output_pipe_exits_1_quietly(self, tmp_path):
-        # the reader is gone before the first line is written
+        # the reader is gone before the first line is written; stdout is
+        # block-buffered, so that the unwritten line is still in its
+        # buffer when the interpreter flushes it on the way out
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
         cmd = subprocess.Popen(
             [sys.executable, "-m", "minmax_hj.cli", "check", "--config",
              str(CONFIG_DIR / "xindep.yaml"), "--out", str(tmp_path / "run")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+            env=dict(env, PYTHONPATH=SRC_DIR))
         cmd.stdout.close()
         try:
             assert cmd.wait(timeout=120) == 1
@@ -1954,6 +1960,17 @@ class TestCLI:
             cmd.kill()
             cmd.wait(timeout=10)
             cmd.stderr.close()
+
+    def test_closed_captured_pipe_exits_1(self, tmp_path, monkeypatch):
+        # a captured stdout has no file descriptor to point at devnull
+        def closed(cfg, out_dir=None):
+            raise BrokenPipeError
+        monkeypatch.setattr("minmax_hj.cli.run_check", closed)
+        res = self.invoke("check", "--config",
+                          str(CONFIG_DIR / "xindep.yaml"),
+                          "--out", str(tmp_path / "run"))
+        assert res.exit_code == 1
+        assert (res.stdout, res.stderr) == ("", "")
 
     def test_importing_the_cli_loads_neither_click_nor_scipy(self):
         # a fresh interpreter, so that nothing else has imported either
