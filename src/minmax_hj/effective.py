@@ -1,5 +1,5 @@
-"""Effective Hamiltonians: numeric estimation, exact separable oracle,
-the nested min-max formula, and the duality report for a piece.
+"""Effective Hamiltonians: numeric estimation, exact separable oracle
+and the nested min-max formula.
 
 The estimator solves the discounted problem along a decreasing discount
 schedule and extrapolates -lam * v_lam(0) by fitting value + C*lam^alpha
@@ -335,23 +335,3 @@ def theorem_formula(bar_checks, bar_hats, constants):
     curve = EffectiveCurve(p, values, bars, "formula", "coercive")
     curve.intermediates = inter
     return curve.validate()
-
-
-def verify_symmetries(piece, p_samples, medium, lam_schedule, grid):
-    """Duality report for a piece: negation (every piece) and evenness
-    (quasiconvex pieces). Discrepancies come with their error bars."""
-    p_samples = [float(p) for p in p_samples]
-    axis = np.array(p_samples)
-    reflected = estimate_effective(piece, -axis, medium, lam_schedule, grid)
-
-    def compare(dual, sign):
-        duals = estimate_effective(dual, axis, medium, lam_schedule, grid)
-        disc = np.abs(duals["value"] + sign * reflected["value"])
-        bars = duals["error_bar"] + reflected["error_bar"]
-        return {"discrepancy": disc.tolist(), "bars": bars.tolist(),
-                "max": float(disc.max())}
-
-    evenness = compare(piece.even_dual(), -1.0) \
-        if piece.tag == QUASICONVEX else None
-    return {"p": p_samples, "negation": compare(piece.negate_dual(), 1.0),
-            "evenness": evenness}

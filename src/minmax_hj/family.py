@@ -1,4 +1,4 @@
-"""Min-max families of Hamiltonian pieces and the scalar nesting identity.
+"""Min-max families of Hamiltonian pieces.
 
 A family holds an equal number of quasiconvex pieces (``checks``) and
 quasiconcave pieces (``hats``). Levels nest as
@@ -7,14 +7,13 @@ quasiconcave pieces (``hats``). Levels nest as
     H_k = max(check_k, min(hat_k, H_{k-1}))
 
 Half levels, min(hat_{k+1}, H_k), appear only in the nested effective
-formula (``effective.theorem_formula_values``). The scalar identity
-behind reordering says the nested value is unchanged when the sequences
-are replaced by their running extrema; ``reorder_family`` is its
-function-level counterpart.
+formula (``effective.theorem_formula_values``). Replacing the checks
+and hats by their running extrema over the levels leaves the nested
+value unchanged; ``reorder_family`` does that with combined pieces.
 
-A piece, a combined piece and a gradient shift each write their
-formula once, as ``bind(x, medium)``: H(., x) as a function of a plain
-gradient array, with the x-dependence frozen on x. ``evaluate`` and the
+A piece and a combined piece each write their formula once, as
+``bind(x, medium)``: H(., x) as a function of a plain gradient array,
+with the x-dependence frozen on x. ``evaluate`` and the
 solvers' ``bind_base`` derive from it in the shared base
 ``Hamiltonian``.
 
@@ -50,43 +49,10 @@ from .media import distinct, medium_table
 from .profiles import QUASICONCAVE, QUASICONVEX, AbsShift, NegatedAbs
 
 
-def minmax_scalar(a, b):
-    """Alternating nested value of two equal-length sequences.
-
-    First entries are outermost:
-    max(a[0], min(b[0], max(a[1], ..., max(a[-1], b[-1])))).
-    Entries may be floats or broadcastable arrays.
-    """
-    a = [np.asarray(v, dtype=float) for v in a]
-    b = [np.asarray(v, dtype=float) for v in b]
-    if len(a) != len(b) or not a:
-        raise ValueError("need equal-length, nonempty sequences")
-    v = np.maximum(a[-1], b[-1])
-    for k in range(len(a) - 2, -1, -1):
-        v = np.maximum(a[k], np.minimum(b[k], v))
-    return v if v.shape else float(v)
-
-
-def minmax_scalar_monotone(a, b):
-    """Same nested value, computed from running extrema.
-
-    Replaces a by its running maxima and b by its running minima (from
-    the outside in) before nesting. Equal to ``minmax_scalar`` for
-    arbitrary inputs; the monotone sequences are what the reordering
-    construction produces.
-    """
-    a = np.stack([np.asarray(v, dtype=float) for v in a])
-    b = np.stack([np.asarray(v, dtype=float) for v in b])
-    if a.shape != b.shape:
-        raise ValueError("need equal-length sequences")
-    return minmax_scalar(np.maximum.accumulate(a, axis=0),
-                         np.minimum.accumulate(b, axis=0))
-
-
 class Hamiltonian:
     """What every Hamiltonian derives from its ``bind(x, medium)``."""
 
-    def evaluate(self, p, x=None, medium=None):
+    def evaluate(self, p, x, medium):
         return self.bind(x, medium)(np.asarray(p, dtype=float))
 
     def bind_base(self, pbase, x, medium):
@@ -186,21 +152,6 @@ class Piece(Hamiltonian):
             lo, hi = spec.channel_bounds(self.channel)
             lip *= self.scale * max(abs(lo), abs(hi))
         return lip
-
-    def with_extra_const(self, delta):
-        return Piece(self.profile, self.coupling, self.channel, self.scale,
-                     self.extra_const + delta)
-
-    def negate_dual(self):
-        """p -> -H(-p, x); swaps the convexity role."""
-        scale = -self.scale if self.coupling == "additive" else self.scale
-        return Piece(self.profile.negate_dual(), self.coupling, self.channel,
-                     scale, -self.extra_const)
-
-    def even_dual(self):
-        """p -> H(-p, x); keeps the convexity role."""
-        return Piece(self.profile.even_dual(), self.coupling, self.channel,
-                     self.scale, self.extra_const)
 
 
 class CombinedPiece(Hamiltonian):
@@ -424,8 +375,8 @@ def _columns(pieces, x, medium):
 class _LevelKernel:
     """A family's levels bound on the nodes x: ``kernel(p, rows=None)``
     is H(p + base[rows], x) as a fresh array (a float when it is 0-d),
-    bit for bit the fold of the pieces' own bindings by
-    ``minmax_scalar``. ``rows`` picks the rows of the base that the rows
+    bit for bit the nested fold of the pieces' own bindings, level ell
+    outermost. ``rows`` picks the rows of the base that the rows
     of p take; without a base, or with a scalar one, it is ignored.
 
     Binding evaluates each coupled channel once and reads every plain
@@ -597,28 +548,3 @@ def outermost_levels(family, p, x, medium):
         level = np.where(w != v, k, level)
         v = w
     return level
-
-
-class GradientShift(Hamiltonian):
-    """H'(p, x) = H(p - delta, x), with the shift folded into the base point.
-
-    Folding keeps a shifted solve bit-identical to the original one when
-    pbase - delta reproduces the original base point exactly in floating
-    point.
-    """
-
-    def __init__(self, inner, delta):
-        self.inner = inner
-        self.delta = float(delta)
-
-    def bind(self, x, medium):
-        f, delta = self.inner.bind(x, medium), self.delta
-        return lambda p: f(p - delta)
-
-    def bind_base(self, pbase, x, medium):
-        return self.inner.bind_base(np.asarray(pbase, dtype=float)
-                                    - self.delta, x, medium)
-
-    def lipschitz(self, medium=None):
-        return self.inner.lipschitz(medium)
-

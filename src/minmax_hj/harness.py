@@ -9,11 +9,13 @@ sha256 checksums of every result file. Result files are deterministic
 for a fixed config and seed set; timings live only in the manifest.
 
 Once a command holds the lock it unlinks the old manifest, so a run
-that fails or is killed leaves none, and every file it writes is
-unlinked and made anew (``_recreate``), never truncated or renamed
-over: on ext4 with its default ``auto_da_alloc`` each truncation to
-zero and each rename over an existing file forces the new data to
-disk, which no command needs. ``plotdata`` takes the lock too.
+that fails or is killed leaves none, and every file of
+``RESULT_FILES``, so the directory holds only its last command's
+files. Every file it writes is made anew (``_recreate``), never
+truncated or renamed over: on ext4 with its default ``auto_da_alloc``
+each truncation to zero and each rename over an existing file forces
+the new data to disk, which no command needs. ``plotdata`` takes the
+lock too.
 
 ``sweep-eps`` marches the homogenized problem in a forked child beside
 the eps stack (``fork_join``), and inline when the process may run on
@@ -47,6 +49,11 @@ from .solver import (FALLBACK, Grid, solve_homogenized, solve_time_dependent,
                      upwind_diffs)
 
 _G17 = "%.17g"
+
+# every result file a command or plotdata writes
+RESULT_FILES = ("numeric.csv", "formula.csv", "compare.csv",
+                "err_vs_eps.csv", "hbar_curves.dat", "plateau.dat",
+                "eps_loglog.dat")
 
 
 class RunLock:
@@ -244,12 +251,14 @@ def _run(cfg, out_dir, command, stages, force=True):
     ``stages(analysis, out_dir, timings)``, and write the manifest:
     command, config, timings and the hypothesis block (verdicts,
     witnesses, contact constants), plus the keys ``stages`` returns (its
-    result files among them). The old manifest goes first: a run that
-    stops before its own is written leaves none."""
+    result files among them). The old manifest goes first, so a run
+    that stops before its own is written leaves none, and with it every
+    file of ``RESULT_FILES``, which an earlier command may have left."""
     out_dir = out_dir or cfg.output
     with RunLock(out_dir):
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(os.path.join(out_dir, "manifest.json"))
+        for name in ("manifest.json", *RESULT_FILES):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(out_dir, name))
         analysis = analyze_hypotheses(cfg)
         if not force and (err := gate_error(analysis)):
             raise err
@@ -579,9 +588,8 @@ def run_plotdata(run_dir):
     """Derive gnuplot-style .dat files from a completed run directory,
     holding its run lock, so that no command replaces a CSV while it is
     read. Only the CSVs the run's manifest lists are read, each checked
-    against the manifest's sha256, so the result files of an earlier,
-    different command in the directory are never plotted. A missing
-    directory raises ConfigError and is not made.
+    against its sha256 there. A missing directory raises ConfigError and
+    is not made.
 
     Pure text transform of the CSVs, so reruns are byte-identical.
     """

@@ -10,10 +10,10 @@ Three shapes cover everything the rest of the package builds:
 
 All three are exactly evaluable (piecewise linear in the scalar argument,
 with kinks at fixed gradients that ``kinks`` lists, and linear tails)
-and closed under the two dualities ``negate_dual`` (phi -> -phi(-p)) and
-``even_dual`` (phi -> phi(-p)). Valleys also give their branch inverses
-exactly, and the levels where those change slope, which the separable
-oracle relies on.
+and closed under the negation duality ``negate_dual`` (phi -> -phi(-p)),
+through which the separable oracle reads a quasiconcave piece. Valleys
+also give their branch inverses exactly, and the levels where those
+change slope, which the oracle relies on.
 
 Gradients are numbers. A profile is a plain callable, phi(p), on an
 array of them of any shape; the pieces of ``family`` build every
@@ -104,9 +104,6 @@ class AbsShift:
     def negate_dual(self):
         return NegatedAbs(-self.center, self.slope, -self.offset)
 
-    def even_dual(self):
-        return AbsShift(-self.center, self.slope, self.offset)
-
 
 class NegatedAbs:
     """offset - slope * |p - center|."""
@@ -135,9 +132,6 @@ class NegatedAbs:
 
     def negate_dual(self):
         return AbsShift(-self.center, self.slope, -self.offset)
-
-    def even_dual(self):
-        return NegatedAbs(-self.center, self.slope, self.offset)
 
 
 class PiecewiseMonotone:
@@ -244,9 +238,6 @@ class PiecewiseMonotone:
     def negate_dual(self):
         d = "hill" if self.direction == "valley" else "valley"
         return PiecewiseMonotone(-self.breaks[::-1], -self.values[::-1], d)
-
-    def even_dual(self):
-        return PiecewiseMonotone(-self.breaks[::-1], self.values[::-1], self.direction)
 
 
 _KINDS = {"abs_shift": AbsShift, "negated_abs": NegatedAbs,

@@ -30,9 +30,9 @@ base gradients, shape (n_rows, 1); an evaluation passes the indices
 order, when it passes none). The march binds the scalar base 0.0, which adds
 nothing, on an (n_eps, n) stack of node arrays (the nodes over each
 eps) whose row i applies to row i of dv, which is how it takes a whole
-eps schedule. Pieces and gradient shifts derive bind_base from their
-one formula, bind(x, medium); a level binds one in-place fold of its
-pieces, which evaluates them bit for bit as their own bindings do.
+eps schedule. Pieces derive bind_base from their one formula,
+bind(x, medium); a level binds one in-place fold of its pieces, which
+evaluates them bit for bit as their own bindings do.
 
 A ``CellProblem`` holds what every discount rate of a schedule shares:
 the binding on the cell grid, one probe of H at v = 0 (its sup, the

@@ -8,8 +8,7 @@ against a separate code path.
 import numpy as np
 
 from minmax_hj.errors import HypothesisError
-from minmax_hj.family import (CombinedPiece, PieceTable, minmax_scalar,
-                              validate_ordering)
+from minmax_hj.family import CombinedPiece, PieceTable, validate_ordering
 from minmax_hj.pairs import check_condition_e, contact_fields
 from minmax_hj.solver import _newton_direction
 
@@ -19,6 +18,23 @@ def nested_scalar(a, b):
     if len(a) == 1:
         return max(a[0], b[0])
     return max(a[0], min(b[0], nested_scalar(a[1:], b[1:])))
+
+
+def minmax_scalar(a, b):
+    """Alternating nested value of two equal-length sequences.
+
+    First entries are outermost:
+    max(a[0], min(b[0], max(a[1], ..., max(a[-1], b[-1])))).
+    Entries may be floats or broadcastable arrays.
+    """
+    a = [np.asarray(v, dtype=float) for v in a]
+    b = [np.asarray(v, dtype=float) for v in b]
+    if len(a) != len(b) or not a:
+        raise ValueError("need equal-length, nonempty sequences")
+    v = np.maximum(a[-1], b[-1])
+    for k in range(len(a) - 2, -1, -1):
+        v = np.maximum(a[k], np.minimum(b[k], v))
+    return v if v.shape else float(v)
 
 
 def nested_family_values(check_vals, hat_vals, s):
@@ -47,13 +63,6 @@ def hopf_lax_abs(u0_fn, x, t, box):
         ys = np.linspace(xi - t, xi + t, n_dense)
         out[i] = np.min(u0_fn(ys))
     return out
-
-
-def running_extrema_nested(a, b):
-    """Reference for the monotone form: running max/min then literal nesting."""
-    alphas = [max(a[:k + 1]) for k in range(len(a))]
-    betas = [min(b[:k + 1]) for k in range(len(b))]
-    return nested_scalar(alphas, betas)
 
 
 def lf_march(h, u0, grid, theta, T, n_steps):

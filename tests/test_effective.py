@@ -7,11 +7,10 @@ from minmax_hj.effective import (EffectiveCurve, _power_fit,
                                  estimate_effective,
                                  exact_effective_1d_separable,
                                  fit_schedule_data, theorem_formula,
-                                 theorem_formula_values,
-                                 verify_symmetries)
+                                 theorem_formula_values)
 from minmax_hj.errors import (ConfigError, ProfileShapeError,
                               SchemeParameterError)
-from minmax_hj.family import GradientShift, LevelHamiltonian, Piece, PieceTable
+from minmax_hj.family import LevelHamiltonian, Piece, PieceTable
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import contact_fields
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
@@ -301,16 +300,6 @@ class TestEstimate:
         assert not fit["reliable"][0]
         assert np.isfinite(fit["value"][0])
 
-    def test_shift_invariance_bit_exact(self, base_family, sin_sq_medium):
-        h1 = LevelHamiltonian(base_family)
-        grid = Grid(512)
-        sched = [0.1, 0.04, 0.02]
-        a = estimate_effective(h1, [0.5], sin_sq_medium, sched, grid)
-        b = estimate_effective(GradientShift(h1, 1.0), [1.5], sin_sq_medium,
-                               sched, grid)
-        assert a["value"] == b["value"]
-        assert a["error_bar"] == b["error_bar"]
-
     def test_gradient_axis_is_1d(self, sin_sq_medium):
         # every gradient of the axis gets its row, bit-identical to its
         # one-gradient call; any other shape is rejected by name
@@ -445,41 +434,3 @@ class TestCurveType:
             EffectiveCurve([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             EffectiveCurve([0.0, 1.0], [1.0, 1.0, 1.0])
-
-
-class TestSymmetries:
-    def test_even_x_independent_both_zero(self):
-        flat = Piece(AbsShift(0.0, 1.0, 0.25))
-        rep = verify_symmetries(flat, [-1.0, 0.0, 1.5], None,
-                                [0.3, 0.15, 0.08], Grid(128))
-        assert rep["negation"]["max"] == 0.0
-        assert rep["evenness"]["max"] == 0.0
-
-    def test_negation_involution_bit_exact(self, sin_sq_medium):
-        piece = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
-        twice = piece.negate_dual().negate_dual()
-        sched = [0.3, 0.15, 0.08]
-        a = estimate_effective(piece, [0.5], sin_sq_medium, sched, Grid(128))
-        b = estimate_effective(twice, [0.5], sin_sq_medium, sched, Grid(128))
-        assert a["value"] == b["value"]
-
-    def test_shifted_piece_duality(self, sin_sq_medium):
-        piece = Piece(AbsShift(1.0, 1.0, 0.0), "additive", 0)
-        rep = verify_symmetries(piece, [-1.0, 0.5, 2.0], sin_sq_medium,
-                                [0.1, 0.04, 0.02], Grid(512))
-        for disc, bar in zip(rep["negation"]["discrepancy"],
-                             rep["negation"]["bars"]):
-            assert disc <= 2.0 * bar + 5e-3
-        for disc, bar in zip(rep["evenness"]["discrepancy"],
-                             rep["evenness"]["bars"]):
-            assert disc <= 2.0 * bar + 5e-3
-        assert rep["negation"]["max"] <= 1.5e-2
-        assert rep["evenness"]["max"] <= 1.5e-2
-
-    def test_quasiconcave_skips_evenness(self, sin_sq_medium):
-        hat = Piece(NegatedAbs(0.0, 1.0, 1.0), "additive", 0)
-        rep = verify_symmetries(hat, [0.0, 1.0], sin_sq_medium,
-                                [0.3, 0.15, 0.08], Grid(128))
-        assert rep["evenness"] is None
-        assert rep["negation"]["max"] <= 1.5e-2
-

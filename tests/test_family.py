@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from minmax_hj.errors import HypothesisError, ProfileShapeError
-from minmax_hj.family import (CombinedPiece, GradientShift, LevelHamiltonian,
-                              MinMaxFamily, Piece, PieceTable,
-                              outermost_levels, reorder_family,
-                              validate_ordering)
+from minmax_hj.family import (CombinedPiece, LevelHamiltonian, MinMaxFamily,
+                              Piece, PieceTable, outermost_levels,
+                              reorder_family, validate_ordering)
 from minmax_hj.media import MediumSpec, medium_table, sample_realization
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 
@@ -59,11 +58,10 @@ def test_eval_levels_match_reference(two_channel_medium):
 def test_piece_evaluates_a_list_of_gradients():
     # a list is gradients, not the components of one gradient
     piece = Piece(AbsShift(0.0, 1.0, 0.0))
-    np.testing.assert_array_equal(piece.evaluate([0.0, 1.0]), [0.0, 1.0])
-    one = piece.evaluate([2.0])
+    np.testing.assert_array_equal(piece.evaluate([0.0, 1.0], None, None),
+                                  [0.0, 1.0])
+    one = piece.evaluate([2.0], None, None)
     assert one.shape == (1,) and one[0] == 2.0
-    shifted = GradientShift(piece, 1.0)
-    np.testing.assert_array_equal(shifted.evaluate([1.0, 3.0]), [0.0, 2.0])
 
 
 def test_reordering_preserves_top_level(two_channel_medium):
@@ -208,9 +206,10 @@ def test_ordering_on_repeated_states_matches_the_loop():
     for seed in range(6):
         medium = sample_realization(spec, seed)
         base = random_family(rng, 1, medium)
-        ordered = MinMaxFamily(
-            [base.checks[0].with_extra_const(-k) for k in range(3)],
-            [base.hats[0].with_extra_const(k) for k in range(3)])
+        ordered = MinMaxFamily(*[
+            [Piece(pc.profile, pc.coupling, pc.channel, pc.scale,
+                   pc.extra_const + sign * k) for k in range(3)]
+            for pc, sign in ((base.checks[0], -1), (base.hats[0], 1))])
         for fam in (TWO_PROBES_TWO_LEVELS, random_family(rng, 3, medium),
                     ordered):
             got, want = (_ordering_witness(fam, medium),
@@ -274,15 +273,6 @@ def test_mislabeled_pieces_rejected():
     with pytest.raises(ProfileShapeError):
         MinMaxFamily([Piece(AbsShift(0.0, 1.0, 0.0))],
                      [Piece(AbsShift(0.0, 1.0, 0.0))])
-
-
-def test_gradient_shift_identity(base_family, sin_sq_medium):
-    h = LevelHamiltonian(base_family)
-    shifted = GradientShift(h, 1.0)
-    p = np.linspace(-2, 2, 21)
-    x = 0.3
-    assert np.allclose(shifted.evaluate(p + 1.0, x, sin_sq_medium),
-                       h.evaluate(p, x, sin_sq_medium))
 
 
 def test_bound_evaluator_matches_evaluate(two_channel_medium):
@@ -424,32 +414,30 @@ class TestLevelKernel:
         x = np.linspace(0.0, 1.0, 17)
         P = rng.uniform(-3.0, 3.0, (9, 1))
         for fam in list(_kernel_families(rng, two_channel_medium))[::3]:
+            ham = LevelHamiltonian(fam)
             # and a scalar base that adds nothing, where rows are ignored
-            for ham, zero in ((LevelHamiltonian(fam), 0.0),
-                              (GradientShift(LevelHamiltonian(fam), 0.37),
-                               0.37)):
-                for base in (P, zero):
-                    f = ham.bind_base(base, x, two_channel_medium)
-                    f((rng.uniform(-2.0, 2.0, (9, x.size)),))
-                    for rows in (np.array([0, 4, 5, 8]), np.array([3]),
-                                 np.arange(9)):
-                        dv = rng.uniform(-2.0, 2.0, (rows.size, x.size))
-                        fresh = ham.bind_base(
-                            base if base is zero else base[rows], x,
-                            two_channel_medium)
-                        assert f((dv,), rows).tobytes() \
-                            == fresh((dv,)).tobytes()
+            for base in (P, 0.0):
+                f = ham.bind_base(base, x, two_channel_medium)
+                f((rng.uniform(-2.0, 2.0, (9, x.size)),))
+                for rows in (np.array([0, 4, 5, 8]), np.array([3]),
+                             np.arange(9)):
+                    dv = rng.uniform(-2.0, 2.0, (rows.size, x.size))
+                    fresh = ham.bind_base(
+                        base[rows] if base is P else base, x,
+                        two_channel_medium)
+                    assert f((dv,), rows).tobytes() \
+                        == fresh((dv,)).tobytes()
 
     def test_nonzero_scalar_base_serves_every_row(self, two_channel_medium):
-        # a piece's own binding and a level kernel (a shift folds its
-        # delta into the zero base) given a scalar base and rows
+        # a piece's own binding and a level kernel given a scalar base
+        # and rows
         rng = np.random.default_rng(53)
         x = np.linspace(0.0, 1.0, 17)
         fam = random_family(rng, 2, two_channel_medium)
         dv = rng.uniform(-2.0, 2.0, (4, x.size))
         for ham, base in ((Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0),
                            0.5),
-                          (GradientShift(LevelHamiltonian(fam), 0.37), 0.0)):
+                          (LevelHamiltonian(fam), -0.37)):
             f = ham.bind_base(base, x, two_channel_medium)
             assert f((dv,), np.array([0, 4, 5, 8])).tobytes() \
                 == f((dv,)).tobytes()

@@ -1136,13 +1136,13 @@ class TestReplacedFiles:
             manifests = [run_check(cfg), run_effective(cfg)]
             run_plotdata(str(out))
             manifests.append(run_sweep_eps(cfg))
+            # the second plotdata replaces what the first wrote
+            run_plotdata(str(out))
             run_plotdata(str(out))
             runs.append(({p.name: p.read_bytes() for p in out.iterdir()
                           if p.name != "manifest.json"}, manifests))
         (first, first_manifests), (second, second_manifests) = runs
-        assert sorted(first) == [
-            "compare.csv", "eps_loglog.dat", "err_vs_eps.csv",
-            "formula.csv", "hbar_curves.dat", "numeric.csv", "plateau.dat"]
+        assert sorted(first) == ["eps_loglog.dat", "err_vs_eps.csv"]
         assert second == first
         for m1, m2 in zip(first_manifests, second_manifests):
             del m1["timings"], m2["timings"]
@@ -1184,17 +1184,27 @@ class TestPlotdata:
         assert all(Path(p).read_bytes() == before[p] for p in second)
 
     def test_plots_only_the_files_of_the_last_run(self, tmp_path):
-        # the effective CSVs stay beside the sweep's, unlisted in its
-        # manifest, and are not plotted
+        # the sweep unlinks the effective CSVs and the curves plotted
+        # from them
         out = tmp_path / "run"
         cfg = ExperimentConfig(small_config(output=str(out)))
         run_effective(cfg)
+        run_plotdata(str(out))
         run_sweep_eps(cfg)
         written = run_plotdata(str(out))
         assert written == [str(out / "eps_loglog.dat")]
         assert sorted(os.listdir(out)) == [
-            "compare.csv", "eps_loglog.dat", "err_vs_eps.csv",
-            "formula.csv", "manifest.json", "numeric.csv"]
+            "eps_loglog.dat", "err_vs_eps.csv", "manifest.json"]
+
+    def test_check_leaves_only_its_manifest(self, tmp_path):
+        # of the result files: a file that no command writes stays
+        out = tmp_path / "run"
+        cfg = ExperimentConfig(small_config(output=str(out)))
+        run_effective(cfg)
+        run_plotdata(str(out))
+        (out / "notes.txt").write_text("kept\n")
+        run_check(cfg)
+        assert sorted(os.listdir(out)) == ["manifest.json", "notes.txt"]
 
     def test_changed_result_file_exits_4_naming_it(self, tmp_path):
         out = tmp_path / "run"

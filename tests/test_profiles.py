@@ -63,15 +63,6 @@ def test_negate_dual_pointwise():
     assert np.allclose(dual.negate_dual()(p), phi(p), atol=1e-12)
 
 
-def test_even_dual_pointwise():
-    rng = np.random.default_rng(1)
-    p = rng.uniform(-4, 4, 64)
-    dual = AbsShift(0.7, 1.3, -0.2).even_dual()
-    assert np.array_equal(dual(p), AbsShift(0.7, 1.3, -0.2)(-p))
-    phi = PiecewiseMonotone([-2.0, -0.5, 1.0], [2.0, -1.0, 1.5])
-    assert np.allclose(phi.even_dual()(p), phi(-p), atol=1e-12)
-
-
 def test_abs_branch_inverses():
     phi = AbsShift(1.0, 2.0, -0.5)
     left, right = phi.branch_inverses(np.array([-0.5, 1.5, 3.5]))
