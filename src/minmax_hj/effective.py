@@ -134,8 +134,8 @@ def _power_fit(lams, Y):
 def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
                        theta=None):
     """Extrapolate -lam * v_lam(0) along the discount schedule, with
-    dissipation theta (see ``solve_discounted``), for every gradient of
-    the 1-D array p.
+    dissipation theta (see ``solver.CellProblem``), for every gradient
+    of the 1-D array p.
 
     All gradients are solved in one batch per discount rate, each row
     warm-started from its own solution at the previous rate, and the
@@ -162,8 +162,7 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
     runs, data = [], []
     v = None
     for lam in lams:
-        v, info = solve_discounted(hamiltonian, p, lam, cell.grid, medium,
-                                   theta=theta, v0=v, cell=cell)
+        v, info = solve_discounted(cell, lam, v)
         runs.append(info)
         # an exactly constant problem reports its value without the
         # lossy -lam * (value / lam) round trip

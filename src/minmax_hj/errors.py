@@ -28,11 +28,7 @@ class HypothesisError(MinMaxHJError):
 
 
 class NonConvergenceError(MinMaxHJError):
-    """Fixed-point iteration failed to reach tolerance; carries residual history."""
-
-    def __init__(self, message, residual_history=None):
-        self.residual_history = list(residual_history or [])
-        super().__init__(message)
+    """A solve failed to reach its tolerance; the message names the row."""
 
 
 class SchemeParameterError(MinMaxHJError, ValueError):

@@ -13,9 +13,8 @@ value unchanged; ``reorder_family`` does that with combined pieces.
 
 A piece and a combined piece each write their formula once, as
 ``bind(x, medium)``: H(., x) as a function of a plain gradient array,
-with the x-dependence frozen on x. ``evaluate`` and the
-solvers' ``bind_base`` derive from it in the shared base
-``Hamiltonian``.
+with the x-dependence frozen on x. The solvers' ``bind_base`` derives
+from it in the shared base ``Hamiltonian``.
 
 A level's binding, the one path every solve evaluates a family
 through, writes the fold of its pieces out directly, in place
@@ -51,9 +50,6 @@ from .profiles import QUASICONCAVE, QUASICONVEX, AbsShift, NegatedAbs
 
 class Hamiltonian:
     """What every Hamiltonian derives from its ``bind(x, medium)``."""
-
-    def evaluate(self, p, x, medium):
-        return self.bind(x, medium)(np.asarray(p, dtype=float))
 
     def bind_base(self, pbase, x, medium):
         """The solvers' binding: f(dv, rows=None) = H(dv[0] + pbase, x),
@@ -506,7 +502,7 @@ class _LevelKernel:
         return out if out.ndim else float(out)
 
 
-class LevelHamiltonian(Hamiltonian):
+class LevelHamiltonian:
     """The whole family's nesting, level ell outermost, evaluated by
     one in-place fold per binding (``_LevelKernel``)."""
 
@@ -522,9 +518,6 @@ class LevelHamiltonian(Hamiltonian):
                            None if _zero(pbase)
                            else np.asarray(pbase, dtype=float))
         return lambda dv, rows=None: run(dv[0], rows)
-
-    def bind(self, x, medium):
-        return _LevelKernel(*self._pieces, x, medium)
 
     def lipschitz(self, medium=None):
         checks, hats = self._pieces

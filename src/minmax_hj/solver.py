@@ -15,11 +15,11 @@ on the mean-projected residual (the constant mode carries no
 information and would otherwise force step counts to scale like 1/lam),
 then removes the mean with a single exact shift of the constant mode.
 
-Both take a 1-D array of problems, base gradients or eps, and work on a
-stack of fields, one row per problem; every row is bit-identical to
-solving its problem alone, and one problem is a stack of one. The eps
-do not change theta or the spacing, so every row of the march takes the
-same steps. Results are plain arrays.
+Both solve a 1-D array of problems, a cell problem's base gradients or
+a march's eps, as a stack of fields, one row per problem; every row is
+bit-identical to solving its problem alone, and one problem is a stack
+of one. The eps do not change theta or the spacing, so every row of the
+march takes the same steps. Results are plain arrays.
 
 Hamiltonian objects enter through a small protocol: bind_base(pbase,
 x, medium) -> f(dv, rows=None) = H(dv[0] + pbase[rows], x) with dv a
@@ -34,12 +34,15 @@ eps schedule. Pieces derive bind_base from their one formula,
 bind(x, medium); a level binds one in-place fold of its pieces, which
 evaluates them bit for bit as their own bindings do.
 
-A ``CellProblem`` holds what every discount rate of a schedule shares:
-the binding on the cell grid, one probe of H at v = 0 (its sup, the
-tolerance, the x-independent rows) and one workspace. The workspace is
-sized at the full row count on the cell grid; the residual, the Newton
-step and the coarser grids of the nested start all work in it, and the
-banded solve is LAPACK gtsv on its buffers.
+A ``CellProblem``, the discounted solve's one description of its
+problem, holds what every discount rate of a schedule shares: the
+binding on the cell grid, one probe of H at v = 0 (its sup, the
+tolerance, the x-independent rows) and one workspace. The cell grid is
+one medium period where the grid holds whole periods, and the solve
+returns the solution there: tiled, it solves the whole grid. The
+workspace is sized at the full row count on the cell grid; the
+residual, the Newton step and the coarser grids of the nested start all
+work in it, and the banded solve is LAPACK gtsv on its buffers.
 
 Each Newton step's line search takes two rounds. Round 1 tries the full
 step for every row. Round 2 tries every halving 1/2, ..., 1/1024 for
@@ -55,6 +58,7 @@ exact reciprocal, whose products have the quotients' bits.
 
 import copy
 import math
+from collections import deque
 
 import numpy as np
 
@@ -197,10 +201,12 @@ def _cell_grid(grid, medium):
 
 class CellProblem:
     """H_LF(p + Dv, x) for the base gradients of the 1-D array p0, one
-    row per gradient, on the cell grid of ``grid`` (``_cell_grid``): what
-    every discount rate of a schedule shares. ``at(lam)`` is the problem
-    lam*v + H_LF(p + Dv, x) = 0 at one rate, and ``on(grid)`` the same on
-    a coarser grid of the nested start.
+    row per gradient, on the cell grid of ``grid`` (``_cell_grid``), with
+    the Lax-Friedrichs dissipation theta, by default the Hamiltonian's
+    Lipschitz bound: what every discount rate of a schedule shares, and
+    all that ``solve_discounted`` is told of its problem. ``at(lam)`` is
+    the problem lam*v + H_LF(p + Dv, x) = 0 at one rate, and ``on(grid)``
+    the same on a coarser grid of the nested start.
 
     The Hamiltonian is bound once per grid, for all rows: ``bound(dv,
     rows)`` evaluates it for the rows ``rows`` of the column P. H is
@@ -514,13 +520,9 @@ def _relax_projected(cell, rows, v, tol):
     its = np.zeros(rows.size, dtype=int)
     res = np.zeros(rows.size)
     act = np.arange(rows.size)
-    history = []
-
-    def fail(i, why):
-        raise NonConvergenceError(
-            f"p0={cell.P[rows[i]].tolist()}: {why}",
-            residual_history=[float(h[i]) for h in history])
-
+    # each row's residual at the last back + 1 checks: a row stalls
+    # when its residual has not fallen since the oldest
+    history = deque(maxlen=back + 1)
     it = 0
     while act.size:
         va = v[act]
@@ -533,11 +535,12 @@ def _relax_projected(cell, rows, v, tol):
             history[-1][act] = dev
             if len(history) > back:
                 stalled = (dev > tol[act]) \
-                    & (dev > 0.9995 * history[-1 - back][act])
+                    & (dev > 0.9995 * history[0][act])
                 if np.any(stalled):
                     j = int(np.argmax(stalled))
-                    fail(act[j], f"residual stalled near {dev[j]:.3g} "
-                                 f"after {it} iterations")
+                    _fail_row(cell, rows, act[j],
+                              f"residual stalled near {dev[j]:.3g} "
+                              f"after {it} iterations")
         done = np.zeros(act.size, dtype=bool)
         near = np.flatnonzero(dev <= 0.5 * tol[act])
         if near.size:
@@ -550,8 +553,9 @@ def _relax_projected(cell, rows, v, tol):
             done[near[fin]] = True
         if it >= MAX_SWEEPS and not np.all(done):
             j = int(np.argmin(done))
-            fail(act[j], f"no convergence in {it} iterations "
-                         f"(residual {dev[j]:.3g})")
+            _fail_row(cell, rows, act[j],
+                      f"no convergence in {it} iterations "
+                      f"(residual {dev[j]:.3g})")
         v[act[~done]] = va[~done] - tau * r[~done]
         act = act[~done]
         it += 1
@@ -567,47 +571,36 @@ def _rows(a, what):
     return a
 
 
-def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
-                     v0=None, cell=None):
-    """Solve lam*v + H_LF(p0 + Dv, x) = 0 on the torus to a certified
-    residual, for every base gradient of the 1-D array p0 as one batch.
+def solve_discounted(cell, lam, v0=None):
+    """Solve lam*v + H_LF(p + Dv, x) = 0 on the cell grid of the
+    ``CellProblem`` cell, its one description of the problem, to a
+    certified residual, for all its base gradients as one batch. Made
+    once for a schedule, the cell problem lends every rate its binding,
+    its probe of H at v = 0 and its workspace.
 
-    v0, if given, is a start of shape (n_p, grid.n). Every row is solved
-    as it would be alone. theta is the Lax-Friedrichs dissipation, by
-    default the Hamiltonian's Lipschitz bound. cell, if given, is a
-    ``CellProblem`` of the same Hamiltonian, gradients, medium and theta
-    on a grid whose cell grid is grid's, made once for a schedule of
-    rates: the solve then reuses its binding, its probe of H at v = 0
-    and its workspace, with the same bits as without it.
+    v0, if given, is a start of shape (n_p, cell.grid.n). Every row is
+    solved as it would be alone. A damped Newton iteration on the
+    Lax-Friedrichs residual does the work (each step one banded solve
+    for all rows), starting from v0 or, without one, from the
+    nested-iteration start on coarser grids. A row whose Newton from v0
+    declines is retried once from the nested start; a row that still
+    declines falls back to monotone pseudo-time relaxation. Whatever the
+    path, every returned row satisfies its residual tolerance
+    1e-8 * max(1, sup|H(p,.)|) and the comparison bound
+    |lam*v| <= sup|H(p,.)| + tol, or an error names the base gradient.
 
-    When the grid holds a whole number of medium periods, the problem is
-    solved on one period at the same spacing and the result tiled back.
-    A damped Newton iteration on the Lax-Friedrichs residual does the
-    work (each step one banded solve for all rows), starting from v0 or,
-    without one, from the nested-iteration start on coarser grids. A row
-    whose Newton from v0 declines is retried once from the nested start;
-    a row that still declines falls back to monotone pseudo-time
-    relaxation. Whatever the path, every returned row satisfies its
-    residual tolerance 1e-8 * max(1, sup|H(p0,.)|) and the comparison
-    bound |lam*v| <= sup|H(p0,.)| + tol, or an error naming the base
-    gradient carries the residual history out.
-
-    Returns the (n_p, grid.n) solutions and a dict of per-row arrays:
-    "method" (the path: "constant", "newton", RETRY or FALLBACK),
-    "iterations", "residual", "tol", and "constant" (the exact value
-    H(p0) of an x-independent row, NaN on the others).
+    Returns the (n_p, cell.grid.n) solutions and a dict of per-row
+    arrays: "method" (the path: "constant", "newton", RETRY or
+    FALLBACK), "iterations", "residual", "tol", and "constant" (the
+    exact value H(p) of an x-independent row, NaN on the others).
     """
     if not lam > 0:
         raise SchemeParameterError("discount rate must be positive")
-    if cell is None:
-        cell = CellProblem(hamiltonian, p0, grid, medium, theta)
     cell = cell.at(lam)
     P, tol, const, h0_first = cell.P, cell.tol, cell.const, cell.h0_first
 
-    v = np.zeros((len(P), cell.grid.n))
-    if v0 is not None:
-        v0 = np.asarray(v0, dtype=float).reshape(len(P), grid.n)
-        v = np.array(v0[:, :cell.grid.n])     # one period of it
+    v = np.zeros((len(P), cell.grid.n)) if v0 is None \
+        else np.array(v0, dtype=float)
     its = np.zeros(len(P), dtype=int)
     res = np.zeros(len(P))
     used = np.empty(len(P), dtype=object)
@@ -653,11 +646,6 @@ def solve_discounted(hamiltonian, p0, lam, grid, medium=None, theta=None,
         raise NonConvergenceError(
             f"p0={P[i].tolist()}: |lam*v| = {sup_lv[i]:.6g} exceeds the "
             f"comparison bound {bound[i]:.6g}")
-
-    copies = grid.n // cell.grid.n
-    del cell    # a workspace of its own is freed before the tiled copy
-    if copies > 1:
-        v = np.tile(v, copies)
     return v, {"method": used, "iterations": its, "residual": res,
                "tol": tol, "constant": np.where(const, h0_first, np.nan)}
 

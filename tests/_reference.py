@@ -221,7 +221,7 @@ def contact_fields_per_x(family, media, x_nodes, p_box, n_p):
             M_arr[0] = peak
         for j, xj in enumerate(x_nodes):
             def piece(pc):
-                return lambda p: pc.evaluate(p, xj, medium)
+                return pc.bind(xj, medium)
             for k in range(ell):
                 pairs = [("level pair", family.checks[k])]
                 if k > 0:
@@ -247,8 +247,8 @@ def contact_fields_per_x(family, media, x_nodes, p_box, n_p):
                             "contact_value_V": rep["contact_value_V"],
                             "outside_gap": rep["outside_gap"]})
             if peak is None:
-                M_arr[0, j] = float(np.max(family.hats[0].evaluate(P, xj,
-                                                                   medium)))
+                M_arr[0, j] = float(np.max(family.hats[0].bind(xj,
+                                                               medium)(P)))
         m_fields.append(m_arr)
         M_fields.append(M_arr)
     return m_fields, M_fields, witnesses
@@ -263,7 +263,7 @@ def condition_e_per_x(family, medium, x_nodes, m_1, p_box, n_p):
         scale = max(1.0, abs(m1))
         for name, piece in (("check", family.checks[0]),
                             ("hat", family.hats[0])):
-            vals = piece.evaluate(P, xj, medium)
+            vals = piece.bind(xj, medium)(P)
             hit = np.abs(vals - m1) <= 1e-9 * scale
             interior = hit[1:-1] & hit[:-2] & hit[2:]
             if interior.any():
@@ -281,9 +281,9 @@ def ordering_witness_per_x(family, medium, p_samples, x_samples):
     the lower level first, then the first gradient."""
     p_samples = np.asarray(p_samples, dtype=float)
     for xs in np.asarray(x_samples, dtype=float):
-        values = {"check": [pc.evaluate(p_samples, xs, medium)
+        values = {"check": [pc.bind(xs, medium)(p_samples)
                             for pc in family.checks],
-                  "hat": [pc.evaluate(p_samples, xs, medium)
+                  "hat": [pc.bind(xs, medium)(p_samples)
                           for pc in family.hats]}
         for kind, vals in values.items():
             for k in range(len(vals) - 1):

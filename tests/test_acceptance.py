@@ -19,7 +19,7 @@ from minmax_hj.family import LevelHamiltonian, Piece, reorder_family
 from minmax_hj.harness import run_effective, run_sweep_eps
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.profiles import AbsShift
-from minmax_hj.solver import Grid, lf_update, solve_discounted
+from minmax_hj.solver import CellProblem, Grid, lf_update, solve_discounted
 
 from _reference import nested_family_values
 from conftest import piece_curve, random_family, random_piece, run_cli
@@ -64,11 +64,11 @@ def test_reordering_preserves_nested_values():
         fam = random_family(rng, ell, medium)
         p = rng.uniform(-4, 4, 1000)
         x = rng.uniform(0, 1, 1000)
-        cv = [pc.evaluate(p, x, medium) for pc in fam.checks]
-        hv = [pc.evaluate(p, x, medium) for pc in fam.hats]
+        cv = [pc.bind(x, medium)(p) for pc in fam.checks]
+        hv = [pc.bind(x, medium)(p) for pc in fam.hats]
         want = nested_family_values(cv, hv, ell)
-        got = LevelHamiltonian(reorder_family(fam)).evaluate(p, x,
-                                                                  medium)
+        got = LevelHamiltonian(reorder_family(fam)).bind_base(
+            0.0, x, medium)((p,))
         mismatches += int(np.count_nonzero(got != want))
     conclude("running-extrema reordering (100 families x 1000 samples)",
              mismatches == 0, f"{mismatches} mismatches", "0 (exact)",
@@ -193,10 +193,12 @@ def test_solver_contract_probes():
 
         # comparison: lowering H by c raises v by c / lam
         c = float(rng.uniform(0.1, 1.0))
-        sol, sol_info = solve_discounted(piece, [p], lam, grid, medium)
+        sol, sol_info = solve_discounted(
+            CellProblem(piece, [p], grid, medium), lam)
         lowered = Piece(piece.profile, piece.coupling, piece.channel,
                         piece.scale, piece.extra_const - c)
-        low, low_info = solve_discounted(lowered, [p], lam, grid, medium)
+        low, low_info = solve_discounted(
+            CellProblem(lowered, [p], grid, medium), lam)
         slack = (sol_info["tol"][0] + low_info["tol"][0]) / lam
         diff = low - sol
         if not (np.all(diff >= -slack)
@@ -205,8 +207,7 @@ def test_solver_contract_probes():
             violations += 1
 
         # uniform bound: |lam v| never exceeds sup |H(p, .)|
-        sup_h = float(np.max(np.abs(
-            piece.evaluate(p, grid.x, medium))))
+        sup_h = float(np.max(np.abs(piece.bind(grid.x, medium)(p))))
         if float(np.max(np.abs(lam * sol))) > \
                 sup_h + sol_info["tol"][0] + 1e-12:
             violations += 1

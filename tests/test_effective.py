@@ -14,7 +14,7 @@ from minmax_hj.family import LevelHamiltonian, Piece, PieceTable
 from minmax_hj.media import MediumSpec, sample_realization
 from minmax_hj.pairs import contact_fields
 from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
-from minmax_hj.solver import Grid, solve_discounted
+from minmax_hj.solver import CellProblem, Grid, solve_discounted
 
 from _reference import bisection_oracle, power_fit
 from conftest import piece_curve, random_piece
@@ -211,7 +211,7 @@ class TestEstimate:
         assert np.all((0.4 <= est["alpha"]) & (est["alpha"] <= 1.1))
         # the extrapolated value is within 0.05 of -lam * v_lam at every
         # node at the smallest rate
-        v, _ = solve_discounted(h1, p, 0.02, grid, sin_sq_medium)
+        v, _ = solve_discounted(CellProblem(h1, p, grid, sin_sq_medium), 0.02)
         assert np.all(np.abs(0.02 * v + est["value"][:, None]) <= 0.05)
 
     def test_oracle_agreement_within_bars(self, sin_sq_medium):

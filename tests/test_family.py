@@ -14,28 +14,35 @@ from conftest import CountingMedium, random_family
 
 
 def _piece_values(family, p, x, medium):
-    cv = [pc.evaluate(p, x, medium) for pc in family.checks]
-    hv = [pc.evaluate(p, x, medium) for pc in family.hats]
+    cv = [pc.bind(x, medium)(p) for pc in family.checks]
+    hv = [pc.bind(x, medium)(p) for pc in family.hats]
     return cv, hv
+
+
+def _level(family, x, medium):
+    """The family's level Hamiltonian bound on x as the march binds it,
+    at the scalar base 0, as a function of the gradient."""
+    f = LevelHamiltonian(family).bind_base(0.0, x, medium)
+    return lambda p: f((p,))
 
 
 def test_additive_piece_evaluation(sin_sq_medium):
     check = Piece(AbsShift(0.0, 1.0, -1.0), "additive", 0)
     # V(0.5) = sin^2(pi/2) = 1
-    assert np.isclose(check.evaluate(2.0, 0.5, sin_sq_medium), 2.0)
-    assert np.isclose(check.evaluate(0.0, 0.0, sin_sq_medium), -1.0)
+    assert np.isclose(check.bind(0.5, sin_sq_medium)(2.0), 2.0)
+    assert np.isclose(check.bind(0.0, sin_sq_medium)(0.0), -1.0)
 
 
 def test_amplitude_piece_evaluation(two_channel_medium):
     pc = Piece(AbsShift(0.0, 1.0, 0.5), "amplitude", 2, scale=2.0)
     # channel 2 at x=0 is 0.5; 2*0.5*(|p|+0.5) at p=1 -> 1.5
-    assert np.isclose(pc.evaluate(1.0, 0.0, two_channel_medium), 1.5)
+    assert np.isclose(pc.bind(0.0, two_channel_medium)(1.0), 1.5)
 
 
 def test_base_family_values(base_family, sin_sq_medium):
     p = np.array([0.0, 1.0, 2.5])
     x = 0.25  # V = 1/2
-    got = LevelHamiltonian(base_family).evaluate(p, x, sin_sq_medium)
+    got = _level(base_family, x, sin_sq_medium)(p)
     want = 0.5 + np.maximum(np.abs(p) - 1.0, 1.0 - np.abs(p))
     assert np.allclose(got, want)
 
@@ -50,17 +57,16 @@ def test_eval_levels_match_reference(two_channel_medium):
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
         for s in range(1, ell + 1):
             level = MinMaxFamily(fam.checks[:s], fam.hats[:s])
-            got = LevelHamiltonian(level).evaluate(p, x, two_channel_medium)
+            got = _level(level, x, two_channel_medium)(p)
             want = nested_family_values(cv, hv, s)
             assert np.array_equal(got, want)
 
 
 def test_piece_evaluates_a_list_of_gradients():
-    # a list is gradients, not the components of one gradient
-    piece = Piece(AbsShift(0.0, 1.0, 0.0))
-    np.testing.assert_array_equal(piece.evaluate([0.0, 1.0], None, None),
-                                  [0.0, 1.0])
-    one = piece.evaluate([2.0], None, None)
+    # an array is gradients, not the components of one gradient
+    f = Piece(AbsShift(0.0, 1.0, 0.0)).bind(None, None)
+    np.testing.assert_array_equal(f(np.array([0.0, 1.0])), [0.0, 1.0])
+    one = f(np.array([2.0]))
     assert one.shape == (1,) and one[0] == 2.0
 
 
@@ -76,7 +82,7 @@ def test_reordering_preserves_top_level(two_channel_medium):
         fam = random_family(rng, ell, two_channel_medium)
         cv, hv = _piece_values(fam, p, x, two_channel_medium)
         reordered = reorder_family(fam)
-        got = LevelHamiltonian(reordered).evaluate(p, x, two_channel_medium)
+        got = _level(reordered, x, two_channel_medium)(p)
         want = nested_family_values(cv, hv, ell)
         assert np.array_equal(got, want)
 
@@ -283,7 +289,7 @@ def test_bound_evaluator_matches_evaluate(two_channel_medium):
     f = h.bind_base(np.array([[0.7]]), x, two_channel_medium)
     dv = rng.uniform(-2, 2, 33)
     assert np.array_equal(f((dv[None, :],))[0],
-                          h.evaluate(0.7 + dv, x, two_channel_medium))
+                          _level(fam, x, two_channel_medium)(0.7 + dv))
 
 
 def test_lipschitz_bound_covers_samples(two_channel_medium):
@@ -294,7 +300,7 @@ def test_lipschitz_bound_covers_samples(two_channel_medium):
         lip = h.lipschitz(two_channel_medium)
         p = np.sort(rng.uniform(-4, 4, 200))
         x = rng.uniform(0, 1)
-        vals = h.evaluate(p, x, two_channel_medium)
+        vals = _level(fam, x, two_channel_medium)(p)
         rates = np.abs(np.diff(vals)) / np.diff(p)
         assert np.all(rates <= lip + 1e-9)
 
@@ -323,8 +329,8 @@ def test_outermost_level_is_the_last_to_change_the_value(two_channel_medium):
             want[nested[k - 1] != nested[k - 2]] = k
         got = outermost_levels(fam, p, x, two_channel_medium)
         assert np.array_equal(got, want)
-        assert nested[-1].tobytes() == LevelHamiltonian(fam).evaluate(
-            p, x, two_channel_medium).tobytes()
+        assert nested[-1].tobytes() \
+            == _level(fam, x, two_channel_medium)(p).tobytes()
         seen.update(np.unique(got).tolist())
     assert len(families) == 40
     assert seen == {1, 2, 3}
@@ -386,7 +392,7 @@ class TestLevelKernel:
                                 [0.0, -0.0]))[:, None] + np.zeros(x.shape)
             want = level_fold(fam, x, two_channel_medium)(p)
             h = LevelHamiltonian(fam)
-            got = h.bind(x, two_channel_medium)(p)
+            got = _level(fam, x, two_channel_medium)(p)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             base = rng.uniform(-2.0, 2.0, (p.shape[0], 1))
@@ -400,13 +406,12 @@ class TestLevelKernel:
     def test_broadcasts_like_the_fold(self, two_channel_medium):
         rng = np.random.default_rng(43)
         fam = random_family(rng, 2, two_channel_medium)
-        h = LevelHamiltonian(fam)
         p = np.linspace(-3.0, 3.0, 7)[:, None, None]
         x = np.linspace(0.0, 1.0, 5)[None, :, None] + np.zeros((1, 1, 2))
         want = level_fold(fam, x, two_channel_medium)(p)
-        assert h.evaluate(p, x, two_channel_medium).tobytes() \
+        assert _level(fam, x, two_channel_medium)(p).tobytes() \
             == want.tobytes()
-        assert h.evaluate(0.3, 0.2, two_channel_medium) \
+        assert _level(fam, 0.2, two_channel_medium)(0.3) \
             == level_fold(fam, 0.2, two_channel_medium)(np.asarray(0.3))
 
     def test_subset_rows_equal_a_fresh_binding(self, two_channel_medium):
