@@ -4,9 +4,10 @@ A config names everything a run needs: the piece family, the medium,
 the solver and gradient grids, the discount and oscillation schedules,
 the initial condition (from a fixed catalogue of bounded Lipschitz
 functions), seeds, and the output directory. Validation happens at load
-time so commands can assume a consistent config: an unknown key, a
-value of the wrong type or an inconsistent value is rejected, and every
-failure carries the offending field path.
+time, and only there: the package's constructors and solvers take a
+loaded config as given. An unknown key, a value of the wrong type or an
+inconsistent value is rejected, and every failure carries the offending
+field path.
 """
 
 import copy
@@ -333,6 +334,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"p_axis.count: {count} is not in [2, {_MAX_P_COUNT}]")
         self.p_axis = np.linspace(lo, hi, count)
+        # min < max can still round to a repeated sample
+        if np.any(np.diff(self.p_axis) <= 0):
+            raise ConfigError(
+                f"p_axis: p_axis.count {count} samples from p_axis.min "
+                f"{lo!r} to p_axis.max {hi!r} do not increase strictly")
 
         self.lambda_schedule = _decreasing(
             _read(data, "lambda_schedule", "", NUMBERS), "lambda_schedule")

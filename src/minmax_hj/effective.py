@@ -13,7 +13,7 @@ their exact piecewise-linear inverse.
 
 import numpy as np
 
-from .errors import ConfigError, ProfileShapeError, SchemeParameterError
+from .errors import ProfileShapeError, SchemeParameterError
 from .profiles import QUASICONVEX, piecewise_linear
 from .solver import CellProblem, solve_discounted
 
@@ -29,12 +29,6 @@ class EffectiveCurve:
                  kind="coercive"):
         self.p = np.asarray(p, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        if self.p.ndim != 1 or self.p.size < 2:
-            raise ValueError("need at least two gradient samples")
-        if np.any(np.diff(self.p) <= 0):
-            raise ValueError("gradient samples must increase")
-        if self.values.shape != self.p.shape:
-            raise ValueError("values do not match the gradient samples")
         if error_bars is None:
             error_bars = np.zeros_like(self.values)
         self.error_bars = np.asarray(error_bars, dtype=float)
@@ -148,8 +142,6 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
     arrays.
     """
     lams = [float(l) for l in lam_schedule]
-    if len(lams) < 3 or any(b >= a for a, b in zip(lams, lams[1:])):
-        raise ConfigError("need a strictly decreasing schedule of >= 3 rates")
     if lams[-1] * grid.n < 10.0:
         raise SchemeParameterError(
             f"smallest rate {lams[-1]:.3g} under-resolves the grid; "
@@ -235,13 +227,9 @@ def exact_effective_1d_separable(profile, b_table, p_samples, a_table=None,
     inverse slope times mean w. The curve is returned unchecked, named
     ``provenance``; ``piece_effective_curve`` checks its shape.
     """
-    if profile.tag != QUASICONVEX:
-        raise ValueError("oracle profiles must be quasiconvex")
     b = np.asarray(b_table, dtype=float)
     a = np.ones_like(b) if a_table is None else np.asarray(a_table, float)
     a0 = a.min()
-    if not a0 > 0:
-        raise ValueError("amplitudes must be positive")
     p_samples = np.asarray(p_samples, dtype=float)
     levels, w = profile.kink_levels(), 1.0 / a
     keys = b + (a - a0) * levels[:, None]             # (K levels, nodes)
@@ -301,13 +289,10 @@ def piece_effective_curve(profile, a, b, p_samples, provenance="oracle"):
 def theorem_formula_values(check_vals, hat_vals, m_bar, m_lower):
     """Nested effective formula on aligned value arrays; level 1
     innermost. Returns (top values, intermediates by level label)."""
-    ell = len(check_vals)
-    if len(hat_vals) != ell or len(m_bar) != ell or len(m_lower) != ell:
-        raise ValueError("level counts do not match")
     inter = {}
     f = np.maximum(np.maximum(check_vals[0], m_bar[0]), hat_vals[0])
     inter["1"] = f
-    for k in range(1, ell):
+    for k in range(1, len(check_vals)):
         half = np.minimum(np.minimum(hat_vals[k], m_lower[k]), f)
         inter[f"{k}.5"] = half
         f = np.maximum(np.maximum(check_vals[k], m_bar[k]), half)
@@ -320,10 +305,6 @@ def theorem_formula(bar_checks, bar_hats, constants):
     contact constants m_bar and M_lower of ``constants`` (a
     ``contact_fields`` record); intermediate half/full-step curves ride
     along."""
-    p = bar_checks[0].p
-    for c in list(bar_checks) + list(bar_hats):
-        if not np.array_equal(c.p, p):
-            raise ValueError("piece curves live on different gradient grids")
     m_bar = np.asarray(constants["m_bar"], dtype=float)
     m_lower = np.asarray(constants["M_lower"], dtype=float)
     values, inter = theorem_formula_values(
@@ -331,6 +312,7 @@ def theorem_formula(bar_checks, bar_hats, constants):
         m_bar, m_lower)
     bars = np.max([c.error_bars for c in bar_checks]
                   + [c.error_bars for c in bar_hats], axis=0)
-    curve = EffectiveCurve(p, values, bars, "formula", "coercive")
+    curve = EffectiveCurve(bar_checks[0].p, values, bars, "formula",
+                           "coercive")
     curve.intermediates = inter
     return curve.validate()

@@ -90,12 +90,6 @@ class Piece(Hamiltonian):
 
     def __init__(self, profile, coupling=None, channel=None, scale=1.0,
                  extra_const=0.0):
-        if coupling not in (None, "additive", "amplitude"):
-            raise ProfileShapeError(f"unknown coupling {coupling!r}")
-        if coupling is not None and channel is None:
-            raise ProfileShapeError("coupled pieces need a medium channel")
-        if coupling == "amplitude" and scale <= 0:
-            raise ProfileShapeError("amplitude coupling needs a positive scale")
         self.profile = profile
         self.coupling = coupling
         self.channel = channel
@@ -155,14 +149,6 @@ class CombinedPiece(Hamiltonian):
     as reordering produces them."""
 
     def __init__(self, op, pieces):
-        if op not in ("max", "min"):
-            raise ValueError("op must be 'max' or 'min'")
-        tags = {p.tag for p in pieces}
-        if len(tags) != 1:
-            raise ProfileShapeError("combined pieces must share a convexity tag")
-        want = QUASICONVEX if op == "max" else QUASICONCAVE
-        if tags.pop() != want:
-            raise ProfileShapeError(f"{op} combination would break the convexity tag")
         self.op = op
         self.pieces = list(pieces)
 
@@ -184,14 +170,6 @@ class MinMaxFamily:
     max-first."""
 
     def __init__(self, checks, hats):
-        if len(checks) != len(hats) or not checks:
-            raise ProfileShapeError("need equally many checks and hats, at least one")
-        for pc in checks:
-            if pc.tag != QUASICONVEX:
-                raise ProfileShapeError("checks must be quasiconvex")
-        for pc in hats:
-            if pc.tag != QUASICONCAVE:
-                raise ProfileShapeError("hats must be quasiconcave")
         self.checks = list(checks)
         self.hats = list(hats)
 

@@ -575,13 +575,40 @@ def _listed_text(run_dir, name, digest):
     if hashlib.sha256(data).hexdigest() != digest:
         raise ConfigError(f"{path}: sha256 differs from the manifest's; "
                           f"the file changed after its run")
-    return data.decode()
+    # a byte that is not UTF-8 becomes U+FFFD: no number parses with it
+    return data.decode(errors="replace")
 
 
-def _csv_rows(text):
-    header, *rows = [line.strip().split(",") for line in text.splitlines()
-                     if line.strip()]
-    return header, rows
+# the fields that begin the header of each CSV that plotdata reads, and
+# whether more may follow (compare.csv's level columns)
+PLOTTED_HEADERS = {
+    "compare.csv": (["p", "numeric", "formula", "abs_err"], True),
+    "err_vs_eps.csv": (["eps", "err", "ratio_to_prev"], False)}
+
+
+def _csv_rows(path, text):
+    """The header and rows of the plotted CSV at ``path``, blank lines
+    skipped: the header holds its ``PLOTTED_HEADERS`` fields, and one row
+    or more follow, each of the header's length and all numbers, or a
+    ConfigError names the file and the line at fault."""
+    head, more = PLOTTED_HEADERS[os.path.basename(path)]
+    lines = [(i, line.strip().split(","))
+             for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    (at, header), *rows = lines or [(1, [])]
+    if header[:len(head)] != head or len(header) > len(head) and not more:
+        raise ConfigError(f"{path}: line {at}: the header is not "
+                          f"{','.join(head)}{',...' * more}")
+    if not rows:
+        raise ConfigError(f"{path}: no row below the header")
+    for at, row in rows:
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: line {at}: {len(row)} fields, but "
+                              f"the header has {len(header)}")
+        try:
+            list(map(float, row))
+        except ValueError as err:
+            raise ConfigError(f"{path}: line {at}: {err}") from None
+    return header, [row for _, row in rows]
 
 
 def run_plotdata(run_dir):
@@ -591,7 +618,8 @@ def run_plotdata(run_dir):
     against its sha256 there. A missing directory raises ConfigError and
     is not made.
 
-    Pure text transform of the CSVs, so reruns are byte-identical.
+    Pure text transform of the CSVs, so reruns are byte-identical. Each
+    CSV is checked (``_csv_rows``) before any .dat file is written.
     """
     nothing = ConfigError(f"{run_dir}: no compare.csv or err_vs_eps.csv "
                           f"listed in a manifest to plot")
@@ -610,21 +638,21 @@ def run_plotdata(run_dir):
         except (OSError, ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"{path}: not a run manifest ({err!r})") \
                 from None
-        texts = {name: _listed_text(run_dir, name, files[name])
-                 for name in ("compare.csv", "err_vs_eps.csv")
-                 if name in files}
-        if not texts:
+        tables = {name: _csv_rows(os.path.join(run_dir, name),
+                                  _listed_text(run_dir, name, files[name]))
+                  for name in PLOTTED_HEADERS if name in files}
+        if not tables:
             raise nothing
-        return _plotdata(run_dir, texts.get("compare.csv"),
-                         texts.get("err_vs_eps.csv"))
+        return _plotdata(run_dir, tables.get("compare.csv"),
+                         tables.get("err_vs_eps.csv"))
 
 
 def _plotdata(run_dir, compare, sweep):
-    """Write the .dat files of the texts of compare.csv and
+    """Write the .dat files of the (header, rows) of compare.csv and
     err_vs_eps.csv (None where the run has none); return their paths."""
     written = []
     if compare is not None:
-        header, rows = _csv_rows(compare)
+        header, rows = compare
         path = os.path.join(run_dir, "hbar_curves.dat")
         with _recreate(path) as fh:
             fh.write("# " + " ".join(header) + "\n")
@@ -654,7 +682,7 @@ def _plotdata(run_dir, compare, sweep):
         written.append(path)
 
     if sweep is not None:
-        header, rows = _csv_rows(sweep)
+        _, rows = sweep
         path = os.path.join(run_dir, "eps_loglog.dat")
         with _recreate(path) as fh:
             fh.write("# eps err log10_eps log10_err\n")

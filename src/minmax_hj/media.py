@@ -23,8 +23,6 @@ class MediumSpec:
     names the field of the config's ``medium`` section at fault."""
 
     def __init__(self, kind, period=1.0, channels=None):
-        if kind not in ("periodic", "checkerboard", "quasiperiodic"):
-            raise ConfigError(f"medium.kind: unknown kind {kind!r}")
         if not period > 0:
             raise ConfigError(f"medium.period: {period!r} is not positive")
         self.kind = kind

@@ -55,22 +55,13 @@ def _distance(p, center, slope):
     return d if slope == 1.0 else slope * d
 
 
-def _scalar(center):
-    if np.ndim(center) != 0:
-        raise ProfileShapeError("center must be a scalar")
-    return float(center)
-
-
 class AbsShift:
     """offset + slope * |p - center|."""
 
     tag = QUASICONVEX
 
     def __init__(self, center, slope, offset=0.0):
-        center = _scalar(center)
-        if not slope > 0:
-            raise ProfileShapeError("slope must be positive for a coercive profile")
-        self.center = center
+        self.center = float(center)
         self.slope = float(slope)
         self.offset = float(offset)
 
@@ -96,8 +87,6 @@ class AbsShift:
     def branch_inverses(self, t):
         """Leftmost/rightmost solutions of phi = t, vectorized."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.offset - 1e-12):
-            raise ValueError("level below the profile minimum")
         r = np.maximum(t - self.offset, 0.0) / self.slope
         return self.center - r, self.center + r
 
@@ -111,10 +100,7 @@ class NegatedAbs:
     tag = QUASICONCAVE
 
     def __init__(self, center, slope, offset=0.0):
-        center = _scalar(center)
-        if not slope > 0:
-            raise ProfileShapeError("slope must be positive")
-        self.center = center
+        self.center = float(center)
         self.slope = float(slope)
         self.offset = float(offset)
 
@@ -147,19 +133,9 @@ class PiecewiseMonotone:
     def __init__(self, breaks, values, direction="valley"):
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=float)
-        if breaks.ndim != 1 or breaks.size < 2 or breaks.shape != values.shape:
-            raise ProfileShapeError("need matching 1-D breaks/values, at least two")
-        if not np.all(np.diff(breaks) > 0):
-            raise ProfileShapeError("breaks must be strictly increasing")
         slopes = np.diff(values) / np.diff(breaks)
         sgn = np.sign(slopes)
-        if direction == "valley":
-            pattern_ok = self._valley_pattern(sgn)
-        elif direction == "hill":
-            pattern_ok = self._valley_pattern(-sgn)
-        else:
-            raise ProfileShapeError(f"unknown direction {direction!r}")
-        if not pattern_ok:
+        if not self._valley_pattern(sgn if direction == "valley" else -sgn):
             raise ProfileShapeError(
                 f"values do not form a {direction}: slope signs {sgn.tolist()}")
         self.breaks = breaks
@@ -214,13 +190,7 @@ class PiecewiseMonotone:
 
     def branch_inverses(self, t):
         """Leftmost/rightmost solutions of phi = t for a valley, vectorized."""
-        if self.direction != "valley":
-            raise ValueError("branch inverses apply to valleys")
-        t = np.asarray(t, dtype=float)
-        vmin = self.extreme_value()
-        if np.any(t < vmin - 1e-12):
-            raise ValueError("level below the profile minimum")
-        t = np.maximum(t, vmin)
+        t = np.maximum(np.asarray(t, dtype=float), self.extreme_value())
         i0, i1 = self._ext_lo, self._ext_hi
         # falling branch, reversed so values ascend
         vb, bb = self.values[:i0 + 1][::-1], self.breaks[:i0 + 1][::-1]
@@ -248,7 +218,4 @@ def profile_from_dict(data):
     """Build a profile from its config mapping: ``kind`` plus the
     constructor's arguments."""
     data = dict(data)
-    kind = data.pop("kind", None)
-    if kind not in _KINDS:
-        raise ProfileShapeError(f"unknown profile kind {kind!r}")
-    return _KINDS[kind](**data)
+    return _KINDS[data.pop("kind")](**data)

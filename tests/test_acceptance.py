@@ -184,8 +184,8 @@ def test_solver_contract_probes():
         theta = piece.lipschitz(medium)
         tau = 0.95 / (lam + theta / grid.h)
         h_bound = piece.bind_base(np.array([p]), grid.x, medium)
-        v = rng.uniform(-1.0, 1.0, grid.shape)
-        w = v + rng.uniform(0.0, 0.5, grid.shape)
+        v = rng.uniform(-1.0, 1.0, grid.n)
+        w = v + rng.uniform(0.0, 0.5, grid.n)
         gv = v - tau * (lam * v + lf_update(h_bound, v, grid, theta))
         gw = w - tau * (lam * w + lf_update(h_bound, w, grid, theta))
         if not np.all(gw - gv >= -1e-12):

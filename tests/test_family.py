@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minmax_hj.errors import HypothesisError, ProfileShapeError
+from minmax_hj.errors import HypothesisError
 from minmax_hj.family import (CombinedPiece, LevelHamiltonian, MinMaxFamily,
                               Piece, PieceTable, outermost_levels,
                               reorder_family, validate_ordering)
@@ -270,15 +270,6 @@ def test_medium_free_family_is_one_state(two_channel_medium):
     assert table.first.tolist() == [0] and table.x.tolist() == [0.0]
     assert np.array_equal(table.inverse,
                           np.zeros((1, table.nodes.size), dtype=int))
-
-
-def test_mislabeled_pieces_rejected():
-    with pytest.raises(ProfileShapeError):
-        MinMaxFamily([Piece(NegatedAbs(0.0, 1.0, 0.0))],
-                     [Piece(NegatedAbs(0.0, 1.0, 0.0))])
-    with pytest.raises(ProfileShapeError):
-        MinMaxFamily([Piece(AbsShift(0.0, 1.0, 0.0))],
-                     [Piece(AbsShift(0.0, 1.0, 0.0))])
 
 
 def test_bound_evaluator_matches_evaluate(two_channel_medium):

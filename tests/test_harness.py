@@ -34,6 +34,7 @@ from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
 from minmax_hj.family import (Hamiltonian, LevelHamiltonian, MinMaxFamily,
                               PieceTable)
 from minmax_hj.media import sample_realization
+from minmax_hj.profiles import QUASICONCAVE, QUASICONVEX, PiecewiseMonotone
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_error,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
@@ -159,6 +160,38 @@ NESTED_FIELDS = [
 
 def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def assert_load_invariants(cfg):
+    """The rules on its input that a loaded config holds by its load
+    alone, as no constructor or solver of the package checks them."""
+    fam = cfg.family
+    assert len(fam.checks) == len(fam.hats) >= 1
+    for pieces, tag in ((fam.checks, QUASICONVEX), (fam.hats, QUASICONCAVE)):
+        for pc in pieces:
+            assert pc.tag == tag
+            assert pc.coupling in (None, "additive", "amplitude")
+            assert pc.coupling is None or pc.channel is not None
+            assert pc.coupling != "amplitude" or pc.scale > 0
+            phi = pc.profile
+            if isinstance(phi, PiecewiseMonotone):
+                assert phi.direction in ("valley", "hill")
+                assert phi.breaks.ndim == 1 and phi.breaks.size >= 2
+                assert phi.values.shape == phi.breaks.shape
+                assert np.all(np.diff(phi.breaks) > 0)
+            else:
+                assert phi.slope > 0
+    assert cfg.medium_spec.kind in ("periodic", "checkerboard",
+                                    "quasiperiodic")
+    assert cfg.solver_n >= 16
+    lams = cfg.lambda_schedule
+    assert len(lams) >= 3 and min(lams) > 0
+    assert all(b < a for a, b in zip(lams, lams[1:]))
+    h = cfg.solver_length / cfg.solver_n
+    assert all(eps > 0 and eps >= 2 * h for eps in cfg.eps_schedule)
+    assert cfg.p_axis.ndim == 1 and cfg.p_axis.size >= 2
+    assert np.all(np.diff(cfg.p_axis) > 0)
+    assert all(0 < t <= cfg.T for t in cfg.t_samples)
 
 
 class TestConfigValidation:
@@ -415,11 +448,13 @@ class TestConfigValidation:
         data["medium"]["dim"] = dim
         data["family"][role][0]["profile"]["center"] = center
         try:
-            ExperimentConfig(data)
+            cfg = ExperimentConfig(data)
         except ConfigError as err:
             field = "medium.dim" if dim != 1 \
                 else f"family.{role}[0].profile.center"
             assert field in str(err)
+        else:
+            assert_load_invariants(cfg)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(path=st.sampled_from(FUZZED_FIELDS), value=ANY_YAML)
@@ -427,9 +462,11 @@ class TestConfigValidation:
         data = copy.deepcopy(BASE_CASE)
         set_path(data, path, value)
         try:
-            ExperimentConfig(data)
+            cfg = ExperimentConfig(data)
         except ConfigError as err:
             assert path in str(err)
+        else:
+            assert_load_invariants(cfg)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
@@ -440,12 +477,15 @@ class TestConfigValidation:
         config = copy.deepcopy(BASE_CASE)
         for at, new in changes.items():
             set_path(config, at, copy.deepcopy(new))
-        ExperimentConfig(config)        # each variant loads as it is
+        # each variant loads as it is
+        assert_load_invariants(ExperimentConfig(config))
         set_path(config, path, value)
         try:
-            ExperimentConfig(config)
+            cfg = ExperimentConfig(config)
         except ConfigError as err:
             assert path in str(err)
+        else:
+            assert_load_invariants(cfg)
 
     @pytest.mark.parametrize("kind,key", [
         ("abs_shift", "slop"), ("abs_shift", "breaks"),
@@ -512,6 +552,7 @@ class TestConfigValidation:
                      "xindep.yaml"):
             cfg = ExperimentConfig.from_yaml(str(CONFIG_DIR / name))
             assert cfg.family.ell in (1, 2)
+            assert_load_invariants(cfg)
 
 
 class TestHypothesisStage:
@@ -1254,6 +1295,45 @@ class TestPlotdata:
                                          f"run manifest")
         assert sorted(os.listdir(out)) == ["formula.csv", "manifest.json",
                                            "numeric.csv"]
+
+    COMPARE = "p,numeric,formula,abs_err\n-1,1,1,0\n0,1,1,0\n1,1,1,0\n"
+
+    @pytest.mark.parametrize("files,name,message", [
+        ({"compare.csv": "p,numeric,formula,abs_err\n"}, "compare.csv",
+         "no row below the header"),
+        ({"compare.csv": ""}, "compare.csv",
+         "line 1: the header is not p,numeric,formula,abs_err,..."),
+        ({"compare.csv": "p,numeric,formula,abs_err\n0,1,one,0\n"},
+         "compare.csv",
+         "line 2: could not convert string to float: 'one'"),
+        ({"compare.csv": "p,numeric,formula,abs_err\n0,1,1,0\n\n1,1\n"},
+         "compare.csv", "line 4: 2 fields, but the header has 4"),
+        ({"compare.csv": COMPARE,
+          "err_vs_eps.csv": "eps,err,ratio_to_prev\n0.5,0.1,nan\n0.25\n"},
+         "err_vs_eps.csv", "line 3: 1 fields, but the header has 3"),
+        ({"err_vs_eps.csv": "eps,err\n0.5,0.1\n"}, "err_vs_eps.csv",
+         "line 1: the header is not eps,err,ratio_to_prev"),
+        ({"compare.csv": b"p,numeric,formula,abs_err\n0,1,\xff,0\n"},
+         "compare.csv",
+         "line 2: could not convert string to float: '\ufffd'")],
+        ids=["header-only", "empty", "non-numeric", "short-compare-row",
+             "short-sweep-row", "sweep-header", "not-utf8"])
+    def test_misshapen_listed_csv_exits_4_writing_nothing(
+            self, tmp_path, files, name, message):
+        # each file matches its manifest sha256: only its shape is wrong,
+        # and every CSV is checked before any .dat file is written
+        out = tmp_path / "run"
+        out.mkdir()
+        for listed, text in files.items():
+            data = text if isinstance(text, bytes) else text.encode()
+            (out / listed).write_bytes(data)
+        (out / "manifest.json").write_text(json.dumps(
+            {"files": {listed: sha256(out / listed) for listed in files}}))
+        res = run_cli(["plotdata", str(out)])
+        assert res.exit_code == 4
+        assert res.stderr.startswith(f"config error: {out / name}: {message}")
+        assert "Traceback" not in res.output
+        assert sorted(os.listdir(out)) == sorted(["manifest.json", *files])
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no compare.csv"):
