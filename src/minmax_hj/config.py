@@ -3,11 +3,12 @@
 A config names everything a run needs: the piece family, the medium,
 the solver and gradient grids, the discount and oscillation schedules,
 the initial condition (from a fixed catalogue of bounded Lipschitz
-functions), seeds, and the output directory. Validation happens at load
-time, and only there: the package's constructors and solvers take a
-loaded config as given. An unknown key, a value of the wrong type or an
-inconsistent value is rejected, and every failure carries the offending
-field path.
+functions), seeds, and the output directory. This module holds every
+rule on a run's inputs and checks them at load time, and only there:
+``media.MediumSpec``, the profiles and the solvers take a loaded
+config's values as given and check none of them. An unknown key, a
+value of the wrong type or an inconsistent value is rejected, and every
+failure carries the offending field path.
 """
 
 import copy
@@ -19,9 +20,10 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .family import LevelHamiltonian, MinMaxFamily, Piece
+from .family import MinMaxFamily, Piece
 from .media import MediumSpec
-from .profiles import QUASICONCAVE, QUASICONVEX, profile_from_dict
+from .profiles import (QUASICONCAVE, QUASICONVEX, AbsShift, NegatedAbs,
+                       PiecewiseMonotone)
 
 
 def _wrap_dist(x, length):
@@ -43,9 +45,9 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # most gradient samples a p-axis may hold; the axis is built at load
 _MAX_P_COUNT = 10001
-
-# what a converter or a constructor raises for a value of the wrong kind
-_BAD_VALUE = (TypeError, ValueError, OverflowError)
+# most cells a checkerboard channel may have per period
+_MAX_CELLS = 10**6
+_PERIODIC_FORMULAS = ("sin_sq", "cos_sq", "cos", "constant")
 
 
 def _number(v):
@@ -98,7 +100,7 @@ def _as(value, field, kind):
     what, convert = kind
     try:
         return convert(value)
-    except _BAD_VALUE:
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{field}: {value!r} is not {what}") from None
 
 
@@ -121,18 +123,19 @@ _KEYS = {
          "eps_schedule", "evolution", "seeds", "pairs", "output"},
     "family": {"checks", "hats"},
     "medium": {"kind", "period", "dim", "channels"},
-    "solver": {"n", "length", "theta"},
+    "solver": {"n", "length"},
     "p_axis": {"min", "max", "count"},
     "evolution": {"T", "u0", "t_samples"},
     "pairs": {"x_nodes", "p_box", "n_p"},
 }
 _PIECE_KEYS = {"profile", "coupling", "channel", "scale"}
 _ABS_FIELDS = {"center": NUMBER, "slope": NUMBER, "offset": NUMBER}
+# each profile kind's class and fields
 _PROFILE_FIELDS = {
-    "abs_shift": _ABS_FIELDS,
-    "negated_abs": _ABS_FIELDS,
-    "piecewise_monotone": {"breaks": NUMBERS, "values": NUMBERS,
-                           "direction": TEXT},
+    "abs_shift": (AbsShift, _ABS_FIELDS),
+    "negated_abs": (NegatedAbs, _ABS_FIELDS),
+    "piecewise_monotone": (PiecewiseMonotone, {
+        "breaks": NUMBERS, "values": NUMBERS, "direction": TEXT}),
 }
 # profile fields without a default (offset is 0, direction "valley")
 _PROFILE_REQUIRED = {"center", "slope", "breaks", "values"}
@@ -182,8 +185,69 @@ def _medium(data):
                         f" for medium.kind {kind!r}")
         for key in ch:
             _read(ch, key, at, _CHANNEL_FIELDS[kind][key])
-    # MediumSpec names the field of a bad value itself
+    if not period > 0:
+        raise ConfigError(f"medium.period: {period!r} is not positive")
+    if not channels:
+        raise ConfigError("medium.channels: need at least one channel")
+    for i, ch in enumerate(channels):
+        _channel(kind, f"medium.channels[{i}]", ch, period)
     return MediumSpec(kind, period, channels)
+
+
+def _channel(kind, at, ch, period):
+    """The value rules of the channel ``ch`` at ``at`` of a medium of
+    ``kind``: what its formula needs, and finite values. Bounds worked
+    out from the channel's own numbers, in the order its evaluation
+    meets them, certify the values, so no table is evaluated."""
+    def finite(bound, what):
+        if not math.isfinite(bound):
+            raise ConfigError(f"{at}: {what} overflows; the channel's "
+                              f"values must be finite")
+
+    def number(key, default=0.0):
+        return float(ch.get(key, default))
+
+    period = float(period)
+    if kind == "periodic":
+        f = ch.get("formula")
+        if f not in _PERIODIC_FORMULAS:
+            raise ConfigError(f"{at}.formula: unknown formula {f!r}")
+        if f == "constant" and "value" not in ch:
+            raise ConfigError(
+                f"{at}.value: missing, {at}.formula 'constant' needs it")
+        if f != "constant":
+            finite(abs(number("offset")) + abs(number("amplitude", 1.0)),
+                   f"|{at}.offset| + |{at}.amplitude|")
+            finite(2 * math.pi * ((period + abs(number("shift"))) / period),
+                   f"2 pi (medium.period + |{at}.shift|) / medium.period")
+    elif kind == "checkerboard":
+        cell = ch.get("cell")
+        if not cell or cell <= 0:
+            raise ConfigError(f"{at}.cell: need a positive cell")
+        n = period / cell
+        if not n <= _MAX_CELLS or round(n) < 1 \
+                or abs(n - round(n)) > 1e-12:
+            raise ConfigError(
+                f"{at}.cell: {cell:g} does not divide medium.period "
+                f"{period:g} into at most {_MAX_CELLS} cells")
+        lo, hi = ch.get("low"), ch.get("high")
+        if lo is None or hi is None or not lo < hi:
+            raise ConfigError(f"{at}: need {at}.low < {at}.high")
+        finite(number("high") - number("low"), f"{at}.high - {at}.low")
+    else:
+        freqs, amps = ch.get("freqs"), ch.get("amps")
+        phases = ch.get("phases", [0.0] * len(freqs or ()))
+        if not freqs or not amps or not \
+                len(freqs) == len(amps) == len(phases):
+            raise ConfigError(
+                f"{at}: need {at}.freqs, {at}.amps and {at}.phases "
+                f"of one nonzero length")
+        finite(abs(number("offset")) + sum(abs(float(a)) for a in amps),
+               f"|{at}.offset| + sum |{at}.amps|")
+        for k, (fr, phz) in enumerate(zip(freqs, phases)):
+            finite(2 * math.pi * (abs(float(fr)) * period) + abs(float(phz)),
+                   f"2 pi |{at}.freqs[{k}]| medium.period "
+                   f"+ |{at}.phases[{k}]|")
 
 
 def _profile(block, at, role):
@@ -192,12 +256,12 @@ def _profile(block, at, role):
     kind = _read(block, "kind", at, TEXT)
     if kind not in _PROFILE_FIELDS:
         raise ConfigError(f"{at}.kind: unknown kind {kind!r}")
-    fields = _PROFILE_FIELDS[kind]
+    cls, fields = _PROFILE_FIELDS[kind]
     _reject_unknown(block, at, {"kind", *fields}, f" for {at}.kind {kind!r}")
     args = {key: _read(block, key, at, what)
             for key, what in fields.items()
             if key in block or key in _PROFILE_REQUIRED}
-    if kind != "piecewise_monotone":
+    if cls is not PiecewiseMonotone:
         if not args["slope"] > 0:
             raise ConfigError(f"{at}.slope: {args['slope']!r} is not positive")
         shape = f"{at}.kind"
@@ -209,15 +273,20 @@ def _profile(block, at, role):
         if any(b <= a for a, b in zip(breaks, breaks[1:])):
             raise ConfigError(f"{at}.breaks: {breaks!r} do not increase "
                               f"strictly")
-        if args.get("direction", "valley") not in ("valley", "hill"):
-            raise ConfigError(f"{at}.direction: {args['direction']!r} is "
-                              f"not 'valley' or 'hill'")
+        direction = args.get("direction", "valley")
+        if direction not in ("valley", "hill"):
+            raise ConfigError(f"{at}.direction: {direction!r} is not "
+                              f"'valley' or 'hill'")
         shape = f"{at}.direction"
-    try:
-        profile = profile_from_dict(dict(args, kind=kind))
-    except _BAD_VALUE as err:
-        # left to fail: the slope pattern of the values for the direction
-        raise ConfigError(f"{at}.values: {err} (see {shape})") from err
+        # a valley's slopes fall strictly, may then stay flat, then rise
+        # strictly to the end; a hill's mirror them
+        sgn = np.sign(np.diff(values) / np.diff(breaks))
+        way = sgn if direction == "valley" else -sgn
+        if not (way[0] == -1 and way[-1] == 1 and np.all(np.diff(way) >= 0)):
+            raise ConfigError(f"{at}.values: values do not form a "
+                              f"{direction}: slope signs {sgn.tolist()} "
+                              f"(see {shape})")
+    profile = cls(**args)
     want = QUASICONVEX if role == "checks" else QUASICONCAVE
     if profile.tag != want:
         raise ConfigError(f"{shape}: makes a {profile.tag} profile, but "
@@ -299,23 +368,11 @@ class ExperimentConfig:
         sol = _section(data, "solver")
         self.solver_n = _read(sol, "n", "solver", WHOLE)
         self.solver_length = _read(sol, "length", "solver", NUMBER, 1.0)
-        self.theta = _read(sol, "theta", "solver", NUMBER, None)
         if self.solver_n < 16:
             raise ConfigError(f"solver.n: {self.solver_n} is below 16")
         if self.solver_length <= 0:
             raise ConfigError(
                 f"solver.length: {self.solver_length:g} is not positive")
-        if self.theta is not None and self.theta <= 0:
-            raise ConfigError(
-                f"solver.theta: {self.theta!r} is not a positive number")
-        if self.theta is not None:
-            # the default theta; below it the scheme is not monotone
-            bound = LevelHamiltonian(self.family).lipschitz(self.medium_spec)
-            if self.theta < bound:
-                raise ConfigError(
-                    f"solver.theta: {self.theta:g} is below {bound:g}, the "
-                    f"family's Lipschitz bound in p; the Lax-Friedrichs "
-                    f"scheme is monotone only for theta >= that bound")
         period = self.medium_spec.period
         # a partial period puts a seam in the medium: another equation
         if not _is_whole(self.solver_length / period):

@@ -50,20 +50,18 @@ class EffectiveCurve:
         rate = slack / min(np.diff(self.p))
         # tails may be flat (plateau at the window edge) but must not
         # point the wrong way, by more than the rate the error bars allow
-        if self.kind in ("coercive", "anticoercive"):
-            rise = 1.0 if self.kind == "coercive" else -1.0
-            for end, sl, way, (a, b) in (
-                    ("left", self.tail_slopes[0], -rise, self.p[:2]),
-                    ("right", self.tail_slopes[1], rise, self.p[-2:])):
-                if way * sl < -rate:
-                    allowed = f">= {-rate:.3g}" if way > 0 \
-                        else f"<= {rate:.3g}"
-                    raise ProfileShapeError(
-                        f"{self.kind} curve does not "
-                        f"{'rise' if rise > 0 else 'fall'} at the ends: "
-                        f"the {self.provenance} curve's {end} end slope is "
-                        f"{sl:.6g} between p={a:.6g} and p={b:.6g}, and the "
-                        f"allowed slope there is {allowed}")
+        rise = 1.0 if self.kind == "coercive" else -1.0
+        for end, sl, way, (a, b) in (
+                ("left", self.tail_slopes[0], -rise, self.p[:2]),
+                ("right", self.tail_slopes[1], rise, self.p[-2:])):
+            if way * sl < -rate:
+                allowed = f">= {-rate:.3g}" if way > 0 else f"<= {rate:.3g}"
+                raise ProfileShapeError(
+                    f"{self.kind} curve does not "
+                    f"{'rise' if rise > 0 else 'fall'} at the ends: "
+                    f"the {self.provenance} curve's {end} end slope is "
+                    f"{sl:.6g} between p={a:.6g} and p={b:.6g}, and the "
+                    f"allowed slope there is {allowed}")
         if lipschitz is not None:
             jumps = np.abs(np.diff(self.values))
             bounds = lipschitz * np.diff(self.p) + 2e-2 + 2 * slack
@@ -125,11 +123,9 @@ def _power_fit(lams, Y):
     return best
 
 
-def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
-                       theta=None):
-    """Extrapolate -lam * v_lam(0) along the discount schedule, with
-    dissipation theta (see ``solver.CellProblem``), for every gradient
-    of the 1-D array p.
+def estimate_effective(hamiltonian, p, medium, lam_schedule, grid):
+    """Extrapolate -lam * v_lam(0) along the discount schedule for every
+    gradient of the 1-D array p.
 
     All gradients are solved in one batch per discount rate, each row
     warm-started from its own solution at the previous rate, and the
@@ -150,7 +146,7 @@ def estimate_effective(hamiltonian, p, medium, lam_schedule, grid,
     # one cell problem for the schedule, whose rates are solved on its
     # cell grid: the solution on the whole grid is that one tiled, and
     # only its first node is read
-    cell = CellProblem(hamiltonian, p, grid, medium, theta)
+    cell = CellProblem(hamiltonian, p, grid, medium)
     runs, data = [], []
     v = None
     for lam in lams:

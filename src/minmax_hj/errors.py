@@ -13,7 +13,9 @@ class MinMaxHJError(Exception):
 
 
 class ProfileShapeError(MinMaxHJError, ValueError):
-    """Profile data does not have the declared shape (valley/hill, coercive tails)."""
+    """An effective curve or a piece lacks the shape it declares: a
+    curve's tails or continuity, or an amplitude coefficient <= 0 that
+    would make a piece's convexity tag wrong."""
 
 
 class HypothesisError(MinMaxHJError):

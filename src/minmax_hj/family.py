@@ -134,12 +134,11 @@ class Piece(Hamiltonian):
 
     def lipschitz(self, medium=None):
         """Lipschitz bound in p; an amplitude piece scales its profile's
-        by the largest |coefficient| the channel bounds of ``medium`` (a
-        realization or its spec) allow."""
+        by the largest |coefficient| the channel bounds of the
+        realization ``medium`` allow."""
         lip = self.profile.lipschitz()
         if self.coupling == "amplitude":
-            spec = getattr(medium, "spec", medium)
-            lo, hi = spec.channel_bounds(self.channel)
+            lo, hi = medium.spec.channel_bounds(self.channel)
             lip *= self.scale * max(abs(lo), abs(hi))
         return lip
 

@@ -282,7 +282,7 @@ def _numeric_curve(hamiltonian, cfg, medium):
     and, against the Hamiltonian's Lipschitz bound, for continuity."""
     grid = Grid(cfg.solver_n, cfg.solver_length)
     est = estimate_effective(hamiltonian, cfg.p_axis, medium,
-                             cfg.lambda_schedule, grid, cfg.theta)
+                             cfg.lambda_schedule, grid)
     curve = EffectiveCurve(cfg.p_axis, est["value"], est["error_bar"],
                            "numeric")
     curve.validate(hamiltonian.lipschitz(medium))
@@ -516,7 +516,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
 
         def homogenized():
             t0 = time.perf_counter()
-            hom, _ = solve_homogenized(formula, u0, grid, cfg.T, cfg.theta,
+            hom, _ = solve_homogenized(formula, u0, grid, cfg.T,
                                        t_samples=cfg.t_samples)
             return hom, time.perf_counter() - t0
 
@@ -524,7 +524,7 @@ def run_sweep_eps(cfg, out_dir=None, force=False):
             t0 = time.perf_counter()
             marched = solve_time_dependent(
                 h_top, u0, cfg.eps_schedule, grid, medium, T=cfg.T,
-                theta=cfg.theta, t_samples=cfg.t_samples)
+                t_samples=cfg.t_samples)
             return marched, time.perf_counter() - t0
 
         # each march times itself, the homogenized one in its own process

@@ -7,61 +7,22 @@ Evaluation wraps the argument into the fundamental cell, so
 evaluate(x + period) == evaluate(x) holds exactly. Quasiperiodic sums
 are wrapped at the seam (they are surrogates, not true quasiperiodic
 fields).
+
+A spec's values are taken as given: ``config`` holds every rule on
+them, and this module checks none.
 """
 
 import numpy as np
 
-from .errors import ConfigError
-
-_PERIODIC_FORMULAS = ("sin_sq", "cos_sq", "cos", "constant")
-# most cells a checkerboard channel may have per period
-_MAX_CELLS = 10**6
-
 
 class MediumSpec:
-    """A medium kind, its period and its coefficient channels; an error
-    names the field of the config's ``medium`` section at fault."""
+    """A medium kind, its period and its coefficient channels, as
+    ``config`` has checked them: taken as given."""
 
-    def __init__(self, kind, period=1.0, channels=None):
-        if not period > 0:
-            raise ConfigError(f"medium.period: {period!r} is not positive")
+    def __init__(self, kind, period, channels):
         self.kind = kind
         self.period = float(period)
-        self.channels = [dict(c) for c in (channels or [])]
-        if not self.channels:
-            raise ConfigError("medium.channels: need at least one channel")
-        for i, ch in enumerate(self.channels):
-            self._validate_channel(f"medium.channels[{i}]", ch)
-
-    def _validate_channel(self, at, ch):
-        if self.kind == "periodic":
-            f = ch.get("formula")
-            if f not in _PERIODIC_FORMULAS:
-                raise ConfigError(f"{at}.formula: unknown formula {f!r}")
-            if f == "constant" and "value" not in ch:
-                raise ConfigError(
-                    f"{at}.value: missing, {at}.formula 'constant' needs it")
-        elif self.kind == "checkerboard":
-            cell = ch.get("cell")
-            if not cell or cell <= 0:
-                raise ConfigError(f"{at}.cell: need a positive cell")
-            n = self.period / cell
-            if not n <= _MAX_CELLS or abs(n - round(n)) > 1e-12:
-                raise ConfigError(
-                    f"{at}.cell: {cell:g} does not divide medium.period "
-                    f"{self.period:g} into at most {_MAX_CELLS} cells")
-            lo, hi = ch.get("low"), ch.get("high")
-            if lo is None or hi is None or not lo < hi:
-                raise ConfigError(f"{at}: need {at}.low < {at}.high")
-        else:
-            freqs = ch.get("freqs")
-            amps = ch.get("amps")
-            phases = ch.get("phases", amps)
-            if not freqs or not amps or not \
-                    len(freqs) == len(amps) == len(phases):
-                raise ConfigError(
-                    f"{at}: need {at}.freqs, {at}.amps and {at}.phases "
-                    f"of one nonzero length")
+        self.channels = [dict(c) for c in channels]
 
     def channel_bounds(self, idx):
         """Certified (low, high) bounds for a channel's values."""

@@ -18,11 +18,13 @@ change slope, which the oracle relies on.
 Gradients are numbers. A profile is a plain callable, phi(p), on an
 array of them of any shape; the pieces of ``family`` build every
 Hamiltonian formula on it.
+
+A profile takes its values as given: ``config`` holds every rule on
+them (a positive slope, a valley's or a hill's slope pattern), and this
+module checks none.
 """
 
 import numpy as np
-
-from .errors import ProfileShapeError
 
 QUASICONVEX = "quasiconvex"
 QUASICONCAVE = "quasiconcave"
@@ -124,46 +126,25 @@ class PiecewiseMonotone:
     """Piecewise-linear valley or hill on the line.
 
     ``direction`` is "valley" (quasiconvex, coercive) or "hill"
-    (quasiconcave, anticoercive). The slope pattern is validated:
-    strictly falling, then an optional flat run (the bottom/top), then
-    strictly rising -- mirrored for hills. Terminal slopes extend the
-    profile linearly, so coercivity is genuine.
+    (quasiconcave, anticoercive). A valley's slopes fall strictly, then
+    may stay flat (the bottom), then rise strictly -- mirrored for
+    hills. Terminal slopes extend the profile linearly, so coercivity is
+    genuine.
     """
 
     def __init__(self, breaks, values, direction="valley"):
         breaks = np.asarray(breaks, dtype=float)
         values = np.asarray(values, dtype=float)
-        slopes = np.diff(values) / np.diff(breaks)
-        sgn = np.sign(slopes)
-        if not self._valley_pattern(sgn if direction == "valley" else -sgn):
-            raise ProfileShapeError(
-                f"values do not form a {direction}: slope signs {sgn.tolist()}")
         self.breaks = breaks
         self.values = values
         self.direction = direction
-        self._slopes = slopes
+        self._slopes = np.diff(values) / np.diff(breaks)
         # indices bracketing the extremum plateau
         ext = values.argmin() if direction == "valley" else values.argmax()
         vext = values[ext]
         att = np.flatnonzero(values == vext)
         self._ext_lo = int(att[0])
         self._ext_hi = int(att[-1])
-
-    @staticmethod
-    def _valley_pattern(sgn):
-        # strictly -1 run, optional 0 run, strictly +1 run; both strict runs required
-        n = sgn.size
-        i = 0
-        while i < n and sgn[i] < 0:
-            i += 1
-        if i == 0:
-            return False
-        j = i
-        while j < n and sgn[j] == 0:
-            j += 1
-        if j == n or np.any(sgn[j:] <= 0):
-            return False
-        return True
 
     @property
     def tag(self):
@@ -209,13 +190,3 @@ class PiecewiseMonotone:
         d = "hill" if self.direction == "valley" else "valley"
         return PiecewiseMonotone(-self.breaks[::-1], -self.values[::-1], d)
 
-
-_KINDS = {"abs_shift": AbsShift, "negated_abs": NegatedAbs,
-          "piecewise_monotone": PiecewiseMonotone}
-
-
-def profile_from_dict(data):
-    """Build a profile from its config mapping: ``kind`` plus the
-    constructor's arguments."""
-    data = dict(data)
-    return _KINDS[data.pop("kind")](**data)

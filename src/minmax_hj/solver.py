@@ -2,9 +2,10 @@
 
 The numerical Hamiltonian is global Lax-Friedrichs: evaluate at the
 centered difference and subtract theta/2 times the second difference.
-With theta at least the certified gradient-Lipschitz bound of the
-Hamiltonian the update is monotone, which is what every probe and
-comparison argument here leans on.
+The dissipation theta is the Hamiltonian's certified gradient-Lipschitz
+bound (a curve's Lipschitz constant for the homogenized march), with
+which the update is monotone, which is what every probe and comparison
+argument here leans on.
 
 Two drivers share its one kernel, ``lf_update``: a damped Newton
 iteration (with a pseudo-time relaxation on the mean-projected residual
@@ -95,14 +96,6 @@ class Grid:
         self.length = float(length)
         self.h = self.length / self.n
         self.x = np.arange(self.n) * self.h
-
-
-def _dissipation(theta, hamiltonian, medium):
-    """theta: the given value, else the Hamiltonian's Lipschitz bound."""
-    th = float(hamiltonian.lipschitz(medium) if theta is None else theta)
-    if not th > 0:
-        raise SchemeParameterError("dissipation must be positive")
-    return th
 
 
 def upwind_diffs(v, h, out=None):
@@ -196,8 +189,8 @@ def _cell_grid(grid, medium):
 class CellProblem:
     """H_LF(p + Dv, x) for the base gradients of the 1-D array p0, one
     row per gradient, on the cell grid of ``grid`` (``_cell_grid``), with
-    the Lax-Friedrichs dissipation theta, by default the Hamiltonian's
-    Lipschitz bound: what every discount rate of a schedule shares, and
+    the Lax-Friedrichs dissipation theta the Hamiltonian's Lipschitz
+    bound: what every discount rate of a schedule shares, and
     all that ``solve_discounted`` is told of its problem. ``at(lam)`` is
     the problem lam*v + H_LF(p + Dv, x) = 0 at one rate, and ``on(grid)``
     the same on a coarser grid of the nested start.
@@ -211,10 +204,10 @@ class CellProblem:
     (``work``), sized at the full row count on the cell grid; a coarser
     grid holds more rows in it (``capacity``)."""
 
-    def __init__(self, hamiltonian, p0, grid, medium=None, theta=None):
+    def __init__(self, hamiltonian, p0, grid, medium=None):
         self.hamiltonian = hamiltonian
         self.medium = medium
-        self.theta = _dissipation(theta, hamiltonian, medium)
+        self.theta = float(hamiltonian.lipschitz(medium))
         self.P = np.asarray(p0, dtype=float)[:, None]
         self.lam = None
         self._bind(_cell_grid(grid, medium))
@@ -703,18 +696,18 @@ def _march(h_bound, grid, theta, u0_values, T, t_samples, names):
 
 
 def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
-                         theta=None, t_samples=()):
+                         t_samples=()):
     """March u_t + H(Du, x/eps) = 0 by forward Euler under CFL 0.9 for
     every scale of the 1-D array eps, as one (n_eps, n) stack; every row
     is bit-identical to marching its scale alone.
 
-    u0 is a callable on grid nodes or a value array. theta is the
-    dissipation, by default the Hamiltonian's Lipschitz bound. Snapshot
-    times must be integer multiples of the step. Returns the march's
-    snapshots and dict (see ``_march``), one row per scale.
+    u0 is a callable on grid nodes or a value array. The dissipation
+    theta is the Hamiltonian's Lipschitz bound. Snapshot times must be
+    integer multiples of the step. Returns the march's snapshots and
+    dict (see ``_march``), one row per scale.
     """
     scales = np.asarray(eps, dtype=float)
-    theta = _dissipation(theta, hamiltonian, medium)
+    theta = float(hamiltonian.lipschitz(medium))
     h_bound = hamiltonian.bind_base(0.0, grid.x[None, :] / scales[:, None],
                                     medium)
     u0_values = u0(grid.x) if callable(u0) else u0
@@ -722,11 +715,11 @@ def solve_time_dependent(hamiltonian, u0, eps, grid, medium=None, T=1.0,
                   [f"eps={e:g}" for e in scales])
 
 
-def solve_homogenized(curve, u0, grid, T=1.0, theta=None, t_samples=()):
+def solve_homogenized(curve, u0, grid, T=1.0, t_samples=()):
     """Same march, a stack of one, with the gradient-only Hamiltonian
-    given by a curve object (evaluate(p) plus lipschitz()); theta
-    defaults to the curve's Lipschitz constant."""
-    theta = float(theta if theta is not None else curve.lipschitz())
+    given by a curve object (evaluate(p) plus lipschitz()); theta is the
+    curve's Lipschitz constant."""
+    theta = float(curve.lipschitz())
     h_bound = lambda dv: curve.evaluate(dv[0])
     u0_values = u0(grid.x) if callable(u0) else u0
     return _march(h_bound, grid, theta, u0_values, T, t_samples,

@@ -33,8 +33,9 @@ from minmax_hj.errors import (ConfigError, HypothesisError, MinMaxHJError,
                               RunLockError, SchemeParameterError)
 from minmax_hj.family import (Hamiltonian, LevelHamiltonian, MinMaxFamily,
                               PieceTable)
-from minmax_hj.media import sample_realization
-from minmax_hj.profiles import QUASICONCAVE, QUASICONVEX, PiecewiseMonotone
+from minmax_hj.media import medium_table, sample_realization
+from minmax_hj.profiles import (QUASICONCAVE, QUASICONVEX, AbsShift,
+                                NegatedAbs, PiecewiseMonotone)
 from minmax_hj.harness import (RunLock, analyze_hypotheses, gate_error,
                                run_check, run_effective, run_plotdata,
                                run_sweep_eps)
@@ -120,9 +121,9 @@ BASE_CASE = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
 
 # every top-level section and every scalar field of the flat sections
 FUZZED_FIELDS = sorted(BASE_CASE) + [
-    "solver.n", "solver.length", "solver.theta", "p_axis.min",
-    "p_axis.max", "p_axis.count", "evolution.T", "evolution.u0",
-    "evolution.t_samples", "pairs"]
+    "solver.n", "solver.length", "p_axis.min", "p_axis.max",
+    "p_axis.count", "evolution.T", "evolution.u0", "evolution.t_samples",
+    "pairs"]
 
 
 # base_case variants whose pieces, profiles and channels the second fuzz
@@ -179,10 +180,33 @@ def assert_load_invariants(cfg):
                 assert phi.breaks.ndim == 1 and phi.breaks.size >= 2
                 assert phi.values.shape == phi.breaks.shape
                 assert np.all(np.diff(phi.breaks) > 0)
+                # falling, then flat or not, then rising; a hill mirrored
+                way = np.sign(np.diff(phi.values)) \
+                    * (1 if phi.direction == "valley" else -1)
+                signs = "".join("-0+"[int(w) + 1] for w in way)
+                assert re.fullmatch(r"-+0*\++", signs), signs
             else:
                 assert phi.slope > 0
-    assert cfg.medium_spec.kind in ("periodic", "checkerboard",
-                                    "quasiperiodic")
+    spec = cfg.medium_spec
+    assert spec.kind in ("periodic", "checkerboard", "quasiperiodic")
+    assert spec.period > 0 and spec.channels
+    for ch in spec.channels:
+        if spec.kind == "periodic":
+            assert ch["formula"] in ("sin_sq", "cos_sq", "cos", "constant")
+            assert ch["formula"] != "constant" or "value" in ch
+        elif spec.kind == "checkerboard":
+            cells = spec.period / ch["cell"]
+            assert 1 <= round(cells) <= 10**6
+            assert abs(cells - round(cells)) <= 1e-12
+            assert ch["low"] < ch["high"]
+        else:
+            assert len(ch["freqs"]) == len(ch["amps"]) \
+                == len(ch.get("phases", ch["amps"])) >= 1
+    # every channel's values are finite, on the nodes the hypotheses read
+    medium, x = sample_realization(spec, cfg.seeds[0]), medium_table(spec)
+    for i in range(len(spec.channels)):
+        assert np.isfinite(spec.channel_bounds(i)).all()
+        assert np.isfinite(medium.evaluate_channel(i, x)).all()
     assert cfg.solver_n >= 16
     lams = cfg.lambda_schedule
     assert len(lams) >= 3 and min(lams) > 0
@@ -200,7 +224,6 @@ class TestConfigValidation:
         assert cfg.p_axis[0] == -3.0 and cfg.p_axis[-1] == 3.0
         assert len(cfg.p_axis) == 25
         assert cfg.lambda_schedule == [0.16, 0.08, 0.04]
-        assert cfg.theta is None
         assert cfg.family.ell == 1
 
     def test_missing_family(self):
@@ -387,9 +410,10 @@ class TestConfigValidation:
                 f"nonzero length")):
             ExperimentConfig(data)
 
-    @pytest.mark.parametrize("cell", [0.3, 5e-324, 2.0 ** -30])
+    @pytest.mark.parametrize("cell", [0.3, 5e-324, 2.0 ** -30, 1e12])
     def test_checkerboard_cell_must_divide_the_period(self, cell):
-        # 5e-324 gives infinitely many cells, 2^-30 an 8 GB table
+        # 5e-324 gives infinitely many cells, 2^-30 an 8 GB table, 1e12
+        # none: the medium then divided by zero on each evaluation
         data = small_config()
         data["medium"] = {"kind": "checkerboard", "period": 1.0,
                           "channels": [{"cell": cell, "low": 0.0,
@@ -405,29 +429,75 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="channel -1 not in medium"):
             ExperimentConfig(data)
 
-    @pytest.mark.parametrize("theta", [[1.0, 1.0], -1.0, "big"])
-    def test_theta_must_be_a_positive_number(self, theta):
-        data = small_config()
-        data["solver"]["theta"] = theta
-        with pytest.raises(ConfigError, match="solver.theta"):
-            ExperimentConfig(data)
+    def test_medium_rules_name_the_field(self):
+        # the medium's value rules, each refused at load with its field
+        at = "medium.channels[0]"
+        for medium, message in (
+                ({"channels": [{"formula": "nope"}]},
+                 f"{at}.formula: unknown formula 'nope'"),
+                ({"kind": "checkerboard",
+                  "channels": [{"cell": 0.3, "low": 0, "high": 1}]},
+                 f"{at}.cell: 0.3 does not divide medium.period 1 into at "
+                 f"most 1000000 cells"),
+                ({"kind": "checkerboard",
+                  "channels": [{"cell": 0.25, "low": 1, "high": 0}]},
+                 f"{at}: need {at}.low < {at}.high"),
+                ({"channels": []},
+                 "medium.channels: need at least one channel"),
+                ({"kind": "sparkle", "channels": [{"formula": "sin_sq"}]},
+                 "medium.kind: unknown kind 'sparkle'")):
+            data = small_config()
+            data["medium"] = {"kind": "periodic", "period": 1.0, **medium}
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"<config>: {message}")):
+                ExperimentConfig(data)
 
-    def test_theta_at_the_lipschitz_bound_loads(self):
-        # the bound of an amplitude piece comes from its channel bounds:
-        # slope 1 times scale 2 times 1/4 + cos^2 / 2 <= 3/4 is 3/2, and
-        # the hat's slope 3 is the larger; at scale 8 the check's 6 is
-        data = small_config()
-        data["medium"]["channels"].append(
-            {"formula": "cos_sq", "amplitude": 0.5, "offset": 0.25})
-        data["family"]["checks"][0].update(coupling="amplitude", channel=1,
-                                           scale=2.0)
-        data["family"]["hats"][0]["profile"]["slope"] = 3.0
-        data["solver"]["theta"] = 3.0
-        assert ExperimentConfig(data).theta == 3.0
-        data["family"]["checks"][0]["scale"] = 8.0
-        with pytest.raises(ConfigError, match=re.escape(
-                "solver.theta: 3 is below 6, the family's Lipschitz bound")):
-            ExperimentConfig(data)
+    def test_piecewise_shape_rules_name_the_field(self):
+        at = "family.checks[0].profile"
+        for breaks, values, direction, signs in (
+                # a W is not a valley
+                ([-2, -1, 0, 1, 2], [1, 0, 1, 0, 1], None,
+                 [-1.0, 1.0, -1.0, 1.0]),
+                # a flat tail is not coercive
+                ([-1, 0, 1], [0, 0, 1], None, [0.0, 1.0]),
+                # a hill is not a valley
+                ([-1, 0, 1], [0, 1, 0], "valley", [1.0, -1.0])):
+            data = small_config()
+            profile = {"kind": "piecewise_monotone", "breaks": breaks,
+                       "values": values}
+            if direction:
+                profile["direction"] = direction
+            data["family"]["checks"][0]["profile"] = profile
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{at}.values: values do not form a valley: slope signs "
+                    f"{signs} (see {at}.direction)")):
+                ExperimentConfig(data)
+
+    def test_every_profile_kind_loads_as_its_class(self):
+        # each kind a config names is its class, built from the fields
+        # directly, bit for bit
+        p = np.linspace(-3.0, 3.0, 11)
+        breaks = [-1.0, 0.0, 2.0]
+        for role, profile, direct in (
+                ("checks", {"kind": "abs_shift", "center": 0.3,
+                            "slope": 1.1, "offset": 0.4},
+                 AbsShift(0.3, 1.1, 0.4)),
+                ("hats", {"kind": "negated_abs", "center": 0.3,
+                          "slope": 1.1},
+                 NegatedAbs(0.3, 1.1)),
+                ("checks", {"kind": "piecewise_monotone", "breaks": breaks,
+                            "values": [1.0, -0.5, 3.0]},
+                 PiecewiseMonotone(breaks, [1.0, -0.5, 3.0])),
+                ("hats", {"kind": "piecewise_monotone", "breaks": breaks,
+                          "values": [-1.0, 0.5, -3.0], "direction": "hill"},
+                 PiecewiseMonotone(breaks, [-1.0, 0.5, -3.0], "hill"))):
+            data = small_config()
+            data["family"][role][0]["profile"] = profile
+            loaded = getattr(ExperimentConfig(data).family, role)[0].profile
+            assert type(loaded) is type(direct)
+            assert loaded(p).tobytes() == direct(p).tobytes()
+            assert loaded.tag == direct.tag
+            assert loaded.lipschitz() == direct.lipschitz()
 
     def test_quasiperiodic_frequency_must_be_a_number(self):
         data = small_config()
@@ -758,7 +828,7 @@ class TestRunEffective:
         # a jump of 1 where the Lipschitz bound 1 allows 0.25 + 2e-2
         cfg = ExperimentConfig(small_config())
 
-        def jumpy(hamiltonian, p, medium, lams, grid, theta):
+        def jumpy(hamiltonian, p, medium, lams, grid):
             return {"value": np.abs(p) + (np.arange(len(p)) == 12),
                     "error_bar": np.zeros(len(p)),
                     "reliable": np.ones(len(p), dtype=bool)}
@@ -1771,23 +1841,85 @@ class TestCLI:
                 if line.startswith("eps=")]
         assert len(errs) == 4 and errs[-1] < 0.5 * errs[0]
 
+    def _base_case_with(self, tmp_path, edit):
+        """base_case, changed by ``edit``, as a config file whose output
+        is tmp_path/run."""
+        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
+        edit(data)
+        data["output"] = str(tmp_path / "run")
+        path = tmp_path / "edited.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return str(path)
+
     @pytest.mark.parametrize("theta", [0.9, 0.5])
     @pytest.mark.parametrize("command", ["check", "sweep-eps"])
     def test_theta_below_the_lipschitz_bound_exits_4(self, tmp_path, theta,
                                                      command):
         # below the bound 1 of base_case the scheme is not monotone: at
-        # 0.9 sweep-eps used to exit 0 with errors that shrink at half
-        # the rate, at 0.5 it left the comparison band
-        data = yaml.safe_load((CONFIG_DIR / "base_case.yaml").read_text())
-        data["solver"]["theta"] = theta
-        data["output"] = str(tmp_path / "run")
-        path = tmp_path / "theta.yaml"
-        path.write_text(yaml.safe_dump(data))
-        res = self.invoke(command, "--config", str(path))
+        # 0.9 sweep-eps once exited 0 with errors that shrink at half the
+        # rate, at 0.5 it left the comparison band. The dissipation is
+        # now always the family's Lipschitz bound, and no config sets it.
+        path = self._base_case_with(
+            tmp_path, lambda d: d["solver"].update(theta=theta))
+        res = self.invoke(command, "--config", path)
         assert res.exit_code == 4
-        assert (f"solver.theta: {theta:g} is below 1, the family's "
-                f"Lipschitz bound in p") in res.stderr
+        assert "solver.theta: unknown key" in res.stderr
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("channel,coupling,message", [
+        pytest.param({"freqs": [1e308], "amps": [0.25], "offset": 1.0},
+                     "amplitude", "2 pi |medium.channels[0].freqs[0]| "
+                     "medium.period + |medium.channels[0].phases[0]|",
+                     id="quasiperiodic-freqs"),
+        pytest.param({"formula": "sin_sq", "amplitude": 1.5e308,
+                      "offset": 1e308}, "additive",
+                     "|medium.channels[0].offset| + "
+                     "|medium.channels[0].amplitude|", id="sin_sq-amplitude"),
+        pytest.param({"cell": 0.25, "low": -1.7e308, "high": 1.7e308},
+                     "additive",
+                     "medium.channels[0].high - medium.channels[0].low",
+                     id="checkerboard-range")])
+    def test_overflowing_channel_exits_4(self, tmp_path, channel, coupling,
+                                         message):
+        # once: check passed on NaN values, reported an unstable pair
+        # with an infinite witness, or ended in a numpy traceback
+        kind = ("quasiperiodic" if "freqs" in channel else
+                "checkerboard" if "cell" in channel else "periodic")
+
+        def edit(data):
+            data["medium"].update(kind=kind, channels=[channel])
+            data["family"]["checks"][0]["coupling"] = coupling
+        path = self._base_case_with(tmp_path, edit)
+        for command in ("check", "effective"):
+            res = self.invoke(command, "--config", path)
+            assert res.exit_code == 4
+            assert (f"medium.channels[0]: {message} overflows; the channel's "
+                    f"values must be finite") in res.stderr
+            assert "Traceback" not in res.output
+            assert not (tmp_path / "run").exists()
+
+    def test_zero_amplitude_is_refused_before_any_solve(self, tmp_path,
+                                                         monkeypatch):
+        # every piece on a channel that is 0 everywhere: the Lipschitz
+        # bound, and so the dissipation, would be 0, but the piece table
+        # refuses the coefficient before any solve or march starts
+        def edit(data):
+            data["medium"].update(kind="quasiperiodic", channels=[
+                {"freqs": [1.0], "amps": [0.0], "offset": 0.0}])
+            for role in ("checks", "hats"):
+                data["family"][role][0]["coupling"] = "amplitude"
+        path = self._base_case_with(tmp_path, edit)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+        for name in ("estimate_effective", "solve_time_dependent",
+                     "solve_homogenized"):
+            monkeypatch.setattr(harness, name, no_solve)
+        for command in ("effective", "sweep-eps"):
+            res = self.invoke(command, "--config", path)
+            assert res.exit_code == 3
+            assert ("amplitude channel 0 has coefficient 0 <= 0"
+                    in res.stderr)
 
     def test_misshapen_curve_exits_3(self, tmp_path):
         # a 9-point axis misses the coercive rise of the two-level curve

@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from minmax_hj.errors import ConfigError
 from minmax_hj.media import MediumSpec, sample_realization
 
 
@@ -76,15 +74,3 @@ def test_quasiperiodic_wraps_at_seam():
     assert np.isclose(m.evaluate_channel(0, np.array([0.4])),
                       m.evaluate_channel(0, np.array([-0.6])))
 
-
-def test_config_validation_errors():
-    with pytest.raises(ConfigError):
-        MediumSpec("periodic", 1.0, [{"formula": "nope"}])
-    with pytest.raises(ConfigError):
-        MediumSpec("checkerboard", 1.0, [{"cell": 0.3, "low": 0, "high": 1}])
-    with pytest.raises(ConfigError):
-        MediumSpec("checkerboard", 1.0, [{"cell": 0.25, "low": 1, "high": 0}])
-    with pytest.raises(ConfigError):
-        MediumSpec("periodic", 1.0, [])
-    with pytest.raises(ConfigError):
-        MediumSpec("sparkle", 1.0, [{"formula": "sin_sq"}])

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from minmax_hj.errors import ProfileShapeError
 from minmax_hj.family import Piece
-from minmax_hj.profiles import (AbsShift, NegatedAbs, PiecewiseMonotone,
-                                profile_from_dict)
+from minmax_hj.profiles import AbsShift, NegatedAbs, PiecewiseMonotone
 
 
 def test_abs_shift_values():
@@ -31,18 +29,6 @@ def test_piecewise_valley_with_flat_bottom():
 def test_piecewise_hill():
     phi = PiecewiseMonotone([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0], direction="hill")
     assert np.allclose(phi(np.array([-2.0, 0.0, 0.5])), [-2.0, 2.0, 1.0])
-
-
-def test_piecewise_shape_rejection():
-    # W shape is not a valley
-    with pytest.raises(ProfileShapeError):
-        PiecewiseMonotone([-2, -1, 0, 1, 2], [1, 0, 1, 0, 1])
-    # flat tail destroys coercivity
-    with pytest.raises(ProfileShapeError):
-        PiecewiseMonotone([-1, 0, 1], [0, 0, 1])
-    # hill mislabeled as valley
-    with pytest.raises(ProfileShapeError):
-        PiecewiseMonotone([-1, 0, 1], [0, 1, 0], direction="valley")
 
 
 def test_negate_dual_pointwise():
@@ -86,18 +72,6 @@ def test_bind_base_matches_direct():
                 PiecewiseMonotone([-1.0, 0.0, 2.0], [1.0, -0.5, 3.0])):
         f = Piece(phi).bind_base(base, None, None)
         assert np.array_equal(f((dv,)), phi(base + dv))
-
-
-def test_roundtrip_from_dict():
-    for data, phi in (
-            ({"kind": "abs_shift", "center": 0.3, "slope": 1.1,
-              "offset": 0.4}, AbsShift(0.3, 1.1, 0.4)),
-            ({"kind": "piecewise_monotone", "breaks": [-1.0, 0.0, 2.0],
-              "values": [1.0, -0.5, 3.0], "direction": "valley"},
-             PiecewiseMonotone([-1.0, 0.0, 2.0], [1.0, -0.5, 3.0]))):
-        clone = profile_from_dict(data)
-        p = np.linspace(-3, 3, 11)
-        assert np.array_equal(clone(p), phi(p))
 
 
 def _general(cls, center, slope, offset, p):

@@ -22,6 +22,17 @@ from _reference import hopf_lax_abs, lf_march, sequential_newton
 from conftest import CountingMedium
 
 ABS = Piece(AbsShift(0.0, 1.0, 0.0), None)  # H(p) = |p|, medium-free
+
+
+class _UnderBound(Piece):
+    """A piece whose certified Lipschitz bound is 1e-9, whatever its
+    slope: the dissipation a march takes from it is too small."""
+
+    def lipschitz(self, medium=None):
+        return 1e-9
+
+
+UNDER_BOUND = _UnderBound(AbsShift(0.0, 1.0, 0.0))   # H(p) = |p| again
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -46,17 +57,16 @@ def _assert_row_equal(info, i, one_info):
                             {k: a[0] for k, a in one_info.items()})
 
 
-def _solve(ham, p, lam, grid, medium=None, theta=None, v0=None):
+def _solve(ham, p, lam, grid, medium=None, v0=None):
     """One rate of the discounted problem on a cell problem of its own:
     the fields on its cell grid and the solve's per-row arrays."""
-    return solve_discounted(CellProblem(ham, p, grid, medium, theta), lam,
-                            v0)
+    return solve_discounted(CellProblem(ham, p, grid, medium), lam, v0)
 
 
-def _relaxed(ham, p, lam, grid, medium, tol, theta=None):
+def _relaxed(ham, p, lam, grid, medium, tol):
     """The relaxation reference: the discounted solution by monotone
     pseudo-time relaxation alone, on the cell grid of ``grid``."""
-    cell = solver.CellProblem(ham, [p], grid, medium, theta).at(lam)
+    cell = solver.CellProblem(ham, [p], grid, medium).at(lam)
     out, _, _ = solver._relax_projected(cell, np.arange(1),
                                         np.zeros((1, cell.grid.n)),
                                         np.array([tol]))
@@ -300,35 +310,32 @@ class TestNestedStart:
     def ell2(self):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
         return (LevelHamiltonian(cfg.family),
-                sample_realization(cfg.medium_spec, cfg.seeds[0]),
-                cfg.theta)
+                sample_realization(cfg.medium_spec, cfg.seeds[0]))
 
     @pytest.mark.parametrize("n", [256, 4096])
     def test_newton_converges_where_zero_start_stalls(self, ell2, n):
-        ham, medium, theta = ell2
-        _, info = _solve(ham, self.P0, self.LAM, Grid(n, length=4.0), medium,
-                         theta)
+        ham, medium = ell2
+        _, info = _solve(ham, self.P0, self.LAM, Grid(n, length=4.0), medium)
         assert info["method"][0] == "newton"
         assert info["residual"][0] <= info["tol"][0]
 
     def test_newton_agrees_with_relaxation(self, ell2, monkeypatch):
-        ham, medium, theta = ell2
+        ham, medium = ell2
         g = Grid(256, length=4.0)
-        a, info = _solve(ham, self.P0, self.LAM, g, medium, theta)
+        a, info = _solve(ham, self.P0, self.LAM, g, medium)
         assert info["method"][0] == "newton"
         tol = info["tol"][0]
         # the reference relaxes on the whole grid, not on one period
         monkeypatch.setattr(solver, "_cell_grid", lambda g, m: g)
-        b = _relaxed(ham, self.P0[0], self.LAM, g, medium, tol, theta)
+        b = _relaxed(ham, self.P0[0], self.LAM, g, medium, tol)
         assert np.max(np.abs(np.tile(a[0], 4) - b)) <= 2 * tol / self.LAM
 
     @pytest.mark.parametrize("n", [96, 100, 384])
     def test_non_power_of_two_sizes(self, ell2, n):
         # solved on one period: 96 -> 24 and 100 -> 25 nodes have no
         # coarser level; 384 -> 96 climbs from 24
-        ham, medium, theta = ell2
-        v, info = _solve(ham, self.P0, self.LAM, Grid(n, length=4.0), medium,
-                         theta)
+        ham, medium = ell2
+        v, info = _solve(ham, self.P0, self.LAM, Grid(n, length=4.0), medium)
         assert v.shape == (1, n // 4)
         assert info["method"][0] == "newton"
         assert info["residual"][0] <= info["tol"][0]
@@ -336,9 +343,8 @@ class TestNestedStart:
     def test_newton_converges_on_one_period(self, ell2):
         # the ladder reaches 16 nodes, the spacing 64 nodes give on 4
         # periods; from a 64-node coarsest level Newton stalls here
-        ham, medium, theta = ell2
-        _, info = _solve(ham, self.P0, self.LAM, Grid(1024, 1.0),
-                         medium, theta)
+        ham, medium = ell2
+        _, info = _solve(ham, self.P0, self.LAM, Grid(1024, 1.0), medium)
         assert info["method"][0] == "newton"
         assert info["residual"][0] <= info["tol"][0]
 
@@ -362,7 +368,6 @@ class TestBatchAndPeriod:
     @pytest.fixture(scope="class")
     def ell2(self):
         cfg = ExperimentConfig.from_yaml(CONFIG_DIR / "ell2_strict.yaml")
-        assert cfg.theta is None    # the dissipation is the Lipschitz bound
         return (LevelHamiltonian(cfg.family),
                 sample_realization(cfg.medium_spec, cfg.seeds[0]),
                 Grid(cfg.solver_n, cfg.solver_length))
@@ -645,34 +650,35 @@ class TestEpsStack:
         one, _ = solve_time_dependent(ABS, periodized_well, [1.0], g, T=0.25)
         assert one.shape == (1, 1, g.n)
 
-    # a dissipation far below the Lipschitz bound gives a step count of
-    # one; the sample time forces 128 steps of length 1e5/128, far past
-    # CFL, and the centered scheme overflows
-    UNSTABLE = {"T": 1e5, "theta": 1e-9, "t_samples": (1e5 / 128,)}
+    # H(p) = |p| under a certified bound of 1e-9, far below its slope 1:
+    # the dissipation gives a step count of one; the sample time forces
+    # 128 steps of length 1e5/128, far past CFL, and the centered scheme
+    # overflows
+    UNSTABLE = {"T": 1e5, "t_samples": (1e5 / 128,)}
 
     def test_blow_up_names_the_row(self):
         g = Grid(64, length=4.0)
         with np.errstate(all="ignore"), \
                 pytest.raises(NonConvergenceError,
                               match="^eps=0.5: evolution blew up"):
-            solve_time_dependent(ABS, periodized_well, [0.5, 0.25], g,
-                                 **self.UNSTABLE)
+            solve_time_dependent(UNDER_BOUND, periodized_well, [0.5, 0.25],
+                                 g, **self.UNSTABLE)
         with np.errstate(all="ignore"), \
                 pytest.raises(NonConvergenceError,
                               match="^homogenized: evolution blew up"):
-            solve_homogenized(_Curve(np.abs, 1.0), periodized_well, g,
+            solve_homogenized(_Curve(np.abs, 1e-9), periodized_well, g,
                               **self.UNSTABLE)
 
     def test_band_violation_names_the_row(self):
         g = Grid(64, length=4.0)
-        unstable = {"T": 100.0, "theta": 1e-9, "t_samples": (100.0 / 128,)}
+        unstable = {"T": 100.0, "t_samples": (100.0 / 128,)}
         with pytest.raises(NonConvergenceError,
                            match="^eps=1: evolution left the comparison"):
-            solve_time_dependent(ABS, periodized_well, [1.0, 0.5], g,
+            solve_time_dependent(UNDER_BOUND, periodized_well, [1.0, 0.5], g,
                                  **unstable)
         with pytest.raises(NonConvergenceError,
                            match="^homogenized: evolution left the comp"):
-            solve_homogenized(_Curve(np.abs, 1.0), periodized_well, g,
+            solve_homogenized(_Curve(np.abs, 1e-9), periodized_well, g,
                               **unstable)
 
 
